@@ -20,11 +20,13 @@
 //! 1. **Expand (parallel).** The current frontier (one BFS level) is
 //!    split into per-worker index ranges; workers claim chunks from
 //!    their own range and *steal* from the back of the largest remaining
-//!    range when they run dry. Each worker decodes frontier nodes into
-//!    its own scratch [`Execution`] (clone-free step/undo — see
-//!    [`ftcolor_model::encode`]) and computes the expensive part: the safety
-//!    predicate, the terminal check, and one packed successor key per
-//!    activation subset, consulting the sharded visited-set
+//!    range when they run dry. Each worker reads outputs and the
+//!    working set straight off a frontier node's packed row and computes
+//!    the expensive part: the safety predicate, the terminal check, and
+//!    one packed successor key per activation subset — stepped on the
+//!    packed row itself by the codec's memoized successor kernel
+//!    ([`ConfigCodec::step_packed`], see [`ftcolor_model::encode`]), with
+//!    no [`Execution`] involved — consulting the sharded visited-set
 //!    (partitioned by the keys' precomputed `u64` hashes, one
 //!    `parking_lot::Mutex`-guarded shard each) to classify successors
 //!    already discovered in previous levels. The visited-set is *frozen*
@@ -88,7 +90,7 @@ use crate::stats::ExploreStats;
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
 use ftcolor_model::encode::{CfgKey, ConfigCodec, PassthroughBuild};
 use ftcolor_model::sweep::RangeQueue;
-use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
+use ftcolor_model::{ActivationSet, Algorithm, Execution, ProcessId, Topology};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -336,13 +338,8 @@ where
         &self,
         safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
     ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
-        let (g, codec) = self.explore_graph(&safety, true, self.por, true)?;
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
+        let g = self.explore_graph(&safety, true, self.por, true)?;
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
         let safety_violation = g.first_violation.as_ref().map(|(id, desc)| {
             concrete_safety_witness(
                 self.alg,
@@ -414,7 +411,7 @@ where
     pub fn exact_worst_case_with_stats(
         &self,
     ) -> Result<(Option<u64>, ExploreStats), ModelCheckError> {
-        let (g, codec) = self.explore_graph(
+        let g = self.explore_graph(
             &|_: &Topology, _: &[Option<A::Output>]| None,
             false,
             false,
@@ -423,12 +420,7 @@ where
         if g.truncated {
             return Ok((None, g.stats)); // truncated: cannot certify
         }
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
         let w = worst_case_from_graph(&g.edges, self.topo.len(), g.sym.as_ref(), &mut working_of);
         Ok((w, g.stats))
     }
@@ -442,7 +434,7 @@ where
         track_outputs: bool,
         use_por: bool,
         allow_lossy: bool,
-    ) -> Result<(GraphResult<A::Output>, ConfigCodec<A>), ModelCheckError> {
+    ) -> Result<GraphResult<A::Output>, ModelCheckError> {
         if self.extmem.is_some() && self.bloom.is_some() {
             return Err(ModelCheckError::VisitedModeConflict);
         }
@@ -528,7 +520,6 @@ where
                 Backend::Ext(_) | Backend::Bloom(_) => None,
             };
             let results = self.expand_level(
-                &template,
                 &codec,
                 g.sym.as_ref(),
                 por.as_ref(),
@@ -695,19 +686,19 @@ where
                 g.stats.bloom_fp_per_million = filter.est_fp_per_million();
             }
         }
-        Ok((g, codec))
+        Ok(g)
     }
 
     /// The parallel phase: expands every frontier node, returning one
-    /// [`Expansion`] per node *in frontier order*. Each worker owns a
-    /// scratch execution and generates successors clone-free by
-    /// step/undo. The visited-set (when present — the external-memory
-    /// and Bloom modes defer all classification to the merge) is only
-    /// read here, never written.
+    /// [`Expansion`] per node *in frontier order*. Successors come from
+    /// the codec's packed successor kernel
+    /// ([`ConfigCodec::step_packed`]), so no worker touches an
+    /// [`Execution`]. The visited-set (when present — the
+    /// external-memory and Bloom modes defer all classification to the
+    /// merge) is only read here, never written.
     #[allow(clippy::too_many_arguments)]
     fn expand_level(
         &self,
-        template: &Execution<'a, A>,
         codec: &ConfigCodec<A>,
         sym: Option<&CycleSymmetry>,
         por: Option<&PorContext>,
@@ -717,32 +708,36 @@ where
         expand: bool,
         track_outputs: bool,
     ) -> Vec<Expansion<A::Output>> {
-        let expand_one = |scratch: &mut Execution<'a, A>, key: &CfgKey| -> Expansion<A::Output> {
-            codec.restore(scratch, key);
-            let outputs = if track_outputs {
-                scratch.outputs().iter().flatten().cloned().collect()
-            } else {
-                Vec::new()
-            };
+        let expand_one = |key: &CfgKey| -> Expansion<A::Output> {
+            let all_outputs = codec.outputs(&key.packed);
             // The predicate is pure, so evaluating it at configurations
             // the sequential checker would skip (those after the first
             // violation) changes nothing observable.
-            let violation = safety(self.topo, scratch.outputs());
-            let terminal = scratch.all_returned();
+            let violation = safety(self.topo, &all_outputs);
+            let outputs = if track_outputs {
+                all_outputs.into_iter().flatten().collect()
+            } else {
+                Vec::new()
+            };
+            let working = ConfigCodec::<A>::working(&key.packed);
+            let terminal = working.is_empty();
             let mut children = Vec::new();
             let mut pruned = 0u64;
             if !terminal && expand {
                 let subsets = match por {
                     Some(p) => {
-                        let reduced = p.reduced_subsets(scratch.working());
-                        pruned = ((1u64 << scratch.working().len()) - 1) - reduced.len() as u64;
+                        let reduced = p.reduced_subsets(&working);
+                        pruned = ((1u64 << working.len()) - 1) - reduced.len() as u64;
                         reduced
                     }
-                    None => subsets_with_masks(scratch.working()),
+                    None => subsets_with_masks(&working),
                 };
                 for (mask, set) in subsets {
-                    let touched = scratch.step_with(&set);
-                    let succ = codec.encode_delta(key, scratch, &touched);
+                    let active = match &set {
+                        ActivationSet::Only(ps) => ps,
+                        ActivationSet::All => &working,
+                    };
+                    let succ = codec.step_packed(self.alg, self.topo, key, active);
                     let (succ, sig) = match sym {
                         Some(s) => s.canonicalize(codec, self.alg, true, &succ),
                         None => (succ, SIGMA_ID),
@@ -751,7 +746,6 @@ where
                         Some(nid) => Child::Known(nid, mask, sig),
                         None => Child::Fresh(succ, mask, sig),
                     });
-                    codec.restore_procs(scratch, &key.packed, &touched);
                 }
             }
             Expansion {
@@ -765,11 +759,7 @@ where
 
         let workers = self.jobs.min(frontier.len()).max(1);
         if workers == 1 {
-            let mut scratch = template.clone();
-            return frontier
-                .iter()
-                .map(|(_, key)| expand_one(&mut scratch, key))
-                .collect();
+            return frontier.iter().map(|(_, key)| expand_one(key)).collect();
         }
 
         // Per-worker index ranges with back-half stealing: worker w owns
@@ -792,11 +782,10 @@ where
                     let queues = &queues;
                     let expand_one = &expand_one;
                     s.spawn(move |_| {
-                        let mut scratch = template.clone();
                         let mut local: Vec<(usize, Expansion<A::Output>)> = Vec::new();
                         let mut run = |range: std::ops::Range<usize>| {
                             for i in range {
-                                local.push((i, expand_one(&mut scratch, &frontier[i].1)));
+                                local.push((i, expand_one(&frontier[i].1)));
                             }
                         };
                         loop {

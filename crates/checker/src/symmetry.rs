@@ -47,10 +47,11 @@
 //! [`Algorithm`]: ftcolor_model::Algorithm
 //! [`Topology::is_cycle`]: ftcolor_model::Topology::is_cycle
 
-use ftcolor_model::encode::{CfgKey, ConfigCodec, SLOTS_PER_PROC};
+use ftcolor_model::encode::{slot_contrib, CfgKey, ConfigCodec, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::{Algorithm, ProcessId, Topology};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Identity automorphism index — `CycleSymmetry::perms[0]` is always
 /// the identity, so plain (non-symmetry) exploration stores `SIGMA_ID`
@@ -264,7 +265,7 @@ impl CycleSymmetry {
     /// The group *action* moves each process's slots to its image and,
     /// where the automorphism flips a node's neighbor order, replaces
     /// the state by its view-reindexed twin
-    /// ([`ConfigCodec::view_swapped_state`]) — without that, relabeled
+    /// ([`ConfigCodec::read_orbit`]) — without that, relabeled
     /// configurations of algorithms with view-position-indexed state
     /// (e.g. a stored previous view) would not step equivariantly and
     /// the quotient would be unsound. When `relabel` is `false` (the
@@ -291,70 +292,55 @@ impl CycleSymmetry {
     {
         let n = self.n();
         debug_assert_eq!(key.packed.len(), n * SLOTS_PER_PROC);
-        let hashes = codec.slot_value_hashes(&key.packed);
-        // Per-process view-swapped state (index, value hash), used by
-        // every element that flips that process's neighbor order.
-        let swapped: Vec<(u32, u64)> = if relabel {
-            (0..n)
-                .map(|i| codec.view_swapped_state(alg, key.packed[SLOTS_PER_PROC * i]))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        codec.read_orbit(alg, &key.packed, relabel, |view| {
+            // The image under element g, as (inverse perm, view-swap
+            // row): its slot j·3+s draws from source process i = inv(g)(j),
+            // with the state slot view-reindexed when the move flips i's
+            // neighbor order. Entries are (value hash, packed index),
+            // fetched only as far as a comparison needs them.
+            let image = |g: u16| (self.perm(self.invert(g)), &self.view_swap[g as usize][..]);
+            let slot_entry = |(ginv, swap): (&[u32], &[bool]), slot: usize| -> (u64, u32) {
+                let (j, s) = (slot / SLOTS_PER_PROC, slot % SLOTS_PER_PROC);
+                let i = ginv[j] as usize;
+                let mut v = key.packed[SLOTS_PER_PROC * i + s];
+                if s == 0 && swap[i] {
+                    v = view.view_swapped(v);
+                }
+                (view.value_hash(s, v), v)
+            };
 
-        // candidate(g)[slot] with slot = j·3+s draws from source process
-        // i = inv(g)(j), with the state slot view-reindexed when the
-        // move flips i's neighbor order.
-        let slot_entry = |g: u16, ginv: &[u32], slot: usize| -> (u64, u32) {
-            let (j, s) = (slot / SLOTS_PER_PROC, slot % SLOTS_PER_PROC);
-            let i = ginv[j] as usize;
-            if s == 0 && self.view_swap[g as usize][i] {
-                let (idx, h) = swapped[i];
-                (h, idx)
-            } else {
-                let src = SLOTS_PER_PROC * i + s;
-                (hashes[src], key.packed[src])
+            let mut best = SIGMA_ID;
+            let mut best_image = image(best);
+            for g in 1..self.group_len() as u16 {
+                if !relabel && self.needs_relabel[g as usize] {
+                    continue;
+                }
+                let candidate = image(g);
+                let better = (0..n * SLOTS_PER_PROC)
+                    .map(|slot| slot_entry(candidate, slot).cmp(&slot_entry(best_image, slot)))
+                    .find(|o| o.is_ne())
+                    .is_some_and(std::cmp::Ordering::is_lt);
+                if better {
+                    best = g;
+                    best_image = candidate;
+                }
             }
-        };
 
-        let mut best: u16 = SIGMA_ID;
-        let mut best_inv = self.perm(self.invert(best));
-        for g in 1..self.group_len() as u16 {
-            if !relabel && self.needs_relabel[g as usize] {
-                continue;
+            if best == SIGMA_ID {
+                return (key.clone(), SIGMA_ID);
             }
-            let ginv = self.perm(self.invert(g));
-            let better = (0..n * SLOTS_PER_PROC)
-                .find_map(|slot| {
-                    let a = slot_entry(g, ginv, slot);
-                    let b = slot_entry(best, best_inv, slot);
-                    match a.cmp(&b) {
-                        std::cmp::Ordering::Less => Some(true),
-                        std::cmp::Ordering::Greater => Some(false),
-                        std::cmp::Ordering::Equal => None,
-                    }
+            // The entries carry their value hashes, so the canonical
+            // key's hash needs no second pass over the slots.
+            let mut hash = 0u64;
+            let packed: Arc<[u32]> = (0..n * SLOTS_PER_PROC)
+                .map(|slot| {
+                    let (h, idx) = slot_entry(best_image, slot);
+                    hash ^= slot_contrib(slot, h);
+                    idx
                 })
-                .unwrap_or(false);
-            if better {
-                best = g;
-                best_inv = ginv;
-            }
-        }
-
-        if best == SIGMA_ID {
-            return (key.clone(), SIGMA_ID);
-        }
-        let packed: Vec<u32> = (0..n * SLOTS_PER_PROC)
-            .map(|slot| slot_entry(best, best_inv, slot).1)
-            .collect();
-        let hash = codec.hash_packed(&packed);
-        (
-            CfgKey {
-                hash,
-                packed: packed.into(),
-            },
-            best,
-        )
+                .collect();
+            (CfgKey { hash, packed }, best)
+        })
     }
 }
 

@@ -26,11 +26,32 @@
 //! bit-identical to the old tuple-keyed one.
 //!
 //! [`ConfigCodec::restore`] and [`Execution::restore_slot`] are the
-//! write half: a checker materializes a configuration into a scratch
-//! execution, steps it, re-encodes only the touched slots
-//! ([`ConfigCodec::encode_delta`]), and undoes the step by restoring the
-//! touched slots from the parent's packed buffer — no `Execution::clone`
-//! anywhere on the hot path.
+//! write half for engines that step a real executor: materialize a
+//! configuration into a scratch execution, step it, re-encode only the
+//! touched slots ([`ConfigCodec::encode_delta`]), and undo the step by
+//! restoring the touched slots from the parent's packed buffer. The
+//! sequential reference checker and the POR gate's dynamic probe work
+//! this way.
+//!
+//! ## The packed successor kernel
+//!
+//! [`ConfigCodec::step_packed`] skips the executor altogether: it applies
+//! the three-phase step of §2.1 to a parent's packed row directly, with
+//! two memos keyed by intern indices only —
+//!
+//! * `published`: state index → register index (phase 1, the write),
+//! * `transitions`: `[state index, neighbor register slots…]` → (new
+//!   state index, output slot) (phases 2–3, read and update) —
+//!
+//! and the same incremental XOR hash as [`ConfigCodec::encode_delta`].
+//! A memo miss rebuilds the values from the interners and calls
+//! [`Algorithm::publish`] / [`Algorithm::step`] once. The memo adds one
+//! premise to the visited set's: `step` is a pure function of
+//! `(state, view)` and `publish` of `state` — the visited set already
+//! assumes it for whole configurations, and the certifier's step
+//! determinism rule (FTC-DET-005) checks it for every registry
+//! algorithm. An impure algorithm would be *hidden* by the memo, which is
+//! why the POR gate's commutation probe keeps stepping the real executor.
 //!
 //! ## The batch half
 //!
@@ -51,7 +72,8 @@
 //! every value exactly once and gain nothing — such instances should run
 //! on a live `Execution` instead.
 
-use crate::{Algorithm, Execution, ProcessId};
+use crate::algorithm::{Neighborhood, Step};
+use crate::{Algorithm, Execution, ProcessId, Topology};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash, Hasher};
@@ -69,8 +91,9 @@ const EMPTY_SLOT_HASH: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Finalizing mix (splitmix64) of a slot index and a value hash into
 /// that slot's contribution to the configuration hash. XOR-combining
 /// per-slot contributions is what makes the hash incrementally
-/// updatable slot by slot.
-fn slot_contrib(slot: usize, value_hash: u64) -> u64 {
+/// updatable slot by slot: a [`CfgKey::hash`] is the XOR of this over
+/// every slot and the pre-mix hash of the value packed there.
+pub fn slot_contrib(slot: usize, value_hash: u64) -> u64 {
     let mut z = value_hash ^ (slot as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -200,17 +223,54 @@ impl Hasher for PassthroughHasher {
 /// `BuildHasher` for visited maps keyed by [`CfgKey`].
 pub type PassthroughBuild = BuildHasherDefault<PassthroughHasher>;
 
-/// Interners for one exploration: states, registers, outputs.
+/// Marks a dense memo entry that has not been computed yet.
+const UNKNOWN: u32 = u32::MAX;
+
+/// Transition keys of nodes with fewer neighbors than this are built on
+/// the stack.
+const INLINE_KEY: usize = 8;
+
+/// A memo entry [`CodecInner::try_step`] needed but did not find.
+enum Miss {
+    /// `published[state]`.
+    Publish(u32),
+    /// `transitions[key]`.
+    Transition(Box<[u32]>),
+}
+
+/// Interners for one exploration: states, registers, outputs — plus the
+/// memos built on their indices.
 struct CodecInner<A: Algorithm> {
     states: ValueInterner<A::State>,
     regs: ValueInterner<A::Reg>,
     outs: ValueInterner<A::Output>,
     /// Memo for symmetry canonicalization: state index → index of the
     /// same state with its two view positions swapped
-    /// ([`Algorithm::relabel_view`] with `[1, 0]`). Populated lazily;
-    /// the swap is an involution, so entries are recorded in both
-    /// directions.
-    swapped_states: HashMap<u32, u32>,
+    /// ([`Algorithm::relabel_view`] with `[1, 0]`), [`UNKNOWN`] until
+    /// computed. The swap is an involution, so entries are recorded in
+    /// both directions.
+    swapped_states: Vec<u32>,
+    /// Successor-kernel memo of phase 1: state index → index of the
+    /// register it publishes, [`UNKNOWN`] until computed.
+    published: Vec<u32>,
+    /// Successor-kernel memo of phases 2–3: `[state index, register
+    /// slot of each neighbor in topology order]` → (new state index,
+    /// output slot).
+    transitions: HashMap<Box<[u32]>, (u32, u32)>,
+}
+
+/// `memo[idx]`, or `None` while it is [`UNKNOWN`] or out of range.
+fn dense_get(memo: &[u32], idx: u32) -> Option<u32> {
+    memo.get(idx as usize).copied().filter(|&v| v != UNKNOWN)
+}
+
+/// Sets `memo[idx] = v`, growing the memo as needed.
+fn dense_set(memo: &mut Vec<u32>, idx: u32, v: u32) {
+    let at = idx as usize;
+    if memo.len() <= at {
+        memo.resize(at + 1, UNKNOWN);
+    }
+    memo[at] = v;
 }
 
 impl<A: Algorithm> CodecInner<A>
@@ -230,46 +290,163 @@ where
         }
     }
 
-    /// Interns the three slot values of process `p` in `exec`, writing
-    /// the packed indices into `row[3i..3i+3]`.
-    fn intern_proc(&mut self, exec: &Execution<'_, A>, i: usize, row: &mut [u32]) {
-        let p = ProcessId(i);
-        row[SLOTS_PER_PROC * i] = self.states.intern(exec.state(p));
-        row[SLOTS_PER_PROC * i + 1] = match exec.register(p) {
-            None => 0,
-            Some(r) => self.regs.intern(r) + 1,
-        };
-        row[SLOTS_PER_PROC * i + 2] = match &exec.outputs()[i] {
-            None => 0,
-            Some(o) => self.outs.intern(o) + 1,
-        };
+    /// Writes `v` into `row[slot]`, swapping the slot's hash
+    /// contribution in `hash` when the value changes.
+    fn set_slot(&self, row: &mut [u32], hash: &mut u64, slot: usize, v: u32) {
+        let old = row[slot];
+        if old != v {
+            let s = slot % SLOTS_PER_PROC;
+            *hash ^= slot_contrib(slot, self.packed_value_hash(s, old))
+                ^ slot_contrib(slot, self.packed_value_hash(s, v));
+            row[slot] = v;
+        }
     }
 
-    /// Looks up the three slot values of process `p` without interning;
-    /// `false` if any value is unknown.
-    fn lookup_proc(&self, exec: &Execution<'_, A>, i: usize, row: &mut [u32]) -> bool {
+    /// Interns the three slot values of process `i` in `exec`, returning
+    /// the packed indices.
+    fn intern_proc(&mut self, exec: &Execution<'_, A>, i: usize) -> [u32; SLOTS_PER_PROC] {
         let p = ProcessId(i);
-        let Some(si) = self.states.lookup(exec.state(p)) else {
-            return false;
-        };
+        [
+            self.states.intern(exec.state(p)),
+            exec.register(p).map_or(0, |r| self.regs.intern(r) + 1),
+            exec.outputs()[i]
+                .as_ref()
+                .map_or(0, |o| self.outs.intern(o) + 1),
+        ]
+    }
+
+    /// Looks up the three slot values of process `i` without interning;
+    /// `None` if any value is unknown.
+    fn lookup_proc(&self, exec: &Execution<'_, A>, i: usize) -> Option<[u32; SLOTS_PER_PROC]> {
+        let p = ProcessId(i);
+        let si = self.states.lookup(exec.state(p))?;
         let ri = match exec.register(p) {
             None => 0,
-            Some(r) => match self.regs.lookup(r) {
-                Some(v) => v + 1,
-                None => return false,
-            },
+            Some(r) => self.regs.lookup(r)? + 1,
         };
         let oi = match &exec.outputs()[i] {
             None => 0,
-            Some(o) => match self.outs.lookup(o) {
-                Some(v) => v + 1,
-                None => return false,
-            },
+            Some(o) => self.outs.lookup(o)? + 1,
         };
-        row[SLOTS_PER_PROC * i] = si;
-        row[SLOTS_PER_PROC * i + 1] = ri;
-        row[SLOTS_PER_PROC * i + 2] = oi;
-        true
+        Some([si, ri, oi])
+    }
+
+    /// The successor kernel on the memos alone: steps the processes of
+    /// `active` that have not returned in `parent`, or reports the first
+    /// memo entry it lacks.
+    fn try_step(
+        &self,
+        topo: &Topology,
+        parent: &CfgKey,
+        active: &[ProcessId],
+    ) -> Result<CfgKey, Miss> {
+        let mut packed: Arc<[u32]> = Arc::from(&parent.packed[..]);
+        let row = Arc::get_mut(&mut packed).expect("a fresh Arc is unique");
+        let mut hash = parent.hash;
+        let working = |p: &&ProcessId| parent.packed[SLOTS_PER_PROC * p.index() + 2] == 0;
+
+        // Phase 1: every activated process writes.
+        for p in active.iter().filter(working) {
+            let slot = SLOTS_PER_PROC * p.index();
+            let si = parent.packed[slot];
+            let ri = dense_get(&self.published, si).ok_or(Miss::Publish(si))?;
+            self.set_slot(row, &mut hash, slot + 1, ri + 1);
+        }
+
+        // Phases 2–3: each reads its neighbors' registers (phase-1 writes
+        // included) and updates. Updates touch only state and output
+        // slots, so later reads in this loop see the phase-1 registers.
+        let mut inline = [0u32; INLINE_KEY];
+        let mut spilled = Vec::new();
+        for p in active.iter().filter(working) {
+            let slot = SLOTS_PER_PROC * p.index();
+            let nbrs = topo.neighbors(*p);
+            let key: &mut [u32] = if nbrs.len() < INLINE_KEY {
+                &mut inline[..=nbrs.len()]
+            } else {
+                spilled.resize(nbrs.len() + 1, 0);
+                &mut spilled
+            };
+            key[0] = parent.packed[slot];
+            for (k, q) in key[1..].iter_mut().zip(nbrs) {
+                *k = row[SLOTS_PER_PROC * q.index() + 1];
+            }
+            let &(si, oi) = self
+                .transitions
+                .get(&*key)
+                .ok_or_else(|| Miss::Transition(key.into()))?;
+            self.set_slot(row, &mut hash, slot, si);
+            self.set_slot(row, &mut hash, slot + 2, oi);
+        }
+        Ok(CfgKey { hash, packed })
+    }
+
+    /// Computes the memo entry `miss` names with one call into `alg`.
+    fn fill(&mut self, alg: &A, miss: Miss) {
+        match miss {
+            Miss::Publish(si) => {
+                let ri = self.regs.intern(&alg.publish(self.states.value(si)));
+                dense_set(&mut self.published, si, ri);
+            }
+            Miss::Transition(key) => {
+                let mut state = self.states.value(key[0]).clone();
+                let view: Vec<Option<A::Reg>> = key[1..]
+                    .iter()
+                    .map(|&r| r.checked_sub(1).map(|r| self.regs.value(r).clone()))
+                    .collect();
+                let oi = match alg.step(&mut state, &Neighborhood::new(&view)) {
+                    Step::Continue => 0,
+                    Step::Return(o) => self.outs.intern(&o) + 1,
+                };
+                let si = self.states.intern(&state);
+                self.transitions.insert(key, (si, oi));
+            }
+        }
+    }
+
+    /// Computes the view-swap memo entry of state `si` if missing.
+    fn fill_swap(&mut self, alg: &A, si: u32) {
+        if dense_get(&self.swapped_states, si).is_some() {
+            return;
+        }
+        let mut value = self.states.value(si).clone();
+        assert!(
+            alg.relabel_view(&mut value, &[1, 0]),
+            "view swapping requires an algorithm that certifies relabel_view"
+        );
+        let j = self.states.intern(&value);
+        dense_set(&mut self.swapped_states, si, j);
+        dense_set(&mut self.swapped_states, j, si);
+    }
+}
+
+/// A codec's value hashes and view-swap memo, held under one read lock
+/// while symmetry canonicalization compares a configuration's images
+/// (see [`ConfigCodec::read_orbit`]).
+pub struct OrbitView<'a, A: Algorithm> {
+    inner: &'a CodecInner<A>,
+}
+
+impl<A: Algorithm> OrbitView<'_, A>
+where
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash,
+{
+    /// The pre-mix hash of the value packed as `v` in a slot of kind `s`
+    /// (0 = state, 1 = register, 2 = output).
+    pub fn value_hash(&self, s: usize, v: u32) -> u64 {
+        self.inner.packed_value_hash(s, v)
+    }
+
+    /// The index of state `si` with its two view positions swapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `si` is a state of the row the view was opened on,
+    /// with `relabel` set.
+    pub fn view_swapped(&self, si: u32) -> u32 {
+        dense_get(&self.inner.swapped_states, si).expect("view swap memoized by read_orbit")
     }
 }
 
@@ -296,7 +473,9 @@ where
                 states: ValueInterner::new(),
                 regs: ValueInterner::new(),
                 outs: ValueInterner::new(),
-                swapped_states: HashMap::new(),
+                swapped_states: Vec::new(),
+                published: Vec::new(),
+                transitions: HashMap::new(),
             }),
         }
     }
@@ -315,7 +494,8 @@ where
         let mut hash = 0u64;
         let mut inner = self.inner.write();
         for i in 0..self.n {
-            inner.intern_proc(exec, i, &mut packed);
+            let slots = inner.intern_proc(exec, i);
+            packed[SLOTS_PER_PROC * i..SLOTS_PER_PROC * (i + 1)].copy_from_slice(&slots);
             for s in 0..SLOTS_PER_PROC {
                 let slot = SLOTS_PER_PROC * i + s;
                 hash ^= slot_contrib(slot, inner.packed_value_hash(s, packed[slot]));
@@ -346,13 +526,22 @@ where
         // saturated batch sweeps encode concurrently).
         {
             let inner = self.inner.read();
-            if (0..self.n).all(|i| inner.lookup_proc(exec, i, out)) {
+            let all_known = out
+                .chunks_exact_mut(SLOTS_PER_PROC)
+                .enumerate()
+                .all(|(i, row)| {
+                    inner
+                        .lookup_proc(exec, i)
+                        .map(|slots| row.copy_from_slice(&slots))
+                        .is_some()
+                });
+            if all_known {
                 return;
             }
         }
         let mut inner = self.inner.write();
-        for i in 0..self.n {
-            inner.intern_proc(exec, i, out);
+        for (i, row) in out.chunks_exact_mut(SLOTS_PER_PROC).enumerate() {
+            row.copy_from_slice(&inner.intern_proc(exec, i));
         }
     }
 
@@ -360,6 +549,9 @@ where
     /// parent configuration `parent` only in the slots of `touched`
     /// processes. The hash is updated incrementally: only the touched
     /// slots' contributions are swapped.
+    ///
+    /// Each touched value is looked up once under one read lock; only a
+    /// value never seen before takes the write lock, to intern it.
     pub fn encode_delta(
         &self,
         parent: &CfgKey,
@@ -367,68 +559,71 @@ where
         touched: &[ProcessId],
     ) -> CfgKey {
         debug_assert_eq!(parent.packed.len(), self.n * SLOTS_PER_PROC);
-        let mut packed: Vec<u32> = parent.packed.to_vec();
+        let mut packed: Arc<[u32]> = Arc::from(&parent.packed[..]);
+        let row = Arc::get_mut(&mut packed).expect("a fresh Arc is unique");
         let mut hash = parent.hash;
-
-        // Fast path: all touched values already interned (read lock).
-        let all_known = {
-            let inner = self.inner.read();
-            touched.iter().all(|&p| {
-                inner.states.lookup(exec.state(p)).is_some()
-                    && exec
-                        .register(p)
-                        .is_none_or(|r| inner.regs.lookup(r).is_some())
-                    && exec.outputs()[p.index()]
-                        .as_ref()
-                        .is_none_or(|o| inner.outs.lookup(o).is_some())
-            })
+        let mut apply = |inner: &CodecInner<A>, p: ProcessId, slots: [u32; SLOTS_PER_PROC]| {
+            for (s, v) in slots.into_iter().enumerate() {
+                inner.set_slot(row, &mut hash, SLOTS_PER_PROC * p.index() + s, v);
+            }
         };
-        if !all_known {
-            let mut inner = self.inner.write();
-            for &p in touched {
-                inner.states.intern(exec.state(p));
-                if let Some(r) = exec.register(p) {
-                    inner.regs.intern(r);
-                }
-                if let Some(o) = &exec.outputs()[p.index()] {
-                    inner.outs.intern(o);
-                }
-            }
-        }
 
-        let inner = self.inner.read();
-        for &p in touched {
-            let i = p.index();
-            let new = [
-                inner
-                    .states
-                    .lookup(exec.state(p))
-                    .expect("state interned above"),
-                exec.register(p)
-                    .map_or(0, |r| inner.regs.lookup(r).expect("register interned") + 1),
-                exec.outputs()[i]
-                    .as_ref()
-                    .map_or(0, |o| inner.outs.lookup(o).expect("output interned") + 1),
-            ];
-            for (s, &nv) in new.iter().enumerate() {
-                let slot = SLOTS_PER_PROC * i + s;
-                let ov = packed[slot];
-                if ov != nv {
-                    hash ^= slot_contrib(slot, inner.packed_value_hash(s, ov));
-                    hash ^= slot_contrib(slot, inner.packed_value_hash(s, nv));
-                    packed[slot] = nv;
-                }
+        let mut done = 0;
+        {
+            let inner = self.inner.read();
+            for &p in touched {
+                let Some(slots) = inner.lookup_proc(exec, p.index()) else {
+                    break;
+                };
+                apply(&inner, p, slots);
+                done += 1;
             }
         }
-        drop(inner);
-        CfgKey {
-            hash,
-            packed: packed.into(),
+        if done < touched.len() {
+            let mut inner = self.inner.write();
+            for &p in &touched[done..] {
+                let slots = inner.intern_proc(exec, p.index());
+                apply(&inner, p, slots);
+            }
+        }
+        CfgKey { hash, packed }
+    }
+
+    /// The successor of `parent` when the processes of `active` take one
+    /// step together — the packed successor kernel (see the module
+    /// docs). Equal, packed row and hash both, to restoring `parent`
+    /// into an execution, calling [`Execution::step_with`] with `active`
+    /// and re-encoding with [`Self::encode_delta`]; processes of
+    /// `active` that have already returned in `parent` are ignored, the
+    /// way `step_with` resolves its set against the working list.
+    ///
+    /// A memoized transition costs no allocation beyond the successor's
+    /// row; a miss calls `alg` once and takes the write lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parent` was not packed by this codec for `topo`.
+    pub fn step_packed(
+        &self,
+        alg: &A,
+        topo: &Topology,
+        parent: &CfgKey,
+        active: &[ProcessId],
+    ) -> CfgKey {
+        debug_assert_eq!(parent.packed.len(), topo.len() * SLOTS_PER_PROC);
+        if let Ok(key) = self.inner.read().try_step(topo, parent, active) {
+            return key;
+        }
+        let mut inner = self.inner.write();
+        loop {
+            match inner.try_step(topo, parent, active) {
+                Ok(key) => return key,
+                Err(miss) => inner.fill(alg, miss),
+            }
         }
     }
 
-    /// Recomputes the hash of an already-packed buffer (used after
-    /// symmetry canonicalization permutes slots).
+    /// Recomputes the hash of an already-packed buffer.
     pub fn hash_packed(&self, packed: &[u32]) -> u64 {
         let inner = self.inner.read();
         packed.iter().enumerate().fold(0u64, |h, (slot, &v)| {
@@ -436,49 +631,63 @@ where
         })
     }
 
-    /// The interned state at `idx` with its two view positions swapped
-    /// (a degree-2 relabeling through [`Algorithm::relabel_view`] with
-    /// perm `[1, 0]`), as `(index, value hash)`. Memoized per distinct
-    /// state, so symmetry canonicalization pays the clone + relabel +
-    /// re-intern once per state value, not once per configuration.
+    /// Runs `f` on an [`OrbitView`] of this codec under one read lock —
+    /// what symmetry canonicalization reads while comparing the images
+    /// of `packed`: slot value hashes and, when `relabel`, each
+    /// process's state with its two view positions swapped (a degree-2
+    /// relabeling through [`Algorithm::relabel_view`] with perm
+    /// `[1, 0]`). The swap is memoized per distinct state, so
+    /// canonicalization pays the clone + relabel + re-intern once per
+    /// state value, not once per configuration; only a state never
+    /// swapped before takes the write lock.
     ///
     /// # Panics
     ///
-    /// Panics if the algorithm's [`Algorithm::relabel_view`] returns
-    /// `false` — callers must gate symmetry reduction on the algorithm
-    /// certifying the hook first.
-    pub fn view_swapped_state(&self, alg: &A, idx: u32) -> (u32, u64) {
+    /// Panics if `relabel` is set and the algorithm's
+    /// [`Algorithm::relabel_view`] returns `false` — callers must gate
+    /// symmetry reduction on the algorithm certifying the hook first.
+    pub fn read_orbit<R>(
+        &self,
+        alg: &A,
+        packed: &[u32],
+        relabel: bool,
+        f: impl FnOnce(&OrbitView<'_, A>) -> R,
+    ) -> R {
+        let states = || packed.iter().step_by(SLOTS_PER_PROC);
         {
             let inner = self.inner.read();
-            if let Some(&j) = inner.swapped_states.get(&idx) {
-                return (j, inner.states.hash_of(j));
+            if !relabel || states().all(|&si| dense_get(&inner.swapped_states, si).is_some()) {
+                return f(&OrbitView { inner: &inner });
             }
         }
-        let mut value = {
-            let inner = self.inner.read();
-            inner.states.value(idx).clone()
-        };
-        assert!(
-            alg.relabel_view(&mut value, &[1, 0]),
-            "view_swapped_state requires an algorithm that certifies relabel_view"
-        );
-        let mut inner = self.inner.write();
-        let j = inner.states.intern(&value);
-        inner.swapped_states.insert(idx, j);
-        inner.swapped_states.insert(j, idx);
-        let h = inner.states.hash_of(j);
-        (j, h)
+        {
+            let mut inner = self.inner.write();
+            for &si in states() {
+                inner.fill_swap(alg, si);
+            }
+        }
+        f(&OrbitView {
+            inner: &self.inner.read(),
+        })
     }
 
-    /// Pre-mix value hashes of every slot of `packed` (used by symmetry
-    /// canonicalization to order orbit elements without touching value
-    /// representations).
-    pub fn slot_value_hashes(&self, packed: &[u32]) -> Vec<u64> {
+    /// The outputs packed in `packed`, by process (`None` = working).
+    pub fn outputs(&self, packed: &[u32]) -> Vec<Option<A::Output>> {
         let inner = self.inner.read();
         packed
             .iter()
-            .enumerate()
-            .map(|(slot, &v)| inner.packed_value_hash(slot % SLOTS_PER_PROC, v))
+            .skip(2)
+            .step_by(SLOTS_PER_PROC)
+            .map(|&o| o.checked_sub(1).map(|o| inner.outs.value(o).clone()))
+            .collect()
+    }
+
+    /// The working processes (no output yet) of a packed row, ascending
+    /// — what [`Execution::working`] reports after restoring it.
+    pub fn working(packed: &[u32]) -> Vec<ProcessId> {
+        (0..packed.len() / SLOTS_PER_PROC)
+            .filter(|&i| packed[SLOTS_PER_PROC * i + 2] == 0)
+            .map(ProcessId)
             .collect()
     }
 
@@ -683,6 +892,36 @@ mod tests {
         let touched = exec.step_with(&ActivationSet::solo(ProcessId(1)));
         codec.restore_procs(&mut exec, &parent.packed, &touched);
         assert_eq!(codec.encode(&exec), parent, "undo restores the parent");
+    }
+
+    #[test]
+    fn step_packed_matches_executor_at_every_degree() {
+        // A clique of nine builds its transition keys on the heap, a
+        // cycle on the stack.
+        for topo in [Topology::cycle(4).unwrap(), Topology::clique(9).unwrap()] {
+            let n = topo.len();
+            let codec: ConfigCodec<ModSeven> = ConfigCodec::new(n);
+            let mut exec = Execution::new(&ModSeven, &topo, (0..n as u64).collect());
+            let mut key = codec.encode(&exec);
+            for step in 0..6 {
+                let active: Vec<ProcessId> = (0..n)
+                    .filter(|i| (i + step) % 3 != 0)
+                    .map(ProcessId)
+                    .collect();
+                let touched = exec.step_with(&ActivationSet::Only(active.clone()));
+                let want = codec.encode_delta(&key, &exec, &touched);
+                for _ in 0..2 {
+                    let got = codec.step_packed(&ModSeven, &topo, &key, &active);
+                    assert_eq!((&got, got.hash), (&want, want.hash), "n={n} step {step}");
+                }
+                assert_eq!(
+                    ConfigCodec::<ModSeven>::working(&want.packed),
+                    exec.working()
+                );
+                assert_eq!(codec.outputs(&want.packed), exec.outputs());
+                key = want;
+            }
+        }
     }
 
     #[test]

@@ -376,4 +376,27 @@ mod tests {
         };
         assert!(f.encode().contains("\"snapshot_req\""));
     }
+
+    #[test]
+    fn deeply_nested_lines_are_refused_not_a_stack_overflow() {
+        let line = Frame {
+            src: 0,
+            dest: 1,
+            body: Body::Write(Write {
+                round: 1,
+                value: Value::Null,
+            }),
+        }
+        .encode();
+        let nest = |depth: usize| {
+            line.replace(
+                "null",
+                &format!("{}null{}", "[".repeat(depth), "]".repeat(depth)),
+            )
+        };
+        assert!(Frame::decode(&nest(8)).is_ok());
+        // About 2 MB on one `ftcolor node` stdin line.
+        let err = Frame::decode(&nest(1 << 20)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
 }

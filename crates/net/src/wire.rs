@@ -53,6 +53,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// not make the reader allocate gigabytes).
 pub const MAX_FRAME_BYTES: u32 = 1 << 26;
 
+/// Deepest container nesting a decoded value may have. The decoder
+/// recurses once per level, so a hostile frame of nested arrays well
+/// under [`MAX_FRAME_BYTES`] would otherwise overflow the stack.
+pub const MAX_VALUE_DEPTH: usize = 128;
+
 const TAG_WRITE: u8 = 0x01;
 const TAG_SNAPSHOT_REQ: u8 = 0x02;
 const TAG_SNAPSHOT_RESP: u8 = 0x03;
@@ -126,6 +131,8 @@ pub enum WireError {
     VarintOverflow,
     /// The frame decoded cleanly but bytes remained after it.
     TrailingBytes(usize),
+    /// A value nested arrays/objects deeper than [`MAX_VALUE_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for WireError {
@@ -139,6 +146,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
             WireError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame"),
+            WireError::TooDeep => write!(f, "value nested deeper than {MAX_VALUE_DEPTH}"),
         }
     }
 }
@@ -452,7 +460,16 @@ impl<'a> Reader<'a> {
     }
 
     fn value(&mut self) -> Result<Value, WireError> {
-        match self.u8()? {
+        self.value_in(0)
+    }
+
+    /// A value enclosed by `depth` containers.
+    fn value_in(&mut self, depth: usize) -> Result<Value, WireError> {
+        let tag = self.u8()?;
+        if matches!(tag, VAL_ARRAY | VAL_OBJECT) && depth >= MAX_VALUE_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        match tag {
             VAL_NULL => Ok(Value::Null),
             VAL_FALSE => Ok(Value::Bool(false)),
             VAL_TRUE => Ok(Value::Bool(true)),
@@ -469,7 +486,7 @@ impl<'a> Reader<'a> {
                 // Bounded reserve: a hostile count must not preallocate.
                 let mut items = Vec::with_capacity(count.min(64));
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value_in(depth + 1)?);
                 }
                 Ok(Value::Array(items))
             }
@@ -478,7 +495,7 @@ impl<'a> Reader<'a> {
                 let mut pairs = Vec::with_capacity(count.min(64));
                 for _ in 0..count {
                     let k = self.str()?;
-                    let v = self.value()?;
+                    let v = self.value_in(depth + 1)?;
                     pairs.push((k, v));
                 }
                 Ok(Value::Object(pairs))
@@ -860,6 +877,31 @@ mod tests {
         let mut t = buf.clone();
         t[1] = 0x7f;
         assert_eq!(decode_frame(&t), Err(WireError::BadTag(0x7f)));
+    }
+
+    /// A `write` frame whose value is `depth` nested one-element arrays.
+    fn nested_write(depth: usize) -> Vec<u8> {
+        let mut buf = vec![WIRE_VERSION, TAG_WRITE];
+        buf.extend_from_slice(&[0; 12]); // src, dest, round
+        for _ in 0..depth {
+            buf.extend_from_slice(&[VAL_ARRAY, 1]);
+        }
+        buf.push(VAL_NULL);
+        buf
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        assert!(decode_frame(&nested_write(MAX_VALUE_DEPTH)).is_ok());
+        assert_eq!(
+            decode_frame(&nested_write(MAX_VALUE_DEPTH + 1)),
+            Err(WireError::TooDeep)
+        );
+        // About 2 MB, well under the frame cap: without the depth bound
+        // the decoder recursed once per level and overflowed the stack.
+        let hostile = nested_write(1 << 20);
+        assert!(hostile.len() < MAX_FRAME_BYTES as usize);
+        assert_eq!(decode_frame(&hostile), Err(WireError::TooDeep));
     }
 
     #[test]

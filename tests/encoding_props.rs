@@ -6,11 +6,29 @@
 //! exploration core, so it gets the widest net we can cast: random ring
 //! sizes, random identifiers, random schedule prefixes, two algorithms
 //! with different state shapes.
+//!
+//! The packed successor kernel ([`ConfigCodec::step_packed`]) gets the
+//! same treatment against the executor it replaces in the parallel
+//! checker: five algorithms, cycles and a path, memo misses and hits.
 
+use ftcolor::core::mis::LocalMaxMis;
+use ftcolor::core::{FastFiveColoringPatched, FiveColoringPatched};
 use ftcolor::model::encode::{CfgKey, ConfigCodec};
 use ftcolor::model::inputs;
 use ftcolor::prelude::*;
 use proptest::prelude::*;
+use std::hash::Hash;
+
+/// A seeded LCG stream of 31-bit draws.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed;
+    move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 33
+    }
+}
 
 /// The heap-tuple configuration key the codec replaced; equality on this
 /// is the ground truth the packed encoding must reproduce.
@@ -46,13 +64,7 @@ where
     A::Output: Eq + std::hash::Hash,
 {
     let n = exec.topology().len();
-    let mut s = seed;
-    let mut next = move || {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        s >> 33
-    };
+    let mut next = lcg(seed);
     let mut keys = vec![(codec.encode(exec), old_key(exec))];
     for _ in 0..len {
         if exec.all_returned() {
@@ -75,6 +87,68 @@ where
 
 fn instance() -> impl Strategy<Value = (usize, u64, u64, u64)> {
     (3usize..8, 0u64..u64::MAX / 2, 0u64..10_000, 0u64..10_000)
+}
+
+/// `C3`–`C6` for `0..4`, `P4` for `4`.
+fn kernel_topology(which: usize) -> Topology {
+    match which {
+        4 => Topology::path(4).unwrap(),
+        k => Topology::cycle(3 + k).unwrap(),
+    }
+}
+
+/// Walks up to `steps` random steps of `alg` on `topo` and, at every
+/// configuration reached, checks [`ConfigCodec::step_packed`] against
+/// [`Execution::step_with`] + [`ConfigCodec::encode_delta`] on a random
+/// activation subset, packed row and hash both. Each configuration is
+/// stepped by the kernel twice, so the first call may fill the memos
+/// and the second must be served from them. Subsets are drawn from all
+/// processes with at least one working member, so returned members must
+/// be ignored by both sides alike.
+fn kernel_matches_executor<A: Algorithm>(
+    alg: &A,
+    topo: &Topology,
+    ids: Vec<A::Input>,
+    seed: u64,
+    steps: usize,
+) -> Result<(), TestCaseError>
+where
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash,
+{
+    let n = topo.len();
+    let codec: ConfigCodec<A> = ConfigCodec::new(n);
+    let mut exec = Execution::new(alg, topo, ids);
+    let mut key = codec.encode(&exec);
+    let mut next = lcg(seed);
+    for _ in 0..steps {
+        let working = exec.working().to_vec();
+        if working.is_empty() {
+            break;
+        }
+        let forced = working[next() as usize % working.len()];
+        let set = ActivationSet::of(
+            (0..n)
+                .filter(|_| next().is_multiple_of(2))
+                .map(ProcessId)
+                .chain([forced]),
+        );
+        let ActivationSet::Only(active) = &set else {
+            unreachable!("ActivationSet::of is explicit");
+        };
+        let mut stepped = exec.clone();
+        let touched = stepped.step_with(&set);
+        let want = codec.encode_delta(&key, &stepped, &touched);
+        for _pass in 0..2 {
+            let got = codec.step_packed(alg, topo, &key, active);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got.hash, want.hash);
+        }
+        exec = stepped;
+        key = want;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -124,6 +198,24 @@ proptest! {
         // delta-encoded key must equal a full re-encoding of it.
         let full = codec.encode(&exec);
         prop_assert_eq!(&keys.last().expect("nonempty").0, &full);
+    }
+
+    /// The packed successor kernel equals executor step + delta encode
+    /// for Algorithms 1, 2, 2′ and 3′ and an MIS candidate, on `C3`–`C6`
+    /// and `P4`.
+    #[test]
+    fn step_packed_matches_executor(which in 0usize..5, idseed in 0u64..u64::MAX / 2, walk in 0u64..10_000) {
+        let topo = kernel_topology(which);
+        let n = topo.len();
+        let ids = inputs::random_unique(n, (n as u64).pow(3).max(16), idseed);
+        kernel_matches_executor(&SixColoring, &topo, ids.clone(), walk, 40)?;
+        kernel_matches_executor(&FiveColoring, &topo, ids.clone(), walk, 40)?;
+        kernel_matches_executor(&FiveColoringPatched, &topo, ids.clone(), walk, 40)?;
+        if topo.is_cycle() {
+            // Algorithm 3′ assumes degree 2 everywhere.
+            kernel_matches_executor(&FastFiveColoringPatched, &topo, ids.clone(), walk, 40)?;
+        }
+        kernel_matches_executor(&LocalMaxMis, &topo, ids, walk, 40)?;
     }
 
     /// `restore` round-trips: decoding a key into a scratch execution
