@@ -103,7 +103,7 @@ pub fn plan_by_label(label: &str) -> Option<FaultPlan> {
 /// rep cannot skew a committed throughput row.
 const NETSIM_REPS: usize = 5;
 
-/// Measures one netsim cell: [`NETSIM_REPS`] deterministic reps of
+/// Measures one netsim cell: `NETSIM_REPS` deterministic reps of
 /// (n, plan, codec), median wall. A real node process speaks exactly
 /// one codec for its whole life, so the honest steady state for a
 /// codec's throughput is a process that has only ever run that codec —

@@ -73,7 +73,7 @@
 //! Mirroring the `relabel_view` symmetry story, a per-algorithm
 //! certificate ([`ftcolor_model::Algorithm::por_certificate`]) is
 //! required *and* cross-examined dynamically before any reduced
-//! exploration: [`certify_dynamic`] mini-explores the first
+//! exploration: `certify_dynamic` mini-explores the first
 //! configurations of the actual instance, replays every non-adjacent
 //! working pair simultaneously and in both sequential orders (the three
 //! resulting packed configurations must coincide — this catches

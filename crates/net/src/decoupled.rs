@@ -118,7 +118,7 @@ struct GossipSim<'a, A: DecoupledAlgorithm> {
     tick: u64,
     net_rng: StdRng,
     timing_rng: StdRng,
-    mode: Mode,
+    mode: Mode<'a>,
     trace: DeliveryTrace,
     stats: NetStats,
     codec: FrameCodec,
@@ -135,7 +135,7 @@ where
         inputs: Vec<A::Input>,
         plan: &'a FaultPlan,
         cfg: &'a NetConfig,
-        mode: Mode,
+        mode: Mode<'a>,
     ) -> Self {
         let n = topo.len();
         assert_eq!(inputs.len(), n, "one input per node");

@@ -34,6 +34,16 @@
 //! final register values of returned processes are permanently
 //! readable — the two properties the paper's safety arguments need.
 //!
+//! # Register storage
+//!
+//! The register server and the per-neighbor mirrors and responses hold
+//! typed `A::Reg` values; a [`Value`] tree exists only in flight. An
+//! inbound `write` or `snapshot_resp` is decoded once on delivery (a
+//! mirror only when its stamp is fresher), and the register server
+//! encodes its value only to answer a `snapshot_req`. Per-neighbor
+//! state lives in one flat array indexed by CSR offsets built from the
+//! topology's degrees, not in per-node vectors.
+//!
 //! # Determinism
 //!
 //! All network nondeterminism (drop/delay/duplicate/reorder draws) comes
@@ -212,8 +222,8 @@ impl<O> ftcolor_model::SubstrateReport<O> for NetReport<O> {
 /// # Panics
 ///
 /// Panics if `inputs.len() != topo.len()`, or if a register payload
-/// fails to round-trip through the JSON codec (a bug, not an input
-/// condition).
+/// fails to decode back into `A::Reg` after crossing the wire in the
+/// configured codec (a bug, not an input condition).
 pub fn run_net<A>(
     alg: &A,
     topo: &Topology,
@@ -235,9 +245,10 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the trace diverges from the run (different send sequence)
-/// — which means trace and `(alg, topo, inputs, plan, cfg)` don't
-/// belong together.
+/// Panics if the trace diverges from the run (a different send
+/// sequence or send time, or a delivery scheduled before its send) —
+/// which means trace and `(alg, topo, inputs, plan, cfg)` don't belong
+/// together.
 pub fn replay_net<A>(
     alg: &A,
     topo: &Topology,
@@ -274,23 +285,27 @@ enum Phase {
     Snapshotting,
 }
 
-/// A register observation: `None` = never written, else the encoded
-/// value and its freshness stamp (writer round + 1).
-type Obs = Option<(Value, u64)>;
+/// A register observation: `None` = never written, else the value and
+/// its freshness stamp (writer round + 1).
+type Obs<R> = Option<(R, u64)>;
 
-struct Node<S> {
+struct Node<S, R> {
     state: S,
     status: Status,
     round: u64,
     phase: Phase,
     /// The register server's storage (survives process crash/return).
-    reg: Obs,
-    /// Last `write` broadcast received per neighbor position.
-    mirror: Vec<Obs>,
-    /// Neighbor positions still owing a response this round.
-    pending: Vec<bool>,
-    /// Responses collected this round (outer `None` = not yet answered).
-    resp: Vec<Option<Obs>>,
+    reg: Obs<R>,
+}
+
+/// What a node holds for one neighbor position: node `p`'s link to its
+/// `pos`-th neighbor is `links[offsets[p] + pos]`.
+struct Link<R> {
+    /// Last `write` broadcast received from the neighbor.
+    mirror: Obs<R>,
+    /// This round's response; `None` while it is still owed. Only read
+    /// while the node is `Snapshotting`, and reset when it starts to.
+    resp: Option<Obs<R>>,
 }
 
 enum Ev {
@@ -305,20 +320,20 @@ enum Ev {
     Crash { node: usize },
 }
 
-pub(crate) enum Mode {
+pub(crate) enum Mode<'t> {
     /// Draw fault decisions from the network RNG, record them.
     Record,
     /// Take fault decisions from a recorded trace, verbatim.
     Replay {
-        entries: Vec<TraceEntry>,
+        entries: &'t [TraceEntry],
         pos: usize,
     },
 }
 
-impl Mode {
-    pub(crate) fn replay(trace: &DeliveryTrace) -> Self {
+impl<'t> Mode<'t> {
+    pub(crate) fn replay(trace: &'t DeliveryTrace) -> Self {
         Mode::Replay {
-            entries: trace.entries.clone(),
+            entries: &trace.entries,
             pos: 0,
         }
     }
@@ -327,10 +342,15 @@ impl Mode {
 /// Decides the fate of one send — drawn from the RNG in [`Mode::Record`],
 /// read back verbatim in [`Mode::Replay`]. Shared by the register
 /// protocol and the decoupled gossip runner so both replay identically.
+///
+/// A replayed entry must match the send's link, kind and time, and may
+/// not deliver (or duplicate) before `now`: the calendar queue cannot
+/// schedule into the past, so a tampered or foreign trace panics here
+/// instead of being silently misdelivered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_fate(
     plan: &FaultPlan,
-    mode: &mut Mode,
+    mode: &mut Mode<'_>,
     rng: &mut StdRng,
     now: u64,
     from: usize,
@@ -352,13 +372,24 @@ pub(crate) fn decide_fate(
                 panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
             });
             assert!(
-                e.from == from && e.to == to && e.kind == kind,
+                e.from == from && e.to == to && e.kind == kind && e.t == now,
                 "replay trace diverged at send #{seq}: \
-                 trace has {} {}->{}, run sent {kind} {from}->{to}",
+                 trace has {} {}->{} at t={}, run sent {kind} {from}->{to} at t={now}",
                 e.kind,
                 e.from,
                 e.to,
+                e.t,
             );
+            let at = match e.outcome {
+                Outcome::Deliver { at } => Some(at),
+                Outcome::Drop | Outcome::PartitionDrop => None,
+            };
+            if let Some(early) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
+                panic!(
+                    "replay trace diverged at send #{seq}: \
+                     {kind} {from}->{to} sent at t={now} is delivered at t={early}"
+                );
+            }
             *pos += 1;
             (e.outcome, e.dup_at)
         }
@@ -370,14 +401,20 @@ struct Sim<'a, A: Algorithm> {
     topo: &'a Topology,
     plan: &'a FaultPlan,
     cfg: &'a NetConfig,
-    nodes: Vec<Node<A::State>>,
+    nodes: Vec<Node<A::State, A::Reg>>,
+    /// Per-neighbor state of every node, flat (see [`Link`]).
+    links: Vec<Link<A::Reg>>,
+    /// CSR offsets into `links`: node `p` owns `offsets[p]..offsets[p + 1]`.
+    offsets: Vec<usize>,
+    /// Scratch view buffer reused by every round commit.
+    view: Vec<Option<A::Reg>>,
     outputs: Vec<Option<A::Output>>,
     rounds: Vec<u64>,
     queue: EventQueue<Ev>,
     now: u64,
     net_rng: StdRng,
     timing_rng: StdRng,
-    mode: Mode,
+    mode: Mode<'a>,
     trace: DeliveryTrace,
     stats: NetStats,
     codec: FrameCodec,
@@ -400,25 +437,30 @@ where
         inputs: Vec<A::Input>,
         plan: &'a FaultPlan,
         cfg: &'a NetConfig,
-        mode: Mode,
+        mode: Mode<'a>,
     ) -> Self {
         let n = topo.len();
         assert_eq!(inputs.len(), n, "one input per node");
         let nodes = inputs
             .into_iter()
             .enumerate()
-            .map(|(i, input)| {
-                let deg = topo.neighbors(ProcessId(i)).len();
-                Node {
-                    state: alg.init(ProcessId(i), input),
-                    status: Status::Working,
-                    round: 0,
-                    phase: Phase::Idle,
-                    reg: None,
-                    mirror: vec![None; deg],
-                    pending: vec![false; deg],
-                    resp: vec![None; deg],
-                }
+            .map(|(i, input)| Node {
+                state: alg.init(ProcessId(i), input),
+                status: Status::Working,
+                round: 0,
+                phase: Phase::Idle,
+                reg: None,
+            })
+            .collect();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for p in topo.nodes() {
+            offsets.push(offsets[p.index()] + topo.degree(p));
+        }
+        let links = (0..offsets[n])
+            .map(|_| Link {
+                mirror: None,
+                resp: None,
             })
             .collect();
         let mut sim = Sim {
@@ -427,6 +469,9 @@ where
             plan,
             cfg,
             nodes,
+            links,
+            offsets,
+            view: Vec::with_capacity(topo.max_degree()),
             outputs: (0..n).map(|_| None).collect(),
             rounds: vec![0; n],
             queue: EventQueue::new(),
@@ -557,7 +602,7 @@ where
                     self.stats.served_dead_reads += 1;
                 }
                 let (value, stamp) = match &self.nodes[frame.dest].reg {
-                    Some((v, s)) => (Some(v.clone()), *s),
+                    Some((reg, s)) => (Some(reg.to_value()), *s),
                     None => (None, 0),
                 };
                 let resp = Body::SnapshotResp(SnapshotResp {
@@ -579,7 +624,9 @@ where
     fn on_own_write(&mut self, node: usize, w: Write) {
         let round = w.round;
         let stamp = round + 1;
-        let fresh = stamp > obs_stamp(&self.nodes[node].reg);
+        if stamp > obs_stamp(&self.nodes[node].reg) {
+            self.nodes[node].reg = Some((decode(&w.value), stamp));
+        }
         // The rest of the round is process behavior: skip it if the
         // process crashed while the write was in flight (a legal §2
         // crash point — the write itself still happened).
@@ -587,37 +634,25 @@ where
             || self.nodes[node].phase != Phase::AwaitWrite
             || self.nodes[node].round != round
         {
-            if fresh {
-                self.nodes[node].reg = Some((w.value, stamp));
-            }
             return;
         }
         // `topo` is a shared borrow living as long as the sim, so the
         // neighbor slice needs no per-round collection.
         let neighbors: &[ProcessId] = self.topo.neighbors(ProcessId(node));
         if neighbors.is_empty() {
-            if fresh {
-                self.nodes[node].reg = Some((w.value, stamp));
-            }
             self.commit_round(node);
             return;
         }
-        // The register store and the broadcast body share the value:
-        // one clone per round, regardless of degree — the byte codecs
-        // serialize the broadcast straight from the borrowed body.
-        if fresh {
-            self.nodes[node].reg = Some((w.value.clone(), stamp));
-        }
-        let wbody = Body::Write(Write {
-            round,
-            value: w.value,
-        });
+        // The register holds the decoded value, so the broadcast takes
+        // the delivered payload itself — the byte codecs serialize it
+        // straight from the borrowed body.
+        let wbody = Body::Write(w);
         let req = Body::SnapshotReq(SnapshotReq { round });
         self.nodes[node].phase = Phase::Snapshotting;
+        let base = self.offsets[node];
         for (pos, &q) in neighbors.iter().enumerate() {
             self.send(node, q.index(), &wbody);
-            self.nodes[node].pending[pos] = true;
-            self.nodes[node].resp[pos] = None;
+            self.links[base + pos].resp = None;
             self.send(node, q.index(), &req);
             self.schedule(
                 self.now + self.cfg.rto,
@@ -637,8 +672,9 @@ where
             return;
         };
         let stamp = w.round + 1;
-        if stamp > obs_stamp(&self.nodes[dest].mirror[pos]) {
-            self.nodes[dest].mirror[pos] = Some((w.value, stamp));
+        let link = &mut self.links[self.offsets[dest] + pos];
+        if stamp > obs_stamp(&link.mirror) {
+            link.mirror = Some((decode(&w.value), stamp));
         }
     }
 
@@ -650,16 +686,15 @@ where
         let Some(pos) = self.neighbor_pos(dest, src) else {
             return;
         };
-        if !self.nodes[dest].pending[pos] {
+        let slot = &mut self.links[self.offsets[dest] + pos].resp;
+        if slot.is_some() {
             return; // duplicate response: idempotent
         }
-        let obs = match r.value {
-            Some(v) => Some((v, r.stamp)),
-            None => None,
-        };
-        self.nodes[dest].resp[pos] = Some(obs);
-        self.nodes[dest].pending[pos] = false;
-        if self.nodes[dest].pending.iter().all(|p| !p) {
+        *slot = Some(r.value.map(|v| (decode(&v), r.stamp)));
+        if self.links[self.offsets[dest]..self.offsets[dest + 1]]
+            .iter()
+            .all(|l| l.resp.is_some())
+        {
             self.commit_round(dest);
         }
     }
@@ -669,7 +704,7 @@ where
         if nd.status != Status::Working
             || nd.phase != Phase::Snapshotting
             || nd.round != round
-            || !nd.pending[nbr]
+            || self.links[self.offsets[node] + nbr].resp.is_some()
         {
             return; // answered (or round moved on): timer dies
         }
@@ -682,27 +717,25 @@ where
     /// All responses in: merge views, run the algorithm step.
     fn commit_round(&mut self, node: usize) {
         let round = self.nodes[node].round;
-        let degree = self.topo.neighbors(ProcessId(node)).len();
-        let view: Vec<Option<A::Reg>> = (0..degree)
-            .map(|pos| {
-                // The response is consumed (it is reset at the next
-                // round's write anyway); the mirror persists, so it is
-                // cloned — but only when it actually wins, which on a
-                // healthy link it never does (a response ties-or-beats
-                // a mirror of the same stamp).
-                let resp = self.nodes[node].resp[pos]
-                    .take()
-                    .expect("commit only fires once every neighbor answered");
-                let merged = if obs_stamp(&self.nodes[node].mirror[pos]) > obs_stamp(&resp) {
-                    self.nodes[node].mirror[pos].clone()
-                } else {
-                    resp
-                };
-                merged.map(|(v, _)| {
-                    serde_json::from_value::<A::Reg>(v).expect("register payloads decode")
-                })
-            })
-            .collect();
+        let links = &mut self.links[self.offsets[node]..self.offsets[node + 1]];
+        self.view.clear();
+        self.view.extend(links.iter_mut().map(|link| {
+            // The response is consumed (it is reset at the next round's
+            // write anyway); the mirror persists, so it is cloned — but
+            // only when it actually wins, which on a healthy link it
+            // never does (a response ties-or-beats a mirror of the same
+            // stamp).
+            let resp = link
+                .resp
+                .take()
+                .expect("commit only fires once every neighbor answered");
+            let merged = if obs_stamp(&link.mirror) > obs_stamp(&resp) {
+                link.mirror.clone()
+            } else {
+                resp
+            };
+            merged.map(|(reg, _)| reg)
+        }));
         if self.cfg.record_events {
             let neighbor_ids: Vec<usize> = self
                 .topo
@@ -712,10 +745,9 @@ where
                 .collect();
             self.emit_round_block(node, round, &neighbor_ids);
         }
-        let step = {
-            let nd = &mut self.nodes[node];
-            self.alg.step(&mut nd.state, &Neighborhood::new(&view))
-        };
+        let step = self
+            .alg
+            .step(&mut self.nodes[node].state, &Neighborhood::new(&self.view));
         self.rounds[node] += 1;
         match step {
             Step::Continue => {
@@ -821,8 +853,13 @@ where
     }
 }
 
-fn obs_stamp(o: &Obs) -> u64 {
+fn obs_stamp<R>(o: &Obs<R>) -> u64 {
     o.as_ref().map_or(0, |(_, s)| *s)
+}
+
+/// Decodes a register payload that arrived over the wire.
+fn decode<R: Deserialize>(v: &Value) -> R {
+    R::from_value(v).expect("register payloads decode")
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! |--------|-----------------|----------------------------------------------------|
 //! | `0x01` | `write`         | round u32, value                                   |
 //! | `0x02` | `snapshot_req`  | round u32                                          |
-//! | `0x03` | `snapshot_resp` | round u32, stamp u32, presence u8, [value]         |
+//! | `0x03` | `snapshot_resp` | round u32, stamp u32, presence u8, \[value\]       |
 //! | `0x04` | `init`          | node u32, n u32, input uv, rto_ms uv, pace_ms uv, alg str, neighbor count uv + u32 each |
 //! | `0x05` | `init_ok`       | node u32                                           |
 //! | `0x06` | `decide`        | round u32, output value                            |
