@@ -152,8 +152,6 @@ impl Algorithm for FiveColoringPatched {
     }
 
     fn step(&self, state: &mut State2P, view: &Neighborhood<'_, Reg2P>) -> Step<u64> {
-        let current: Vec<Option<Reg2P>> = view.iter().map(Option::<&Reg2P>::copied).collect();
-
         // Paper lines 9–10: the return checks, verbatim.
         let in_c = |v: u64| view.awake().any(|r| r.a == v || r.b == v);
         if !in_c(state.reg.a) {
@@ -170,7 +168,10 @@ impl Algorithm for FiveColoringPatched {
 
         // …gated by counter-priority arbitration with the frozen-view
         // escape (see module docs).
-        let escape = state.last_view.as_deref() == Some(&current[..]);
+        let escape = state
+            .last_view
+            .as_ref()
+            .is_some_and(|last| last.iter().map(Option::as_ref).eq(view.iter()));
         let have_priority = |val: u64| {
             view.awake()
                 .filter(|r| r.a == val || r.b == val)
@@ -188,7 +189,14 @@ impl Algorithm for FiveColoringPatched {
         if changed {
             state.reg.c += 1;
         }
-        state.last_view = Some(current);
+        let current = view.iter().map(Option::<&Reg2P>::copied);
+        match &mut state.last_view {
+            Some(last) => {
+                last.clear();
+                last.extend(current);
+            }
+            None => state.last_view = Some(current.collect()),
+        }
         Step::Continue
     }
 

@@ -45,8 +45,12 @@ pub struct Reg3P {
 pub struct State3P {
     /// The published part.
     pub reg: Reg3P,
-    /// Neighbor registers read at the previous activation.
-    pub last_view: Option<Vec<Option<Reg3P>>>,
+    /// Neighbor registers read at the previous activation, by view
+    /// position (`None` before the first activation; inner `None`s are
+    /// `⊥` registers). Inline because Algorithm 3 runs on degree-2
+    /// nodes only; it hashes to the same bytes as the `Vec` it replaced
+    /// (a length prefix, then the entries).
+    pub last_view: Option<[Option<Reg3P>; 2]>,
 }
 
 /// Algorithm 3 with the patched coloring component. Cycle-only, like
@@ -111,7 +115,7 @@ impl Algorithm for FastFiveColoringPatched {
     /// Panics unless the process has exactly two neighbors (cycle-only).
     fn step(&self, state: &mut State3P, view: &Neighborhood<'_, Reg3P>) -> Step<u64> {
         assert_eq!(view.len(), 2, "Algorithm 3 runs on cycles (degree 2)");
-        let current: Vec<Option<Reg3P>> = view.iter().map(Option::<&Reg3P>::copied).collect();
+        let current = [view.reg(0).copied(), view.reg(1).copied()];
 
         // Coloring component, patched (alg2_patched semantics).
         let in_c = |v: u64| view.awake().any(|r| r.a == v || r.b == v);
@@ -124,7 +128,7 @@ impl Algorithm for FastFiveColoringPatched {
         let me = state.reg;
         let new_a = mex(view.awake().filter(|r| r.x > me.x).flat_map(|r| [r.a, r.b]));
         let new_b = mex(view.awake().flat_map(|r| [r.a, r.b]));
-        let escape = state.last_view.as_deref() == Some(&current[..]);
+        let escape = state.last_view == Some(current);
         let have_priority = |val: u64| {
             view.awake()
                 .filter(|r| r.a == val || r.b == val)
@@ -177,7 +181,7 @@ impl Algorithm for FastFiveColoringPatched {
     fn relabel_view(&self, state: &mut State3P, perm: &[usize]) -> bool {
         if let Some(v) = &mut state.last_view {
             debug_assert_eq!(v.len(), perm.len());
-            let old = v.clone();
+            let old = *v;
             for (k, &src) in perm.iter().enumerate() {
                 v[k] = old[src];
             }
@@ -200,6 +204,78 @@ mod tests {
     use ftcolor_model::inputs;
     use ftcolor_model::logstar::log_star_u64;
     use ftcolor_model::prelude::*;
+    use std::hash::{Hash, Hasher};
+
+    fn reg(x: u64) -> Reg3P {
+        Reg3P {
+            x,
+            r: Rank::Finite(x % 3),
+            a: x % 5,
+            b: (x + 1) % 5,
+            c: x / 2,
+        }
+    }
+
+    #[test]
+    fn relabel_view_swaps_the_inline_view() {
+        let alg = FastFiveColoringPatched;
+        let mut s = alg.init(ProcessId(0), 7);
+        assert!(alg.relabel_view(&mut s, &[1, 0]));
+        assert_eq!(s.last_view, None);
+        s.last_view = Some([Some(reg(3)), None]);
+        assert!(alg.relabel_view(&mut s, &[1, 0]));
+        assert_eq!(s.last_view, Some([None, Some(reg(3))]));
+        assert!(alg.relabel_view(&mut s, &[0, 1]));
+        assert_eq!(s.last_view, Some([None, Some(reg(3))]));
+    }
+
+    /// Records every byte a `Hash` impl writes.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn hash_bytes(value: &impl Hash) -> Vec<u8> {
+        let mut h = Recorder::default();
+        value.hash(&mut h);
+        h.0
+    }
+
+    #[test]
+    fn inline_view_hashes_like_the_vec_it_replaced() {
+        // The `State3P` layout before the view moved inline.
+        #[derive(Hash)]
+        struct VecState {
+            reg: Reg3P,
+            last_view: Option<Vec<Option<Reg3P>>>,
+        }
+        let views = [
+            None,
+            Some([None, None]),
+            Some([Some(reg(4)), None]),
+            Some([None, Some(reg(9))]),
+            Some([Some(reg(1)), Some(reg(2))]),
+        ];
+        for last_view in views {
+            let inline = State3P {
+                reg: reg(11),
+                last_view,
+            };
+            let old = VecState {
+                reg: reg(11),
+                last_view: last_view.map(|v| v.to_vec()),
+            };
+            assert_eq!(hash_bytes(&inline), hash_bytes(&old), "{last_view:?}");
+        }
+    }
 
     fn assert_valid(topo: &Topology, outputs: &[Option<u64>]) {
         assert!(topo.is_proper_partial_coloring(outputs));

@@ -65,8 +65,14 @@ impl fmt::Display for PairColor {
 /// `min N ∖ S`: the least natural number not in `values` — the paper's
 /// color-picking rule. `values` need not be sorted or deduplicated.
 ///
-/// Runs in `O(k log k)` for `k` values; every call site in the coloring
-/// algorithms has `k ≤ 2Δ`.
+/// One pass folds every value below 128 into a `u128` bitmask, and the
+/// answer is the mask's count of trailing ones whenever some value in
+/// `0..128` is missing. That covers every color the algorithms pick
+/// (call sites have at most `2Δ` values) and every
+/// [`reduce`](crate::cole_vishkin::reduce) output (at most
+/// `2·63 + 1 = 127`), so those calls never allocate. Values of 128 and
+/// more are kept aside — allocating only when one occurs — and are
+/// sorted only when all of `0..128` are present.
 ///
 /// ```
 /// use ftcolor_core::mex;
@@ -74,13 +80,24 @@ impl fmt::Display for PairColor {
 /// assert_eq!(mex([0, 1, 3]), 2);
 /// assert_eq!(mex([1, 2]), 0);
 /// assert_eq!(mex([2, 0, 1, 0]), 3);
+/// assert_eq!(mex((0..200).filter(|&x| x != 150)), 150);
 /// ```
 pub fn mex(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut v: Vec<u64> = values.into_iter().collect();
-    v.sort_unstable();
-    v.dedup();
-    let mut candidate = 0u64;
-    for x in v {
+    let mut low = 0u128;
+    let mut high = Vec::new();
+    for x in values {
+        if x < 128 {
+            low |= 1u128 << x;
+        } else {
+            high.push(x);
+        }
+    }
+    if low != u128::MAX {
+        return u64::from(low.trailing_ones());
+    }
+    high.sort_unstable();
+    let mut candidate = 128u64;
+    for x in high {
         if x == candidate {
             candidate += 1;
         } else if x > candidate {
@@ -126,6 +143,7 @@ pub fn mex2(values: impl IntoIterator<Item = u64>) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mex_basics() {
@@ -136,6 +154,66 @@ mod tests {
         assert_eq!(mex([5, 0, 2, 1]), 3);
         assert_eq!(mex([0, 0, 1, 1]), 2);
         assert_eq!(mex([u64::MAX]), 0);
+        // Around the 128-value bitmask.
+        assert_eq!(mex(0..127), 127);
+        assert_eq!(mex(0..128), 128);
+        assert_eq!(mex((0..128).chain([129, u64::MAX])), 128);
+        assert_eq!(mex((0..=130).rev()), 131);
+        assert_eq!(mex([128, 129]), 0);
+    }
+
+    /// The sort-based `mex` the bitmask version replaced.
+    fn reference_mex(values: &[u64]) -> u64 {
+        let mut v = values.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        let mut candidate = 0u64;
+        for x in v {
+            if x == candidate {
+                candidate += 1;
+            } else if x > candidate {
+                break;
+            }
+        }
+        candidate
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// Values straddle the 128 boundary; `full` prepends the whole run
+        /// `0..=127` (so the fallback runs), possibly with one value
+        /// knocked out; `u64::MAX` and duplicates are drawn too.
+        #[test]
+        fn mex_matches_reference(
+            seed in 0u64..u64::MAX,
+            len in 0usize..24,
+            full in 0u8..3,
+            knock_out in 0u64..=127,
+        ) {
+            let mut rng = seed;
+            let mut next = move || {
+                rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (rng ^ (rng >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z ^ (z >> 29)
+            };
+            let mut values: Vec<u64> = match full {
+                0 => Vec::new(),
+                1 => (0..=127).collect(),
+                _ => (0..=127).filter(|&x| x != knock_out).collect(),
+            };
+            for _ in 0..len {
+                values.push(match next() % 5 {
+                    0 => u64::MAX,
+                    1 => 120 + next() % 16,
+                    2 => 128 + next() % 4,
+                    3 => next() % 8,
+                    _ => next() % 140,
+                });
+            }
+            let rot = (next() as usize) % values.len().max(1);
+            values.rotate_left(rot);
+            prop_assert_eq!(mex(values.iter().copied()), reference_mex(&values), "{values:?}");
+        }
     }
 
     #[test]

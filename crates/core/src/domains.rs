@@ -359,7 +359,7 @@ pub fn fast_five_patched_domain(
                 },
                 State3P {
                     reg: s.reg,
-                    last_view: Some(view.to_vec()),
+                    last_view: Some(view.try_into().expect("the domain has degree 2")),
                 },
             ]
         })

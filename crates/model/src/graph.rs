@@ -45,9 +45,22 @@ pub struct Topology {
 impl Topology {
     /// Builds a topology from an explicit edge list on `n` nodes.
     ///
+    /// Runs in `O(n + m)` for `m` edges plus the per-row sorts (each row
+    /// is sorted in place, so a degree-`Δ` row costs `O(Δ log Δ)`), with
+    /// no hashing: the edges are validated and their degrees counted in
+    /// one pass, then both endpoints are scattered straight into the
+    /// compressed-sparse-row arrays. A duplicate edge, in either
+    /// orientation, shows up as two equal adjacent entries of a sorted
+    /// row.
+    ///
     /// # Errors
     ///
     /// Rejects out-of-range endpoints, self-loops, and duplicate edges.
+    /// An input with one fault gets the error naming that fault. With
+    /// several, out-of-range endpoints and self-loops are reported
+    /// first (the first such edge in input order); duplicates are
+    /// checked only once every edge is valid, and the reported pair is
+    /// the least duplicated `(low, high)` pair.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (usize, usize)>,
@@ -60,8 +73,11 @@ impl Topology {
         edges: impl IntoIterator<Item = (usize, usize)>,
         name: String,
     ) -> Result<Self, GraphError> {
-        let mut adj: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
-        let mut seen = std::collections::HashSet::new();
+        // Pass 1: validate, and count the degree of node `i` into
+        // `offsets[i]`.
+        let edges = edges.into_iter();
+        let mut list = Vec::with_capacity(edges.size_hint().0);
+        let mut offsets = vec![0usize; n + 1];
         for (a, b) in edges {
             if a >= n {
                 return Err(GraphError::NodeOutOfRange { node: a, n });
@@ -72,23 +88,33 @@ impl Topology {
             if a == b {
                 return Err(GraphError::SelfLoop { node: ProcessId(a) });
             }
-            let key = (a.min(b), a.max(b));
-            if !seen.insert(key) {
+            offsets[a] += 1;
+            offsets[b] += 1;
+            list.push((a, b));
+        }
+        // Inclusive prefix sum: `offsets[i]` is now the end of row `i`.
+        // Scattering decrements it, so each ends at the start of its row.
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut neighbors = vec![ProcessId(0); offsets[n]];
+        for (a, b) in list {
+            offsets[a] -= 1;
+            neighbors[offsets[a]] = ProcessId(b);
+            offsets[b] -= 1;
+            neighbors[offsets[b]] = ProcessId(a);
+        }
+        // A duplicated edge repeats in both endpoints' rows, so the first
+        // row found holding one is its lower endpoint's.
+        for p in 0..n {
+            let row = &mut neighbors[offsets[p]..offsets[p + 1]];
+            row.sort_unstable();
+            if let Some(w) = row.windows(2).find(|w| w[0] == w[1]) {
                 return Err(GraphError::DuplicateEdge {
-                    a: ProcessId(key.0),
-                    b: ProcessId(key.1),
+                    a: ProcessId(p),
+                    b: w[0],
                 });
             }
-            adj[a].push(ProcessId(b));
-            adj[b].push(ProcessId(a));
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0);
-        for mut list in adj {
-            list.sort_unstable();
-            neighbors.extend_from_slice(&list);
-            offsets.push(neighbors.len());
         }
         Ok(Topology {
             offsets,
@@ -193,28 +219,12 @@ impl Topology {
                 minimum: 3,
             });
         }
-        let id = |x: usize, y: usize| y * w + x;
-        let mut edges = Vec::new();
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    edges.push((id(x, y), id(x + 1, y)));
-                } else if wrap {
-                    edges.push((id(x, y), id(0, y)));
-                }
-                if y + 1 < h {
-                    edges.push((id(x, y), id(x, y + 1)));
-                } else if wrap {
-                    edges.push((id(x, y), id(x, 0)));
-                }
-            }
-        }
         let name = if wrap {
             format!("torus{w}x{h}")
         } else {
             format!("grid{w}x{h}")
         };
-        Self::from_edges_named(n, edges, name)
+        Self::from_edges_named(n, grid_edges(w, h, wrap), name)
     }
 
     /// The `d`-dimensional hypercube `Q_d` (`2^d` nodes, `d`-regular):
@@ -283,43 +293,9 @@ impl Topology {
     /// `d = 0`, or `d ≥ n`, or (never observed in practice for `d ≤ n/2`)
     /// when 1000 attempts fail.
     pub fn random_regular(n: usize, d: usize, seed: u64) -> Result<Self, GraphError> {
-        if d >= n || (n * d) % 2 == 1 || d == 0 {
-            return Err(GraphError::InfeasibleRegular { n, d });
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        'attempt: for _ in 0..1000 {
-            let mut stubs: Vec<usize> = (0..n * d).map(|s| s / d).collect();
-            stubs.shuffle(&mut rng);
-            let mut seen = std::collections::HashSet::new();
-            let mut edges = Vec::with_capacity(n * d / 2);
-            while !stubs.is_empty() {
-                let mut placed = false;
-                for _ in 0..200 {
-                    let i = rng.gen_range(0..stubs.len());
-                    let j = rng.gen_range(0..stubs.len());
-                    if i == j {
-                        continue;
-                    }
-                    let (a, b) = (stubs[i], stubs[j]);
-                    if a == b || seen.contains(&(a.min(b), a.max(b))) {
-                        continue;
-                    }
-                    seen.insert((a.min(b), a.max(b)));
-                    edges.push((a, b));
-                    // Remove the higher index first so the lower stays valid.
-                    let (hi, lo) = (i.max(j), i.min(j));
-                    stubs.swap_remove(hi);
-                    stubs.swap_remove(lo);
-                    placed = true;
-                    break;
-                }
-                if !placed {
-                    continue 'attempt;
-                }
-            }
-            return Self::from_edges_named(n, edges, format!("rr(n={n},d={d})"));
-        }
-        Err(GraphError::InfeasibleRegular { n, d })
+        let edges =
+            random_regular_edges(n, d, seed).ok_or(GraphError::InfeasibleRegular { n, d })?;
+        Self::from_edges_named(n, edges, format!("rr(n={n},d={d})"))
     }
 
     /// An Erdős–Rényi `G(n, p)` graph with every node's degree capped at
@@ -337,25 +313,7 @@ impl Topology {
                 minimum: 2,
             });
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut candidates = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                    candidates.push((i, j));
-                }
-            }
-        }
-        candidates.shuffle(&mut rng);
-        let mut degree = vec![0usize; n];
-        let mut edges = Vec::new();
-        for (i, j) in candidates {
-            if degree[i] < max_degree && degree[j] < max_degree {
-                degree[i] += 1;
-                degree[j] += 1;
-                edges.push((i, j));
-            }
-        }
+        let edges = gnp_bounded_edges(n, p, max_degree, seed);
         Self::from_edges_named(n, edges, format!("gnp(n={n},p={p},Δ≤{max_degree})"))
     }
 
@@ -507,9 +465,288 @@ impl Topology {
     }
 }
 
+/// The edges of the `w × h` grid (torus when `wrap`), row-major ids.
+fn grid_edges(w: usize, h: usize, wrap: bool) -> Vec<(usize, usize)> {
+    let id = |x: usize, y: usize| y * w + x;
+    let mut edges = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                edges.push((id(x, y), id(x + 1, y)));
+            } else if wrap {
+                edges.push((id(x, y), id(0, y)));
+            }
+            if y + 1 < h {
+                edges.push((id(x, y), id(x, y + 1)));
+            } else if wrap {
+                edges.push((id(x, y), id(x, 0)));
+            }
+        }
+    }
+    edges
+}
+
+/// The edges of [`Topology::random_regular`], or `None` when the
+/// instance is infeasible or every attempt fails.
+fn random_regular_edges(n: usize, d: usize, seed: u64) -> Option<Vec<(usize, usize)>> {
+    if d >= n || (n * d) % 2 == 1 || d == 0 {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    'attempt: for _ in 0..1000 {
+        let mut stubs: Vec<usize> = (0..n * d).map(|s| s / d).collect();
+        stubs.shuffle(&mut rng);
+        let mut seen = std::collections::HashSet::new();
+        let mut edges = Vec::with_capacity(n * d / 2);
+        while !stubs.is_empty() {
+            let mut placed = false;
+            for _ in 0..200 {
+                let i = rng.gen_range(0..stubs.len());
+                let j = rng.gen_range(0..stubs.len());
+                if i == j {
+                    continue;
+                }
+                let (a, b) = (stubs[i], stubs[j]);
+                if a == b || seen.contains(&(a.min(b), a.max(b))) {
+                    continue;
+                }
+                seen.insert((a.min(b), a.max(b)));
+                edges.push((a, b));
+                // Remove the higher index first so the lower stays valid.
+                let (hi, lo) = (i.max(j), i.min(j));
+                stubs.swap_remove(hi);
+                stubs.swap_remove(lo);
+                placed = true;
+                break;
+            }
+            if !placed {
+                continue 'attempt;
+            }
+        }
+        return Some(edges);
+    }
+    None
+}
+
+/// The edges of [`Topology::gnp_bounded`].
+fn gnp_bounded_edges(n: usize, p: f64, max_degree: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut candidates = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.gen_bool(p.clamp(0.0, 1.0)) {
+                candidates.push((i, j));
+            }
+        }
+    }
+    candidates.shuffle(&mut rng);
+    let mut degree = vec![0usize; n];
+    let mut edges = Vec::new();
+    for (i, j) in candidates {
+        if degree[i] < max_degree && degree[j] < max_degree {
+            degree[i] += 1;
+            degree[j] += 1;
+            edges.push((i, j));
+        }
+    }
+    edges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The hash-set builder `from_edges_named` replaced, kept as the
+    /// reference it must match: it rejects each fault at the first edge
+    /// that shows it, in input order.
+    fn reference_from_edges(
+        n: usize,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+        name: String,
+    ) -> Result<Topology, GraphError> {
+        let mut adj: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
+        let mut seen = std::collections::HashSet::new();
+        for (a, b) in edges {
+            if a >= n {
+                return Err(GraphError::NodeOutOfRange { node: a, n });
+            }
+            if b >= n {
+                return Err(GraphError::NodeOutOfRange { node: b, n });
+            }
+            if a == b {
+                return Err(GraphError::SelfLoop { node: ProcessId(a) });
+            }
+            let key = (a.min(b), a.max(b));
+            if !seen.insert(key) {
+                return Err(GraphError::DuplicateEdge {
+                    a: ProcessId(key.0),
+                    b: ProcessId(key.1),
+                });
+            }
+            adj[a].push(ProcessId(b));
+            adj[b].push(ProcessId(a));
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        for mut list in adj {
+            list.sort_unstable();
+            neighbors.extend_from_slice(&list);
+            offsets.push(neighbors.len());
+        }
+        Ok(Topology {
+            offsets,
+            neighbors,
+            name,
+        })
+    }
+
+    fn assert_same_topology(got: &Topology, want: &Topology) {
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got.name(), want.name());
+        for p in want.nodes() {
+            assert_eq!(
+                got.neighbors(p),
+                want.neighbors(p),
+                "{}: row {p}",
+                want.name()
+            );
+        }
+        assert_eq!(got, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Random simple edge lists (random orientation and order), each
+        /// clean or with exactly one injected fault: a duplicate, a
+        /// reversed duplicate, a self-loop or an out-of-range endpoint.
+        #[test]
+        fn from_edges_matches_reference(n in 1usize..=40, seed in 0u64..u64::MAX, fault in 0u8..5) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let density = rng.gen_range(0u32..=60) as f64 / 100.0;
+            let mut edges = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rng.gen_bool(density) {
+                        edges.push(if rng.gen_bool(0.5) { (i, j) } else { (j, i) });
+                    }
+                }
+            }
+            edges.shuffle(&mut rng);
+            let injected = match fault {
+                1 | 2 if !edges.is_empty() => {
+                    let (a, b) = edges[rng.gen_range(0..edges.len())];
+                    Some(if fault == 1 { (a, b) } else { (b, a) })
+                }
+                3 => {
+                    let v = rng.gen_range(0..n);
+                    Some((v, v))
+                }
+                4 => {
+                    let (inside, outside) = (rng.gen_range(0..n), rng.gen_range(n..n + 5));
+                    Some(if rng.gen_bool(0.5) { (inside, outside) } else { (outside, inside) })
+                }
+                _ => None,
+            };
+            if let Some(e) = injected {
+                let at = rng.gen_range(0..=edges.len());
+                edges.insert(at, e);
+            }
+            let got = Topology::from_edges(n, edges.iter().copied());
+            let want = reference_from_edges(n, edges.iter().copied(), format!("graph(n={n})"));
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    prop_assert!(injected.is_none());
+                    assert_same_topology(g, w);
+                }
+                _ => {
+                    prop_assert!(injected.is_some());
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_named_family_matches_reference() {
+        let check = |topo: Topology, n: usize, edges: Vec<(usize, usize)>| {
+            let reference = reference_from_edges(n, edges, topo.name().to_string()).unwrap();
+            assert_same_topology(&topo, &reference);
+        };
+        for n in 3..=64 {
+            let edges = (0..n).map(|i| (i, (i + 1) % n)).collect();
+            check(Topology::cycle(n).unwrap(), n, edges);
+        }
+        for n in [2, 3, 7, 40] {
+            let path = (0..n - 1).map(|i| (i, i + 1)).collect();
+            check(Topology::path(n).unwrap(), n, path);
+            let clique = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            check(Topology::clique(n).unwrap(), n, clique);
+            let star = (1..n).map(|i| (0, i)).collect();
+            check(Topology::star(n).unwrap(), n, star);
+        }
+        for (w, h, wrap) in [
+            (1, 2, false),
+            (3, 3, false),
+            (5, 2, false),
+            (3, 3, true),
+            (4, 6, true),
+        ] {
+            let grid = Topology::grid(w, h, wrap).unwrap();
+            check(grid, w * h, grid_edges(w, h, wrap));
+        }
+        for d in 1..=6 {
+            let n = 1usize << d;
+            let edges = (0..n)
+                .flat_map(|i| (0..d).map(move |k| (i, i ^ (1 << k))))
+                .filter(|&(i, j)| i < j)
+                .collect();
+            check(Topology::hypercube(d).unwrap(), n, edges);
+        }
+        for (a, b) in [(1, 1), (2, 3), (5, 4)] {
+            let edges = (0..a)
+                .flat_map(|i| (0..b).map(move |j| (i, a + j)))
+                .collect();
+            check(Topology::complete_bipartite(a, b).unwrap(), a + b, edges);
+        }
+        let petersen = (0..5)
+            .map(|i| (i, (i + 1) % 5))
+            .chain((0..5).map(|i| (i, i + 5)))
+            .chain((0..5).map(|i| (i + 5, (i + 2) % 5 + 5)))
+            .collect();
+        check(Topology::petersen(), 10, petersen);
+        for (n, d, seed) in [(10, 3, 1), (20, 4, 2), (31, 6, 3), (64, 5, 9)] {
+            let edges = random_regular_edges(n, d, seed).unwrap();
+            check(Topology::random_regular(n, d, seed).unwrap(), n, edges);
+        }
+        for (n, p, cap, seed) in [(2, 1.0, 1, 0), (40, 0.5, 5, 7), (60, 0.1, 3, 4)] {
+            let edges = gnp_bounded_edges(n, p, cap, seed);
+            check(Topology::gnp_bounded(n, p, cap, seed).unwrap(), n, edges);
+        }
+    }
+
+    #[test]
+    fn several_faults_report_range_and_self_loops_before_duplicates() {
+        assert_eq!(
+            Topology::from_edges(4, [(0, 1), (1, 0), (2, 2)]),
+            Err(GraphError::SelfLoop { node: ProcessId(2) })
+        );
+        assert_eq!(
+            Topology::from_edges(4, [(0, 1), (0, 1), (3, 9)]),
+            Err(GraphError::NodeOutOfRange { node: 9, n: 4 })
+        );
+        // Several duplicates: the least `(low, high)` pair is named.
+        assert_eq!(
+            Topology::from_edges(4, [(2, 3), (3, 2), (1, 0), (0, 1)]),
+            Err(GraphError::DuplicateEdge {
+                a: ProcessId(0),
+                b: ProcessId(1)
+            })
+        );
+    }
 
     #[test]
     fn cycle_structure() {

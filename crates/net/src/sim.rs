@@ -42,7 +42,9 @@
 //! mirror only when its stamp is fresher), and the register server
 //! encodes its value only to answer a `snapshot_req`. Per-neighbor
 //! state lives in one flat array indexed by CSR offsets built from the
-//! topology's degrees, not in per-node vectors.
+//! topology's degrees, not in per-node vectors. Algorithm states sit in
+//! their own array too, so the per-node record every event reads stays
+//! small whatever the size of `A::State`.
 //!
 //! # Determinism
 //!
@@ -289,8 +291,7 @@ enum Phase {
 /// its freshness stamp (writer round + 1).
 type Obs<R> = Option<(R, u64)>;
 
-struct Node<S, R> {
-    state: S,
+struct Node<R> {
     status: Status,
     round: u64,
     phase: Phase,
@@ -401,7 +402,10 @@ struct Sim<'a, A: Algorithm> {
     topo: &'a Topology,
     plan: &'a FaultPlan,
     cfg: &'a NetConfig,
-    nodes: Vec<Node<A::State, A::Reg>>,
+    nodes: Vec<Node<A::Reg>>,
+    /// Each node's algorithm state, apart from [`Node`]: only a round's
+    /// write and commit touch it, while every event reads its node.
+    states: Vec<A::State>,
     /// Per-neighbor state of every node, flat (see [`Link`]).
     links: Vec<Link<A::Reg>>,
     /// CSR offsets into `links`: node `p` owns `offsets[p]..offsets[p + 1]`.
@@ -441,11 +445,13 @@ where
     ) -> Self {
         let n = topo.len();
         assert_eq!(inputs.len(), n, "one input per node");
-        let nodes = inputs
+        let states = inputs
             .into_iter()
             .enumerate()
-            .map(|(i, input)| Node {
-                state: alg.init(ProcessId(i), input),
+            .map(|(i, input)| alg.init(ProcessId(i), input))
+            .collect();
+        let nodes = (0..n)
+            .map(|_| Node {
                 status: Status::Working,
                 round: 0,
                 phase: Phase::Idle,
@@ -469,6 +475,7 @@ where
             plan,
             cfg,
             nodes,
+            states,
             links,
             offsets,
             view: Vec::with_capacity(topo.max_degree()),
@@ -565,7 +572,7 @@ where
         if self.nodes[node].status != Status::Working {
             return;
         }
-        let value = self.alg.publish(&self.nodes[node].state).to_value();
+        let value = self.alg.publish(&self.states[node]).to_value();
         let round = self.nodes[node].round;
         self.nodes[node].phase = Phase::AwaitWrite;
         self.send_loopback(node, Body::Write(Write { round, value }));
@@ -747,7 +754,7 @@ where
         }
         let step = self
             .alg
-            .step(&mut self.nodes[node].state, &Neighborhood::new(&self.view));
+            .step(&mut self.states[node], &Neighborhood::new(&self.view));
         self.rounds[node] += 1;
         match step {
             Step::Continue => {
