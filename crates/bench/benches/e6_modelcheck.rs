@@ -1,12 +1,12 @@
 //! E6 (Property 2.3 / exhaustive soundness): exploration throughput of
-//! the model checker on C3 instances, plus thread-scaling of the
-//! parallel checker on the C5 / Algorithm 2 instance (the largest
-//! exhaustive exploration in the suite). The scaling group is the
+//! the model checker on C3 instances, plus its worker scaling on the
+//! C5 / Algorithm 2 instance (the largest exhaustive exploration in the
+//! suite). The scaling group is the
 //! evidence for EXPERIMENTS.md's note that E6/E7 tables are
 //! thread-count-independent but their wall-clock is not.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftcolor_checker::{ModelChecker, ParallelModelChecker};
+use ftcolor_checker::ModelChecker;
 use ftcolor_core::{FiveColoring, SixColoring};
 use ftcolor_model::Topology;
 
@@ -52,14 +52,14 @@ fn bench_scaling(c: &mut Criterion) {
     // while staying deep enough for the frontier to go wide.
     let cap = 120_000;
 
-    let baseline = ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+    let baseline = ModelChecker::new(&FiveColoring, &topo, ids.clone())
         .with_max_configs(cap)
         .with_jobs(1)
         .explore(safety)
         .unwrap();
 
     for jobs in [1usize, 2, 4, 8] {
-        let o = ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+        let o = ModelChecker::new(&FiveColoring, &topo, ids.clone())
             .with_max_configs(cap)
             .with_jobs(jobs)
             .explore(safety)
@@ -70,7 +70,7 @@ fn bench_scaling(c: &mut Criterion) {
             &jobs,
             |b, &jobs| {
                 b.iter(|| {
-                    ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+                    ModelChecker::new(&FiveColoring, &topo, ids.clone())
                         .with_max_configs(cap)
                         .with_jobs(jobs)
                         .explore(safety)

@@ -30,7 +30,7 @@
 //! canonical-component staircase saves.
 
 use ftcolor_checker::modelcheck::ModelCheckOutcome;
-use ftcolor_checker::ParallelModelChecker;
+use ftcolor_checker::ModelChecker;
 use ftcolor_core::{FastFiveColoring, FiveColoring, FiveColoringPatched, SixColoring};
 use ftcolor_model::Topology;
 use serde::{Deserialize, Serialize};
@@ -113,8 +113,8 @@ fn row_from<O: std::fmt::Debug>(
 }
 
 /// Runs the exhaustive explorations. `max_configs` caps each instance;
-/// `jobs` is the worker-thread count (`0` = all CPUs). The parallel
-/// checker is bit-identical to the sequential one, so every cell of the
+/// `jobs` is the worker-thread count (`0` = all CPUs). The checker's
+/// outcome is bit-identical at every worker count, so every cell of the
 /// E6 table is independent of `jobs` — see `benches/e6_modelcheck.rs`
 /// for the thread-scaling measurement.
 pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
@@ -130,7 +130,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         let n = ids.len();
         let topo = Topology::cycle(n).unwrap();
         for symmetry in [false, true] {
-            let mc = ParallelModelChecker::new(&SixColoring, &topo, ids.clone())
+            let mc = ModelChecker::new(&SixColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
@@ -159,7 +159,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
             // exact worst-case round complexity over all schedules. A
             // truncated run reports `None` but still surfaces the work
             // it did through its stats, rather than returning silently.
-            let (w, _dp_stats) = ParallelModelChecker::new(&SixColoring, &topo, ids.clone())
+            let (w, _dp_stats) = ModelChecker::new(&SixColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry)
@@ -168,7 +168,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
             row.exact_worst = w;
             rows.push(row);
 
-            let mc = ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+            let mc = ModelChecker::new(&FiveColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
@@ -183,7 +183,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
                 &o,
             ));
 
-            let mc = ParallelModelChecker::new(&FastFiveColoring, &topo, ids.clone())
+            let mc = ModelChecker::new(&FastFiveColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
@@ -204,7 +204,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
             // so "livelock: none" here is expected and `complete: false`
             // reflects the truncation honestly).
             let patched_cap = max_configs.min(400_000);
-            let mc = ParallelModelChecker::new(&FiveColoringPatched, &topo, ids.clone())
+            let mc = ModelChecker::new(&FiveColoringPatched, &topo, ids.clone())
                 .with_max_configs(patched_cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
@@ -235,7 +235,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         let topo = Topology::cycle(n).unwrap();
         let cap = max_configs.min(400_000);
         for symmetry in [false, true] {
-            let mc = ParallelModelChecker::new(&FiveColoring, &topo, ids.clone())
+            let mc = ModelChecker::new(&FiveColoring, &topo, ids.clone())
                 .with_max_configs(cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
@@ -262,7 +262,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
     let por_topo = Topology::cycle(5).unwrap();
     macro_rules! por_twin {
         ($alg:expr, $name:expr, $safety:expr, $cap:expr, $symmetry:expr) => {{
-            let o = ParallelModelChecker::new($alg, &por_topo, por_ids.clone())
+            let o = ModelChecker::new($alg, &por_topo, por_ids.clone())
                 .with_max_configs($cap)
                 .with_jobs(jobs)
                 .with_symmetry($symmetry)

@@ -8,7 +8,7 @@
 //! drives Property 2.1.
 
 use ftcolor_checker::ssb::{ssb_outputs, ssb_violation};
-use ftcolor_checker::ParallelModelChecker;
+use ftcolor_checker::ModelChecker;
 use ftcolor_core::mis::{mis_violation, EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
 use ftcolor_model::prelude::*;
 use serde::Serialize;
@@ -39,7 +39,7 @@ where
 {
     let topo = Topology::cycle(ids.len()).unwrap();
     let label = format!("C{} ids={ids:?}", ids.len());
-    let mc = ParallelModelChecker::new(alg, &topo, ids)
+    let mc = ModelChecker::new(alg, &topo, ids)
         .with_max_configs(2_000_000)
         .with_jobs(jobs);
     let o = mc.explore(mis_violation).unwrap();

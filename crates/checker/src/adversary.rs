@@ -228,7 +228,7 @@ where
         A::Output: Sync,
     {
         let jobs = if self.config.jobs == 0 {
-            crate::parallel::default_jobs()
+            ftcolor_model::sweep::default_jobs()
         } else {
             self.config.jobs
         }

@@ -14,22 +14,16 @@
 //!   subsets at every step, hence also every crash pattern, since a crash
 //!   is just "no further activations"), checks a safety predicate at
 //!   every configuration, and detects livelocks as cycles in the
-//!   configuration graph;
+//!   configuration graph. One level-synchronized engine serves every
+//!   worker count with bit-identical outcomes;
 //! * [`por`] — certified partial-order reduction for the explorers:
 //!   connected-activation-set decomposition (exact) plus the
 //!   canonical-component staircase (verdict-preserving under a solo-
 //!   termination certificate), gated by a per-algorithm certificate that
 //!   is cross-examined dynamically before any reduced run;
-//! * [`extmem`] — external-memory visited sets for explorations past
-//!   RAM: sorted on-disk runs with delayed duplicate detection
-//!   (bit-identical outcomes), and an opt-in lossy Bloom-filter sweep
-//!   for falsification-only runs;
 //! * [`symmetry`] — opt-in orbit canonicalization under the cycle's
 //!   automorphism group (rotations + reflections), with the soundness
 //!   guard and the witness de-canonicalization algebra;
-//! * [`parallel`] — a multi-threaded frontier-expansion engine for the
-//!   same exploration, bit-identical to [`modelcheck`] at any thread
-//!   count;
 //! * [`adversary`] — a randomized schedule fuzzer for instances beyond
 //!   exhaustive reach: evolves activation-set genomes toward starvation
 //!   or safety violations;
@@ -47,10 +41,8 @@ pub mod adversary;
 pub mod chains;
 #[cfg(test)]
 mod codec_pin;
-pub mod extmem;
 pub mod invariants;
 pub mod modelcheck;
-pub mod parallel;
 pub mod por;
 pub mod shrink;
 pub mod ssb;
@@ -59,12 +51,12 @@ pub mod symmetry;
 
 pub use adversary::{FuzzConfig, FuzzReport, Objective, ScheduleFuzzer};
 pub use chains::ChainAnalysis;
-pub use extmem::ExtmemConfig;
 pub use invariants::{check_coloring_report, ColoringCheck};
 pub use modelcheck::{
     LivelockWitness, ModelCheckError, ModelCheckOutcome, ModelChecker, SafetyViolation,
 };
-pub use parallel::ParallelModelChecker;
+/// The former name of the multi-threaded checker, which is now [`ModelChecker`].
+pub type ParallelModelChecker<'a, A> = ModelChecker<'a, A>;
 pub use shrink::{ShrinkStats, Shrinker, ShrunkLivelock, ShrunkSchedule, Witness, WitnessFixture};
 pub use stats::{ExploreStats, Summary};
 pub use symmetry::CycleSymmetry;

@@ -22,24 +22,67 @@
 //!   [`LivelockWitness`] (reach the cycle, then loop its activation sets
 //!   forever).
 //!
-//! # Compact exploration core
+//! # One engine, any worker count
+//!
+//! There is a single exploration engine: a **level-synchronized BFS**
+//! whose outcome is a pure function of the instance. `jobs = 1` (the
+//! default) is the sequential case; any other worker count produces the
+//! bit-identical outcome — same [`SafetyViolation`], same
+//! [`LivelockWitness`], same `outputs_seen` order, same
+//! `exact_worst_case` — so a counterexample or a bound computed at
+//! `--jobs 8` is exactly the one a single worker would print. Each BFS
+//! level runs in two phases:
+//!
+//! 1. **Expand (parallel).** The frontier is split into per-worker index
+//!    ranges; workers claim chunks from their own range and *steal* from
+//!    the back of the largest remaining range when they run dry. Each
+//!    worker reads outputs and the working set straight off a frontier
+//!    node's packed row and computes the safety predicate, the terminal
+//!    check, and one packed successor key per activation subset —
+//!    stepped on the packed row itself by the codec's memoized successor
+//!    kernel ([`ConfigCodec::step_packed`], see [`ftcolor_model::encode`]),
+//!    with no [`Execution`] involved — consulting the sharded visited-set
+//!    (partitioned by the keys' precomputed `u64` hashes, one
+//!    `parking_lot::Mutex`-guarded shard each) to classify successors
+//!    already discovered in earlier levels. The visited-set is *frozen*
+//!    during this phase, so reads race with nothing.
+//! 2. **Merge (sequential, canonical order).** Results are reassembled by
+//!    frontier index and folded in ascending node-id order: first-seen
+//!    output collection, lowest-id-wins safety violation (the
+//!    lexicographically smallest counterexample — BFS parent chains order
+//!    witnesses by (length, discovery order)), terminal counting, the
+//!    configuration-cap check, new-id assignment in (parent, subset)
+//!    order, and the dedup-statistics counters. Duplicates discovered
+//!    concurrently within one level are resolved here, deterministically,
+//!    never by race outcome.
+//!
+//! Cycle detection and the worst-case DP then run on the resulting edge
+//! list. `tests/parallel_equivalence.rs` checks the engine at several
+//! worker counts against an independent clone-per-successor reference
+//! BFS over [`Execution`].
+//!
+//! # Compact storage
 //!
 //! Configurations are stored as packed interned buffers
-//! ([`ftcolor_model::encode::CfgKey`]): the visited-set, the BFS queue, and the
-//! parent links never hold an [`Execution`] or a heap tuple. Successors
-//! are generated **clone-free** by step/undo on a single scratch
-//! execution — step with a subset, re-encode only the touched slots
-//! (incrementally updating the configuration hash), then restore those
-//! slots from the parent's buffer. Key equality compares the packed
-//! buffers themselves, so deduplication is exact and the explored graph
-//! is bit-identical to the one the old clone-per-successor engine built.
+//! ([`ftcolor_model::encode::CfgKey`]): the visited-set, the frontier,
+//! and the parent links never hold an [`Execution`] or a heap tuple. Key
+//! equality compares the packed buffers themselves, so deduplication is
+//! exact. Transitions are stored **packed** — `(target, subset bitmask,
+//! frame automorphism)` in 12 bytes — and decoded against the source
+//! node's working set only when a witness needs materializing; at
+//! millions of configurations this keeps the edge arena an order of
+//! magnitude smaller than heap-allocated activation sets would be.
 //!
-//! With [`ModelChecker::with_symmetry`] the checker additionally
-//! canonicalizes every configuration under the cycle's automorphism
-//! group before deduplication, exploring one representative per orbit —
-//! see [`crate::symmetry`] for the soundness contract and the witness
+//! # Reductions
+//!
+//! With [`ModelChecker::with_symmetry`] the checker canonicalizes every
+//! configuration under the cycle's automorphism group before
+//! deduplication, exploring one representative per orbit — see
+//! [`crate::symmetry`] for the soundness contract and the witness
 //! de-canonicalization that keeps every surfaced schedule concretely
-//! replayable on the original instance.
+//! replayable on the original instance. Orbit representatives are
+//! elected by run-independent value hashes, so reduced runs are
+//! worker-count independent too.
 //!
 //! With [`ModelChecker::with_por`] the checker applies certified
 //! **partial-order reduction** (see [`crate::por`]): activation subsets
@@ -47,15 +90,11 @@
 //! skipped, guarded — like symmetry — by a per-algorithm certificate
 //! ([`ftcolor_model::Algorithm::por_certificate`]) that is additionally
 //! cross-examined by a dynamic commutation probe before exploration
-//! starts. POR composes with symmetry: reduction happens on the
+//! starts. The reduced family is a pure function of the source
+//! configuration, enumerated in the same ascending-mask order as the
+//! full family. POR composes with symmetry: reduction happens on the
 //! canonical representative's working set, and since every reduced edge
 //! is a real edge, witness de-canonicalization is unchanged.
-//!
-//! Transitions are stored **packed** — `(target, subset bitmask, frame
-//! automorphism)` in 12 bytes — and decoded against the source node's
-//! working set only when a witness needs materializing; at millions of
-//! configurations this keeps the edge arena an order of magnitude
-//! smaller than heap-allocated activation sets would be.
 //!
 //! Experiment E6 runs this on `C3`/`C4` for Algorithms 1–3 (finding the
 //! crash-livelock of Algorithms 2/3 automatically, and verifying
@@ -66,7 +105,9 @@ use crate::stats::ExploreStats;
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
 use ftcolor_model::encode::{CfgKey, ConfigCodec, PassthroughBuild};
 use ftcolor_model::schedule::ActivationSet;
+use ftcolor_model::sweep::{default_jobs, RangeQueue};
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -98,7 +139,7 @@ pub struct LivelockWitness {
 /// Result of an exhaustive exploration.
 ///
 /// Implements `PartialEq` so differential harnesses can assert that two
-/// explorations (e.g. sequential vs. parallel) produced *identical*
+/// explorations (e.g. at different worker counts) produced *identical*
 /// results, field for field. The [`stats`](Self::stats) field carries
 /// wall-clock-dependent performance counters and is deliberately
 /// **excluded** from equality.
@@ -121,12 +162,6 @@ pub struct ModelCheckOutcome<O> {
     /// Whether exploration was truncated by the configuration cap (all
     /// reported facts still hold for the explored subgraph).
     pub truncated: bool,
-    /// Whether the exploration was **lossy** (Bloom-filter visited set):
-    /// false positives may have silently pruned unexplored states, so a
-    /// clean lossy run proves nothing — only found violations (which are
-    /// exact, replayable witnesses) count. Always `false` for the sound
-    /// exploration modes.
-    pub lossy: bool,
     /// Performance counters for this exploration (configs/sec, memory,
     /// dedup hit-rate). Not part of equality: wall-clock varies.
     pub stats: ExploreStats,
@@ -141,16 +176,14 @@ impl<O: PartialEq> PartialEq for ModelCheckOutcome<O> {
             && self.livelock == other.livelock
             && self.outputs_seen == other.outputs_seen
             && self.truncated == other.truncated
-            && self.lossy == other.lossy
     }
 }
 
 impl<O> ModelCheckOutcome<O> {
     /// `true` when no safety violation and no livelock were found and
-    /// exploration was complete **and sound** (a lossy Bloom run never
-    /// counts as clean, no matter what it saw).
+    /// exploration was complete.
     pub fn clean(&self) -> bool {
-        self.safety_violation.is_none() && self.livelock.is_none() && !self.truncated && !self.lossy
+        self.safety_violation.is_none() && self.livelock.is_none() && !self.truncated
     }
 }
 
@@ -165,11 +198,7 @@ impl<O: fmt::Debug> fmt::Display for ModelCheckOutcome<O> {
             self.safety_violation.as_ref().map_or("ok", |_| "VIOLATED"),
             self.livelock.as_ref().map_or("none", |_| "FOUND"),
             self.truncated
-        )?;
-        if self.lossy {
-            write!(f, " lossy=true")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -182,12 +211,15 @@ impl<O: fmt::Debug> fmt::Display for ModelCheckOutcome<O> {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let topo = Topology::cycle(3)?;
-/// let mc = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30]);
-/// let outcome = mc.explore(|topo, outputs| {
-///     topo.first_conflict(outputs)
-///         .map(|(a, b)| format!("conflict {a}-{b}"))
-/// })?;
+/// let safety = |topo: &Topology, outs: &[Option<_>]| {
+///     topo.first_conflict(outs).map(|(a, b)| format!("conflict {a}-{b}"))
+/// };
+/// let outcome = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30]).explore(safety)?;
 /// assert!(outcome.clean(), "{outcome}");
+/// let four = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30])
+///     .with_jobs(4)
+///     .explore(safety)?;
+/// assert_eq!(outcome, four); // bit-identical, whatever the worker count
 /// # Ok(())
 /// # }
 /// ```
@@ -196,6 +228,7 @@ pub struct ModelChecker<'a, A: Algorithm> {
     topo: &'a Topology,
     inputs: Vec<A::Input>,
     max_configs: usize,
+    jobs: usize,
     symmetry: bool,
     por: bool,
 }
@@ -226,13 +259,6 @@ pub enum ModelCheckError {
     /// payload describes the first observed contradiction. No reduced
     /// exploration is attempted.
     PorCertificateViolation(String),
-    /// Both the external-memory and the Bloom visited-set modes were
-    /// requested; they are mutually exclusive.
-    VisitedModeConflict,
-    /// The external-memory visited set hit an I/O error (payload is the
-    /// formatted [`std::io::Error`]; kept as a string so the error type
-    /// stays `Eq`/comparable in differential tests).
-    ExtmemIo(String),
 }
 
 impl fmt::Display for ModelCheckError {
@@ -257,15 +283,6 @@ impl fmt::Display for ModelCheckError {
             ModelCheckError::PorCertificateViolation(why) => {
                 write!(f, "POR certificate refuted by the dynamic probe: {why}")
             }
-            ModelCheckError::VisitedModeConflict => {
-                write!(
-                    f,
-                    "the external-memory and Bloom visited-set modes are mutually exclusive"
-                )
-            }
-            ModelCheckError::ExtmemIo(e) => {
-                write!(f, "external-memory visited set I/O failed: {e}")
-            }
         }
     }
 }
@@ -288,13 +305,13 @@ pub fn all_nonempty_subsets(working: &[ftcolor_model::ProcessId]) -> Vec<Activat
 
 /// [`all_nonempty_subsets`] paired with each subset's bitmask over
 /// `working` (bit `i` activates `working[i]`) — the packed form the
-/// explorers store in [`Edge`]s. Masks enumerate ascending, so every
+/// engine stores in [`Edge`]s. Masks enumerate ascending, so every
 /// exploration mode branches in the same deterministic order.
 ///
 /// # Panics
 ///
 /// Panics if `working` has 24 or more entries.
-pub(crate) fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
+fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
     let k = working.len();
     assert!(k < 24, "subset enumeration needs a small instance");
     (1..(1u32 << k))
@@ -304,7 +321,7 @@ pub(crate) fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationS
 
 /// Expands a packed subset bitmask back into an activation set against
 /// the source configuration's (ascending) working list.
-pub(crate) fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
+fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
     ActivationSet::of(
         (0..working.len())
             .filter(|i| mask & (1 << i) != 0)
@@ -320,15 +337,15 @@ pub(crate) fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
 /// configurations the edge arena stays RAM-resident where heap
 /// activation sets would not.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Edge {
-    pub to: u32,
-    pub mask: u32,
-    pub sig: u16,
+struct Edge {
+    to: u32,
+    mask: u32,
+    sig: u16,
 }
 
 /// BFS parent link: parent id, activation-subset bitmask (in the
 /// parent's frame), canonicalizing automorphism of the edge.
-pub(crate) type ParentLink = Option<(u32, u32, u16)>;
+type ParentLink = Option<(u32, u32, u16)>;
 
 /// Walks the BFS parent chain from node `id` back to the root, returning
 /// the activation-set schedule that reaches `id` from the initial
@@ -337,7 +354,7 @@ pub(crate) type ParentLink = Option<(u32, u32, u16)>;
 /// decoded in its parent's frame. Only valid outside symmetry mode
 /// (automorphism frames are ignored); symmetry-mode callers use
 /// [`frame_schedule`].
-pub(crate) fn schedule_to(
+fn schedule_to(
     parents: &[ParentLink],
     mut id: usize,
     working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
@@ -356,7 +373,7 @@ pub(crate) fn schedule_to(
 /// set through the cumulative frame automorphism back to the original
 /// instance's process labels. Returns the concrete schedule and the
 /// frame permutation `τ` at `id` (concrete process = `τ[canonical]`).
-pub(crate) fn frame_schedule(
+fn frame_schedule(
     parents: &[ParentLink],
     mut id: usize,
     sym: &CycleSymmetry,
@@ -387,8 +404,8 @@ pub(crate) fn frame_schedule(
 /// concrete process labels (falling back to the canonical-frame
 /// description if the predicate — against the contract — is not
 /// symmetry-invariant).
-#[allow(clippy::too_many_arguments)] // internal plumbing between the two checkers
-pub(crate) fn concrete_safety_witness<A: Algorithm>(
+#[allow(clippy::too_many_arguments)]
+fn concrete_safety_witness<A: Algorithm>(
     alg: &A,
     topo: &Topology,
     inputs: &[A::Input],
@@ -428,7 +445,7 @@ where
 /// canonicalizers), so the concrete cycle is the quotient cycle
 /// **unrolled `order(ρ)` times** with the frame permutation advanced
 /// per edge — after which the concrete configuration genuinely repeats.
-pub(crate) fn concrete_livelock_witness(
+fn concrete_livelock_witness(
     parents: &[ParentLink],
     entry: usize,
     cycle: &[(ActivationSet, u16)],
@@ -464,7 +481,7 @@ pub(crate) fn concrete_livelock_witness(
 
 /// A livelock lasso: the cycle's entry node plus, per edge around the
 /// loop, the `(source node, subset bitmask, edge automorphism)` triple.
-pub(crate) type Lasso = (usize, Vec<(usize, u32, u16)>);
+type Lasso = (usize, Vec<(usize, u32, u16)>);
 
 /// Finds a cycle in the configuration graph via iterative DFS with
 /// tri-color marking; returns the cycle entry node and, per edge around
@@ -476,7 +493,7 @@ pub(crate) type Lasso = (usize, Vec<(usize, u32, u16)>);
 /// out of node `u`, the stack entry stores `ei + 1`, so the edge from
 /// `stack[w]` toward `stack[w+1]` (or the closing back edge, for the top
 /// entry) is always `edges[node][stored_ei − 1]`.
-pub(crate) fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
+fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -528,7 +545,7 @@ pub(crate) fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
 
 /// Decodes a raw [`find_cycle`] result into `(activation set, edge
 /// automorphism)` pairs via each edge's source node.
-pub(crate) fn decode_cycle(
+fn decode_cycle(
     cycle: &[(usize, u32, u16)],
     working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
 ) -> Vec<(ActivationSet, u16)> {
@@ -547,7 +564,7 @@ pub(crate) fn decode_cycle(
 /// its canonicalizing automorphism, so every DP entry is the count
 /// vector of a *concrete* path and the maximum over the quotient equals
 /// the maximum over the full graph.
-pub(crate) fn worst_case_from_graph(
+fn worst_case_from_graph(
     edges: &[Vec<Edge>],
     n: usize,
     sym: Option<&CycleSymmetry>,
@@ -603,19 +620,85 @@ pub(crate) fn worst_case_from_graph(
     Some(answer)
 }
 
-/// Everything `explore`/`exact_worst_case` share: the quotiented (or
-/// plain) configuration graph plus bookkeeping. `nodes` keeps every
-/// packed configuration (cheap: the buffers are `Arc`-shared with the
-/// visited set) so packed edge masks can be decoded lazily when a
-/// witness is materialized.
-struct SeqGraph<O> {
+/// Number of hash-partitioned shards in the visited-set. A power of two
+/// comfortably above any realistic worker count, so shard collisions
+/// between concurrent readers are rare.
+const SHARDS: usize = 64;
+
+/// A visited-set hash-partitioned into independently locked shards.
+///
+/// Shard choice reuses the key's precomputed run-independent `u64`
+/// configuration hash, so the partition is a pure function of the key —
+/// identical across runs, threads, and machines — and the inner maps
+/// skip rehashing entirely ([`PassthroughBuild`]).
+struct ShardedMap {
+    shards: Vec<Mutex<HashMap<CfgKey, usize, PassthroughBuild>>>,
+}
+
+impl ShardedMap {
+    fn new() -> Self {
+        ShardedMap {
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(HashMap::with_hasher(PassthroughBuild::default())))
+                .collect(),
+        }
+    }
+
+    fn shard_of(key: &CfgKey) -> usize {
+        (key.hash as usize) % SHARDS
+    }
+
+    fn get(&self, key: &CfgKey) -> Option<usize> {
+        self.shards[Self::shard_of(key)].lock().get(key).copied()
+    }
+
+    fn insert(&self, key: CfgKey, id: usize) {
+        self.shards[Self::shard_of(&key)].lock().insert(key, id);
+    }
+}
+
+/// One successor computed during the expand phase: the activation-subset
+/// bitmask taken (over the source configuration's ascending working
+/// list), the canonicalizing automorphism, and the target — its id when
+/// an earlier level already visited it, otherwise its packed key for the
+/// merge phase to resolve against same-level duplicates.
+struct Child {
+    mask: u32,
+    sig: u16,
+    target: Result<usize, CfgKey>,
+}
+
+/// Everything the merge phase needs about one expanded frontier node.
+struct Expansion<O> {
+    /// Outputs present at this configuration, in process order.
+    outputs: Vec<O>,
+    /// Safety-predicate result at this configuration.
+    violation: Option<String>,
+    /// Every process has returned: no successors.
+    terminal: bool,
+    /// Successors in activation-subset (mask) order; empty when terminal
+    /// or when expansion is globally disabled (cap already reached).
+    children: Vec<Child>,
+    /// Activation subsets POR pruned at this node (`0` outside `--por`).
+    /// Credited by the merge phase only when the node actually expands,
+    /// so capped nodes don't count.
+    pruned: u64,
+}
+
+/// Fully merged exploration result; shared by `explore` and
+/// `exact_worst_case`.
+struct GraphResult<O> {
     edges: Vec<Vec<Edge>>,
     parents: Vec<ParentLink>,
+    /// Packed key of every node, indexed by id — the decode arena for
+    /// witness reconstruction (edges store subset bitmasks, which only
+    /// mean something against the source node's working list).
     nodes: Vec<CfgKey>,
     configs: usize,
     edge_count: usize,
     fully_terminated: usize,
     truncated: bool,
+    /// Lowest-id violating configuration and its description.
     first_violation: Option<(usize, String)>,
     outputs_seen: Vec<O>,
     stats: ExploreStats,
@@ -623,20 +706,22 @@ struct SeqGraph<O> {
     root_sig: u16,
 }
 
-impl<'a, A: Algorithm> ModelChecker<'a, A>
+impl<'a, A: Algorithm + Sync> ModelChecker<'a, A>
 where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-    A::Input: Clone,
+    A::State: Eq + Hash + Send + Sync,
+    A::Reg: Eq + Hash + Send + Sync,
+    A::Output: Eq + Hash + Send + Sync,
+    A::Input: Clone + Sync,
 {
-    /// Creates a checker with the default configuration cap (2,000,000).
+    /// Creates a checker with the default configuration cap (2,000,000)
+    /// and one worker.
     pub fn new(alg: &'a A, topo: &'a Topology, inputs: Vec<A::Input>) -> Self {
         ModelChecker {
             alg,
             topo,
             inputs,
             max_configs: 2_000_000,
+            jobs: 1,
             symmetry: false,
             por: false,
         }
@@ -647,6 +732,19 @@ where
     pub fn with_max_configs(mut self, cap: usize) -> Self {
         self.max_configs = cap.max(1);
         self
+    }
+
+    /// Sets the worker count; `0` means one worker per available CPU.
+    /// The outcome is identical for every value — only wall-clock
+    /// changes.
+    pub fn with_jobs(mut self, jobs: usize) -> Self {
+        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
+        self
+    }
+
+    /// The worker count this checker will use.
+    pub fn jobs(&self) -> usize {
+        self.jobs
     }
 
     /// Enables **symmetry reduction**: configurations are canonicalized
@@ -690,183 +788,26 @@ where
         self
     }
 
-    /// Resolves and dynamically cross-examines the POR certificate,
-    /// returning the reduction context (or `None` when POR is off).
-    fn por_context(&self) -> Result<Option<PorContext>, ModelCheckError> {
-        if !self.por {
-            return Ok(None);
-        }
-        por_gate(self.alg, self.topo, &self.inputs).map(Some)
-    }
-
-    fn symmetry_group(
-        &self,
-        scratch: &Execution<'_, A>,
-    ) -> Result<Option<CycleSymmetry>, ModelCheckError> {
-        if !self.symmetry {
-            return Ok(None);
-        }
-        let sym =
-            CycleSymmetry::for_topology(self.topo).ok_or(ModelCheckError::SymmetryUnsupported)?;
-        // The hook's return value is state-independent by contract, so
-        // probing one (discarded) state clone certifies the algorithm.
-        let mut probe = scratch.state(ProcessId(0)).clone();
-        if !self.alg.relabel_view(&mut probe, &[1, 0]) {
-            return Err(ModelCheckError::SymmetryUncertifiedAlgorithm);
-        }
-        Ok(Some(sym))
-    }
-
-    /// The compact-core BFS shared by [`Self::explore`] and
-    /// [`Self::exact_worst_case`]: step/undo successor generation on one
-    /// scratch execution, packed interned keys, incremental hashing,
-    /// optional orbit canonicalization.
-    fn build_graph(
-        &self,
-        safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
-        track_outputs: bool,
-        use_por: bool,
-    ) -> Result<(SeqGraph<A::Output>, ConfigCodec<A>), ModelCheckError> {
-        let t0 = Instant::now();
-        let mut scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let sym = self.symmetry_group(&scratch)?;
-        let por = if use_por { self.por_context()? } else { None };
-        let codec: ConfigCodec<A> = ConfigCodec::new(self.topo.len());
-
-        let root = codec.encode(&scratch);
-        let (root, root_sig) = match &sym {
-            Some(s) => s.canonicalize(&codec, self.alg, true, &root),
-            None => (root, SIGMA_ID),
-        };
-        if root_sig != SIGMA_ID {
-            codec.restore(&mut scratch, &root);
-        }
-
-        let mut visited: HashMap<CfgKey, usize, PassthroughBuild> =
-            HashMap::with_hasher(PassthroughBuild::default());
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut g = SeqGraph {
-            edges: vec![Vec::new()],
-            parents: vec![None],
-            nodes: Vec::new(),
-            configs: 1,
-            edge_count: 0,
-            fully_terminated: 0,
-            truncated: false,
-            first_violation: None,
-            outputs_seen: Vec::new(),
-            stats: ExploreStats::default(),
-            sym,
-            root_sig,
-        };
-        let mut seen_set: HashSet<A::Output> = HashSet::new();
-        let (mut dedup_hits, mut dedup_lookups) = (0u64, 0u64);
-        let mut por_pruned = 0u64;
-
-        visited.insert(root.clone(), 0);
-        g.nodes.push(root);
-        queue.push_back(0);
-
-        while let Some(id) = queue.pop_front() {
-            codec.restore(&mut scratch, &g.nodes[id]);
-            // Safety at this configuration (covers the crash-everything-
-            // here execution).
-            if track_outputs {
-                for o in scratch.outputs().iter().flatten() {
-                    if seen_set.insert(o.clone()) {
-                        g.outputs_seen.push(o.clone());
-                    }
-                }
-            }
-            if g.first_violation.is_none() {
-                if let Some(desc) = safety(self.topo, scratch.outputs()) {
-                    g.first_violation = Some((id, desc));
-                }
-            }
-            if scratch.all_returned() {
-                g.fully_terminated += 1;
-                continue;
-            }
-            if g.configs >= self.max_configs {
-                g.truncated = true;
-                continue;
-            }
-            let parent = g.nodes[id].clone();
-            let subsets = match &por {
-                Some(p) => {
-                    let reduced = p.reduced_subsets(scratch.working());
-                    por_pruned += ((1u64 << scratch.working().len()) - 1) - reduced.len() as u64;
-                    reduced
-                }
-                None => subsets_with_masks(scratch.working()),
-            };
-            for (mask, set) in subsets {
-                let touched = scratch.step_with(&set);
-                let key = codec.encode_delta(&parent, &scratch, &touched);
-                let (key, sig) = match &g.sym {
-                    Some(s) => s.canonicalize(&codec, self.alg, true, &key),
-                    None => (key, SIGMA_ID),
-                };
-                dedup_lookups += 1;
-                let next_id = match visited.get(&key) {
-                    Some(&nid) => {
-                        dedup_hits += 1;
-                        nid
-                    }
-                    None => {
-                        let nid = g.edges.len();
-                        visited.insert(key.clone(), nid);
-                        g.nodes.push(key);
-                        g.edges.push(Vec::new());
-                        g.parents.push(Some((node_id32(id), mask, sig)));
-                        queue.push_back(nid);
-                        g.configs += 1;
-                        nid
-                    }
-                };
-                g.edges[id].push(Edge {
-                    to: node_id32(next_id),
-                    mask,
-                    sig,
-                });
-                g.edge_count += 1;
-                codec.restore_procs(&mut scratch, &parent.packed, &touched);
-            }
-        }
-
-        g.stats = ExploreStats::measure(
-            g.configs,
-            t0.elapsed(),
-            visited_bytes(&codec, g.configs),
-            dedup_hits,
-            dedup_lookups,
-            interned_total(&codec),
-        );
-        g.stats.por_pruned_sets = por_pruned;
-        Ok((g, codec))
-    }
-
     /// Explores the reachable configuration graph, checking `safety` at
     /// every configuration (return `Some(description)` to flag a
     /// violation) and searching for livelock cycles.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs don't
-    /// match the topology, and [`ModelCheckError::SymmetryUnsupported`]
-    /// when symmetry reduction is enabled on a non-cycle topology.
+    /// Returns [`ModelCheckError::InputLengthMismatch`] when inputs
+    /// don't match the topology,
+    /// [`ModelCheckError::SymmetryUnsupported`] /
+    /// [`ModelCheckError::SymmetryUncertifiedAlgorithm`] when symmetry
+    /// reduction is enabled on a non-cycle topology or an uncertified
+    /// algorithm, and [`ModelCheckError::PorUncertifiedAlgorithm`] /
+    /// [`ModelCheckError::PorCertificateViolation`] when POR is enabled
+    /// without a (dynamically validated) certificate.
     pub fn explore(
         &self,
-        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
+        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
     ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
-        let (g, codec) = self.build_graph(&safety, true, self.por)?;
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
+        let g = self.explore_graph(&safety, true, self.por)?;
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
         let safety_violation = g.first_violation.as_ref().map(|(id, desc)| {
             concrete_safety_witness(
                 self.alg,
@@ -900,7 +841,6 @@ where
             livelock,
             outputs_seen: g.outputs_seen,
             truncated: g.truncated,
-            lossy: false,
             stats: g.stats,
         })
     }
@@ -942,33 +882,299 @@ where
         // POR is deliberately not applied here (see `with_por`): the DP
         // needs every path's activation counts, which the staircase does
         // not preserve.
-        let (g, codec) = self.build_graph(&|_, _| None, false, false)?;
+        let g = self.explore_graph(&|_: &Topology, _: &[Option<A::Output>]| None, false, false)?;
         if g.truncated {
             return Ok((None, g.stats)); // truncated: cannot certify
         }
-        let mut decode_scratch = Execution::try_new(self.alg, self.topo, self.inputs.clone())
-            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
-        let mut working_of = |id: usize| -> Vec<ProcessId> {
-            codec.restore(&mut decode_scratch, &g.nodes[id]);
-            decode_scratch.working().to_vec()
-        };
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
         let w = worst_case_from_graph(&g.edges, self.topo.len(), g.sym.as_ref(), &mut working_of);
         Ok((w, g.stats))
+    }
+
+    /// Level-synchronized BFS: parallel expand, canonical sequential
+    /// merge. See the module docs for why the outcome is independent of
+    /// the worker count.
+    fn explore_graph(
+        &self,
+        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        track_outputs: bool,
+        use_por: bool,
+    ) -> Result<GraphResult<A::Output>, ModelCheckError> {
+        let t0 = Instant::now();
+        let template = Execution::try_new(self.alg, self.topo, self.inputs.clone())
+            .map_err(|_| ModelCheckError::InputLengthMismatch)?;
+        let sym = if self.symmetry {
+            let group = CycleSymmetry::for_topology(self.topo)
+                .ok_or(ModelCheckError::SymmetryUnsupported)?;
+            // The hook's return value is state-independent by contract, so
+            // probing one (discarded) state clone certifies the algorithm.
+            let mut probe = template.state(ProcessId(0)).clone();
+            if !self.alg.relabel_view(&mut probe, &[1, 0]) {
+                return Err(ModelCheckError::SymmetryUncertifiedAlgorithm);
+            }
+            Some(group)
+        } else {
+            None
+        };
+        let por = if use_por {
+            Some(por_gate(self.alg, self.topo, &self.inputs)?)
+        } else {
+            None
+        };
+        let codec: ConfigCodec<A> = ConfigCodec::new(self.topo.len());
+        let root = codec.encode(&template);
+        let (root, root_sig) = match &sym {
+            Some(s) => s.canonicalize(&codec, self.alg, true, &root),
+            None => (root, SIGMA_ID),
+        };
+        let visited = ShardedMap::new();
+        visited.insert(root.clone(), 0);
+
+        let mut g = GraphResult {
+            edges: vec![Vec::new()],
+            parents: vec![None],
+            nodes: vec![root.clone()],
+            configs: 1,
+            edge_count: 0,
+            fully_terminated: 0,
+            truncated: false,
+            first_violation: None,
+            outputs_seen: Vec::new(),
+            stats: ExploreStats::default(),
+            sym,
+            root_sig,
+        };
+        let mut seen_set: HashSet<A::Output> = HashSet::new();
+        let (mut dedup_hits, mut dedup_lookups, mut por_pruned) = (0u64, 0u64, 0u64);
+
+        let mut frontier: Vec<(usize, CfgKey)> = vec![(0, root)];
+        while !frontier.is_empty() {
+            // Once the cap has been reached, no node of this or any later
+            // level may expand (each is flagged as truncated) — skip the
+            // successor work entirely.
+            let expand = g.configs < self.max_configs;
+            let results = self.expand_level(
+                &codec,
+                g.sym.as_ref(),
+                por.as_ref(),
+                &frontier,
+                safety,
+                &visited,
+                expand,
+                track_outputs,
+            );
+
+            // ---- merge, in ascending node-id order ----
+            let mut next_frontier: Vec<(usize, CfgKey)> = Vec::new();
+            for ((id, _), result) in frontier.iter().zip(results) {
+                let id = *id;
+                if track_outputs {
+                    for o in result.outputs {
+                        if seen_set.insert(o.clone()) {
+                            g.outputs_seen.push(o);
+                        }
+                    }
+                }
+                if g.first_violation.is_none() {
+                    if let Some(desc) = result.violation {
+                        g.first_violation = Some((id, desc));
+                    }
+                }
+                if result.terminal {
+                    g.fully_terminated += 1;
+                    continue;
+                }
+                if g.configs >= self.max_configs {
+                    g.truncated = true;
+                    continue;
+                }
+                por_pruned += result.pruned;
+                for Child { mask, sig, target } in result.children {
+                    dedup_lookups += 1;
+                    // A key fresh at expand time may have been discovered
+                    // by an earlier node of this level since.
+                    let next_id = match target.or_else(|key| visited.get(&key).ok_or(key)) {
+                        Ok(nid) => {
+                            dedup_hits += 1;
+                            nid
+                        }
+                        Err(key) => {
+                            let nid = g.edges.len();
+                            visited.insert(key.clone(), nid);
+                            g.edges.push(Vec::new());
+                            g.parents.push(Some((node_id32(id), mask, sig)));
+                            g.nodes.push(key.clone());
+                            next_frontier.push((nid, key));
+                            g.configs += 1;
+                            nid
+                        }
+                    };
+                    g.edges[id].push(Edge {
+                        to: node_id32(next_id),
+                        mask,
+                        sig,
+                    });
+                    g.edge_count += 1;
+                }
+            }
+            frontier = next_frontier;
+        }
+
+        g.stats = ExploreStats::measure(
+            g.configs,
+            t0.elapsed(),
+            visited_bytes(&codec, g.configs),
+            dedup_hits,
+            dedup_lookups,
+            interned_total(&codec),
+        );
+        g.stats.por_pruned_sets = por_pruned;
+        Ok(g)
+    }
+
+    /// The parallel phase: expands every frontier node, returning one
+    /// [`Expansion`] per node *in frontier order*. Successors come from
+    /// the codec's packed successor kernel
+    /// ([`ConfigCodec::step_packed`]), so no worker touches an
+    /// [`Execution`]. The visited-set is only read here, never written.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_level(
+        &self,
+        codec: &ConfigCodec<A>,
+        sym: Option<&CycleSymmetry>,
+        por: Option<&PorContext>,
+        frontier: &[(usize, CfgKey)],
+        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        visited: &ShardedMap,
+        expand: bool,
+        track_outputs: bool,
+    ) -> Vec<Expansion<A::Output>> {
+        let expand_one = |key: &CfgKey| -> Expansion<A::Output> {
+            let all_outputs = codec.outputs(&key.packed);
+            // The predicate is pure, so evaluating it at configurations
+            // after the first violation changes nothing observable.
+            let violation = safety(self.topo, &all_outputs);
+            let outputs = if track_outputs {
+                all_outputs.into_iter().flatten().collect()
+            } else {
+                Vec::new()
+            };
+            let working = ConfigCodec::<A>::working(&key.packed);
+            let terminal = working.is_empty();
+            let mut children = Vec::new();
+            let mut pruned = 0u64;
+            if !terminal && expand {
+                let subsets = match por {
+                    Some(p) => {
+                        let reduced = p.reduced_subsets(&working);
+                        pruned = ((1u64 << working.len()) - 1) - reduced.len() as u64;
+                        reduced
+                    }
+                    None => subsets_with_masks(&working),
+                };
+                for (mask, set) in subsets {
+                    let active = match &set {
+                        ActivationSet::Only(ps) => ps,
+                        ActivationSet::All => &working,
+                    };
+                    let succ = codec.step_packed(self.alg, self.topo, key, active);
+                    let (succ, sig) = match sym {
+                        Some(s) => s.canonicalize(codec, self.alg, true, &succ),
+                        None => (succ, SIGMA_ID),
+                    };
+                    let target = visited.get(&succ).ok_or(succ);
+                    children.push(Child { mask, sig, target });
+                }
+            }
+            Expansion {
+                outputs,
+                violation,
+                terminal,
+                children,
+                pruned,
+            }
+        };
+
+        let workers = self.jobs.min(frontier.len()).max(1);
+        if workers == 1 {
+            return frontier.iter().map(|(_, key)| expand_one(key)).collect();
+        }
+
+        // Per-worker index ranges with back-half stealing: worker w owns
+        // an even slice of the frontier and raids the fullest remaining
+        // range when its own is exhausted.
+        let queues: Vec<RangeQueue> = (0..workers)
+            .map(|w| {
+                let lo = frontier.len() * w / workers;
+                let hi = frontier.len() * (w + 1) / workers;
+                RangeQueue::new(lo, hi)
+            })
+            .collect();
+        let chunk = (frontier.len() / (workers * 8)).max(1);
+
+        let mut results: Vec<Option<Expansion<A::Output>>> =
+            (0..frontier.len()).map(|_| None).collect();
+        let mut parts = crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let queues = &queues;
+                    let expand_one = &expand_one;
+                    s.spawn(move |_| {
+                        let mut local: Vec<(usize, Expansion<A::Output>)> = Vec::new();
+                        let mut run = |range: std::ops::Range<usize>| {
+                            for i in range {
+                                local.push((i, expand_one(&frontier[i].1)));
+                            }
+                        };
+                        loop {
+                            if let Some(range) = queues[w].claim(chunk) {
+                                run(range);
+                                continue;
+                            }
+                            // Own range dry: steal from whoever has the
+                            // most left (scan order fixed, outcome not —
+                            // but results are reassembled by index, so
+                            // scheduling can't leak into the output).
+                            let victim = (0..workers)
+                                .filter(|&v| v != w)
+                                .max_by_key(|&v| queues[v].remaining());
+                            match victim.and_then(|v| queues[v].steal()) {
+                                Some(range) => run(range),
+                                None => break,
+                            }
+                        }
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("model-check worker panicked"))
+                .collect::<Vec<_>>()
+        })
+        .expect("model-check worker panicked");
+
+        for (i, expansion) in parts.drain(..).flatten() {
+            results[i] = Some(expansion);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every frontier index expanded exactly once"))
+            .collect()
     }
 }
 
 /// Narrows a node id for packed [`Edge`]/[`ParentLink`] storage. Caps
 /// keep explorations far below `2^32` nodes; a hypothetical overflow
 /// panics rather than corrupting the graph.
-pub(crate) fn node_id32(id: usize) -> u32 {
+fn node_id32(id: usize) -> u32 {
     u32::try_from(id).expect("node ids fit in u32")
 }
 
 /// Resolves an algorithm's POR certificate and cross-examines it
-/// dynamically, returning a ready reduction context. Shared by the
-/// sequential and parallel engines so both apply the exact same gate
-/// (refusal errors included) before any reduced exploration.
-pub(crate) fn por_gate<A: Algorithm>(
+/// dynamically, returning a ready reduction context — the gate every
+/// reduced exploration passes first.
+fn por_gate<A: Algorithm>(
     alg: &A,
     topo: &Topology,
     inputs: &[A::Input],
@@ -988,7 +1194,7 @@ where
 
 /// Rough visited-set footprint: per-config packed buffer + map entry +
 /// the node arena's key clone, plus the shared interner arenas.
-pub(crate) fn visited_bytes<A: Algorithm>(codec: &ConfigCodec<A>, configs: usize) -> u64
+fn visited_bytes<A: Algorithm>(codec: &ConfigCodec<A>, configs: usize) -> u64
 where
     A::State: Eq + Hash,
     A::Reg: Eq + Hash,
@@ -999,7 +1205,7 @@ where
 }
 
 /// Total distinct interned values across the three component arenas.
-pub(crate) fn interned_total<A: Algorithm>(codec: &ConfigCodec<A>) -> u64
+fn interned_total<A: Algorithm>(codec: &ConfigCodec<A>) -> u64
 where
     A::State: Eq + Hash,
     A::Reg: Eq + Hash,
@@ -1016,7 +1222,9 @@ mod tests {
     use ftcolor_core::{FiveColoring, SixColoring};
 
     /// Safety predicate for coloring: proper + palette.
-    fn coloring_safety(palette: u64) -> impl Fn(&Topology, &[Option<u64>]) -> Option<String> {
+    fn coloring_safety(
+        palette: u64,
+    ) -> impl Fn(&Topology, &[Option<u64>]) -> Option<String> + Sync {
         move |topo, outputs| {
             if let Some((a, b)) = topo.first_conflict(outputs) {
                 return Some(format!("conflict on edge {a}-{b}"));
@@ -1031,7 +1239,7 @@ mod tests {
 
     fn pair_safety(
         max_weight: u64,
-    ) -> impl Fn(&Topology, &[Option<ftcolor_core::PairColor>]) -> Option<String> {
+    ) -> impl Fn(&Topology, &[Option<ftcolor_core::PairColor>]) -> Option<String> + Sync {
         move |topo, outputs| {
             if let Some((a, b)) = topo.first_conflict(outputs) {
                 return Some(format!("conflict on edge {a}-{b}"));
@@ -1145,6 +1353,14 @@ mod tests {
     }
 
     use ftcolor_model::ProcessId;
+
+    #[test]
+    fn jobs_default_to_one_and_zero_means_auto() {
+        let topo = Topology::cycle(3).unwrap();
+        let mc = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2]);
+        assert_eq!(mc.jobs(), 1);
+        assert!(mc.with_jobs(0).jobs() >= 1);
+    }
 
     #[test]
     fn subset_enumeration_is_complete() {

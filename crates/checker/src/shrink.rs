@@ -23,7 +23,7 @@
 //! reproduces. Candidate replays are pure, so batches are evaluated on
 //! [`Shrinker::with_jobs`] worker threads with a min-index reduction —
 //! the result (and the deterministic replay accounting) is identical for
-//! every thread count, exactly like the parallel model checker.
+//! every thread count, exactly like the model checker.
 //!
 //! Three violation classes are supported, mirroring what the checker and
 //! fuzzer report:
@@ -185,7 +185,7 @@ where
     /// identical for every value — only wall-clock changes.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 {
-            crate::parallel::default_jobs()
+            ftcolor_model::sweep::default_jobs()
         } else {
             jobs
         };

@@ -54,8 +54,8 @@ impl Summary {
 ///
 /// Every field is a property of *how* the exploration ran, not *what* it
 /// found — outcomes deliberately exclude these from equality so that
-/// bit-identity assertions between sequential and parallel runs keep
-/// holding while throughput varies.
+/// bit-identity assertions between runs at different worker counts
+/// keep holding while throughput varies.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ExploreStats {
     /// Wall-clock time of the exploration, in microseconds.
@@ -78,25 +78,6 @@ pub struct ExploreStats {
     /// branching and the reduced enumeration, summed over all expanded
     /// configurations.
     pub por_pruned_sets: u64,
-    /// Sorted runs spilled to disk by the external-memory visited set.
-    pub extmem_spills: u64,
-    /// Total bytes written to disk by the external-memory visited set.
-    pub extmem_disk_bytes: u64,
-    /// K-way compaction merges performed by the external-memory store.
-    pub extmem_merge_passes: u64,
-    /// Bloom filter size in bits (0 outside `--bloom` runs).
-    pub bloom_bits: u64,
-    /// Bloom probe positions per key.
-    pub bloom_hashes: u64,
-    /// Keys inserted into the Bloom filter.
-    pub bloom_insertions: u64,
-    /// Duplicate-suppressed successors whose target node the Bloom
-    /// filter could not identify (these edges are missing from the
-    /// explored graph — the reason Bloom runs cannot detect livelocks).
-    pub bloom_suppressed_edges: u64,
-    /// Estimated Bloom false-positive probability per million queries at
-    /// final load — the honest lossiness budget of the run.
-    pub bloom_fp_per_million: u64,
 }
 
 impl ExploreStats {

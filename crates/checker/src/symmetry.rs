@@ -275,7 +275,7 @@ impl CycleSymmetry {
     /// refuse symmetry for uncertified algorithms instead.
     ///
     /// The primary sort key uses the codec's seed-free *value hashes*
-    /// rather than intern indices, so sequential and parallel runs —
+    /// rather than intern indices, so runs at different worker counts —
     /// which may intern values in different orders — still elect the
     /// same representative.
     pub fn canonicalize<A: Algorithm>(

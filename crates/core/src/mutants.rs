@@ -395,8 +395,8 @@ pub struct UcState {
 /// checker's *dynamic POR probe* (`--por` refuses the algorithm with a
 /// certificate-violation error before exploring anything), mirroring
 /// the `relabel_view` certification story. It uses an [`AtomicU64`]
-/// rather than a [`Cell`] because the probe also runs inside the
-/// parallel checker, which requires `Sync`. It solo-terminates (two
+/// rather than a [`Cell`] because the model checker's workers share
+/// the algorithm, which therefore must be `Sync`. It solo-terminates (two
 /// rounds) so only the commutation half of the probe can catch it.
 #[derive(Debug, Default)]
 pub struct PorLiar {

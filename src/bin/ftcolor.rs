@@ -35,8 +35,8 @@
 use ftcolor::analyze::{self, render_json, Diagnostic, RuleId};
 use ftcolor::checker::shrink::WITNESS_SCHEMA;
 use ftcolor::checker::{
-    ExploreStats, ExtmemConfig, FuzzConfig, LivelockWitness, ParallelModelChecker, SafetyViolation,
-    ScheduleFuzzer, Shrinker, Witness, WitnessFixture,
+    ExploreStats, FuzzConfig, LivelockWitness, ModelChecker, SafetyViolation, ScheduleFuzzer,
+    Shrinker, Witness, WitnessFixture,
 };
 use ftcolor::cluster::{self, ClusterOptions, ClusterTrace};
 use ftcolor::core::mis::{mis_violation, EagerMis};
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
+    let opts = match parse_flags(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -92,8 +92,7 @@ ftcolor — wait-free coloring of the asynchronous cycle (PODC 2022 reproduction
 USAGE:
   ftcolor color      [--alg A] [--n N | --ids LIST] [--input KIND] [--sched S] [--seed K] [--timeline]
   ftcolor modelcheck [--alg A] [--ids LIST] [--max-configs M] [--jobs J] [--symmetry]
-                     [--por] [--extmem DIR [--extmem-budget BYTES] | --bloom BITS]
-                     [--format text|json]
+                     [--por] [--format text|json]
   ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--generations G] [--seed K] [--jobs J]
   ftcolor shrink     --in FILE [--out FILE] [--alg A] [--ids LIST] [--bound B] [--jobs J]
   ftcolor analyze    [--alg NAME|all] [--sizes LIST] [--rules CODES] [--format text|json]
@@ -137,18 +136,6 @@ FLAGS:
                  certificate that survives a dynamic commutation probe;
                  verdicts provably match full exploration. Composes
                  with --symmetry
-  --extmem       modelcheck: spill the visited-set key→id map to sorted
-                 run files under DIR (delayed duplicate detection);
-                 outcomes stay bit-identical to in-RAM runs. The node
-                 arena and edge lists remain in RAM
-  --extmem-budget  RAM budget in bytes for the --extmem insertion
-                 buffer before each spill                (default 268435456)
-  --bloom        modelcheck: replace the visited-set with a BITS-bit
-                 Bloom filter. LOSSY falsification sweep: reported
-                 safety violations are sound and replayable, but
-                 livelock detection is off and a clean run certifies
-                 nothing (output carries lossy=true and the estimated
-                 false-positive budget)
   --generations  fuzzer generations                    (default 150)
   --jobs         worker threads; 0 = all CPUs           (default 1)
                  results are identical for every value
@@ -203,19 +190,61 @@ fn parse_jobs(opts: &HashMap<String, String>) -> Result<usize, String> {
         .map_err(|e| format!("bad --jobs: {e}"))
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand accepts: `(subcommand, flags taking a
+/// value, switches standing alone)`, names space-separated. Any other
+/// flag is an error.
+const FLAGS: &[(&str, &str, &str)] = &[
+    ("color", "alg n ids input sched seed", "timeline"),
+    (
+        "modelcheck",
+        "alg n ids input seed max-configs jobs format",
+        "symmetry por",
+    ),
+    ("fuzz", "alg n ids input seed generations jobs", ""),
+    ("shrink", "in out alg n ids input seed bound jobs", ""),
+    ("analyze", "alg sizes rules format", ""),
+    ("certify", "alg domain-colors rules format", ""),
+    (
+        "netsim",
+        "alg n seed faults max-time codec format",
+        "emit-trace",
+    ),
+    (
+        "serve",
+        "alg n instances rate seed sched p crash-prob crash-horizon universe fuel quantum \
+         jobs format",
+        "",
+    ),
+    (
+        "cluster",
+        "alg n seed faults rto-ms pace-ms tick-ms max-wall-ms codec format record replay",
+        "emit-trace",
+    ),
+    ("node", "codec", ""),
+    ("help", "", ""),
+    ("--help", "", ""),
+    ("-h", "", ""),
+];
+
+/// Parses `args` against the flags `cmd` accepts (see [`FLAGS`]).
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let Some(&(_, valued, switches)) = FLAGS.iter().find(|(name, _, _)| *name == cmd) else {
+        return Err(format!("unknown subcommand `{cmd}`"));
+    };
     let mut out = HashMap::new();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{a}`"));
         };
-        let value = if matches!(key, "timeline" | "emit-trace" | "symmetry" | "por") {
+        let value = if switches.split_whitespace().any(|f| f == key) {
             "true".to_string()
-        } else {
+        } else if valued.split_whitespace().any(|f| f == key) {
             it.next()
                 .ok_or_else(|| format!("--{key} needs a value"))?
                 .clone()
+        } else {
+            return Err(format!("unknown flag --{key} for `{cmd}`"));
         };
         out.insert(key.to_string(), value);
     }
@@ -370,7 +399,6 @@ struct ModelcheckJson {
     ids: Vec<u64>,
     symmetry: bool,
     por: bool,
-    lossy: bool,
     jobs: usize,
     verdict: VerdictJson,
     safety_description: Option<String>,
@@ -391,23 +419,6 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     let jobs = parse_jobs(opts)?;
     let symmetry = opts.contains_key("symmetry");
     let por = opts.contains_key("por");
-    let extmem = opts.get("extmem").map(|dir| -> Result<_, String> {
-        let ram_budget_bytes = get(opts, "extmem-budget", "268435456")
-            .parse()
-            .map_err(|e| format!("bad --extmem-budget: {e}"))?;
-        Ok(ExtmemConfig {
-            dir: dir.into(),
-            ram_budget_bytes,
-        })
-    });
-    let extmem = extmem.transpose()?;
-    let bloom: Option<u64> = opts
-        .get("bloom")
-        .map(|b| b.parse().map_err(|e| format!("bad --bloom: {e}")))
-        .transpose()?;
-    if extmem.is_some() && bloom.is_some() {
-        return Err("--extmem and --bloom are mutually exclusive".into());
-    }
     let format = get(opts, "format", "text");
     if !matches!(format, "text" | "json") {
         return Err(format!("unknown --format `{format}`"));
@@ -418,25 +429,19 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     macro_rules! check {
         ($alg:expr, $safety:expr) => {{
             let safety = $safety;
-            let mut mc = ParallelModelChecker::new($alg, &topo, ids.clone())
+            let o = ModelChecker::new($alg, &topo, ids.clone())
                 .with_max_configs(cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry)
-                .with_por(por);
-            if let Some(cfg) = extmem.clone() {
-                mc = mc.with_extmem(cfg);
-            }
-            if let Some(bits) = bloom {
-                mc = mc.with_bloom(bits);
-            }
-            let o = mc.explore(&safety).map_err(|e| e.to_string())?;
+                .with_por(por)
+                .explore(&safety)
+                .map_err(|e| e.to_string())?;
             if format == "json" {
                 let j = ModelcheckJson {
                     alg: alg_name,
                     ids: ids.clone(),
                     symmetry,
                     por,
-                    lossy: o.lossy,
                     jobs,
                     verdict: VerdictJson {
                         safety_violated: o.safety_violation.is_some(),

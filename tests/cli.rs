@@ -192,6 +192,60 @@ fn bad_flags_fail_gracefully() {
 }
 
 #[test]
+fn retired_flags_are_rejected() {
+    for (flag, value) in [("--extmem", "/nonexistent"), ("--bloom", "1024")] {
+        let (stdout, stderr, ok) =
+            run(&["modelcheck", "--alg", "alg2", "--ids", "0,1,2", flag, value]);
+        assert!(!ok, "{flag} must be refused: {stdout}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}
+
+#[test]
+fn misspelled_flags_are_rejected() {
+    let (stdout, stderr, ok) = run(&[
+        "modelcheck",
+        "--alg",
+        "alg1",
+        "--ids",
+        "0,1,2",
+        "--max-config",
+        "5",
+    ]);
+    assert!(!ok, "a misspelled cap must not explore: {stdout}");
+    assert!(stderr.contains("unknown flag --max-config"), "{stderr}");
+    let (_, stderr, ok) = run(&["netsim", "--codecs", "binary"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --codecs"), "{stderr}");
+    // A flag another subcommand accepts is still unknown here.
+    let (_, stderr, ok) = run(&["color", "--symmetry"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --symmetry"), "{stderr}");
+}
+
+#[test]
+fn every_modelcheck_flag_is_accepted() {
+    let (stdout, stderr, ok) = run(&[
+        "modelcheck",
+        "--alg",
+        "alg2",
+        "--ids",
+        "0,1,2,3",
+        "--max-configs",
+        "50",
+        "--jobs",
+        "2",
+        "--symmetry",
+        "--por",
+        "--format",
+        "json",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("\"truncated\": true"), "{stdout}");
+    assert!(!stdout.contains("lossy"), "{stdout}");
+}
+
+#[test]
 fn help_prints_usage() {
     let (stdout, _, ok) = run(&["help"]);
     assert!(ok);

@@ -155,17 +155,21 @@ impl Algorithm for PositionalProbe {
 
 #[test]
 fn uncertified_algorithms_are_refused_by_both_checkers() {
+    // The guard runs before any exploration, so one and four workers
+    // must refuse alike.
     let topo = Topology::cycle(3).unwrap();
-    let err = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
-        .with_symmetry(true)
-        .explore(|_, _| None)
-        .unwrap_err();
-    assert_eq!(err, ModelCheckError::SymmetryUncertifiedAlgorithm);
-    let err = ftcolor::checker::ParallelModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
-        .with_symmetry(true)
-        .explore(|_, _| None)
-        .unwrap_err();
-    assert_eq!(err, ModelCheckError::SymmetryUncertifiedAlgorithm);
+    for jobs in [1, 4] {
+        let err = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
+            .with_symmetry(true)
+            .with_jobs(jobs)
+            .explore(|_, _| None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelCheckError::SymmetryUncertifiedAlgorithm,
+            "jobs={jobs}"
+        );
+    }
     // Without symmetry the same instance checks fine.
     let ok = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
         .explore(|_, _| None)
