@@ -76,12 +76,11 @@ pub struct NetSummary {
     /// codec-variant part of the summary, so cross-codec diffs can
     /// strip them with one `grep -v '"wire_'`.
     pub wire_codec: String,
-    /// Frames serialized to bytes (0 in typed mode).
+    /// Frames serialized to bytes.
     pub wire_frames_encoded: u64,
-    /// Frames parsed back from bytes (0 in typed mode).
+    /// Frames parsed back from bytes.
     pub wire_frames_decoded: u64,
-    /// Total bytes on the wire (typed mode charges the measured binary
-    /// frame sizes without serializing).
+    /// Total bytes on the wire.
     pub wire_bytes: u64,
     /// Encode-buffer requests served from the pool free list.
     pub wire_pool_hits: u64,

@@ -11,12 +11,9 @@
 //! value, only wall-clock changes.
 //!
 //! Prints each E1–E10 table to stdout and writes machine-readable rows
-//! to `experiments.json` in the current directory, plus the E6
-//! model-checker cost snapshot to `BENCH_modelcheck.json` (algorithm ×
-//! instance × bound → configs, configs/sec, peak visited-set bytes).
-//! The committed `BENCH_modelcheck.json` at the repository root is the
-//! quick-mode baseline CI guards against (see `bench_guard`); rerun
-//! `experiments -- quick jobs=4` at the root to refresh it.
+//! to `experiments.json` in the current directory. The quick sweep's
+//! E6 configuration counts are pinned by the `quick_sweep_counts_are_pinned`
+//! test in `e6_modelcheck.rs`.
 
 use ftcolor_bench::*;
 use serde::Serialize;
@@ -167,15 +164,10 @@ fn main() {
         e11,
         e14,
     };
-    let bench = e6_modelcheck::snapshot(&all.e6);
-    let json = serde_json::to_string_pretty(&bench).expect("serializable snapshot");
-    std::fs::write("BENCH_modelcheck.json", json).expect("write BENCH_modelcheck.json");
-
     let json = serde_json::to_string_pretty(&all).expect("serializable results");
     std::fs::write("experiments.json", json).expect("write experiments.json");
     println!(
-        "\nAll experiments done in {:.1?}; rows written to experiments.json \
-         and BENCH_modelcheck.json",
+        "\nAll experiments done in {:.1?}; rows written to experiments.json",
         t0.elapsed()
     );
 }

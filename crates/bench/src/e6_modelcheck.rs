@@ -33,7 +33,7 @@ use ftcolor_checker::modelcheck::ModelCheckOutcome;
 use ftcolor_checker::ModelChecker;
 use ftcolor_core::{FastFiveColoring, FiveColoring, FiveColoringPatched, SixColoring};
 use ftcolor_model::Topology;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One algorithm × instance exploration result.
 #[derive(Debug, Clone, Serialize)]
@@ -338,51 +338,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
     rows
 }
 
-/// One row of the committed `BENCH_modelcheck.json` snapshot: algorithm
-/// × instance × bound → configuration count and cost. CI regenerates
-/// the snapshot (quick mode) and diffs it against the committed
-/// baseline with the `bench_guard` binary — configuration counts must
-/// match exactly (the checker is deterministic at every thread count),
-/// and throughput must not silently regress.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchRow {
-    /// Algorithm label.
-    pub algorithm: String,
-    /// Instance label (topology + ids).
-    pub instance: String,
-    /// Ring size.
-    pub n: usize,
-    /// Configuration cap the exploration ran under.
-    pub bound: usize,
-    /// Whether the exploration ran in the orbit quotient.
-    pub symmetry: bool,
-    /// Whether the exploration ran under partial-order reduction.
-    pub por: bool,
-    /// Reachable configurations (deterministic for a given bound).
-    pub configs: usize,
-    /// Exploration throughput in configurations per second.
-    pub configs_per_sec: u64,
-    /// Peak visited-set footprint in bytes.
-    pub peak_visited_bytes: u64,
-}
-
-/// Projects the E6 rows onto the machine-readable snapshot format.
-pub fn snapshot(rows: &[Row]) -> Vec<BenchRow> {
-    rows.iter()
-        .map(|r| BenchRow {
-            algorithm: r.algorithm.to_string(),
-            instance: r.instance.clone(),
-            n: r.n,
-            bound: r.bound,
-            symmetry: r.symmetry,
-            por: r.por,
-            configs: r.configs,
-            configs_per_sec: r.configs_per_sec,
-            peak_visited_bytes: r.peak_visited_bytes,
-        })
-        .collect()
-}
-
 /// Renders the E6 table.
 pub fn table(rows: &[Row]) -> String {
     crate::common::render_table(
@@ -504,9 +459,86 @@ mod tests {
                 full.configs
             );
         }
-        // The snapshot projection is faithful.
-        let snap = snapshot(&rows);
-        assert_eq!(snap.len(), rows.len());
-        assert!(snap.iter().zip(&rows).all(|(s, r)| s.configs == r.configs));
+    }
+
+    /// `(algorithm, instance, symmetry, por) → configs` for every row
+    /// of the quick sweep (`run(400_000, _)`), in row order. The
+    /// checker is deterministic at every worker count, so any drift is
+    /// a semantic change to the exploration, not noise.
+    #[rustfmt::skip]
+    const QUICK_CONFIGS: &[(&str, &str, bool, bool, usize)] = &[
+        ("Alg1 (6-coloring)", "C3 ids=[0,1,2]", false, false, 116),
+        ("Alg2 (5-coloring)", "C3 ids=[0,1,2]", false, false, 761),
+        ("Alg3 (fast 5-coloring)", "C3 ids=[0,1,2]", false, false, 1520),
+        ("Alg2-patched", "C3 ids=[0,1,2]", false, false, 400000),
+        ("Alg1 (6-coloring)", "C3 ids=[0,1,2]", true, false, 116),
+        ("Alg2 (5-coloring)", "C3 ids=[0,1,2]", true, false, 761),
+        ("Alg3 (fast 5-coloring)", "C3 ids=[0,1,2]", true, false, 1520),
+        ("Alg2-patched", "C3 ids=[0,1,2]", true, false, 400001),
+        ("Alg1 (6-coloring)", "C3 ids=[5,11,7]", false, false, 116),
+        ("Alg2 (5-coloring)", "C3 ids=[5,11,7]", false, false, 761),
+        ("Alg3 (fast 5-coloring)", "C3 ids=[5,11,7]", false, false, 2184),
+        ("Alg2-patched", "C3 ids=[5,11,7]", false, false, 400001),
+        ("Alg1 (6-coloring)", "C3 ids=[5,11,7]", true, false, 116),
+        ("Alg2 (5-coloring)", "C3 ids=[5,11,7]", true, false, 761),
+        ("Alg3 (fast 5-coloring)", "C3 ids=[5,11,7]", true, false, 2184),
+        ("Alg2-patched", "C3 ids=[5,11,7]", true, false, 400000),
+        ("Alg1 (6-coloring)", "C4 ids=[0,1,2,3]", false, false, 1542),
+        ("Alg2 (5-coloring)", "C4 ids=[0,1,2,3]", false, false, 32705),
+        ("Alg3 (fast 5-coloring)", "C4 ids=[0,1,2,3]", false, false, 76975),
+        ("Alg2-patched", "C4 ids=[0,1,2,3]", false, false, 400001),
+        ("Alg1 (6-coloring)", "C4 ids=[0,1,2,3]", true, false, 1542),
+        ("Alg2 (5-coloring)", "C4 ids=[0,1,2,3]", true, false, 32705),
+        ("Alg3 (fast 5-coloring)", "C4 ids=[0,1,2,3]", true, false, 74904),
+        ("Alg2-patched", "C4 ids=[0,1,2,3]", true, false, 400000),
+        ("Alg1 (6-coloring)", "C4 ids=[3,0,2,5]", false, false, 1035),
+        ("Alg2 (5-coloring)", "C4 ids=[3,0,2,5]", false, false, 32920),
+        ("Alg3 (fast 5-coloring)", "C4 ids=[3,0,2,5]", false, false, 400000),
+        ("Alg2-patched", "C4 ids=[3,0,2,5]", false, false, 400000),
+        ("Alg1 (6-coloring)", "C4 ids=[3,0,2,5]", true, false, 1035),
+        ("Alg2 (5-coloring)", "C4 ids=[3,0,2,5]", true, false, 32920),
+        ("Alg3 (fast 5-coloring)", "C4 ids=[3,0,2,5]", true, false, 400001),
+        ("Alg2-patched", "C4 ids=[3,0,2,5]", true, false, 400000),
+        ("Alg1 (6-coloring)", "C5 ids=[0,1,2,3,4]", false, false, 18361),
+        ("Alg2 (5-coloring)", "C5 ids=[0,1,2,3,4]", false, false, 400015),
+        ("Alg3 (fast 5-coloring)", "C5 ids=[0,1,2,3,4]", false, false, 400014),
+        ("Alg2-patched", "C5 ids=[0,1,2,3,4]", false, false, 400001),
+        ("Alg1 (6-coloring)", "C5 ids=[0,1,2,3,4]", true, false, 18361),
+        ("Alg2 (5-coloring)", "C5 ids=[0,1,2,3,4]", true, false, 400001),
+        ("Alg3 (fast 5-coloring)", "C5 ids=[0,1,2,3,4]", true, false, 400001),
+        ("Alg2-patched", "C5 ids=[0,1,2,3,4]", true, false, 400014),
+        ("Alg2 (5-coloring)", "C4 ids=[0,1,0,1]", false, false, 2938),
+        ("Alg2 (5-coloring)", "C4 ids=[0,1,0,1]", true, false, 906),
+        ("Alg2 (5-coloring)", "C6 ids=[0,1,2,0,1,2]", false, false, 400001),
+        ("Alg2 (5-coloring)", "C6 ids=[0,1,2,0,1,2]", true, false, 400000),
+        ("Alg1 (6-coloring)", "C5 ids=[0,1,2,3,4]", false, true, 17664),
+        ("Alg2 (5-coloring)", "C5 ids=[0,1,2,3,4]", false, true, 400001),
+        ("Alg2-patched", "C5 ids=[0,1,2,3,4]", false, true, 400004),
+        ("Alg1 (6-coloring)", "C5 ids=[0,1,2,3,4]", true, true, 17693),
+        ("Alg2 (5-coloring)", "C5 ids=[0,1,2,3,4]", true, true, 400000),
+        ("Alg2-patched", "C5 ids=[0,1,2,3,4]", true, true, 400009),
+    ];
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "minutes unoptimized; runs under `cargo test --release`"
+    )]
+    fn quick_sweep_counts_are_pinned() {
+        let rows = run(400_000, 1);
+        let actual: Vec<_> = rows
+            .iter()
+            .map(|r| {
+                assert_eq!(r.bound, 400_000, "{r:?}");
+                (
+                    r.algorithm,
+                    r.instance.as_str(),
+                    r.symmetry,
+                    r.por,
+                    r.configs,
+                )
+            })
+            .collect();
+        assert_eq!(actual, QUICK_CONFIGS);
     }
 }

@@ -1,6 +1,6 @@
 //! # `ftcolor-bench` — the experiment harness
 //!
-//! One module per experiment (E1–E10, indexed in DESIGN.md §5), each
+//! One module per experiment (indexed in DESIGN.md §5), each
 //! exposing a `run()` that produces serializable result rows. Three
 //! consumers share these drivers:
 //!
@@ -9,7 +9,13 @@
 //!   `experiments.json`; EXPERIMENTS.md records this output;
 //! * `cargo bench` — Criterion benches timing the representative
 //!   workloads (`benches/`, one target per experiment);
-//! * the test suite — each driver has smoke tests pinning the claims.
+//! * the test suite — each driver has smoke tests pinning the claims,
+//!   and `e6_modelcheck` pins the configuration count of every
+//!   quick-sweep row (release builds only).
+//!
+//! Wall-clock comparisons between commits are not made here: the
+//! `perfbench/` package times the `fleet`, `explore`, `ring` and
+//! `netsim` workloads against the parent commit.
 //!
 //! The paper is a brief announcement with no numbered tables/figures;
 //! the experiments reproduce its *theorems* (see DESIGN.md §5 for the
@@ -22,8 +28,6 @@ pub mod common;
 pub mod e10_crash_tolerance;
 pub mod e11_decoupled;
 pub mod e14_net;
-pub mod e16_service;
-pub mod e19_wire;
 pub mod e1_alg1_linear;
 pub mod e2_chain_bound;
 pub mod e3_alg2_linear;

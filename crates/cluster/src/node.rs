@@ -58,7 +58,7 @@ pub fn node_main(codec: Codec) -> Result<(), String> {
             }
             wire::decode_frame(&buf).map_err(|e| format!("node: bad init frame: {e}"))?
         }
-        _ => {
+        Codec::Json => {
             let mut line = String::new();
             io::stdin()
                 .lock()
@@ -110,7 +110,7 @@ where
                 }
             }
         }
-        _ => {
+        Codec::Json => {
             for line in io::stdin().lock().lines() {
                 let Ok(line) = line else { break };
                 if tx.send(line.into_bytes()).is_err() {
@@ -136,7 +136,7 @@ where
                         Ok(f) => f,
                         Err(_) => continue,
                     },
-                    _ => {
+                    Codec::Json => {
                         let Ok(text) = std::str::from_utf8(&payload) else {
                             continue;
                         };
@@ -178,7 +178,7 @@ fn emit(frames: &[Frame], codec: Codec, pool: &mut WirePool) -> Result<(), Strin
     for f in frames {
         match codec {
             Codec::Binary => wire::append_framed(f, &mut buf),
-            _ => {
+            Codec::Json => {
                 f.encode_into(&mut buf);
                 buf.push(b'\n');
             }

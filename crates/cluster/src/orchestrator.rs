@@ -74,7 +74,6 @@ pub struct ClusterOptions {
     /// JSON (default) or length-prefixed binary frames. The journal
     /// stays JSON either way — traces must read naturally — and the
     /// codec is forwarded to spawned nodes as `node --codec <name>`.
-    /// [`Codec::Typed`] is simulator-only and rejected here.
     pub codec: Codec,
 }
 
@@ -293,9 +292,6 @@ where
         return Err(format!("cluster: a cycle needs n >= 3 nodes, got {n}"));
     }
     let codec = opts.codec;
-    if codec == Codec::Typed {
-        return Err("cluster: --codec typed is simulator-only (real pipes carry bytes)".into());
-    }
     let tick_ms = opts.tick_ms.max(1);
     let node_cmd = match &opts.node_cmd {
         Some(p) => p.clone(),
@@ -337,7 +333,7 @@ where
                     }
                 }
             }
-            _ => {
+            Codec::Json => {
                 for line in BufReader::new(stdout).lines() {
                     let Ok(line) = line else { break };
                     if tx.send((i, line.into_bytes())).is_err() {
@@ -589,7 +585,7 @@ where
             Ok((i, payload)) => {
                 let decoded = match codec {
                     Codec::Binary => wire::decode_frame(&payload).ok(),
-                    _ => match std::str::from_utf8(&payload) {
+                    Codec::Json => match std::str::from_utf8(&payload) {
                         Ok(text) => {
                             let trimmed = text.trim();
                             if trimmed.is_empty() {
@@ -702,7 +698,7 @@ fn write_frame(
     let mut buf = pool.acquire();
     match codec {
         Codec::Binary => wire::append_framed(frame, &mut buf),
-        _ => {
+        Codec::Json => {
             frame.encode_into(&mut buf);
             buf.push(b'\n');
         }

@@ -31,10 +31,10 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
-use crate::msg::{Body, Frame, Write};
+use crate::msg::{Body, Write};
 use crate::sim::{decide_fate, Mode, NetConfig, NetReport, NetStats};
 use crate::trace::{DeliveryTrace, Outcome, TraceEntry};
-use crate::wire::{FrameCodec, Payload};
+use crate::wire::FrameCodec;
 
 /// Runs a DECOUPLED algorithm on the simulated network via input
 /// gossip, drawing all fault decisions from `cfg.seed`.
@@ -88,8 +88,8 @@ enum Status {
 }
 
 enum Ev {
-    /// A gossip frame arrives (encoded in the run's codec, or typed).
-    Deliver { payload: Payload },
+    /// A gossip frame arrives, encoded in the run's codec.
+    Deliver { payload: Vec<u8> },
     /// A process attempts to decide.
     Activate { node: usize },
     /// A node's substrate re-gossips its known set.
@@ -279,7 +279,7 @@ where
         }
     }
 
-    fn on_deliver(&mut self, payload: Payload) {
+    fn on_deliver(&mut self, payload: Vec<u8>) {
         let frame = self.codec.decode(payload);
         let Body::Write(w) = frame.body else {
             return; // gossip uses only `write` frames
@@ -378,11 +378,7 @@ where
                 self.stats.delivered += 1;
                 // Fate first, encode after: only delivered copies are
                 // serialized, and codec choice cannot perturb the trace.
-                let payload = self.codec.encode(Frame {
-                    src: from,
-                    dest: to,
-                    body,
-                });
+                let payload = self.codec.encode(from, to, &body);
                 let dup = dup_at.map(|_| self.codec.copy(&payload));
                 self.schedule(at, Ev::Deliver { payload });
                 if let (Some(d), Some(dup)) = (dup_at, dup) {

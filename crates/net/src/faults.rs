@@ -211,6 +211,60 @@ impl FaultPlan {
     pub fn partitioned(&self, now: u64, from: usize, to: usize) -> bool {
         self.partitions.iter().any(|p| p.cuts(now, from, to))
     }
+
+    /// Checks the plan against a network of `n` nodes: every node id
+    /// (crashes, partition sides, link overrides) is `< n`, every
+    /// probability is finite and in `[0, 1]`, and `delay_min <=
+    /// delay_max` globally and on every link override. The simulators
+    /// accept any plan, so callers that take plans from users run this
+    /// first; the error names the offending field.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        let node = |what: &str, id: usize| {
+            if id < n {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} names node {id}, but the network has {n} nodes"
+                ))
+            }
+        };
+        let prob = |what: &str, p: f64| {
+            if p.is_finite() && (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("{what} = {p} is not a probability in [0, 1]"))
+            }
+        };
+        let delays = |what: &str, min: u64, max: u64| {
+            if min <= max {
+                Ok(())
+            } else {
+                Err(format!("{what}delay_min {min} exceeds delay_max {max}"))
+            }
+        };
+        prob("drop", self.drop)?;
+        prob("duplicate", self.duplicate)?;
+        prob("reorder", self.reorder)?;
+        delays("", self.delay_min, self.delay_max)?;
+        for c in &self.crashes {
+            node("crash", c.node)?;
+        }
+        for p in &self.partitions {
+            for &id in &p.side {
+                node("partition side", id)?;
+            }
+        }
+        for l in &self.links {
+            let at = format!("link {}->{}", l.from, l.to);
+            node(&at, l.from)?;
+            node(&at, l.to)?;
+            prob(&format!("{at} drop"), l.drop)?;
+            prob(&format!("{at} duplicate"), l.duplicate)?;
+            prob(&format!("{at} reorder"), l.reorder)?;
+            delays(&format!("{at} "), l.delay_min, l.delay_max)?;
+        }
+        Ok(())
+    }
 }
 
 /// The fate of one send, relative to its send time: the shared
@@ -330,6 +384,59 @@ mod tests {
         let text = serde_json::to_string(&plan).expect("plan encodes");
         let back: FaultPlan = serde_json::from_str(&text).expect("round-trips");
         assert_eq!(back, plan);
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_plans() {
+        let with_link = |from, to, drop, delay_min, delay_max| {
+            let mut plan = FaultPlan::default();
+            plan.links.push(LinkFault {
+                from,
+                to,
+                drop,
+                delay_min,
+                delay_max,
+                duplicate: 0.0,
+                reorder: 0.0,
+            });
+            plan
+        };
+        for plan in [
+            FaultPlan::lossy(1.0)
+                .with_crash(7, 5)
+                .with_partition(Partition::window(0, 5, vec![0, 7])),
+            with_link(0, 7, 0.5, 2, 2),
+        ] {
+            assert_eq!(plan.validate(8), Ok(()), "{plan:?}");
+        }
+        let json = |text: &str| serde_json::from_str(text).expect("plan parses");
+        for (plan, want) in [
+            (
+                json(r#"{"crashes":[{"node":99,"at":5}]}"#),
+                "crash names node 99",
+            ),
+            (
+                json(r#"{"partitions":[{"start":0,"end":5,"side":[99]}]}"#),
+                "partition side names node 99",
+            ),
+            (json(r#"{"drop":1.5}"#), "drop = 1.5"),
+            (json(r#"{"drop":-1}"#), "drop = -1"),
+            (json(r#"{"duplicate":2}"#), "duplicate = 2"),
+            (FaultPlan::lossy(f64::NAN), "drop = NaN"),
+            (
+                json(r#"{"delay_min":5,"delay_max":2}"#),
+                "delay_min 5 exceeds delay_max 2",
+            ),
+            (with_link(0, 8, 0.5, 1, 1), "link 0->8 names node 8"),
+            (with_link(0, 1, 1.5, 1, 1), "link 0->1 drop = 1.5"),
+            (
+                with_link(0, 1, 0.5, 4, 3),
+                "link 0->1 delay_min 4 exceeds delay_max 3",
+            ),
+        ] {
+            let err = plan.validate(8).expect_err(want);
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -66,9 +66,9 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::calendar::EventQueue;
 use crate::faults::{Fate, FaultPlan};
-use crate::msg::{Body, Frame, SnapshotReq, SnapshotResp, Write};
+use crate::msg::{Body, SnapshotReq, SnapshotResp, Write};
 use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
-use crate::wire::{Codec, FrameCodec, Payload, WireStats};
+use crate::wire::{Codec, FrameCodec, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
 #[derive(Debug, Clone)]
@@ -310,9 +310,8 @@ struct Link<R> {
 }
 
 enum Ev {
-    /// A frame arrives at its destination (encoded in the run's codec,
-    /// or carried typed when the codec skips byte serialization).
-    Deliver { payload: Payload },
+    /// A frame arrives at its destination, encoded in the run's codec.
+    Deliver { payload: Vec<u8> },
     /// A process starts its next round.
     Activate { node: usize },
     /// Retransmit timer for one `snapshot_req`.
@@ -583,16 +582,12 @@ where
     /// through the codec: a real co-located register server would parse
     /// the frame too, so the loopback leg is honest hot-path work.
     fn send_loopback(&mut self, node: usize, body: Body) {
-        let payload = self.codec.encode(Frame {
-            src: node,
-            dest: node,
-            body,
-        });
+        let payload = self.codec.encode(node, node, &body);
         self.stats.loopback_writes += 1;
         self.schedule(self.now + 1, Ev::Deliver { payload });
     }
 
-    fn on_deliver(&mut self, payload: Payload) {
+    fn on_deliver(&mut self, payload: Vec<u8>) {
         let frame = self.codec.decode(payload);
         match frame.body {
             Body::Write(w) => {
@@ -834,7 +829,7 @@ where
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
-                let payload = self.codec.encode_body(from, to, body);
+                let payload = self.codec.encode(from, to, body);
                 // Copy for the duplicate first, but schedule the primary
                 // first: tick order (the tie-break) must match the
                 // original primary-then-duplicate schedule.
@@ -963,36 +958,13 @@ mod tests {
         plan.reorder = 0.15;
         let base = NetConfig::new(9).record_events(true);
         let json = run_net(&SixColoring, &topo, ids.clone(), &plan, &base);
-        for codec in [Codec::Binary, Codec::Typed] {
-            let cfg = base.clone().codec(codec);
-            let other = run_net(&SixColoring, &topo, ids.clone(), &plan, &cfg);
-            assert_eq!(other.outputs, json.outputs, "{codec:?} coloring");
-            assert_eq!(other.trace, json.trace, "{codec:?} trace");
-            assert_eq!(other.events, json.events, "{codec:?} event log");
-            assert_eq!(other.stats, json.stats, "{codec:?} counters");
-            assert_eq!(other.time, json.time, "{codec:?} clock");
-            // Byte accounting: typed charges the measured binary size.
-            assert!(json.wire.bytes_on_wire > other.wire.bytes_on_wire);
-        }
-        let binary = run_net(
-            &SixColoring,
-            &topo,
-            ids.clone(),
-            &plan,
-            &base.clone().codec(Codec::Binary),
-        );
-        let typed = run_net(
-            &SixColoring,
-            &topo,
-            ids,
-            &plan,
-            &base.clone().codec(Codec::Typed),
-        );
-        assert_eq!(
-            binary.wire.bytes_on_wire, typed.wire.bytes_on_wire,
-            "typed mode charges exactly the binary frame sizes"
-        );
-        assert_eq!(typed.wire.frames_encoded, 0, "typed never serializes");
+        let binary = run_net(&SixColoring, &topo, ids, &plan, &base.codec(Codec::Binary));
+        assert_eq!(binary.outputs, json.outputs, "coloring");
+        assert_eq!(binary.trace, json.trace, "trace");
+        assert_eq!(binary.events, json.events, "event log");
+        assert_eq!(binary.stats, json.stats, "counters");
+        assert_eq!(binary.time, json.time, "clock");
+        assert!(json.wire.bytes_on_wire > binary.wire.bytes_on_wire);
         assert!(binary.wire.pool_hits > 0, "steady state reuses buffers");
     }
 

@@ -75,8 +75,7 @@ const VAL_STRING: u8 = 0x06;
 const VAL_ARRAY: u8 = 0x07;
 const VAL_OBJECT: u8 = 0x08;
 
-/// Which encoding frames use on the wire (or whether they skip the wire
-/// entirely).
+/// Which encoding frames use on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// One line of JSON per frame — the default; traces read naturally.
@@ -84,10 +83,6 @@ pub enum Codec {
     Json,
     /// The binary layout documented in this module.
     Binary,
-    /// Simulator-only: frames move through the router as typed values
-    /// with no byte serialization at all. Fault accounting still charges
-    /// the measured binary frame size, so byte counts match `Binary`.
-    Typed,
 }
 
 impl Codec {
@@ -96,7 +91,6 @@ impl Codec {
         match name {
             "json" => Some(Codec::Json),
             "binary" => Some(Codec::Binary),
-            "typed" => Some(Codec::Typed),
             _ => None,
         }
     }
@@ -106,7 +100,6 @@ impl Codec {
         match self {
             Codec::Json => "json",
             Codec::Binary => "binary",
-            Codec::Typed => "typed",
         }
     }
 }
@@ -157,13 +150,11 @@ impl std::error::Error for WireError {}
 /// summaries so codec regressions are observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireStats {
-    /// Frames serialized to bytes (0 in typed mode).
+    /// Frames serialized to bytes.
     pub frames_encoded: u64,
-    /// Frames parsed back from bytes (0 in typed mode).
+    /// Frames parsed back from bytes.
     pub frames_decoded: u64,
-    /// Total bytes that crossed the wire, including stream framing. In
-    /// typed mode this is the measured binary size the frames would
-    /// have occupied.
+    /// Total bytes that crossed the wire, including stream framing.
     pub bytes_on_wire: u64,
     /// Encode-buffer requests served from the free list.
     pub pool_hits: u64,
@@ -387,16 +378,10 @@ pub fn encode_parts_into(src: usize, dest: usize, body: &Body, buf: &mut Vec<u8>
 }
 
 /// Exact byte length [`encode_frame_into`] would append, without
-/// materializing anything — the typed codec uses this to charge runs
-/// with the binary frame size they would have put on the wire.
+/// materializing anything (the envelope is fixed-width, so the length
+/// depends on the body alone).
 pub fn binary_len(frame: &Frame) -> usize {
-    binary_body_len(&frame.body)
-}
-
-/// [`binary_len`] from the body alone (the envelope is fixed-width, so
-/// the length never depends on `src`/`dest`).
-pub(crate) fn binary_body_len(frame_body: &Body) -> usize {
-    let body = match frame_body {
+    let body = match &frame.body {
         Body::Write(m) => 4 + value_len(&m.value),
         Body::SnapshotReq(_) => 4,
         Body::SnapshotResp(m) => 4 + 4 + 1 + m.value.as_ref().map_or(0, value_len),
@@ -636,16 +621,6 @@ pub fn read_framed<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     Ok(true)
 }
 
-/// A frame in flight inside a simulator: encoded bytes (json/binary
-/// codecs) or the typed frame itself (typed codec).
-#[derive(Debug, Clone)]
-pub(crate) enum Payload {
-    /// Serialized frame bytes in the run's codec.
-    Bytes(Vec<u8>),
-    /// The frame itself, never serialized (typed codec).
-    Typed(Box<Frame>),
-}
-
 /// Shared per-run codec context for the in-process simulators: owns the
 /// codec choice, the buffer pool, and the wire counters.
 #[derive(Debug)]
@@ -668,87 +643,43 @@ impl FrameCodec {
         self.codec
     }
 
-    /// Encodes a frame for transit (or wraps it, in typed mode),
-    /// charging the byte counters.
-    pub(crate) fn encode(&mut self, frame: Frame) -> Payload {
+    /// Encodes a frame for transit from its parts, charging the byte
+    /// counters. Both codecs serialize straight from the borrowed body,
+    /// so broadcasting one `write` to every neighbor never deep-clones
+    /// the register value.
+    pub(crate) fn encode(&mut self, src: usize, dest: usize, body: &Body) -> Vec<u8> {
+        let mut buf = self.pool.acquire();
         match self.codec {
-            // Typed mode takes the frame as-is — no clone, no bytes.
-            Codec::Typed => {
-                self.stats.bytes_on_wire += binary_len(&frame) as u64;
-                Payload::Typed(Box::new(frame))
-            }
-            _ => self.encode_body(frame.src, frame.dest, &frame.body),
+            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, &mut buf),
+            Codec::Binary => encode_parts_into(src, dest, body, &mut buf),
         }
-    }
-
-    /// [`encode`](Self::encode) from parts, borrowing the body: the
-    /// byte codecs serialize straight from the borrow, so broadcasting
-    /// one `write` to every neighbor never deep-clones the register
-    /// value. Only typed mode clones (its payload *is* the frame).
-    pub(crate) fn encode_body(&mut self, src: usize, dest: usize, body: &Body) -> Payload {
-        match self.codec {
-            Codec::Typed => {
-                let frame = Frame {
-                    src,
-                    dest,
-                    body: body.clone(),
-                };
-                self.stats.bytes_on_wire += binary_len(&frame) as u64;
-                Payload::Typed(Box::new(frame))
-            }
-            Codec::Json => {
-                let mut buf = self.pool.acquire();
-                crate::msg::encode_json_parts_into(src, dest, body, &mut buf);
-                self.stats.frames_encoded += 1;
-                self.stats.bytes_on_wire += buf.len() as u64;
-                Payload::Bytes(buf)
-            }
-            Codec::Binary => {
-                let mut buf = self.pool.acquire();
-                encode_parts_into(src, dest, body, &mut buf);
-                self.stats.frames_encoded += 1;
-                self.stats.bytes_on_wire += buf.len() as u64;
-                Payload::Bytes(buf)
-            }
-        }
+        self.stats.frames_encoded += 1;
+        self.stats.bytes_on_wire += buf.len() as u64;
+        buf
     }
 
     /// Copies a payload for a duplicated delivery, charging the byte
     /// counters for the extra copy on the wire.
-    pub(crate) fn copy(&mut self, payload: &Payload) -> Payload {
-        match payload {
-            Payload::Typed(f) => {
-                self.stats.bytes_on_wire += binary_len(f) as u64;
-                Payload::Typed(f.clone())
-            }
-            Payload::Bytes(b) => {
-                let mut buf = self.pool.acquire();
-                buf.extend_from_slice(b);
-                self.stats.bytes_on_wire += b.len() as u64;
-                Payload::Bytes(buf)
-            }
-        }
+    pub(crate) fn copy(&mut self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = self.pool.acquire();
+        buf.extend_from_slice(payload);
+        self.stats.bytes_on_wire += payload.len() as u64;
+        buf
     }
 
     /// Decodes a delivered payload back into a typed frame, returning
     /// its buffer to the pool.
-    pub(crate) fn decode(&mut self, payload: Payload) -> Frame {
-        match payload {
-            Payload::Typed(f) => *f,
-            Payload::Bytes(buf) => {
-                let frame = match self.codec {
-                    Codec::Json => {
-                        let text = std::str::from_utf8(&buf).expect("json wire frames are UTF-8");
-                        Frame::decode(text).expect("wire frames decode")
-                    }
-                    Codec::Binary => decode_frame(&buf).expect("wire frames decode"),
-                    Codec::Typed => unreachable!("typed codec never carries bytes"),
-                };
-                self.stats.frames_decoded += 1;
-                self.pool.release(buf);
-                frame
+    pub(crate) fn decode(&mut self, payload: Vec<u8>) -> Frame {
+        let frame = match self.codec {
+            Codec::Json => {
+                let text = std::str::from_utf8(&payload).expect("json wire frames are UTF-8");
+                Frame::decode(text).expect("wire frames decode")
             }
-        }
+            Codec::Binary => decode_frame(&payload).expect("wire frames decode"),
+        };
+        self.stats.frames_decoded += 1;
+        self.pool.release(payload);
+        frame
     }
 
     /// Final counters for the run report.
@@ -958,9 +889,10 @@ mod tests {
 
     #[test]
     fn codec_names_parse_back() {
-        for codec in [Codec::Json, Codec::Binary, Codec::Typed] {
+        for codec in [Codec::Json, Codec::Binary] {
             assert_eq!(Codec::parse(codec.name()), Some(codec));
         }
         assert_eq!(Codec::parse("msgpack"), None);
+        assert_eq!(Codec::parse("typed"), None);
     }
 }

@@ -70,7 +70,7 @@ fn main() -> ExitCode {
         "netsim" => cmd_netsim(&opts),
         "serve" => cmd_serve(&opts),
         "cluster" => cmd_cluster(&opts),
-        "node" => parse_codec(&opts, &[Codec::Json, Codec::Binary]).and_then(cluster::node_main),
+        "node" => parse_codec(&opts).and_then(cluster::node_main),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -99,7 +99,7 @@ USAGE:
   ftcolor certify    [--alg NAME|all] [--domain-colors C] [--rules CODES]
                      [--format text|json]
   ftcolor netsim     [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--max-time T]
-                     [--codec json|binary|typed] [--format text|json] [--emit-trace]
+                     [--codec json|binary] [--format text|json] [--emit-trace]
   ftcolor serve      [--alg A] [--n N] [--instances I] [--rate R] [--seed K]
                      [--sched sync|random] [--p P] [--crash-prob P] [--crash-horizon T]
                      [--universe U] [--fuel F] [--quantum Q] [--jobs J]
@@ -158,10 +158,8 @@ FLAGS:
   --max-time     netsim: logical-time budget            (default 100000)
   --codec        netsim/cluster: wire encoding for frames in flight
                  (default json). `binary` is the compact length-prefixed
-                 format; `typed` (netsim only) skips byte serialization
-                 inside the router while charging fault accounting the
-                 measured binary size. Verdicts and traces are identical
-                 across codecs — only byte encodings and wall time differ
+                 format. Verdicts and traces are identical across
+                 codecs — only byte encodings and wall time differ
   --instances    serve: total instances to admit        (default 1000;
                  1 = a single materialized ring, the n=10M regime)
   --rate         serve: arrivals per sweep round        (default 64)
@@ -255,28 +253,41 @@ fn get<'a>(opts: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'
     opts.get(key).map_or(default, String::as_str)
 }
 
-/// Parses `--codec` against the codecs a subcommand supports (the
-/// cluster's real pipes carry bytes, so `typed` is simulator-only).
-fn parse_codec(opts: &HashMap<String, String>, allowed: &[Codec]) -> Result<Codec, String> {
+/// Parses `--codec` (default json).
+fn parse_codec(opts: &HashMap<String, String>) -> Result<Codec, String> {
     let name = get(opts, "codec", "json");
-    match Codec::parse(name) {
-        Some(c) if allowed.contains(&c) => Ok(c),
-        Some(c) => Err(format!("--codec {} is not supported here", c.name())),
-        None => Err(format!(
-            "unknown --codec `{name}` (expected {})",
-            allowed
-                .iter()
-                .map(|c| c.name())
-                .collect::<Vec<_>>()
-                .join("|")
+    Codec::parse(name).ok_or_else(|| format!("unknown --codec `{name}` (expected json|binary)"))
+}
+
+/// Checks that `ids` properly color the cycle they label: the paper's
+/// algorithms assume neighbors hold distinct identifiers, and on equal
+/// neighbors a wait-free algorithm can spin forever. Repeats between
+/// non-neighbors (`0,1,0,1`) are fine.
+fn check_cycle_ids(ids: &[u64]) -> Result<(), String> {
+    let n = ids.len();
+    if n < 3 {
+        return Ok(()); // no cycle; `Topology::cycle` reports that
+    }
+    match (0..n).find(|&i| ids[i] == ids[(i + 1) % n]) {
+        Some(i) => Err(format!(
+            "neighbors at positions {i} and {} share id {}; ids must differ \
+             between cycle neighbors",
+            (i + 1) % n,
+            ids[i]
         )),
+        None => Ok(()),
     }
 }
 
 fn parse_ids(opts: &HashMap<String, String>) -> Result<Vec<u64>, String> {
     if let Some(list) = opts.get("ids") {
-        let ids: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-        return ids.map_err(|e| format!("bad --ids: {e}"));
+        let ids: Vec<u64> = list
+            .split(',')
+            .map(|s| s.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("bad --ids: {e}"))?;
+        check_cycle_ids(&ids).map_err(|e| format!("bad --ids: {e}"))?;
+        return Ok(ids);
     }
     let n: usize = get(opts, "n", "8")
         .parse()
@@ -582,6 +593,7 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
     let (alg_name, ids, input) = if has("schema") {
         let fx: WitnessFixture = serde_json::from_value(value.clone())
             .map_err(|e| format!("{path} is not a witness fixture: {e}"))?;
+        check_cycle_ids(&fx.ids).map_err(|e| format!("{path}: bad fixture ids: {e}"))?;
         (fx.alg, fx.ids, ShrinkInput::Witness(fx.raw))
     } else {
         let alg = get(opts, "alg", "alg2").to_string();
@@ -932,6 +944,9 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
     let n: usize = get(opts, "n", "8")
         .parse()
         .map_err(|e| format!("bad --n: {e}"))?;
+    if n < 3 {
+        return Err("netsim needs --n >= 3 (no smaller cycle exists)".into());
+    }
     let seed: u64 = get(opts, "seed", "0")
         .parse()
         .map_err(|e| format!("bad --seed: {e}"))?;
@@ -942,8 +957,9 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
         Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
         None => FaultPlan::default(),
     };
+    plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
     let emit_trace = opts.contains_key("emit-trace");
-    let codec = parse_codec(opts, &[Codec::Json, Codec::Binary, Codec::Typed])?;
+    let codec = parse_codec(opts)?;
     let cfg = NetConfig::new(seed)
         .max_time(max_time)
         .record_events(true)
@@ -1066,6 +1082,7 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
         Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
         None => FaultPlan::default(),
     };
+    plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
     let parse_ms = |key: &str, default: &str| -> Result<u64, String> {
         get(opts, key, default)
             .parse()
@@ -1076,7 +1093,7 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
         pace_ms: parse_ms("pace-ms", "15")?,
         tick_ms: parse_ms("tick-ms", "5")?.max(1),
         max_wall_ms: parse_ms("max-wall-ms", "30000")?,
-        codec: parse_codec(opts, &[Codec::Json, Codec::Binary])?,
+        codec: parse_codec(opts)?,
         ..ClusterOptions::default()
     };
     let emit_trace = opts.contains_key("emit-trace");

@@ -320,4 +320,111 @@ fn netsim_rejects_unknown_algorithms_and_bad_plans() {
     let (_, stderr, ok) = run(&["netsim", "--alg", "alg1", "--faults", "{not json"]);
     assert!(!ok);
     assert!(stderr.contains("bad --faults"), "{stderr}");
+    // Too small a ring is its own error, not an unknown algorithm.
+    let (_, stderr, ok) = run(&["netsim", "--alg", "alg1", "--n", "2"]);
+    assert!(!ok);
+    assert!(stderr.contains("netsim needs --n >= 3"), "{stderr}");
+    let (_, stderr, ok) = run(&["netsim", "--alg", "alg1", "--n", "5", "--codec", "typed"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown --codec `typed` (expected json|binary)"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn ids_that_do_not_color_the_cycle_are_rejected() {
+    for cmd in [
+        &["modelcheck", "--alg", "alg1", "--ids", "5,5,7"][..],
+        &["color", "--alg", "alg1", "--ids", "5,5,7"],
+        &[
+            "fuzz",
+            "--alg",
+            "alg1",
+            "--ids",
+            "5,5,7",
+            "--generations",
+            "2",
+        ],
+    ] {
+        let (stdout, stderr, ok) = run(cmd);
+        assert!(!ok, "{cmd:?} must be refused: {stdout}");
+        assert!(
+            stderr.contains("bad --ids: neighbors at positions 0 and 1 share id 5"),
+            "{cmd:?}: {stderr}"
+        );
+    }
+    // The wrap-around edge counts too.
+    let (_, stderr, ok) = run(&["color", "--alg", "alg2", "--ids", "4,1,2,4"]);
+    assert!(!ok);
+    assert!(stderr.contains("positions 3 and 0 share id 4"), "{stderr}");
+    // Repeats between non-neighbors are a proper coloring.
+    let (stdout, stderr, ok) = run(&["modelcheck", "--alg", "alg2", "--ids", "0,1,0,1"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("safety=ok"), "{stdout}");
+}
+
+#[test]
+fn shrink_rejects_fixtures_whose_ids_do_not_color_the_cycle() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/eager_mis_c4_violation.json"
+    );
+    let mut fx: serde::Value =
+        serde_json::from_str(&std::fs::read_to_string(fixture).unwrap()).unwrap();
+    let serde::Value::Object(pairs) = &mut fx else {
+        panic!("fixtures are objects")
+    };
+    let ids = pairs.iter_mut().find(|(k, _)| k.as_str() == "ids").unwrap();
+    ids.1 = serde_json::from_str("[5, 9, 9, 1]").unwrap();
+    let dir = std::env::temp_dir().join(format!("ftcolor-shrink-ids-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad_ids.json");
+    std::fs::write(&bad, serde_json::to_string(&fx).unwrap()).unwrap();
+    let (_, stderr, ok) = run(&["shrink", "--in", bad.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("bad fixture ids: neighbors at positions 1 and 2 share id 9"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_of_range_fault_plans_are_rejected() {
+    for (plan, want) in [
+        (r#"{"crashes":[{"node":99,"at":5}]}"#, "crash names node 99"),
+        (
+            r#"{"partitions":[{"start":0,"end":5,"side":[99]}]}"#,
+            "partition side names node 99",
+        ),
+        (r#"{"drop":1.5}"#, "drop = 1.5"),
+        (r#"{"drop":-1}"#, "drop = -1"),
+        (
+            r#"{"delay_min":5,"delay_max":2}"#,
+            "delay_min 5 exceeds delay_max 2",
+        ),
+    ] {
+        let (stdout, stderr, ok) = run(&["netsim", "--alg", "alg1", "--n", "8", "--faults", plan]);
+        assert!(!ok, "{plan} must be refused: {stdout}");
+        assert!(
+            stderr.contains(&format!("bad --faults: {want}")),
+            "{stderr}"
+        );
+    }
+    // The cluster refuses before spawning a single node.
+    let (_, stderr, ok) = run(&[
+        "cluster",
+        "--alg",
+        "alg2p",
+        "--n",
+        "5",
+        "--faults",
+        r#"{"crashes":[{"node":5,"at":1}]}"#,
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("bad --faults: crash names node 5, but the network has 5 nodes"),
+        "{stderr}"
+    );
 }

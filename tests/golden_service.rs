@@ -12,7 +12,9 @@
 //!
 //! A second test pins the jobs-invariance contract directly at the
 //! process boundary: `--jobs 1` and `--jobs 4` must print the same
-//! bytes.
+//! bytes. A third pins the deterministic outcome of the two E16
+//! workloads at their quick sizes (a 20k-instance `C5` burst fleet and
+//! a 200k-process synchronous ring), calling the library directly.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -20,6 +22,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_service
 //! ```
 
+use ftcolor::batch::{run_service, ServiceConfig};
+use ftcolor::core::{FastFiveColoringPatched, FiveColoringPatched};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -100,5 +104,63 @@ fn serve_summary_is_byte_identical_across_jobs() {
         serve_stdout("1"),
         serve_stdout("4"),
         "the deterministic summary must not depend on --jobs"
+    );
+}
+
+/// The E16 quick rows: `fleet-c5` (Algorithm 2′, 20,000 `C5` instances
+/// in one arrival round, 5% crash noise) and `ring-logstar`
+/// (Algorithm 3′, one synchronous ring of 200,000 processes). Every
+/// pinned field is independent of `jobs` and of the wall clock.
+#[test]
+fn e16_quick_rows_are_pinned() {
+    let fleet = ServiceConfig {
+        n: 5,
+        instances: 20_000,
+        rate: 1e12,
+        seed: 2022,
+        sync: false,
+        p: 0.5,
+        crash_prob: 0.05,
+        crash_horizon: 8,
+        universe: 64,
+        fuel: 100_000,
+        quantum: 8,
+        jobs: 0,
+    };
+    let ring = ServiceConfig {
+        n: 200_000,
+        instances: 1,
+        rate: 1.0,
+        seed: 7,
+        sync: true,
+        crash_prob: 0.0,
+        universe: 200_000,
+        jobs: 1,
+        ..fleet.clone()
+    };
+    let color = |c: &u64| usize::try_from(*c).expect("color fits usize");
+    let rows = [
+        run_service(&FiveColoringPatched, "alg2p", 5, color, &fleet).0,
+        run_service(&FastFiveColoringPatched, "alg3p", 5, color, &ring).0,
+    ];
+    let actual: Vec<_> = rows
+        .iter()
+        .map(|s| {
+            assert!(s.valid, "{s:?}");
+            (
+                s.completed,
+                s.rounds,
+                s.latency_p50,
+                s.latency_p99,
+                s.outputs_digest.as_str(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        actual,
+        [
+            (20_000, 3, 1, 2, "d5b9ba67053b810c7f3470c88ee2febc"),
+            (1, 1, 1, 1, "1150360c5a9c22271150360c5a9c2227"),
+        ]
     );
 }

@@ -3,7 +3,8 @@
 //! once retransmissions get through), partitions that never heal (only
 //! the cut-adjacent processes stall), crash semantics (the co-located
 //! register server outlives the process, as shared registers do in the
-//! paper's model), and heavy link-fault combinations.
+//! paper's model), heavy link-fault combinations, and golden tables
+//! pinning every deterministic observable per codec.
 
 use ftcolor::model::{inputs, ProcessId, Topology};
 use ftcolor::net::trace::fnv1a;
@@ -235,7 +236,7 @@ fn tampered_traces_are_rejected_by_both_replays() {
 
 /// One `(algorithm, topology, plan)` row of the golden matrix: the
 /// observables every codec must reproduce, then `bytes_on_wire` per
-/// codec (json/binary/typed).
+/// codec (json/binary).
 fn golden_row<A>(
     name: &str,
     alg: &A,
@@ -252,7 +253,7 @@ where
     let ids = inputs::random_unique(topo.len(), 10_000, 7);
     let mut shared: Option<String> = None;
     let mut bytes = Vec::new();
-    for codec in [Codec::Json, Codec::Binary, Codec::Typed] {
+    for codec in [Codec::Json, Codec::Binary] {
         let cfg = NetConfig::new(7).record_events(true).codec(codec);
         let rep = run_net(alg, topo, ids.clone(), plan, &cfg);
         let s = rep.stats;
@@ -285,7 +286,7 @@ where
     }
     format!(
         "{name} {} wire={}",
-        shared.expect("three codecs ran"),
+        shared.expect("both codecs ran"),
         bytes.join("/")
     )
 }
@@ -293,7 +294,7 @@ where
 /// Golden matrix over {alg1, alg2p, alg3p} × {C5, C12} plus alg1 on a
 /// mixed-degree graph (degrees 1 to 4), under four plans (clean; lossy
 /// with duplicates and reordering; one partition window; one crash) and
-/// all three codecs. Every constant was captured from the simulator
+/// both codecs. Every constant was captured from the simulator
 /// that stored registers as `Value` trees, so it pins the typed
 /// register store to exactly the same trace, coloring, rounds,
 /// counters, clock, event log and wire bytes.
@@ -375,32 +376,95 @@ fn golden_matrix_pins_every_observable() {
 }
 
 const GOLDEN: &[&str] = &[
-    "alg1/C5/clean trace=8812435f6ff374e8 outputs=a16c42210fa1b8b0 rounds=26441b3831fb962d stats=72/72/0/0/0/0/12/0/112 time=26 events=0e265e3ed3383131 wire=6980/2653/2653",
-    "alg2p/C5/clean trace=670a7be13e1c01bc outputs=87bf404a37f27dff rounds=3611e45815cf11a0 stats=102/102/0/0/0/0/17/0/166 time=44 events=4c8e985f51133109 wire=9564/3432/3432",
-    "alg3p/C5/clean trace=1ea5269c853e175b outputs=5154a815e072c5cf rounds=a0a6ae2dc3088961 stats=108/108/0/0/0/0/18/0/176 time=50 events=a3dacd58d62b5b42 wire=11389/4645/4645",
-    "alg1/C12/clean trace=b0f853b1d60287f8 outputs=a6ede52d2dcd9d3f rounds=3314cda741d7c3bf stats=156/156/0/0/0/0/26/0/234 time=24 events=cd8e713f30dac586 wire=15184/5752/5752",
-    "alg2p/C12/clean trace=91644f20a78c4c23 outputs=5543feec2986bd08 rounds=cad7cdd0349eebc2 stats=210/210/0/0/0/0/35/0/328 time=32 events=582a62edea0e8be5 wire=19765/7067/7067",
-    "alg3p/C12/clean trace=7b778adac6ae148c outputs=5e66f775f1afe335 rounds=8dece7984ceddf6d stats=204/204/0/0/0/0/34/0/320 time=32 events=6091741f610eb9c9 wire=21528/8706/8706",
-    "alg1/G8/clean trace=ddb08e1e573ca921 outputs=58557c16df0e932c rounds=bdf1985113245048 stats=132/132/0/0/0/0/19/0/199 time=28 events=73d77064906db536 wire=12528/4749/4749",
-    "alg1/C5/lossy trace=7a6c11d616f955db outputs=b36f23ade84e34df rounds=97f8bd2aa0229bd9 stats=74/56/18/0/6/9/10/0/108 time=61 events=b2678bc6c56541c7 wire=5918/2209/2209",
-    "alg2p/C5/lossy trace=23f1ad69b45e94f2 outputs=bbbc83be08f79d41 rounds=a7019674c5b6c6ac stats=114/90/24/0/9/13/15/0/171 time=99 events=2b81cbe84aa22874 wire=9030/3173/3173",
-    "alg3p/C5/lossy trace=3fc83a9b17d32f9d outputs=bfec9a1eab532fa2 rounds=b504c4d569fc43d9 stats=125/97/28/0/9/17/16/0/186 time=113 events=f930893fce4450f4 wire=10719/4256/4256",
-    "alg1/C12/lossy trace=1c297661865f9a56 outputs=57a4e31a5e0f0559 rounds=348c3b65d4acb973 stats=180/137/43/0/9/34/22/0/265 time=99 events=b26fed07bae97b3f wire=13655/5058/5058",
-    "alg2p/C12/lossy trace=13647062763454e6 outputs=63e49aea148efe3d rounds=e52563499184d193 stats=233/179/54/0/11/35/30/0/342 time=111 events=84b066b63f18c287 wire=17347/6061/6061",
-    "alg3p/C12/lossy trace=52cf7414878a17f5 outputs=5d6f104e7dfd57f6 rounds=e8029e3e91fd753d stats=280/217/63/0/15/43/36/0/418 time=159 events=8c26a44525106ef0 wire=23567/9320/9320",
-    "alg1/G8/lossy trace=b6af23773577623d outputs=eeb335d2acc6d1db rounds=b26613fd7e3f8b20 stats=144/109/35/0/9/25/15/0/206 time=109 events=eeec344f7a0ab5a6 wire=10680/3930/3930",
-    "alg1/C5/partition trace=ef6c2ba043537f66 outputs=ca7b986ff4c62e68 rounds=26441b3831fb962d stats=90/72/0/18/0/16/12/0/126 time=80 events=90a8541791e6f1ed wire=6912/2607/2607",
-    "alg2p/C5/partition trace=c0d20eef4ace7831 outputs=87c9804a37fb3f44 rounds=c12597eec7792569 stats=126/108/0/18/0/16/18/0/188 time=89 events=4ba815c8091a8609 wire=10068/3597/3597",
-    "alg3p/C5/partition trace=88c78dadb37bd375 outputs=515b6c15e0787e89 rounds=324e281ffcecb74b stats=102/84/0/18/0/16/14/0/146 time=80 events=57294432b5c01f49 wire=8798/3577/3577",
-    "alg1/C12/partition trace=ef89a7cd1739ec46 outputs=70bb39c4bc085e9a rounds=d80d602b32358c4c stats=168/150/0/18/0/16/25/0/256 time=79 events=1f6d5e594d02866e wire=14532/5483/5483",
-    "alg2p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=16882/6014/6014",
-    "alg3p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=18986/7688/7688",
-    "alg1/G8/partition trace=ac926c900e20313a outputs=e72268eecabb9b23 rounds=7fe40422bfe8f811 stats=126/108/0/18/0/16/16/0/181 time=82 events=93f5516a7e50f2af wire=10212/3848/3848",
-    "alg1/C5/crash trace=b2e33458a6e081e3 outputs=aeb20d5f0e4a455e rounds=0f34aaf4317a77ec stats=60/60/0/0/0/0/10/4/91 time=25 events=5f4723f36c103e5d wire=5812/2207/2207",
-    "alg2p/C5/crash trace=a345653f55ef1429 outputs=59408a6f59efb2d2 rounds=640cc320fc27a0cc stats=84/84/0/0/0/0/14/5/137 time=43 events=71283f97b6843bcf wire=7872/2823/2823",
-    "alg3p/C5/crash trace=10e36d4b2e9be18d outputs=59408a6f59efb2d2 rounds=640a0720fc25de81 stats=78/78/0/0/0/0/13/5/127 time=37 events=764f1c2136d71a99 wire=8281/3395/3395",
-    "alg1/C12/crash trace=c69a40a62b07a73f outputs=7fb80e9a62ef05d2 rounds=79c906b06948c671 stats=150/150/0/0/0/0/25/4/227 time=24 events=56d39c5e8369cc5c wire=14600/5529/5529",
-    "alg2p/C12/crash trace=8420039d058be083 outputs=da210b41cd44218d rounds=70d4897614eb15c7 stats=198/198/0/0/0/0/33/5/317 time=33 events=cb6b3d36751ea272 wire=18640/6661/6661",
-    "alg3p/C12/crash trace=134b3deaf212c697 outputs=42639e7f8f9c0e40 rounds=809b475c024a3590 stats=192/192/0/0/0/0/32/5/297 time=28 events=ed0fe81165a4ca06 wire=20295/8214/8214",
-    "alg1/G8/crash trace=ac2201ba49fc2cbc outputs=c052cf5cb47fb211 rounds=41ac4d1c537694ed stats=117/117/0/0/0/0/17/5/179 time=29 events=bb06bc61b97d520e wire=11112/4210/4210",
+    "alg1/C5/clean trace=8812435f6ff374e8 outputs=a16c42210fa1b8b0 rounds=26441b3831fb962d stats=72/72/0/0/0/0/12/0/112 time=26 events=0e265e3ed3383131 wire=6980/2653",
+    "alg2p/C5/clean trace=670a7be13e1c01bc outputs=87bf404a37f27dff rounds=3611e45815cf11a0 stats=102/102/0/0/0/0/17/0/166 time=44 events=4c8e985f51133109 wire=9564/3432",
+    "alg3p/C5/clean trace=1ea5269c853e175b outputs=5154a815e072c5cf rounds=a0a6ae2dc3088961 stats=108/108/0/0/0/0/18/0/176 time=50 events=a3dacd58d62b5b42 wire=11389/4645",
+    "alg1/C12/clean trace=b0f853b1d60287f8 outputs=a6ede52d2dcd9d3f rounds=3314cda741d7c3bf stats=156/156/0/0/0/0/26/0/234 time=24 events=cd8e713f30dac586 wire=15184/5752",
+    "alg2p/C12/clean trace=91644f20a78c4c23 outputs=5543feec2986bd08 rounds=cad7cdd0349eebc2 stats=210/210/0/0/0/0/35/0/328 time=32 events=582a62edea0e8be5 wire=19765/7067",
+    "alg3p/C12/clean trace=7b778adac6ae148c outputs=5e66f775f1afe335 rounds=8dece7984ceddf6d stats=204/204/0/0/0/0/34/0/320 time=32 events=6091741f610eb9c9 wire=21528/8706",
+    "alg1/G8/clean trace=ddb08e1e573ca921 outputs=58557c16df0e932c rounds=bdf1985113245048 stats=132/132/0/0/0/0/19/0/199 time=28 events=73d77064906db536 wire=12528/4749",
+    "alg1/C5/lossy trace=7a6c11d616f955db outputs=b36f23ade84e34df rounds=97f8bd2aa0229bd9 stats=74/56/18/0/6/9/10/0/108 time=61 events=b2678bc6c56541c7 wire=5918/2209",
+    "alg2p/C5/lossy trace=23f1ad69b45e94f2 outputs=bbbc83be08f79d41 rounds=a7019674c5b6c6ac stats=114/90/24/0/9/13/15/0/171 time=99 events=2b81cbe84aa22874 wire=9030/3173",
+    "alg3p/C5/lossy trace=3fc83a9b17d32f9d outputs=bfec9a1eab532fa2 rounds=b504c4d569fc43d9 stats=125/97/28/0/9/17/16/0/186 time=113 events=f930893fce4450f4 wire=10719/4256",
+    "alg1/C12/lossy trace=1c297661865f9a56 outputs=57a4e31a5e0f0559 rounds=348c3b65d4acb973 stats=180/137/43/0/9/34/22/0/265 time=99 events=b26fed07bae97b3f wire=13655/5058",
+    "alg2p/C12/lossy trace=13647062763454e6 outputs=63e49aea148efe3d rounds=e52563499184d193 stats=233/179/54/0/11/35/30/0/342 time=111 events=84b066b63f18c287 wire=17347/6061",
+    "alg3p/C12/lossy trace=52cf7414878a17f5 outputs=5d6f104e7dfd57f6 rounds=e8029e3e91fd753d stats=280/217/63/0/15/43/36/0/418 time=159 events=8c26a44525106ef0 wire=23567/9320",
+    "alg1/G8/lossy trace=b6af23773577623d outputs=eeb335d2acc6d1db rounds=b26613fd7e3f8b20 stats=144/109/35/0/9/25/15/0/206 time=109 events=eeec344f7a0ab5a6 wire=10680/3930",
+    "alg1/C5/partition trace=ef6c2ba043537f66 outputs=ca7b986ff4c62e68 rounds=26441b3831fb962d stats=90/72/0/18/0/16/12/0/126 time=80 events=90a8541791e6f1ed wire=6912/2607",
+    "alg2p/C5/partition trace=c0d20eef4ace7831 outputs=87c9804a37fb3f44 rounds=c12597eec7792569 stats=126/108/0/18/0/16/18/0/188 time=89 events=4ba815c8091a8609 wire=10068/3597",
+    "alg3p/C5/partition trace=88c78dadb37bd375 outputs=515b6c15e0787e89 rounds=324e281ffcecb74b stats=102/84/0/18/0/16/14/0/146 time=80 events=57294432b5c01f49 wire=8798/3577",
+    "alg1/C12/partition trace=ef89a7cd1739ec46 outputs=70bb39c4bc085e9a rounds=d80d602b32358c4c stats=168/150/0/18/0/16/25/0/256 time=79 events=1f6d5e594d02866e wire=14532/5483",
+    "alg2p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=16882/6014",
+    "alg3p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=18986/7688",
+    "alg1/G8/partition trace=ac926c900e20313a outputs=e72268eecabb9b23 rounds=7fe40422bfe8f811 stats=126/108/0/18/0/16/16/0/181 time=82 events=93f5516a7e50f2af wire=10212/3848",
+    "alg1/C5/crash trace=b2e33458a6e081e3 outputs=aeb20d5f0e4a455e rounds=0f34aaf4317a77ec stats=60/60/0/0/0/0/10/4/91 time=25 events=5f4723f36c103e5d wire=5812/2207",
+    "alg2p/C5/crash trace=a345653f55ef1429 outputs=59408a6f59efb2d2 rounds=640cc320fc27a0cc stats=84/84/0/0/0/0/14/5/137 time=43 events=71283f97b6843bcf wire=7872/2823",
+    "alg3p/C5/crash trace=10e36d4b2e9be18d outputs=59408a6f59efb2d2 rounds=640a0720fc25de81 stats=78/78/0/0/0/0/13/5/127 time=37 events=764f1c2136d71a99 wire=8281/3395",
+    "alg1/C12/crash trace=c69a40a62b07a73f outputs=7fb80e9a62ef05d2 rounds=79c906b06948c671 stats=150/150/0/0/0/0/25/4/227 time=24 events=56d39c5e8369cc5c wire=14600/5529",
+    "alg2p/C12/crash trace=8420039d058be083 outputs=da210b41cd44218d rounds=70d4897614eb15c7 stats=198/198/0/0/0/0/33/5/317 time=33 events=cb6b3d36751ea272 wire=18640/6661",
+    "alg3p/C12/crash trace=134b3deaf212c697 outputs=42639e7f8f9c0e40 rounds=809b475c024a3590 stats=192/192/0/0/0/0/32/5/297 time=28 events=ed0fe81165a4ca06 wire=20295/8214",
+    "alg1/G8/crash trace=ac2201ba49fc2cbc outputs=c052cf5cb47fb211 rounds=41ac4d1c537694ed stats=117/117/0/0/0/0/17/5/179 time=29 events=bb06bc61b97d520e wire=11112/4210",
 ];
+
+/// The E19 workload's quick cells: Algorithm 3′ on the `staircase_poly`
+/// ring, seed 7, n ∈ {100, 1000}, {clean, 10% lossy} × {json, binary}.
+/// Columns: n, plan, codec, sent, delivered, events, max rounds, trace
+/// digest, proper, all correct returned, wire bytes.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const E19_QUICK: &[(usize, &str, &str, u64, u64, u64, u64, &str, bool, bool, u64)] = &[
+    (100, "clean", "json", 1944, 1944, 3230, 7, "d19e88d3bdf4c0fa", true, true, 209738),
+    (100, "clean", "binary", 1944, 1944, 3230, 7, "d19e88d3bdf4c0fa", true, true, 84138),
+    (100, "lossy-10%", "json", 1954, 1764, 3071, 5, "5ea8fb4725536320", true, true, 188705),
+    (100, "lossy-10%", "binary", 1954, 1764, 3071, 5, "5ea8fb4725536320", true, true, 75049),
+    (1000, "clean", "json", 18828, 18828, 31296, 6, "fe0bf93b5f3f1ad3", true, true, 2101962),
+    (1000, "clean", "binary", 18828, 18828, 31296, 6, "fe0bf93b5f3f1ad3", true, true, 826714),
+    (1000, "lossy-10%", "json", 20677, 18547, 32337, 8, "9448a7c2e77364ad", true, true, 2046502),
+    (1000, "lossy-10%", "binary", 20677, 18547, 32337, 8, "9448a7c2e77364ad", true, true, 798198),
+];
+
+/// Pins every deterministic outcome of the E19 quick cells. The two
+/// codecs share everything but `wire_bytes`, so one drifted digest
+/// fails two rows.
+#[test]
+fn e19_quick_cells_are_pinned() {
+    let mut actual = Vec::new();
+    for n in [100, 1000] {
+        let topo = Topology::cycle(n).unwrap();
+        for (plan_name, plan) in [
+            ("clean", FaultPlan::clean()),
+            ("lossy-10%", FaultPlan::lossy(0.10)),
+        ] {
+            for codec in [Codec::Json, Codec::Binary] {
+                let cfg = NetConfig::new(7).codec(codec);
+                let rep = run_net(
+                    &FastFiveColoringPatched,
+                    &topo,
+                    inputs::staircase_poly(n),
+                    &plan,
+                    &cfg,
+                );
+                actual.push((
+                    n,
+                    plan_name,
+                    codec.name(),
+                    rep.stats.sent,
+                    rep.stats.delivered,
+                    rep.stats.events_processed,
+                    rep.rounds.iter().copied().max().unwrap_or(0),
+                    format!("{:016x}", rep.trace.digest()),
+                    topo.is_proper_partial_coloring(&rep.outputs),
+                    rep.all_correct_returned(),
+                    rep.wire.bytes_on_wire,
+                ));
+            }
+        }
+    }
+    let expected: Vec<_> = E19_QUICK
+        .iter()
+        .map(|&(n, p, c, s, d, e, r, digest, proper, ret, w)| {
+            (n, p, c, s, d, e, r, digest.to_string(), proper, ret, w)
+        })
+        .collect();
+    assert_eq!(actual, expected);
+}
