@@ -12,7 +12,7 @@
 //!   documented crash livelock (DESIGN.md, "Reproduction findings").
 //!
 //! Each row also reports the exploration's throughput (configurations
-//! per second) and peak visited-set footprint from
+//! per second) and the explored graph's peak footprint from
 //! [`ftcolor_checker::stats::ExploreStats`], and every instance gets a
 //! `--symmetry` twin: the same exploration in the orbit quotient under
 //! the dihedral group of the cycle. Verdict columns must agree between
@@ -69,7 +69,8 @@ pub struct Row {
     pub exact_worst: Option<u64>,
     /// Exploration throughput in configurations per second.
     pub configs_per_sec: u64,
-    /// Peak visited-set footprint in bytes (keys + packed buffers).
+    /// Peak footprint of the explored graph in bytes (node arena, parent
+    /// links, edges and interners; see `ExploreStats::peak_visited_bytes`).
     pub peak_visited_bytes: u64,
 }
 

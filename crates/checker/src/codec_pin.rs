@@ -7,10 +7,9 @@
 //! here in the checker — the codec's heaviest consumer.
 
 use ftcolor_core::SixColoring;
-use ftcolor_model::encode::{ConfigCodec, PassthroughHasher};
+use ftcolor_model::encode::ConfigCodec;
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::{Execution, ProcessId, Topology};
-use std::hash::Hasher;
 
 #[test]
 fn encode_is_stable_and_delta_matches_full() {
@@ -74,11 +73,4 @@ fn step_undo_is_identity() {
     let touched = exec.step_with(&ActivationSet::solo(ProcessId(1)));
     codec.restore_procs(&mut exec, &parent.packed, &touched);
     assert_eq!(codec.encode(&exec), parent, "undo restores the parent");
-}
-
-#[test]
-fn passthrough_hasher_forwards_u64() {
-    let mut h = PassthroughHasher::default();
-    h.write_u64(0xdead_beef);
-    assert_eq!(h.finish(), 0xdead_beef);
 }

@@ -31,30 +31,41 @@
 //! [`LivelockWitness`], same `outputs_seen` order, same
 //! `exact_worst_case` — so a counterexample or a bound computed at
 //! `--jobs 8` is exactly the one a single worker would print. Each BFS
-//! level runs in two phases:
+//! level is a contiguous range of node ids, processed in chunks of
+//! [`EXPAND_CHUNK`] ids in ascending order; each chunk runs in two
+//! phases:
 //!
-//! 1. **Expand (parallel).** The frontier is split into per-worker index
-//!    ranges; workers claim chunks from their own range and *steal* from
-//!    the back of the largest remaining range when they run dry. Each
-//!    worker reads outputs and the working set straight off a frontier
-//!    node's packed row and computes the safety predicate, the terminal
-//!    check, and one packed successor key per activation subset —
-//!    stepped on the packed row itself by the codec's memoized successor
-//!    kernel ([`ConfigCodec::step_packed`], see [`ftcolor_model::encode`]),
-//!    with no [`Execution`] involved — consulting the sharded visited-set
-//!    (partitioned by the keys' precomputed `u64` hashes, one
-//!    `parking_lot::Mutex`-guarded shard each) to classify successors
-//!    already discovered in earlier levels. The visited-set is *frozen*
-//!    during this phase, so reads race with nothing.
-//! 2. **Merge (sequential, canonical order).** Results are reassembled by
-//!    frontier index and folded in ascending node-id order: first-seen
-//!    output collection, lowest-id-wins safety violation (the
-//!    lexicographically smallest counterexample — BFS parent chains order
-//!    witnesses by (length, discovery order)), terminal counting, the
-//!    configuration-cap check, new-id assignment in (parent, subset)
-//!    order, and the dedup-statistics counters. Duplicates discovered
-//!    concurrently within one level are resolved here, deterministically,
-//!    never by race outcome.
+//! 1. **Expand (parallel).** The chunk is split into per-worker index
+//!    ranges; workers claim sub-chunks from their own range and *steal*
+//!    from the back of the largest remaining range when they run dry.
+//!    Each worker reads outputs and the working set straight off a
+//!    node's packed row in the node arena and computes the safety
+//!    predicate, the terminal check, and one successor per activation
+//!    subset — stepped on the packed row itself into a per-worker
+//!    scratch row by the codec's memoized successor kernel
+//!    ([`ConfigCodec::step_into`], see [`ftcolor_model::encode`]), with
+//!    no [`Execution`] involved — and looks each successor up in the
+//!    arena's index. A successor already there is recorded by id; only
+//!    a new one is copied out of the scratch row. The arena is *frozen*
+//!    during this phase, so reads race with nothing, and no successor
+//!    allocates.
+//! 2. **Merge (sequential, canonical order).** Results are folded in
+//!    ascending node-id order: first-seen output collection,
+//!    lowest-id-wins safety violation (the lexicographically smallest
+//!    counterexample — BFS parent chains order witnesses by (length,
+//!    discovery order)), terminal counting, the configuration-cap check,
+//!    new-id assignment in (parent, subset) order, and the
+//!    dedup-statistics counters. Duplicates discovered concurrently
+//!    within one chunk are resolved here, deterministically, never by
+//!    race outcome: a successor that an earlier chunk already merged
+//!    resolves to the id the merge's own arena lookup would find.
+//!
+//! Whether a chunk expands at all is decided anew before each chunk, so
+//! once the configuration cap is reached at most one chunk's successors
+//! are computed and then dropped. A node that starts expanding below
+//! the cap still adds all of its successors, so a truncated run may
+//! hold more than `cap` configurations, by less than the largest
+//! branching (`2^|working| − 1`).
 //!
 //! Cycle detection and the worst-case DP then run on the resulting edge
 //! list. `tests/parallel_equivalence.rs` checks the engine at several
@@ -63,15 +74,20 @@
 //!
 //! # Compact storage
 //!
-//! Configurations are stored as packed interned buffers
-//! ([`ftcolor_model::encode::CfgKey`]): the visited-set, the frontier,
-//! and the parent links never hold an [`Execution`] or a heap tuple. Key
-//! equality compares the packed buffers themselves, so deduplication is
-//! exact. Transitions are stored **packed** — `(target, subset bitmask,
-//! frame automorphism)` in 12 bytes — and decoded against the source
-//! node's working set only when a witness needs materializing; at
-//! millions of configurations this keeps the edge arena an order of
-//! magnitude smaller than heap-allocated activation sets would be.
+//! One node arena is both the node store and the visited set: every
+//! configuration's packed interned row ([`ftcolor_model::encode`]) sits
+//! back to back in one flat `Vec<u32>`, indexed by node id, next to its
+//! slot-XOR hash and an open-addressing `u32` index over the ids. Row
+//! equality is compared in full, so deduplication is exact. Transitions
+//! are stored in compressed sparse rows — one offset per node plus one
+//! flat edge list — and **packed**: `(target, subset bitmask, frame
+//! automorphism)` in 12 bytes, decoded against the source node's
+//! working set only when a witness needs materializing. Parent links are
+//! 12 bytes too, so a configuration of an `n`-process instance costs
+//! `12n + 8` bytes of row and hash, two to four 4-byte index slots, its
+//! parent link and its out-edges — no per-node heap allocation at all.
+//! [`ExploreStats::peak_visited_bytes`] adds up the capacities of
+//! exactly these buffers plus the interners.
 //!
 //! # Reductions
 //!
@@ -103,15 +119,15 @@
 use crate::por::{self, PorContext};
 use crate::stats::ExploreStats;
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
-use ftcolor_model::encode::{CfgKey, ConfigCodec, PassthroughBuild};
+use ftcolor_model::encode::{ConfigCodec, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
-use ftcolor_model::sweep::{default_jobs, RangeQueue};
+use ftcolor_model::sweep::{default_jobs, partition};
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Range;
 use std::time::Instant;
 
 /// A safety violation found at a reachable configuration.
@@ -290,34 +306,24 @@ impl fmt::Display for ModelCheckError {
 impl std::error::Error for ModelCheckError {}
 
 /// Every non-empty subset of `working`, as activation sets — the full
-/// branching of the adversary at one configuration.
+/// branching of the adversary at one configuration, in ascending
+/// bitmask order (bit `i` activates `working[i]`), the order every
+/// exploration mode branches in.
 ///
 /// # Panics
 ///
 /// Panics if `working` has 24 or more entries (the instance is far too
 /// large for exhaustive exploration anyway).
 pub fn all_nonempty_subsets(working: &[ftcolor_model::ProcessId]) -> Vec<ActivationSet> {
-    subsets_with_masks(working)
-        .into_iter()
-        .map(|(_, set)| set)
+    let k = working.len();
+    assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
+    (1..(1u32 << k))
+        .map(|mask| decode_mask(mask, working))
         .collect()
 }
 
-/// [`all_nonempty_subsets`] paired with each subset's bitmask over
-/// `working` (bit `i` activates `working[i]`) — the packed form the
-/// engine stores in [`Edge`]s. Masks enumerate ascending, so every
-/// exploration mode branches in the same deterministic order.
-///
-/// # Panics
-///
-/// Panics if `working` has 24 or more entries.
-fn subsets_with_masks(working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
-    let k = working.len();
-    assert!(k < 24, "subset enumeration needs a small instance");
-    (1..(1u32 << k))
-        .map(|mask| (mask, decode_mask(mask, working)))
-        .collect()
-}
+/// Exclusive bound on the working-set size subset enumeration accepts.
+const MAX_WORKING: usize = 24;
 
 /// Expands a packed subset bitmask back into an activation set against
 /// the source configuration's (ascending) working list.
@@ -334,7 +340,7 @@ fn decode_mask(mask: u32, working: &[ProcessId]) -> ActivationSet {
 /// ascending working list — decode with [`decode_mask`]), and the
 /// automorphism that canonicalized the raw successor (`SIGMA_ID`
 /// outside symmetry mode). 12 bytes, `Copy`: at millions of
-/// configurations the edge arena stays RAM-resident where heap
+/// configurations the edge list stays RAM-resident where heap
 /// activation sets would not.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
@@ -343,9 +349,48 @@ struct Edge {
     sig: u16,
 }
 
-/// BFS parent link: parent id, activation-subset bitmask (in the
-/// parent's frame), canonicalizing automorphism of the edge.
-type ParentLink = Option<(u32, u32, u16)>;
+/// The configuration graph's transitions in compressed sparse rows:
+/// node `u`'s out-edges are `edges[first[u]..first[u + 1]]`. Nodes merge
+/// in ascending id order, so each node's edges are appended
+/// contiguously.
+struct Csr {
+    first: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Csr {
+    /// Number of nodes.
+    fn nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// The out-edges of node `u`.
+    fn out(&self, u: usize) -> &[Edge] {
+        &self.edges[self.first[u] as usize..self.first[u + 1] as usize]
+    }
+
+    /// Closes the row of the next node: its edges start here.
+    fn start_node(&mut self) {
+        self.first
+            .push(u32::try_from(self.edges.len()).expect("edge counts fit in u32"));
+    }
+
+    /// Heap bytes held, by capacity.
+    fn bytes(&self) -> usize {
+        self.first.capacity() * std::mem::size_of::<u32>()
+            + self.edges.capacity() * std::mem::size_of::<Edge>()
+    }
+}
+
+/// BFS parent link of a non-root node: parent id, activation-subset
+/// bitmask (in the parent's frame), canonicalizing automorphism of the
+/// edge. The root (id 0) has a placeholder no walk reads.
+#[derive(Debug, Clone, Copy)]
+struct ParentLink {
+    node: u32,
+    mask: u32,
+    sig: u16,
+}
 
 /// Walks the BFS parent chain from node `id` back to the root, returning
 /// the activation-set schedule that reaches `id` from the initial
@@ -360,9 +405,10 @@ fn schedule_to(
     working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
 ) -> Vec<ActivationSet> {
     let mut sched = Vec::new();
-    while let Some((p, mask, _)) = &parents[id] {
-        id = *p as usize;
-        sched.push(decode_mask(*mask, &working_of(id)));
+    while id != 0 {
+        let link = parents[id];
+        id = link.node as usize;
+        sched.push(decode_mask(link.mask, &working_of(id)));
     }
     sched.reverse();
     sched
@@ -381,9 +427,10 @@ fn frame_schedule(
     working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
 ) -> (Vec<ActivationSet>, u16) {
     let mut chain: Vec<(ActivationSet, u16)> = Vec::new();
-    while let Some((p, mask, sig)) = &parents[id] {
-        id = *p as usize;
-        chain.push((decode_mask(*mask, &working_of(id)), *sig));
+    while id != 0 {
+        let link = parents[id];
+        id = link.node as usize;
+        chain.push((decode_mask(link.mask, &working_of(id)), link.sig));
     }
     chain.reverse();
 
@@ -492,15 +539,15 @@ type Lasso = (usize, Vec<(usize, u32, u16)>);
 /// Invariant used for witness extraction: after taking edge index `ei`
 /// out of node `u`, the stack entry stores `ei + 1`, so the edge from
 /// `stack[w]` toward `stack[w+1]` (or the closing back edge, for the top
-/// entry) is always `edges[node][stored_ei − 1]`.
-fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
+/// entry) is always `graph.out(node)[stored_ei − 1]`.
+fn find_cycle(graph: &Csr) -> Option<Lasso> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
         Gray,
         Black,
     }
-    let n = edges.len();
+    let n = graph.nodes();
     let mut color = vec![Color::White; n];
     for start in 0..n {
         if color[start] != Color::White {
@@ -509,13 +556,13 @@ fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         color[start] = Color::Gray;
         while let Some(&(u, ei)) = stack.last() {
-            if ei >= edges[u].len() {
+            if ei >= graph.out(u).len() {
                 color[u] = Color::Black;
                 stack.pop();
                 continue;
             }
             stack.last_mut().expect("nonempty").1 = ei + 1;
-            let v = edges[u][ei].to as usize;
+            let v = graph.out(u)[ei].to as usize;
             match color[v] {
                 Color::White => {
                     color[v] = Color::Gray;
@@ -530,7 +577,7 @@ fn find_cycle(edges: &[Vec<Edge>]) -> Option<Lasso> {
                     let cycle = stack[pos..]
                         .iter()
                         .map(|&(node, next_ei)| {
-                            let e = &edges[node][next_ei - 1];
+                            let e = &graph.out(node)[next_ei - 1];
                             (node, e.mask, e.sig)
                         })
                         .collect();
@@ -565,23 +612,21 @@ fn decode_cycle(
 /// vector of a *concrete* path and the maximum over the quotient equals
 /// the maximum over the full graph.
 fn worst_case_from_graph(
-    edges: &[Vec<Edge>],
+    graph: &Csr,
     n: usize,
     sym: Option<&CycleSymmetry>,
     working_of: &mut impl FnMut(usize) -> Vec<ProcessId>,
 ) -> Option<u64> {
-    let m = edges.len();
+    let m = graph.nodes();
     let mut indeg = vec![0usize; m];
-    for outs in edges {
-        for e in outs {
-            indeg[e.to as usize] += 1;
-        }
+    for e in &graph.edges {
+        indeg[e.to as usize] += 1;
     }
     let mut order = Vec::with_capacity(m);
     let mut q: VecDeque<usize> = (0..m).filter(|&v| indeg[v] == 0).collect();
     while let Some(u) = q.pop_front() {
         order.push(u);
-        for e in &edges[u] {
+        for e in graph.out(u) {
             indeg[e.to as usize] -= 1;
             if indeg[e.to as usize] == 0 {
                 q.push_back(e.to as usize);
@@ -598,7 +643,7 @@ fn worst_case_from_graph(
         answer = answer.max(best[u].iter().copied().max().unwrap_or(0));
         let from = best[u].clone();
         let working = working_of(u);
-        for e in edges[u].clone() {
+        for e in graph.out(u) {
             for (i, &acts) in from.iter().enumerate() {
                 // Mask bit j activates working[j]; process i is activated
                 // iff it sits at such a position in the working list.
@@ -620,82 +665,301 @@ fn worst_case_from_graph(
     Some(answer)
 }
 
-/// Number of hash-partitioned shards in the visited-set. A power of two
-/// comfortably above any realistic worker count, so shard collisions
-/// between concurrent readers are rare.
-const SHARDS: usize = 64;
+/// Frontier node ids expanded per chunk. Each chunk's expansion is
+/// merged before the next one starts, so a capped run computes at most
+/// one chunk's successors past the cap; the outcome does not depend on
+/// this value.
+pub const EXPAND_CHUNK: usize = 512;
 
-/// A visited-set hash-partitioned into independently locked shards.
-///
-/// Shard choice reuses the key's precomputed run-independent `u64`
-/// configuration hash, so the partition is a pure function of the key —
-/// identical across runs, threads, and machines — and the inner maps
-/// skip rehashing entirely ([`PassthroughBuild`]).
-struct ShardedMap {
-    shards: Vec<Mutex<HashMap<CfgKey, usize, PassthroughBuild>>>,
+/// An empty slot of [`NodeArena`]'s index.
+const VACANT: u32 = u32::MAX;
+
+/// Every configuration of one exploration, stored flat: node `id`'s
+/// packed row is `rows[id·w..(id+1)·w]` and its slot-XOR hash
+/// `hashes[id]`. An open-addressing index of node ids (linear probing,
+/// at most half full) makes the arena the visited set as well.
+struct NodeArena {
+    width: usize,
+    rows: Vec<u32>,
+    hashes: Vec<u64>,
+    index: Vec<u32>,
 }
 
-impl ShardedMap {
-    fn new() -> Self {
-        ShardedMap {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(HashMap::with_hasher(PassthroughBuild::default())))
-                .collect(),
+impl NodeArena {
+    fn new(width: usize) -> Self {
+        NodeArena {
+            width,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+            index: vec![VACANT; 1024],
         }
     }
 
-    fn shard_of(key: &CfgKey) -> usize {
-        (key.hash as usize) % SHARDS
+    /// Number of nodes.
+    fn len(&self) -> usize {
+        self.hashes.len()
     }
 
-    fn get(&self, key: &CfgKey) -> Option<usize> {
-        self.shards[Self::shard_of(key)].lock().get(key).copied()
+    /// The packed row of node `id`.
+    fn row(&self, id: usize) -> &[u32] {
+        &self.rows[id * self.width..(id + 1) * self.width]
     }
 
-    fn insert(&self, key: CfgKey, id: usize) {
-        self.shards[Self::shard_of(&key)].lock().insert(key, id);
+    /// The id of the node packed as `row` (whose hash is `hash`), or the
+    /// vacant index slot where it would go.
+    fn probe(&self, row: &[u32], hash: u64) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.index[slot];
+            if id == VACANT {
+                return Err(slot);
+            }
+            if self.hashes[id as usize] == hash && self.row(id as usize) == row {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
     }
+
+    /// The id of the node packed as `row`, if present.
+    fn get(&self, row: &[u32], hash: u64) -> Option<u32> {
+        self.probe(row, hash).ok()
+    }
+
+    /// The id of the node packed as `row`, appending it as the next node
+    /// when absent; the flag is `true` when it was appended.
+    fn insert(&mut self, row: &[u32], hash: u64) -> (u32, bool) {
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        match self.probe(row, hash) {
+            Ok(id) => (id, false),
+            Err(slot) => {
+                let id = node_id32(self.len());
+                self.index[slot] = id;
+                self.rows.extend_from_slice(row);
+                self.hashes.push(hash);
+                (id, true)
+            }
+        }
+    }
+
+    /// Doubles the index, re-placing every id by its stored hash.
+    fn grow(&mut self) {
+        let mask = 2 * self.index.len() - 1;
+        let mut index = vec![VACANT; mask + 1];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & mask;
+            while index[slot] != VACANT {
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = node_id32(id);
+        }
+        self.index = index;
+    }
+
+    /// Heap bytes held, by capacity.
+    fn bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<u32>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Where one successor lands: a node the arena already held when the
+/// chunk began, or the `n`-th row of the expanding worker's fresh
+/// buffer, for the merge to resolve against same-chunk duplicates.
+#[derive(Clone, Copy)]
+enum Target {
+    Known(u32),
+    Fresh(u32),
 }
 
 /// One successor computed during the expand phase: the activation-subset
 /// bitmask taken (over the source configuration's ascending working
-/// list), the canonicalizing automorphism, and the target — its id when
-/// an earlier level already visited it, otherwise its packed key for the
-/// merge phase to resolve against same-level duplicates.
+/// list), the canonicalizing automorphism, and the target.
 struct Child {
     mask: u32,
     sig: u16,
-    target: Result<usize, CfgKey>,
+    target: Target,
 }
 
-/// Everything the merge phase needs about one expanded frontier node.
-struct Expansion<O> {
-    /// Outputs present at this configuration, in process order.
-    outputs: Vec<O>,
+/// Everything the merge phase needs about one expanded node.
+struct Expanded {
+    /// The node's id.
+    node: u32,
     /// Safety-predicate result at this configuration.
     violation: Option<String>,
     /// Every process has returned: no successors.
     terminal: bool,
-    /// Successors in activation-subset (mask) order; empty when terminal
-    /// or when expansion is globally disabled (cap already reached).
-    children: Vec<Child>,
     /// Activation subsets POR pruned at this node (`0` outside `--por`).
     /// Credited by the merge phase only when the node actually expands,
     /// so capped nodes don't count.
     pruned: u64,
+    /// The node's successors in the worker's `children`, in
+    /// activation-subset (mask) order; empty when terminal or when the
+    /// chunk did not expand (cap already reached).
+    children: Range<u32>,
+}
+
+/// One worker's expansion buffers. They are cleared, not freed, between
+/// chunks, so once they have grown the expand phase allocates nothing.
+struct Worker<O> {
+    expanded: Vec<Expanded>,
+    children: Vec<Child>,
+    /// Rows of successors the arena did not hold, back to back.
+    fresh_rows: Vec<u32>,
+    fresh_hashes: Vec<u64>,
+    /// Scratch rows: the stepped successor and its canonical image.
+    step: Vec<u32>,
+    canon: Vec<u32>,
+    /// Scratch for the node's outputs (the safety predicate's input) and
+    /// working list.
+    outputs: Vec<Option<O>>,
+    working: Vec<ProcessId>,
+}
+
+impl<O> Worker<O> {
+    fn new(width: usize) -> Self {
+        Worker {
+            expanded: Vec::new(),
+            children: Vec::new(),
+            fresh_rows: Vec::new(),
+            fresh_hashes: Vec::new(),
+            step: vec![0; width],
+            canon: vec![0; width],
+            outputs: Vec::new(),
+            working: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.expanded.clear();
+        self.children.clear();
+        self.fresh_rows.clear();
+        self.fresh_hashes.clear();
+    }
+}
+
+/// What every worker reads while expanding one chunk; the arena is
+/// frozen until the chunk's merge.
+struct Expander<'c, A: Algorithm, S> {
+    alg: &'c A,
+    topo: &'c Topology,
+    codec: &'c ConfigCodec<A>,
+    sym: Option<&'c CycleSymmetry>,
+    por: Option<&'c PorContext>,
+    safety: &'c S,
+    arena: &'c NodeArena,
+    /// Whether nodes of this chunk branch at all (the cap not yet
+    /// reached when the chunk began).
+    expand: bool,
+}
+
+impl<A, S> Expander<'_, A, S>
+where
+    A: Algorithm,
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash,
+    S: Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
+{
+    /// Expands node `id` into `w`'s buffers.
+    fn expand(&self, w: &mut Worker<A::Output>, id: usize) {
+        let Worker {
+            expanded,
+            children,
+            fresh_rows,
+            fresh_hashes,
+            step,
+            canon,
+            outputs,
+            working,
+        } = w;
+        let row = self.arena.row(id);
+        let hash = self.arena.hashes[id];
+        self.codec.outputs_into(row, outputs);
+        // The predicate is pure, so evaluating it at configurations
+        // after the first violation changes nothing observable.
+        let violation = (self.safety)(self.topo, outputs);
+        working.clear();
+        working.extend(
+            outputs
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.is_none())
+                .map(|(i, _)| ProcessId(i)),
+        );
+        let terminal = working.is_empty();
+        let first = children.len();
+        let mut pruned = 0u64;
+        if !terminal && self.expand {
+            let k = working.len();
+            assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
+            let full = (1u32 << k) - 1;
+            let mut every = 1..=full;
+            let mut reduced;
+            let masks: &mut dyn Iterator<Item = u32> = match self.por {
+                Some(p) => {
+                    reduced = p.reduced_masks(working);
+                    &mut reduced
+                }
+                None => &mut every,
+            };
+            let mut active = [ProcessId(0); MAX_WORKING];
+            let mut taken = 0u64;
+            for mask in masks {
+                taken += 1;
+                let mut len = 0;
+                for (i, &p) in working.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        active[len] = p;
+                        len += 1;
+                    }
+                }
+                let h = self
+                    .codec
+                    .step_into(self.alg, self.topo, row, hash, &active[..len], step);
+                let canonical = self
+                    .sym
+                    .and_then(|s| s.canonicalize_into(self.codec, self.alg, true, step, canon));
+                let (succ, h, sig) = match canonical {
+                    Some((h, sig)) => (&canon[..], h, sig),
+                    None => (&step[..], h, SIGMA_ID),
+                };
+                let target = match self.arena.get(succ, h) {
+                    Some(to) => Target::Known(to),
+                    None => {
+                        let n = node_id32(fresh_hashes.len());
+                        fresh_rows.extend_from_slice(succ);
+                        fresh_hashes.push(h);
+                        Target::Fresh(n)
+                    }
+                };
+                children.push(Child { mask, sig, target });
+            }
+            pruned = u64::from(full) - taken;
+        }
+        expanded.push(Expanded {
+            node: node_id32(id),
+            violation,
+            terminal,
+            pruned,
+            children: node_id32(first)..node_id32(children.len()),
+        });
+    }
 }
 
 /// Fully merged exploration result; shared by `explore` and
 /// `exact_worst_case`.
 struct GraphResult<O> {
-    edges: Vec<Vec<Edge>>,
-    parents: Vec<ParentLink>,
-    /// Packed key of every node, indexed by id — the decode arena for
+    /// Every node's packed row, indexed by id — the decode arena for
     /// witness reconstruction (edges store subset bitmasks, which only
     /// mean something against the source node's working list).
-    nodes: Vec<CfgKey>,
-    configs: usize,
-    edge_count: usize,
+    arena: NodeArena,
+    graph: Csr,
+    parents: Vec<ParentLink>,
     fully_terminated: usize,
     truncated: bool,
     /// Lowest-id violating configuration and its description.
@@ -729,6 +993,11 @@ where
 
     /// Overrides the configuration cap; exploration beyond it returns a
     /// truncated (but still sound for the explored part) outcome.
+    ///
+    /// The cap is checked before each node expands, and a node that
+    /// expands adds all of its successors, so a truncated run may
+    /// overshoot: `configs − cap` stays below the largest branching,
+    /// `2^|working| − 1` (31 on a five-process ring).
     pub fn with_max_configs(mut self, cap: usize) -> Self {
         self.max_configs = cap.max(1);
         self
@@ -807,7 +1076,7 @@ where
         safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
     ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
         let g = self.explore_graph(&safety, true, self.por)?;
-        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(g.arena.row(id));
         let safety_violation = g.first_violation.as_ref().map(|(id, desc)| {
             concrete_safety_witness(
                 self.alg,
@@ -822,7 +1091,7 @@ where
                 &mut working_of,
             )
         });
-        let livelock = find_cycle(&g.edges).map(|(entry, raw)| {
+        let livelock = find_cycle(&g.graph).map(|(entry, raw)| {
             let cycle = decode_cycle(&raw, &mut working_of);
             concrete_livelock_witness(
                 &g.parents,
@@ -834,8 +1103,8 @@ where
             )
         });
         Ok(ModelCheckOutcome {
-            configs: g.configs,
-            edges: g.edge_count,
+            configs: g.arena.len(),
+            edges: g.graph.edges.len(),
             fully_terminated_configs: g.fully_terminated,
             safety_violation,
             livelock,
@@ -886,14 +1155,14 @@ where
         if g.truncated {
             return Ok((None, g.stats)); // truncated: cannot certify
         }
-        let mut working_of = |id: usize| ConfigCodec::<A>::working(&g.nodes[id].packed);
-        let w = worst_case_from_graph(&g.edges, self.topo.len(), g.sym.as_ref(), &mut working_of);
+        let mut working_of = |id: usize| ConfigCodec::<A>::working(g.arena.row(id));
+        let w = worst_case_from_graph(&g.graph, self.topo.len(), g.sym.as_ref(), &mut working_of);
         Ok((w, g.stats))
     }
 
-    /// Level-synchronized BFS: parallel expand, canonical sequential
-    /// merge. See the module docs for why the outcome is independent of
-    /// the worker count.
+    /// Level-synchronized BFS, chunk by chunk: parallel expand,
+    /// canonical sequential merge. See the module docs for why the
+    /// outcome is independent of the worker count.
     fn explore_graph(
         &self,
         safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
@@ -927,240 +1196,217 @@ where
             Some(s) => s.canonicalize(&codec, self.alg, true, &root),
             None => (root, SIGMA_ID),
         };
-        let visited = ShardedMap::new();
-        visited.insert(root.clone(), 0);
+        let width = root.packed.len();
+        let mut arena = NodeArena::new(width);
+        arena.insert(&root.packed, root.hash);
 
-        let mut g = GraphResult {
-            edges: vec![Vec::new()],
-            parents: vec![None],
-            nodes: vec![root.clone()],
-            configs: 1,
-            edge_count: 0,
-            fully_terminated: 0,
-            truncated: false,
-            first_violation: None,
-            outputs_seen: Vec::new(),
-            stats: ExploreStats::default(),
-            sym,
-            root_sig,
+        let mut graph = Csr {
+            first: Vec::new(),
+            edges: Vec::new(),
         };
-        let mut seen_set: HashSet<A::Output> = HashSet::new();
+        let mut parents = vec![ParentLink {
+            node: 0,
+            mask: 0,
+            sig: SIGMA_ID,
+        }];
+        let (mut fully_terminated, mut truncated) = (0usize, false);
+        let mut first_violation: Option<(usize, String)> = None;
+        let mut outputs_seen = Vec::new();
+        // First-seen flags by output intern index.
+        let mut seen: Vec<bool> = Vec::new();
         let (mut dedup_hits, mut dedup_lookups, mut por_pruned) = (0u64, 0u64, 0u64);
+        let mut workers: Vec<Worker<A::Output>> =
+            (0..self.jobs).map(|_| Worker::new(width)).collect();
+        // (worker, index into its `expanded`) of each node of a chunk.
+        let mut placed: Vec<(usize, usize)> = Vec::new();
 
-        let mut frontier: Vec<(usize, CfgKey)> = vec![(0, root)];
-        while !frontier.is_empty() {
-            // Once the cap has been reached, no node of this or any later
-            // level may expand (each is flagged as truncated) — skip the
-            // successor work entirely.
-            let expand = g.configs < self.max_configs;
-            let results = self.expand_level(
-                &codec,
-                g.sym.as_ref(),
-                por.as_ref(),
-                &frontier,
-                safety,
-                &visited,
-                expand,
-                track_outputs,
-            );
+        let mut level = 0..1;
+        while !level.is_empty() {
+            let mut lo = level.start;
+            while lo < level.end {
+                let chunk = lo..(lo + EXPAND_CHUNK).min(level.end);
+                lo = chunk.end;
+                let expander = Expander {
+                    alg: self.alg,
+                    topo: self.topo,
+                    codec: &codec,
+                    sym: sym.as_ref(),
+                    por: por.as_ref(),
+                    safety,
+                    arena: &arena,
+                    // Once the cap has been reached, no node of this or
+                    // any later chunk may expand (each is flagged as
+                    // truncated) — skip the successor work entirely.
+                    expand: arena.len() < self.max_configs,
+                };
+                self.expand_chunk(&expander, chunk.clone(), &mut workers, &mut placed);
 
-            // ---- merge, in ascending node-id order ----
-            let mut next_frontier: Vec<(usize, CfgKey)> = Vec::new();
-            for ((id, _), result) in frontier.iter().zip(results) {
-                let id = *id;
-                if track_outputs {
-                    for o in result.outputs {
-                        if seen_set.insert(o.clone()) {
-                            g.outputs_seen.push(o);
+                // ---- merge, in ascending node-id order ----
+                for (id, &(w, k)) in chunk.zip(&placed) {
+                    graph.start_node();
+                    if track_outputs {
+                        let row = arena.row(id);
+                        for &o in row
+                            .iter()
+                            .skip(2)
+                            .step_by(SLOTS_PER_PROC)
+                            .filter(|&&o| o != 0)
+                        {
+                            let i = (o - 1) as usize;
+                            if seen.len() <= i {
+                                seen.resize(i + 1, false);
+                            }
+                            if !seen[i] {
+                                seen[i] = true;
+                                outputs_seen.push(codec.output(o).expect("a packed output"));
+                            }
                         }
                     }
-                }
-                if g.first_violation.is_none() {
-                    if let Some(desc) = result.violation {
-                        g.first_violation = Some((id, desc));
+                    let worker = &workers[w];
+                    let node = &worker.expanded[k];
+                    if first_violation.is_none() {
+                        first_violation = node.violation.clone().map(|desc| (id, desc));
                     }
-                }
-                if result.terminal {
-                    g.fully_terminated += 1;
-                    continue;
-                }
-                if g.configs >= self.max_configs {
-                    g.truncated = true;
-                    continue;
-                }
-                por_pruned += result.pruned;
-                for Child { mask, sig, target } in result.children {
-                    dedup_lookups += 1;
-                    // A key fresh at expand time may have been discovered
-                    // by an earlier node of this level since.
-                    let next_id = match target.or_else(|key| visited.get(&key).ok_or(key)) {
-                        Ok(nid) => {
-                            dedup_hits += 1;
-                            nid
-                        }
-                        Err(key) => {
-                            let nid = g.edges.len();
-                            visited.insert(key.clone(), nid);
-                            g.edges.push(Vec::new());
-                            g.parents.push(Some((node_id32(id), mask, sig)));
-                            g.nodes.push(key.clone());
-                            next_frontier.push((nid, key));
-                            g.configs += 1;
-                            nid
-                        }
-                    };
-                    g.edges[id].push(Edge {
-                        to: node_id32(next_id),
-                        mask,
-                        sig,
-                    });
-                    g.edge_count += 1;
+                    if node.terminal {
+                        fully_terminated += 1;
+                        continue;
+                    }
+                    if arena.len() >= self.max_configs {
+                        truncated = true;
+                        continue;
+                    }
+                    por_pruned += node.pruned;
+                    let kids = node.children.start as usize..node.children.end as usize;
+                    for child in &worker.children[kids] {
+                        dedup_lookups += 1;
+                        let to = match child.target {
+                            Target::Known(to) => {
+                                dedup_hits += 1;
+                                to
+                            }
+                            // A row fresh at expand time may have been
+                            // merged by an earlier node of this chunk.
+                            Target::Fresh(n) => {
+                                let n = n as usize;
+                                let row = &worker.fresh_rows[n * width..(n + 1) * width];
+                                let (to, new) = arena.insert(row, worker.fresh_hashes[n]);
+                                if new {
+                                    parents.push(ParentLink {
+                                        node: node_id32(id),
+                                        mask: child.mask,
+                                        sig: child.sig,
+                                    });
+                                } else {
+                                    dedup_hits += 1;
+                                }
+                                to
+                            }
+                        };
+                        graph.edges.push(Edge {
+                            to,
+                            mask: child.mask,
+                            sig: child.sig,
+                        });
+                    }
                 }
             }
-            frontier = next_frontier;
+            level = level.end..arena.len();
         }
+        graph.start_node();
 
-        g.stats = ExploreStats::measure(
-            g.configs,
+        let visited_bytes = arena.bytes()
+            + graph.bytes()
+            + parents.capacity() * std::mem::size_of::<ParentLink>()
+            + codec.approx_interner_bytes();
+        let mut stats = ExploreStats::measure(
+            arena.len(),
             t0.elapsed(),
-            visited_bytes(&codec, g.configs),
+            visited_bytes as u64,
             dedup_hits,
             dedup_lookups,
             interned_total(&codec),
         );
-        g.stats.por_pruned_sets = por_pruned;
-        Ok(g)
+        stats.por_pruned_sets = por_pruned;
+        Ok(GraphResult {
+            arena,
+            graph,
+            parents,
+            fully_terminated,
+            truncated,
+            first_violation,
+            outputs_seen,
+            stats,
+            sym,
+            root_sig,
+        })
     }
 
-    /// The parallel phase: expands every frontier node, returning one
-    /// [`Expansion`] per node *in frontier order*. Successors come from
-    /// the codec's packed successor kernel
-    /// ([`ConfigCodec::step_packed`]), so no worker touches an
-    /// [`Execution`]. The visited-set is only read here, never written.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_level(
+    /// The parallel phase: expands every node of `chunk` into the
+    /// workers' buffers and records in `placed`, per node in id order,
+    /// which worker holds its [`Expanded`] entry at which index.
+    /// Successors come from the codec's packed successor kernel
+    /// ([`ConfigCodec::step_into`]), so no worker touches an
+    /// [`Execution`]. The arena is only read here, never written.
+    fn expand_chunk<S>(
         &self,
-        codec: &ConfigCodec<A>,
-        sym: Option<&CycleSymmetry>,
-        por: Option<&PorContext>,
-        frontier: &[(usize, CfgKey)],
-        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
-        visited: &ShardedMap,
-        expand: bool,
-        track_outputs: bool,
-    ) -> Vec<Expansion<A::Output>> {
-        let expand_one = |key: &CfgKey| -> Expansion<A::Output> {
-            let all_outputs = codec.outputs(&key.packed);
-            // The predicate is pure, so evaluating it at configurations
-            // after the first violation changes nothing observable.
-            let violation = safety(self.topo, &all_outputs);
-            let outputs = if track_outputs {
-                all_outputs.into_iter().flatten().collect()
-            } else {
-                Vec::new()
-            };
-            let working = ConfigCodec::<A>::working(&key.packed);
-            let terminal = working.is_empty();
-            let mut children = Vec::new();
-            let mut pruned = 0u64;
-            if !terminal && expand {
-                let subsets = match por {
-                    Some(p) => {
-                        let reduced = p.reduced_subsets(&working);
-                        pruned = ((1u64 << working.len()) - 1) - reduced.len() as u64;
-                        reduced
-                    }
-                    None => subsets_with_masks(&working),
-                };
-                for (mask, set) in subsets {
-                    let active = match &set {
-                        ActivationSet::Only(ps) => ps,
-                        ActivationSet::All => &working,
-                    };
-                    let succ = codec.step_packed(self.alg, self.topo, key, active);
-                    let (succ, sig) = match sym {
-                        Some(s) => s.canonicalize(codec, self.alg, true, &succ),
-                        None => (succ, SIGMA_ID),
-                    };
-                    let target = visited.get(&succ).ok_or(succ);
-                    children.push(Child { mask, sig, target });
-                }
-            }
-            Expansion {
-                outputs,
-                violation,
-                terminal,
-                children,
-                pruned,
-            }
-        };
-
-        let workers = self.jobs.min(frontier.len()).max(1);
-        if workers == 1 {
-            return frontier.iter().map(|(_, key)| expand_one(key)).collect();
+        expander: &Expander<'_, A, S>,
+        chunk: Range<usize>,
+        workers: &mut [Worker<A::Output>],
+        placed: &mut Vec<(usize, usize)>,
+    ) where
+        S: Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
+    {
+        let active = self.jobs.min(chunk.len()).max(1);
+        let workers = &mut workers[..active];
+        for w in workers.iter_mut() {
+            w.clear();
         }
-
-        // Per-worker index ranges with back-half stealing: worker w owns
-        // an even slice of the frontier and raids the fullest remaining
-        // range when its own is exhausted.
-        let queues: Vec<RangeQueue> = (0..workers)
-            .map(|w| {
-                let lo = frontier.len() * w / workers;
-                let hi = frontier.len() * (w + 1) / workers;
-                RangeQueue::new(lo, hi)
-            })
-            .collect();
-        let chunk = (frontier.len() / (workers * 8)).max(1);
-
-        let mut results: Vec<Option<Expansion<A::Output>>> =
-            (0..frontier.len()).map(|_| None).collect();
-        let mut parts = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
+        if active == 1 {
+            for id in chunk.clone() {
+                expander.expand(&mut workers[0], id);
+            }
+        } else {
+            // Per-worker index ranges with back-half stealing: worker w
+            // owns an even slice of the chunk and raids the fullest
+            // remaining range when its own is exhausted.
+            let queues = partition(chunk.len(), active);
+            let claim = (chunk.len() / (active * 8)).max(1);
+            let base = chunk.start;
+            crossbeam::thread::scope(|s| {
+                for (w, worker) in workers.iter_mut().enumerate() {
                     let queues = &queues;
-                    let expand_one = &expand_one;
-                    s.spawn(move |_| {
-                        let mut local: Vec<(usize, Expansion<A::Output>)> = Vec::new();
-                        let mut run = |range: std::ops::Range<usize>| {
-                            for i in range {
-                                local.push((i, expand_one(&frontier[i].1)));
-                            }
-                        };
-                        loop {
-                            if let Some(range) = queues[w].claim(chunk) {
-                                run(range);
-                                continue;
-                            }
+                    s.spawn(move |_| loop {
+                        let range = match queues[w].claim(claim) {
+                            Some(range) => range,
                             // Own range dry: steal from whoever has the
                             // most left (scan order fixed, outcome not —
-                            // but results are reassembled by index, so
+                            // but results are placed by node id, so
                             // scheduling can't leak into the output).
-                            let victim = (0..workers)
-                                .filter(|&v| v != w)
-                                .max_by_key(|&v| queues[v].remaining());
-                            match victim.and_then(|v| queues[v].steal()) {
-                                Some(range) => run(range),
-                                None => break,
+                            None => {
+                                let victim = (0..active)
+                                    .filter(|&v| v != w)
+                                    .max_by_key(|&v| queues[v].remaining());
+                                match victim.and_then(|v| queues[v].steal()) {
+                                    Some(range) => range,
+                                    None => break,
+                                }
                             }
+                        };
+                        for i in range {
+                            expander.expand(worker, base + i);
                         }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("model-check worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("model-check worker panicked");
-
-        for (i, expansion) in parts.drain(..).flatten() {
-            results[i] = Some(expansion);
+                    });
+                }
+            })
+            .expect("model-check worker panicked");
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every frontier index expanded exactly once"))
-            .collect()
+        placed.clear();
+        placed.resize(chunk.len(), (0, 0));
+        for (w, worker) in workers.iter().enumerate() {
+            for (k, node) in worker.expanded.iter().enumerate() {
+                placed[node.node as usize - chunk.start] = (w, k);
+            }
+        }
     }
 }
 
@@ -1190,18 +1436,6 @@ where
     por::certify_dynamic(alg, topo, inputs, staircase)
         .map_err(ModelCheckError::PorCertificateViolation)?;
     Ok(PorContext::new(topo, staircase))
-}
-
-/// Rough visited-set footprint: per-config packed buffer + map entry +
-/// the node arena's key clone, plus the shared interner arenas.
-fn visited_bytes<A: Algorithm>(codec: &ConfigCodec<A>, configs: usize) -> u64
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-{
-    let per = codec.approx_bytes_per_config() + std::mem::size_of::<CfgKey>();
-    (configs * per + codec.approx_interner_bytes()) as u64
 }
 
 /// Total distinct interned values across the three component arenas.
@@ -1360,6 +1594,24 @@ mod tests {
         let mc = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2]);
         assert_eq!(mc.jobs(), 1);
         assert!(mc.with_jobs(0).jobs() >= 1);
+    }
+
+    #[test]
+    fn node_arena_dedups_exactly_across_growth() {
+        // Every row shares one hash, so each lookup must compare rows;
+        // 1,500 nodes force the index to grow twice.
+        let mut arena = NodeArena::new(2);
+        for i in 0..1500u32 {
+            assert_eq!(arena.insert(&[i, 7], 42), (i, true));
+        }
+        for i in 0..1500u32 {
+            assert_eq!(arena.get(&[i, 7], 42), Some(i));
+            assert_eq!(arena.insert(&[i, 7], 42), (i, false));
+        }
+        assert_eq!(arena.get(&[3, 8], 42), None);
+        assert_eq!(arena.get(&[3, 7], 41), None, "the hash is part of the key");
+        assert_eq!(arena.len(), 1500);
+        assert_eq!(arena.row(17), &[17, 7]);
     }
 
     #[test]

@@ -127,19 +127,24 @@ impl PorContext {
         PorContext { adj, staircase }
     }
 
-    /// The surviving activation subsets of `working`, as `(mask, set)`
-    /// pairs in ascending mask order — the same enumeration order as
-    /// [`crate::modelcheck::all_nonempty_subsets`], restricted, so the
-    /// reduced exploration stays a pure function of the instance at
-    /// every thread count. Mask bit `i` activates `working[i]`.
-    pub(crate) fn reduced_subsets(&self, working: &[ProcessId]) -> Vec<(u32, ActivationSet)> {
+    /// The surviving activation subsets of `working`, as bitmasks over it
+    /// (bit `i` activates `working[i]`) in ascending order — the same
+    /// enumeration order as [`crate::modelcheck::all_nonempty_subsets`],
+    /// restricted, so the reduced exploration stays a pure function of
+    /// the instance at every thread count. The iterator owns a copy of
+    /// the working set's adjacency and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `working` has 24 or more entries.
+    pub(crate) fn reduced_masks(&self, working: &[ProcessId]) -> impl Iterator<Item = u32> {
         let k = working.len();
-        assert!(k < 24, "subset enumeration needs a small instance");
+        assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
         // Adjacency restricted to working indices.
-        let mut wadj = vec![0u32; k];
-        for i in 0..k {
-            for j in 0..k {
-                if i != j && self.adj[working[i].index()] & (1 << working[j].index()) != 0 {
+        let mut wadj = [0u32; MAX_WORKING];
+        for (i, p) in working.iter().enumerate() {
+            for (j, q) in working.iter().enumerate() {
+                if i != j && self.adj[p.index()] & (1 << q.index()) != 0 {
                     wadj[i] |= 1 << j;
                 }
             }
@@ -148,23 +153,16 @@ impl PorContext {
         let allowed = if self.staircase {
             // The canonical component: `working` is sorted ascending, so
             // index 0 is the smallest working id.
-            closure(1, &wadj)
+            closure(1, &wadj[..k])
         } else {
             everything
         };
-        let mut out = Vec::new();
-        for mask in 1..=everything {
-            if mask & !allowed != 0 || !is_connected(mask, &wadj) {
-                continue;
-            }
-            out.push((
-                mask,
-                ActivationSet::of((0..k).filter(|i| mask & (1 << i) != 0).map(|i| working[i])),
-            ));
-        }
-        out
+        (1..=everything).filter(move |&mask| mask & !allowed == 0 && is_connected(mask, &wadj[..k]))
     }
 }
+
+/// Exclusive bound on the working-set size subset enumeration accepts.
+const MAX_WORKING: usize = 24;
 
 /// The closure of `seed` under `wadj` adjacency (a component mask).
 fn closure(seed: u32, wadj: &[u32]) -> u32 {
@@ -329,19 +327,25 @@ mod tests {
         PorContext::new(&Topology::cycle(n).unwrap(), staircase)
     }
 
+    fn masks(por: &PorContext, working: &[usize]) -> Vec<u32> {
+        let working: Vec<ProcessId> = working.iter().copied().map(ProcessId).collect();
+        por.reduced_masks(&working).collect()
+    }
+
     #[test]
     fn connected_subsets_of_the_full_c6_working_set() {
-        let working: Vec<ProcessId> = (0..6).map(ProcessId).collect();
-        let sets = ctx(6, false).reduced_subsets(&working);
+        let sets = masks(&ctx(6, false), &[0, 1, 2, 3, 4, 5]);
         // Connected subsets of C6: 6 arcs per length 1..=5, plus the
         // whole cycle: 6·5 + 1 = 31 of the 63 nonempty subsets.
         assert_eq!(sets.len(), 31);
-        for (mask, set) in &sets {
-            assert!(*mask > 0 && *mask < 64);
-            let ActivationSet::Only(v) = set else {
-                panic!("masks decode to explicit sets")
-            };
-            assert_eq!(v.len() as u32, mask.count_ones());
+        for &mask in &sets {
+            assert!(mask > 0 && mask < 64);
+            // Every surviving mask is a cyclic arc of working indices.
+            let arc = (0..6).any(|start| {
+                let len = mask.count_ones();
+                (0..len).fold(0u32, |m, d| m | 1 << ((start + d) % 6)) == mask
+            });
+            assert!(arc, "mask {mask:#b} is not an arc of C6");
         }
     }
 
@@ -349,43 +353,36 @@ mod tests {
     fn clique_admits_every_subset() {
         let topo = Topology::clique(4).unwrap();
         let por = PorContext::new(&topo, false);
-        let working: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         // Everything is adjacent: no reduction at all.
-        assert_eq!(por.reduced_subsets(&working).len(), 15);
+        assert_eq!(masks(&por, &[0, 1, 2, 3]), (1..16).collect::<Vec<u32>>());
     }
 
     #[test]
     fn staircase_keeps_only_the_canonical_component() {
         // C6 with processes {0, 1, 3, 4} working: components {0,1} and
-        // {3,4}; the canonical one contains process 0.
-        let working: Vec<ProcessId> = [0usize, 1, 3, 4].map(ProcessId).to_vec();
-        let flat = ctx(6, false).reduced_subsets(&working);
-        let stair = ctx(6, true).reduced_subsets(&working);
+        // {3,4} (working indices {0,1} and {2,3}); the canonical one
+        // contains process 0.
+        let flat = masks(&ctx(6, false), &[0, 1, 3, 4]);
+        let stair = masks(&ctx(6, true), &[0, 1, 3, 4]);
         // Decomposition alone: {0},{1},{0,1},{3},{4},{3,4}.
-        assert_eq!(flat.len(), 6);
+        assert_eq!(flat, vec![0b0001, 0b0010, 0b0011, 0b0100, 0b1000, 0b1100]);
         // Staircase: only {0},{1},{0,1}.
-        assert_eq!(stair.len(), 3);
-        for (_, set) in &stair {
-            assert!(!set.activates(ProcessId(3)) && !set.activates(ProcessId(4)));
-        }
+        assert_eq!(stair, vec![0b0001, 0b0010, 0b0011]);
     }
 
     #[test]
     fn singleton_moves_always_survive_in_the_canonical_component() {
-        let working: Vec<ProcessId> = (0..5).map(ProcessId).collect();
-        let sets = ctx(5, true).reduced_subsets(&working);
-        assert!(sets.iter().any(|(m, _)| *m == 1), "solo moves survive");
+        let sets = masks(&ctx(5, true), &[0, 1, 2, 3, 4]);
+        assert!(sets.contains(&1), "solo moves survive");
         assert!(!sets.is_empty());
     }
 
     #[test]
     fn masks_enumerate_ascending() {
-        let working: Vec<ProcessId> = (0..5).map(ProcessId).collect();
-        let sets = ctx(5, false).reduced_subsets(&working);
-        let masks: Vec<u32> = sets.iter().map(|(m, _)| *m).collect();
-        let mut sorted = masks.clone();
+        let sets = masks(&ctx(5, false), &[0, 1, 2, 3, 4]);
+        let mut sorted = sets.clone();
         sorted.sort_unstable();
-        assert_eq!(masks, sorted, "deterministic enumeration order");
+        assert_eq!(sets, sorted, "deterministic enumeration order");
     }
 
     #[test]

@@ -63,8 +63,11 @@ pub struct ExploreStats {
     /// Distinct configurations discovered per second (0 when the run was
     /// too fast to measure).
     pub configs_per_sec: u64,
-    /// Approximate peak size of the visited set: packed config buffers,
-    /// hash-map entries, and the shared interner arenas.
+    /// Peak heap footprint of the explored graph, in bytes: the
+    /// capacities of the node arena (packed rows, hashes, index), the
+    /// parent links and the edge lists, plus the interners' estimate.
+    /// Capacities include growth slack the process never touched, so
+    /// peak RSS can read a little lower.
     pub peak_visited_bytes: u64,
     /// Successor keys that were already in the visited set.
     pub dedup_hits: u64,

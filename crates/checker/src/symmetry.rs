@@ -51,7 +51,6 @@ use ftcolor_model::encode::{slot_contrib, CfgKey, ConfigCodec, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::{Algorithm, ProcessId, Topology};
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// Identity automorphism index — `CycleSymmetry::perms[0]` is always
 /// the identity, so plain (non-symmetry) exploration stores `SIGMA_ID`
@@ -262,6 +261,40 @@ impl CycleSymmetry {
     /// key and the automorphism `g` that produced it
     /// (`canonical[g(i)·3+s] = action_g(key)[i·3+s]`).
     ///
+    /// The [`CfgKey`] wrapper of [`Self::canonicalize_into`], which
+    /// documents the election.
+    pub fn canonicalize<A: Algorithm>(
+        &self,
+        codec: &ConfigCodec<A>,
+        alg: &A,
+        relabel: bool,
+        key: &CfgKey,
+    ) -> (CfgKey, u16)
+    where
+        A::State: Eq + Hash,
+        A::Reg: Eq + Hash,
+        A::Output: Eq + Hash,
+    {
+        let mut out = vec![0u32; key.packed.len()];
+        match self.canonicalize_into(codec, alg, relabel, &key.packed, &mut out) {
+            None => (key.clone(), SIGMA_ID),
+            Some((hash, g)) => (
+                CfgKey {
+                    hash,
+                    packed: out.into(),
+                },
+                g,
+            ),
+        }
+    }
+
+    /// Elects the orbit representative of the packed row `row`. Returns
+    /// `None` when `row` already is the representative (the identity
+    /// wins; `out` is left untouched), otherwise writes the
+    /// representative into `out` and returns its hash and the
+    /// automorphism `g` that produced it
+    /// (`out[g(i)·3+s] = action_g(row)[i·3+s]`). Allocates nothing.
+    ///
     /// The group *action* moves each process's slots to its image and,
     /// where the automorphism flips a node's neighbor order, replaces
     /// the state by its view-reindexed twin
@@ -277,22 +310,28 @@ impl CycleSymmetry {
     /// The primary sort key uses the codec's seed-free *value hashes*
     /// rather than intern indices, so runs at different worker counts —
     /// which may intern values in different orders — still elect the
-    /// same representative.
-    pub fn canonicalize<A: Algorithm>(
+    /// same representative; ties go to the lowest `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `out` does not hold `3n` slots.
+    pub fn canonicalize_into<A: Algorithm>(
         &self,
         codec: &ConfigCodec<A>,
         alg: &A,
         relabel: bool,
-        key: &CfgKey,
-    ) -> (CfgKey, u16)
+        row: &[u32],
+        out: &mut [u32],
+    ) -> Option<(u64, u16)>
     where
         A::State: Eq + Hash,
         A::Reg: Eq + Hash,
         A::Output: Eq + Hash,
     {
         let n = self.n();
-        debug_assert_eq!(key.packed.len(), n * SLOTS_PER_PROC);
-        codec.read_orbit(alg, &key.packed, relabel, |view| {
+        assert_eq!(row.len(), n * SLOTS_PER_PROC, "row must hold 3n slots");
+        assert_eq!(out.len(), row.len(), "out must hold 3n slots");
+        codec.read_orbit(alg, row, relabel, |view| {
             // The image under element g, as (inverse perm, view-swap
             // row): its slot j·3+s draws from source process i = inv(g)(j),
             // with the state slot view-reindexed when the move flips i's
@@ -302,7 +341,7 @@ impl CycleSymmetry {
             let slot_entry = |(ginv, swap): (&[u32], &[bool]), slot: usize| -> (u64, u32) {
                 let (j, s) = (slot / SLOTS_PER_PROC, slot % SLOTS_PER_PROC);
                 let i = ginv[j] as usize;
-                let mut v = key.packed[SLOTS_PER_PROC * i + s];
+                let mut v = row[SLOTS_PER_PROC * i + s];
                 if s == 0 && swap[i] {
                     v = view.view_swapped(v);
                 }
@@ -327,19 +366,17 @@ impl CycleSymmetry {
             }
 
             if best == SIGMA_ID {
-                return (key.clone(), SIGMA_ID);
+                return None;
             }
             // The entries carry their value hashes, so the canonical
-            // key's hash needs no second pass over the slots.
+            // row's hash needs no second pass over the slots.
             let mut hash = 0u64;
-            let packed: Arc<[u32]> = (0..n * SLOTS_PER_PROC)
-                .map(|slot| {
-                    let (h, idx) = slot_entry(best_image, slot);
-                    hash ^= slot_contrib(slot, h);
-                    idx
-                })
-                .collect();
-            (CfgKey { hash, packed }, best)
+            for (slot, v) in out.iter_mut().enumerate() {
+                let (h, idx) = slot_entry(best_image, slot);
+                hash ^= slot_contrib(slot, h);
+                *v = idx;
+            }
+            Some((hash, best))
         })
     }
 }
@@ -431,6 +468,36 @@ mod tests {
                     key.packed[i * SLOTS_PER_PROC + s]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn canonicalize_into_matches_the_wrapper_and_is_idempotent() {
+        let topo = Topology::cycle(5).unwrap();
+        let sym = CycleSymmetry::for_topology(&topo).unwrap();
+        let codec: ConfigCodec<SixColoring> = ConfigCodec::new(5);
+        let mut exec = Execution::new(&SixColoring, &topo, vec![4, 1, 3, 0, 2]);
+        for step in 0..6 {
+            exec.step_with(&ActivationSet::solo(ProcessId(step % 5)));
+            let key = codec.encode(&exec);
+            let (canon, g) = sym.canonicalize(&codec, &SixColoring, true, &key);
+            let mut out = vec![u32::MAX; key.packed.len()];
+            match sym.canonicalize_into(&codec, &SixColoring, true, &key.packed, &mut out) {
+                None => assert_eq!((&canon, g), (&key, SIGMA_ID)),
+                Some((hash, h)) => {
+                    assert_eq!((&out[..], hash, h), (&canon.packed[..], canon.hash, g));
+                    assert_eq!(codec.hash_packed(&out), hash);
+                }
+            }
+            // The representative is its own representative: the identity
+            // wins and `out` is left alone.
+            let mut again = vec![u32::MAX; key.packed.len()];
+            assert_eq!(
+                sym.canonicalize_into(&codec, &SixColoring, true, &canon.packed, &mut again),
+                None,
+                "step {step}"
+            );
+            assert!(again.iter().all(|&v| v == u32::MAX), "step {step}");
         }
     }
 

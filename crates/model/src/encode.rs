@@ -9,10 +9,10 @@
 //! * every distinct private state, register value, and output value is
 //!   **interned** once in a [`ValueInterner`] and referred to by a `u32`
 //!   index thereafter;
-//! * a configuration is a packed `3n`-word buffer ([`CfgKey`]) — per
-//!   process: state index, register index (+1, `0` = `⊥`), output index
-//!   (+1, `0` = still working) — shared behind an `Arc` so the visited
-//!   map, the BFS queue, and the frontier all alias one allocation;
+//! * a configuration is a packed `3n`-word row — per process: state
+//!   index, register index (+1, `0` = `⊥`), output index (+1, `0` =
+//!   still working). The model checker keeps every row back to back in
+//!   one flat arena; [`CfgKey`] is the standalone, `Arc`-shared form;
 //! * each key carries a **slot-wise incremental hash**: the XOR over all
 //!   slots of `mix(slot, value_hash)`, where `value_hash` is a fixed
 //!   (seed-free) hash of the value computed once at intern time.
@@ -21,7 +21,7 @@
 //!
 //! Equality of two [`CfgKey`]s is equality of the packed index vectors
 //! (indices are canonical per value within one codec), so deduplication
-//! is **exact** — hashes only steer bucket/shard placement and can never
+//! is **exact** — hashes only steer bucket placement and can never
 //! merge distinct configurations. That is what keeps the compact engine
 //! bit-identical to the old tuple-keyed one.
 //!
@@ -30,20 +30,22 @@
 //! configuration into a scratch execution, step it, re-encode only the
 //! touched slots ([`ConfigCodec::encode_delta`]), and undo the step by
 //! restoring the touched slots from the parent's packed buffer. The
-//! sequential reference checker and the POR gate's dynamic probe work
-//! this way.
+//! POR gate's dynamic probe works this way.
 //!
 //! ## The packed successor kernel
 //!
-//! [`ConfigCodec::step_packed`] skips the executor altogether: it applies
-//! the three-phase step of §2.1 to a parent's packed row directly, with
-//! two memos keyed by intern indices only —
+//! [`ConfigCodec::step_into`] skips the executor altogether: it applies
+//! the three-phase step of §2.1 to a parent's packed row directly,
+//! writing the successor into a caller-owned scratch row (so a memo hit
+//! allocates nothing), with two memos keyed by intern indices only —
 //!
 //! * `published`: state index → register index (phase 1, the write),
 //! * `transitions`: `[state index, neighbor register slots…]` → (new
-//!   state index, output slot) (phases 2–3, read and update) —
+//!   state index, output slot) (phases 2–3, read and update), hashed
+//!   with a fixed multiplicative hasher —
 //!
 //! and the same incremental XOR hash as [`ConfigCodec::encode_delta`].
+//! [`ConfigCodec::step_packed`] is the [`CfgKey`]-to-[`CfgKey`] wrapper.
 //! A memo miss rebuilds the values from the interners and calls
 //! [`Algorithm::publish`] / [`Algorithm::step`] once. The memo adds one
 //! premise to the visited set's: `step` is a pure function of
@@ -173,8 +175,8 @@ impl<T: Eq + Hash + Clone> ValueInterner<T> {
 /// slot-wise XOR hash.
 ///
 /// Equality compares the packed buffer only — exact, never
-/// hash-approximate. `Hash` forwards the precomputed `hash`, so visited
-/// maps built with [`PassthroughBuild`] never touch the buffer.
+/// hash-approximate. `Hash` feeds only the precomputed `hash` to the
+/// hasher, never the buffer.
 #[derive(Debug, Clone)]
 pub struct CfgKey {
     /// Slot-wise XOR of `slot_contrib` values; stable across runs.
@@ -196,32 +198,48 @@ impl Hash for CfgKey {
     }
 }
 
-/// A hasher that passes a pre-computed `u64` straight through —
-/// [`CfgKey`] already carries its hash, so map insertion must not pay
-/// for hashing again.
+/// Fixed multiplicative hasher (the FxHash mix) for the `transitions`
+/// memo: its keys are a handful of intern indices, which SipHash's
+/// flooding resistance buys nothing for. Seed-free, so the memo's layout
+/// is a pure function of what was inserted.
 #[derive(Default)]
-pub struct PassthroughHasher(u64);
+struct MemoHasher(u64);
 
-impl Hasher for PassthroughHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `write_u64` is expected ([`CfgKey::hash`]); fold other
-        // input deterministically rather than panic.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
+impl MemoHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
 
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K);
     }
 }
 
-/// `BuildHasher` for visited maps keyed by [`CfgKey`].
-pub type PassthroughBuild = BuildHasherDefault<PassthroughHasher>;
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; bucket selection
+        // reads them, so rotate the strong high bits down.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Marks a dense memo entry that has not been computed yet.
 const UNKNOWN: u32 = u32::MAX;
@@ -256,7 +274,7 @@ struct CodecInner<A: Algorithm> {
     /// Successor-kernel memo of phases 2–3: `[state index, register
     /// slot of each neighbor in topology order]` → (new state index,
     /// output slot).
-    transitions: HashMap<Box<[u32]>, (u32, u32)>,
+    transitions: HashMap<Box<[u32]>, (u32, u32), BuildHasherDefault<MemoHasher>>,
 }
 
 /// `memo[idx]`, or `None` while it is [`UNKNOWN`] or out of range.
@@ -331,24 +349,26 @@ where
         Some([si, ri, oi])
     }
 
-    /// The successor kernel on the memos alone: steps the processes of
-    /// `active` that have not returned in `parent`, or reports the first
-    /// memo entry it lacks.
+    /// The successor kernel on the memos alone: writes into `row` the
+    /// successor of `parent` (hash `parent_hash`) in which the processes
+    /// of `active` that have not returned take one step, returning its
+    /// hash — or reports the first memo entry it lacks.
     fn try_step(
         &self,
         topo: &Topology,
-        parent: &CfgKey,
+        parent: &[u32],
+        parent_hash: u64,
         active: &[ProcessId],
-    ) -> Result<CfgKey, Miss> {
-        let mut packed: Arc<[u32]> = Arc::from(&parent.packed[..]);
-        let row = Arc::get_mut(&mut packed).expect("a fresh Arc is unique");
-        let mut hash = parent.hash;
-        let working = |p: &&ProcessId| parent.packed[SLOTS_PER_PROC * p.index() + 2] == 0;
+        row: &mut [u32],
+    ) -> Result<u64, Miss> {
+        row.copy_from_slice(parent);
+        let mut hash = parent_hash;
+        let working = |p: &&ProcessId| parent[SLOTS_PER_PROC * p.index() + 2] == 0;
 
         // Phase 1: every activated process writes.
         for p in active.iter().filter(working) {
             let slot = SLOTS_PER_PROC * p.index();
-            let si = parent.packed[slot];
+            let si = parent[slot];
             let ri = dense_get(&self.published, si).ok_or(Miss::Publish(si))?;
             self.set_slot(row, &mut hash, slot + 1, ri + 1);
         }
@@ -367,7 +387,7 @@ where
                 spilled.resize(nbrs.len() + 1, 0);
                 &mut spilled
             };
-            key[0] = parent.packed[slot];
+            key[0] = parent[slot];
             for (k, q) in key[1..].iter_mut().zip(nbrs) {
                 *k = row[SLOTS_PER_PROC * q.index() + 1];
             }
@@ -378,7 +398,7 @@ where
             self.set_slot(row, &mut hash, slot, si);
             self.set_slot(row, &mut hash, slot + 2, oi);
         }
-        Ok(CfgKey { hash, packed })
+        Ok(hash)
     }
 
     /// Computes the memo entry `miss` names with one call into `alg`.
@@ -475,7 +495,7 @@ where
                 outs: ValueInterner::new(),
                 swapped_states: Vec::new(),
                 published: Vec::new(),
-                transitions: HashMap::new(),
+                transitions: HashMap::default(),
             }),
         }
     }
@@ -589,16 +609,51 @@ where
         CfgKey { hash, packed }
     }
 
-    /// The successor of `parent` when the processes of `active` take one
-    /// step together — the packed successor kernel (see the module
-    /// docs). Equal, packed row and hash both, to restoring `parent`
-    /// into an execution, calling [`Execution::step_with`] with `active`
-    /// and re-encoding with [`Self::encode_delta`]; processes of
-    /// `active` that have already returned in `parent` are ignored, the
-    /// way `step_with` resolves its set against the working list.
+    /// Writes into `out` the successor of the packed row `parent` (whose
+    /// hash is `parent_hash`) when the processes of `active` take one
+    /// step together, and returns the successor's hash — the packed
+    /// successor kernel (see the module docs). Equal, row and hash both,
+    /// to restoring `parent` into an execution, calling
+    /// [`Execution::step_with`] with `active` and re-encoding with
+    /// [`Self::encode_delta`]; processes of `active` that have already
+    /// returned in `parent` are ignored, the way `step_with` resolves its
+    /// set against the working list.
     ///
-    /// A memoized transition costs no allocation beyond the successor's
-    /// row; a miss calls `alg` once and takes the write lock.
+    /// A memoized transition allocates nothing; a miss calls `alg` once
+    /// and takes the write lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parent` or `out` is not a `3n`-slot row packed by this
+    /// codec for `topo`.
+    pub fn step_into(
+        &self,
+        alg: &A,
+        topo: &Topology,
+        parent: &[u32],
+        parent_hash: u64,
+        active: &[ProcessId],
+        out: &mut [u32],
+    ) -> u64 {
+        debug_assert_eq!(parent.len(), topo.len() * SLOTS_PER_PROC);
+        if let Ok(hash) = self
+            .inner
+            .read()
+            .try_step(topo, parent, parent_hash, active, out)
+        {
+            return hash;
+        }
+        let mut inner = self.inner.write();
+        loop {
+            match inner.try_step(topo, parent, parent_hash, active, out) {
+                Ok(hash) => return hash,
+                Err(miss) => inner.fill(alg, miss),
+            }
+        }
+    }
+
+    /// [`Self::step_into`] from one [`CfgKey`] to a freshly allocated
+    /// one.
     ///
     /// # Panics
     ///
@@ -610,16 +665,11 @@ where
         parent: &CfgKey,
         active: &[ProcessId],
     ) -> CfgKey {
-        debug_assert_eq!(parent.packed.len(), topo.len() * SLOTS_PER_PROC);
-        if let Ok(key) = self.inner.read().try_step(topo, parent, active) {
-            return key;
-        }
-        let mut inner = self.inner.write();
-        loop {
-            match inner.try_step(topo, parent, active) {
-                Ok(key) => return key,
-                Err(miss) => inner.fill(alg, miss),
-            }
+        let mut row = vec![0u32; parent.packed.len()];
+        let hash = self.step_into(alg, topo, &parent.packed, parent.hash, active, &mut row);
+        CfgKey {
+            hash,
+            packed: row.into(),
         }
     }
 
@@ -671,15 +721,30 @@ where
         })
     }
 
-    /// The outputs packed in `packed`, by process (`None` = working).
-    pub fn outputs(&self, packed: &[u32]) -> Vec<Option<A::Output>> {
+    /// Writes the outputs packed in `packed` into `out`, by process
+    /// (`None` = working). `out` is cleared first, so a reused buffer
+    /// allocates nothing once it has grown.
+    pub fn outputs_into(&self, packed: &[u32], out: &mut Vec<Option<A::Output>>) {
         let inner = self.inner.read();
-        packed
-            .iter()
-            .skip(2)
-            .step_by(SLOTS_PER_PROC)
-            .map(|&o| o.checked_sub(1).map(|o| inner.outs.value(o).clone()))
-            .collect()
+        out.clear();
+        out.extend(
+            packed
+                .iter()
+                .skip(2)
+                .step_by(SLOTS_PER_PROC)
+                .map(|&o| o.checked_sub(1).map(|o| inner.outs.value(o).clone())),
+        );
+    }
+
+    /// The output value packed as `slot` in an output slot (`None` for
+    /// `0`, a process still working).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was never packed by this codec.
+    pub fn output(&self, slot: u32) -> Option<A::Output> {
+        slot.checked_sub(1)
+            .map(|o| self.inner.read().outs.value(o).clone())
     }
 
     /// The working processes (no output yet) of a packed row, ascending
@@ -756,17 +821,6 @@ where
     pub fn approx_interner_bytes(&self) -> usize {
         let inner = self.inner.read();
         inner.states.approx_bytes() + inner.regs.approx_bytes() + inner.outs.approx_bytes()
-    }
-
-    /// Rough per-configuration footprint of a visited-set entry built on
-    /// [`CfgKey`]: the packed buffer, the `Arc` header, the key struct,
-    /// and the map's id + bucket overhead.
-    pub fn approx_bytes_per_config(&self) -> usize {
-        self.n * SLOTS_PER_PROC * std::mem::size_of::<u32>()
-            + 16 // Arc strong/weak counts
-            + std::mem::size_of::<CfgKey>()
-            + std::mem::size_of::<usize>()
-            + 8 // amortized open-addressing slack
     }
 }
 
@@ -918,16 +972,11 @@ mod tests {
                     ConfigCodec::<ModSeven>::working(&want.packed),
                     exec.working()
                 );
-                assert_eq!(codec.outputs(&want.packed), exec.outputs());
+                let mut outputs = Vec::new();
+                codec.outputs_into(&want.packed, &mut outputs);
+                assert_eq!(outputs, exec.outputs());
                 key = want;
             }
         }
-    }
-
-    #[test]
-    fn passthrough_hasher_forwards_u64() {
-        let mut h = PassthroughHasher::default();
-        h.write_u64(0xdead_beef);
-        assert_eq!(h.finish(), 0xdead_beef);
     }
 }

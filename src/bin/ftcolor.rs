@@ -45,7 +45,29 @@ use ftcolor::model::{inputs, Topology};
 use ftcolor::net::{Codec, FaultPlan, NetConfig};
 use ftcolor::prelude::*;
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
+
+/// The error [`emit`] reports once standard output has been closed.
+const STDOUT_CLOSED: &str = "standard output closed";
+
+/// Writes one line to standard output. Every line the CLI prints goes
+/// through here, so a closed stdout surfaces as an error the command
+/// returns with `?` (and `main` ends quietly on) rather than a panic.
+fn emit(line: std::fmt::Arguments<'_>) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    writeln!(stdout, "{line}").map_err(|e| match e.kind() {
+        std::io::ErrorKind::BrokenPipe => STDOUT_CLOSED.to_string(),
+        _ => format!("cannot write to standard output: {e}"),
+    })
+}
+
+/// `println!` through [`emit`]: evaluates to `Result<(), String>`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,14 +93,14 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&opts),
         "cluster" => cmd_cluster(&opts),
         "node" => parse_codec(&opts).and_then(cluster::node_main),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => out!("{USAGE}"),
         other => Err(format!("unknown subcommand `{other}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`ftcolor … | head`): nothing is left to
+        // say and nobody to say it to.
+        Err(e) if e == STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -124,7 +146,9 @@ FLAGS:
   --sched        sync | rr | random | solo | wave      (default random)
   --seed         u64 seed for inputs/schedules          (default 0)
   --timeline     print the step-by-step execution
-  --max-configs  exploration cap for modelcheck        (default 2000000)
+  --max-configs  exploration cap for modelcheck        (default 2000000);
+                 a node expanded below the cap adds all its successors,
+                 so a truncated run may hold up to 2^n − 2 more
   --symmetry     modelcheck: canonicalize configurations under the
                  cycle's rotations/reflections (sound only on cycle
                  topologies — guarded; witnesses are de-canonicalized,
@@ -334,21 +358,21 @@ where
     if timeline {
         let sched = make_schedule(sched_kind, ids.len(), seed)?;
         let text = render_timeline(&mut exec, sched, 100_000, cell);
-        println!("{text}");
+        out!("{text}")?;
     } else {
         let sched = make_schedule(sched_kind, ids.len(), seed)?;
         exec.run(sched, 10_000_000).map_err(|e| e.to_string())?;
     }
-    println!("coloring: {}", render_ring_coloring(exec.outputs()));
-    println!(
+    out!("coloring: {}", render_ring_coloring(exec.outputs()))?;
+    out!(
         "max activations: {}",
         topo.nodes()
             .map(|p| exec.activation_count(p))
             .max()
             .unwrap_or(0)
-    );
+    )?;
     let proper = topo.is_proper_partial_coloring(exec.outputs());
-    println!("proper: {proper}");
+    out!("proper: {proper}")?;
     if !proper {
         return Err("output is not a proper coloring (bug!)".into());
     }
@@ -362,7 +386,7 @@ fn cmd_color(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| format!("bad --seed: {e}"))?;
     let sched = get(opts, "sched", "random");
     let timeline = opts.contains_key("timeline");
-    println!("ids: {ids:?}");
+    out!("ids: {ids:?}")?;
     match get(opts, "alg", "alg3") {
         "alg1" => run_and_print(&SixColoring, &ids, sched, seed, timeline, |r| {
             format!("{}", r.color)
@@ -465,39 +489,43 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
                     fully_terminated_configs: o.fully_terminated_configs,
                     stats: o.stats.clone(),
                 };
-                println!(
+                out!(
                     "{}",
                     serde_json::to_string_pretty(&j).map_err(|e| e.to_string())?
-                );
+                )?;
                 return Ok(());
             }
-            println!("{o}");
-            println!("{}", o.stats);
+            out!("{o}")?;
+            out!("{}", o.stats)?;
             let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
             if let Some(v) = &o.safety_violation {
-                println!("safety violation: {}", v.description);
-                println!("{}", render_schedule(&v.schedule));
+                out!("safety violation: {}", v.description)?;
+                out!("{}", render_schedule(&v.schedule))?;
                 if let Some(s) = sh.shrink_safety(&v.schedule, &safety) {
-                    println!(
+                    out!(
                         "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                    );
-                    println!("{}", render_schedule(&s.schedule));
+                        s.stats.original_slots,
+                        s.stats.shrunk_slots,
+                        s.stats.replays
+                    )?;
+                    out!("{}", render_schedule(&s.schedule))?;
                 }
             }
             if let Some(lw) = &o.livelock {
-                println!("livelock witness (prefix then repeat cycle):");
-                println!("{}", render_schedule(&lw.prefix));
-                println!("-- cycle --");
-                println!("{}", render_schedule(&lw.cycle));
+                out!("livelock witness (prefix then repeat cycle):")?;
+                out!("{}", render_schedule(&lw.prefix))?;
+                out!("-- cycle --")?;
+                out!("{}", render_schedule(&lw.cycle))?;
                 if let Some(s) = sh.shrink_livelock(lw) {
-                    println!(
+                    out!(
                         "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                    );
-                    println!("{}", render_schedule(&s.witness.prefix));
-                    println!("-- cycle --");
-                    println!("{}", render_schedule(&s.witness.cycle));
+                        s.stats.original_slots,
+                        s.stats.shrunk_slots,
+                        s.stats.replays
+                    )?;
+                    out!("{}", render_schedule(&s.witness.prefix))?;
+                    out!("-- cycle --")?;
+                    out!("{}", render_schedule(&s.witness.cycle))?;
                 }
             }
         }};
@@ -537,24 +565,27 @@ fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
         ($alg:expr) => {{
             let fz = ScheduleFuzzer::new($alg, &topo, ids.clone(), config.clone());
             let report = fz.run(coloring_safety);
-            println!(
+            out!(
                 "best score: {} over {} executions",
-                report.best_score, report.evaluated
-            );
+                report.best_score,
+                report.evaluated
+            )?;
             if report.best_score >= 1000 {
-                println!("starvation found! best schedule:");
-                println!("{}", render_schedule(&report.best_schedule));
+                out!("starvation found! best schedule:")?;
+                out!("{}", render_schedule(&report.best_schedule))?;
             }
             if let Some(v) = &report.safety_violation {
-                println!("SAFETY VIOLATION: {v}");
+                out!("SAFETY VIOLATION: {v}")?;
                 if let Some(genome) = &report.violating_schedule {
                     let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
                     if let Some(s) = sh.shrink_safety(genome, &coloring_safety) {
-                        println!(
+                        out!(
                             "shrunk witness ({} -> {} activation slots, {} replays):",
-                            s.stats.original_slots, s.stats.shrunk_slots, s.stats.replays
-                        );
-                        println!("{}", render_schedule(&s.schedule));
+                            s.stats.original_slots,
+                            s.stats.shrunk_slots,
+                            s.stats.replays
+                        )?;
+                        out!("{}", render_schedule(&s.schedule))?;
                     }
                 }
             }
@@ -770,20 +801,22 @@ where
         Witness::Safety(_) => "safety",
         Witness::Livelock(_) => "livelock",
     };
-    println!("class: {class}");
-    println!(
+    out!("class: {class}")?;
+    out!(
         "activation slots: {} -> {} ({} candidate replays)",
-        stats.original_slots, stats.shrunk_slots, stats.replays
-    );
+        stats.original_slots,
+        stats.shrunk_slots,
+        stats.replays
+    )?;
     match &shrunk {
         Witness::Safety(v) => {
-            println!("description: {}", v.description);
-            println!("{}", render_schedule(&v.schedule));
+            out!("description: {}", v.description)?;
+            out!("{}", render_schedule(&v.schedule))?;
         }
         Witness::Livelock(lw) => {
-            println!("{}", render_schedule(&lw.prefix));
-            println!("-- cycle --");
-            println!("{}", render_schedule(&lw.cycle));
+            out!("{}", render_schedule(&lw.prefix))?;
+            out!("-- cycle --")?;
+            out!("{}", render_schedule(&lw.cycle))?;
         }
     }
     if let Some(out) = out {
@@ -796,7 +829,7 @@ where
         };
         let json = serde_json::to_string_pretty(&fixture).map_err(|e| e.to_string())?;
         std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote {out}");
+        out!("wrote {out}")?;
     }
     Ok(())
 }
@@ -846,15 +879,15 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let unwaived = diags.iter().filter(|d| !d.waived).count();
     match get(opts, "format", "text") {
-        "json" => println!("{}", render_json(&diags)),
+        "json" => out!("{}", render_json(&diags))?,
         "text" => {
             for d in &diags {
-                println!("{}", d.render());
+                out!("{}", d.render())?;
             }
-            println!(
+            out!(
                 "analyze: {} diagnostic(s), {unwaived} unwaived",
                 diags.len()
-            );
+            )?;
         }
         other => return Err(format!("unknown --format `{other}`")),
     }
@@ -903,11 +936,11 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let unwaived: usize = reports.iter().map(|r| r.unwaived().count()).sum();
     match get(opts, "format", "text") {
-        "json" => println!("{}", analyze::render_cert_json(&reports)),
+        "json" => out!("{}", analyze::render_cert_json(&reports))?,
         "text" => {
             for r in &reports {
                 for d in &r.diagnostics {
-                    println!("{}", d.render());
+                    out!("{}", d.render())?;
                 }
                 let s = &r.stats;
                 let verdict = if s.reachable_states == 0 {
@@ -922,9 +955,9 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
                         s.reachable_states, s.decided_states, s.transitions, s.view_regs
                     )
                 };
-                println!("certify {}: {verdict}", r.name);
+                out!("certify {}: {verdict}", r.name)?;
             }
-            println!("certify: {unwaived} unwaived finding(s)");
+            out!("certify: {unwaived} unwaived finding(s)")?;
         }
         other => return Err(format!("unknown --format `{other}`")),
     }
@@ -1006,15 +1039,22 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
                 items.push(v);
             }
             "text" => {
-                println!(
+                out!(
                     "{name}: n={} seed={} oracle={} valid={} palette_ok={} returned={}",
-                    s.n, s.seed, s.oracle, s.valid, s.palette_ok, s.all_correct_returned
-                );
-                println!(
+                    s.n,
+                    s.seed,
+                    s.oracle,
+                    s.valid,
+                    s.palette_ok,
+                    s.all_correct_returned
+                )?;
+                out!(
                     "  colors: {:?}  crashed: {:?}  stalled: {:?}",
-                    s.colors, s.crashed, s.stalled
-                );
-                println!(
+                    s.colors,
+                    s.crashed,
+                    s.stalled
+                )?;
+                out!(
                     "  rounds_max={} time={} sent={} delivered={} dropped={} \
                      duplicated={} retransmits={}",
                     s.rounds_max,
@@ -1024,9 +1064,9 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
                     s.stats.dropped + s.stats.partition_dropped,
                     s.stats.duplicated,
                     s.stats.retransmits
-                );
-                println!("  trace: {} sends, digest {}", s.trace_len, s.trace_digest);
-                println!(
+                )?;
+                out!("  trace: {} sends, digest {}", s.trace_len, s.trace_digest)?;
+                out!(
                     "  wire: codec={} encoded={} decoded={} bytes={} pool {}/{} hit",
                     s.wire_codec,
                     s.wire_frames_encoded,
@@ -1034,19 +1074,19 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
                     s.wire_bytes,
                     s.wire_pool_hits,
                     s.wire_pool_hits + s.wire_pool_misses
-                );
+                )?;
                 if emit_trace {
-                    println!("  {}", out.trace.to_json());
+                    out!("  {}", out.trace.to_json())?;
                 }
             }
             other => return Err(format!("unknown --format `{other}`")),
         }
     }
     if get(opts, "format", "text") == "json" {
-        println!(
+        out!(
             "{}",
             serde_json::to_string_pretty(&serde::Value::Array(items)).map_err(|e| e.to_string())?
-        );
+        )?;
     }
     if !failures.is_empty() {
         return Err(failures.join("; "));
@@ -1225,12 +1265,12 @@ where
         timings.peak_rss_kib
     );
     match format {
-        "json" => println!(
+        "json" => out!(
             "{}",
             serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        ),
+        )?,
         _ => {
-            println!(
+            out!(
                 "{}: n={} instances={} rate={} seed={} sched={} valid={}",
                 summary.algorithm,
                 summary.n,
@@ -1239,8 +1279,8 @@ where
                 summary.seed,
                 summary.sched,
                 summary.valid
-            );
-            println!(
+            )?;
+            out!(
                 "  completed={} returned={} crashed={} stalled={} proper={} palette={}",
                 summary.completed,
                 summary.returned,
@@ -1248,16 +1288,16 @@ where
                 summary.stalled,
                 summary.proper_ok,
                 summary.palette_ok
-            );
-            println!(
+            )?;
+            out!(
                 "  rounds={} latency p50/p99/max = {}/{}/{} sweeps  colors={:?}",
                 summary.rounds,
                 summary.latency_p50,
                 summary.latency_p99,
                 summary.latency_max,
                 summary.color_histogram
-            );
-            println!(
+            )?;
+            out!(
                 "  steps={} activations={} (max {})  interned s/r/o = {}/{}/{}  digest={}",
                 summary.total_steps,
                 summary.total_activations,
@@ -1266,7 +1306,7 @@ where
                 summary.interned_regs,
                 summary.interned_outputs,
                 summary.outputs_digest
-            );
+            )?;
         }
     }
     if summary.valid {
@@ -1295,21 +1335,29 @@ fn print_cluster_summary(
             if let serde::Value::Object(pairs) = &mut v {
                 pairs.push(("mode".to_string(), serde::Value::String(mode.to_string())));
             }
-            println!(
+            out!(
                 "{}",
                 serde_json::to_string_pretty(&v).map_err(|e| e.to_string())?
-            );
+            )?;
         }
         _ => {
-            println!(
+            out!(
                 "{}: n={} seed={} mode={mode} valid={} palette_ok={} returned={}",
-                s.alg, s.n, s.seed, s.valid, s.palette_ok, s.all_correct_returned
-            );
-            println!(
+                s.alg,
+                s.n,
+                s.seed,
+                s.valid,
+                s.palette_ok,
+                s.all_correct_returned
+            )?;
+            out!(
                 "  colors: {:?}  crashed: {:?}  stalled: {:?}  timed_out={}",
-                s.colors, s.crashed, s.stalled, s.timed_out
-            );
-            println!(
+                s.colors,
+                s.crashed,
+                s.stalled,
+                s.timed_out
+            )?;
+            out!(
                 "  rounds_max={} wall_ms={} sent={} delivered={} dropped={} \
                  dead_reads={} malformed={}",
                 s.rounds_max,
@@ -1319,15 +1367,16 @@ fn print_cluster_summary(
                 s.stats.dropped + s.stats.partition_dropped,
                 s.stats.served_dead_reads,
                 s.stats.malformed
-            );
-            println!(
+            )?;
+            out!(
                 "  trace: {} entries, digest {}",
-                s.trace_len, s.trace_digest
-            );
+                s.trace_len,
+                s.trace_digest
+            )?;
         }
     }
     if let Some(t) = trace_json {
-        println!("  {t}");
+        out!("  {t}")?;
     }
     Ok(())
 }

@@ -428,3 +428,39 @@ fn out_of_range_fault_plans_are_rejected() {
         "{stderr}"
     );
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::process::Stdio;
+    // The reader closes the pipe before the first line is written, so
+    // every write of the command meets a closed stdout.
+    for args in [
+        &[
+            "modelcheck",
+            "--alg",
+            "alg2p",
+            "--ids",
+            "0,1,2,3,4",
+            "--symmetry",
+            "--por",
+            "--max-configs",
+            "2000",
+            "--format",
+            "json",
+        ][..],
+        &["modelcheck", "--alg", "alg2", "--ids", "0,1,2"][..],
+        &["color", "--alg", "alg3", "--n", "6", "--timeline"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {stderr}");
+    }
+}

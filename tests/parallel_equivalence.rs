@@ -24,6 +24,7 @@
 //! search on the reference graph; and that the whole outcome is the same
 //! at every worker count.
 
+use ftcolor::checker::modelcheck::EXPAND_CHUNK;
 use ftcolor::checker::{ModelCheckOutcome, ModelChecker};
 use ftcolor::core::mis::{mis_violation, EagerMis};
 use ftcolor::core::{FiveColoring, FiveColoringPatched, SixColoring};
@@ -63,6 +64,10 @@ struct Reference<O> {
     truncated: bool,
     safety_violation: Option<(String, Vec<ActivationSet>)>,
     graph: Vec<Vec<(usize, ActivationSet)>>,
+    /// BFS level of every node (the root is level 0).
+    depth: Vec<usize>,
+    /// The first node that did not expand because the cap was reached.
+    first_capped: Option<usize>,
 }
 
 /// Clone-per-successor BFS over [`Execution`], with the checker's
@@ -97,6 +102,8 @@ where
         truncated: false,
         safety_violation: None,
         graph: Vec::new(),
+        depth: vec![0],
+        first_capped: None,
     };
     let mut first_violation: Option<(usize, String)> = None;
     while let Some((id, exec)) = queue.pop_front() {
@@ -114,6 +121,7 @@ where
         }
         if graph.len() >= cap {
             r.truncated = true;
+            r.first_capped.get_or_insert(id);
             continue;
         }
         let working = exec.working().to_vec();
@@ -133,6 +141,7 @@ where
                     ids.insert(key, to);
                     graph.push(Vec::new());
                     parents.push(Some((id, set.clone())));
+                    r.depth.push(r.depth[id] + 1);
                     queue.push_back((to, next));
                     to
                 }
@@ -547,6 +556,63 @@ fn por_is_jobs_invariant_down_to_its_counters() {
                     "jobs={jobs}: dedup lookups"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn caps_inside_a_multi_chunk_level_match_the_reference() {
+    // The engine expands each BFS level in chunks of EXPAND_CHUNK node
+    // ids and re-checks the cap before every chunk. These caps bite in a
+    // level that spans several chunks, past its first chunk, so the
+    // chunk that crosses the cap expands nodes the merge then refuses.
+    // The outcome and every counter must still equal the reference's,
+    // whose nodes each decide against the cap on their own.
+    let topo = Topology::cycle(5).unwrap();
+    let ids = ids_for(5);
+    let max_branching = (1 << topo.len()) - 1;
+    // Alg2 on C5 with these ids: levels 4 and 5 hold 13,383 and 22,172
+    // nodes; 20,000 bites in level 4, 45,000 and 45,003 in level 5.
+    for cap in [20_000, 45_000, 45_003] {
+        let reference = reference_bfs(&FiveColoring, &topo, ids.clone(), cap, coloring_safety);
+        let capped = reference.first_capped.expect("the cap bites");
+        let level = reference.depth[capped];
+        let level_start = reference.depth.partition_point(|&d| d < level);
+        let level_len = reference.depth.partition_point(|&d| d <= level) - level_start;
+        assert!(
+            level_len > 2 * EXPAND_CHUNK && capped - level_start >= EXPAND_CHUNK,
+            "cap {cap}: the cap must bite past the first chunk of a multi-chunk level \
+             (level {level}: {level_len} nodes, capped at offset {})",
+            capped - level_start
+        );
+        // The overshoot: a node that starts expanding below the cap adds
+        // all of its successors.
+        assert!(
+            reference.configs >= cap && reference.configs - cap < max_branching,
+            "cap {cap}: {} configs",
+            reference.configs
+        );
+        let inputs: Vec<u64> = ids.clone();
+        for jobs in JOB_COUNTS {
+            let cell = format!("Alg2 cap={cap} on C5 at jobs={jobs}");
+            let got = ModelChecker::new(&FiveColoring, &topo, inputs.clone())
+                .with_max_configs(cap)
+                .with_jobs(jobs)
+                .explore(coloring_safety)
+                .unwrap();
+            assert_matches_reference(&FiveColoring, &topo, &inputs, &got, &reference, &cell);
+            // Every merged successor is one lookup; all but the nodes it
+            // discovered are hits.
+            assert_eq!(
+                got.stats.dedup_lookups, reference.edges as u64,
+                "{cell}: dedup lookups"
+            );
+            assert_eq!(
+                got.stats.dedup_hits,
+                (reference.edges - (reference.configs - 1)) as u64,
+                "{cell}: dedup hits"
+            );
+            assert_eq!(got.stats.por_pruned_sets, 0, "{cell}: no POR, no pruning");
         }
     }
 }
