@@ -24,7 +24,7 @@ use ftcolor_core::mis::{EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
 use ftcolor_core::renaming::RankRenaming;
 use ftcolor_core::{
     DeltaSquaredColoring, FastFiveColoring, FastFiveColoringPatched, FiveColoring,
-    FiveColoringPatched, PairColor, SixColoring,
+    FiveColoringPatched, PairColor, RingColoring, SixColoring,
 };
 use ftcolor_model::domain::ViewDomain;
 use ftcolor_model::Algorithm;
@@ -98,6 +98,18 @@ where
     }
 }
 
+/// A ring coloring certified over `domain`, with the palette and color
+/// projection its [`RingColoring`] registry entry declares.
+fn ring_certified<A>(alg: &'static A, domain: ViewDomain<A>, cfg: &CertifyConfig) -> CertReport
+where
+    A: RingColoring,
+    A::State: Eq + std::hash::Hash,
+    A::Reg: Eq + std::hash::Hash,
+{
+    let spec = ContractSpec::new(alg.name()).palette(alg.palette(), |o| Some(alg.color(o)));
+    certified(alg.name(), alg, spec, domain, cfg)
+}
+
 /// An entry with no certifiable domain: an explicit, waived
 /// `FTC-DOM-008` finding instead of a silent skip.
 fn uncertified(name: &'static str, reason: &str) -> CertReport {
@@ -120,40 +132,17 @@ fn uncertified(name: &'static str, reason: &str) -> CertReport {
 /// `colors` bounds the candidate-color lattice (5 in CI, matching the
 /// paper's palette claims). Returns `None` for unknown names.
 pub fn certify_alg(name: &str, colors: u64, cfg: &CertifyConfig) -> Option<CertReport> {
-    let pair_palette = |c: &PairColor| Some(c.flat_index());
     let report = match name {
-        "alg1" => certified(
-            "alg1",
-            &SixColoring,
-            ContractSpec::new("alg1").palette(PairColor::palette_size(2), pair_palette),
-            domains::pair_domain(),
-            cfg,
-        ),
-        "alg2" => certified(
-            "alg2",
-            &FiveColoring,
-            ContractSpec::new("alg2").palette(5, |&c: &u64| Some(c)),
-            domains::five_coloring_domain(colors),
-            cfg,
-        ),
-        "alg2p" => certified(
-            "alg2p",
+        "alg1" => ring_certified(&SixColoring, domains::pair_domain(), cfg),
+        "alg2" => ring_certified(&FiveColoring, domains::five_coloring_domain(colors), cfg),
+        "alg2p" => ring_certified(
             &FiveColoringPatched,
-            ContractSpec::new("alg2p").palette(5, |&c: &u64| Some(c)),
             domains::five_coloring_patched_domain(colors),
             cfg,
         ),
-        "alg3" => certified(
-            "alg3",
-            &FastFiveColoring,
-            ContractSpec::new("alg3").palette(5, |&c: &u64| Some(c)),
-            domains::fast_five_domain(colors, 2),
-            cfg,
-        ),
-        "alg3p" => certified(
-            "alg3p",
+        "alg3" => ring_certified(&FastFiveColoring, domains::fast_five_domain(colors, 2), cfg),
+        "alg3p" => ring_certified(
             &FastFiveColoringPatched,
-            ContractSpec::new("alg3p").palette(5, |&c: &u64| Some(c)),
             domains::fast_five_patched_domain(colors, 2),
             cfg,
         ),
@@ -163,7 +152,9 @@ pub fn certify_alg(name: &str, colors: u64, cfg: &CertifyConfig) -> Option<CertR
             // The cycle instance (Δ = 2), where the Δ²-palette claim is
             // (Δ+1)(Δ+2)/2 = 6; higher-degree instances are covered
             // dynamically (the domain is per-degree).
-            ContractSpec::new("alg4").palette(PairColor::palette_size(2), pair_palette),
+            ContractSpec::new("alg4").palette(PairColor::palette_size(2), |c: &PairColor| {
+                Some(c.flat_index())
+            }),
             domains::pair_domain(),
             cfg,
         ),

@@ -2,7 +2,8 @@
 //! `ftcolor-net`, plus the race-detector sweep over network runs.
 //!
 //! [`net_run`] mirrors [`crate::registry`]'s per-name construction
-//! (same algorithms, same topologies, same input generators) but
+//! (same algorithms, same topologies, same input generators — for the
+//! ring colorings, the [`RingColoring`] registry's) but
 //! executes on the simulated message-passing network, evaluates the
 //! per-algorithm oracle (proper coloring / MIS validity / distinct
 //! names), and packages the result as a JSON-serializable summary — the
@@ -21,8 +22,8 @@ use ftcolor_core::mis::{EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
 use ftcolor_core::renaming::RankRenaming;
 use ftcolor_core::sync_local::{ColeVishkinThree, CvInput};
 use ftcolor_core::{
-    DeltaSquaredColoring, FastFiveColoring, FastFiveColoringPatched, FiveColoring,
-    FiveColoringPatched, PairColor, SixColoring,
+    with_ring_coloring, DeltaSquaredColoring, FiveColoringPatched, PairColor, RingColoring,
+    SixColoring,
 };
 use ftcolor_model::{inputs, Topology};
 use ftcolor_net::{
@@ -110,88 +111,6 @@ pub fn net_run(
 ) -> Option<NetRunOutcome> {
     let ids = |seed: u64| inputs::random_unique(n, 10_000, seed);
     match name {
-        "alg1" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&SixColoring, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |c: &PairColor| c.flat_index(),
-                PairColor::palette_size(2),
-                Oracle::ProperColoring,
-            ))
-        }
-        "alg2" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&FiveColoring, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                5,
-                Oracle::ProperColoring,
-            ))
-        }
-        "alg2p" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&FiveColoringPatched, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                5,
-                Oracle::ProperColoring,
-            ))
-        }
-        "alg3" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(
-                &FastFiveColoring,
-                &topo,
-                inputs::staircase_poly(n),
-                plan,
-                cfg,
-            );
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                5,
-                Oracle::ProperColoring,
-            ))
-        }
-        "alg3p" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(
-                &FastFiveColoringPatched,
-                &topo,
-                inputs::staircase_poly(n),
-                plan,
-                cfg,
-            );
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                5,
-                Oracle::ProperColoring,
-            ))
-        }
         "alg4" => {
             let topo = Topology::cycle(n).ok()?;
             let delta = topo.max_degree() as u64;
@@ -310,7 +229,20 @@ pub fn net_run(
                 Oracle::ProperColoring,
             ))
         }
-        _ => None,
+        _ => with_ring_coloring!(name, alg => {
+            let topo = Topology::cycle(n).ok()?;
+            let report = run_net(alg, &topo, alg.ring_inputs(n, seed), plan, cfg);
+            Some(summarize(
+                name,
+                n,
+                seed,
+                &topo,
+                report,
+                |o| alg.color(o),
+                alg.palette(),
+                Oracle::ProperColoring,
+            ))
+        }, else None),
     }
 }
 

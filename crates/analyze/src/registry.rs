@@ -14,8 +14,8 @@ use ftcolor_core::mis::{EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
 use ftcolor_core::renaming::RankRenaming;
 use ftcolor_core::sync_local::{ColeVishkinThree, CvInput};
 use ftcolor_core::{
-    DeltaSquaredColoring, FastFiveColoring, FastFiveColoringPatched, FiveColoring,
-    FiveColoringPatched, PairColor, SixColoring,
+    with_ring_coloring, DeltaSquaredColoring, FiveColoringPatched, PairColor, RingColoring,
+    SixColoring,
 };
 use ftcolor_model::decoupled::DecoupledExecution;
 use ftcolor_model::{inputs, prelude::*};
@@ -69,7 +69,9 @@ fn ids(n: usize, seed: u64) -> Vec<u64> {
 }
 
 /// Runs the full abstract rule set on the named shipped algorithm over
-/// cycle sizes `sizes` (cliques for `renaming`, plus a grid for `alg4`).
+/// cycle sizes `sizes` (cliques for `renaming`, plus a grid for `alg4`);
+/// a ring coloring runs on its registry input family
+/// ([`RingColoring::ring_inputs`]).
 /// Returns `None` for unknown names; see [`SHIPPED`].
 pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
     let mut diagnostics = Vec::new();
@@ -77,69 +79,6 @@ pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgR
         move |c: &PairColor| Some(c.flat_index()).filter(|_| PairColor::palette_size(delta) > 0)
     };
     match name {
-        "alg1" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(PairColor::palette_size(2), pair_palette(2))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(&SixColoring, &spec, &topo, &ids(n, 7), cfg));
-            }
-        }
-        "alg2" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(5, |&c: &u64| Some(c))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(&FiveColoring, &spec, &topo, &ids(n, 7), cfg));
-            }
-        }
-        "alg2p" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(5, |&c: &u64| Some(c))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(
-                    &FiveColoringPatched,
-                    &spec,
-                    &topo,
-                    &ids(n, 7),
-                    cfg,
-                ));
-            }
-        }
-        "alg3" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(5, |&c: &u64| Some(c))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(
-                    &FastFiveColoring,
-                    &spec,
-                    &topo,
-                    &inputs::staircase_poly(n),
-                    cfg,
-                ));
-            }
-        }
-        "alg3p" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(5, |&c: &u64| Some(c))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(
-                    &FastFiveColoringPatched,
-                    &spec,
-                    &topo,
-                    &inputs::staircase_poly(n),
-                    cfg,
-                ));
-            }
-        }
         "alg4" => {
             // Cycles (Δ=2) plus a torus grid (Δ=4): the palette claim is
             // per-instance, (Δ+1)(Δ+2)/2.
@@ -243,7 +182,16 @@ pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgR
                 diagnostics.extend(lint_decoupled(n, cfg)?);
             }
         }
-        _ => return None,
+        _ => with_ring_coloring!(name, alg => {
+            for &n in sizes {
+                let topo = Topology::cycle(n).ok()?;
+                let spec = ContractSpec::new(name)
+                    .palette(alg.palette(), |o| Some(alg.color(o)))
+                    .solo_bound(4);
+                let ids = alg.ring_inputs(n, 7);
+                diagnostics.extend(lint_algorithm(alg, &spec, &topo, &ids, cfg));
+            }
+        }, else return None),
     }
     Some(AlgReport {
         name: SHIPPED

@@ -9,14 +9,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftcolor_checker::{ModelChecker, Shrinker};
 use ftcolor_core::mis::{mis_violation, EagerMis};
-use ftcolor_core::FiveColoring;
+use ftcolor_core::{ring_safety, FiveColoring};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::Topology;
-
-fn coloring_safety(topo: &Topology, outs: &[Option<u64>]) -> Option<String> {
-    topo.first_conflict(outs)
-        .map(|(a, b)| format!("conflict {a}-{b}"))
-}
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e12_shrink");
@@ -42,7 +37,7 @@ fn bench(c: &mut Criterion) {
     let topo3 = Topology::cycle(3).unwrap();
     let ids3 = vec![0u64, 1, 2];
     let livelock = ModelChecker::new(&FiveColoring, &topo3, ids3.clone())
-        .explore(coloring_safety)
+        .explore(ring_safety(&FiveColoring))
         .unwrap()
         .livelock
         .expect("the C3 livelock");

@@ -31,7 +31,7 @@
 
 use ftcolor_checker::modelcheck::ModelCheckOutcome;
 use ftcolor_checker::ModelChecker;
-use ftcolor_core::{FastFiveColoring, FiveColoring, FiveColoringPatched, SixColoring};
+use ftcolor_core::{ring_safety, FastFiveColoring, FiveColoring, FiveColoringPatched, SixColoring};
 use ftcolor_model::Topology;
 use serde::Serialize;
 
@@ -72,17 +72,6 @@ pub struct Row {
     /// Peak footprint of the explored graph in bytes (node arena, parent
     /// links, edges and interners; see `ExploreStats::peak_visited_bytes`).
     pub peak_visited_bytes: u64,
-}
-
-fn coloring_safety_u64(topo: &Topology, outputs: &[Option<u64>]) -> Option<String> {
-    if let Some((a, b)) = topo.first_conflict(outputs) {
-        return Some(format!("conflict on edge {a}-{b}"));
-    }
-    outputs
-        .iter()
-        .flatten()
-        .find(|&&c| c >= 5)
-        .map(|c| format!("color {c} outside palette"))
 }
 
 fn row_from<O: std::fmt::Debug>(
@@ -173,7 +162,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
-            let o = mc.explore(coloring_safety_u64).unwrap();
+            let o = mc.explore(ring_safety(&FiveColoring)).unwrap();
             rows.push(row_from(
                 "Alg2 (5-coloring)",
                 label.clone(),
@@ -188,7 +177,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
                 .with_max_configs(max_configs)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
-            let o = mc.explore(coloring_safety_u64).unwrap();
+            let o = mc.explore(ring_safety(&FastFiveColoring)).unwrap();
             rows.push(row_from(
                 "Alg3 (fast 5-coloring)",
                 label.clone(),
@@ -209,7 +198,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
                 .with_max_configs(patched_cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
-            let o = mc.explore(coloring_safety_u64).unwrap();
+            let o = mc.explore(ring_safety(&FiveColoringPatched)).unwrap();
             rows.push(row_from(
                 "Alg2-patched",
                 label.clone(),
@@ -240,7 +229,7 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
                 .with_max_configs(cap)
                 .with_jobs(jobs)
                 .with_symmetry(symmetry);
-            let o = mc.explore(coloring_safety_u64).unwrap();
+            let o = mc.explore(ring_safety(&FiveColoring)).unwrap();
             rows.push(row_from(
                 "Alg2 (5-coloring)",
                 label.clone(),
@@ -262,13 +251,13 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
     let por_ids: Vec<u64> = vec![0, 1, 2, 3, 4];
     let por_topo = Topology::cycle(5).unwrap();
     macro_rules! por_twin {
-        ($alg:expr, $name:expr, $safety:expr, $cap:expr, $symmetry:expr) => {{
+        ($alg:expr, $name:expr, $cap:expr, $symmetry:expr) => {{
             let o = ModelChecker::new($alg, &por_topo, por_ids.clone())
                 .with_max_configs($cap)
                 .with_jobs(jobs)
                 .with_symmetry($symmetry)
                 .with_por(true)
-                .explore($safety)
+                .explore(ring_safety($alg))
                 .unwrap();
             let row = row_from($name, por_label.clone(), 5, $cap, $symmetry, true, &o);
             let twin = rows
@@ -305,33 +294,11 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         }};
     }
     for symmetry in [false, true] {
-        por_twin!(
-            &SixColoring,
-            "Alg1 (6-coloring)",
-            |topo: &Topology, outputs: &[Option<_>]| {
-                if let Some((a, b)) = topo.first_conflict(outputs) {
-                    return Some(format!("conflict on edge {a}-{b}"));
-                }
-                outputs
-                    .iter()
-                    .flatten()
-                    .find(|c| c.weight() > 2)
-                    .map(|c| format!("color {c} outside palette"))
-            },
-            max_configs,
-            symmetry
-        );
-        por_twin!(
-            &FiveColoring,
-            "Alg2 (5-coloring)",
-            coloring_safety_u64,
-            max_configs,
-            symmetry
-        );
+        por_twin!(&SixColoring, "Alg1 (6-coloring)", max_configs, symmetry);
+        por_twin!(&FiveColoring, "Alg2 (5-coloring)", max_configs, symmetry);
         por_twin!(
             &FiveColoringPatched,
             "Alg2-patched",
-            coloring_safety_u64,
             max_configs.min(400_000),
             symmetry
         );

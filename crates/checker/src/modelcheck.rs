@@ -1453,23 +1453,7 @@ where
 mod tests {
     use super::*;
     use ftcolor_core::mis::{mis_violation, EagerMis, LocalMaxMis};
-    use ftcolor_core::{FiveColoring, SixColoring};
-
-    /// Safety predicate for coloring: proper + palette.
-    fn coloring_safety(
-        palette: u64,
-    ) -> impl Fn(&Topology, &[Option<u64>]) -> Option<String> + Sync {
-        move |topo, outputs| {
-            if let Some((a, b)) = topo.first_conflict(outputs) {
-                return Some(format!("conflict on edge {a}-{b}"));
-            }
-            outputs
-                .iter()
-                .flatten()
-                .find(|&&c| c >= palette)
-                .map(|c| format!("color {c} outside palette"))
-        }
-    }
+    use ftcolor_core::{ring_safety, FiveColoring, SixColoring};
 
     fn pair_safety(
         max_weight: u64,
@@ -1505,7 +1489,7 @@ mod tests {
         // cycle in the configuration graph.
         let topo = Topology::cycle(3).unwrap();
         let mc = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2]);
-        let outcome = mc.explore(coloring_safety(5)).unwrap();
+        let outcome = mc.explore(ring_safety(&FiveColoring)).unwrap();
         assert!(outcome.safety_violation.is_none(), "{outcome}");
         assert!(!outcome.truncated, "{outcome}");
         assert!(outcome.fully_terminated_configs > 0);
@@ -1662,7 +1646,7 @@ mod tests {
         let topo = Topology::cycle(3).unwrap();
         let outcome = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2])
             .with_symmetry(true)
-            .explore(coloring_safety(5))
+            .explore(ring_safety(&FiveColoring))
             .unwrap();
         let lw = outcome
             .livelock

@@ -677,17 +677,7 @@ mod tests {
     use super::*;
     use crate::ModelChecker;
     use ftcolor_core::mis::{mis_violation, EagerMis};
-    use ftcolor_core::FiveColoring;
-
-    fn coloring_safety(topo: &Topology, outs: &[Option<u64>]) -> Option<String> {
-        if let Some((a, b)) = topo.first_conflict(outs) {
-            return Some(format!("conflict on edge {a}-{b}"));
-        }
-        outs.iter()
-            .flatten()
-            .find(|&&c| c > 4)
-            .map(|c| format!("color {c} outside the palette"))
-    }
+    use ftcolor_core::{ring_safety, FiveColoring};
 
     #[test]
     fn shrinks_the_eager_mis_witness_and_it_still_reproduces() {
@@ -714,7 +704,7 @@ mod tests {
     fn shrinks_the_alg2_livelock_strictly() {
         let topo = Topology::cycle(3).unwrap();
         let raw = ModelChecker::new(&FiveColoring, &topo, vec![0, 1, 2])
-            .explore(coloring_safety)
+            .explore(ring_safety(&FiveColoring))
             .unwrap()
             .livelock
             .expect("livelock");
@@ -734,7 +724,7 @@ mod tests {
         let topo = Topology::cycle(3).unwrap();
         let sh = Shrinker::new(&FiveColoring, &topo, vec![0, 1, 2]);
         assert!(sh
-            .shrink_safety(&[ActivationSet::All], &coloring_safety)
+            .shrink_safety(&[ActivationSet::All], &ring_safety(&FiveColoring))
             .is_none());
         assert!(sh.shrink_overrun(&[ActivationSet::All], 10).is_none());
         let not_a_livelock = LivelockWitness {

@@ -43,9 +43,7 @@ pub mod replay;
 pub mod trace;
 
 pub use crate::core::{fresher, obs_stamp, NodeCore, Obs};
-pub use named::{
-    cluster_inputs, cluster_replay, cluster_run, ClusterOutcome, ClusterSummary, CLUSTER_ALGS,
-};
+pub use named::{cluster_replay, cluster_run, ClusterOutcome, ClusterSummary};
 pub use node::node_main;
 pub use orchestrator::{run_cluster, ChildGuard, ClusterOptions, ClusterReport, ClusterStats};
 pub use replay::{replay_trace, ReplayReport};

@@ -2,43 +2,25 @@
 //! behind the `ftcolor cluster` CLI subcommand and the cross-substrate
 //! harness's fourth leg.
 //!
-//! [`cluster_run`] mirrors the per-name construction of the other
-//! substrates' matrices (same algorithms, same input generators:
-//! unique random identifiers for the general algorithms, the
-//! staircase-polynomial family for Algorithm 3's `O(log* n)` claim),
-//! launches a live run via [`crate::run_cluster`], evaluates the
-//! proper-coloring oracle over the ring, and packages a JSON-ready
-//! [`ClusterSummary`]. [`cluster_replay`] is its offline twin: it
-//! dispatches on the algorithm name *recorded in the trace* and
-//! re-verifies the journal with [`crate::replay_trace`] — no processes
-//! spawned, same oracle, same summary shape.
+//! [`cluster_run`] looks the name up in the ring-coloring registry
+//! ([`ftcolor_core::ring`]: the same algorithms, palettes and input
+//! families as the other substrates' matrices), launches a live run
+//! via [`crate::run_cluster`], evaluates the proper-coloring oracle
+//! over the ring, and packages a JSON-ready [`ClusterSummary`].
+//! [`cluster_replay`] is its offline twin: it dispatches on the
+//! algorithm name *recorded in the trace* and re-verifies the journal
+//! with [`crate::replay_trace`] — no processes spawned, same oracle,
+//! same summary shape.
 
-use ftcolor_core::{
-    FastFiveColoring, FastFiveColoringPatched, FiveColoring, FiveColoringPatched, PairColor,
-    SixColoring,
-};
-use ftcolor_model::{inputs, Algorithm, SubstrateReport};
+use ftcolor_core::ring::{unknown_ring_coloring, RingColoring};
+use ftcolor_core::with_ring_coloring;
+use ftcolor_model::SubstrateReport;
 use ftcolor_net::{FaultPlan, WireStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::orchestrator::{run_cluster, ClusterOptions, ClusterStats};
 use crate::replay::replay_trace;
 use crate::trace::ClusterTrace;
-
-/// Registry names runnable on the cluster substrate: the paper's ring
-/// algorithms (crash-prone general ones and the synchronous-input fast
-/// ones, each in published and patched form).
-pub const CLUSTER_ALGS: &[&str] = &["alg1", "alg2", "alg2p", "alg3", "alg3p"];
-
-/// The input generator each registry entry uses on the ring (shared
-/// with the other substrates' matrices): `None` for unknown names.
-pub fn cluster_inputs(name: &str, n: usize, seed: u64) -> Option<Vec<u64>> {
-    match name {
-        "alg1" | "alg2" | "alg2p" => Some(inputs::random_unique(n, 10_000, seed)),
-        "alg3" | "alg3p" => Some(inputs::staircase_poly(n)),
-        _ => None,
-    }
-}
 
 /// JSON-ready summary of one cluster run (live or replayed).
 #[derive(Debug, Clone, Serialize)]
@@ -101,7 +83,9 @@ pub struct ClusterOutcome {
     pub trace: ClusterTrace,
 }
 
-/// Runs registry entry `name` on a live ring of real node processes.
+/// Runs the ring coloring `name` (one of
+/// [`RING_COLORINGS`](ftcolor_core::RING_COLORINGS)) on a live ring of
+/// real node processes.
 ///
 /// # Errors
 ///
@@ -114,36 +98,25 @@ pub fn cluster_run(
     plan: &FaultPlan,
     opts: &ClusterOptions,
 ) -> Result<ClusterOutcome, String> {
-    let ids = cluster_inputs(name, n, seed)
-        .ok_or_else(|| format!("cluster: unknown algorithm `{name}` (try {CLUSTER_ALGS:?})"))?;
-    match name {
-        "alg1" => {
-            let report = run_cluster(&SixColoring, name, &ids, plan, seed, opts)?;
-            let summary = summarize(
-                name,
-                seed,
-                &report,
-                rounds_max(&report.rounds),
-                report.timed_out,
-                report.wall_ms,
-                report.stats,
-                report.codec.name(),
-                report.wire,
-                &report.trace,
-                |c: &PairColor| c.flat_index(),
-                PairColor::palette_size(2),
-            );
-            Ok(ClusterOutcome {
-                summary,
-                trace: report.trace,
-            })
-        }
-        "alg2" => run_u64(&FiveColoring, name, &ids, plan, seed, opts),
-        "alg2p" => run_u64(&FiveColoringPatched, name, &ids, plan, seed, opts),
-        "alg3" => run_u64(&FastFiveColoring, name, &ids, plan, seed, opts),
-        "alg3p" => run_u64(&FastFiveColoringPatched, name, &ids, plan, seed, opts),
-        _ => unreachable!("gated by cluster_inputs"),
-    }
+    with_ring_coloring!(name, alg => {
+        let report = run_cluster(alg, name, &alg.ring_inputs(n, seed), plan, seed, opts)?;
+        let summary = summarize(
+            alg,
+            seed,
+            &report,
+            &report.rounds,
+            report.timed_out,
+            report.wall_ms,
+            report.stats,
+            report.codec.name(),
+            report.wire,
+            &report.trace,
+        );
+        Ok(ClusterOutcome {
+            summary,
+            trace: report.trace,
+        })
+    }, else Err(unknown_ring_coloring(name)))
 }
 
 /// Re-verifies a recorded trace offline, dispatching on the algorithm
@@ -154,114 +127,42 @@ pub fn cluster_run(
 /// Returns the replay divergence message, or a note for traces
 /// recorded with an algorithm this build doesn't know.
 pub fn cluster_replay(trace: &ClusterTrace) -> Result<ClusterSummary, String> {
-    match trace.alg.as_str() {
-        "alg1" => {
-            let report = replay_trace(&SixColoring, trace)?;
-            Ok(summarize(
-                &trace.alg,
-                trace.seed,
-                &report,
-                rounds_max(&report.rounds),
-                false,
-                0,
-                ClusterStats::default(),
-                "none",
-                WireStats::default(),
-                trace,
-                |c: &PairColor| c.flat_index(),
-                PairColor::palette_size(2),
-            ))
-        }
-        "alg2" => replay_u64(&FiveColoring, trace),
-        "alg2p" => replay_u64(&FiveColoringPatched, trace),
-        "alg3" => replay_u64(&FastFiveColoring, trace),
-        "alg3p" => replay_u64(&FastFiveColoringPatched, trace),
-        other => Err(format!("replay: trace uses unknown algorithm `{other}`")),
-    }
-}
-
-fn run_u64<A>(
-    alg: &A,
-    name: &str,
-    ids: &[u64],
-    plan: &FaultPlan,
-    seed: u64,
-    opts: &ClusterOptions,
-) -> Result<ClusterOutcome, String>
-where
-    A: Algorithm<Input = u64, Output = u64>,
-{
-    let report = run_cluster(alg, name, ids, plan, seed, opts)?;
-    let summary = summarize(
-        name,
-        seed,
-        &report,
-        rounds_max(&report.rounds),
-        report.timed_out,
-        report.wall_ms,
-        report.stats,
-        report.codec.name(),
-        report.wire,
-        &report.trace,
-        |&c| c,
-        5,
-    );
-    Ok(ClusterOutcome {
-        summary,
-        trace: report.trace,
-    })
-}
-
-fn replay_u64<A>(alg: &A, trace: &ClusterTrace) -> Result<ClusterSummary, String>
-where
-    A: Algorithm<Input = u64, Output = u64>,
-    A::Reg: Serialize + Deserialize,
-{
-    let report = replay_trace(alg, trace)?;
-    Ok(summarize(
-        &trace.alg,
-        trace.seed,
-        &report,
-        rounds_max(&report.rounds),
-        false,
-        0,
-        ClusterStats::default(),
-        "none",
-        WireStats::default(),
-        trace,
-        |&c| c,
-        5,
-    ))
-}
-
-fn rounds_max(rounds: &[u64]) -> u64 {
-    rounds.iter().copied().max().unwrap_or(0)
+    with_ring_coloring!(trace.alg.as_str(), alg => {
+        let report = replay_trace(alg, trace)?;
+        Ok(summarize(
+            alg,
+            trace.seed,
+            &report,
+            &report.rounds,
+            false,
+            0,
+            ClusterStats::default(),
+            "none",
+            WireStats::default(),
+            trace,
+        ))
+    }, else Err(format!("replay: trace uses unknown algorithm `{}`", trace.alg)))
 }
 
 /// Evaluates the ring proper-coloring oracle over any substrate report
 /// and folds it into the summary shape.
 #[allow(clippy::too_many_arguments)]
-fn summarize<O, R>(
-    name: &str,
+fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
+    alg: &A,
     seed: u64,
     report: &R,
-    rounds_max: u64,
+    rounds: &[u64],
     timed_out: bool,
     wall_ms: u64,
     stats: ClusterStats,
     wire_codec: &str,
     wire: WireStats,
     trace: &ClusterTrace,
-    color: impl Fn(&O) -> u64,
-    palette: u64,
-) -> ClusterSummary
-where
-    R: SubstrateReport<O>,
-{
+) -> ClusterSummary {
     let colors: Vec<Option<u64>> = report
         .outputs()
         .iter()
-        .map(|o| o.as_ref().map(&color))
+        .map(|o| o.as_ref().map(|o| alg.color(o)))
         .collect();
     let n = colors.len();
     // The ring oracle: decided neighbors must differ (mod-n adjacency).
@@ -272,13 +173,13 @@ where
             _ => true,
         }
     });
-    let palette_ok = colors.iter().flatten().all(|&c| c < palette);
+    let palette_ok = colors.iter().flatten().all(|&c| c < alg.palette());
     let crashed: Vec<usize> = report.crashed_ids().iter().map(|p| p.index()).collect();
     let stalled: Vec<usize> = (0..n)
         .filter(|&i| colors[i].is_none() && !crashed.contains(&i))
         .collect();
     ClusterSummary {
-        alg: name.to_string(),
+        alg: alg.name().to_string(),
         n,
         seed,
         valid,
@@ -288,7 +189,7 @@ where
         crashed,
         stalled,
         timed_out,
-        rounds_max,
+        rounds_max: rounds.iter().copied().max().unwrap_or(0),
         wall_ms,
         stats,
         wire_codec: wire_codec.to_string(),

@@ -29,9 +29,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ftcolor_core::{
-    FastFiveColoring, FastFiveColoringPatched, FiveColoring, FiveColoringPatched, SixColoring,
-};
+use ftcolor_core::with_ring_coloring;
 use ftcolor_model::Algorithm;
 use ftcolor_net::wire;
 use ftcolor_net::{Body, Codec, Frame, Init, WirePool};
@@ -76,14 +74,8 @@ pub fn node_main(codec: Codec) -> Result<(), String> {
             first.body.kind()
         ));
     };
-    match init.alg.as_str() {
-        "alg1" => run_node(&SixColoring, &init, codec),
-        "alg2" => run_node(&FiveColoring, &init, codec),
-        "alg2p" => run_node(&FiveColoringPatched, &init, codec),
-        "alg3" => run_node(&FastFiveColoring, &init, codec),
-        "alg3p" => run_node(&FastFiveColoringPatched, &init, codec),
-        other => Err(format!("node: unknown algorithm `{other}`")),
-    }
+    with_ring_coloring!(init.alg.as_str(), alg => run_node(alg, &init, codec),
+        else Err(format!("node: unknown algorithm `{}`", init.alg)))
 }
 
 fn run_node<A>(alg: &A, init: &Init, codec: Codec) -> Result<(), String>

@@ -30,7 +30,9 @@
 //! * [`mutants`] — intentionally-buggy algorithms (one per §2 contract)
 //!   used as negative fixtures by the `ftcolor-analyze` contract linter;
 //! * [`domains`] — certified abstract view domains over which the static
-//!   certifier (`ftcolor certify`) proves the contracts exhaustively.
+//!   certifier (`ftcolor certify`) proves the contracts exhaustively;
+//! * [`ring`] — the ring-coloring registry: the one name → algorithm
+//!   table ([`with_ring_coloring!`]) every front end dispatches through.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -48,6 +50,7 @@ pub mod domains;
 pub mod mis;
 pub mod mutants;
 pub mod renaming;
+pub mod ring;
 pub mod sync_local;
 
 pub use alg1::SixColoring;
@@ -57,6 +60,7 @@ pub use alg3::FastFiveColoring;
 pub use alg3_patched::FastFiveColoringPatched;
 pub use alg4::DeltaSquaredColoring;
 pub use color::{mex, mex2, PairColor};
+pub use ring::{ring_safety, RingColoring, RING_COLORINGS};
 
 /// Convenience re-exports of the paper's algorithms and color types.
 pub mod prelude {
@@ -70,5 +74,6 @@ pub mod prelude {
     pub use crate::color::PairColor;
     pub use crate::decoupled_ring::DecoupledThreeColoring;
     pub use crate::renaming::RankRenaming;
+    pub use crate::ring::RingColoring;
     pub use crate::sync_local::ColeVishkinThree;
 }

@@ -40,6 +40,8 @@ use ftcolor::checker::{
 };
 use ftcolor::cluster::{self, ClusterOptions, ClusterTrace};
 use ftcolor::core::mis::{mis_violation, EagerMis};
+use ftcolor::core::ring::unknown_ring_coloring;
+use ftcolor::core::{ring_safety, with_ring_coloring, RING_COLORINGS};
 use ftcolor::model::render::{render_ring_coloring, render_schedule, render_timeline};
 use ftcolor::model::{inputs, Topology};
 use ftcolor::net::{Codec, FaultPlan, NetConfig};
@@ -135,10 +137,13 @@ USAGE:
                      stdin/stdout — see README § wire formats)
 
 FLAGS:
-  --alg          alg1 | alg2 | alg2p | alg3 | alg3p    (default alg3)
-                 (shrink also accepts eagermis; analyze accepts every
-                 registry name, `rt` for the runtime race matrix, or
-                 `all` for everything)
+  --alg          alg1 | alg2 | alg2p | alg3 | alg3p
+                 (default: alg3 for color; alg2 for modelcheck, fuzz and
+                 shrink; alg2p for serve and cluster; all for analyze,
+                 certify and netsim). shrink also accepts eagermis;
+                 cluster accepts `all`; analyze, certify and netsim accept
+                 every registry name or `all`, and analyze also `rt` for
+                 the runtime race matrix
   --n            ring size (with --input)              (default 8)
   --ids          explicit identifiers, e.g. 5,11,7
   --input        staircase | staircase-poly | random | alternating | organ-pipe
@@ -340,24 +345,20 @@ fn make_schedule(kind: &str, n: usize, seed: u64) -> Result<Box<dyn Schedule>, S
     })
 }
 
-/// Runs one coloring algorithm generically and prints the outcome.
-fn run_and_print<A>(
+/// Runs one ring coloring and prints the outcome.
+fn run_and_print<A: RingColoring>(
     alg: &A,
     ids: &[u64],
     sched_kind: &str,
     seed: u64,
     timeline: bool,
-    cell: impl Fn(&A::Reg) -> String,
-) -> Result<(), String>
-where
-    A: Algorithm<Input = u64>,
-    A::Output: std::fmt::Debug,
-{
+) -> Result<(), String> {
+    out!("ids: {ids:?}")?;
     let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
     let mut exec = Execution::new(alg, &topo, ids.to_vec());
     if timeline {
         let sched = make_schedule(sched_kind, ids.len(), seed)?;
-        let text = render_timeline(&mut exec, sched, 100_000, cell);
+        let text = render_timeline(&mut exec, sched, 100_000, |r| alg.cell(r));
         out!("{text}")?;
     } else {
         let sched = make_schedule(sched_kind, ids.len(), seed)?;
@@ -386,35 +387,9 @@ fn cmd_color(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| format!("bad --seed: {e}"))?;
     let sched = get(opts, "sched", "random");
     let timeline = opts.contains_key("timeline");
-    out!("ids: {ids:?}")?;
-    match get(opts, "alg", "alg3") {
-        "alg1" => run_and_print(&SixColoring, &ids, sched, seed, timeline, |r| {
-            format!("{}", r.color)
-        }),
-        "alg2" => run_and_print(&FiveColoring, &ids, sched, seed, timeline, |r| {
-            format!("({},{})", r.a, r.b)
-        }),
-        "alg2p" => run_and_print(&FiveColoringPatched, &ids, sched, seed, timeline, |r| {
-            format!("({},{})c{}", r.a, r.b, r.c)
-        }),
-        "alg3" => run_and_print(&FastFiveColoring, &ids, sched, seed, timeline, |r| {
-            format!("x{}({},{})", r.x, r.a, r.b)
-        }),
-        "alg3p" => run_and_print(&FastFiveColoringPatched, &ids, sched, seed, timeline, |r| {
-            format!("x{}({},{})c{}", r.x, r.a, r.b, r.c)
-        }),
-        other => Err(format!("unknown --alg `{other}`")),
-    }
-}
-
-fn coloring_safety(topo: &Topology, outs: &[Option<u64>]) -> Option<String> {
-    if let Some((a, b)) = topo.first_conflict(outs) {
-        return Some(format!("conflict on edge {a}-{b}"));
-    }
-    outs.iter()
-        .flatten()
-        .find(|&&c| c > 4)
-        .map(|c| format!("color {c} outside the palette"))
+    let name = get(opts, "alg", "alg3");
+    with_ring_coloring!(name, alg => run_and_print(alg, &ids, sched, seed, timeline),
+        else Err(unknown_ring_coloring(name)))
 }
 
 /// Symmetry-invariant part of the modelcheck JSON output: counts shrink
@@ -458,90 +433,77 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     if !matches!(format, "text" | "json") {
         return Err(format!("unknown --format `{format}`"));
     }
-    let alg_name = get(opts, "alg", "alg2").to_string();
+    let alg_name = get(opts, "alg", "alg2");
     let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
 
-    macro_rules! check {
-        ($alg:expr, $safety:expr) => {{
-            let safety = $safety;
-            let o = ModelChecker::new($alg, &topo, ids.clone())
-                .with_max_configs(cap)
-                .with_jobs(jobs)
-                .with_symmetry(symmetry)
-                .with_por(por)
-                .explore(&safety)
-                .map_err(|e| e.to_string())?;
-            if format == "json" {
-                let j = ModelcheckJson {
-                    alg: alg_name,
-                    ids: ids.clone(),
-                    symmetry,
-                    por,
-                    jobs,
-                    verdict: VerdictJson {
-                        safety_violated: o.safety_violation.is_some(),
-                        livelock_found: o.livelock.is_some(),
-                        truncated: o.truncated,
-                    },
-                    safety_description: o.safety_violation.as_ref().map(|v| v.description.clone()),
-                    configs: o.configs,
-                    edges: o.edges,
-                    fully_terminated_configs: o.fully_terminated_configs,
-                    stats: o.stats.clone(),
-                };
+    with_ring_coloring!(alg_name, alg => {
+        let safety = ring_safety(alg);
+        let o = ModelChecker::new(alg, &topo, ids.clone())
+            .with_max_configs(cap)
+            .with_jobs(jobs)
+            .with_symmetry(symmetry)
+            .with_por(por)
+            .explore(&safety)
+            .map_err(|e| e.to_string())?;
+        if format == "json" {
+            let j = ModelcheckJson {
+                alg: alg_name.to_string(),
+                ids: ids.clone(),
+                symmetry,
+                por,
+                jobs,
+                verdict: VerdictJson {
+                    safety_violated: o.safety_violation.is_some(),
+                    livelock_found: o.livelock.is_some(),
+                    truncated: o.truncated,
+                },
+                safety_description: o.safety_violation.as_ref().map(|v| v.description.clone()),
+                configs: o.configs,
+                edges: o.edges,
+                fully_terminated_configs: o.fully_terminated_configs,
+                stats: o.stats.clone(),
+            };
+            out!(
+                "{}",
+                serde_json::to_string_pretty(&j).map_err(|e| e.to_string())?
+            )?;
+            return Ok(());
+        }
+        out!("{o}")?;
+        out!("{}", o.stats)?;
+        let sh = Shrinker::new(alg, &topo, ids.clone()).with_jobs(jobs);
+        if let Some(v) = &o.safety_violation {
+            out!("safety violation: {}", v.description)?;
+            out!("{}", render_schedule(&v.schedule))?;
+            if let Some(s) = sh.shrink_safety(&v.schedule, &safety) {
                 out!(
-                    "{}",
-                    serde_json::to_string_pretty(&j).map_err(|e| e.to_string())?
+                    "shrunk witness ({} -> {} activation slots, {} replays):",
+                    s.stats.original_slots,
+                    s.stats.shrunk_slots,
+                    s.stats.replays
                 )?;
-                return Ok(());
+                out!("{}", render_schedule(&s.schedule))?;
             }
-            out!("{o}")?;
-            out!("{}", o.stats)?;
-            let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
-            if let Some(v) = &o.safety_violation {
-                out!("safety violation: {}", v.description)?;
-                out!("{}", render_schedule(&v.schedule))?;
-                if let Some(s) = sh.shrink_safety(&v.schedule, &safety) {
-                    out!(
-                        "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots,
-                        s.stats.shrunk_slots,
-                        s.stats.replays
-                    )?;
-                    out!("{}", render_schedule(&s.schedule))?;
-                }
-            }
-            if let Some(lw) = &o.livelock {
-                out!("livelock witness (prefix then repeat cycle):")?;
-                out!("{}", render_schedule(&lw.prefix))?;
+        }
+        if let Some(lw) = &o.livelock {
+            out!("livelock witness (prefix then repeat cycle):")?;
+            out!("{}", render_schedule(&lw.prefix))?;
+            out!("-- cycle --")?;
+            out!("{}", render_schedule(&lw.cycle))?;
+            if let Some(s) = sh.shrink_livelock(lw) {
+                out!(
+                    "shrunk witness ({} -> {} activation slots, {} replays):",
+                    s.stats.original_slots,
+                    s.stats.shrunk_slots,
+                    s.stats.replays
+                )?;
+                out!("{}", render_schedule(&s.witness.prefix))?;
                 out!("-- cycle --")?;
-                out!("{}", render_schedule(&lw.cycle))?;
-                if let Some(s) = sh.shrink_livelock(lw) {
-                    out!(
-                        "shrunk witness ({} -> {} activation slots, {} replays):",
-                        s.stats.original_slots,
-                        s.stats.shrunk_slots,
-                        s.stats.replays
-                    )?;
-                    out!("{}", render_schedule(&s.witness.prefix))?;
-                    out!("-- cycle --")?;
-                    out!("{}", render_schedule(&s.witness.cycle))?;
-                }
+                out!("{}", render_schedule(&s.witness.cycle))?;
             }
-        }};
-    }
-    match get(opts, "alg", "alg2") {
-        "alg1" => check!(&SixColoring, |t: &Topology, o: &[Option<PairColor>]| {
-            t.first_conflict(o)
-                .map(|(a, b)| format!("conflict {a}-{b}"))
-        }),
-        "alg2" => check!(&FiveColoring, coloring_safety),
-        "alg2p" => check!(&FiveColoringPatched, coloring_safety),
-        "alg3p" => check!(&FastFiveColoringPatched, coloring_safety),
-        "alg3" => check!(&FastFiveColoring, coloring_safety),
-        other => return Err(format!("unknown --alg `{other}`")),
-    }
-    Ok(())
+        }
+        Ok(())
+    }, else Err(unknown_ring_coloring(alg_name)))
 }
 
 fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -561,44 +523,36 @@ fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
         ..FuzzConfig::default()
     };
 
-    macro_rules! fuzz {
-        ($alg:expr) => {{
-            let fz = ScheduleFuzzer::new($alg, &topo, ids.clone(), config.clone());
-            let report = fz.run(coloring_safety);
-            out!(
-                "best score: {} over {} executions",
-                report.best_score,
-                report.evaluated
-            )?;
-            if report.best_score >= 1000 {
-                out!("starvation found! best schedule:")?;
-                out!("{}", render_schedule(&report.best_schedule))?;
-            }
-            if let Some(v) = &report.safety_violation {
-                out!("SAFETY VIOLATION: {v}")?;
-                if let Some(genome) = &report.violating_schedule {
-                    let sh = Shrinker::new($alg, &topo, ids.clone()).with_jobs(jobs);
-                    if let Some(s) = sh.shrink_safety(genome, &coloring_safety) {
-                        out!(
-                            "shrunk witness ({} -> {} activation slots, {} replays):",
-                            s.stats.original_slots,
-                            s.stats.shrunk_slots,
-                            s.stats.replays
-                        )?;
-                        out!("{}", render_schedule(&s.schedule))?;
-                    }
+    let alg_name = get(opts, "alg", "alg2");
+    with_ring_coloring!(alg_name, alg => {
+        let safety = ring_safety(alg);
+        let report = ScheduleFuzzer::new(alg, &topo, ids.clone(), config).run(&safety);
+        out!(
+            "best score: {} over {} executions",
+            report.best_score,
+            report.evaluated
+        )?;
+        if report.best_score >= 1000 {
+            out!("starvation found! best schedule:")?;
+            out!("{}", render_schedule(&report.best_schedule))?;
+        }
+        if let Some(v) = &report.safety_violation {
+            out!("SAFETY VIOLATION: {v}")?;
+            if let Some(genome) = &report.violating_schedule {
+                let sh = Shrinker::new(alg, &topo, ids.clone()).with_jobs(jobs);
+                if let Some(s) = sh.shrink_safety(genome, &safety) {
+                    out!(
+                        "shrunk witness ({} -> {} activation slots, {} replays):",
+                        s.stats.original_slots,
+                        s.stats.shrunk_slots,
+                        s.stats.replays
+                    )?;
+                    out!("{}", render_schedule(&s.schedule))?;
                 }
             }
-        }};
-    }
-    match get(opts, "alg", "alg2") {
-        "alg2" => fuzz!(&FiveColoring),
-        "alg2p" => fuzz!(&FiveColoringPatched),
-        "alg3" => fuzz!(&FastFiveColoring),
-        "alg3p" => fuzz!(&FastFiveColoringPatched),
-        other => return Err(format!("unknown --alg `{other}`")),
-    }
-    Ok(())
+        }
+        Ok(())
+    }, else Err(unknown_ring_coloring(alg_name)))
 }
 
 /// What `--in` turned out to hold: a ready witness, or a bare schedule
@@ -657,61 +611,8 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     let out = opts.get("out").map(String::as_str);
 
-    match alg_name.as_str() {
-        "alg1" => shrink_and_report(
-            &SixColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            |t: &Topology, o: &[Option<PairColor>]| {
-                t.first_conflict(o)
-                    .map(|(a, b)| format!("conflict {a}-{b}"))
-            },
-        ),
-        "alg2" => shrink_and_report(
-            &FiveColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg2p" => shrink_and_report(
-            &FiveColoringPatched,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg3" => shrink_and_report(
-            &FastFiveColoring,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "alg3p" => shrink_and_report(
-            &FastFiveColoringPatched,
-            &alg_name,
-            &ids,
-            jobs,
-            bound,
-            &input,
-            out,
-            coloring_safety,
-        ),
-        "eagermis" => shrink_and_report(
+    if alg_name == "eagermis" {
+        return shrink_and_report(
             &EagerMis,
             &alg_name,
             &ids,
@@ -720,9 +621,18 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
             &input,
             out,
             mis_violation,
-        ),
-        other => Err(format!("unknown --alg `{other}`")),
+        );
     }
+    with_ring_coloring!(alg_name.as_str(), alg => shrink_and_report(
+        alg,
+        &alg_name,
+        &ids,
+        jobs,
+        bound,
+        &input,
+        out,
+        ring_safety(alg),
+    ), else Err(unknown_ring_coloring(&alg_name)))
 }
 
 /// Shrinks `input` on `alg`, prints the minimal witness, replay-verifies
@@ -1140,7 +1050,7 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let alg = get(opts, "alg", "alg2p");
     let names: Vec<&str> = if alg == "all" {
-        cluster::CLUSTER_ALGS.to_vec()
+        RING_COLORINGS.to_vec()
     } else {
         vec![alg]
     };
@@ -1209,51 +1119,22 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     if cfg.quantum == 0 {
         return Err("serve needs --quantum >= 1".into());
     }
-    let format = get(opts, "format", "text").to_string();
-    match get(opts, "alg", "alg2p") {
-        "alg1" => serve_with(
-            &SixColoring,
-            "alg1",
-            6,
-            |c: &PairColor| usize::try_from(c.flat_index()).expect("flat index fits usize"),
-            &cfg,
-            &format,
-        ),
-        "alg2" => serve_with(&FiveColoring, "alg2", 5, flat_u64, &cfg, &format),
-        "alg2p" => serve_with(&FiveColoringPatched, "alg2p", 5, flat_u64, &cfg, &format),
-        "alg3" => serve_with(&FastFiveColoring, "alg3", 5, flat_u64, &cfg, &format),
-        "alg3p" => serve_with(
-            &FastFiveColoringPatched,
-            "alg3p",
-            5,
-            flat_u64,
-            &cfg,
-            &format,
-        ),
-        other => Err(format!("unknown --alg `{other}`")),
-    }
+    let format = get(opts, "format", "text");
+    let name = get(opts, "alg", "alg2p");
+    with_ring_coloring!(name, alg => serve_with(alg, &cfg, format),
+        else Err(unknown_ring_coloring(name)))
 }
 
-/// Color projection for the algorithms whose output already is the color.
-fn flat_u64(c: &u64) -> usize {
-    usize::try_from(*c).expect("color fits usize")
-}
-
-fn serve_with<A>(
-    alg: &A,
-    label: &str,
-    palette: usize,
-    color_of: impl Fn(&A::Output) -> usize + Sync,
-    cfg: &ftcolor::batch::ServiceConfig,
-    format: &str,
-) -> Result<(), String>
+fn serve_with<A>(alg: &A, cfg: &ftcolor::batch::ServiceConfig, format: &str) -> Result<(), String>
 where
-    A: Algorithm<Input = u64> + Sync,
+    A: RingColoring + Sync,
     A::State: Eq + std::hash::Hash + Clone + Send + Sync,
     A::Reg: Eq + std::hash::Hash + Clone + Send + Sync,
     A::Output: Eq + std::hash::Hash + Clone + Send + Sync,
 {
-    let (summary, timings) = ftcolor::batch::run_service(alg, label, palette, color_of, cfg);
+    let palette = usize::try_from(alg.palette()).expect("palette fits usize");
+    let color_of = |o: &A::Output| usize::try_from(alg.color(o)).expect("color fits usize");
+    let (summary, timings) = ftcolor::batch::run_service(alg, alg.name(), palette, color_of, cfg);
     // Wall-clock facts go to stderr only: stdout is deterministic and
     // byte-identical at every --jobs value (the golden test pins this).
     eprintln!(

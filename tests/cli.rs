@@ -464,3 +464,53 @@ fn closed_stdout_ends_quietly() {
         assert!(out.status.success(), "{args:?}: {stderr}");
     }
 }
+
+/// Every ring coloring runs under every single-algorithm subcommand
+/// that takes one (`fuzz --alg alg1` included), on tiny instances.
+#[test]
+fn every_ring_coloring_runs_under_every_subcommand() {
+    let tiny: [&[&str]; 4] = [
+        &["color", "--n", "5"],
+        &["modelcheck", "--ids", "0,1,2", "--max-configs", "5000"],
+        &["fuzz", "--ids", "0,1,2", "--generations", "2"],
+        &["serve", "--n", "5", "--instances", "20"],
+    ];
+    for alg in ftcolor::core::RING_COLORINGS {
+        for args in tiny {
+            let mut cmd = args.to_vec();
+            cmd.extend(["--alg", alg]);
+            let (stdout, stderr, ok) = run(&cmd);
+            assert!(ok, "{cmd:?} failed: {stderr}\n{stdout}");
+        }
+    }
+}
+
+/// One message for an unknown ring-coloring name, whichever subcommand
+/// is asked.
+#[test]
+fn unknown_ring_colorings_get_one_message() {
+    let dir = std::env::temp_dir().join(format!("ftcolor-unknown-alg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bare = dir.join("bare.json");
+    std::fs::write(
+        &bare,
+        r#"{"description": "nothing", "schedule": [{"Only": [0]}]}"#,
+    )
+    .unwrap();
+    let want = "unknown --alg `nope` (expected one of alg1, alg2, alg2p, alg3, alg3p)";
+    for args in [
+        &["color"][..],
+        &["modelcheck", "--ids", "0,1,2"],
+        &["fuzz", "--ids", "0,1,2", "--generations", "2"],
+        &["shrink", "--in", bare.to_str().unwrap(), "--ids", "0,1,2"],
+        &["serve", "--instances", "20"],
+        &["cluster"],
+    ] {
+        let mut cmd = args.to_vec();
+        cmd.extend(["--alg", "nope"]);
+        let (_, stderr, ok) = run(&cmd);
+        assert!(!ok, "{cmd:?} must be refused");
+        assert!(stderr.contains(want), "{cmd:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

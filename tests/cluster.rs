@@ -247,3 +247,33 @@ fn binary_codec_matches_json_verdicts_and_replays() {
     assert_eq!(replayed.trace_digest, bin.summary.trace_digest);
     assert_eq!(replayed.wire_codec, "none");
 }
+
+/// Every ring coloring in the registry runs on real processes: a clean
+/// C5 over the binary codec decides a proper coloring inside the
+/// palette, and its journal replays to the same verdict.
+#[test]
+fn every_ring_coloring_runs_and_replays_on_the_cluster() {
+    use ftcolor::core::RING_COLORINGS;
+    use ftcolor::net::Codec;
+
+    for name in RING_COLORINGS {
+        let outcome = cluster::cluster_run(
+            name,
+            5,
+            1,
+            &FaultPlan::clean(),
+            &opts().codec(Codec::Binary).max_wall_ms(20_000),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let s = &outcome.summary;
+        assert_eq!(s.alg, name);
+        assert!(!s.timed_out, "{name}: hit the wall-clock cap");
+        assert!(s.valid, "{name}: improper coloring {:?}", s.colors);
+        assert!(s.palette_ok, "{name}: color outside the palette");
+        let replayed =
+            cluster::cluster_replay(&outcome.trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(replayed.colors, s.colors, "{name}: replay diverged");
+        assert_eq!(replayed.crashed, s.crashed, "{name}: replay diverged");
+        assert_eq!(replayed.trace_digest, s.trace_digest, "{name}");
+    }
+}

@@ -241,11 +241,11 @@ fn conformance_matrix_on_all_three_substrates() {
 /// ```
 ///
 /// Two seeds (not four) keep the gated leg under a minute; inputs come
-/// from the registry (`cluster_inputs`), which matches the matrix above
-/// for alg1/alg2p and uses the staircase family for alg3p. Each live
-/// run's journal must also replay cleanly — the recorded trace is the
-/// reproducible artifact, so an unreplayable run is a failure even when
-/// its coloring is proper.
+/// from the ring-coloring registry (`RingColoring::ring_inputs`), which
+/// matches the matrix above for alg1/alg2p and uses the staircase family
+/// for alg3p. Each live run's journal must also replay cleanly — the
+/// recorded trace is the reproducible artifact, so an unreplayable run
+/// is a failure even when its coloring is proper.
 #[test]
 fn conformance_matrix_on_cluster_substrate() {
     use ftcolor::cluster::{self, ClusterOptions};
