@@ -1,16 +1,25 @@
 //! The struct-of-arrays batch engine.
 //!
 //! One [`BatchEngine`] holds a homogeneous fleet of `C_n` instances.
-//! An instance at rest is three flat slab rows — `3n` packed interned
-//! slots ([`ConfigCodec`]), `n` activation counters, and one time
-//! counter — plus a tiny control block (its live schedule struct, fuel,
-//! crash record). Stepping swaps the row through a per-worker scratch
-//! [`Execution`]: restore ([`ConfigCodec::restore_slice`]), up to
-//! `quantum` schedule iterations, re-encode
-//! ([`ConfigCodec::encode_slice`]). No `Execution` is ever cloned and
-//! no per-instance heap state survives between visits; a parked C5
-//! instance costs 60 bytes of slab plus its control block, which is
-//! what makes millions of concurrent instances fit.
+//! An instance at rest occupies one *slot*: three flat slab rows — `3n`
+//! packed interned slots ([`ConfigCodec`]), `n` activation counters,
+//! and one time counter — a status byte, and a small control block (its
+//! admission index and round, live schedule struct, fuel). Stepping
+//! swaps the row through a per-worker scratch [`Execution`]: restore
+//! ([`ConfigCodec::restore_slice`]), up to `quantum` schedule
+//! iterations, re-encode ([`ConfigCodec::encode_slice`]). No
+//! `Execution` is ever cloned and no per-instance heap state survives
+//! between visits; a parked C5 slot costs 60 bytes of packed slots, 29
+//! of counters and status, and a 120-byte locked control block.
+//!
+//! Slots are recycled. When a round retires an instance, the prune that
+//! follows it — after the workers have joined — puts the slot on a free
+//! list, and the next admission takes it, resetting counters, status and
+//! control block. The slab therefore grows to the most instances ever in
+//! flight at once ([`BatchEngine::slots`]), not to the number admitted
+//! ([`BatchEngine::admitted`]), and each distinct state or register is
+//! interned once for the whole fleet: memory follows what is in flight,
+//! which is what makes a stream of millions of instances fit.
 //!
 //! ## Equivalence to the sequential executor
 //!
@@ -153,9 +162,12 @@ impl Default for BatchConfig {
 /// does not pack into flat `u32` slabs. Locked only by the (single)
 /// worker visiting the instance this round.
 struct Ctrl {
+    /// Admission index of the instance in this slot.
+    index: usize,
+    /// Sweep round at which it was admitted.
+    admitted_round: u64,
     sched: BatchSchedule,
     fuel: u64,
-    crashed: Vec<ProcessId>,
     trace: Option<Vec<ActivationSet>>,
 }
 
@@ -173,20 +185,22 @@ where
     n: usize,
     cfg: BatchConfig,
     round: u64,
-    /// Packed configuration slab: `3n` interned slots per instance.
+    /// Instances admitted so far; the next admission index.
+    admitted: usize,
+    /// Packed configuration slab: `3n` interned slots per slot.
     packed: Vec<AtomicU32>,
-    /// Activation-counter slab: `n` counters per instance.
+    /// Activation-counter slab: `n` counters per slot.
     activ: Vec<AtomicU32>,
-    /// Time steps executed, per instance.
+    /// Time steps executed, per slot.
     time: Vec<AtomicU64>,
-    /// `ST_*` status byte, per instance.
+    /// `ST_*` status byte, per slot.
     status: Vec<AtomicU8>,
-    /// Admission round, per instance (written once, before any sweep).
-    admitted: Vec<u64>,
-    /// Control blocks, per instance.
+    /// Control blocks, per slot.
     ctrl: Vec<Mutex<Ctrl>>,
-    /// Indices still in flight (pruned after every round).
+    /// Slots still in flight (pruned after every round).
     runnable: Vec<u32>,
+    /// Slots whose instance retired, reused by the next admissions.
+    free: Vec<u32>,
 }
 
 impl<'a, A> BatchEngine<'a, A>
@@ -218,13 +232,14 @@ where
                 record_traces: cfg.record_traces,
             },
             round: 0,
+            admitted: 0,
             packed: Vec::new(),
             activ: Vec::new(),
             time: Vec::new(),
             status: Vec::new(),
-            admitted: Vec::new(),
             ctrl: Vec::new(),
             runnable: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -245,7 +260,13 @@ where
 
     /// Instances admitted over the engine's lifetime.
     pub fn admitted(&self) -> usize {
-        self.status.len()
+        self.admitted
+    }
+
+    /// Slab slots allocated: never more than the most instances ever in
+    /// flight at once, since a retired instance's slot is reused.
+    pub fn slots(&self) -> usize {
+        self.ctrl.len()
     }
 
     /// Distinct interned (states, registers, outputs) — the sharing the
@@ -254,39 +275,66 @@ where
         self.codec.interned_counts()
     }
 
-    /// Rough heap footprint of the interners.
+    /// Heap bytes of the interners (see
+    /// [`ConfigCodec::approx_interner_bytes`]).
     pub fn approx_interner_bytes(&self) -> usize {
         self.codec.approx_interner_bytes()
     }
 
-    /// Admits one instance, returning its index. The instance is
-    /// initialized exactly as `Execution::new` would (it is — a scratch
-    /// execution is built once and immediately parked into the slab).
+    /// Admits one instance, returning its admission index. The instance
+    /// is initialized exactly as `Execution::new` would (it is — a
+    /// scratch execution is built once and immediately parked into the
+    /// slab), in the slot of a retired instance if there is one.
     ///
     /// # Panics
     ///
     /// Panics if the spec's ring size differs from the engine's.
     pub fn admit(&mut self, spec: &InstanceSpec) -> usize {
         assert_eq!(spec.n(), self.n, "spec ring size != engine ring size");
-        let idx = self.status.len();
-        let exec = Execution::new(self.alg, &self.topo, spec.ids.clone());
-        let mut row = vec![0u32; self.n * SLOTS_PER_PROC];
-        self.codec.encode_slice(&exec, &mut row);
-        self.packed.extend(row.into_iter().map(AtomicU32::new));
-        self.activ
-            .extend(std::iter::repeat_with(|| AtomicU32::new(0)).take(self.n));
-        self.time.push(AtomicU64::new(0));
-        self.status.push(AtomicU8::new(ST_IN_FLIGHT));
-        self.admitted.push(self.round);
-        self.ctrl.push(Mutex::new(Ctrl {
+        let index = self.admitted;
+        self.admitted += 1;
+        let ctrl = Ctrl {
+            index,
+            admitted_round: self.round,
             sched: spec.schedule(),
             fuel: spec.fuel,
-            crashed: Vec::new(),
             trace: self.cfg.record_traces.then(Vec::new),
-        }));
-        self.runnable
-            .push(u32::try_from(idx).expect("fewer than 2^32 instances"));
-        idx
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                *self.ctrl[slot as usize].get_mut() = ctrl;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.ctrl.len()).expect("fewer than 2^32 slots");
+                self.ctrl.push(Mutex::new(ctrl));
+                let slots = self.ctrl.len();
+                self.packed
+                    .resize_with(slots * self.n * SLOTS_PER_PROC, AtomicU32::default);
+                self.activ.resize_with(slots * self.n, AtomicU32::default);
+                self.time.resize_with(slots, AtomicU64::default);
+                self.status.resize_with(slots, AtomicU8::default);
+                slot
+            }
+        };
+        let at = slot as usize;
+        *self.time[at].get_mut() = 0;
+        *self.status[at].get_mut() = ST_IN_FLIGHT;
+        for a in &mut self.activ[at * self.n..(at + 1) * self.n] {
+            *a.get_mut() = 0;
+        }
+        let exec = Execution::new(self.alg, &self.topo, spec.ids.clone());
+        let width = self.n * SLOTS_PER_PROC;
+        let mut row = vec![0u32; width];
+        self.codec.encode_slice(&exec, &mut row);
+        for (cell, v) in self.packed[at * width..(at + 1) * width]
+            .iter_mut()
+            .zip(row)
+        {
+            *cell.get_mut() = v;
+        }
+        self.runnable.push(slot);
+        index
     }
 
     /// One sweep round: every in-flight instance is visited exactly
@@ -344,8 +392,14 @@ where
             }
         })
         .expect("batch worker panicked");
-        self.runnable
-            .retain(|&i| this_status(&self.status, i as usize) == ST_IN_FLIGHT);
+        let (status, free) = (&self.status, &mut self.free);
+        self.runnable.retain(|&slot| {
+            let live = status[slot as usize].load(Ordering::Relaxed) == ST_IN_FLIGHT;
+            if !live {
+                free.push(slot);
+            }
+            live
+        });
         before - self.runnable.len()
     }
 
@@ -362,12 +416,12 @@ where
         self.runnable.is_empty()
     }
 
-    /// Visits one instance: restore its slab row, run up to `quantum`
-    /// schedule iterations of `Execution::run`'s exact loop, park or
-    /// retire.
+    /// Visits the instance in `slot`: restore its slab row, run up to
+    /// `quantum` schedule iterations of `Execution::run`'s exact loop,
+    /// park or retire.
     fn visit(
         &self,
-        idx: usize,
+        slot: usize,
         round: u64,
         scratch: &mut Execution<'_, A>,
         row: &mut [u32],
@@ -375,9 +429,9 @@ where
         sink: &impl Fn(BatchOutcome<A::Output>),
     ) {
         let slots = self.n * SLOTS_PER_PROC;
-        let base = idx * slots;
-        let abase = idx * self.n;
-        let mut ctrl = self.ctrl[idx].lock();
+        let base = slot * slots;
+        let abase = slot * self.n;
+        let mut ctrl = self.ctrl[slot].lock();
 
         for (k, r) in row.iter_mut().enumerate() {
             *r = self.packed[base + k].load(Ordering::Relaxed);
@@ -386,13 +440,14 @@ where
         for (k, a) in act_row.iter_mut().enumerate() {
             *a = self.activ[abase + k].load(Ordering::Relaxed);
         }
-        let mut time = self.time[idx].load(Ordering::Relaxed);
+        let mut time = self.time[slot].load(Ordering::Relaxed);
 
         // `Execution::run`, quantum iterations at a time: working-set
         // check first, then fuel, then the schedule. The order matters
         // for the fuel-boundary cases and is pinned by the differential
         // suite.
         let mut done: Option<Termination> = None;
+        let mut crashed = Vec::new();
         for _ in 0..self.cfg.quantum {
             if scratch.working().is_empty() {
                 done = Some(Termination::Returned);
@@ -404,7 +459,7 @@ where
             }
             match ctrl.sched.next(time + 1, scratch.working()) {
                 None => {
-                    ctrl.crashed = scratch.working().to_vec();
+                    crashed = scratch.working().to_vec();
                     done = Some(Termination::Crashed);
                     break;
                 }
@@ -431,18 +486,18 @@ where
                 for (k, a) in act_row.iter().enumerate() {
                     self.activ[abase + k].store(*a, Ordering::Relaxed);
                 }
-                self.time[idx].store(time, Ordering::Relaxed);
+                self.time[slot].store(time, Ordering::Relaxed);
             }
             Some(term) => {
-                self.status[idx].store(term.as_status(), Ordering::Relaxed);
+                self.status[slot].store(term.as_status(), Ordering::Relaxed);
                 let outcome = BatchOutcome {
-                    index: idx,
+                    index: ctrl.index,
                     termination: term,
                     outputs: scratch.outputs().to_vec(),
                     activations: act_row.iter().map(|&a| u64::from(a)).collect(),
                     time_steps: time,
-                    crashed: std::mem::take(&mut ctrl.crashed),
-                    admitted_round: self.admitted[idx],
+                    crashed,
+                    admitted_round: ctrl.admitted_round,
                     completed_round: round,
                     trace: ctrl.trace.take(),
                 };
@@ -455,10 +510,6 @@ where
 
 /// Chunk size workers claim from their own queue per lock acquisition.
 const CLAIM_CHUNK: usize = 64;
-
-fn this_status(status: &[AtomicU8], idx: usize) -> u8 {
-    status[idx].load(Ordering::Relaxed)
-}
 
 /// Runs one instance *materialized* — on a live [`Execution`] instead
 /// of through the codec. This is the path for giant rings (a single

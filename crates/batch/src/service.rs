@@ -173,6 +173,7 @@ pub struct ServiceTimings {
 /// Order-independent outcome aggregation (the sink folds into this
 /// under a mutex, from whichever worker retires each instance).
 struct Acc {
+    /// Completions by latency: `latencies[l]` instances took `l` rounds.
     latencies: Vec<u64>,
     histogram: Vec<u64>,
     returned: u64,
@@ -211,8 +212,11 @@ impl Acc {
             Termination::Crashed => self.crashed += 1,
             Termination::Stalled => self.stalled += 1,
         }
-        self.latencies
-            .push(outcome.completed_round - outcome.admitted_round);
+        count(
+            &mut self.latencies,
+            usize::try_from(outcome.completed_round - outcome.admitted_round)
+                .expect("latency fits usize"),
+        );
         self.total_steps += outcome.time_steps;
 
         let mut h = fnv(0xcbf2_9ce4_8422_2325, outcome.index as u64);
@@ -259,14 +263,32 @@ fn fnv(mut h: u64, word: u64) -> u64 {
     h
 }
 
-/// `q`-th percentile (0–100) of an unsorted latency sample by
-/// nearest-rank on the sorted copy. Deterministic integer arithmetic.
-fn percentile(sorted: &[u64], q: u64) -> u64 {
-    if sorted.is_empty() {
+/// Counts one sample equal to `value` in `histogram`.
+fn count(histogram: &mut Vec<u64>, value: usize) {
+    if histogram.len() <= value {
+        histogram.resize(value + 1, 0);
+    }
+    histogram[value] += 1;
+}
+
+/// `q`-th percentile (0–100) of the latencies counted in `histogram`
+/// (`histogram[l]` samples equal `l`) by nearest rank: the sample at
+/// rank `⌊(count − 1) · q / 100⌋` in sorted order. Deterministic integer
+/// arithmetic; 0 for an empty histogram.
+fn percentile(histogram: &[u64], q: u64) -> u64 {
+    let count: u64 = histogram.iter().sum();
+    if count == 0 {
         return 0;
     }
-    let idx = ((sorted.len() - 1) as u64 * q) / 100;
-    sorted[usize::try_from(idx).expect("index fits usize")]
+    let rank = ((count - 1) * q) / 100;
+    let mut seen = 0;
+    for (latency, &c) in histogram.iter().enumerate() {
+        seen += c;
+        if seen > rank {
+            return latency as u64;
+        }
+    }
+    unreachable!("rank {rank} is below the sample count {count}")
 }
 
 /// Runs one service workload to completion and summarizes it.
@@ -361,7 +383,6 @@ where
     };
 
     let completed = acc.returned + acc.crashed + acc.stalled;
-    acc.latencies.sort_unstable();
     let valid = completed == cfg.instances && acc.stalled == 0 && acc.proper_ok && acc.palette_ok;
     let summary = ServiceSummary {
         schema: "ftcolor-service/1".to_string(),
@@ -389,7 +410,7 @@ where
         rounds,
         latency_p50: percentile(&acc.latencies, 50),
         latency_p99: percentile(&acc.latencies, 99),
-        latency_max: acc.latencies.last().copied().unwrap_or(0),
+        latency_max: percentile(&acc.latencies, 100),
         total_steps: acc.total_steps,
         total_activations: acc.total_activations,
         max_activations: acc.max_activations,
@@ -422,4 +443,41 @@ pub fn peak_rss_kib() -> u64 {
         .find_map(|line| line.strip_prefix("VmHWM:"))
         .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Nearest-rank percentile on a sorted sample: the definition the
+    /// histogram form must reproduce.
+    fn sorted_percentile(sorted: &[u64], q: u64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let idx = ((sorted.len() - 1) as u64 * q) / 100;
+        sorted[usize::try_from(idx).expect("index fits usize")]
+    }
+
+    #[test]
+    fn histogram_percentiles_match_the_sorted_sample() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for trial in 0..200 {
+            let len = rng.gen_range(0..300usize);
+            let spread = rng.gen_range(1..40u64);
+            let mut sample: Vec<u64> = (0..len).map(|_| rng.gen_range(0..spread)).collect();
+            let mut histogram = Vec::new();
+            for &l in &sample {
+                count(&mut histogram, l as usize);
+            }
+            sample.sort_unstable();
+            for q in [0, 1, 50, 90, 99, 100] {
+                assert_eq!(
+                    percentile(&histogram, q),
+                    sorted_percentile(&sample, q),
+                    "trial {trial}, q {q}, sample {sample:?}"
+                );
+            }
+        }
+    }
 }

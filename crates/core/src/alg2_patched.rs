@@ -73,6 +73,9 @@
 use crate::color::mex;
 use ftcolor_model::{Algorithm, Neighborhood, PorCert, ProcessId, Step};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// Register contents of the patched algorithm: Algorithm 2's triple plus
 /// the update counter used for priority arbitration.
@@ -89,14 +92,87 @@ pub struct Reg2P {
 }
 
 /// Private state: the published register plus the previous view (used
-/// only for the frozen-view escape; never published).
+/// only for the frozen-view escape; never published). The state owns no
+/// heap memory, so cloning, interning and parking it never allocate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct State2P {
     /// The published part.
     pub reg: Reg2P,
     /// Neighbor registers read at the previous activation (`None` before
     /// the first activation; inner `None`s are `⊥` registers).
-    pub last_view: Option<Vec<Option<Reg2P>>>,
+    pub last_view: Option<View2P>,
+}
+
+/// One activation's view, by view position, held inline: Algorithm 2′
+/// runs on cycles and paths, so a process has at most two neighbors.
+///
+/// The view derefs to the slice of its entries, and equality, hashing
+/// and `Debug` all go through that slice — so a [`State2P`] hashes to
+/// the same bytes as it did when this field was a `Vec` (a length
+/// prefix, then the entries), which keeps the checker's symmetry
+/// election and every pinned configuration count unchanged.
+#[derive(Clone, Copy)]
+pub struct View2P {
+    regs: [Option<Reg2P>; 2],
+    len: u8,
+}
+
+impl FromIterator<Option<Reg2P>> for View2P {
+    /// Collects a view of degree ≤ 2.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a view of more than two entries: Algorithm 2′ stores
+    /// views of cycles and paths only.
+    fn from_iter<I: IntoIterator<Item = Option<Reg2P>>>(entries: I) -> Self {
+        let mut view = View2P {
+            regs: [None; 2],
+            len: 0,
+        };
+        for (k, reg) in entries.into_iter().enumerate() {
+            assert!(
+                k < 2,
+                "Algorithm 2' runs on cycles and paths: a view has at most 2 entries"
+            );
+            view.regs[k] = reg;
+            view.len += 1;
+        }
+        view
+    }
+}
+
+impl Deref for View2P {
+    type Target = [Option<Reg2P>];
+
+    fn deref(&self) -> &[Option<Reg2P>] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for View2P {
+    fn deref_mut(&mut self) -> &mut [Option<Reg2P>] {
+        &mut self.regs[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for View2P {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for View2P {}
+
+impl Hash for View2P {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for View2P {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// Algorithm 2 with counter-priority arbitration. Identical safety and
@@ -189,14 +265,7 @@ impl Algorithm for FiveColoringPatched {
         if changed {
             state.reg.c += 1;
         }
-        let current = view.iter().map(Option::<&Reg2P>::copied);
-        match &mut state.last_view {
-            Some(last) => {
-                last.clear();
-                last.extend(current);
-            }
-            None => state.last_view = Some(current.collect()),
-        }
+        state.last_view = Some(view.iter().map(Option::<&Reg2P>::copied).collect());
         Step::Continue
     }
 
@@ -207,7 +276,7 @@ impl Algorithm for FiveColoringPatched {
     fn relabel_view(&self, state: &mut State2P, perm: &[usize]) -> bool {
         if let Some(v) = &mut state.last_view {
             debug_assert_eq!(v.len(), perm.len());
-            let old = v.clone();
+            let old = *v;
             for (k, &src) in perm.iter().enumerate() {
                 v[k] = old[src];
             }
@@ -238,6 +307,85 @@ mod tests {
         for c in outputs.iter().flatten() {
             assert!(*c <= 4, "palette violation: {c}");
         }
+    }
+
+    fn reg(x: u64) -> Reg2P {
+        Reg2P {
+            x,
+            a: x % 5,
+            b: (x + 1) % 5,
+            c: x / 2,
+        }
+    }
+
+    /// Records every byte a `Hash` impl writes.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn hash_bytes(value: &impl Hash) -> Vec<u8> {
+        let mut h = Recorder::default();
+        value.hash(&mut h);
+        h.0
+    }
+
+    #[test]
+    fn inline_view_hashes_like_the_vec_it_replaced() {
+        // The `State2P` layout before the view moved inline.
+        #[derive(Hash)]
+        struct VecState {
+            reg: Reg2P,
+            last_view: Option<Vec<Option<Reg2P>>>,
+        }
+        let views: [Option<Vec<Option<Reg2P>>>; 6] = [
+            None,
+            Some(vec![None]),
+            Some(vec![Some(reg(6))]),
+            Some(vec![None, None]),
+            Some(vec![Some(reg(4)), None]),
+            Some(vec![Some(reg(1)), Some(reg(2))]),
+        ];
+        for last_view in views {
+            let inline = State2P {
+                reg: reg(11),
+                last_view: last_view.as_ref().map(|v| v.iter().copied().collect()),
+            };
+            assert_eq!(inline.last_view.as_deref(), last_view.as_deref());
+            assert_eq!(format!("{:?}", inline.last_view), format!("{last_view:?}"));
+            let old = VecState {
+                reg: reg(11),
+                last_view,
+            };
+            assert_eq!(hash_bytes(&inline), hash_bytes(&old), "{:?}", old.last_view);
+        }
+    }
+
+    #[test]
+    fn views_compare_by_their_entries_only() {
+        let mut degree_one: View2P = [Some(reg(3))].into_iter().collect();
+        let degree_two: View2P = [Some(reg(3)), None].into_iter().collect();
+        assert_ne!(degree_one, degree_two, "a longer view differs");
+        degree_one[0] = None;
+        assert_eq!(
+            degree_one,
+            [None].into_iter().collect(),
+            "spare entry ignored"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a view has at most 2 entries")]
+    fn views_of_degree_three_are_refused() {
+        let _: View2P = [None, None, None].into_iter().collect();
     }
 
     #[test]

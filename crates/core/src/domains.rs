@@ -240,7 +240,7 @@ pub fn five_coloring_patched_domain(colors: u64) -> ViewDomain<crate::FiveColori
                 },
                 State2P {
                     reg: s.reg,
-                    last_view: Some(view.to_vec()),
+                    last_view: Some(view.iter().copied().collect()),
                 },
             ]
         })
@@ -494,7 +494,7 @@ mod tests {
                 b: 3,
                 c: 9,
             },
-            last_view: Some(vec![None, None]),
+            last_view: Some([None, None].into_iter().collect()),
         };
         assert_eq!(d.widen_state(&mut s), Projection::Widened);
         assert_eq!(s.reg.c, COUNTER_CAP);
@@ -513,7 +513,7 @@ mod tests {
         let vars = d.variants_for(&s, &view);
         assert_eq!(vars.len(), 2);
         assert_eq!(vars[0].last_view, None);
-        assert_eq!(vars[1].last_view, Some(view));
+        assert_eq!(vars[1].last_view.as_deref(), Some(&view[..]));
     }
 
     #[test]
@@ -549,7 +549,7 @@ mod tests {
                 b: 2,
                 c: 17,
             },
-            last_view: Some(vec![None, None]),
+            last_view: Some([None, None].into_iter().collect()),
         };
         let p = d.project_state(&s);
         assert_eq!(d.project_state(&p), p);

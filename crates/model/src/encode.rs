@@ -8,7 +8,11 @@
 //!
 //! * every distinct private state, register value, and output value is
 //!   **interned** once in a [`ValueInterner`] and referred to by a `u32`
-//!   index thereafter;
+//!   index thereafter. The interner stores each value exactly once, in
+//!   an arena in first-seen order, next to its cached seed-free hash;
+//!   an open-addressed table of arena indices finds it again, probing
+//!   by the cached hash and confirming against the arena, so neither
+//!   lookup nor table growth ever clones or re-hashes a stored value;
 //! * a configuration is a packed `3n`-word row — per process: state
 //!   index, register index (+1, `0` = `⊥`), output index (+1, `0` =
 //!   still working). The model checker keeps every row back to back in
@@ -109,11 +113,20 @@ fn value_hash<T: Hash>(v: &T) -> u64 {
     BuildHasherDefault::<DefaultHasher>::default().hash_one(v)
 }
 
+/// Marks an unused bucket of a [`ValueInterner`]'s index table.
+const EMPTY_BUCKET: u32 = u32::MAX;
+
 /// A deduplicating store of values of one type: each distinct value is
 /// kept once and addressed by a dense `u32` index; its seed-free hash
 /// is cached at intern time so hot paths never re-hash values.
+///
+/// The values live in one arena in first-seen order. Lookup goes
+/// through an open-addressed index table (linear probing, at most half
+/// full) whose buckets hold arena indices: a probe compares the cached
+/// hash first and only then the value, and growth re-places indices by
+/// their cached hashes, so no value is hashed twice or stored twice.
 pub struct ValueInterner<T> {
-    map: HashMap<T, u32>,
+    table: Vec<u32>,
     values: Vec<T>,
     hashes: Vec<u64>,
 }
@@ -121,27 +134,74 @@ pub struct ValueInterner<T> {
 impl<T: Eq + Hash + Clone> ValueInterner<T> {
     fn new() -> Self {
         ValueInterner {
-            map: HashMap::new(),
+            table: Vec::new(),
             values: Vec::new(),
             hashes: Vec::new(),
         }
     }
 
+    /// The bucket holding `v` (hash `h`), or the empty bucket where it
+    /// would go. The table must be non-empty.
+    fn probe(&self, v: &T, h: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut at = h as usize & mask;
+        loop {
+            let idx = self.table[at];
+            if idx == EMPTY_BUCKET
+                || (self.hashes[idx as usize] == h && self.values[idx as usize] == *v)
+            {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Index of `v` (hash `h`) if already interned.
+    fn find(&self, v: &T, h: u64) -> Option<u32> {
+        if self.table.is_empty() {
+            return None;
+        }
+        Some(self.table[self.probe(v, h)]).filter(|&idx| idx != EMPTY_BUCKET)
+    }
+
     /// Index of `v` if already interned.
     fn lookup(&self, v: &T) -> Option<u32> {
-        self.map.get(v).copied()
+        self.find(v, value_hash(v))
     }
 
     /// Interns `v` (cloning it on first sight), returning its index.
     fn intern(&mut self, v: &T) -> u32 {
-        if let Some(&i) = self.map.get(v) {
-            return i;
+        let h = value_hash(v);
+        if let Some(idx) = self.find(v, h) {
+            return idx;
         }
-        let i = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
-        self.map.insert(v.clone(), i);
+        if 2 * (self.values.len() + 1) > self.table.len() {
+            self.grow();
+        }
+        let idx = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&i| i != EMPTY_BUCKET)
+            .expect("fewer than 2^32 - 1 distinct values");
+        let at = self.probe(v, h);
+        self.table[at] = idx;
         self.values.push(v.clone());
-        self.hashes.push(value_hash(v));
-        i
+        self.hashes.push(h);
+        idx
+    }
+
+    /// Doubles the index table (16 buckets at first), re-placing every
+    /// index by its cached hash.
+    fn grow(&mut self) {
+        let buckets = (2 * self.table.len()).max(16);
+        self.table = vec![EMPTY_BUCKET; buckets];
+        let mask = buckets - 1;
+        for (idx, &h) in self.hashes.iter().enumerate() {
+            let mut at = h as usize & mask;
+            while self.table[at] != EMPTY_BUCKET {
+                at = (at + 1) & mask;
+            }
+            self.table[at] = idx as u32;
+        }
     }
 
     /// The value at `idx`.
@@ -163,11 +223,13 @@ impl<T: Eq + Hash + Clone> ValueInterner<T> {
         self.values.len()
     }
 
-    /// Rough heap footprint: values stored twice (map key + arena) plus
-    /// cached hashes and map overhead.
+    /// Heap bytes allocated for the index table, the value arena and
+    /// the cached hashes, by capacity. Heap owned by the values
+    /// themselves is not counted.
     fn approx_bytes(&self) -> usize {
-        let per = 2 * std::mem::size_of::<T>() + std::mem::size_of::<u64>() + 16;
-        self.values.len() * per
+        self.table.capacity() * std::mem::size_of::<u32>()
+            + self.values.capacity() * std::mem::size_of::<T>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -817,7 +879,9 @@ where
         (inner.states.len(), inner.regs.len(), inner.outs.len())
     }
 
-    /// Rough heap footprint of the interners themselves.
+    /// Heap bytes of the three interners — index tables, value arenas
+    /// and cached hashes, by capacity. Heap owned by the values
+    /// themselves (say, a `Vec` inside a state) is not counted.
     pub fn approx_interner_bytes(&self) -> usize {
         let inner = self.inner.read();
         inner.states.approx_bytes() + inner.regs.approx_bytes() + inner.outs.approx_bytes()
@@ -978,5 +1042,65 @@ mod tests {
                 key = want;
             }
         }
+    }
+
+    #[test]
+    fn interner_dedups_exactly_across_table_growths() {
+        let mut interner = ValueInterner::new();
+        let value = |v: u64| v.wrapping_mul(0x9e37_79b9);
+        for pass in 0..3 {
+            for v in 0..1000u64 {
+                assert_eq!(interner.intern(&value(v)), v as u32, "pass {pass}");
+            }
+        }
+        assert_eq!(interner.len(), 1000);
+        assert_eq!(
+            interner.table.len(),
+            2048,
+            "grew from 16 buckets seven times"
+        );
+        for v in 0..1000u64 {
+            assert_eq!(interner.lookup(&value(v)), Some(v as u32));
+            assert_eq!(*interner.value(v as u32), value(v));
+            assert_eq!(interner.hash_of(v as u32), value_hash(&value(v)));
+        }
+        assert_eq!(interner.lookup(&value(1000)), None);
+    }
+
+    /// A key whose every value hashes alike.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u8(0);
+        }
+    }
+
+    #[test]
+    fn interner_dedups_exactly_under_forced_collisions() {
+        let mut interner = ValueInterner::new();
+        for pass in 0..2 {
+            for v in 0..100 {
+                assert_eq!(interner.intern(&Colliding(v)), v, "pass {pass}");
+            }
+        }
+        assert_eq!(interner.len(), 100);
+        assert!(interner.hashes.iter().all(|&h| h == interner.hashes[0]));
+        for v in 0..100 {
+            assert_eq!(interner.lookup(&Colliding(v)), Some(v));
+        }
+        assert_eq!(interner.lookup(&Colliding(100)), None);
+    }
+
+    #[test]
+    fn interner_indices_are_dense_in_first_seen_order() {
+        let mut interner = ValueInterner::new();
+        let got: Vec<u32> = [5u8, 3, 5, 9, 3, 1, 9, 2]
+            .iter()
+            .map(|v| interner.intern(v))
+            .collect();
+        assert_eq!(got, [0, 1, 0, 2, 1, 3, 2, 4]);
+        assert_eq!(interner.values, [5, 3, 9, 1, 2]);
     }
 }

@@ -17,7 +17,6 @@ use crate::ids::{ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The set of processes activated at one time step.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -297,25 +296,33 @@ impl Schedule for Laggard {
 #[derive(Debug, Clone)]
 pub struct CrashPlan<S> {
     inner: S,
-    crash_at: HashMap<ProcessId, Time>,
+    /// One crash time per process, sorted by process.
+    crash_at: Vec<(ProcessId, Time)>,
 }
 
 impl<S: Schedule> CrashPlan<S> {
-    /// Overlays the given crash times onto `inner`.
+    /// Overlays the given crash times onto `inner`. A process listed
+    /// twice crashes at its later-listed time.
     pub fn new(inner: S, crashes: impl IntoIterator<Item = (ProcessId, Time)>) -> Self {
-        CrashPlan {
-            inner,
-            crash_at: crashes.into_iter().collect(),
-        }
+        let mut crash_at: Vec<(ProcessId, Time)> = crashes.into_iter().collect();
+        // Reversed, the stable sort puts each process's last-listed entry
+        // first in its run, and `dedup` keeps the first.
+        crash_at.reverse();
+        crash_at.sort_by_key(|&(p, _)| p);
+        crash_at.dedup_by_key(|&mut (p, _)| p);
+        CrashPlan { inner, crash_at }
     }
 
-    /// The processes this plan crashes, with their crash times.
+    /// The processes this plan crashes, with their crash times, in
+    /// process order.
     pub fn crashes(&self) -> impl Iterator<Item = (ProcessId, Time)> + '_ {
-        self.crash_at.iter().map(|(&p, &t)| (p, t))
+        self.crash_at.iter().copied()
     }
 
     fn crashed(&self, p: ProcessId, t: Time) -> bool {
-        self.crash_at.get(&p).is_some_and(|&ct| t >= ct)
+        self.crash_at
+            .binary_search_by_key(&p, |&(q, _)| q)
+            .is_ok_and(|i| t >= self.crash_at[i].1)
     }
 }
 
@@ -492,6 +499,20 @@ mod tests {
         assert_eq!(cp.next(3, &w).unwrap().resolve(&w), ids(&[0, 2]));
         // Only the crashed process left working: schedule ends.
         assert_eq!(cp.next(4, &ids(&[1])), None);
+    }
+
+    #[test]
+    fn crash_plan_sorts_by_process_and_the_later_entry_wins() {
+        let cp = CrashPlan::new(
+            Synchronous::new(),
+            [(ProcessId(4), 7), (ProcessId(1), 3), (ProcessId(4), 2)],
+        );
+        assert_eq!(
+            cp.crashes().collect::<Vec<_>>(),
+            [(ProcessId(1), 3), (ProcessId(4), 2)]
+        );
+        assert!(cp.crashed(ProcessId(4), 2) && !cp.crashed(ProcessId(4), 1));
+        assert!(!cp.crashed(ProcessId(0), 100));
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //! * `--jobs ∈ {1, 2, 8}` — and the three jobs values must agree with
 //!   each other *outcome-for-outcome*, not just with the oracle,
 //! * quanta `{1, 3, 8}` — slicing the visit loop differently may move
-//!   completion rounds but must not change any execution fact.
+//!   completion rounds but must not change any execution fact,
+//! * an open-loop fleet whose admissions land in the slots of retired
+//!   instances — admission indices and rounds travel with the slot.
 
 use ftcolor::batch::{BatchConfig, BatchEngine, BatchOutcome, InstanceSpec, Termination};
 use ftcolor::model::inputs;
 use ftcolor::prelude::*;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 const FUEL: u64 = 10_000;
@@ -176,4 +179,113 @@ fn stalled_instances_match_the_oracle() {
         assert!(spec.run_sequential(alg).is_err(), "C{n}: oracle must stall");
         assert_eq!(outcomes[0].time_steps, 2, "C{n}: stalls at the fuel bound");
     }
+}
+
+/// An open-loop fleet: bursts of admissions between rounds while
+/// earlier instances retire, so retired slots are handed to new
+/// instances many times over. Every outcome must still match the
+/// oracle, carry its own admission index and rounds, and the slab must
+/// never hold more slots than the most instances ever in flight.
+#[test]
+fn open_loop_fleet_reuses_slots_and_keeps_outcomes_exact() {
+    let alg = &FiveColoringPatched;
+    let n = 5;
+    let quantum = 2;
+    let specs: Vec<InstanceSpec> = (0..600u64)
+        .map(|k| {
+            let ids = inputs::random_unique(n, 64, k);
+            // Every 50th instance stalls on a tiny fuel.
+            let fuel = if k % 50 == 7 { 3 } else { FUEL };
+            let spec = if k % 4 == 0 {
+                InstanceSpec::synchronous(ids, fuel)
+            } else {
+                InstanceSpec::random(ids, k, 0.5, fuel)
+            };
+            if k % 3 == 0 {
+                spec.with_crash(ProcessId(k as usize % n), 1 + k % 5)
+            } else {
+                spec
+            }
+        })
+        .collect();
+    let bursts = [3, 0, 7, 1, 5, 2, 0, 0];
+
+    let mut runs = Vec::new();
+    for jobs in [1, 3] {
+        let mut engine = BatchEngine::new(
+            alg,
+            n,
+            BatchConfig {
+                jobs,
+                quantum,
+                record_traces: false,
+            },
+        );
+        let collected = Mutex::new(Vec::new());
+        let round_now = AtomicU64::new(0);
+        let sink = |outcome: BatchOutcome<u64>| {
+            assert_eq!(
+                outcome.completed_round,
+                round_now.load(Ordering::Relaxed),
+                "instance {} reports the round that retired it",
+                outcome.index
+            );
+            collected.lock().expect("sink lock").push(outcome);
+        };
+        let mut admitted_round = Vec::new();
+        let mut peak_in_flight = 0;
+        while admitted_round.len() < specs.len() || engine.in_flight() > 0 {
+            let burst = bursts[engine.rounds() as usize % bursts.len()];
+            for _ in 0..burst.min(specs.len() - admitted_round.len()) {
+                let index = engine.admit(&specs[admitted_round.len()]);
+                assert_eq!(index, admitted_round.len(), "admission indices are dense");
+                admitted_round.push(engine.rounds());
+            }
+            peak_in_flight = peak_in_flight.max(engine.in_flight());
+            assert!(
+                engine.slots() <= peak_in_flight,
+                "jobs={jobs}: {} slots for a peak of {peak_in_flight} in flight",
+                engine.slots()
+            );
+            round_now.store(engine.rounds() + 1, Ordering::Relaxed);
+            engine.run_round(&sink);
+            assert!(engine.rounds() < 10 * FUEL, "fleet failed to drain");
+        }
+        assert_eq!(engine.admitted(), specs.len());
+        assert!(
+            engine.slots() * 4 < specs.len(),
+            "jobs={jobs}: slots were reused ({} slots)",
+            engine.slots()
+        );
+
+        let mut outcomes = collected.into_inner().expect("sink lock");
+        outcomes.sort_by_key(|o| o.index);
+        assert_eq!(outcomes.len(), specs.len(), "one outcome per instance");
+        for (k, (spec, outcome)) in specs.iter().zip(&outcomes).enumerate() {
+            let ctx = format!("jobs={jobs} instance {k}");
+            assert_eq!(outcome.index, k, "{ctx}");
+            assert_eq!(outcome.admitted_round, admitted_round[k], "{ctx}");
+            // The final visit is the one whose loop iteration after the
+            // last step ends the run.
+            assert_eq!(
+                outcome.completed_round - outcome.admitted_round,
+                (outcome.time_steps + 1).div_ceil(u64::from(quantum)),
+                "{ctx}: latency"
+            );
+            match spec.run_sequential(alg) {
+                Ok(report) => {
+                    assert_eq!(outcome.report(), report, "{ctx}: report mismatch");
+                    let expect = if report.crashed.is_empty() {
+                        Termination::Returned
+                    } else {
+                        Termination::Crashed
+                    };
+                    assert_eq!(outcome.termination, expect, "{ctx}: termination kind");
+                }
+                Err(_) => assert_eq!(outcome.termination, Termination::Stalled, "{ctx}"),
+            }
+        }
+        runs.push(outcomes);
+    }
+    assert_eq!(runs[0], runs[1], "jobs=1 vs jobs=3");
 }
