@@ -5,7 +5,8 @@
 //! seeded fault plan. Measured here:
 //!
 //! * messages/sec and events/sec of the simulator at n ∈ {100, 1k, 10k}
-//!   (the Criterion group `e14_net` times the same workloads);
+//!   (timed comparisons between commits use perfbench's `netsim`
+//!   workload);
 //! * the coloring stays proper and every correct process returns under
 //!   clean, lossy, and crash plans — the network layer adds liveness
 //!   machinery (retransmits, freshness merge), never new behaviors.

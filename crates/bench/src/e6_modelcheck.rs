@@ -105,8 +105,8 @@ fn row_from<O: std::fmt::Debug>(
 /// Runs the exhaustive explorations. `max_configs` caps each instance;
 /// `jobs` is the worker-thread count (`0` = all CPUs). The checker's
 /// outcome is bit-identical at every worker count, so every cell of the
-/// E6 table is independent of `jobs` — see `benches/e6_modelcheck.rs`
-/// for the thread-scaling measurement.
+/// E6 table is independent of `jobs` (`tests/parallel_equivalence.rs`
+/// checks the engine at 1, 2 and 8 workers).
 pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     let instances: Vec<(String, Vec<u64>)> = vec![

@@ -163,10 +163,15 @@ mod tests {
 
     #[test]
     fn cv_and_alg3_are_both_near_constant() {
-        let rows = run_cv(&[8, 64, 512]);
+        let rows = run_cv(&[8, 64, 512, 1024]);
         for r in &rows {
             assert!(r.cv_rounds <= 15, "{r:?}");
             assert!(r.alg3_rounds <= 60, "{r:?}");
+        }
+        // The price of wait-freedom is a constant factor in rounds.
+        for r in rows.iter().filter(|r| r.n == 64 || r.n == 1024) {
+            assert!(r.cv_rounds <= 12, "{r:?}");
+            assert!(r.alg3_rounds <= 12 * r.cv_rounds, "{r:?}");
         }
     }
 

@@ -1,20 +1,18 @@
 //! # `ftcolor-bench` — the experiment harness
 //!
 //! One module per experiment (indexed in DESIGN.md §5), each
-//! exposing a `run()` that produces serializable result rows. Three
+//! exposing a `run()` that produces serializable result rows. Two
 //! consumers share these drivers:
 //!
 //! * `cargo run -p ftcolor-bench --release --bin experiments` — prints
 //!   every table (paper claim vs measured) and writes
 //!   `experiments.json`; EXPERIMENTS.md records this output;
-//! * `cargo bench` — Criterion benches timing the representative
-//!   workloads (`benches/`, one target per experiment);
 //! * the test suite — each driver has smoke tests pinning the claims,
 //!   and `e6_modelcheck` pins the configuration count of every
 //!   quick-sweep row (release builds only).
 //!
 //! Wall-clock comparisons between commits are not made here: the
-//! `perfbench/` package times the `fleet`, `explore`, `ring` and
+//! `perfbench/` package, the repository's only timer, times the `fleet`, `explore`, `ring` and
 //! `netsim` workloads against the parent commit.
 //!
 //! The paper is a brief announcement with no numbered tables/figures;

@@ -5,7 +5,7 @@
 //! and **correctness** (the outputs properly color the subgraph induced
 //! by the terminating processes). [`check_coloring_report`] verifies all
 //! three on an [`ExecutionReport`] and returns a structured result that
-//! the test suite, the benches, and the experiment harness all share.
+//! the test suite and the experiment harness share.
 
 use ftcolor_model::{ExecutionReport, Topology};
 use std::fmt;

@@ -283,39 +283,65 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcolor_core::SixColoring;
+    use ftcolor_core::{FiveColoringPatched, SixColoring};
+    use ftcolor_model::inputs;
+    use std::collections::VecDeque;
 
-    /// Drives a 3-cycle of cores to termination by hand-routing frames.
-    #[test]
-    fn three_cores_color_a_triangle_free_cycle() {
-        let alg = SixColoring;
-        let ids = [17u64, 4, 99];
-        let mut cores: Vec<NodeCore<SixColoring>> = (0..3)
+    /// Drives a ring of cores to termination by hand-routing frames in
+    /// FIFO order, round-tripping every frame through the JSON wire
+    /// codec as the pipes would. Returns each node's decision.
+    fn drive_ring<A>(alg: &A, ids: &[A::Input]) -> Vec<Option<A::Output>>
+    where
+        A: Algorithm,
+        A::Input: Clone,
+        A::Reg: Serialize + Deserialize,
+        A::Output: Serialize + Clone,
+    {
+        let n = ids.len();
+        let mut cores: Vec<NodeCore<A>> = (0..n)
             .map(|i| {
-                let nb = vec![(i + 2) % 3, (i + 1) % 3];
-                NodeCore::new(&alg, i, nb, ids[i])
+                // Neighbors in topology order, as the orchestrator sends them.
+                let mut nb = vec![(i + n - 1) % n, (i + 1) % n];
+                nb.sort_unstable();
+                NodeCore::new(alg, i, nb, ids[i].clone())
             })
             .collect();
-        let mut wire: Vec<Frame> = Vec::new();
+        let mut wire: VecDeque<Frame> = VecDeque::new();
         for c in &mut cores {
             wire.extend(c.start());
         }
         let mut hops = 0;
-        while let Some(f) = wire.pop() {
+        while let Some(f) = wire.pop_front() {
             hops += 1;
-            assert!(hops < 10_000, "protocol must terminate");
+            assert!(hops < 100_000, "protocol must terminate");
+            let f = Frame::decode(&f.encode()).expect("wire round trip");
             if f.dest == ORCHESTRATOR {
                 continue;
             }
-            let out = cores[f.dest].on_frame(&f);
-            wire.extend(out);
+            wire.extend(cores[f.dest].on_frame(&f));
         }
-        let outputs: Vec<_> = cores.iter().map(|c| c.decided().cloned()).collect();
-        for (i, o) in outputs.iter().enumerate() {
-            assert!(o.is_some(), "node {i} must decide");
-        }
+        cores.iter().map(|c| c.decided().cloned()).collect()
+    }
+
+    /// Rings of cores color properly: Algorithm 1 on `C3`, and
+    /// Algorithm 2′ within its five colors on `C3` and `C16`.
+    #[test]
+    fn three_cores_color_a_triangle_free_cycle() {
+        let outputs = drive_ring(&SixColoring, &[17, 4, 99]);
+        assert!(outputs.iter().all(Option::is_some), "every node decides");
         for i in 0..3 {
             assert_ne!(outputs[i], outputs[(i + 1) % 3], "proper coloring");
+        }
+        for n in [3, 16] {
+            let colors = drive_ring(&FiveColoringPatched, &inputs::random_unique(n, 10_000, 5));
+            assert!(
+                colors.iter().all(|c| matches!(c, Some(0..=4))),
+                "C{n}: every node decides a color in 0..=4: {colors:?}"
+            );
+            assert!(
+                (0..n).all(|i| colors[i] != colors[(i + 1) % n]),
+                "C{n}: proper coloring: {colors:?}"
+            );
         }
     }
 

@@ -21,8 +21,7 @@
 //! and offers [`DecoupledAlgorithm::decide`] the corresponding
 //! [`Knowledge`] ball; `None` retries at the next activation.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use ftcolor_model::decoupled::{DecoupledAlgorithm, Knowledge};
 use ftcolor_model::{ProcessId, Topology};
@@ -30,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::calendar::EventQueue;
 use crate::faults::FaultPlan;
 use crate::msg::{Body, Write};
 use crate::sim::{decide_fate, Mode, NetConfig, NetReport, NetStats};
@@ -112,10 +112,8 @@ struct GossipSim<'a, A: DecoupledAlgorithm> {
     working: usize,
     outputs: Vec<Option<A::Output>>,
     rounds: Vec<u64>,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    slots: Vec<Ev>,
+    queue: EventQueue<Ev>,
     now: u64,
-    tick: u64,
     net_rng: StdRng,
     timing_rng: StdRng,
     mode: Mode<'a>,
@@ -157,10 +155,8 @@ where
             working: n,
             outputs: (0..n).map(|_| None).collect(),
             rounds: vec![0; n],
-            queue: BinaryHeap::new(),
-            slots: Vec::new(),
+            queue: EventQueue::new(),
             now: 0,
-            tick: 0,
             net_rng: StdRng::seed_from_u64(cfg.seed),
             timing_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
             mode,
@@ -169,13 +165,13 @@ where
             codec: FrameCodec::new(cfg.codec),
         };
         for node in 0..n {
-            sim.schedule(1, Ev::Gossip { node });
+            sim.queue.push(1, Ev::Gossip { node });
             let jitter = sim.jitter();
-            sim.schedule(1 + jitter, Ev::Activate { node });
+            sim.queue.push(1 + jitter, Ev::Activate { node });
         }
         for c in &plan.crashes {
             if c.node < n {
-                sim.schedule(c.at.max(1), Ev::Crash { node: c.node });
+                sim.queue.push(c.at.max(1), Ev::Crash { node: c.node });
             }
         }
         sim
@@ -189,15 +185,8 @@ where
         }
     }
 
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        let slot = self.slots.len();
-        self.slots.push(ev);
-        self.queue.push(Reverse((at, self.tick, slot)));
-        self.tick += 1;
-    }
-
     fn run(mut self) -> NetReport<A::Output> {
-        while let Some(Reverse((at, _, slot))) = self.queue.pop() {
+        while let Some((at, ev)) = self.queue.pop() {
             if self.working == 0 {
                 break;
             }
@@ -207,11 +196,9 @@ where
             }
             self.now = at;
             self.stats.events_processed += 1;
-            // Take the event out of its slot (replaced by a no-op).
-            let ev = std::mem::replace(&mut self.slots[slot], Ev::Crash { node: usize::MAX });
             match ev {
                 Ev::Crash { node } => {
-                    if node < self.status.len() && self.status[node] == Status::Working {
+                    if self.status[node] == Status::Working {
                         self.status[node] = Status::Crashed;
                         self.working -= 1;
                     }
@@ -250,7 +237,8 @@ where
     /// nodes.
     fn on_gossip(&mut self, node: usize) {
         self.flood(node);
-        self.schedule(self.now + self.cfg.rto, Ev::Gossip { node });
+        self.queue
+            .push(self.now + self.cfg.rto, Ev::Gossip { node });
     }
 
     /// The substrate floods this node's known set to its neighbors.
@@ -328,7 +316,8 @@ where
             return;
         }
         let jitter = self.jitter();
-        self.schedule(self.now + 1 + jitter, Ev::Activate { node });
+        self.queue
+            .push(self.now + 1 + jitter, Ev::Activate { node });
     }
 
     /// The largest `r` such that the node knows the input of every node
@@ -380,10 +369,10 @@ where
                 // serialized, and codec choice cannot perturb the trace.
                 let payload = self.codec.encode(from, to, &body);
                 let dup = dup_at.map(|_| self.codec.copy(&payload));
-                self.schedule(at, Ev::Deliver { payload });
+                self.queue.push(at, Ev::Deliver { payload });
                 if let (Some(d), Some(dup)) = (dup_at, dup) {
                     self.stats.duplicated += 1;
-                    self.schedule(d, Ev::Deliver { payload: dup });
+                    self.queue.push(d, Ev::Deliver { payload: dup });
                 }
             }
             Outcome::Drop => self.stats.dropped += 1,

@@ -1116,6 +1116,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     if cfg.rate.is_nan() || cfg.rate <= 0.0 {
         return Err("serve needs --rate > 0".into());
     }
+    for (flag, p) in [("--p", cfg.p), ("--crash-prob", cfg.crash_prob)] {
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("{flag} = {p} is not a probability in [0, 1]"));
+        }
+    }
     if cfg.quantum == 0 {
         return Err("serve needs --quantum >= 1".into());
     }

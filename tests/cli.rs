@@ -514,3 +514,33 @@ fn unknown_ring_colorings_get_one_message() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_rejects_out_of_range_probabilities() {
+    for (flag, value) in [
+        ("--p", "2"),
+        ("--p", "-1"),
+        ("--p", "nan"),
+        ("--crash-prob", "1.5"),
+        ("--crash-prob", "-0.5"),
+        ("--crash-prob", "nan"),
+    ] {
+        let (stdout, stderr, ok) = run(&["serve", "--instances", "10", flag, value]);
+        assert!(!ok, "{flag} {value} must be refused: {stdout}");
+        assert!(
+            stderr.contains(&format!("{flag} = "))
+                && stderr.contains("is not a probability in [0, 1]"),
+            "{flag} {value}: {stderr}"
+        );
+    }
+    let (_, stderr, ok) = run(&[
+        "serve",
+        "--instances",
+        "10",
+        "--p",
+        "1",
+        "--crash-prob",
+        "0",
+    ]);
+    assert!(ok, "the closed interval's ends are probabilities: {stderr}");
+}

@@ -406,6 +406,94 @@ const GOLDEN: &[&str] = &[
     "alg1/G8/crash trace=ac2201ba49fc2cbc outputs=c052cf5cb47fb211 rounds=41ac4d1c537694ed stats=117/117/0/0/0/0/17/5/179 time=29 events=bb06bc61b97d520e wire=11112/4210",
 ];
 
+/// One `(topology, plan)` row of the DECOUPLED gossip matrix: the
+/// observables both codecs must reproduce, then `bytes_on_wire` per
+/// codec (json/binary).
+fn decoupled_golden_row(name: &str, topo: &Topology, plan: &FaultPlan) -> String {
+    let digest = |s: String| fnv1a(s.as_bytes());
+    let alg = DecoupledThreeColoring::new();
+    let ids = inputs::random_unique(topo.len(), 10_000, 7);
+    let mut shared: Option<String> = None;
+    let mut bytes = Vec::new();
+    for codec in [Codec::Json, Codec::Binary] {
+        let cfg = NetConfig::new(7).codec(codec);
+        let rep = run_decoupled_net(&alg, topo, ids.clone(), plan, &cfg);
+        let s = rep.stats;
+        let line = format!(
+            "trace={:016x} outputs={:016x} max_rounds={} stats={}/{}/{}/{}/{} \
+             events={} time={}",
+            rep.trace.digest(),
+            digest(serde_json::to_string(&rep.outputs).expect("outputs encode")),
+            rep.rounds.iter().copied().max().unwrap_or(0),
+            s.sent,
+            s.delivered,
+            s.dropped,
+            s.partition_dropped,
+            s.duplicated,
+            s.events_processed,
+            rep.time,
+        );
+        match &shared {
+            None => shared = Some(line),
+            Some(first) => assert_eq!(&line, first, "{name}: {codec:?} diverges from json"),
+        }
+        bytes.push(rep.wire.bytes_on_wire.to_string());
+    }
+    format!(
+        "{name} {} wire={}",
+        shared.expect("both codecs ran"),
+        bytes.join("/")
+    )
+}
+
+/// Golden matrix of the DECOUPLED gossip simulator (`decoupled-ring`)
+/// on {C5, C12} under the four plans of the register-protocol matrix
+/// and both codecs: trace digest, coloring, max rounds, counters,
+/// processed events and clock.
+#[test]
+fn decoupled_golden_matrix_pins_every_observable() {
+    let mut lossy = FaultPlan::lossy(0.2);
+    lossy.duplicate = 0.1;
+    lossy.reorder = 0.15;
+    let plans = [
+        ("clean", FaultPlan::default()),
+        ("lossy", lossy),
+        (
+            "partition",
+            FaultPlan::default().with_partition(Partition::window(3, 60, vec![1])),
+        ),
+        ("crash", FaultPlan::default().with_crash(2, 5)),
+    ];
+    let mut actual = Vec::new();
+    for (pname, plan) in &plans {
+        for n in [5, 12] {
+            let topo = Topology::cycle(n).unwrap();
+            actual.push(decoupled_golden_row(
+                &format!("decoupled-ring/C{n}/{pname}"),
+                &topo,
+                plan,
+            ));
+        }
+    }
+    assert_eq!(
+        actual,
+        DECOUPLED_GOLDEN,
+        "decoupled golden matrix moved; actual rows:\n{}",
+        actual.join("\n")
+    );
+}
+
+const DECOUPLED_GOLDEN: &[&str] = &[
+    "decoupled-ring/C5/clean trace=bf710f14e0018b9d outputs=7dcc7caea6f94987 max_rounds=4 stats=50/50/0/0/0 events=67 time=8 wire=4200/1850",
+    "decoupled-ring/C12/clean trace=b88061f3ae1491c8 outputs=5fcf00abdf988ed8 max_rounds=7 stats=240/240/0/0/0 events=319 time=16 wire=27355/14228",
+    "decoupled-ring/C5/lossy trace=0d81fc648f4fb900 outputs=7dcc7caea6f94987 max_rounds=6 stats=42/31/11/0/2 events=54 time=13 wire=2781/1228",
+    "decoupled-ring/C12/lossy trace=645eb6f0b30873b6 outputs=5fcf00abdf988ed8 max_rounds=10 stats=226/173/53/0/11 events=304 time=24 wire=21350/11169",
+    "decoupled-ring/C5/partition trace=8f13d842123db79a outputs=7dcc7caea6f94987 max_rounds=31 stats=88/65/0/23/0 events=131 time=68 wire=5869/2720",
+    "decoupled-ring/C12/partition trace=139ac5ff76157527 outputs=5fcf00abdf988ed8 max_rounds=25 stats=342/310/0/32/0 events=473 time=68 wire=39511/21564",
+    "decoupled-ring/C5/crash trace=bf710f14e0018b9d outputs=1768b597f2906fba max_rounds=4 stats=50/50/0/0/0 events=68 time=8 wire=4200/1850",
+    "decoupled-ring/C12/crash trace=2236de19cc77d4a0 outputs=516bdd5ddcdd5f35 max_rounds=7 stats=264/264/0/0/0 events=333 time=18 wire=31371/16628",
+];
+
 /// The E19 workload's quick cells: Algorithm 3′ on the `staircase_poly`
 /// ring, seed 7, n ∈ {100, 1000}, {clean, 10% lossy} × {json, binary}.
 /// Columns: n, plan, codec, sent, delivered, events, max rounds, trace

@@ -31,21 +31,28 @@ fn mis_witness() -> (Topology, Vec<u64>, SafetyViolation) {
 
 /// The result (schedule, description, and the deterministic replay
 /// accounting) is identical at every worker count — the same contract
-/// the parallel model checker honors.
+/// the parallel model checker honors. The witness padded with 40
+/// synchronous steps gives the ddmin and slot passes candidate batches
+/// large enough for the workers to split.
 #[test]
 fn shrinking_is_jobs_invariant() {
     let (topo, ids, v) = mis_witness();
-    let baseline = Shrinker::new(&EagerMis, &topo, ids.clone())
-        .shrink_safety(&v.schedule, &mis_violation)
-        .unwrap();
-    for jobs in [2, 3, 8] {
-        let out = Shrinker::new(&EagerMis, &topo, ids.clone())
-            .with_jobs(jobs)
-            .shrink_safety(&v.schedule, &mis_violation)
+    let mut noisy = v.schedule.clone();
+    noisy.extend(std::iter::repeat_n(ActivationSet::All, 40));
+    for schedule in [&v.schedule, &noisy] {
+        let baseline = Shrinker::new(&EagerMis, &topo, ids.clone())
+            .shrink_safety(schedule, &mis_violation)
             .unwrap();
-        assert_eq!(out.schedule, baseline.schedule, "jobs={jobs}");
-        assert_eq!(out.description, baseline.description, "jobs={jobs}");
-        assert_eq!(out.stats, baseline.stats, "jobs={jobs}");
+        for jobs in [2, 3, 8] {
+            let out = Shrinker::new(&EagerMis, &topo, ids.clone())
+                .with_jobs(jobs)
+                .shrink_safety(schedule, &mis_violation)
+                .unwrap();
+            let cell = format!("{} slots, jobs={jobs}", schedule.len());
+            assert_eq!(out.schedule, baseline.schedule, "{cell}");
+            assert_eq!(out.description, baseline.description, "{cell}");
+            assert_eq!(out.stats, baseline.stats, "{cell}");
+        }
     }
 }
 
