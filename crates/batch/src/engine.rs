@@ -514,8 +514,13 @@ const CLAIM_CHUNK: usize = 64;
 /// Runs one instance *materialized* — on a live [`Execution`] instead
 /// of through the codec. This is the path for giant rings (a single
 /// `n = 10M` instance shares no values, so interning would only cost),
-/// and it is trivially oracle-identical: it literally calls
-/// [`Execution::run`] with [`InstanceSpec::schedule`].
+/// and it is oracle-identical by construction: it runs
+/// [`Execution::run`]'s loop ([`Execution::run_to_end`]) with
+/// [`InstanceSpec::schedule`], then moves the outputs and activation
+/// counts out of the finished execution ([`Execution::into_report`])
+/// rather than copying them, so a giant ring's peak memory is the live
+/// execution alone. `tests/batch_equivalence.rs` pins it against
+/// `Execution::run`, traces included.
 ///
 /// `quantum` only scales the reported `completed_round`
 /// (`ceil(time_steps / quantum)`), keeping round-latency comparable
@@ -539,35 +544,20 @@ where
     let topo = Topology::cycle(spec.n()).expect("materialized instance needs a ring of size >= 3");
     let mut exec = Execution::new(alg, &topo, spec.ids.clone());
     exec.record_trace(record_trace);
+    let (termination, crashed) = match exec.run_to_end(spec.schedule(), spec.fuel) {
+        Ok(crashed) if crashed.is_empty() => (Termination::Returned, crashed),
+        Ok(crashed) => (Termination::Crashed, crashed),
+        Err(ModelError::NonTermination { .. }) => (Termination::Stalled, Vec::new()),
+        Err(other) => unreachable!("Execution::run only fails with NonTermination: {other}"),
+    };
+    let (report, recorded) = exec.into_report(crashed);
+    let ExecutionReport {
+        outputs,
+        activations,
+        time_steps,
+        crashed,
+    } = report;
     let quantum = u64::from(quantum.max(1));
-    let (termination, outputs, activations, time_steps, crashed) =
-        match exec.run(spec.schedule(), spec.fuel) {
-            Ok(report) => {
-                let term = if report.crashed.is_empty() {
-                    Termination::Returned
-                } else {
-                    Termination::Crashed
-                };
-                (
-                    term,
-                    report.outputs,
-                    report.activations,
-                    report.time_steps,
-                    report.crashed,
-                )
-            }
-            Err(ModelError::NonTermination { .. }) => (
-                Termination::Stalled,
-                exec.outputs().to_vec(),
-                (0..spec.n())
-                    .map(|i| exec.activation_count(ProcessId(i)))
-                    .collect(),
-                exec.time(),
-                Vec::new(),
-            ),
-            Err(other) => unreachable!("Execution::run only fails with NonTermination: {other}"),
-        };
-    let trace = record_trace.then(|| exec.recorded().to_vec());
     BatchOutcome {
         index: 0,
         termination,
@@ -577,6 +567,6 @@ where
         crashed,
         admitted_round: 0,
         completed_round: time_steps.div_ceil(quantum),
-        trace,
+        trace: record_trace.then_some(recorded),
     }
 }

@@ -48,6 +48,7 @@ use crate::cole_vishkin::reduce;
 use crate::color::mex;
 use ftcolor_model::{Algorithm, Neighborhood, PorCert, ProcessId, Step};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// The green-light counter `r_p ∈ N ∪ {∞}`.
 ///
@@ -57,13 +58,19 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use ftcolor_core::alg3::Rank;
 /// assert!(Rank::Finite(3) < Rank::Finite(4));
-/// assert!(Rank::Finite(u64::MAX) < Rank::Omega);
+/// assert!(Rank::Finite(u32::MAX) < Rank::Omega);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+///
+/// `k` is a `u32`, which keeps `Rank` at 8 bytes (and the registers
+/// that carry it 8 bytes smaller): `r` counts identifier-change
+/// attempts, which stay within the `O(log* n)` round bound. Decoding a
+/// register whose `r` does not fit fails with a typed error instead of
+/// truncating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Rank {
     /// `r_p = k`: the process has performed `k` identifier-change
     /// attempts and still participates in the reduction.
-    Finite(u64),
+    Finite(u32),
     /// `r_p = ∞`: the identifier is frozen (the process became a local
     /// extremum of the evolving identifiers).
     Omega,
@@ -82,6 +89,22 @@ impl Rank {
     /// `true` for [`Rank::Finite`].
     pub fn is_finite(&self) -> bool {
         matches!(self, Rank::Finite(_))
+    }
+}
+
+/// Writes the bytes the derived `Hash` of the former `Finite(u64)`
+/// layout wrote — the discriminant as an `isize`, then `k` as a `u64` —
+/// so hashed configurations (the checker's symmetry election among
+/// them) are unchanged by the narrower field.
+impl Hash for Rank {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Rank::Finite(k) => {
+                state.write_isize(0);
+                state.write_u64(u64::from(k));
+            }
+            Rank::Omega => state.write_isize(1),
+        }
     }
 }
 

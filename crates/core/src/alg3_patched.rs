@@ -209,7 +209,7 @@ mod tests {
     fn reg(x: u64) -> Reg3P {
         Reg3P {
             x,
-            r: Rank::Finite(x % 3),
+            r: Rank::Finite((x % 3) as u32),
             a: x % 5,
             b: (x + 1) % 5,
             c: x / 2,
@@ -275,6 +275,63 @@ mod tests {
             };
             assert_eq!(hash_bytes(&inline), hash_bytes(&old), "{last_view:?}");
         }
+    }
+
+    /// The `Rank` layout before `k` narrowed to `u32`, with its derives.
+    #[derive(Hash, Serialize)]
+    enum WideRank {
+        Finite(u64),
+        Omega,
+    }
+
+    #[test]
+    fn rank_hashes_like_the_wide_enum_it_replaced() {
+        for k in [0, 1, u32::MAX] {
+            assert_eq!(
+                hash_bytes(&Rank::Finite(k)),
+                hash_bytes(&WideRank::Finite(u64::from(k))),
+                "Finite({k})"
+            );
+        }
+        assert_eq!(hash_bytes(&Rank::Omega), hash_bytes(&WideRank::Omega));
+    }
+
+    #[test]
+    fn alg3_types_keep_their_sizes() {
+        use crate::alg3::Reg3;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Rank>(), 8);
+        assert_eq!(size_of::<Reg3>(), 32);
+        assert_eq!(size_of::<Option<Reg3>>(), 32);
+        assert_eq!(size_of::<Reg3P>(), 40);
+        assert_eq!(size_of::<Option<Reg3P>>(), 40);
+        assert_eq!(size_of::<State3P>(), 120);
+    }
+
+    /// `reg(x)`'s encoding with its `r` field replaced by `r`.
+    fn reg_value_with_rank(x: u64, r: &WideRank) -> serde::Value {
+        let mut value = reg(x).to_value();
+        let serde::Value::Object(fields) = &mut value else {
+            panic!("Reg3P encodes as an object: {value:?}");
+        };
+        let field = fields
+            .iter_mut()
+            .find(|(k, _)| k == "r")
+            .expect("an r field");
+        field.1 = r.to_value();
+        value
+    }
+
+    #[test]
+    fn a_rank_beyond_u32_is_refused_not_truncated() {
+        let edge = reg_value_with_rank(4, &WideRank::Finite(u64::from(u32::MAX)));
+        let decoded = Reg3P::from_value(&edge).expect("u32::MAX fits");
+        assert_eq!(decoded.r, Rank::Finite(u32::MAX));
+        assert_eq!(decoded.to_value(), edge, "the encoding is unchanged");
+
+        let wide = reg_value_with_rank(4, &WideRank::Finite(u64::from(u32::MAX) + 1));
+        let err = Reg3P::from_value(&wide).expect_err("2^32 does not fit");
+        assert!(err.to_string().contains("overflows u32"), "{err}");
     }
 
     fn assert_valid(topo: &Topology, outputs: &[Option<u64>]) {

@@ -71,6 +71,9 @@ fn counter_images(c: u64) -> Vec<u64> {
     }
 }
 
+/// [`COUNTER_CAP`] as a green-light rank value.
+const RANK_CAP: u32 = COUNTER_CAP as u32;
+
 /// View-side images of a saturated rank: exact for `Finite(0)` and
 /// `Omega`, the chain `{F0, F1, F2}` once saturated. `Omega` stays
 /// itself (it only ever feeds `min`-comparisons, where it acts as a top
@@ -80,8 +83,8 @@ fn rank_images(r: Rank) -> Vec<Rank> {
         Rank::Finite(0) => vec![Rank::Finite(0)],
         Rank::Finite(_) => vec![
             Rank::Finite(0),
-            Rank::Finite(COUNTER_CAP),
-            Rank::Finite(COUNTER_CAP + 1),
+            Rank::Finite(RANK_CAP),
+            Rank::Finite(RANK_CAP + 1),
         ],
         Rank::Omega => vec![Rank::Omega],
     }
@@ -98,8 +101,8 @@ fn saturate_counter(c: &mut u64) -> bool {
 
 fn saturate_rank(r: &mut Rank) -> bool {
     match *r {
-        Rank::Finite(k) if k > COUNTER_CAP => {
-            *r = Rank::Finite(COUNTER_CAP);
+        Rank::Finite(k) if k > RANK_CAP => {
+            *r = Rank::Finite(RANK_CAP);
             true
         }
         _ => false,

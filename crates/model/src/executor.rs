@@ -130,6 +130,9 @@ pub struct Execution<'a, A: Algorithm> {
     time: Time,
     record: bool,
     recorded: Vec<ActivationSet>,
+    /// The view buffer every step reuses (contents only live for one
+    /// update, so it is not part of the configuration).
+    view: Vec<Option<A::Reg>>,
 }
 
 impl<'a, A: Algorithm> Clone for Execution<'a, A> {
@@ -145,6 +148,7 @@ impl<'a, A: Algorithm> Clone for Execution<'a, A> {
             time: self.time,
             record: self.record,
             recorded: self.recorded.clone(),
+            view: Vec::new(),
         }
     }
 }
@@ -195,6 +199,7 @@ impl<'a, A: Algorithm> Execution<'a, A> {
             time: 0,
             record: false,
             recorded: Vec::new(),
+            view: Vec::new(),
         })
     }
 
@@ -365,32 +370,39 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         set: &ActivationSet,
         obs: &mut impl ExecObserver<A>,
     ) -> Vec<ProcessId> {
-        self.time += 1;
         let active = set.resolve(&self.working);
+        self.step_resolved(Some(&active), obs);
+        active
+    }
+
+    /// The three-phase step over `active`, already resolved against the
+    /// working list; `None` activates every working process.
+    fn step_resolved(&mut self, active: Option<&[ProcessId]>, obs: &mut impl ExecObserver<A>) {
+        self.time += 1;
+        let active = active.unwrap_or(&self.working);
         if self.record {
-            self.recorded.push(ActivationSet::Only(active.clone()));
+            self.recorded.push(ActivationSet::Only(active.to_vec()));
         }
 
         // Phase 1: all activated processes write.
-        for &p in &active {
+        for &p in active {
             self.registers[p.index()] = Some(self.alg.publish(&self.states[p.index()]));
             obs.on_write(self.time, p, &self.states, &self.registers);
         }
 
         // Phases 2–3: all activated processes read their neighborhoods
         // (which include every phase-1 write of this step) and update.
-        let mut scratch: Vec<Option<A::Reg>> = Vec::new();
         let mut returned_any = false;
-        for &p in &active {
-            scratch.clear();
-            scratch.extend(
+        for &p in active {
+            self.view.clear();
+            self.view.extend(
                 self.topo
                     .neighbors(p)
                     .iter()
                     .map(|q| self.registers[q.index()].clone()),
             );
-            obs.on_before_update(self.time, p, &self.states, &scratch);
-            let view = Neighborhood::new(&scratch);
+            obs.on_before_update(self.time, p, &self.states, &self.view);
+            let view = Neighborhood::new(&self.view);
             self.activations[p.index()] += 1;
             let returned = match self.alg.step(&mut self.states[p.index()], &view) {
                 Step::Continue => None,
@@ -400,14 +412,13 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                     self.outputs[p.index()].as_ref()
                 }
             };
-            obs.on_after_update(self.time, p, &self.states, &scratch, returned);
+            obs.on_after_update(self.time, p, &self.states, &self.view, returned);
         }
+        obs.on_step_end(self.time, active, &self.states, &self.registers);
         if returned_any {
             let outputs = &self.outputs;
             self.working.retain(|p| outputs[p.index()].is_none());
         }
-        obs.on_step_end(self.time, &active, &self.states, &self.registers);
-        active
     }
 
     /// Runs the execution under an **adaptive adversary**: a closure that
@@ -427,36 +438,11 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// [`Execution::run`].
     pub fn run_adaptive(
         &mut self,
-        mut adversary: impl FnMut(&Execution<'a, A>) -> Option<ActivationSet>,
+        adversary: impl FnMut(&Execution<'a, A>) -> Option<ActivationSet>,
         fuel: u64,
     ) -> Result<ExecutionReport<A::Output>, ModelError> {
-        let mut crashed: Vec<ProcessId> = Vec::new();
-        for _ in 0..fuel {
-            if self.working.is_empty() {
-                break;
-            }
-            match adversary(self) {
-                None => {
-                    crashed = self.working.clone();
-                    break;
-                }
-                Some(set) => {
-                    self.step_with(&set);
-                }
-            }
-        }
-        if !self.working.is_empty() && crashed.is_empty() {
-            return Err(ModelError::NonTermination {
-                fuel,
-                still_working: self.working.clone(),
-            });
-        }
-        Ok(ExecutionReport {
-            outputs: self.outputs.clone(),
-            activations: self.activations.clone(),
-            time_steps: self.time,
-            crashed,
-        })
+        let crashed = self.drive(adversary, fuel, &mut ())?;
+        Ok(self.report(crashed))
     }
 
     /// Runs the execution under `schedule` until every process has
@@ -491,33 +477,85 @@ impl<'a, A: Algorithm> Execution<'a, A> {
         fuel: u64,
         obs: &mut impl ExecObserver<A>,
     ) -> Result<ExecutionReport<A::Output>, ModelError> {
-        let mut crashed: Vec<ProcessId> = Vec::new();
+        let crashed = self.drive(|e| schedule.next(e.time + 1, &e.working), fuel, obs)?;
+        Ok(self.report(crashed))
+    }
+
+    /// The loop of [`Execution::run`] without the report:
+    /// returns the processes the schedule crashed by ending. A caller
+    /// that is done with the execution then takes the report with
+    /// [`Execution::into_report`], which moves the per-process vectors
+    /// instead of copying them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NonTermination`] exactly like
+    /// [`Execution::run`].
+    pub fn run_to_end(
+        &mut self,
+        mut schedule: impl Schedule,
+        fuel: u64,
+    ) -> Result<Vec<ProcessId>, ModelError> {
+        self.drive(|e| schedule.next(e.time + 1, &e.working), fuel, &mut ())
+    }
+
+    /// Consumes the execution into the report [`Execution::run`] would
+    /// build with `crashed`, moving outputs and activation counts
+    /// instead of cloning them, plus the recorded activation sets.
+    pub fn into_report(
+        self,
+        crashed: Vec<ProcessId>,
+    ) -> (ExecutionReport<A::Output>, Vec<ActivationSet>) {
+        let report = ExecutionReport {
+            outputs: self.outputs,
+            activations: self.activations,
+            time_steps: self.time,
+            crashed,
+        };
+        (report, self.recorded)
+    }
+
+    /// The shared run loop: at most `fuel` steps, each chosen by `next`
+    /// from the current configuration, stopping once nobody works or
+    /// `next` ends the schedule (crashing the working processes).
+    fn drive(
+        &mut self,
+        mut next: impl FnMut(&Self) -> Option<ActivationSet>,
+        fuel: u64,
+        obs: &mut impl ExecObserver<A>,
+    ) -> Result<Vec<ProcessId>, ModelError> {
         for _ in 0..fuel {
             if self.working.is_empty() {
-                break;
+                return Ok(Vec::new());
             }
-            match schedule.next(self.time + 1, &self.working) {
-                None => {
-                    crashed = self.working.clone();
-                    break;
-                }
+            // Nobody needs the activated list back here, so an `All`
+            // step walks the working list in place instead of copying it.
+            match next(self) {
+                None => return Ok(self.working.clone()),
+                Some(ActivationSet::All) => self.step_resolved(None, obs),
                 Some(set) => {
-                    self.step_with_observed(&set, obs);
+                    let active = set.resolve(&self.working);
+                    self.step_resolved(Some(&active), obs);
                 }
             }
         }
-        if !self.working.is_empty() && crashed.is_empty() {
-            return Err(ModelError::NonTermination {
+        if self.working.is_empty() {
+            Ok(Vec::new())
+        } else {
+            Err(ModelError::NonTermination {
                 fuel,
                 still_working: self.working.clone(),
-            });
+            })
         }
-        Ok(ExecutionReport {
+    }
+
+    fn report(&self, crashed: Vec<ProcessId>) -> ExecutionReport<A::Output> {
+        ExecutionReport {
             outputs: self.outputs.clone(),
             activations: self.activations.clone(),
             time_steps: self.time,
             crashed,
-        })
+        }
     }
 }
 

@@ -292,7 +292,10 @@ impl Schedule for Laggard {
 /// working process has crashed the schedule ends.
 ///
 /// This is the paper's fail-stop fault model (§2.2): a crash is simply
-/// the absence of further activations.
+/// the absence of further activations. Until the first crash time the
+/// inner schedule's sets pass through unchanged, so a synchronous
+/// [`ActivationSet::All`] stays `All` (which the executor steps without
+/// copying the working list).
 #[derive(Debug, Clone)]
 pub struct CrashPlan<S> {
     inner: S,
@@ -332,6 +335,9 @@ impl<S: Schedule> Schedule for CrashPlan<S> {
             return None;
         }
         let set = self.inner.next(t, working)?;
+        if self.crash_at.iter().all(|&(_, at)| t < at) {
+            return Some(set);
+        }
         let survivors: Vec<ProcessId> = set
             .resolve(working)
             .into_iter()
@@ -494,8 +500,9 @@ mod tests {
     fn crash_plan_filters_and_ends() {
         let mut cp = CrashPlan::new(Synchronous::new(), [(ProcessId(1), 3)]);
         let w = ids(&[0, 1, 2]);
-        assert_eq!(cp.next(1, &w).unwrap().resolve(&w), ids(&[0, 1, 2]));
-        assert_eq!(cp.next(2, &w).unwrap().resolve(&w), ids(&[0, 1, 2]));
+        // Before the first crash time the inner set passes through.
+        assert_eq!(cp.next(1, &w), Some(ActivationSet::All));
+        assert_eq!(cp.next(2, &w), Some(ActivationSet::All));
         assert_eq!(cp.next(3, &w).unwrap().resolve(&w), ids(&[0, 2]));
         // Only the crashed process left working: schedule ends.
         assert_eq!(cp.next(4, &ids(&[1])), None);

@@ -18,9 +18,14 @@
 //! * quanta `{1, 3, 8}` — slicing the visit loop differently may move
 //!   completion rounds but must not change any execution fact,
 //! * an open-loop fleet whose admissions land in the slots of retired
-//!   instances — admission indices and rounds travel with the slot.
+//!   instances — admission indices and rounds travel with the slot,
+//! * the materialized path (`run_materialized`, a live `Execution`
+//!   whose report is moved out rather than copied) against a plain
+//!   `Execution::run`, traces included.
 
-use ftcolor::batch::{BatchConfig, BatchEngine, BatchOutcome, InstanceSpec, Termination};
+use ftcolor::batch::{
+    run_materialized, BatchConfig, BatchEngine, BatchOutcome, InstanceSpec, Termination,
+};
 use ftcolor::model::inputs;
 use ftcolor::prelude::*;
 use std::hash::Hash;
@@ -288,4 +293,103 @@ fn open_loop_fleet_reuses_slots_and_keeps_outcomes_exact() {
         runs.push(outcomes);
     }
     assert_eq!(runs[0], runs[1], "jobs=1 vs jobs=3");
+}
+
+/// `run_materialized` on `spec` against `Execution::run` on the same
+/// schedule: termination, outputs, activations, time steps, crashed set
+/// and (when recorded) the resolved activation sets.
+fn check_materialized<A>(alg: &A, spec: &InstanceSpec, record: bool, ctx: &str) -> Termination
+where
+    A: Algorithm<Input = u64>,
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash + Clone + std::fmt::Debug,
+{
+    let quantum = 3;
+    let outcome = run_materialized(alg, spec, quantum, record);
+
+    let topo = Topology::cycle(spec.n()).expect("a ring");
+    let mut exec = Execution::new(alg, &topo, spec.ids.clone());
+    exec.record_trace(record);
+    let (termination, report) = match exec.run(spec.schedule(), spec.fuel) {
+        Ok(report) if report.crashed.is_empty() => (Termination::Returned, report),
+        Ok(report) => (Termination::Crashed, report),
+        Err(ModelError::NonTermination { .. }) => (
+            Termination::Stalled,
+            ExecutionReport {
+                outputs: exec.outputs().to_vec(),
+                activations: (0..spec.n())
+                    .map(|i| exec.activation_count(ProcessId(i)))
+                    .collect(),
+                time_steps: exec.time(),
+                crashed: Vec::new(),
+            },
+        ),
+        Err(other) => panic!("{ctx}: unexpected {other}"),
+    };
+    assert_eq!(outcome.termination, termination, "{ctx}: termination");
+    assert_eq!(outcome.report(), report, "{ctx}: report");
+    assert_eq!(
+        outcome.trace,
+        record.then(|| exec.recorded().to_vec()),
+        "{ctx}: trace"
+    );
+    assert_eq!(outcome.index, 0, "{ctx}");
+    assert_eq!(outcome.admitted_round, 0, "{ctx}");
+    assert_eq!(
+        outcome.completed_round,
+        report.time_steps.div_ceil(u64::from(quantum)),
+        "{ctx}: completed round"
+    );
+    termination
+}
+
+/// The materialized path over {alg1, alg2′, alg3′} × {synchronous,
+/// random} × {clean, crash overlay} × trace recording {on, off}, plus a
+/// fuel-starved instance that must come back `Stalled`.
+#[test]
+fn materialized_runs_match_the_executor() {
+    fn grid<A>(alg: &A, label: &str)
+    where
+        A: Algorithm<Input = u64>,
+        A::State: Eq + Hash,
+        A::Reg: Eq + Hash,
+        A::Output: Eq + Hash + Clone + std::fmt::Debug,
+    {
+        let mut seen = Vec::new();
+        for n in [3usize, 8, 61] {
+            let ids = inputs::random_unique(n, 1 << 20, n as u64);
+            let victim = ProcessId(n / 2);
+            let specs = [
+                ("sync", InstanceSpec::synchronous(ids.clone(), FUEL)),
+                (
+                    "sync+crash",
+                    InstanceSpec::synchronous(ids.clone(), FUEL).with_crash(victim, 2),
+                ),
+                ("random", InstanceSpec::random(ids.clone(), 5, 0.5, FUEL)),
+                (
+                    "random+crash",
+                    InstanceSpec::random(ids.clone(), 5, 0.5, FUEL).with_crash(victim, 2),
+                ),
+            ];
+            for (kind, spec) in &specs {
+                for record in [false, true] {
+                    let ctx = format!("{label} C{n} {kind} record={record}");
+                    seen.push(check_materialized(alg, spec, record, &ctx));
+                }
+            }
+        }
+        for kind in [Termination::Returned, Termination::Crashed] {
+            assert!(seen.contains(&kind), "{label}: no {kind:?} instance");
+        }
+    }
+    grid(&SixColoring, "alg1");
+    grid(&FiveColoringPatched, "alg2p");
+    grid(&FastFiveColoringPatched, "alg3p");
+
+    let starved = InstanceSpec::random(inputs::random_unique(7, 64, 5), 99, 0.5, 2);
+    for record in [false, true] {
+        let termination = check_materialized(&FiveColoringPatched, &starved, record, "stalled");
+        assert_eq!(termination, Termination::Stalled);
+    }
 }

@@ -7,6 +7,12 @@
 //! plain `run`, observed with the no-op `()`, and observed with a
 //! recorder that formats every hook payload — and demand identical
 //! reports, plus identical recorder traces across repeated runs.
+//!
+//! The executor steps an [`ActivationSet::All`] by walking its working
+//! list in place rather than through a resolved copy; a second family
+//! of properties runs the same synchronous schedules with every `All`
+//! spelled out as the explicit working list and demands identical
+//! recorder traces, reports and recorded activation sets.
 
 use ftcolor::model::{inputs, Topology};
 use ftcolor::prelude::*;
@@ -125,5 +131,74 @@ proptest! {
         let t1 = run_three_ways(&FiveColoringPatched, n, &ids, schedseed, density)?;
         let t2 = run_three_ways(&FiveColoringPatched, n, &ids, schedseed, density)?;
         prop_assert_eq!(t1, t2, "recorder traces differ across identical runs");
+    }
+}
+
+/// `inner` with every [`ActivationSet::All`] spelled out as the explicit
+/// working list, which the executor steps through a resolved copy.
+struct Spelled<S>(S);
+
+impl<S: Schedule> Schedule for Spelled<S> {
+    fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
+        self.0.next(t, working).map(|set| match set {
+            ActivationSet::All => ActivationSet::of(working.to_vec()),
+            only => only,
+        })
+    }
+}
+
+/// One recorded, observed run of `alg` under `schedule`: recorder
+/// trace, report and recorded activation sets, all rendered.
+fn observed_run<A: Algorithm<Input = u64>>(
+    alg: &A,
+    ids: &[u64],
+    schedule: impl Schedule,
+) -> (Vec<String>, String, Vec<ActivationSet>) {
+    let topo = Topology::cycle(ids.len()).expect("cycles need n >= 3 nodes");
+    let mut rec = Recorder::default();
+    let mut exec = Execution::new(alg, &topo, ids.to_vec());
+    exec.record_trace(true);
+    let report = exec.run_observed(schedule, 10_000, &mut rec);
+    (rec.trace, format!("{report:?}"), exec.recorded().to_vec())
+}
+
+/// Synchronous runs — clean, and with a crash overlay that turns `All`
+/// into explicit survivor lists from its crash time on — observed
+/// identically whether `All` steps in place or as an explicit list.
+fn check_in_place_all<A: Algorithm<Input = u64>>(
+    alg: &A,
+    ids: &[u64],
+    victim: usize,
+    crash_at: Time,
+) -> Result<(), TestCaseError> {
+    let crash = || [(ProcessId(victim), crash_at)];
+    let in_place = observed_run(alg, ids, Synchronous::new());
+    let spelled = observed_run(alg, ids, Spelled(Synchronous::new()));
+    prop_assert_eq!(&in_place, &spelled);
+    let in_place = observed_run(alg, ids, CrashPlan::new(Synchronous::new(), crash()));
+    let spelled = observed_run(
+        alg,
+        ids,
+        Spelled(CrashPlan::new(Synchronous::new(), crash())),
+    );
+    prop_assert_eq!(&in_place, &spelled);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn all_steps_in_place_observe_like_explicit_lists(
+        n in 3usize..9,
+        idseed in 0u64..1000,
+        victim in 0usize..9,
+        crash_at in 1u64..5,
+    ) {
+        let ids = inputs::random_unique(n, 1000, idseed);
+        let victim = victim % n;
+        check_in_place_all(&SixColoring, &ids, victim, crash_at)?;
+        check_in_place_all(&FiveColoringPatched, &ids, victim, crash_at)?;
+        check_in_place_all(&FastFiveColoringPatched, &ids, victim, crash_at)?;
     }
 }

@@ -8,13 +8,15 @@
 //! with a typed error rather than a panic or a wrong frame; and the
 //! buffer pool never hands out a buffer that still aliases a live one.
 
+use ftcolor::core::alg3::Rank;
+use ftcolor::core::alg3_patched::Reg3P;
 use ftcolor::net::wire::{append_framed, binary_len, decode_frame, encode_frame_into, read_framed};
 use ftcolor::net::{
     Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
 };
 use ftcolor::net::{WirePool, MAX_FRAME_BYTES};
 use proptest::prelude::*;
-use serde::{Number, Value};
+use serde::{Deserialize, Number, Serialize, Value};
 
 /// A tiny deterministic PRNG (splitmix64) so every structure below can
 /// be hand-rolled from one integer draw — the vendored proptest shim
@@ -256,5 +258,66 @@ proptest! {
             pool.release(buf);
         }
         prop_assert!(pool.hits() > 0, "the cycle never exercised reuse");
+    }
+}
+
+/// A `write` frame carrying `value`, decoded back through both codecs.
+fn through_both_codecs(value: Value) -> [Value; 2] {
+    let frame = Frame {
+        src: 0,
+        dest: 1,
+        body: Body::Write(Write { round: 7, value }),
+    };
+    let mut bin = Vec::new();
+    encode_frame_into(&frame, &mut bin);
+    [
+        decode_frame(&bin).expect("binary decodes"),
+        Frame::decode(&frame.encode()).expect("json decodes"),
+    ]
+    .map(|back| match back.body {
+        Body::Write(w) => w.value,
+        other => panic!("a write frame came back as {other:?}"),
+    })
+}
+
+/// The widest green-light rank crosses both codecs unchanged, and a
+/// register whose rank does not fit a `u32` decodes to a typed error
+/// after either codec, never to a truncated rank.
+#[test]
+fn alg3_ranks_cross_both_codecs_or_are_refused() {
+    for r in [Rank::Finite(u32::MAX), Rank::Omega] {
+        let reg = Reg3P {
+            x: u64::MAX,
+            r,
+            a: 4,
+            b: 3,
+            c: 1 << 40,
+        };
+        for back in through_both_codecs(reg.to_value()) {
+            assert_eq!(Reg3P::from_value(&back), Ok(reg));
+        }
+    }
+    let mut wide = Reg3P {
+        x: 9,
+        r: Rank::Finite(0),
+        a: 0,
+        b: 1,
+        c: 2,
+    }
+    .to_value();
+    let Value::Object(fields) = &mut wide else {
+        panic!("Reg3P encodes as an object: {wide:?}");
+    };
+    let r = fields
+        .iter_mut()
+        .find(|(k, _)| k == "r")
+        .expect("an r field");
+    r.1 = Value::Object(vec![(
+        "Finite".into(),
+        Value::Number(Number::PosInt(u64::from(u32::MAX) + 1)),
+    )]);
+    for back in through_both_codecs(wide) {
+        let err = Reg3P::from_value(&back).expect_err("2^32 does not fit a rank");
+        assert!(err.to_string().contains("overflows u32"), "{err}");
     }
 }
