@@ -10,62 +10,79 @@
 //! "the live processes ran this protocol" — the determinism lives
 //! here, the nondeterminism (timing) stays outside.
 //!
-//! The round protocol mirrors the discrete-event simulator
-//! (`ftcolor_net::sim`) line for line, minus the loopback hop: a real
-//! process's own register lives in its own memory, so the write
-//! applies immediately.
-//!
-//! 1. Round start: apply the own-register write (freshness stamp
-//!    `round + 1`), then per neighbor broadcast a `write` and send a
-//!    `snapshot_req`.
-//! 2. Neighbor `write` broadcasts warm the mirror (stamp-monotone).
-//! 3. `snapshot_req` is always answered — the register server role
-//!    outlives the algorithm (a decided node keeps serving reads).
-//! 4. When every neighbor's `snapshot_resp` for the current round is
-//!    in, the round commits: per-neighbor view is the fresher of
-//!    response and mirror, the algorithm steps, and the node either
-//!    starts the next round or emits `decide`.
+//! The round itself is [`ftcolor_net::protocol`]'s machine, the one the
+//! discrete-event simulator runs too. `NodeCore` owns the parts the
+//! machine borrows and adds the node's share: the own write applies at
+//! once (a real process's register lives in its own memory, so there is
+//! no loopback hop), retransmits go out as one batch per wall-clock
+//! timer tick, and the node speaks `init_ok` and `decide` to the
+//! orchestrator.
 
-use ftcolor_model::{Algorithm, Neighborhood, ProcessId, Step};
-use ftcolor_net::{Body, Decide, Frame, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR};
-use serde::{Deserialize, Serialize, Value};
+use ftcolor_model::{Algorithm, ProcessId, Step};
+use ftcolor_net::{
+    Body, Decide, Frame, Init, InitOk, Link, Machine, Outbox, Proc, RegisterError, ORCHESTRATOR,
+};
+use serde::{Deserialize, Serialize};
 
-/// A register observation: `None` = never written, else the encoded
-/// value and its freshness stamp (writer round + 1).
-pub type Obs = Option<(Value, u64)>;
-
-/// The freshness stamp of an observation (0 = never written).
-pub fn obs_stamp(o: &Obs) -> u64 {
-    o.as_ref().map_or(0, |(_, s)| *s)
-}
-
-/// The fresher of two register observations (higher stamp wins; a
-/// response ties-or-beats a mirror of the same stamp).
-pub fn fresher(resp: Obs, mirror: Obs) -> Obs {
-    if obs_stamp(&mirror) > obs_stamp(&resp) {
-        mirror
-    } else {
-        resp
+/// Checks an `init` delivered to node `dest` for the one shape the
+/// orchestrator sends: addressed to `dest`, `dest < n`, `n >= 3`, and
+/// the node's two ring neighbors in ascending order. The ring colorings
+/// step on exactly two neighbors, so any other `init` is refused.
+///
+/// # Errors
+///
+/// A message naming what is wrong.
+pub fn check_init(dest: usize, init: &Init) -> Result<(), String> {
+    let (node, n) = (init.node, init.n);
+    if node != dest {
+        return Err(format!("init for node {node} delivered to {dest}"));
     }
+    let ring = n >= 3 && node < n && {
+        let mut ring = [node.checked_sub(1).unwrap_or(n - 1), (node + 1) % n];
+        ring.sort_unstable();
+        init.neighbors == ring
+    };
+    if !ring {
+        let got = &init.neighbors;
+        return Err(format!(
+            "init for node {node} of a {n}-ring lists neighbors {got:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// One node's protocol state machine: deterministic, I/O-free.
 pub struct NodeCore<'a, A: Algorithm> {
     alg: &'a A,
     id: usize,
-    neighbors: Vec<usize>,
+    neighbors: Vec<ProcessId>,
+    proc: Proc<A::Reg>,
     state: A::State,
-    round: u64,
-    rounds_committed: u64,
-    /// The node's own SWMR register (the register-server storage).
-    reg: Obs,
-    /// Last `write` broadcast received per neighbor position.
-    mirror: Vec<Obs>,
-    /// Neighbor positions still owing a `snapshot_resp` this round.
-    pending: Vec<bool>,
-    /// Responses collected this round (outer `None` = not yet in).
-    resp: Vec<Option<Obs>>,
+    links: Vec<Link<A::Reg>>,
+    view: Vec<Option<A::Reg>>,
     decided: Option<A::Output>,
+}
+
+impl<A: Algorithm> NodeCore<'_, A> {
+    /// The current 0-based round number.
+    pub fn round(&self) -> u64 {
+        self.proc.round
+    }
+
+    /// Rounds committed so far.
+    pub fn rounds_committed(&self) -> u64 {
+        self.proc.round + u64::from(self.decided.is_some())
+    }
+
+    /// The decided output, once the algorithm returned.
+    pub fn decided(&self) -> Option<&A::Output> {
+        self.decided.as_ref()
+    }
+
+    /// Whether `node` is one of this node's neighbors.
+    pub fn is_neighbor(&self, node: usize) -> bool {
+        self.neighbors.contains(&ProcessId(node))
+    }
 }
 
 impl<'a, A> NodeCore<'a, A>
@@ -77,206 +94,89 @@ where
     /// Builds the state machine for node `id` with the given ring
     /// neighbors (in topology order) and algorithm input.
     pub fn new(alg: &'a A, id: usize, neighbors: Vec<usize>, input: A::Input) -> Self {
-        let deg = neighbors.len();
         NodeCore {
             alg,
             id,
-            neighbors,
+            links: neighbors.iter().map(|_| Link::default()).collect(),
+            view: Vec::with_capacity(neighbors.len()),
+            neighbors: neighbors.into_iter().map(ProcessId).collect(),
+            proc: Proc::default(),
             state: alg.init(ProcessId(id), input),
-            round: 0,
-            rounds_committed: 0,
-            reg: None,
-            mirror: vec![None; deg],
-            pending: vec![false; deg],
-            resp: vec![None; deg],
             decided: None,
         }
     }
 
-    /// The current 0-based round number.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Rounds committed so far.
-    pub fn rounds_committed(&self) -> u64 {
-        self.rounds_committed
-    }
-
-    /// The decided output, once the algorithm returned.
-    pub fn decided(&self) -> Option<&A::Output> {
-        self.decided.as_ref()
-    }
-
-    /// The register server's current contents.
-    pub fn register(&self) -> &Obs {
-        &self.reg
+    fn machine(&mut self) -> Machine<'_, A> {
+        Machine {
+            alg: self.alg,
+            id: self.id,
+            neighbors: &self.neighbors,
+            proc: &mut self.proc,
+            state: &mut self.state,
+            links: &mut self.links,
+            view: &mut self.view,
+        }
     }
 
     /// Acknowledges `init` and starts round 0. Returns the frames to
     /// put on the wire, in order: `init_ok`, then the first round's
     /// broadcasts and requests.
     pub fn start(&mut self) -> Vec<Frame> {
-        let mut out = vec![Frame {
-            src: self.id,
-            dest: ORCHESTRATOR,
-            body: Body::InitOk(InitOk { node: self.id }),
-        }];
-        out.extend(self.begin_round());
-        out
-    }
-
-    /// Round start: apply the own write, broadcast it, request
-    /// snapshots. (The simulator's loopback hop collapses to a direct
-    /// register update — a real process owns its register's memory.)
-    fn begin_round(&mut self) -> Vec<Frame> {
-        let value = self.alg.publish(&self.state).to_value();
-        let round = self.round;
-        let stamp = round + 1;
-        if stamp > obs_stamp(&self.reg) {
-            self.reg = Some((value.clone(), stamp));
-        }
-        let mut out = Vec::with_capacity(2 * self.neighbors.len());
-        for pos in 0..self.neighbors.len() {
-            let q = self.neighbors[pos];
-            out.push(Frame {
-                src: self.id,
-                dest: q,
-                body: Body::Write(Write {
-                    round,
-                    value: value.clone(),
-                }),
-            });
-            self.pending[pos] = true;
-            self.resp[pos] = None;
-            out.push(Frame {
-                src: self.id,
-                dest: q,
-                body: Body::SnapshotReq(SnapshotReq { round }),
-            });
-        }
+        let (mut out, hello) = (Vec::new(), InitOk { node: self.id });
+        out.send(self.id, ORCHESTRATOR, &Body::InitOk(hello));
+        let step = self.machine().begin_round(&mut out);
+        self.settle(step, &mut out);
         out
     }
 
     /// The retransmit batch: a fresh `snapshot_req` for every neighbor
     /// still owing a response this round. Empty once decided (the
-    /// register server needs no timers). Does not mutate state — the
+    /// register server needs no timers). Changes no state — the
     /// caller's timer policy decides how often to fire it.
-    pub fn retransmits(&self) -> Vec<Frame> {
-        if self.decided.is_some() {
-            return Vec::new();
+    pub fn retransmits(&mut self) -> Vec<Frame> {
+        let (mut out, round, m) = (Vec::new(), self.proc.round, self.machine());
+        for (pos, q) in m.neighbors.iter().enumerate() {
+            if m.owes(pos, round) {
+                out.request(m.id, pos, q.index(), round);
+            }
         }
-        self.neighbors
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| self.pending[*pos])
-            .map(|(_, &q)| Frame {
-                src: self.id,
-                dest: q,
-                body: Body::SnapshotReq(SnapshotReq { round: self.round }),
-            })
-            .collect()
+        out
     }
 
     /// Feeds one delivered frame through the state machine and returns
     /// the frames it sends in response. Unknown senders, stale rounds,
     /// duplicate responses, and control frames are ignored — a node
     /// must survive anything the network hands it.
-    pub fn on_frame(&mut self, frame: &Frame) -> Vec<Frame> {
-        match &frame.body {
-            Body::Write(w) => {
-                self.on_mirror_write(frame.src, w);
-                Vec::new()
-            }
-            Body::SnapshotReq(r) => {
-                // Register server role: always answer, even after the
-                // algorithm returned — the final value stays readable.
-                let (value, stamp) = match &self.reg {
-                    Some((v, s)) => (Some(v.clone()), *s),
-                    None => (None, 0),
-                };
-                vec![Frame {
-                    src: self.id,
-                    dest: frame.src,
-                    body: Body::SnapshotResp(SnapshotResp {
-                        round: r.round,
-                        value,
-                        stamp,
-                    }),
-                }]
-            }
-            Body::SnapshotResp(r) => self.on_resp(frame.src, r.clone()),
-            // Control frames never reach the core: `init` is consumed
-            // by the node's bootstrap, the rest are orchestrator-bound.
-            Body::Init(_) | Body::InitOk(_) | Body::Decide(_) => Vec::new(),
-        }
+    ///
+    /// # Errors
+    ///
+    /// A `write` or `snapshot_resp` whose register does not decode; the
+    /// node is left as it was, so dropping the frame is always safe.
+    pub fn on_frame(&mut self, frame: &Frame) -> Result<Vec<Frame>, RegisterError> {
+        let mut out = Vec::new();
+        let step = self.machine().on_frame(frame.clone(), &mut out)?;
+        self.settle(step, &mut out);
+        Ok(out)
     }
 
-    fn on_mirror_write(&mut self, src: usize, w: &Write) {
-        let Some(pos) = self.neighbor_pos(src) else {
-            return;
-        };
-        let stamp = w.round + 1;
-        if stamp > obs_stamp(&self.mirror[pos]) {
-            self.mirror[pos] = Some((w.value.clone(), stamp));
+    /// Carries a committed round on: the next round starts at once, or
+    /// the decision goes to the orchestrator.
+    fn settle(&mut self, mut step: Option<Step<A::Output>>, out: &mut Vec<Frame>) {
+        while let Some(s) = step.take() {
+            step = match s {
+                Step::Continue => self.machine().begin_round(out),
+                Step::Return(o) => {
+                    let round = self.proc.round;
+                    let body = Body::Decide(Decide {
+                        round,
+                        output: o.to_value(),
+                    });
+                    out.send(self.id, ORCHESTRATOR, &body);
+                    self.decided = Some(o);
+                    None
+                }
+            };
         }
-    }
-
-    fn on_resp(&mut self, src: usize, r: SnapshotResp) -> Vec<Frame> {
-        if self.decided.is_some() || r.round != self.round {
-            return Vec::new(); // stale round or post-decision duplicate
-        }
-        let Some(pos) = self.neighbor_pos(src) else {
-            return Vec::new();
-        };
-        if !self.pending[pos] {
-            return Vec::new(); // duplicate response: idempotent
-        }
-        let obs = r.value.map(|v| (v, r.stamp));
-        self.resp[pos] = Some(obs);
-        self.pending[pos] = false;
-        if self.pending.iter().all(|p| !p) {
-            self.commit_round()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// All responses in: merge views, run the algorithm step.
-    fn commit_round(&mut self) -> Vec<Frame> {
-        let view: Vec<Option<A::Reg>> = (0..self.neighbors.len())
-            .map(|pos| {
-                let resp = self.resp[pos]
-                    .clone()
-                    .expect("commit only fires once every neighbor answered");
-                let merged = fresher(resp, self.mirror[pos].clone());
-                merged.map(|(v, _)| {
-                    serde_json::from_value::<A::Reg>(v).expect("register payloads decode")
-                })
-            })
-            .collect();
-        let step = self.alg.step(&mut self.state, &Neighborhood::new(&view));
-        self.rounds_committed += 1;
-        match step {
-            Step::Continue => {
-                self.round += 1;
-                self.begin_round()
-            }
-            Step::Return(o) => {
-                let round = self.round;
-                let output = o.to_value();
-                self.decided = Some(o);
-                vec![Frame {
-                    src: self.id,
-                    dest: ORCHESTRATOR,
-                    body: Body::Decide(Decide { round, output }),
-                }]
-            }
-        }
-    }
-
-    fn neighbor_pos(&self, who: usize) -> Option<usize> {
-        self.neighbors.iter().position(|&q| q == who)
     }
 }
 
@@ -285,6 +185,7 @@ mod tests {
     use super::*;
     use ftcolor_core::{FiveColoringPatched, SixColoring};
     use ftcolor_model::inputs;
+    use ftcolor_net::{SnapshotReq, SnapshotResp};
     use std::collections::VecDeque;
 
     /// Drives a ring of cores to termination by hand-routing frames in
@@ -318,7 +219,7 @@ mod tests {
             if f.dest == ORCHESTRATOR {
                 continue;
             }
-            wire.extend(cores[f.dest].on_frame(&f));
+            wire.extend(cores[f.dest].on_frame(&f).expect("honest frames decode"));
         }
         cores.iter().map(|c| c.decided().cloned()).collect()
     }
@@ -350,11 +251,13 @@ mod tests {
         let alg = SixColoring;
         let mut core = NodeCore::new(&alg, 0, vec![2, 1], 5u64);
         // Before start: register never written.
-        let out = core.on_frame(&Frame {
-            src: 1,
-            dest: 0,
-            body: Body::SnapshotReq(SnapshotReq { round: 0 }),
-        });
+        let out = core
+            .on_frame(&Frame {
+                src: 1,
+                dest: 0,
+                body: Body::SnapshotReq(SnapshotReq { round: 0 }),
+            })
+            .expect("a request carries no register");
         let [Frame {
             body: Body::SnapshotResp(r),
             ..
@@ -366,11 +269,13 @@ mod tests {
         assert!(r.value.is_none());
         // After start: the round-0 write is visible with stamp 1.
         core.start();
-        let out = core.on_frame(&Frame {
-            src: 1,
-            dest: 0,
-            body: Body::SnapshotReq(SnapshotReq { round: 0 }),
-        });
+        let out = core
+            .on_frame(&Frame {
+                src: 1,
+                dest: 0,
+                body: Body::SnapshotReq(SnapshotReq { round: 0 }),
+            })
+            .expect("a request carries no register");
         let [Frame {
             body: Body::SnapshotResp(r),
             ..
@@ -396,11 +301,21 @@ mod tests {
                 stamp: 0,
             }),
         };
-        assert!(core.on_frame(&resp(2, 7)).is_empty(), "stale round ignored");
-        assert!(core.on_frame(&resp(2, 0)).is_empty(), "first resp pends");
-        assert!(core.on_frame(&resp(2, 0)).is_empty(), "duplicate ignored");
+        let ok = "an empty register decodes";
+        assert!(
+            core.on_frame(&resp(2, 7)).expect(ok).is_empty(),
+            "stale round ignored"
+        );
+        assert!(
+            core.on_frame(&resp(2, 0)).expect(ok).is_empty(),
+            "first resp pends"
+        );
+        assert!(
+            core.on_frame(&resp(2, 0)).expect(ok).is_empty(),
+            "duplicate ignored"
+        );
         assert_eq!(core.rounds_committed(), 0, "commit needs all answers");
-        let out = core.on_frame(&resp(1, 0));
+        let out = core.on_frame(&resp(1, 0)).expect(ok);
         assert!(!out.is_empty(), "second resp commits the round");
         assert_eq!(core.rounds_committed(), 1);
     }
@@ -420,7 +335,8 @@ mod tests {
                 value: None,
                 stamp: 0,
             }),
-        });
+        })
+        .expect("an empty register decodes");
         let rt = core.retransmits();
         assert_eq!(rt.len(), 1, "answered neighbor drops off the timer");
         assert_eq!(rt[0].dest, 1);

@@ -21,8 +21,9 @@
 //! their seed — so the orchestrator journals every routed frame into a
 //! [`ClusterTrace`], and [`replay_trace`] re-verifies that journal
 //! deterministically against in-process replicas of the node state
-//! machine ([`NodeCore`], the exact code the node binary runs). A
-//! failing live run shrinks to a committed fixture that replays
+//! machine ([`NodeCore`], the exact code the node binary runs, around
+//! the [`ftcolor_net::protocol`] round machine the simulator runs too).
+//! A failing live run shrinks to a committed fixture that replays
 //! forever, with no processes spawned.
 //!
 //! What this substrate proves that the others can't: the protocol
@@ -42,7 +43,7 @@ pub mod orchestrator;
 pub mod replay;
 pub mod trace;
 
-pub use crate::core::{fresher, obs_stamp, NodeCore, Obs};
+pub use crate::core::{check_init, NodeCore};
 pub use named::{cluster_replay, cluster_run, ClusterOutcome, ClusterSummary};
 pub use node::node_main;
 pub use orchestrator::{run_cluster, ChildGuard, ClusterOptions, ClusterReport, ClusterStats};

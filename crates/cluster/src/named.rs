@@ -18,7 +18,7 @@ use ftcolor_model::SubstrateReport;
 use ftcolor_net::{FaultPlan, WireStats};
 use serde::Serialize;
 
-use crate::orchestrator::{run_cluster, ClusterOptions, ClusterStats};
+use crate::orchestrator::{run_cluster, ClusterOptions, ClusterReport, ClusterStats};
 use crate::replay::replay_trace;
 use crate::trace::ClusterTrace;
 
@@ -100,18 +100,7 @@ pub fn cluster_run(
 ) -> Result<ClusterOutcome, String> {
     with_ring_coloring!(name, alg => {
         let report = run_cluster(alg, name, &alg.ring_inputs(n, seed), plan, seed, opts)?;
-        let summary = summarize(
-            alg,
-            seed,
-            &report,
-            &report.rounds,
-            report.timed_out,
-            report.wall_ms,
-            report.stats,
-            report.codec.name(),
-            report.wire,
-            &report.trace,
-        );
+        let summary = summarize(alg, &report.trace, &report, &report.rounds, Some(&report));
         Ok(ClusterOutcome {
             summary,
             trace: report.trace,
@@ -129,36 +118,30 @@ pub fn cluster_run(
 pub fn cluster_replay(trace: &ClusterTrace) -> Result<ClusterSummary, String> {
     with_ring_coloring!(trace.alg.as_str(), alg => {
         let report = replay_trace(alg, trace)?;
-        Ok(summarize(
-            alg,
-            trace.seed,
-            &report,
-            &report.rounds,
+        Ok(summarize(alg, trace, &report, &report.rounds, None))
+    }, else Err(format!("replay: trace uses unknown algorithm `{}`", trace.alg)))
+}
+
+/// Evaluates the ring proper-coloring oracle over any substrate report
+/// and folds it into the summary shape; a replay has no `live` run's
+/// clock, router counters or pipes.
+fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
+    alg: &A,
+    trace: &ClusterTrace,
+    report: &R,
+    rounds: &[u64],
+    live: Option<&ClusterReport<A::Output>>,
+) -> ClusterSummary {
+    let (timed_out, wall_ms, stats, wire_codec, wire) = live.map_or(
+        (
             false,
             0,
             ClusterStats::default(),
             "none",
             WireStats::default(),
-            trace,
-        ))
-    }, else Err(format!("replay: trace uses unknown algorithm `{}`", trace.alg)))
-}
-
-/// Evaluates the ring proper-coloring oracle over any substrate report
-/// and folds it into the summary shape.
-#[allow(clippy::too_many_arguments)]
-fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
-    alg: &A,
-    seed: u64,
-    report: &R,
-    rounds: &[u64],
-    timed_out: bool,
-    wall_ms: u64,
-    stats: ClusterStats,
-    wire_codec: &str,
-    wire: WireStats,
-    trace: &ClusterTrace,
-) -> ClusterSummary {
+        ),
+        |r| (r.timed_out, r.wall_ms, r.stats, r.codec.name(), r.wire),
+    );
     let colors: Vec<Option<u64>> = report
         .outputs()
         .iter()
@@ -181,7 +164,7 @@ fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
     ClusterSummary {
         alg: alg.name().to_string(),
         n,
-        seed,
+        seed: trace.seed,
         valid,
         palette_ok,
         all_correct_returned: report.all_correct_returned(),

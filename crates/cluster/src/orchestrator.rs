@@ -28,24 +28,21 @@
 //! whether the run completes, times out, or the orchestrator panics,
 //! every child is SIGKILLed and reaped — no zombies, no orphans.
 
-use std::collections::BinaryHeap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::collections::BTreeMap;
+use std::io::BufReader;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ftcolor_model::{Algorithm, ProcessId, SubstrateReport};
-use ftcolor_net::wire;
 use ftcolor_net::{
-    draw_fate, Body, Codec, Fate, FaultPlan, Frame, Init, SnapshotResp, WirePool, WireStats,
-    ORCHESTRATOR,
+    draw_fate, Body, Codec, Fate, FaultPlan, Frame, Init, Slot, WirePool, WireStats, ORCHESTRATOR,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::core::{obs_stamp, Obs};
 use crate::trace::{ClusterEntry, ClusterTrace, SendFate, CLUSTER_TRACE_SCHEMA};
 
 /// Orchestrator knobs (everything except the fault plan).
@@ -176,7 +173,7 @@ pub struct ClusterReport<O> {
     pub child_pids: Vec<u32>,
     /// The router's register cache at the end of the run: each node's
     /// last observed register write (what dead-node reads serve from).
-    pub final_registers: Vec<Obs>,
+    pub final_registers: Vec<Slot<Value>>,
     /// The routed-frame journal plus recorded outcome — the
     /// reproducibility artifact for this (non-deterministic) live run.
     pub trace: ClusterTrace,
@@ -239,30 +236,74 @@ impl Drop for ChildGuard {
     }
 }
 
-/// One queued delivery: min-heap by `(due, order)`.
-struct Queued {
-    due: Instant,
-    order: u64,
-    frame: Frame,
+/// What the router remembers of each node, kept the same way by the
+/// live orchestrator and by the replayer, which rebuilds it from the
+/// journal: the register its surfaced writes left (what dead-node reads
+/// are served from), its first `decide`, and whether the plan killed it.
+pub(crate) struct RouterMemory {
+    pub(crate) registers: Vec<Slot<Value>>,
+    pub(crate) killed: Vec<bool>,
+    decided: Vec<Option<Value>>,
+    pub(crate) rounds: Vec<u64>,
 }
 
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.order == other.order
+impl RouterMemory {
+    pub(crate) fn new(n: usize) -> Self {
+        RouterMemory {
+            registers: vec![Slot::default(); n],
+            killed: vec![false; n],
+            decided: vec![None; n],
+            rounds: vec![0; n],
+        }
     }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Notes a journaled frame: a `write` refreshes its sender's register
+    /// (a `Value` slot keeps any payload, so this cannot fail), and a
+    /// node's first `decide` is its outcome.
+    pub(crate) fn surfaced(&mut self, frame: &Frame) {
+        match &frame.body {
+            Body::Write(w) => drop(self.registers[frame.src].apply(frame.src, w)),
+            Body::Decide(d) if self.decided[frame.src].is_none() => {
+                self.decided[frame.src] = Some(d.output.clone());
+                self.rounds[frame.src] = d.round;
+            }
+            _ => {}
+        }
     }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.order.cmp(&self.order))
+
+    /// The answer a dead node's surviving register owes `frame`, if it
+    /// is a `snapshot_req`.
+    pub(crate) fn dead_read(&self, frame: &Frame) -> Option<Frame> {
+        let Body::SnapshotReq(r) = &frame.body else {
+            return None;
+        };
+        let resp = self.registers[frame.dest].answer(r.round);
+        Some(Frame {
+            src: frame.dest,
+            dest: frame.src,
+            body: Body::SnapshotResp(resp),
+        })
+    }
+
+    /// The outcome: each node's output (`null` without a `decide`), the
+    /// nodes killed before deciding, and the ones that did neither.
+    pub(crate) fn outcome(&self) -> (Vec<Value>, Vec<usize>, Vec<usize>) {
+        let n = self.killed.len();
+        let undecided = |killed: bool| {
+            (0..n)
+                .filter(|&i| self.killed[i] == killed && self.decided[i].is_none())
+                .collect()
+        };
+        let outputs = self
+            .decided
+            .iter()
+            .map(|o| o.clone().unwrap_or(Value::Null));
+        (outputs.collect(), undecided(true), undecided(false))
+    }
+
+    pub(crate) fn outputs<O: Deserialize>(&self) -> Result<Vec<Option<O>>, serde::Error> {
+        let decode = |o: &Option<Value>| o.as_ref().map(O::from_value).transpose();
+        self.decided.iter().map(decode).collect()
     }
 }
 
@@ -323,24 +364,10 @@ where
         stdins.push(Some(stdin));
         children.push(guard);
         let tx = tx.clone();
-        thread::spawn(move || match codec {
-            Codec::Binary => {
-                let mut reader = BufReader::new(stdout);
-                let mut buf = Vec::new();
-                while let Ok(true) = wire::read_framed(&mut reader, &mut buf) {
-                    if tx.send((i, std::mem::take(&mut buf))).is_err() {
-                        break;
-                    }
-                }
-            }
-            Codec::Json => {
-                for line in BufReader::new(stdout).lines() {
-                    let Ok(line) = line else { break };
-                    if tx.send((i, line.into_bytes())).is_err() {
-                        break;
-                    }
-                }
-            }
+        thread::spawn(move || {
+            codec.read_records(BufReader::new(stdout), |payload| {
+                tx.send((i, payload)).is_ok()
+            });
         });
     }
     drop(tx); // readers hold the only senders: Disconnected == all exited
@@ -357,22 +384,20 @@ where
     let mut stats = ClusterStats::default();
     let mut wpool = WirePool::default();
     let mut wstats = WireStats::default();
-    let mut heap: BinaryHeap<Queued> = BinaryHeap::new();
+    // Queued deliveries, soonest first (ties in queueing order).
+    let mut queue: BTreeMap<(Instant, u64), Frame> = BTreeMap::new();
     let mut order: u64 = 0;
-    let mut killed = vec![false; n];
-    let mut decided: Vec<Option<Value>> = vec![None; n];
-    let mut decide_round = vec![0u64; n];
-    let mut cache: Vec<Obs> = vec![None; n];
+    let mut router = RouterMemory::new(n);
 
-    // The crash schedule, in wall-clock terms, soonest first.
+    // The crash schedule, in wall-clock terms, soonest last: it is
+    // popped off the end.
     let mut crashes: Vec<(Instant, usize)> = plan
         .crashes
         .iter()
         .filter(|c| c.node < n)
         .map(|c| (start + Duration::from_millis(c.at * tick_ms), c.node))
         .collect();
-    crashes.sort_by_key(|&(at, node)| (at, node));
-    let mut next_crash = 0usize;
+    crashes.sort_by(|a, b| b.cmp(a));
 
     // Hand every node its identity — except a withheld one. Ring
     // neighbors are listed in `Topology::cycle` order (ascending), so
@@ -416,82 +441,48 @@ where
             let at = Instant::now();
             let ms = ms_now(at);
             let seq = entries.len() as u64;
-            if frame.dest == ORCHESTRATOR {
-                stats.control += 1;
-                if let Body::Decide(d) = &frame.body {
-                    if decided[frame.src].is_none() {
-                        decided[frame.src] = Some(d.output.clone());
-                        decide_round[frame.src] = d.round;
-                    }
-                }
-                entries.push(ClusterEntry::Send {
-                    seq,
-                    ms,
-                    fate: SendFate::Control,
-                    dup: false,
-                    frame,
-                });
-            } else if frame.dest >= n {
+            if frame.dest >= n && frame.dest != ORCHESTRATOR {
                 stats.malformed += 1;
             } else {
                 // The router observes every register write on its way
-                // out — this cache is what keeps a SIGKILLed node's
-                // register readable (substrate memory survives).
-                if let Body::Write(w) = &frame.body {
-                    let stamp = w.round + 1;
-                    if stamp > obs_stamp(&cache[frame.src]) {
-                        cache[frame.src] = Some((w.value.clone(), stamp));
-                    }
-                }
-                stats.sent += 1;
+                // out — this is what keeps a SIGKILLed node's register
+                // readable (substrate memory survives).
+                router.surfaced(&frame);
                 let ticks = ms / tick_ms;
-                match draw_fate(plan, &mut rng, ticks, frame.src, frame.dest) {
-                    Fate::PartitionDrop => {
-                        stats.partition_dropped += 1;
-                        entries.push(ClusterEntry::Send {
-                            seq,
-                            ms,
-                            fate: SendFate::Cut,
-                            dup: false,
-                            frame,
-                        });
-                    }
-                    Fate::Drop => {
-                        stats.dropped += 1;
-                        entries.push(ClusterEntry::Send {
-                            seq,
-                            ms,
-                            fate: SendFate::Dropped,
-                            dup: false,
-                            frame,
-                        });
-                    }
-                    Fate::Deliver { delay, dup_extra } => {
-                        let due = at + Duration::from_millis(delay * tick_ms);
-                        heap.push(Queued {
-                            due,
-                            order,
-                            frame: frame.clone(),
-                        });
-                        order += 1;
-                        if let Some(extra) = dup_extra {
-                            stats.duplicated += 1;
-                            heap.push(Queued {
-                                due: due + Duration::from_millis(extra * tick_ms),
-                                order,
-                                frame: frame.clone(),
-                            });
-                            order += 1;
+                let (fate, dup) = if frame.dest == ORCHESTRATOR {
+                    stats.control += 1;
+                    (SendFate::Control, false)
+                } else {
+                    stats.sent += 1;
+                    match draw_fate(plan, &mut rng, ticks, frame.src, frame.dest) {
+                        Fate::PartitionDrop => {
+                            stats.partition_dropped += 1;
+                            (SendFate::Cut, false)
                         }
-                        entries.push(ClusterEntry::Send {
-                            seq,
-                            ms,
-                            fate: SendFate::Delivered,
-                            dup: dup_extra.is_some(),
-                            frame,
-                        });
+                        Fate::Drop => {
+                            stats.dropped += 1;
+                            (SendFate::Dropped, false)
+                        }
+                        Fate::Deliver { delay, dup_extra } => {
+                            let due = at + Duration::from_millis(delay * tick_ms);
+                            let dup_due =
+                                dup_extra.map(|extra| due + Duration::from_millis(extra * tick_ms));
+                            stats.duplicated += u64::from(dup_due.is_some());
+                            for due in std::iter::once(due).chain(dup_due) {
+                                queue.insert((due, order), frame.clone());
+                                order += 1;
+                            }
+                            (SendFate::Delivered, dup_due.is_some())
+                        }
                     }
-                }
+                };
+                entries.push(ClusterEntry::Send {
+                    seq,
+                    ms,
+                    fate,
+                    dup,
+                    frame,
+                });
             }
         }};
     }
@@ -503,31 +494,18 @@ where
             let frame: Frame = $frame;
             let ms = ms_now(Instant::now());
             let dest = frame.dest;
-            if killed[dest] {
+            if router.killed[dest] {
                 // The process is gone but its register is substrate
                 // memory: reads still complete, everything else dies
                 // with the process.
-                if let Body::SnapshotReq(r) = &frame.body {
-                    let (value, stamp) = match &cache[dest] {
-                        Some((v, s)) => (Some(v.clone()), *s),
-                        None => (None, 0),
-                    };
-                    let round = r.round;
+                if let Some(resp) = router.dead_read(&frame) {
                     stats.served_dead_reads += 1;
                     entries.push(ClusterEntry::Deliver {
                         seq: entries.len() as u64,
                         ms,
-                        frame: frame.clone(),
+                        frame,
                     });
-                    route!(Frame {
-                        src: dest,
-                        dest: frame.src,
-                        body: Body::SnapshotResp(SnapshotResp {
-                            round,
-                            value,
-                            stamp,
-                        }),
-                    });
+                    route!(resp);
                 }
             } else if let Some(bytes) = write_frame(&mut stdins[dest], &frame, codec, &mut wpool) {
                 stats.delivered += 1;
@@ -544,7 +522,7 @@ where
 
     let mut timed_out = false;
     loop {
-        if (0..n).all(|i| decided[i].is_some() || killed[i]) {
+        if (0..n).all(|i| router.decided[i].is_some() || router.killed[i]) {
             break;
         }
         let now = Instant::now();
@@ -554,11 +532,9 @@ where
         }
         // Fire everything due: kills first (a kill at t beats a
         // delivery at t — the SIGKILL is the adversary's move).
-        while next_crash < crashes.len() && crashes[next_crash].0 <= now {
-            let (_, node) = crashes[next_crash];
-            next_crash += 1;
-            if !killed[node] {
-                killed[node] = true;
+        while let Some((_, node)) = crashes.pop_if(|&mut (at, _)| at <= now) {
+            if !router.killed[node] {
+                router.killed[node] = true;
                 children[node].kill_now();
                 stdins[node] = None;
                 entries.push(ClusterEntry::Crash {
@@ -568,38 +544,25 @@ where
                 });
             }
         }
-        while heap.peek().is_some_and(|q| q.due <= Instant::now()) {
-            let q = heap.pop().expect("peeked");
-            deliver!(q.frame);
+        while let Some(due) = queue.first_entry().filter(|q| q.key().0 <= Instant::now()) {
+            deliver!(due.remove());
         }
         // Sleep until the next timer, waking early for node output.
         let mut next = deadline;
-        if next_crash < crashes.len() {
-            next = next.min(crashes[next_crash].0);
+        if let Some(&(at, _)) = crashes.last() {
+            next = next.min(at);
         }
-        if let Some(q) = heap.peek() {
-            next = next.min(q.due);
+        if let Some(&(due, _)) = queue.keys().next() {
+            next = next.min(due);
         }
         let wait = next.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
             Ok((i, payload)) => {
-                let decoded = match codec {
-                    Codec::Binary => wire::decode_frame(&payload).ok(),
-                    Codec::Json => match std::str::from_utf8(&payload) {
-                        Ok(text) => {
-                            let trimmed = text.trim();
-                            if trimmed.is_empty() {
-                                continue;
-                            }
-                            Frame::decode(trimmed).ok()
-                        }
-                        Err(_) => None,
-                    },
-                };
-                match decoded {
+                match codec.decode_record(&payload) {
+                    Ok(None) => {}
                     // A node only speaks for itself; anything else is
                     // treated as a torn line/record.
-                    Some(frame) if frame.src == i => {
+                    Ok(Some(frame)) if frame.src == i => {
                         wstats.frames_decoded += 1;
                         // +4/+1 for the stream framing the reader
                         // thread stripped (length prefix / newline).
@@ -614,7 +577,7 @@ where
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // Every node exited. Drain what the timers still owe
                 // (cache-served reads), then stop.
-                if heap.is_empty() {
+                if queue.is_empty() {
                     break;
                 }
             }
@@ -630,23 +593,11 @@ where
     }
     drop(children);
 
-    let crashed: Vec<ProcessId> = (0..n)
-        .filter(|&i| killed[i] && decided[i].is_none())
-        .map(ProcessId)
-        .collect();
-    let stalled: Vec<ProcessId> = (0..n)
-        .filter(|&i| !killed[i] && decided[i].is_none())
-        .map(ProcessId)
-        .collect();
-    let outputs: Vec<Option<A::Output>> = decided
-        .iter()
-        .map(|slot| match slot {
-            None => Ok(None),
-            Some(v) => serde_json::from_value::<A::Output>(v.clone())
-                .map(Some)
-                .map_err(|e| format!("cluster: decoding a recorded output: {e}")),
-        })
-        .collect::<Result<_, String>>()?;
+    let (recorded, crashed, stalled) = router.outcome();
+    let outputs = router
+        .outputs()
+        .map_err(|e| format!("cluster: decoding a recorded output: {e}"))?;
+    let ids_of = |v: &[usize]| v.iter().copied().map(ProcessId).collect();
 
     let trace = ClusterTrace {
         schema: CLUSTER_TRACE_SCHEMA.to_string(),
@@ -657,25 +608,22 @@ where
         tick_ms,
         plan: plan.clone(),
         entries,
-        outputs: decided
-            .into_iter()
-            .map(|slot| slot.unwrap_or(Value::Null))
-            .collect(),
-        crashed: crashed.iter().map(|p| p.index()).collect(),
-        stalled: stalled.iter().map(|p| p.index()).collect(),
+        outputs: recorded,
+        crashed,
+        stalled,
     };
 
     wstats.pool_hits = wpool.hits();
     wstats.pool_misses = wpool.misses();
     Ok(ClusterReport {
         outputs,
-        rounds: decide_round,
-        crashed,
-        stalled,
+        crashed: ids_of(&trace.crashed),
+        stalled: ids_of(&trace.stalled),
         timed_out,
         wall_ms,
         child_pids,
-        final_registers: cache,
+        rounds: router.rounds,
+        final_registers: router.registers,
         trace,
         stats,
         codec,
@@ -683,32 +631,19 @@ where
     })
 }
 
-/// Writes one frame to a node's stdin in the run's codec (a JSON line,
-/// or a length-prefixed binary record), built in a pooled buffer and
-/// flushed in a single `write_all`. Returns the bytes written. On any
-/// pipe error the slot is closed (the node died on its own) and `None`
-/// comes back — the frame is treated as undeliverable, never journaled.
+/// Writes one frame to a node's stdin in the run's codec. Returns the
+/// bytes written. On any pipe error the slot is closed (the node died on
+/// its own) and `None` comes back — the frame is treated as
+/// undeliverable, never journaled.
 fn write_frame(
     slot: &mut Option<std::process::ChildStdin>,
     frame: &Frame,
     codec: Codec,
     pool: &mut WirePool,
 ) -> Option<usize> {
-    let stdin = slot.as_mut()?;
-    let mut buf = pool.acquire();
-    match codec {
-        Codec::Binary => wire::append_framed(frame, &mut buf),
-        Codec::Json => {
-            frame.encode_into(&mut buf);
-            buf.push(b'\n');
-        }
-    }
-    let ok = stdin.write_all(&buf).is_ok() && stdin.flush().is_ok();
-    let bytes = buf.len();
-    pool.release(buf);
-    if !ok {
+    let written = codec.write_records(std::slice::from_ref(frame), pool, slot.as_mut()?);
+    if written.is_err() {
         *slot = None;
-        return None;
     }
-    Some(bytes)
+    written.ok()
 }

@@ -4,7 +4,7 @@
 //! from its seed — but its journal can be *re-verified*. The replayer
 //! walks the [`ClusterTrace`] journal in order, driving one in-process
 //! [`NodeCore`] replica per node (the same state machine the live node
-//! binary wraps):
+//! binary wraps, around the [`ftcolor_net::protocol`] machine):
 //!
 //! * every [`ClusterEntry::Deliver`] is fed to the destination
 //!   replica, and whatever the replica emits is queued in that node's
@@ -14,9 +14,13 @@
 //!   honest node would have said next. Two documented tolerances
 //!   cover the router-ordering races a live run legitimately
 //!   produces: timer-driven `snapshot_req` retransmits (the replica
-//!   has no clock, so they are accepted when their round is not ahead
-//!   of the replica), and register reads the orchestrator served for
-//!   a dead node (matched against the replayed register cache);
+//!   has no clock, so they are accepted when they go to a neighbor and
+//!   their round is not ahead of the replica), and register reads the
+//!   orchestrator served for a dead node (matched against the
+//!   replayed register cache);
+//! * a delivered frame the replica refuses (a register payload that
+//!   does not decode) fails the replay: an honest router only delivers
+//!   what honest nodes said;
 //! * decisions are collected from journaled `decide` frames — which
 //!   the outbox match has just proven equal to what the replica
 //!   computed — and must reproduce the trace's recorded outputs
@@ -29,9 +33,10 @@ use std::collections::VecDeque;
 
 use ftcolor_model::{Algorithm, ProcessId, SubstrateReport};
 use ftcolor_net::{Body, Frame};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
-use crate::core::{obs_stamp, NodeCore, Obs};
+use crate::core::{check_init, NodeCore};
+use crate::orchestrator::RouterMemory;
 use crate::trace::{ClusterEntry, ClusterTrace, SendFate};
 
 /// The verdict of a successful replay.
@@ -92,11 +97,7 @@ where
     let mut outbox: Vec<VecDeque<Frame>> = vec![VecDeque::new(); n];
     // Responses the orchestrator owes on behalf of dead nodes.
     let mut synth: Vec<VecDeque<Frame>> = vec![VecDeque::new(); n];
-    // The router's register cache, rebuilt from journaled writes.
-    let mut cache: Vec<Obs> = vec![None; n];
-    let mut killed = vec![false; n];
-    let mut observed: Vec<Option<Value>> = vec![None; n];
-    let mut observed_round = vec![0u64; n];
+    let mut router = RouterMemory::new(n);
 
     for (idx, entry) in trace.entries.iter().enumerate() {
         let seq = entry.seq();
@@ -114,7 +115,7 @@ where
                 }
                 // The pipe may still hold frames the node emitted
                 // before dying, so its outbox is *not* cleared.
-                killed[*node] = true;
+                router.killed[*node] = true;
             }
             ClusterEntry::Deliver { frame, .. } => {
                 let dest = frame.dest;
@@ -122,12 +123,7 @@ where
                     return Err(format!("replay: delivery to node {dest} (seq {seq})"));
                 }
                 if let Body::Init(init) = &frame.body {
-                    if init.node != dest {
-                        return Err(format!(
-                            "replay: init for node {} delivered to {dest} (seq {seq})",
-                            init.node
-                        ));
-                    }
+                    check_init(dest, init).map_err(|e| format!("replay: {e} (seq {seq})"))?;
                     if replicas[dest].is_some() {
                         return Err(format!("replay: node {dest} initialized twice (seq {seq})"));
                     }
@@ -135,31 +131,21 @@ where
                         NodeCore::new(alg, dest, init.neighbors.clone(), trace.ids[dest]);
                     outbox[dest].extend(core.start());
                     replicas[dest] = Some(core);
-                } else if killed[dest] {
+                } else if router.killed[dest] {
                     // Only reads reach a dead node — the orchestrator
                     // serves them from its register cache; queue the
                     // response it owes so the journaled send matches.
-                    let Body::SnapshotReq(r) = &frame.body else {
-                        return Err(format!(
-                            "replay: `{}` delivered to dead node {dest} (seq {seq})",
-                            frame.body.kind()
-                        ));
-                    };
-                    let (value, stamp) = match &cache[dest] {
-                        Some((v, s)) => (Some(v.clone()), *s),
-                        None => (None, 0),
-                    };
-                    synth[dest].push_back(Frame {
-                        src: dest,
-                        dest: frame.src,
-                        body: Body::SnapshotResp(ftcolor_net::SnapshotResp {
-                            round: r.round,
-                            value,
-                            stamp,
-                        }),
-                    });
+                    let resp = router.dead_read(frame).ok_or_else(|| {
+                        let kind = frame.body.kind();
+                        format!("replay: `{kind}` delivered to dead node {dest} (seq {seq})")
+                    })?;
+                    synth[dest].push_back(resp);
                 } else if let Some(core) = replicas[dest].as_mut() {
-                    let out = core.on_frame(frame);
+                    let out = core.on_frame(frame).map_err(|e| {
+                        format!(
+                            "replay: node {dest} cannot take the frame delivered at seq {seq}: {e}"
+                        )
+                    })?;
                     outbox[dest].extend(out);
                 }
                 // No replica and not dead: an uninitialized (wedged)
@@ -170,14 +156,12 @@ where
                 if src >= n {
                     return Err(format!("replay: send from node {src} (seq {seq})"));
                 }
-                // Rebuild the router's register cache exactly as the
-                // live router did: from every surfaced write.
-                if let Body::Write(w) = &frame.body {
-                    let stamp = w.round + 1;
-                    if stamp > obs_stamp(&cache[src]) {
-                        cache[src] = Some((w.value.clone(), stamp));
-                    }
+                // Rebuild the router's memory exactly as the live router
+                // did: from every surfaced frame.
+                if matches!(frame.body, Body::Decide(_)) && *fate != SendFate::Control {
+                    return Err(format!("replay: fault-injected decide (seq {seq})"));
                 }
+                router.surfaced(frame);
                 if outbox[src].front() == Some(frame) {
                     outbox[src].pop_front();
                 } else if synth[src].front() == Some(frame) {
@@ -191,24 +175,12 @@ where
                         outbox[src].front().map(|f| f.body.kind()),
                     ));
                 }
-                if let Body::Decide(d) = &frame.body {
-                    if *fate != SendFate::Control {
-                        return Err(format!("replay: fault-injected decide (seq {seq})"));
-                    }
-                    if observed[src].is_none() {
-                        observed[src] = Some(d.output.clone());
-                        observed_round[src] = d.round;
-                    }
-                }
             }
         }
     }
 
     // The journal must re-derive the recorded outcome, byte for byte.
-    let replayed: Vec<Value> = observed
-        .iter()
-        .map(|o| o.clone().unwrap_or(Value::Null))
-        .collect();
+    let (replayed, crashed, stalled) = router.outcome();
     let replayed_json = serde_json::to_string(&replayed).expect("values encode");
     let recorded_json = serde_json::to_string(&trace.outputs).expect("values encode");
     if replayed_json != recorded_json {
@@ -216,40 +188,26 @@ where
             "replay: outputs diverge\n  recorded: {recorded_json}\n  replayed: {replayed_json}"
         ));
     }
-    let crashed_ids: Vec<usize> = (0..n)
-        .filter(|&i| killed[i] && observed[i].is_none())
-        .collect();
-    if crashed_ids != trace.crashed {
+    if crashed != trace.crashed {
         return Err(format!(
-            "replay: crashed set diverges (recorded {:?}, replayed {crashed_ids:?})",
+            "replay: crashed set diverges (recorded {:?}, replayed {crashed:?})",
             trace.crashed
         ));
     }
-    let stalled_ids: Vec<usize> = (0..n)
-        .filter(|&i| !killed[i] && observed[i].is_none())
-        .collect();
-    if stalled_ids != trace.stalled {
+    if stalled != trace.stalled {
         return Err(format!(
-            "replay: stalled set diverges (recorded {:?}, replayed {stalled_ids:?})",
+            "replay: stalled set diverges (recorded {:?}, replayed {stalled:?})",
             trace.stalled
         ));
     }
-
-    let outputs: Vec<Option<A::Output>> = observed
-        .iter()
-        .map(|slot| match slot {
-            None => Ok(None),
-            Some(v) => serde_json::from_value::<A::Output>(v.clone())
-                .map(Some)
-                .map_err(|e| format!("replay: decoding a verified output: {e}")),
-        })
-        .collect::<Result<_, String>>()?;
-
+    let outputs = router
+        .outputs()
+        .map_err(|e| format!("replay: decoding a verified output: {e}"))?;
     Ok(ReplayReport {
         outputs,
-        rounds: observed_round,
-        crashed: crashed_ids.into_iter().map(ProcessId).collect(),
-        stalled: stalled_ids.into_iter().map(ProcessId).collect(),
+        rounds: router.rounds,
+        crashed: crashed.into_iter().map(ProcessId).collect(),
+        stalled: stalled.into_iter().map(ProcessId).collect(),
         entries_verified: trace.entries.len(),
     })
 }
@@ -257,16 +215,13 @@ where
 /// A journaled frame that misses the outbox is still honest when it is
 /// a timer-driven `snapshot_req` retransmit: the replica keeps no
 /// clock, so it never *queues* retransmits, but an honest node only
-/// ever retransmits its current round's request — accept requests that
-/// are not ahead of the replica.
-fn is_tolerated_retransmit<A>(frame: &Frame, replica: Option<&NodeCore<A>>) -> bool
-where
-    A: Algorithm,
-    A::Reg: Serialize + Deserialize,
-    A::Output: Serialize,
-{
+/// ever retransmits its current round's request to a neighbor — accept
+/// requests to a neighbor that are not ahead of the replica. The
+/// neighbor need not still owe a response: the replica can be ahead of
+/// the live node.
+fn is_tolerated_retransmit<A: Algorithm>(frame: &Frame, replica: Option<&NodeCore<A>>) -> bool {
     let Body::SnapshotReq(r) = &frame.body else {
         return false;
     };
-    replica.is_some_and(|core| r.round <= core.round())
+    replica.is_some_and(|core| r.round <= core.round() && core.is_neighbor(frame.dest))
 }

@@ -25,16 +25,12 @@ use std::collections::VecDeque;
 
 use ftcolor_model::decoupled::{DecoupledAlgorithm, Knowledge};
 use ftcolor_model::{ProcessId, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::calendar::EventQueue;
 use crate::faults::FaultPlan;
 use crate::msg::{Body, Write};
-use crate::sim::{decide_fate, Mode, NetConfig, NetReport, NetStats};
-use crate::trace::{DeliveryTrace, Outcome, TraceEntry};
-use crate::wire::FrameCodec;
+use crate::sim::{Net, NetConfig, NetReport};
+use crate::trace::DeliveryTrace;
 
 /// Runs a DECOUPLED algorithm on the simulated network via input
 /// gossip, drawing all fault decisions from `cfg.seed`.
@@ -56,7 +52,7 @@ where
     A: DecoupledAlgorithm,
     A::Input: Serialize + Deserialize + Clone,
 {
-    GossipSim::new(alg, topo, inputs, plan, cfg, Mode::Record).run()
+    GossipSim::new(alg, topo, inputs, plan, cfg, None).run()
 }
 
 /// Re-runs a recorded gossip trace bit-for-bit (see
@@ -77,7 +73,7 @@ where
     A: DecoupledAlgorithm,
     A::Input: Serialize + Deserialize + Clone,
 {
-    GossipSim::new(alg, topo, inputs, plan, cfg, Mode::replay(trace)).run()
+    GossipSim::new(alg, topo, inputs, plan, cfg, Some(trace)).run()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,12 +94,16 @@ enum Ev {
     Crash { node: usize },
 }
 
+impl From<Vec<u8>> for Ev {
+    fn from(payload: Vec<u8>) -> Self {
+        Ev::Deliver { payload }
+    }
+}
+
 struct GossipSim<'a, A: DecoupledAlgorithm> {
     alg: &'a A,
     topo: &'a Topology,
     inputs: Vec<A::Input>,
-    plan: &'a FaultPlan,
-    cfg: &'a NetConfig,
     /// Per node: the `(position, input)` pairs its gossip layer knows.
     known: Vec<Vec<Option<A::Input>>>,
     status: Vec<Status>,
@@ -112,14 +112,7 @@ struct GossipSim<'a, A: DecoupledAlgorithm> {
     working: usize,
     outputs: Vec<Option<A::Output>>,
     rounds: Vec<u64>,
-    queue: EventQueue<Ev>,
-    now: u64,
-    net_rng: StdRng,
-    timing_rng: StdRng,
-    mode: Mode<'a>,
-    trace: DeliveryTrace,
-    stats: NetStats,
-    codec: FrameCodec,
+    net: Net<'a, Ev>,
 }
 
 impl<'a, A> GossipSim<'a, A>
@@ -133,7 +126,7 @@ where
         inputs: Vec<A::Input>,
         plan: &'a FaultPlan,
         cfg: &'a NetConfig,
-        mode: Mode<'a>,
+        trace: Option<&'a DeliveryTrace>,
     ) -> Self {
         let n = topo.len();
         assert_eq!(inputs.len(), n, "one input per node");
@@ -144,58 +137,32 @@ where
                 k
             })
             .collect();
-        let mut sim = GossipSim {
+        let mut net = Net::new(plan, cfg, trace);
+        for node in 0..n {
+            net.schedule(1, Ev::Gossip { node });
+            let delay = net.activation_delay();
+            net.schedule(delay, Ev::Activate { node });
+        }
+        for c in &plan.crashes {
+            if c.node < n {
+                net.schedule(c.at.max(1), Ev::Crash { node: c.node });
+            }
+        }
+        GossipSim {
             alg,
             topo,
             inputs,
-            plan,
-            cfg,
             known,
             status: vec![Status::Working; n],
             working: n,
             outputs: (0..n).map(|_| None).collect(),
             rounds: vec![0; n],
-            queue: EventQueue::new(),
-            now: 0,
-            net_rng: StdRng::seed_from_u64(cfg.seed),
-            timing_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
-            mode,
-            trace: DeliveryTrace::default(),
-            stats: NetStats::default(),
-            codec: FrameCodec::new(cfg.codec),
-        };
-        for node in 0..n {
-            sim.queue.push(1, Ev::Gossip { node });
-            let jitter = sim.jitter();
-            sim.queue.push(1 + jitter, Ev::Activate { node });
-        }
-        for c in &plan.crashes {
-            if c.node < n {
-                sim.queue.push(c.at.max(1), Ev::Crash { node: c.node });
-            }
-        }
-        sim
-    }
-
-    fn jitter(&mut self) -> u64 {
-        if self.cfg.act_jitter == 0 {
-            0
-        } else {
-            self.timing_rng.gen_range(0..=self.cfg.act_jitter)
+            net,
         }
     }
 
     fn run(mut self) -> NetReport<A::Output> {
-        while let Some((at, ev)) = self.queue.pop() {
-            if self.working == 0 {
-                break;
-            }
-            if at > self.cfg.max_time {
-                self.now = self.cfg.max_time;
-                break;
-            }
-            self.now = at;
-            self.stats.events_processed += 1;
+        while let Some(ev) = self.net.next(self.working) {
             match ev {
                 Ev::Crash { node } => {
                     if self.status[node] == Status::Working {
@@ -216,20 +183,9 @@ where
                 .map(|(i, _)| ProcessId(i))
                 .collect::<Vec<_>>()
         };
-        let crashed = ids(Status::Crashed);
-        let stalled = ids(Status::Working);
-        NetReport {
-            outputs: self.outputs,
-            rounds: self.rounds,
-            crashed,
-            stalled,
-            time: self.now,
-            events: Vec::new(),
-            trace: self.trace,
-            stats: self.stats,
-            codec: self.codec.codec(),
-            wire: self.codec.stats(),
-        }
+        let (crashed, stalled) = (ids(Status::Crashed), ids(Status::Working));
+        self.net
+            .report(self.outputs, self.rounds, crashed, stalled, Vec::new())
     }
 
     /// Periodic re-gossip timer: flood, then re-arm. Runs regardless of
@@ -237,8 +193,7 @@ where
     /// nodes.
     fn on_gossip(&mut self, node: usize) {
         self.flood(node);
-        self.queue
-            .push(self.now + self.cfg.rto, Ev::Gossip { node });
+        self.net.schedule(self.net.cfg.rto, Ev::Gossip { node });
     }
 
     /// The substrate floods this node's known set to its neighbors.
@@ -248,27 +203,17 @@ where
             .enumerate()
             .filter_map(|(pos, i)| i.clone().map(|x| (pos as u64, x)))
             .collect();
-        let value = payload.to_value();
-        let neighbors: Vec<usize> = self
-            .topo
-            .neighbors(ProcessId(node))
-            .iter()
-            .map(|q| q.index())
-            .collect();
-        for q in neighbors {
-            self.send(
-                node,
-                q,
-                Body::Write(Write {
-                    round: self.rounds[node],
-                    value: value.clone(),
-                }),
-            );
+        let body = Body::Write(Write {
+            round: self.rounds[node],
+            value: payload.to_value(),
+        });
+        for q in self.topo.neighbors(ProcessId(node)) {
+            self.net.transmit(node, q.index(), &body);
         }
     }
 
     fn on_deliver(&mut self, payload: Vec<u8>) {
-        let frame = self.codec.decode(payload);
+        let frame = self.net.decode(payload);
         let Body::Write(w) = frame.body else {
             return; // gossip uses only `write` frames
         };
@@ -315,9 +260,8 @@ where
             self.working -= 1;
             return;
         }
-        let jitter = self.jitter();
-        self.queue
-            .push(self.now + 1 + jitter, Ev::Activate { node });
+        let delay = self.net.activation_delay();
+        self.net.schedule(delay, Ev::Activate { node });
     }
 
     /// The largest `r` such that the node knows the input of every node
@@ -342,50 +286,5 @@ where
             }
         }
         radius
-    }
-
-    /// Fault-prone send, sharing the fate logic (and hence the replay
-    /// format) with the register protocol.
-    fn send(&mut self, from: usize, to: usize, body: Body) {
-        let kind = body
-            .trace_kind()
-            .expect("only register-protocol frames cross the simulated network");
-        self.stats.sent += 1;
-        let seq = self.trace.entries.len() as u64;
-        let (outcome, dup_at) = decide_fate(
-            self.plan,
-            &mut self.mode,
-            &mut self.net_rng,
-            self.now,
-            from,
-            to,
-            kind,
-            seq,
-        );
-        match outcome {
-            Outcome::Deliver { at } => {
-                self.stats.delivered += 1;
-                // Fate first, encode after: only delivered copies are
-                // serialized, and codec choice cannot perturb the trace.
-                let payload = self.codec.encode(from, to, &body);
-                let dup = dup_at.map(|_| self.codec.copy(&payload));
-                self.queue.push(at, Ev::Deliver { payload });
-                if let (Some(d), Some(dup)) = (dup_at, dup) {
-                    self.stats.duplicated += 1;
-                    self.queue.push(d, Ev::Deliver { payload: dup });
-                }
-            }
-            Outcome::Drop => self.stats.dropped += 1,
-            Outcome::PartitionDrop => self.stats.partition_dropped += 1,
-        }
-        self.trace.entries.push(TraceEntry {
-            seq,
-            t: self.now,
-            from,
-            to,
-            kind,
-            outcome,
-            dup_at,
-        });
     }
 }

@@ -9,12 +9,13 @@
 //! *node* exchanging serde-JSON-framed messages (`write`,
 //! `snapshot_req`, `snapshot_resp`) with its ring neighbors over a
 //! simulated network, so every registry algorithm runs unmodified on
-//! it via the ordinary [`ftcolor_model::Algorithm`] trait.
+//! it via the ordinary [`ftcolor_model::Algorithm`] trait; the round
+//! itself is [`protocol`], shared with the cluster node.
 //!
 //! What makes it a *network*: a seeded, fully deterministic fault plan
 //! ([`FaultPlan`]) with per-link drop/delay/duplicate/reorder
 //! probabilities, partition/heal windows, and node crashes, driven by
-//! a binary-heap event queue over a logical clock (no `Instant::now`
+//! a calendar event queue over a logical clock (no `Instant::now`
 //! anywhere in the simulation path). Every run records a
 //! [`DeliveryTrace`] — the complete transcript of the network's
 //! decisions — which [`replay_net`] re-runs bit-for-bit.
@@ -34,6 +35,7 @@ mod calendar;
 pub mod decoupled;
 pub mod faults;
 pub mod msg;
+pub mod protocol;
 pub mod shrink;
 pub mod sim;
 pub mod trace;
@@ -42,6 +44,7 @@ pub mod wire;
 pub use decoupled::{replay_decoupled_net, run_decoupled_net};
 pub use faults::{draw_fate, CrashAt, Fate, FaultPlan, LinkFault, LinkParams, Partition};
 pub use msg::{Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR};
+pub use protocol::{Link, Machine, Outbox, Phase, Proc, RegisterError, Slot};
 pub use shrink::shrink_plan;
 pub use sim::{replay_net, run_net, NetConfig, NetReport, NetStats};
 pub use trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};

@@ -276,9 +276,7 @@ impl Frame {
     /// handed out cleared, so the check is O(existing length) = O(1) on
     /// the steady-state path).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut s = String::from_utf8(std::mem::take(buf)).expect("frame buffers hold UTF-8");
-        serde_json::append_to_string(self, &mut s);
-        *buf = s.into_bytes();
+        encode_json_parts_into(self.src, self.dest, &self.body, buf);
     }
 
     /// Decodes a frame from its JSON wire form.

@@ -2,73 +2,42 @@
 //!
 //! # Protocol
 //!
-//! Every node hosts two co-located roles:
-//!
-//! * a **process** running the algorithm's state machine (crashable), and
-//! * a **register server** holding the process's SWMR register
-//!   (substrate memory — it keeps answering [`crate::msg::SnapshotReq`]
-//!   even after its process crashes or returns, exactly as the paper's
-//!   shared registers survive process crashes).
-//!
-//! One asynchronous round of process `p` unfolds as messages:
-//!
-//! 1. `Activate(p)` fires: `p` encodes `publish(state)` and sends a
-//!    `write` frame to itself on the **loopback** link (reliable, one
-//!    tick — a process never loses access to its own register).
-//! 2. The loopback delivery applies the write (freshness-stamped with
-//!    `round + 1`), broadcasts `write` to all ring neighbors (mirror
-//!    warm-up — loss is harmless), then sends one `snapshot_req` per
-//!    neighbor and arms a retransmit timer for each.
-//! 3. Each neighbor's register server answers with `snapshot_resp`
-//!    carrying its current value and stamp; requests lost to drops or
-//!    partitions are retransmitted every `rto` ticks, and duplicates
-//!    are idempotent (a round's response slot fills at most once).
-//! 4. When all neighbors answered, the round **commits**: the view per
-//!    neighbor is the fresher of `snapshot_resp` and the mirror (the
-//!    merge observes a value the register held at or after the request
-//!    — equivalent to a later read, so still a regular-register read),
-//!    the algorithm's `step` runs, and either the next round's
-//!    `Activate` is scheduled or the process returns.
-//!
-//! Reads therefore always linearize after the process's own write, and
-//! final register values of returned processes are permanently
-//! readable — the two properties the paper's safety arguments need.
-//!
-//! # Register storage
-//!
-//! The register server and the per-neighbor mirrors and responses hold
-//! typed `A::Reg` values; a [`Value`] tree exists only in flight. An
-//! inbound `write` or `snapshot_resp` is decoded once on delivery (a
-//! mirror only when its stamp is fresher), and the register server
-//! encodes its value only to answer a `snapshot_req`. Per-neighbor
-//! state lives in one flat array indexed by CSR offsets built from the
-//! topology's degrees, not in per-node vectors. Algorithm states sit in
-//! their own array too, so the per-node record every event reads stays
-//! small whatever the size of `A::State`.
+//! The round itself — publish, own write, broadcast and
+//! `snapshot_req`s, stamp-fresher commit, step — is the
+//! [`crate::protocol`] machine, shared with the cluster node, and
+//! register servers keep answering after their process crashes or
+//! returns. This driver adds what a network adds: the own `write`
+//! travels one reliable tick on a **loopback** link (a process never
+//! loses access to its own register), every `snapshot_req` arms a
+//! retransmit timer firing every `rto` ticks until answered, every
+//! other send draws its fate from the fault plan, a committed round
+//! schedules the next `Activate` after a jittered delay, and a planned
+//! crash halts the process mid-protocol.
 //!
 //! # Determinism
 //!
 //! All network nondeterminism (drop/delay/duplicate/reorder draws) comes
 //! from one RNG seeded with `cfg.seed`, consumed in send order; all
 //! timing nondeterminism (activation jitter) from a second stream
-//! derived from the same seed. Events sit in a binary heap ordered by
-//! `(time, tick)` with a monotonic tie-break tick. There is no
+//! derived from the same seed. Events sit in a calendar queue that pops
+//! in `(time, tick)` order with a monotonic tie-break tick. There is no
 //! `Instant::now` anywhere in the simulation path, so a `(seed, plan)`
 //! pair fully determines the run: byte-identical delivery trace,
 //! identical coloring. [`replay_net`] re-runs a recorded trace without
 //! touching the network RNG at all.
 
-use ftcolor_model::{Algorithm, Neighborhood, ProcessId, Step, Topology};
+use ftcolor_model::{Algorithm, ProcessId, Step, Topology};
 use ftcolor_runtime::{RtEvent, RtEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::calendar::EventQueue;
 use crate::faults::{Fate, FaultPlan};
-use crate::msg::{Body, SnapshotReq, SnapshotResp, Write};
+use crate::msg::{Body, Frame, SnapshotReq};
+use crate::protocol::{Link, Machine, Outbox, Phase, Proc};
 use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
-use crate::wire::{Codec, FrameCodec, WireStats};
+use crate::wire::{encode_parts_into, Codec, WirePool, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
 #[derive(Debug, Clone)]
@@ -237,7 +206,7 @@ where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
 {
-    Sim::new(alg, topo, inputs, plan, cfg, Mode::Record).run()
+    Sim::new(alg, topo, inputs, plan, cfg, None).run()
 }
 
 /// Re-runs a recorded [`DeliveryTrace`] bit-for-bit: the network RNG is
@@ -263,51 +232,10 @@ where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
 {
-    Sim::new(alg, topo, inputs, plan, cfg, Mode::replay(trace)).run()
+    Sim::new(alg, topo, inputs, plan, cfg, Some(trace)).run()
 }
 
 // ------------------------------------------------------------ internals
-
-/// What happens to one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Working,
-    Returned,
-    Crashed,
-}
-
-/// Where a working process is inside its current round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Between rounds (waiting for its next `Activate`).
-    Idle,
-    /// Sent the loopback `write`, waiting for it to land.
-    AwaitWrite,
-    /// Waiting for `snapshot_resp`s.
-    Snapshotting,
-}
-
-/// A register observation: `None` = never written, else the value and
-/// its freshness stamp (writer round + 1).
-type Obs<R> = Option<(R, u64)>;
-
-struct Node<R> {
-    status: Status,
-    round: u64,
-    phase: Phase,
-    /// The register server's storage (survives process crash/return).
-    reg: Obs<R>,
-}
-
-/// What a node holds for one neighbor position: node `p`'s link to its
-/// `pos`-th neighbor is `links[offsets[p] + pos]`.
-struct Link<R> {
-    /// Last `write` broadcast received from the neighbor.
-    mirror: Obs<R>,
-    /// This round's response; `None` while it is still owed. Only read
-    /// while the node is `Snapshotting`, and reset when it starts to.
-    resp: Option<Obs<R>>,
-}
 
 enum Ev {
     /// A frame arrives at its destination, encoded in the run's codec.
@@ -320,7 +248,13 @@ enum Ev {
     Crash { node: usize },
 }
 
-pub(crate) enum Mode<'t> {
+impl From<Vec<u8>> for Ev {
+    fn from(payload: Vec<u8>) -> Self {
+        Ev::Deliver { payload }
+    }
+}
+
+enum Mode<'t> {
     /// Draw fault decisions from the network RNG, record them.
     Record,
     /// Take fault decisions from a recorded trace, verbatim.
@@ -330,479 +264,107 @@ pub(crate) enum Mode<'t> {
     },
 }
 
-impl<'t> Mode<'t> {
-    pub(crate) fn replay(trace: &'t DeliveryTrace) -> Self {
-        Mode::Replay {
-            entries: &trace.entries,
-            pos: 0,
-        }
-    }
-}
-
-/// Decides the fate of one send — drawn from the RNG in [`Mode::Record`],
-/// read back verbatim in [`Mode::Replay`]. Shared by the register
-/// protocol and the decoupled gossip runner so both replay identically.
-///
-/// A replayed entry must match the send's link, kind and time, and may
-/// not deliver (or duplicate) before `now`: the calendar queue cannot
-/// schedule into the past, so a tampered or foreign trace panics here
-/// instead of being silently misdelivered.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide_fate(
-    plan: &FaultPlan,
-    mode: &mut Mode<'_>,
-    rng: &mut StdRng,
-    now: u64,
-    from: usize,
-    to: usize,
-    kind: FrameKind,
-    seq: u64,
-) -> (Outcome, Option<u64>) {
-    match mode {
-        Mode::Record => match crate::faults::draw_fate(plan, rng, now, from, to) {
-            Fate::PartitionDrop => (Outcome::PartitionDrop, None),
-            Fate::Drop => (Outcome::Drop, None),
-            Fate::Deliver { delay, dup_extra } => {
-                let at = now + delay;
-                (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
-            }
-        },
-        Mode::Replay { entries, pos } => {
-            let e = entries.get(*pos).unwrap_or_else(|| {
-                panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
-            });
-            assert!(
-                e.from == from && e.to == to && e.kind == kind && e.t == now,
-                "replay trace diverged at send #{seq}: \
-                 trace has {} {}->{} at t={}, run sent {kind} {from}->{to} at t={now}",
-                e.kind,
-                e.from,
-                e.to,
-                e.t,
-            );
-            let at = match e.outcome {
-                Outcome::Deliver { at } => Some(at),
-                Outcome::Drop | Outcome::PartitionDrop => None,
-            };
-            if let Some(early) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
-                panic!(
-                    "replay trace diverged at send #{seq}: \
-                     {kind} {from}->{to} sent at t={now} is delivered at t={early}"
-                );
-            }
-            *pos += 1;
-            (e.outcome, e.dup_at)
-        }
-    }
-}
-
-struct Sim<'a, A: Algorithm> {
-    alg: &'a A,
-    topo: &'a Topology,
+/// The simulated network both simulators run on: the event queue and
+/// its logical clock, the fault-prone wire with its codec, buffer pool
+/// and counters, and the activation-timing stream. A delivered frame
+/// becomes the event `E::from(payload)`.
+pub(crate) struct Net<'a, E> {
     plan: &'a FaultPlan,
-    cfg: &'a NetConfig,
-    nodes: Vec<Node<A::Reg>>,
-    /// Each node's algorithm state, apart from [`Node`]: only a round's
-    /// write and commit touch it, while every event reads its node.
-    states: Vec<A::State>,
-    /// Per-neighbor state of every node, flat (see [`Link`]).
-    links: Vec<Link<A::Reg>>,
-    /// CSR offsets into `links`: node `p` owns `offsets[p]..offsets[p + 1]`.
-    offsets: Vec<usize>,
-    /// Scratch view buffer reused by every round commit.
-    view: Vec<Option<A::Reg>>,
-    outputs: Vec<Option<A::Output>>,
-    rounds: Vec<u64>,
-    queue: EventQueue<Ev>,
+    pub(crate) cfg: &'a NetConfig,
+    queue: EventQueue<E>,
     now: u64,
-    net_rng: StdRng,
+    rng: StdRng,
     timing_rng: StdRng,
     mode: Mode<'a>,
     trace: DeliveryTrace,
     stats: NetStats,
-    codec: FrameCodec,
-    events: Vec<RtEvent>,
-    seq: u64,
-    /// Count of nodes still `Working` — maintained at the two status
-    /// transitions so the event loop's stop check is O(1), not an O(n)
-    /// scan per event.
-    working: usize,
+    codec: Codec,
+    pool: WirePool,
+    wire: WireStats,
 }
 
-impl<'a, A> Sim<'a, A>
-where
-    A: Algorithm,
-    A::Reg: Serialize + Deserialize,
-{
-    fn new(
-        alg: &'a A,
-        topo: &'a Topology,
-        inputs: Vec<A::Input>,
+impl<'a, E: From<Vec<u8>>> Net<'a, E> {
+    /// A network that draws fates from `cfg.seed`, or replays `trace`.
+    pub(crate) fn new(
         plan: &'a FaultPlan,
         cfg: &'a NetConfig,
-        mode: Mode<'a>,
+        trace: Option<&'a DeliveryTrace>,
     ) -> Self {
-        let n = topo.len();
-        assert_eq!(inputs.len(), n, "one input per node");
-        let states = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| alg.init(ProcessId(i), input))
-            .collect();
-        let nodes = (0..n)
-            .map(|_| Node {
-                status: Status::Working,
-                round: 0,
-                phase: Phase::Idle,
-                reg: None,
-            })
-            .collect();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for p in topo.nodes() {
-            offsets.push(offsets[p.index()] + topo.degree(p));
-        }
-        let links = (0..offsets[n])
-            .map(|_| Link {
-                mirror: None,
-                resp: None,
-            })
-            .collect();
-        let mut sim = Sim {
-            alg,
-            topo,
+        let mode = trace.map_or(Mode::Record, |t| Mode::Replay {
+            entries: &t.entries,
+            pos: 0,
+        });
+        Net {
             plan,
             cfg,
-            nodes,
-            states,
-            links,
-            offsets,
-            view: Vec::with_capacity(topo.max_degree()),
-            outputs: (0..n).map(|_| None).collect(),
-            rounds: vec![0; n],
             queue: EventQueue::new(),
             now: 0,
-            net_rng: StdRng::seed_from_u64(cfg.seed),
+            rng: StdRng::seed_from_u64(cfg.seed),
             // A disjoint stream for timing: jitter draws must not
             // perturb fault draws (or replay would change timing).
             timing_rng: StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15),
             mode,
             trace: DeliveryTrace::default(),
             stats: NetStats::default(),
-            codec: FrameCodec::new(cfg.codec),
-            events: Vec::new(),
-            seq: 0,
-            working: n,
-        };
-        for node in 0..n {
-            let jitter = sim.jitter();
-            sim.schedule(1 + jitter, Ev::Activate { node });
+            codec: cfg.codec,
+            pool: WirePool::default(),
+            wire: WireStats::default(),
         }
-        for c in &plan.crashes {
-            if c.node < n {
-                sim.schedule(c.at.max(1), Ev::Crash { node: c.node });
-            }
-        }
-        sim
     }
 
-    fn jitter(&mut self) -> u64 {
+    /// Pops the next event and advances the clock to it; `None` once
+    /// nothing is `working` any more, the queue is empty, or the next
+    /// event lies beyond the time cap.
+    pub(crate) fn next(&mut self, working: usize) -> Option<E> {
+        let (at, ev) = self.queue.pop()?;
+        if working == 0 {
+            return None;
+        }
+        if at > self.cfg.max_time {
+            self.now = self.cfg.max_time;
+            return None;
+        }
+        self.now = at;
+        self.stats.events_processed += 1;
+        Some(ev)
+    }
+
+    pub(crate) fn schedule(&mut self, delay: u64, ev: E) {
+        self.queue.push(self.now + delay, ev);
+    }
+
+    /// An activation delay: 1 tick plus uniform jitter in
+    /// `0..=act_jitter`.
+    pub(crate) fn activation_delay(&mut self) -> u64 {
         if self.cfg.act_jitter == 0 {
-            0
+            1
         } else {
-            self.timing_rng.gen_range(0..=self.cfg.act_jitter)
+            1 + self.timing_rng.gen_range(0..=self.cfg.act_jitter)
         }
     }
 
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        self.queue.push(at, ev);
+    /// Encodes a frame for transit from its parts, charging the byte
+    /// counters. Both codecs serialize straight from the borrowed body,
+    /// so broadcasting one `write` to every neighbor never deep-clones
+    /// the register value.
+    fn encode(&mut self, src: usize, dest: usize, body: &Body) -> Vec<u8> {
+        let mut buf = self.pool.acquire();
+        match self.codec {
+            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, &mut buf),
+            Codec::Binary => encode_parts_into(src, dest, body, &mut buf),
+        }
+        self.wire.frames_encoded += 1;
+        self.wire.bytes_on_wire += buf.len() as u64;
+        buf
     }
 
-    fn run(mut self) -> NetReport<A::Output> {
-        while let Some((at, ev)) = self.queue.pop() {
-            if self.working == 0 {
-                break;
-            }
-            if at > self.cfg.max_time {
-                self.now = self.cfg.max_time;
-                break;
-            }
-            self.now = at;
-            self.stats.events_processed += 1;
-            match ev {
-                Ev::Crash { node } => {
-                    if self.nodes[node].status == Status::Working {
-                        self.nodes[node].status = Status::Crashed;
-                        self.working -= 1;
-                    }
-                }
-                Ev::Activate { node } => self.on_activate(node),
-                Ev::Deliver { payload } => self.on_deliver(payload),
-                Ev::Retransmit { node, round, nbr } => self.on_retransmit(node, round, nbr),
-            }
-        }
-        let crashed = self.ids_with(Status::Crashed);
-        let stalled = self.ids_with(Status::Working);
-        NetReport {
-            outputs: self.outputs,
-            rounds: self.rounds,
-            crashed,
-            stalled,
-            time: self.now,
-            events: self.events,
-            trace: self.trace,
-            stats: self.stats,
-            codec: self.codec.codec(),
-            wire: self.codec.stats(),
-        }
-    }
-
-    fn ids_with(&self, status: Status) -> Vec<ProcessId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, nd)| nd.status == status)
-            .map(|(i, _)| ProcessId(i))
-            .collect()
-    }
-
-    /// Operation 1 of the round: publish over loopback.
-    fn on_activate(&mut self, node: usize) {
-        if self.nodes[node].status != Status::Working {
-            return;
-        }
-        let value = self.alg.publish(&self.states[node]).to_value();
-        let round = self.nodes[node].round;
-        self.nodes[node].phase = Phase::AwaitWrite;
-        self.send_loopback(node, Body::Write(Write { round, value }));
-    }
-
-    /// Loopback is the process's access to its own register: reliable,
-    /// one tick, never drawn against the fault plan. It still goes
-    /// through the codec: a real co-located register server would parse
-    /// the frame too, so the loopback leg is honest hot-path work.
-    fn send_loopback(&mut self, node: usize, body: Body) {
-        let payload = self.codec.encode(node, node, &body);
-        self.stats.loopback_writes += 1;
-        self.schedule(self.now + 1, Ev::Deliver { payload });
-    }
-
-    fn on_deliver(&mut self, payload: Vec<u8>) {
-        let frame = self.codec.decode(payload);
-        match frame.body {
-            Body::Write(w) => {
-                if frame.src == frame.dest {
-                    self.on_own_write(frame.dest, w);
-                } else {
-                    self.on_mirror_write(frame.src, frame.dest, w);
-                }
-            }
-            Body::SnapshotReq(r) => {
-                // Register servers are substrate memory: they answer
-                // even when their process crashed or returned.
-                if self.nodes[frame.dest].status == Status::Crashed {
-                    self.stats.served_dead_reads += 1;
-                }
-                let (value, stamp) = match &self.nodes[frame.dest].reg {
-                    Some((reg, s)) => (Some(reg.to_value()), *s),
-                    None => (None, 0),
-                };
-                let resp = Body::SnapshotResp(SnapshotResp {
-                    round: r.round,
-                    value,
-                    stamp,
-                });
-                self.send(frame.dest, frame.src, &resp);
-            }
-            Body::SnapshotResp(r) => self.on_resp(frame.src, frame.dest, r),
-            // The discrete-event simulator's wire carries only the
-            // register subset of the shared vocabulary; control frames
-            // belong to the real-process cluster substrate.
-            other => unreachable!("control frame `{}` on the simulator wire", other.kind()),
-        }
-    }
-
-    /// The loopback write lands: apply it, then start the snapshot.
-    fn on_own_write(&mut self, node: usize, w: Write) {
-        let round = w.round;
-        let stamp = round + 1;
-        if stamp > obs_stamp(&self.nodes[node].reg) {
-            self.nodes[node].reg = Some((decode(&w.value), stamp));
-        }
-        // The rest of the round is process behavior: skip it if the
-        // process crashed while the write was in flight (a legal §2
-        // crash point — the write itself still happened).
-        if self.nodes[node].status != Status::Working
-            || self.nodes[node].phase != Phase::AwaitWrite
-            || self.nodes[node].round != round
-        {
-            return;
-        }
-        // `topo` is a shared borrow living as long as the sim, so the
-        // neighbor slice needs no per-round collection.
-        let neighbors: &[ProcessId] = self.topo.neighbors(ProcessId(node));
-        if neighbors.is_empty() {
-            self.commit_round(node);
-            return;
-        }
-        // The register holds the decoded value, so the broadcast takes
-        // the delivered payload itself — the byte codecs serialize it
-        // straight from the borrowed body.
-        let wbody = Body::Write(w);
-        let req = Body::SnapshotReq(SnapshotReq { round });
-        self.nodes[node].phase = Phase::Snapshotting;
-        let base = self.offsets[node];
-        for (pos, &q) in neighbors.iter().enumerate() {
-            self.send(node, q.index(), &wbody);
-            self.links[base + pos].resp = None;
-            self.send(node, q.index(), &req);
-            self.schedule(
-                self.now + self.cfg.rto,
-                Ev::Retransmit {
-                    node,
-                    round,
-                    nbr: pos,
-                },
-            );
-        }
-    }
-
-    /// A neighbor's `write` broadcast: warm the mirror (monotone in the
-    /// freshness stamp, so reordered broadcasts can't roll it back).
-    fn on_mirror_write(&mut self, src: usize, dest: usize, w: Write) {
-        let Some(pos) = self.neighbor_pos(dest, src) else {
-            return;
-        };
-        let stamp = w.round + 1;
-        let link = &mut self.links[self.offsets[dest] + pos];
-        if stamp > obs_stamp(&link.mirror) {
-            link.mirror = Some((decode(&w.value), stamp));
-        }
-    }
-
-    fn on_resp(&mut self, src: usize, dest: usize, r: SnapshotResp) {
-        let nd = &self.nodes[dest];
-        if nd.status != Status::Working || nd.phase != Phase::Snapshotting || nd.round != r.round {
-            return; // stale round or duplicate after commit
-        }
-        let Some(pos) = self.neighbor_pos(dest, src) else {
-            return;
-        };
-        let slot = &mut self.links[self.offsets[dest] + pos].resp;
-        if slot.is_some() {
-            return; // duplicate response: idempotent
-        }
-        *slot = Some(r.value.map(|v| (decode(&v), r.stamp)));
-        if self.links[self.offsets[dest]..self.offsets[dest + 1]]
-            .iter()
-            .all(|l| l.resp.is_some())
-        {
-            self.commit_round(dest);
-        }
-    }
-
-    fn on_retransmit(&mut self, node: usize, round: u64, nbr: usize) {
-        let nd = &self.nodes[node];
-        if nd.status != Status::Working
-            || nd.phase != Phase::Snapshotting
-            || nd.round != round
-            || self.links[self.offsets[node] + nbr].resp.is_some()
-        {
-            return; // answered (or round moved on): timer dies
-        }
-        self.stats.retransmits += 1;
-        let q = self.topo.neighbors(ProcessId(node))[nbr].index();
-        self.send(node, q, &Body::SnapshotReq(SnapshotReq { round }));
-        self.schedule(self.now + self.cfg.rto, Ev::Retransmit { node, round, nbr });
-    }
-
-    /// All responses in: merge views, run the algorithm step.
-    fn commit_round(&mut self, node: usize) {
-        let round = self.nodes[node].round;
-        let links = &mut self.links[self.offsets[node]..self.offsets[node + 1]];
-        self.view.clear();
-        self.view.extend(links.iter_mut().map(|link| {
-            // The response is consumed (it is reset at the next round's
-            // write anyway); the mirror persists, so it is cloned — but
-            // only when it actually wins, which on a healthy link it
-            // never does (a response ties-or-beats a mirror of the same
-            // stamp).
-            let resp = link
-                .resp
-                .take()
-                .expect("commit only fires once every neighbor answered");
-            let merged = if obs_stamp(&link.mirror) > obs_stamp(&resp) {
-                link.mirror.clone()
-            } else {
-                resp
-            };
-            merged.map(|(reg, _)| reg)
-        }));
-        if self.cfg.record_events {
-            let neighbor_ids: Vec<usize> = self
-                .topo
-                .neighbors(ProcessId(node))
-                .iter()
-                .map(|q| q.index())
-                .collect();
-            self.emit_round_block(node, round, &neighbor_ids);
-        }
-        let step = self
-            .alg
-            .step(&mut self.states[node], &Neighborhood::new(&self.view));
-        self.rounds[node] += 1;
-        match step {
-            Step::Continue => {
-                self.nodes[node].round += 1;
-                self.nodes[node].phase = Phase::Idle;
-                let jitter = self.jitter();
-                self.schedule(self.now + 1 + jitter, Ev::Activate { node });
-            }
-            Step::Return(o) => {
-                self.outputs[node] = Some(o);
-                self.nodes[node].status = Status::Returned;
-                self.nodes[node].phase = Phase::Idle;
-                self.working -= 1;
-                // The register server keeps serving the final value.
-            }
-        }
-    }
-
-    /// One contiguous Lock*/Write/Read*/Unlock* block recording this
-    /// round's commit-time serialization (same shape the OS-thread
-    /// runtime emits, so the `ftcolor-analyze` race rules apply).
-    fn emit_round_block(&mut self, node: usize, round: u64, neighbor_ids: &[usize]) {
-        let mut closed: Vec<usize> = neighbor_ids.to_vec();
-        closed.push(node);
-        closed.sort_unstable();
-        closed.dedup();
-        let log = |events: &mut Vec<RtEvent>, seq: &mut u64, register, kind| {
-            events.push(RtEvent {
-                seq: *seq,
-                process: node,
-                round,
-                register,
-                kind,
-            });
-            *seq += 1;
-        };
-        for &r in &closed {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Lock);
-        }
-        log(&mut self.events, &mut self.seq, node, RtEventKind::Write);
-        for &r in neighbor_ids {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Read);
-        }
-        for &r in &closed {
-            log(&mut self.events, &mut self.seq, r, RtEventKind::Unlock);
-        }
-    }
-
-    fn neighbor_pos(&self, of: usize, who: usize) -> Option<usize> {
-        self.topo
-            .neighbors(ProcessId(of))
-            .iter()
-            .position(|q| q.index() == who)
+    /// Decodes a delivered payload back into a typed frame, returning
+    /// its buffer to the pool.
+    pub(crate) fn decode(&mut self, payload: Vec<u8>) -> Frame {
+        let frame = self.codec.decode_record(&payload);
+        self.wire.frames_decoded += 1;
+        self.pool.release(payload);
+        frame.ok().flatten().expect("wire frames decode")
     }
 
     /// The fault-prone network path. Draws (or replays) this send's
@@ -810,34 +372,30 @@ where
     /// drawn *before* any encoding — fates depend only on (plan, rng,
     /// time, link), so codec choice cannot perturb the trace, and
     /// dropped sends are never serialized at all.
-    fn send(&mut self, from: usize, to: usize, body: &Body) {
+    pub(crate) fn transmit(&mut self, from: usize, to: usize, body: &Body) {
         let kind = body
             .trace_kind()
             .expect("only register-protocol frames cross the simulated network");
         self.stats.sent += 1;
         let seq = self.trace.entries.len() as u64;
-        let (outcome, dup_at) = decide_fate(
-            self.plan,
-            &mut self.mode,
-            &mut self.net_rng,
-            self.now,
-            from,
-            to,
-            kind,
-            seq,
-        );
+        let (outcome, dup_at) = self.fate(from, to, kind);
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
-                let payload = self.codec.encode(from, to, body);
+                let payload = self.encode(from, to, body);
                 // Copy for the duplicate first, but schedule the primary
                 // first: tick order (the tie-break) must match the
                 // original primary-then-duplicate schedule.
-                let dup = dup_at.map(|_| self.codec.copy(&payload));
-                self.schedule(at, Ev::Deliver { payload });
+                let dup = dup_at.map(|_| {
+                    self.wire.bytes_on_wire += payload.len() as u64;
+                    let mut buf = self.pool.acquire();
+                    buf.extend_from_slice(&payload);
+                    buf
+                });
+                self.queue.push(at, payload.into());
                 if let (Some(d), Some(dup)) = (dup_at, dup) {
                     self.stats.duplicated += 1;
-                    self.schedule(d, Ev::Deliver { payload: dup });
+                    self.queue.push(d, dup.into());
                 }
             }
             Outcome::Drop => self.stats.dropped += 1,
@@ -853,15 +411,310 @@ where
             dup_at,
         });
     }
+
+    /// Decides the fate of one send — drawn from the RNG in
+    /// [`Mode::Record`], read back verbatim in [`Mode::Replay`].
+    ///
+    /// A replayed entry must match the send's link, kind and time, and
+    /// may not deliver (or duplicate) before `now`: the calendar queue
+    /// cannot schedule into the past, so a tampered or foreign trace
+    /// panics here instead of being silently misdelivered.
+    fn fate(&mut self, from: usize, to: usize, kind: FrameKind) -> (Outcome, Option<u64>) {
+        let seq = self.trace.entries.len();
+        let now = self.now;
+        match &mut self.mode {
+            Mode::Record => match crate::faults::draw_fate(self.plan, &mut self.rng, now, from, to)
+            {
+                Fate::PartitionDrop => (Outcome::PartitionDrop, None),
+                Fate::Drop => (Outcome::Drop, None),
+                Fate::Deliver { delay, dup_extra } => {
+                    let at = now + delay;
+                    (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
+                }
+            },
+            Mode::Replay { entries, pos } => {
+                let e = entries.get(*pos).unwrap_or_else(|| {
+                    panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
+                });
+                assert!(
+                    e.from == from && e.to == to && e.kind == kind && e.t == now,
+                    "replay trace diverged at send #{seq}: \
+                     trace has {} {}->{} at t={}, run sent {kind} {from}->{to} at t={now}",
+                    e.kind,
+                    e.from,
+                    e.to,
+                    e.t,
+                );
+                let at = match e.outcome {
+                    Outcome::Deliver { at } => Some(at),
+                    Outcome::Drop | Outcome::PartitionDrop => None,
+                };
+                if let Some(early) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
+                    panic!(
+                        "replay trace diverged at send #{seq}: \
+                         {kind} {from}->{to} sent at t={now} is delivered at t={early}"
+                    );
+                }
+                *pos += 1;
+                (e.outcome, e.dup_at)
+            }
+        }
+    }
+
+    /// The run's report: the network's share, plus the simulator's.
+    pub(crate) fn report<O>(
+        self,
+        outputs: Vec<Option<O>>,
+        rounds: Vec<u64>,
+        crashed: Vec<ProcessId>,
+        stalled: Vec<ProcessId>,
+        events: Vec<RtEvent>,
+    ) -> NetReport<O> {
+        NetReport {
+            outputs,
+            rounds,
+            crashed,
+            stalled,
+            time: self.now,
+            events,
+            trace: self.trace,
+            stats: self.stats,
+            codec: self.codec,
+            wire: WireStats {
+                pool_hits: self.pool.hits(),
+                pool_misses: self.pool.misses(),
+                ..self.wire
+            },
+        }
+    }
 }
 
-fn obs_stamp<R>(o: &Obs<R>) -> u64 {
-    o.as_ref().map_or(0, |(_, s)| *s)
+impl Net<'_, Ev> {
+    /// Loopback is the process's access to its own register: reliable,
+    /// one tick, never drawn against the fault plan. It still goes
+    /// through the codec: a real co-located register server would parse
+    /// the frame too, so the loopback leg is honest hot-path work.
+    fn loopback(&mut self, node: usize, body: &Body) {
+        let payload = self.encode(node, node, body);
+        self.stats.loopback_writes += 1;
+        self.schedule(1, Ev::Deliver { payload });
+    }
 }
 
-/// Decodes a register payload that arrived over the wire.
-fn decode<R: Deserialize>(v: &Value) -> R {
-    R::from_value(v).expect("register payloads decode")
+impl Outbox for Net<'_, Ev> {
+    fn send(&mut self, src: usize, dest: usize, body: &Body) {
+        self.transmit(src, dest, body);
+    }
+
+    /// Sends the request and arms its retransmit timer.
+    fn request(&mut self, src: usize, pos: usize, dest: usize, round: u64) {
+        self.transmit(src, dest, &Body::SnapshotReq(SnapshotReq { round }));
+        let (node, nbr) = (src, pos);
+        let rto = self.cfg.rto;
+        self.schedule(rto, Ev::Retransmit { node, round, nbr });
+    }
+}
+
+struct Sim<'a, A: Algorithm> {
+    alg: &'a A,
+    topo: &'a Topology,
+    procs: Vec<Proc<A::Reg>>,
+    /// Each node's algorithm state, apart from [`Proc`]: only a round's
+    /// write and commit touch it, while every event reads its node.
+    states: Vec<A::State>,
+    /// Per-neighbor state of every node, flat: node `p`'s link to its
+    /// `pos`-th neighbor is `links[offsets[p] + pos]`.
+    links: Vec<Link<A::Reg>>,
+    /// CSR offsets into `links`: node `p` owns `offsets[p]..offsets[p + 1]`.
+    offsets: Vec<usize>,
+    /// Scratch view buffer reused by every round commit.
+    view: Vec<Option<A::Reg>>,
+    outputs: Vec<Option<A::Output>>,
+    events: Vec<RtEvent>,
+    /// Count of nodes not yet halted — maintained at the two halting
+    /// transitions so the event loop's stop check is O(1), not an O(n)
+    /// scan per event.
+    working: usize,
+    net: Net<'a, Ev>,
+}
+
+impl<'a, A> Sim<'a, A>
+where
+    A: Algorithm,
+    A::Reg: Serialize + Deserialize,
+{
+    fn new(
+        alg: &'a A,
+        topo: &'a Topology,
+        inputs: Vec<A::Input>,
+        plan: &'a FaultPlan,
+        cfg: &'a NetConfig,
+        trace: Option<&'a DeliveryTrace>,
+    ) -> Self {
+        let n = topo.len();
+        assert_eq!(inputs.len(), n, "one input per node");
+        let states = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, input)| alg.init(ProcessId(i), input))
+            .collect();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for p in topo.nodes() {
+            offsets.push(offsets[p.index()] + topo.degree(p));
+        }
+        let mut net = Net::new(plan, cfg, trace);
+        for node in 0..n {
+            let delay = net.activation_delay();
+            net.schedule(delay, Ev::Activate { node });
+        }
+        for c in &plan.crashes {
+            if c.node < n {
+                net.schedule(c.at.max(1), Ev::Crash { node: c.node });
+            }
+        }
+        Sim {
+            alg,
+            topo,
+            procs: (0..n).map(|_| Proc::default()).collect(),
+            states,
+            links: (0..offsets[n]).map(|_| Link::default()).collect(),
+            offsets,
+            view: Vec::with_capacity(topo.max_degree()),
+            outputs: (0..n).map(|_| None).collect(),
+            events: Vec::new(),
+            working: n,
+            net,
+        }
+    }
+
+    fn run(mut self) -> NetReport<A::Output> {
+        while let Some(ev) = self.net.next(self.working) {
+            match ev {
+                Ev::Crash { node } => {
+                    if self.procs[node].phase != Phase::Halted {
+                        self.procs[node].phase = Phase::Halted;
+                        self.working -= 1;
+                    }
+                }
+                Ev::Activate { node } => {
+                    let (mut m, net) = self.machine(node);
+                    if let Some((_, w)) = m.publish() {
+                        net.loopback(node, &Body::Write(w));
+                    }
+                }
+                Ev::Deliver { payload } => self.on_deliver(payload),
+                Ev::Retransmit { node, round, nbr } => {
+                    // Answered, or the round moved on: the timer dies.
+                    let (m, net) = self.machine(node);
+                    if m.owes(nbr, round) {
+                        net.stats.retransmits += 1;
+                        net.request(node, nbr, m.neighbors[nbr].index(), round);
+                    }
+                }
+            }
+        }
+        let n = self.procs.len();
+        let rounds = (0..n)
+            .map(|p| self.procs[p].round + u64::from(self.outputs[p].is_some()))
+            .collect();
+        let crashed = (0..n).filter(|&p| self.crashed(p)).map(ProcessId).collect();
+        let stalled = (0..n)
+            .filter(|&p| self.procs[p].phase != Phase::Halted)
+            .map(ProcessId)
+            .collect();
+        self.net
+            .report(self.outputs, rounds, crashed, stalled, self.events)
+    }
+
+    /// Halted without an output: the fault plan crashed it.
+    fn crashed(&self, p: usize) -> bool {
+        self.procs[p].phase == Phase::Halted && self.outputs[p].is_none()
+    }
+
+    /// Lends node `p`'s parts to the round machine, with the network as
+    /// its outbox.
+    fn machine(&mut self, p: usize) -> (Machine<'_, A>, &mut Net<'a, Ev>) {
+        let machine = Machine {
+            alg: self.alg,
+            id: p,
+            neighbors: self.topo.neighbors(ProcessId(p)),
+            proc: &mut self.procs[p],
+            state: &mut self.states[p],
+            links: &mut self.links[self.offsets[p]..self.offsets[p + 1]],
+            view: &mut self.view,
+        };
+        (machine, &mut self.net)
+    }
+
+    fn on_deliver(&mut self, payload: Vec<u8>) {
+        let frame = self.net.decode(payload);
+        let node = frame.dest;
+        if matches!(frame.body, Body::SnapshotReq(_)) && self.crashed(node) {
+            self.net.stats.served_dead_reads += 1;
+        }
+        let (mut m, net) = self.machine(node);
+        let round = m.proc.round;
+        let step = match frame.body {
+            Body::Write(w) if frame.src == node => m.on_own_write(w, net),
+            _ => m.on_frame(frame, net),
+        };
+        if let Some(step) = step.unwrap_or_else(|e| panic!("simulator wire: {e}")) {
+            self.committed(node, round, step);
+        }
+    }
+
+    /// Round `round` of `node` committed: log it, then schedule the next
+    /// round or keep the output.
+    fn committed(&mut self, node: usize, round: u64, step: Step<A::Output>) {
+        if self.net.cfg.record_events {
+            self.emit_round_block(node, round);
+        }
+        match step {
+            Step::Continue => {
+                let delay = self.net.activation_delay();
+                self.net.schedule(delay, Ev::Activate { node });
+            }
+            // The register server keeps serving the final value.
+            Step::Return(o) => {
+                self.outputs[node] = Some(o);
+                self.working -= 1;
+            }
+        }
+    }
+
+    /// One contiguous Lock*/Write/Read*/Unlock* block recording this
+    /// round's commit-time serialization (same shape the OS-thread
+    /// runtime emits, so the `ftcolor-analyze` race rules apply).
+    /// The log's `seq` is the event's index in it.
+    fn emit_round_block(&mut self, node: usize, round: u64) {
+        let reads: Vec<usize> = self
+            .topo
+            .neighbors(ProcessId(node))
+            .iter()
+            .map(|q| q.index())
+            .collect();
+        let mut closed = reads.clone();
+        closed.push(node);
+        closed.sort_unstable();
+        closed.dedup();
+        let block = closed
+            .iter()
+            .map(|&r| (r, RtEventKind::Lock))
+            .chain([(node, RtEventKind::Write)])
+            .chain(reads.iter().map(|&r| (r, RtEventKind::Read)))
+            .chain(closed.iter().map(|&r| (r, RtEventKind::Unlock)));
+        for (register, kind) in block {
+            let seq = self.events.len() as u64;
+            self.events.push(RtEvent {
+                seq,
+                process: node,
+                round,
+                register,
+                kind,
+            });
+        }
+    }
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@
 use crate::msg::{Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp};
 use serde::{Deserialize, Number, Serialize, Value};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Version byte carried by every binary frame. Bump on layout changes.
 pub const WIRE_VERSION: u8 = 1;
@@ -100,6 +100,80 @@ impl Codec {
         match self {
             Codec::Json => "json",
             Codec::Binary => "binary",
+        }
+    }
+
+    /// Writes `frames` as stream records (JSON lines, or length-prefixed
+    /// binary records: the cluster's pipe framing), built in one pooled
+    /// buffer and flushed with a single write. Returns the bytes written.
+    ///
+    /// # Errors
+    ///
+    /// The writer's error, e.g. a closed pipe.
+    pub fn write_records(
+        self,
+        frames: &[Frame],
+        pool: &mut WirePool,
+        out: &mut impl Write,
+    ) -> io::Result<usize> {
+        if frames.is_empty() {
+            return Ok(0);
+        }
+        let mut buf = pool.acquire();
+        for frame in frames {
+            match self {
+                Codec::Binary => append_framed(frame, &mut buf),
+                Codec::Json => {
+                    frame.encode_into(&mut buf);
+                    buf.push(b'\n');
+                }
+            }
+        }
+        let written = out.write_all(&buf).and_then(|()| out.flush());
+        let bytes = buf.len();
+        pool.release(buf);
+        written.map(|()| bytes)
+    }
+
+    /// Reads stream records from `r`, handing each payload (a line
+    /// without its newline, or a record without its prefix) to `sink`,
+    /// until EOF, a torn or oversized binary record, or `sink` returns
+    /// `false`. A line that is not UTF-8 is still one payload.
+    pub fn read_records(self, mut r: impl BufRead, mut sink: impl FnMut(Vec<u8>) -> bool) {
+        let mut buf = Vec::new();
+        loop {
+            let more = match self {
+                Codec::Binary => matches!(read_framed(&mut r, &mut buf), Ok(true)),
+                Codec::Json => {
+                    buf.clear();
+                    let got = r.read_until(b'\n', &mut buf).unwrap_or(0) > 0;
+                    if buf.last() == Some(&b'\n') {
+                        buf.pop();
+                    }
+                    got
+                }
+            };
+            if !more || !sink(std::mem::take(&mut buf)) {
+                return;
+            }
+        }
+    }
+
+    /// Decodes one record payload; `Ok(None)` for a blank JSON line.
+    ///
+    /// # Errors
+    ///
+    /// The payload is not a frame in this codec.
+    pub fn decode_record(self, payload: &[u8]) -> Result<Option<Frame>, String> {
+        match self {
+            Codec::Binary => decode_frame(payload).map(Some).map_err(|e| e.to_string()),
+            Codec::Json => {
+                let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+                match text.trim() {
+                    "" => Ok(None),
+                    line => Frame::decode(line).map(Some).map_err(|e| e.to_string()),
+                }
+            }
         }
     }
 }
@@ -619,76 +693,6 @@ pub fn read_framed<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     buf.resize(len as usize, 0);
     r.read_exact(buf)?;
     Ok(true)
-}
-
-/// Shared per-run codec context for the in-process simulators: owns the
-/// codec choice, the buffer pool, and the wire counters.
-#[derive(Debug)]
-pub(crate) struct FrameCodec {
-    codec: Codec,
-    pool: WirePool,
-    stats: WireStats,
-}
-
-impl FrameCodec {
-    pub(crate) fn new(codec: Codec) -> Self {
-        FrameCodec {
-            codec,
-            pool: WirePool::default(),
-            stats: WireStats::default(),
-        }
-    }
-
-    pub(crate) fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Encodes a frame for transit from its parts, charging the byte
-    /// counters. Both codecs serialize straight from the borrowed body,
-    /// so broadcasting one `write` to every neighbor never deep-clones
-    /// the register value.
-    pub(crate) fn encode(&mut self, src: usize, dest: usize, body: &Body) -> Vec<u8> {
-        let mut buf = self.pool.acquire();
-        match self.codec {
-            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, &mut buf),
-            Codec::Binary => encode_parts_into(src, dest, body, &mut buf),
-        }
-        self.stats.frames_encoded += 1;
-        self.stats.bytes_on_wire += buf.len() as u64;
-        buf
-    }
-
-    /// Copies a payload for a duplicated delivery, charging the byte
-    /// counters for the extra copy on the wire.
-    pub(crate) fn copy(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = self.pool.acquire();
-        buf.extend_from_slice(payload);
-        self.stats.bytes_on_wire += payload.len() as u64;
-        buf
-    }
-
-    /// Decodes a delivered payload back into a typed frame, returning
-    /// its buffer to the pool.
-    pub(crate) fn decode(&mut self, payload: Vec<u8>) -> Frame {
-        let frame = match self.codec {
-            Codec::Json => {
-                let text = std::str::from_utf8(&payload).expect("json wire frames are UTF-8");
-                Frame::decode(text).expect("wire frames decode")
-            }
-            Codec::Binary => decode_frame(&payload).expect("wire frames decode"),
-        };
-        self.stats.frames_decoded += 1;
-        self.pool.release(payload);
-        frame
-    }
-
-    /// Final counters for the run report.
-    pub(crate) fn stats(&self) -> WireStats {
-        let mut s = self.stats;
-        s.pool_hits = self.pool.hits();
-        s.pool_misses = self.pool.misses();
-        s
-    }
 }
 
 #[cfg(test)]

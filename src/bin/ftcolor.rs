@@ -94,7 +94,13 @@ fn main() -> ExitCode {
         "netsim" => cmd_netsim(&opts),
         "serve" => cmd_serve(&opts),
         "cluster" => cmd_cluster(&opts),
-        "node" => parse_codec(&opts).and_then(cluster::node_main),
+        "node" => parse_codec(&opts).and_then(|codec| {
+            cluster::node_main(
+                codec,
+                std::io::BufReader::new(std::io::stdin()),
+                std::io::stdout(),
+            )
+        }),
         "help" | "--help" | "-h" => out!("{USAGE}"),
         other => Err(format!("unknown subcommand `{other}`")),
     };

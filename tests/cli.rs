@@ -465,6 +465,101 @@ fn closed_stdout_ends_quietly() {
     }
 }
 
+/// Tampered copies of the golden cluster journal are refused with a
+/// message naming the offending entry, never panicked on and never
+/// accepted: a `snapshot_resp` whose register does not decode, a
+/// `write` whose register does not decode, and a forged `snapshot_req`
+/// to a node that is not the sender's neighbor — plus an `init` that
+/// lists no ring neighbors for an algorithm that steps on exactly two.
+#[test]
+fn hostile_cluster_journals_are_refused() {
+    use ftcolor::cluster::{cluster_replay, ClusterEntry, ClusterTrace, SendFate};
+    use ftcolor::net::{Body, Frame, SnapshotReq};
+    use serde::Value;
+
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/cluster_alg2p_c5_crash.json"
+    );
+    let golden = ClusterTrace::from_json(&std::fs::read_to_string(fixture).expect("fixture"))
+        .expect("fixture decodes");
+    // A copy of the golden journal whose delivery `seq` carries `value`
+    // as its register payload.
+    let tamper = |seq: usize, value: Value| {
+        let mut trace = golden.clone();
+        match &mut trace.entries[seq] {
+            ClusterEntry::Deliver { frame, .. } => match &mut frame.body {
+                Body::SnapshotResp(r) => r.value = Some(value),
+                Body::Write(w) => w.value = value,
+                other => panic!("entry {seq} carries no register: {other:?}"),
+            },
+            other => panic!("entry {seq} is not a delivery: {other:?}"),
+        }
+        trace
+    };
+    let bad_resp = tamper(55, Value::String("garbage".into()));
+    let bad_write = tamper(
+        31,
+        Value::Object(vec![("x".into(), Value::String("no".into()))]),
+    );
+    // Node 0's neighbors on C5 are 4 and 1: a retransmit to node 2 is
+    // no honest node's.
+    let mut forged = golden.clone();
+    forged.entries.insert(
+        26,
+        ClusterEntry::Send {
+            seq: 0,
+            ms: 17,
+            fate: SendFate::Delivered,
+            dup: false,
+            frame: Frame {
+                src: 0,
+                dest: 2,
+                body: Body::SnapshotReq(SnapshotReq { round: 0 }),
+            },
+        },
+    );
+    for (i, entry) in forged.entries.iter_mut().enumerate() {
+        let (ClusterEntry::Send { seq, .. }
+        | ClusterEntry::Deliver { seq, .. }
+        | ClusterEntry::Crash { seq, .. }) = entry;
+        *seq = i as u64;
+    }
+
+    let mut bad_init = golden.clone();
+    bad_init.alg = "alg3p".into();
+    match &mut bad_init.entries[0] {
+        ClusterEntry::Deliver { frame, .. } => match &mut frame.body {
+            Body::Init(init) => init.neighbors.clear(),
+            other => panic!("entry 0 is not an init: {other:?}"),
+        },
+        other => panic!("entry 0 is not a delivery: {other:?}"),
+    }
+
+    let dir = std::env::temp_dir().join(format!("ftcolor-hostile-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, trace, seq) in [
+        ("bad_resp", bad_resp, 55),
+        ("bad_write", bad_write, 31),
+        ("forged_req", forged, 26),
+        ("bad_init", bad_init, 0),
+    ] {
+        let err = cluster_replay(&trace).expect_err(name);
+        assert!(err.contains(&format!("seq {seq}")), "{name}: {err}");
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, trace.to_json_pretty()).expect("write journal");
+        let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+            .args(["cluster", "--replay", path.to_str().expect("utf-8 path")])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("error:"), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every ring coloring runs under every single-algorithm subcommand
 /// that takes one (`fuzz --alg alg1` included), on tiny instances.
 #[test]

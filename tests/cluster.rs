@@ -73,7 +73,7 @@ fn killed_nodes_register_stays_readable() {
         "no snapshot_req ever reached the dead node's cached register"
     );
     assert!(
-        report.final_registers[victim].is_some(),
+        report.final_registers[victim].value().is_some(),
         "victim crashed before its first write — crash later"
     );
     // Wait-freedom: every live node (the neighbors above all) decided.
@@ -276,4 +276,163 @@ fn every_ring_coloring_runs_and_replays_on_the_cluster() {
         assert_eq!(replayed.crashed, s.crashed, "{name}: replay diverged");
         assert_eq!(replayed.trace_digest, s.trace_digest, "{name}");
     }
+}
+
+/// `node_main` over in-memory streams, in both codecs: after a valid
+/// `init`, every hostile frame is dropped without a reply — a garbage
+/// record, a value nested deeper than the decoders' cap, a second
+/// `init`, frames from a node that is not a neighbor, and a `write` and
+/// a `snapshot_resp` whose register does not decode — and a torn or
+/// oversized binary record ends the stream like EOF. The node never
+/// panics, returns `Ok(())` at EOF, and its output decodes frame by
+/// frame: `init_ok`, the round-0 `write`/`snapshot_req` pairs, and the
+/// answer to the one honest read. The undecodable response is dropped,
+/// so round 0 never commits. A first `init` that lists no ring
+/// neighbors is refused.
+#[test]
+fn node_main_survives_hostile_streams() {
+    use std::io::Cursor;
+
+    use ftcolor::net::wire::{append_framed, decode_frame, read_framed};
+    use ftcolor::net::{
+        Body, Codec, Frame, Init, SnapshotReq, SnapshotResp, Write, MAX_FRAME_BYTES, ORCHESTRATOR,
+    };
+    use serde::{Number, Value};
+
+    let init = Frame {
+        src: ORCHESTRATOR,
+        dest: 0,
+        body: Body::Init(Init {
+            node: 0,
+            n: 5,
+            alg: "alg2p".into(),
+            input: 42,
+            neighbors: vec![1, 4],
+            rto_ms: 60_000,
+            pace_ms: 0,
+        }),
+    };
+    let to0 = |src: usize, body: Body| Frame { src, dest: 0, body };
+    let write = |round, value| Body::Write(Write { round, value });
+    let resp = |value, stamp| {
+        Body::SnapshotResp(SnapshotResp {
+            round: 0,
+            value,
+            stamp,
+        })
+    };
+    let reg = Value::Object(
+        ["x", "a", "b", "c"]
+            .map(|k| (k.to_string(), Value::Number(Number::PosInt(7))))
+            .to_vec(),
+    );
+    let nested = (0..200).fold(Value::Null, |v, _| Value::Array(vec![v]));
+    let bad_reg = Value::Object(vec![("x".into(), Value::String("no".into()))]);
+    let hostile = [
+        to0(1, write(0, nested)),
+        init.clone(),
+        to0(2, write(0, reg.clone())),
+        to0(2, resp(Some(reg), 1)),
+        to0(1, write(0, Value::String("garbage".into()))),
+        to0(4, resp(None, 0)),
+        to0(1, resp(Some(bad_reg), 1)),
+    ];
+    let read = to0(1, Body::SnapshotReq(SnapshotReq { round: 0 }));
+
+    let run = |codec: Codec, input: Vec<u8>| -> Vec<Frame> {
+        let mut out = Vec::new();
+        let res = cluster::node_main(codec, Cursor::new(input), &mut out);
+        assert_eq!(res, Ok(()), "{codec:?}: EOF ends the node cleanly");
+        match codec {
+            Codec::Json => String::from_utf8(out)
+                .expect("JSON output is UTF-8")
+                .lines()
+                .map(|l| Frame::decode(l).expect("each output line decodes"))
+                .collect(),
+            Codec::Binary => {
+                let (mut cur, mut buf, mut frames) = (Cursor::new(out), Vec::new(), Vec::new());
+                while read_framed(&mut cur, &mut buf).expect("well-framed output") {
+                    frames.push(decode_frame(&buf).expect("each output record decodes"));
+                }
+                frames
+            }
+        }
+    };
+    let check = |codec: Codec, frames: &[Frame]| {
+        let bodies: Vec<String> = frames
+            .iter()
+            .map(|f| format!("{}->{} {}", f.src, f.dest, f.body.kind()))
+            .collect();
+        assert_eq!(
+            bodies,
+            [
+                "0->18446744073709551615 init_ok",
+                "0->1 write",
+                "0->1 snapshot_req",
+                "0->4 write",
+                "0->4 snapshot_req",
+                "0->1 snapshot_resp",
+            ],
+            "{codec:?}"
+        );
+        assert!(
+            frames.iter().all(|f| match &f.body {
+                Body::Write(w) => w.round == 0,
+                Body::SnapshotReq(r) => r.round == 0,
+                _ => true,
+            }),
+            "{codec:?}: round 0 committed on an undecodable response"
+        );
+        let Body::SnapshotResp(answer) = &frames[5].body else {
+            unreachable!()
+        };
+        assert_eq!(
+            answer.stamp, 1,
+            "{codec:?}: the read sees the round-0 write"
+        );
+    };
+
+    // JSON: one line per frame, with a garbage line among them.
+    let mut json = String::new();
+    for f in std::iter::once(&init).chain(&hostile) {
+        json.push_str(&f.encode());
+        json.push('\n');
+        if f.body.kind() == "init" {
+            json.push_str("{not json\n\n");
+        }
+    }
+    json.push_str(&read.encode());
+    json.push('\n');
+    check(Codec::Json, &run(Codec::Json, json.into_bytes()));
+
+    // Binary: a record with an unknown version byte among them, then a
+    // torn record at the end of the stream.
+    let mut bin = Vec::new();
+    for f in std::iter::once(&init).chain(&hostile).chain([&read]) {
+        append_framed(f, &mut bin);
+        if f.body.kind() == "init" {
+            bin.extend_from_slice(&3u32.to_le_bytes());
+            bin.extend_from_slice(&[0xff, 0, 0]);
+        }
+    }
+    let mut torn = bin.clone();
+    torn.extend_from_slice(&100u32.to_le_bytes());
+    torn.extend_from_slice(&[1; 10]);
+    check(Codec::Binary, &run(Codec::Binary, torn));
+
+    // Binary: a length prefix above the cap ends the stream; what
+    // follows it is never read.
+    let mut oversized = bin;
+    oversized.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
+    append_framed(&read, &mut oversized);
+    check(Codec::Binary, &run(Codec::Binary, oversized));
+
+    // An `init` that does not describe a ring node is refused up front.
+    let mut lonely = init;
+    if let Body::Init(i) = &mut lonely.body {
+        i.neighbors.clear();
+    }
+    let input = Cursor::new(format!("{}\n", lonely.encode()).into_bytes());
+    let res = cluster::node_main(Codec::Json, input, Vec::new());
+    assert!(res.is_err_and(|e| e.contains("neighbors")), "lonely init");
 }
