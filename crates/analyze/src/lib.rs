@@ -22,15 +22,18 @@
 //!    the complete local transition system, with no schedule sampling
 //!    gap.
 //!
-//! The [`registry`] wires every shipped algorithm to its declared
-//! [`contract`], so the `ftcolor analyze` CLI, `tests/analyze.rs`, and
-//! the CI gate all agree on what "clean" means. Violations of a rule an
-//! entry *documents* (e.g. the E7 `ImpatientMis` flaw) are reported but
-//! waived, never silently skipped.
+//! One [`catalogue`] states every shipped algorithm's facts once —
+//! instance, palette, oracle, waivers, view domain — and the
+//! [`registry`], [`certify::registry`] and [`netmat`] run its entries,
+//! so the `ftcolor analyze`, `certify` and `netsim` CLIs, the tests,
+//! and the CI gates all agree on what "clean" means. Violations of a
+//! rule an entry *documents* (e.g. the E7 `ImpatientMis` flaw) are
+//! reported but waived, never silently skipped.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod catalogue;
 pub mod certify;
 pub mod contract;
 pub mod diag;
@@ -39,6 +42,7 @@ pub mod netmat;
 pub mod race;
 pub mod registry;
 
+pub use catalogue::SHIPPED;
 pub use certify::registry::{certify_alg, certify_all, render_cert_json, CertReport};
 pub use certify::{certify_algorithm, CertStats, Certification, CertifyConfig};
 pub use contract::{ContractSpec, Waiver};
@@ -46,4 +50,4 @@ pub use diag::{render_json, Diagnostic, RuleId};
 pub use linter::{lint_algorithm, LintConfig};
 pub use netmat::{net_race_matrix, net_run, NetRunOutcome, NetSummary};
 pub use race::check_events;
-pub use registry::{analyze_alg, analyze_all, race_matrix, AlgReport, SHIPPED};
+pub use registry::{analyze_alg, analyze_all, race_matrix, AlgReport};

@@ -1,13 +1,13 @@
-//! The network-substrate matrix: every registry algorithm on
-//! `ftcolor-net`, plus the race-detector sweep over network runs.
+//! The network-substrate matrix: every [`catalogue`](crate::catalogue)
+//! entry on `ftcolor-net`, plus the race-detector sweep over network
+//! runs.
 //!
-//! [`net_run`] mirrors [`crate::registry`]'s per-name construction
-//! (same algorithms, same topologies, same input generators — for the
-//! ring colorings, the [`RingColoring`] registry's) but
-//! executes on the simulated message-passing network, evaluates the
-//! per-algorithm oracle (proper coloring / MIS validity / distinct
-//! names), and packages the result as a JSON-serializable summary — the
-//! payload behind the `ftcolor netsim` CLI subcommand.
+//! [`net_run`] builds a catalogue entry's instance (the same algorithm,
+//! topology and input generator the linter uses, for any seed),
+//! executes it on the simulated message-passing network, evaluates the
+//! entry's oracle (proper coloring / MIS validity / distinct names), and
+//! packages the result as a JSON-serializable summary — the payload
+//! behind the `ftcolor netsim` CLI subcommand.
 //!
 //! [`net_race_matrix`] replays the cross-substrate conformance
 //! configurations over the network substrate with event recording and
@@ -17,20 +17,12 @@
 //! violation here means the *protocol* broke round atomicity, not that
 //! two messages interleaved.
 
-use ftcolor_core::decoupled_ring::DecoupledThreeColoring;
-use ftcolor_core::mis::{EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
-use ftcolor_core::renaming::RankRenaming;
-use ftcolor_core::sync_local::{ColeVishkinThree, CvInput};
-use ftcolor_core::{
-    with_ring_coloring, DeltaSquaredColoring, FiveColoringPatched, PairColor, RingColoring,
-    SixColoring,
-};
+use ftcolor_core::{FiveColoringPatched, SixColoring};
 use ftcolor_model::{inputs, Topology};
-use ftcolor_net::{
-    run_decoupled_net, run_net, DeliveryTrace, FaultPlan, NetConfig, NetReport, NetStats,
-};
+use ftcolor_net::{run_net, DeliveryTrace, FaultPlan, NetConfig, NetReport, NetStats};
 use serde::Serialize;
 
+use crate::catalogue::lookup;
 use crate::diag::Diagnostic;
 use crate::race::check_events;
 
@@ -99,9 +91,9 @@ pub struct NetRunOutcome {
     pub trace: DeliveryTrace,
 }
 
-/// Runs registry entry `name` on the network substrate. Returns `None`
-/// for unknown names (see [`crate::registry::SHIPPED`]) and for
-/// instances the entry can't build (e.g. `n < 3`).
+/// Runs catalogue entry `name` on the network substrate. Returns `None`
+/// for unknown names (see [`crate::SHIPPED`]) and for instances the
+/// entry can't build (e.g. `n < 3`).
 pub fn net_run(
     name: &str,
     n: usize,
@@ -109,146 +101,16 @@ pub fn net_run(
     plan: &FaultPlan,
     cfg: &NetConfig,
 ) -> Option<NetRunOutcome> {
-    let ids = |seed: u64| inputs::random_unique(n, 10_000, seed);
-    match name {
-        "alg4" => {
-            let topo = Topology::cycle(n).ok()?;
-            let delta = topo.max_degree() as u64;
-            let report = run_net(&DeltaSquaredColoring, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |c: &PairColor| c.flat_index(),
-                PairColor::palette_size(delta),
-                Oracle::ProperColoring,
-            ))
-        }
-        "cv" => {
-            let topo = Topology::cycle(n).ok()?;
-            let xs = ids(seed);
-            let alg = ColeVishkinThree::for_max_id(*xs.iter().max()?);
-            let cv_inputs: Vec<CvInput> = xs
-                .iter()
-                .enumerate()
-                .map(|(pos, &x)| CvInput { x, pos, n })
-                .collect();
-            let report = run_net(&alg, &topo, cv_inputs, plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                3,
-                Oracle::ProperColoring,
-            ))
-        }
-        "renaming" => {
-            let topo = Topology::clique(n).ok()?;
-            let report = run_net(
-                &RankRenaming,
-                &topo,
-                inputs::random_unique(n, 100_000, seed),
-                plan,
-                cfg,
-            );
-            // Distinct names on a clique are exactly a proper coloring.
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                2 * n as u64 - 1,
-                Oracle::ProperColoring,
-            ))
-        }
-        "mis-localmax" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&LocalMaxMis, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                mis_color,
-                2,
-                Oracle::Mis,
-            ))
-        }
-        "mis-eager" => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&EagerMis, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                mis_color,
-                2,
-                Oracle::Mis,
-            ))
-        }
-        "mis-impatient" => {
-            // Documented E7 flaw: the round writes before it reads, so a
-            // verdict reached in the round it is computed is never
-            // published and lower-identifier neighbors wait forever. The
-            // flaw *is* the exhibit — no validity or termination claim.
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(&ImpatientMis, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                mis_color,
-                2,
-                Oracle::TerminationOnly,
-            ))
-        }
-        "decoupled-ring" => {
-            let topo = Topology::cycle(n).ok()?;
-            let alg = DecoupledThreeColoring::new();
-            let report = run_decoupled_net(&alg, &topo, ids(seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |&c| c,
-                3,
-                Oracle::ProperColoring,
-            ))
-        }
-        _ => with_ring_coloring!(name, alg => {
-            let topo = Topology::cycle(n).ok()?;
-            let report = run_net(alg, &topo, alg.ring_inputs(n, seed), plan, cfg);
-            Some(summarize(
-                name,
-                n,
-                seed,
-                &topo,
-                report,
-                |o| alg.color(o),
-                alg.palette(),
-                Oracle::ProperColoring,
-            ))
-        }, else None),
-    }
+    lookup(name, |name, entry| entry.net(name, n, seed, plan, cfg)).flatten()
 }
+
+/// One entry's network run, or `None` when it has no instance of the
+/// requested size.
+pub(crate) type NetRun = Option<NetRunOutcome>;
 
 /// Which validity notion applies to an entry's outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Oracle {
+pub(crate) enum Oracle {
     /// Adjacent returned outputs must differ (distinct names on a
     /// clique are the same statement).
     ProperColoring,
@@ -291,19 +153,10 @@ impl Oracle {
     }
 }
 
-/// Maps an MIS verdict onto the flat palette `{In = 0, Out = 1}`.
-#[allow(clippy::trivially_copy_pass_by_ref)]
-fn mis_color(o: &MisOutput) -> u64 {
-    match o {
-        MisOutput::In => 0,
-        MisOutput::Out => 1,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn summarize<O>(
+/// Evaluates one network run of entry `name` on `topo` against its
+/// palette and oracle.
+pub(crate) fn summarize<O>(
     name: &str,
-    n: usize,
     seed: u64,
     topo: &Topology,
     report: NetReport<O>,
@@ -324,14 +177,10 @@ fn summarize<O>(
         .iter()
         .enumerate()
         .all(|(i, c)| c.is_some() || crashed.contains(&i));
-    let race_diags = if report.events.is_empty() {
-        0
-    } else {
-        check_events(name, topo, &report.events).len()
-    };
+    let race_diags = check_events(name, topo, &report.events).len();
     let summary = NetSummary {
         alg: name.to_string(),
-        n,
+        n: topo.len(),
         seed,
         colors,
         oracle: oracle.name().to_string(),
@@ -389,7 +238,7 @@ pub fn net_race_matrix() -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::SHIPPED;
+    use crate::catalogue::SHIPPED;
 
     #[test]
     fn every_registry_entry_runs_on_the_network() {

@@ -1,46 +1,26 @@
-//! The shipped-algorithm registry: every algorithm in the repo wired to
-//! its declared contract, plus the runtime race-detector matrix.
+//! The linter's registry: every [`catalogue`](crate::catalogue) entry
+//! linted against its declared contract, plus the runtime race-detector
+//! matrix.
 //!
 //! `ftcolor analyze` and `tests/analyze.rs` both drive this module, so
 //! the CLI, the test suite, and the CI gate agree on what "all shipped
-//! algorithms pass the full rule set" means. Registry entries may
-//! declare [`Waiver`](crate::contract::Waiver)s for *documented*
-//! violations (e.g. `ImpatientMis`'s unpublished-verdict flaw, which is
-//! the repo's E7 exhibit, not a regression); waived diagnostics stay
-//! visible in reports but don't fail the gate.
+//! algorithms pass the full rule set" means. Catalogue entries may
+//! declare waivers for *documented* violations (e.g. `ImpatientMis`'s
+//! unpublished-verdict flaw, which is the repo's E7 exhibit, not a
+//! regression); waived diagnostics stay visible in reports but don't
+//! fail the gate.
 
 use ftcolor_core::decoupled_ring::DecoupledThreeColoring;
-use ftcolor_core::mis::{EagerMis, ImpatientMis, LocalMaxMis, MisOutput};
-use ftcolor_core::renaming::RankRenaming;
-use ftcolor_core::sync_local::{ColeVishkinThree, CvInput};
-use ftcolor_core::{
-    with_ring_coloring, DeltaSquaredColoring, FiveColoringPatched, PairColor, RingColoring,
-    SixColoring,
-};
+use ftcolor_core::{FiveColoringPatched, SixColoring};
 use ftcolor_model::decoupled::DecoupledExecution;
 use ftcolor_model::{inputs, prelude::*};
 use ftcolor_runtime::{run_threaded, RunOptions};
 
+use crate::catalogue::{ids, lookup, waive, Exemption, Scope, SHIPPED};
 use crate::contract::ContractSpec;
 use crate::diag::{Diagnostic, RuleId};
-use crate::linter::{apply_waivers, cap_per_rule, lint_algorithm, LintConfig};
+use crate::linter::{apply_waivers, cap_per_rule, LintConfig};
 use crate::race::check_events;
-
-/// Names of every registry entry, in analysis order.
-pub const SHIPPED: [&str; 12] = [
-    "alg1",
-    "alg2",
-    "alg2p",
-    "alg3",
-    "alg3p",
-    "alg4",
-    "cv",
-    "renaming",
-    "mis-localmax",
-    "mis-eager",
-    "mis-impatient",
-    "decoupled-ring",
-];
 
 /// The lint outcome for one registry entry.
 #[derive(Debug, Clone)]
@@ -63,152 +43,12 @@ impl AlgReport {
     }
 }
 
-/// Fresh distinct identifiers for an `n`-node instance.
-fn ids(n: usize, seed: u64) -> Vec<u64> {
-    inputs::random_unique(n, 10_000, seed)
-}
-
 /// Runs the full abstract rule set on the named shipped algorithm over
-/// cycle sizes `sizes` (cliques for `renaming`, plus a grid for `alg4`);
-/// a ring coloring runs on its registry input family
-/// ([`RingColoring::ring_inputs`]).
+/// cycle sizes `sizes`, or the catalogue's own instances for them
+/// (cliques for `renaming`, plus a 3×3 torus for `alg4`).
 /// Returns `None` for unknown names; see [`SHIPPED`].
 pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
-    let mut diagnostics = Vec::new();
-    let pair_palette = |delta: u64| {
-        move |c: &PairColor| Some(c.flat_index()).filter(|_| PairColor::palette_size(delta) > 0)
-    };
-    match name {
-        "alg4" => {
-            // Cycles (Δ=2) plus a torus grid (Δ=4): the palette claim is
-            // per-instance, (Δ+1)(Δ+2)/2.
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let delta = topo.max_degree() as u64;
-                let spec = ContractSpec::new(name)
-                    .palette(PairColor::palette_size(delta), pair_palette(delta))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(
-                    &DeltaSquaredColoring,
-                    &spec,
-                    &topo,
-                    &ids(n, 7),
-                    cfg,
-                ));
-            }
-            let topo = Topology::grid(3, 3, true).ok()?;
-            let delta = topo.max_degree() as u64;
-            let spec = ContractSpec::new(name)
-                .palette(PairColor::palette_size(delta), pair_palette(delta))
-                .solo_bound(4);
-            diagnostics.extend(lint_algorithm(
-                &DeltaSquaredColoring,
-                &spec,
-                &topo,
-                &ids(9, 7),
-                cfg,
-            ));
-        }
-        "cv" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let xs = ids(n, 7);
-                let alg = ColeVishkinThree::for_max_id(*xs.iter().max().expect("n >= 3"));
-                let cv_inputs: Vec<CvInput> = xs
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &x)| CvInput { x, pos, n })
-                    .collect();
-                let spec = ContractSpec::new(name)
-                    .palette(3, |&c: &u64| Some(c))
-                    .solo_bound(16)
-                    .waive(
-                        RuleId::Wf,
-                        "the Cole–Vishkin baseline is a synchronous LOCAL algorithm run \
-                         under an α-synchronizer: it waits for neighbors by design, so \
-                         solo executions never terminate (this is the paper's point of \
-                         comparison, not a bug)",
-                    );
-                diagnostics.extend(lint_algorithm(&alg, &spec, &topo, &cv_inputs, cfg));
-            }
-        }
-        "renaming" => {
-            for &n in sizes {
-                let topo = Topology::clique(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(2 * n as u64 - 1, |&c: &u64| Some(c))
-                    .solo_bound(4);
-                diagnostics.extend(lint_algorithm(
-                    &RankRenaming,
-                    &spec,
-                    &topo,
-                    &inputs::random_unique(n, 100_000, 3),
-                    cfg,
-                ));
-            }
-        }
-        "mis-localmax" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name).palette(2, mis_color).solo_bound(4);
-                diagnostics.extend(lint_algorithm(&LocalMaxMis, &spec, &topo, &ids(n, 7), cfg));
-            }
-        }
-        "mis-eager" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name).palette(2, mis_color).solo_bound(4);
-                diagnostics.extend(lint_algorithm(&EagerMis, &spec, &topo, &ids(n, 7), cfg));
-            }
-        }
-        "mis-impatient" => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(2, mis_color)
-                    .solo_bound(4)
-                    .waive(
-                        RuleId::Stab,
-                        "documented E7 flaw: ImpatientMis commits a verdict computed in \
-                         the same round, so the deciding register value is never \
-                         published — exactly the unpublished-verdict failure the repo \
-                         exhibits on purpose",
-                    );
-                diagnostics.extend(lint_algorithm(&ImpatientMis, &spec, &topo, &ids(n, 7), cfg));
-            }
-        }
-        "decoupled-ring" => {
-            for &n in sizes {
-                diagnostics.extend(lint_decoupled(n, cfg)?);
-            }
-        }
-        _ => with_ring_coloring!(name, alg => {
-            for &n in sizes {
-                let topo = Topology::cycle(n).ok()?;
-                let spec = ContractSpec::new(name)
-                    .palette(alg.palette(), |o| Some(alg.color(o)))
-                    .solo_bound(4);
-                let ids = alg.ring_inputs(n, 7);
-                diagnostics.extend(lint_algorithm(alg, &spec, &topo, &ids, cfg));
-            }
-        }, else return None),
-    }
-    Some(AlgReport {
-        name: SHIPPED
-            .into_iter()
-            .find(|s| *s == name)
-            .expect("matched above"),
-        diagnostics,
-    })
-}
-
-/// Maps an MIS verdict onto the two-"color" palette {In = 0, Out = 1}.
-#[allow(clippy::trivially_copy_pass_by_ref)]
-fn mis_color(o: &MisOutput) -> Option<u64> {
-    Some(match o {
-        MisOutput::In => 0,
-        MisOutput::Out => 1,
-    })
+    lookup(name, |name, entry| entry.lint(name, sizes, cfg)).flatten()
 }
 
 /// The DECOUPLED ring 3-coloring doesn't implement [`Algorithm`] (its
@@ -217,27 +57,18 @@ fn mis_color(o: &MisOutput) -> Option<u64> {
 /// survive translation — palette, determinism (two identical runs must
 /// be bit-identical), and wait-freedom (a solo process decides once its
 /// knowledge radius suffices) — and declares the register-specific
-/// rules (SWMR, snapshot scope, stability) waived as not applicable.
-fn lint_decoupled(n: usize, cfg: &LintConfig) -> Option<Vec<Diagnostic>> {
-    let name = "decoupled-ring";
+/// rules (SWMR, snapshot scope, stability) waived as not applicable in
+/// `waivers`.
+pub(crate) fn lint_decoupled(
+    name: &str,
+    n: usize,
+    waivers: &[Exemption],
+    cfg: &LintConfig,
+) -> Option<Vec<Diagnostic>> {
     let alg = DecoupledThreeColoring::new();
     let topo = Topology::cycle(n).ok()?;
     let xs = ids(n, 7);
-    let spec: ContractSpec<u64> = ContractSpec::new(name)
-        .palette(3, |&c: &u64| Some(c))
-        .solo_bound(alg.required_radius() as u64 + 1)
-        .waive(
-            RuleId::Swmr,
-            "DECOUPLED model: processes own no registers; decide() is read-only",
-        )
-        .waive(
-            RuleId::Snap,
-            "DECOUPLED model: the knowledge ball is the whole view by definition",
-        )
-        .waive(
-            RuleId::Stab,
-            "DECOUPLED model: a process is activated at most once after deciding",
-        );
+    let spec = waive(ContractSpec::<u64>::new(name), waivers, Scope::Dynamic);
     let mut diags = Vec::new();
 
     // Determinism: identical schedules must give identical outputs.
@@ -248,49 +79,32 @@ fn lint_decoupled(n: usize, cfg: &LintConfig) -> Option<Vec<Diagnostic>> {
         };
         let (a, b) = (run(()), run(()));
         if a.as_ref().map(|r| &r.outputs) != b.as_ref().map(|r| &r.outputs) {
-            diags.push(Diagnostic::new(
-                RuleId::Det,
-                name,
-                format!("two identical DECOUPLED runs (seed {seed}) produced different outputs"),
-            ));
+            let msg =
+                format!("two identical DECOUPLED runs (seed {seed}) produced different outputs");
+            diags.push(Diagnostic::new(RuleId::Det, name, msg));
         }
         // Palette over whatever returned.
-        if let Some(report) = &a {
-            for (p, c) in report.returned() {
-                if *c > 2 {
-                    diags.push(
-                        Diagnostic::new(
-                            RuleId::Pal,
-                            name,
-                            format!("process {p} returned color {c}, outside the 3-color palette"),
-                        )
-                        .process(p.index()),
-                    );
-                }
-            }
+        let returned = a.iter().flat_map(ExecutionReport::returned);
+        for (p, c) in returned.filter(|&(_, &c)| c > 2) {
+            let msg = format!("process {p} returned color {c}, outside the 3-color palette");
+            diags.push(Diagnostic::new(RuleId::Pal, name, msg).process(p.index()));
         }
     }
 
     // Wait-freedom: a solo process decides once its knowledge radius
     // reaches the algorithm's requirement (time advances regardless of
     // other processes in this model — that's the model separation).
-    let bound = spec.solo_bound.expect("set above");
+    let bound = alg.required_radius() as u64 + 1;
     for p in topo.nodes() {
         let mut exec = DecoupledExecution::new(&alg, &topo, xs.clone());
         let solo = FixedSequence::from_indices(vec![vec![p.index()]; bound as usize]);
         let _ = exec.run(solo, bound + 2);
         if exec.outputs()[p.index()].is_none() {
-            diags.push(
-                Diagnostic::new(
-                    RuleId::Wf,
-                    name,
-                    format!(
-                        "solo DECOUPLED execution of process {p} did not decide within \
-                         radius bound {bound}"
-                    ),
-                )
-                .process(p.index()),
+            let msg = format!(
+                "solo DECOUPLED execution of process {p} did not decide within \
+                 radius bound {bound}"
             );
+            diags.push(Diagnostic::new(RuleId::Wf, name, msg).process(p.index()));
         }
     }
 

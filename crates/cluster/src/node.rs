@@ -7,7 +7,7 @@
 //!
 //! * input (stdin) — frames from the orchestrator's router,
 //!   line-delimited JSON by default or length-prefixed binary records
-//!   under `--codec binary` (first frame is always `init`);
+//!   under `--codec binary` (frames before `init` are dropped);
 //! * output (stdout) — frames back to the router in the same codec,
 //!   each batch built in a pooled buffer and flushed with a single
 //!   write;
@@ -42,16 +42,18 @@ use crate::core::{check_init, NodeCore};
 /// register protocol in `codec` on `input` and `output` until `input`
 /// closes. The CLI passes stdin and stdout.
 ///
-/// Every frame after `init` is untrusted: a torn or garbage record, a
-/// frame whose register does not decode, a second `init` or a frame
-/// from a stranger is dropped without a reply (the sender's retransmit
-/// recovers a frame that mattered). A torn or oversized binary record
-/// ends the stream like EOF.
+/// Every frame is untrusted: a torn or garbage record, any frame before
+/// `init`, a frame whose register does not decode, a second `init` or a
+/// frame from a stranger is dropped without a reply (the sender's
+/// retransmit recovers a frame that mattered), so a node whose `init`
+/// is withheld stays silent. A torn or oversized record ends the stream
+/// like EOF.
 ///
 /// # Errors
 ///
-/// Returns a message when `input` closes before `init`, the first frame
-/// is not an `init`, the algorithm name is unknown, or `output` closes.
+/// Returns a message when `input` closes before `init`, the first `init`
+/// does not describe a ring node, the algorithm name is unknown, or
+/// `output` closes.
 pub fn node_main(
     codec: Codec,
     input: impl BufRead + Send + 'static,
@@ -61,18 +63,18 @@ pub fn node_main(
     // EOF turns into `RecvTimeoutError::Disconnected` in the loop.
     let (tx, rx) = mpsc::channel::<Vec<u8>>();
     thread::spawn(move || codec.read_records(input, |payload| tx.send(payload).is_ok()));
-    let first = rx
+    let (dest, init) = rx
         .iter()
-        .find_map(|payload| codec.decode_record(&payload).transpose())
-        .ok_or("node: input closed before init")?
-        .map_err(|e| format!("node: bad init frame: {e}"))?;
-    let Body::Init(init) = first.body else {
-        return Err(format!(
-            "node: first frame must be `init`, got `{}`",
-            first.body.kind()
-        ));
-    };
-    check_init(first.dest, &init).map_err(|e| format!("node: {e}"))?;
+        .find_map(|payload| match codec.decode_record(&payload) {
+            Ok(Some(Frame {
+                dest,
+                body: Body::Init(init),
+                ..
+            })) => Some((dest, init)),
+            _ => None,
+        })
+        .ok_or("node: input closed before init")?;
+    check_init(dest, &init).map_err(|e| format!("node: {e}"))?;
     with_ring_coloring!(init.alg.as_str(), alg => run_node(alg, &init, codec, &rx, output),
         else Err(format!("node: unknown algorithm `{}`", init.alg)))
 }

@@ -3,18 +3,19 @@
 //!
 //! The paper's three ring colorings and the repo's two repairs are the
 //! unit every front end runs — the CLI, the network matrix, the cluster
-//! substrate and the contract linter. [`RingColoring`] states the four
-//! facts they all need about such an algorithm: its palette, how an
-//! output becomes a flat color, which input family the ring uses, and
-//! how a register renders in a timeline.
+//! substrate, the contract linter and the certifier. [`RingColoring`]
+//! states the facts they need about such an algorithm: its palette, how
+//! an output becomes a flat color, which input family the ring uses,
+//! how a register renders in a timeline, and its certified view domain.
 //! [`with_ring_coloring!`](crate::with_ring_coloring) maps a name to its
 //! concrete type, and [`ring_safety`] is the safety predicate the
 //! exhaustive checker, fuzzer and shrinker share.
 
+use ftcolor_model::domain::ViewDomain;
 use ftcolor_model::{inputs, Algorithm, ProcessId, Topology};
 
+use crate::{domains, PairColor, SixColoring};
 use crate::{FastFiveColoring, FastFiveColoringPatched, FiveColoring, FiveColoringPatched};
-use crate::{PairColor, SixColoring};
 
 /// Every name [`with_ring_coloring!`](crate::with_ring_coloring) knows, in registry order.
 pub const RING_COLORINGS: [&str; 5] = ["alg1", "alg2", "alg2p", "alg3", "alg3p"];
@@ -41,6 +42,12 @@ pub trait RingColoring: Algorithm<Input = u64> {
 
     /// One register rendered as a `color --timeline` cell.
     fn cell(&self, reg: &Self::Reg) -> String;
+
+    /// The abstract view domain `ftcolor certify` explores, for a bound
+    /// on the candidate colors (see [`domains`]).
+    fn domain(&self, colors: u64) -> ViewDomain<Self>
+    where
+        Self: Sized;
 }
 
 impl RingColoring for SixColoring {
@@ -56,6 +63,9 @@ impl RingColoring for SixColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         r.color.to_string()
     }
+    fn domain(&self, _: u64) -> ViewDomain<Self> {
+        domains::pair_domain()
+    }
 }
 
 impl RingColoring for FiveColoring {
@@ -68,6 +78,9 @@ impl RingColoring for FiveColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("({},{})", r.a, r.b)
     }
+    fn domain(&self, colors: u64) -> ViewDomain<Self> {
+        domains::five_coloring_domain(colors)
+    }
 }
 
 impl RingColoring for FiveColoringPatched {
@@ -79,6 +92,9 @@ impl RingColoring for FiveColoringPatched {
     }
     fn cell(&self, r: &Self::Reg) -> String {
         format!("({},{})c{}", r.a, r.b, r.c)
+    }
+    fn domain(&self, colors: u64) -> ViewDomain<Self> {
+        domains::five_coloring_patched_domain(colors)
     }
 }
 
@@ -97,6 +113,9 @@ impl RingColoring for FastFiveColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("x{}({},{})", r.x, r.a, r.b)
     }
+    fn domain(&self, colors: u64) -> ViewDomain<Self> {
+        domains::fast_five_domain(colors, 2)
+    }
 }
 
 impl RingColoring for FastFiveColoringPatched {
@@ -111,6 +130,9 @@ impl RingColoring for FastFiveColoringPatched {
     }
     fn cell(&self, r: &Self::Reg) -> String {
         format!("x{}({},{})c{}", r.x, r.a, r.b, r.c)
+    }
+    fn domain(&self, colors: u64) -> ViewDomain<Self> {
+        domains::fast_five_patched_domain(colors, 2)
     }
 }
 

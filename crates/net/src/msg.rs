@@ -110,9 +110,10 @@ pub struct SnapshotResp {
 }
 
 /// `init`: the orchestrator hands a freshly spawned node its identity
-/// and configuration. Always the first frame on a node's stdin; a node
-/// that never receives it stays silent forever (which is exactly how the
-/// orchestrator's wedge-timeout machinery is exercised in tests).
+/// and configuration. The node drops every frame that arrives before
+/// it, so a node that never receives it stays silent forever (which is
+/// exactly how the orchestrator's wedge-timeout machinery is exercised
+/// in tests).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Init {
     /// The node's 0-based ring position (its frame address).

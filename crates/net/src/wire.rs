@@ -137,8 +137,9 @@ impl Codec {
 
     /// Reads stream records from `r`, handing each payload (a line
     /// without its newline, or a record without its prefix) to `sink`,
-    /// until EOF, a torn or oversized binary record, or `sink` returns
-    /// `false`. A line that is not UTF-8 is still one payload.
+    /// until EOF, a torn record, a payload longer than
+    /// [`MAX_FRAME_BYTES`], or `sink` returns `false`. A line that is not
+    /// UTF-8 is still one payload.
     pub fn read_records(self, mut r: impl BufRead, mut sink: impl FnMut(Vec<u8>) -> bool) {
         let mut buf = Vec::new();
         loop {
@@ -146,11 +147,12 @@ impl Codec {
                 Codec::Binary => matches!(read_framed(&mut r, &mut buf), Ok(true)),
                 Codec::Json => {
                     buf.clear();
-                    let got = r.read_until(b'\n', &mut buf).unwrap_or(0) > 0;
+                    let cap = u64::from(MAX_FRAME_BYTES) + 1;
+                    let got = (&mut r).take(cap).read_until(b'\n', &mut buf).unwrap_or(0) > 0;
                     if buf.last() == Some(&b'\n') {
                         buf.pop();
                     }
-                    got
+                    got && buf.len() <= MAX_FRAME_BYTES as usize
                 }
             };
             if !more || !sink(std::mem::take(&mut buf)) {
@@ -837,6 +839,18 @@ mod tests {
         let hostile = nested_write(1 << 20);
         assert!(hostile.len() < MAX_FRAME_BYTES as usize);
         assert_eq!(decode_frame(&hostile), Err(WireError::TooDeep));
+    }
+
+    #[test]
+    fn json_lines_past_the_frame_cap_end_the_stream() {
+        let hostile = io::repeat(b'x').take(u64::from(MAX_FRAME_BYTES) + 2);
+        let stream = io::BufReader::new(io::Cursor::new(b"ok\n").chain(hostile));
+        let mut payloads = Vec::new();
+        Codec::Json.read_records(stream, |p| {
+            payloads.push(p.len());
+            true
+        });
+        assert_eq!(payloads, [2], "an over-cap line must stop the reader");
     }
 
     #[test]

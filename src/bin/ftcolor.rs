@@ -294,6 +294,30 @@ fn parse_codec(opts: &HashMap<String, String>) -> Result<Codec, String> {
     Codec::parse(name).ok_or_else(|| format!("unknown --codec `{name}` (expected json|binary)"))
 }
 
+/// `--rules CODES` for `analyze` and `certify`: the rule codes to keep,
+/// or `None` for every rule.
+fn parse_rules(opts: &HashMap<String, String>) -> Result<Option<Vec<RuleId>>, String> {
+    let parse = |code: &str| {
+        let code = code.trim();
+        RuleId::from_code(code).ok_or_else(|| format!("unknown rule code `{code}`"))
+    };
+    let rules = opts
+        .get("rules")
+        .map(|list| list.split(',').map(parse).collect());
+    rules.transpose()
+}
+
+/// The error for an `--alg` outside the catalogue; `extra` lists the
+/// subcommand's own names (`rt` for `analyze`).
+fn unknown_alg(alg: &str, extra: &[&str]) -> String {
+    let mut names: Vec<String> = analyze::SHIPPED.map(String::from).to_vec();
+    names.extend(extra.iter().map(|e| format!("`{e}`")));
+    format!(
+        "unknown --alg `{alg}` (expected one of {}, or `all`)",
+        names.join(", ")
+    )
+}
+
 /// Checks that `ids` properly color the cycle they label: the paper's
 /// algorithms assume neighbors hold distinct identifiers, and on equal
 /// neighbors a wait-free algorithm can spin forever. Repeats between
@@ -758,17 +782,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|e| format!("bad --sizes: {e}")))
         .collect::<Result<_, _>>()?;
-    let rules: Option<Vec<RuleId>> = match opts.get("rules") {
-        Some(list) => Some(
-            list.split(',')
-                .map(|c| {
-                    RuleId::from_code(c.trim())
-                        .ok_or_else(|| format!("unknown rule code `{}`", c.trim()))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        None => None,
-    };
+    let rules = parse_rules(opts)?;
     let alg = get(opts, "alg", "all");
     let cfg = analyze::LintConfig::default();
 
@@ -778,12 +792,8 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
             diags.extend(report.diagnostics);
         }
     } else if alg != "rt" {
-        let report = analyze::analyze_alg(alg, &sizes, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{alg}` (expected one of {}, `rt`, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?;
+        let report =
+            analyze::analyze_alg(alg, &sizes, &cfg).ok_or_else(|| unknown_alg(alg, &["rt"]))?;
         diags.extend(report.diagnostics);
     }
     if matches!(alg, "all" | "rt") {
@@ -820,29 +830,14 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
     let colors: u64 = get(opts, "domain-colors", "5")
         .parse()
         .map_err(|e| format!("bad --domain-colors: {e}"))?;
-    let rules: Option<Vec<RuleId>> = match opts.get("rules") {
-        Some(list) => Some(
-            list.split(',')
-                .map(|c| {
-                    RuleId::from_code(c.trim())
-                        .ok_or_else(|| format!("unknown rule code `{}`", c.trim()))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-        None => None,
-    };
+    let rules = parse_rules(opts)?;
     let alg = get(opts, "alg", "all");
     let cfg = analyze::CertifyConfig::default();
 
     let mut reports = if alg == "all" {
         analyze::certify_all(colors, &cfg)
     } else {
-        vec![analyze::certify_alg(alg, colors, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{alg}` (expected one of {}, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?]
+        vec![analyze::certify_alg(alg, colors, &cfg).ok_or_else(|| unknown_alg(alg, &[]))?]
     };
     if let Some(rules) = &rules {
         for r in &mut reports {
@@ -924,12 +919,8 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut failures: Vec<String> = Vec::new();
     let mut items: Vec<serde::Value> = Vec::new();
     for name in names {
-        let out = analyze::net_run(name, n, seed, &plan, &cfg).ok_or_else(|| {
-            format!(
-                "unknown --alg `{name}` (expected one of {}, or `all`)",
-                analyze::SHIPPED.join(", ")
-            )
-        })?;
+        let out =
+            analyze::net_run(name, n, seed, &plan, &cfg).ok_or_else(|| unknown_alg(name, &[]))?;
         let s = &out.summary;
         if !s.valid {
             failures.push(format!("{name}: oracle violation ({})", s.oracle));

@@ -6,13 +6,14 @@
 //! conformance matrix.
 
 use ftcolor::analyze::{
-    analyze_alg, analyze_all, check_events, lint_algorithm, race_matrix, ContractSpec, Diagnostic,
-    LintConfig, RuleId,
+    analyze_alg, analyze_all, check_events, lint_algorithm, race_matrix, render_json, ContractSpec,
+    Diagnostic, LintConfig, RuleId,
 };
 use ftcolor::core::mutants::{
     NeighborWriter, NondetStepper, OutOfPalette, SoloDiverger, StateSmuggler, UnstableDecider,
 };
 use ftcolor::model::{inputs, Topology};
+use ftcolor::net::trace::fnv1a;
 use ftcolor::runtime::{RtEvent, RtEventKind};
 
 fn cfg() -> LintConfig {
@@ -71,6 +72,17 @@ fn linter_reports_are_deterministic() {
     for (ra, rb) in a.iter().zip(&b) {
         assert_eq!(ra.diagnostics, rb.diagnostics, "alg {}", ra.name);
     }
+    // Pinned bytes: the JSON `ftcolor analyze --alg all` prints (the race
+    // matrix adds nothing), so registry refactors cannot drift a spec.
+    let all: Vec<Diagnostic> = analyze_all(&[5, 8], &cfg())
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect();
+    assert_eq!(
+        fnv1a(render_json(&all).as_bytes()),
+        0xa4cd_0ea7_7951_ac0f,
+        "analyze JSON drifted"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ use ftcolor::core::mutants::{
     UnstableDecider,
 };
 use ftcolor::model::{inputs, Algorithm, Projection, Topology, ViewDomain};
+use ftcolor::net::trace::fnv1a;
 
 fn cfg() -> CertifyConfig {
     CertifyConfig::default()
@@ -288,6 +289,11 @@ fn cheap_certify_reports_are_byte_deterministic() {
     let a = render_cert_json(&reports(&["alg1", "mis-localmax", "cv"]));
     let b = render_cert_json(&reports(&["alg1", "mis-localmax", "cv"]));
     assert_eq!(a, b, "certify JSON must be byte-identical across runs");
+    assert_eq!(
+        fnv1a(a.as_bytes()),
+        0xd191_e720_679b_2c66,
+        "certify JSON drifted"
+    );
 }
 
 #[cfg(not(debug_assertions))]
@@ -319,6 +325,12 @@ fn full_registry_certifies_clean_and_deterministically() {
         render_cert_json(&a),
         render_cert_json(&b),
         "full-registry certify JSON must be byte-identical across runs"
+    );
+    // The bytes `ftcolor certify --alg all --format json` prints.
+    assert_eq!(
+        fnv1a(render_cert_json(&a).as_bytes()),
+        0xacd7_1dbc_d2be_104b,
+        "full-registry certify JSON drifted"
     );
 }
 

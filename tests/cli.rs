@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use ftcolor::net::trace::fnv1a;
+
 fn run(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
         .args(args)
@@ -310,6 +312,33 @@ fn netsim_all_covers_the_registry() {
     ] {
         assert!(stdout.contains(&format!("\"{name}\"")), "{name} missing");
     }
+    assert_eq!(
+        fnv1a(stdout.as_bytes()),
+        0xed7b_59ab_a4a5_dbcc,
+        "netsim JSON drifted"
+    );
+    // One faulty plan on the binary codec: every entry still returns.
+    let (stdout, stderr, ok) = run(&[
+        "netsim",
+        "--alg",
+        "all",
+        "--n",
+        "5",
+        "--seed",
+        "1",
+        "--format",
+        "json",
+        "--codec",
+        "binary",
+        "--faults",
+        r#"{"drop":0.1,"delay_max":4,"duplicate":0.05}"#,
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(
+        fnv1a(stdout.as_bytes()),
+        0x0cf5_91ba_e139_5150,
+        "faulty netsim JSON drifted"
+    );
 }
 
 #[test]

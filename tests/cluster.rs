@@ -287,8 +287,9 @@ fn every_ring_coloring_runs_and_replays_on_the_cluster() {
 /// panics, returns `Ok(())` at EOF, and its output decodes frame by
 /// frame: `init_ok`, the round-0 `write`/`snapshot_req` pairs, and the
 /// answer to the one honest read. The undecodable response is dropped,
-/// so round 0 never commits. A first `init` that lists no ring
-/// neighbors is refused.
+/// so round 0 never commits. A neighbor frame that arrives before
+/// `init` is dropped the same way, and a first `init` that lists no
+/// ring neighbors is refused.
 #[test]
 fn node_main_survives_hostile_streams() {
     use std::io::Cursor;
@@ -426,6 +427,20 @@ fn node_main_survives_hostile_streams() {
     oversized.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
     append_framed(&read, &mut oversized);
     check(Codec::Binary, &run(Codec::Binary, oversized));
+
+    // A neighbor frame routed before `init` is dropped, not fatal: the
+    // node waits for its `init` and then joins the protocol.
+    let early = format!(
+        "{}\n{}\n",
+        to0(1, write(0, Value::Null)).encode(),
+        init.encode()
+    );
+    let frames = run(Codec::Json, early.into_bytes());
+    assert_eq!(
+        frames.first().map(|f| f.body.kind()),
+        Some("init_ok"),
+        "a frame before `init` wedged the node"
+    );
 
     // An `init` that does not describe a ring node is refused up front.
     let mut lonely = init;
