@@ -46,7 +46,8 @@ impl AlgReport {
 /// Runs the full abstract rule set on the named shipped algorithm over
 /// cycle sizes `sizes`, or the catalogue's own instances for them
 /// (cliques for `renaming`, plus a 3×3 torus for `alg4`).
-/// Returns `None` for unknown names; see [`SHIPPED`].
+/// Returns `None` for unknown names (see [`SHIPPED`]) and for a size
+/// below 3, which has no instance.
 pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
     lookup(name, |name, entry| entry.lint(name, sizes, cfg)).flatten()
 }
@@ -113,10 +114,14 @@ pub(crate) fn lint_decoupled(
 }
 
 /// Runs [`analyze_alg`] over every registry entry.
+///
+/// # Panics
+///
+/// Panics if a size is below 3 (no instance of that size exists).
 pub fn analyze_all(sizes: &[usize], cfg: &LintConfig) -> Vec<AlgReport> {
     SHIPPED
         .into_iter()
-        .map(|name| analyze_alg(name, sizes, cfg).expect("registry names are exhaustive"))
+        .map(|name| analyze_alg(name, sizes, cfg).expect("shipped names and sizes >= 3 lint"))
         .collect()
 }
 

@@ -28,6 +28,16 @@
 //!   push at time `t` requires `base > t - QWINDOW` and `base` is
 //!   monotone. Spill entries themselves drain in `(time, tick)` heap
 //!   order. So every bucket's FIFO order is ascending tick.
+//!
+//! # Memory — storage follows what is in flight
+//!
+//! A drained bucket hands its storage to a spare list, and the next
+//! empty bucket to receive an event takes it from there. The queue
+//! therefore holds about as many buffers as there are distinct pending
+//! times, not one per bucket the run ever filled: a long run sweeps
+//! the whole ring, and without recycling every bucket would keep the
+//! capacity of its largest burst for good. Which buffer a bucket gets
+//! never affects pop order.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -74,6 +84,8 @@ pub(crate) struct EventQueue<T> {
     /// congruent mod `QWINDOW` cannot collide: a colliding time would
     /// be `base + QWINDOW` or later, which lives in the spill heap.
     buckets: Vec<VecDeque<T>>,
+    /// Storage of drained buckets, lent to the next bucket that fills.
+    spare: Vec<VecDeque<T>>,
     /// Events at `base + QWINDOW` or later, drained into buckets as
     /// `base` advances.
     spill: BinaryHeap<SpillEntry<T>>,
@@ -89,6 +101,7 @@ impl<T> EventQueue<T> {
         EventQueue {
             base: 0,
             buckets: (0..QWINDOW).map(|_| VecDeque::new()).collect(),
+            spare: Vec::new(),
             spill: BinaryHeap::new(),
             in_buckets: 0,
             tick: 0,
@@ -107,8 +120,7 @@ impl<T> EventQueue<T> {
                 "scheduled into the past: {at} < {}",
                 self.base
             );
-            self.buckets[(at % QWINDOW) as usize].push_back(ev);
-            self.in_buckets += 1;
+            self.bucket_push(at, ev);
         } else {
             self.spill.push(SpillEntry { at, tick, ev });
         }
@@ -123,7 +135,11 @@ impl<T> EventQueue<T> {
             self.advance_to(at);
         }
         loop {
-            if let Some(ev) = self.buckets[(self.base % QWINDOW) as usize].pop_front() {
+            let bucket = &mut self.buckets[(self.base % QWINDOW) as usize];
+            if let Some(ev) = bucket.pop_front() {
+                if bucket.is_empty() {
+                    self.spare.push(std::mem::take(bucket));
+                }
                 self.in_buckets -= 1;
                 return Some((self.base, ev));
             }
@@ -143,9 +159,31 @@ impl<T> EventQueue<T> {
                 break;
             }
             let SpillEntry { at, ev, .. } = self.spill.pop().expect("peeked entry exists");
-            self.buckets[(at % QWINDOW) as usize].push_back(ev);
-            self.in_buckets += 1;
+            self.bucket_push(at, ev);
         }
+    }
+
+    /// Appends `ev` to the bucket of time `at`, lending it spare
+    /// storage first if it holds none.
+    fn bucket_push(&mut self, at: u64, ev: T) {
+        let bucket = &mut self.buckets[(at % QWINDOW) as usize];
+        if bucket.capacity() == 0 {
+            if let Some(storage) = self.spare.pop() {
+                *bucket = storage;
+            }
+        }
+        bucket.push_back(ev);
+        self.in_buckets += 1;
+    }
+
+    /// Event slots allocated across buckets and spares.
+    #[cfg(test)]
+    fn held_capacity(&self) -> usize {
+        self.buckets
+            .iter()
+            .chain(&self.spare)
+            .map(VecDeque::capacity)
+            .sum()
     }
 }
 
@@ -229,6 +267,75 @@ mod tests {
         // Times must be monotone, and every pushed id must come out.
         assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(popped.len(), 65);
+    }
+
+    #[test]
+    fn recycled_storage_keeps_held_capacity_bounded() {
+        // Per-tick bursts, each landing over the next four ticks and
+        // drained before the next burst: the run sweeps the bucket ring
+        // many times over, but never more than four times are pending.
+        const BURST: u64 = 64;
+        let mut q = EventQueue::new();
+        let mut now = 0;
+        for _ in 0..2_000 {
+            for i in 0..BURST {
+                q.push(now + 1 + i % 4, i);
+            }
+            for _ in 0..BURST {
+                now = q.pop().expect("a burst is pending").0;
+            }
+        }
+        assert!(now > 20 * QWINDOW, "the run wraps the ring many times");
+        // Without recycling every bucket would keep a burst quarter's
+        // capacity: 256 buckets × 16 events.
+        let held = q.held_capacity();
+        assert!(held <= 4 * BURST as usize, "held capacity {held}");
+    }
+
+    #[test]
+    fn randomized_pushes_pop_in_reference_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = EventQueue::new();
+            let mut pending: Vec<(u64, u64, u32)> = Vec::new();
+            let (mut now, mut tick, mut id) = (0u64, 0u64, 0u32);
+            for _ in 0..400 {
+                // A burst of pushes: mostly near (the recycle path), some
+                // past the window (the spill path), some straddling its
+                // edge (same-time spill and direct pushes), some at `now`.
+                for _ in 0..rng.gen_range(0..12) {
+                    let delay = match rng.gen_range(0..10) {
+                        0 => rng.gen_range(QWINDOW..3 * QWINDOW),
+                        1 => rng.gen_range(QWINDOW - 4..QWINDOW + 4),
+                        2 => 0,
+                        _ => rng.gen_range(1..8),
+                    };
+                    q.push(now + delay, id);
+                    pending.push((now + delay, tick, id));
+                    tick += 1;
+                    id += 1;
+                }
+                for _ in 0..rng.gen_range(0..12) {
+                    let got = q.pop();
+                    let want = (0..pending.len())
+                        .min_by_key(|&i| pending[i])
+                        .map(|i| pending.remove(i));
+                    assert_eq!(got, want.map(|(at, _, id)| (at, id)), "seed {seed}");
+                    if let Some((at, _)) = got {
+                        now = at;
+                    }
+                }
+            }
+            let mut rest = Vec::new();
+            while let Some(e) = q.pop() {
+                rest.push(e);
+            }
+            pending.sort_unstable();
+            let want: Vec<_> = pending.into_iter().map(|(at, _, id)| (at, id)).collect();
+            assert_eq!(rest, want, "seed {seed}");
+        }
     }
 
     #[test]

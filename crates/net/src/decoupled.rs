@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
 use crate::msg::{Body, Write};
-use crate::sim::{Net, NetConfig, NetReport};
+use crate::sim::{id32, FrameRef, Net, NetConfig, NetReport};
 use crate::trace::DeliveryTrace;
 
 /// Runs a DECOUPLED algorithm on the simulated network via input
@@ -83,20 +83,21 @@ enum Status {
     Crashed,
 }
 
+/// A gossip event: 8 bytes, node ids `u32` as on the wire.
 enum Ev {
     /// A gossip frame arrives, encoded in the run's codec.
-    Deliver { payload: Vec<u8> },
+    Deliver { frame: FrameRef },
     /// A process attempts to decide.
-    Activate { node: usize },
+    Activate { node: u32 },
     /// A node's substrate re-gossips its known set.
-    Gossip { node: usize },
+    Gossip { node: u32 },
     /// A process crashes (plan event) — its gossip layer keeps going.
-    Crash { node: usize },
+    Crash { node: u32 },
 }
 
-impl From<Vec<u8>> for Ev {
-    fn from(payload: Vec<u8>) -> Self {
-        Ev::Deliver { payload }
+impl From<FrameRef> for Ev {
+    fn from(frame: FrameRef) -> Self {
+        Ev::Deliver { frame }
     }
 }
 
@@ -138,14 +139,14 @@ where
             })
             .collect();
         let mut net = Net::new(plan, cfg, trace);
-        for node in 0..n {
+        for node in (0..n).map(id32) {
             net.schedule(1, Ev::Gossip { node });
             let delay = net.activation_delay();
             net.schedule(delay, Ev::Activate { node });
         }
         for c in &plan.crashes {
             if c.node < n {
-                net.schedule(c.at.max(1), Ev::Crash { node: c.node });
+                net.schedule(c.at.max(1), Ev::Crash { node: id32(c.node) });
             }
         }
         GossipSim {
@@ -165,14 +166,15 @@ where
         while let Some(ev) = self.net.next(self.working) {
             match ev {
                 Ev::Crash { node } => {
-                    if self.status[node] == Status::Working {
-                        self.status[node] = Status::Crashed;
+                    let status = &mut self.status[node as usize];
+                    if *status == Status::Working {
+                        *status = Status::Crashed;
                         self.working -= 1;
                     }
                 }
-                Ev::Gossip { node } => self.on_gossip(node),
-                Ev::Activate { node } => self.on_activate(node),
-                Ev::Deliver { payload } => self.on_deliver(payload),
+                Ev::Gossip { node } => self.on_gossip(node as usize),
+                Ev::Activate { node } => self.on_activate(node as usize),
+                Ev::Deliver { frame } => self.on_deliver(frame),
             }
         }
         let ids = |s: Status| {
@@ -193,6 +195,7 @@ where
     /// nodes.
     fn on_gossip(&mut self, node: usize) {
         self.flood(node);
+        let node = id32(node);
         self.net.schedule(self.net.cfg.rto, Ev::Gossip { node });
     }
 
@@ -212,8 +215,8 @@ where
         }
     }
 
-    fn on_deliver(&mut self, payload: Vec<u8>) {
-        let frame = self.net.decode(payload);
+    fn on_deliver(&mut self, frame: FrameRef) {
+        let frame = self.net.decode(frame);
         let Body::Write(w) = frame.body else {
             return; // gossip uses only `write` frames
         };
@@ -261,7 +264,7 @@ where
             return;
         }
         let delay = self.net.activation_delay();
-        self.net.schedule(delay, Ev::Activate { node });
+        self.net.schedule(delay, Ev::Activate { node: id32(node) });
     }
 
     /// The largest `r` such that the node knows the input of every node
@@ -286,5 +289,15 @@ where
             }
         }
         radius
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_keep_their_size() {
+        assert!(std::mem::size_of::<Ev>() <= 16);
     }
 }

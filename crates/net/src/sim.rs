@@ -37,7 +37,7 @@ use crate::faults::{Fate, FaultPlan};
 use crate::msg::{Body, Frame, SnapshotReq};
 use crate::protocol::{Link, Machine, Outbox, Phase, Proc};
 use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
-use crate::wire::{encode_parts_into, Codec, WirePool, WireStats};
+use crate::wire::{encode_parts_into, Codec, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
 #[derive(Debug, Clone)]
@@ -237,20 +237,123 @@ where
 
 // ------------------------------------------------------------ internals
 
+/// A simulator event: 16 bytes, so the queue's memory is a small
+/// multiple of the events in flight. Node, neighbor position and round
+/// are `u32`, as on the wire.
 enum Ev {
     /// A frame arrives at its destination, encoded in the run's codec.
-    Deliver { payload: Vec<u8> },
+    Deliver { frame: FrameRef },
     /// A process starts its next round.
-    Activate { node: usize },
+    Activate { node: u32 },
     /// Retransmit timer for one `snapshot_req`.
-    Retransmit { node: usize, round: u64, nbr: usize },
+    Retransmit { node: u32, round: u32, nbr: u32 },
     /// A process crashes (from the fault plan).
-    Crash { node: usize },
+    Crash { node: u32 },
 }
 
-impl From<Vec<u8>> for Ev {
-    fn from(payload: Vec<u8>) -> Self {
-        Ev::Deliver { payload }
+impl From<FrameRef> for Ev {
+    fn from(frame: FrameRef) -> Self {
+        Ev::Deliver { frame }
+    }
+}
+
+/// A node id or neighbor position as an event field.
+pub(crate) fn id32(node: usize) -> u32 {
+    u32::try_from(node).expect("node ids fit in u32, as on the wire")
+}
+
+/// An encoded frame in flight: its slot in the [`Net`]'s frame slab.
+#[derive(Clone, Copy)]
+pub(crate) struct FrameRef(u32);
+
+/// Frame bytes a slab slot holds inline.
+const INLINE: usize = 62;
+
+/// One slab slot, a cache line: a short frame itself, or the index of a
+/// longer frame's buffer. A delivery then reads one line of the slab,
+/// where a boxed buffer would cost a second, dependent miss.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+enum Slot {
+    /// A frame of at most [`INLINE`] bytes.
+    Inline { len: u8, bytes: [u8; INLINE] },
+    /// A longer frame: its buffer's index in [`FrameSlab::long`].
+    Long(u32),
+}
+
+/// The encoded frames in flight. A delivered frame's slot goes on a
+/// free list and holds the next encoded frame: a reused slot is a pool
+/// hit, a new one a miss. So the slab grows to the peak number of
+/// frames in flight, never with the length of the run.
+#[derive(Default)]
+struct FrameSlab {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Buffers of frames longer than [`INLINE`], recycled the same way.
+    long: Vec<Vec<u8>>,
+    free_long: Vec<u32>,
+    /// Where every frame is encoded before it is stored.
+    scratch: Vec<u8>,
+    hits: u64,
+    misses: u64,
+}
+
+impl FrameSlab {
+    /// Stores the frame in `scratch` in a free slot.
+    fn store(&mut self) -> FrameRef {
+        let len = self.scratch.len();
+        let entry = if len <= INLINE {
+            let mut bytes = [0; INLINE];
+            bytes[..len].copy_from_slice(&self.scratch);
+            Slot::Inline {
+                len: len as u8,
+                bytes,
+            }
+        } else {
+            // The long buffer takes the frame, and the scratch buffer
+            // takes the long buffer's old storage.
+            let index = self.free_long.pop().unwrap_or_else(|| {
+                self.long.push(Vec::new());
+                u32::try_from(self.long.len() - 1).expect("fewer than 2^32 frames in flight")
+            });
+            std::mem::swap(&mut self.scratch, &mut self.long[index as usize]);
+            Slot::Long(index)
+        };
+        let slot = if let Some(slot) = self.free.pop() {
+            self.hits += 1;
+            self.slots[slot as usize] = entry;
+            slot
+        } else {
+            self.misses += 1;
+            self.slots.push(entry);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 frames in flight")
+        };
+        FrameRef(slot)
+    }
+
+    /// Stores a copy of `frame` in a free slot.
+    fn copy(&mut self, frame: FrameRef) -> FrameRef {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.extend_from_slice(self.bytes(frame));
+        self.scratch = buf;
+        self.store()
+    }
+
+    /// The bytes of `frame`.
+    fn bytes(&self, FrameRef(slot): FrameRef) -> &[u8] {
+        match &self.slots[slot as usize] {
+            Slot::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Slot::Long(index) => &self.long[*index as usize],
+        }
+    }
+
+    /// Frees `frame`'s slot (and its long buffer) for reuse.
+    fn release(&mut self, FrameRef(slot): FrameRef) {
+        if let Slot::Long(index) = self.slots[slot as usize] {
+            self.free_long.push(index);
+        }
+        self.free.push(slot);
     }
 }
 
@@ -265,9 +368,9 @@ enum Mode<'t> {
 }
 
 /// The simulated network both simulators run on: the event queue and
-/// its logical clock, the fault-prone wire with its codec, buffer pool
+/// its logical clock, the fault-prone wire with its codec, frame slab
 /// and counters, and the activation-timing stream. A delivered frame
-/// becomes the event `E::from(payload)`.
+/// becomes the event `E::from(frame)`.
 pub(crate) struct Net<'a, E> {
     plan: &'a FaultPlan,
     pub(crate) cfg: &'a NetConfig,
@@ -279,11 +382,11 @@ pub(crate) struct Net<'a, E> {
     trace: DeliveryTrace,
     stats: NetStats,
     codec: Codec,
-    pool: WirePool,
+    frames: FrameSlab,
     wire: WireStats,
 }
 
-impl<'a, E: From<Vec<u8>>> Net<'a, E> {
+impl<'a, E: From<FrameRef>> Net<'a, E> {
     /// A network that draws fates from `cfg.seed`, or replays `trace`.
     pub(crate) fn new(
         plan: &'a FaultPlan,
@@ -307,7 +410,7 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
             trace: DeliveryTrace::default(),
             stats: NetStats::default(),
             codec: cfg.codec,
-            pool: WirePool::default(),
+            frames: FrameSlab::default(),
             wire: WireStats::default(),
         }
     }
@@ -347,24 +450,25 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
     /// counters. Both codecs serialize straight from the borrowed body,
     /// so broadcasting one `write` to every neighbor never deep-clones
     /// the register value.
-    fn encode(&mut self, src: usize, dest: usize, body: &Body) -> Vec<u8> {
-        let mut buf = self.pool.acquire();
+    fn encode(&mut self, src: usize, dest: usize, body: &Body) -> FrameRef {
+        let buf = &mut self.frames.scratch;
+        buf.clear();
         match self.codec {
-            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, &mut buf),
-            Codec::Binary => encode_parts_into(src, dest, body, &mut buf),
+            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, buf),
+            Codec::Binary => encode_parts_into(src, dest, body, buf),
         }
         self.wire.frames_encoded += 1;
         self.wire.bytes_on_wire += buf.len() as u64;
-        buf
+        self.frames.store()
     }
 
-    /// Decodes a delivered payload back into a typed frame, returning
-    /// its buffer to the pool.
-    pub(crate) fn decode(&mut self, payload: Vec<u8>) -> Frame {
-        let frame = self.codec.decode_record(&payload);
+    /// Decodes a delivered frame back into a typed one, freeing its
+    /// slab slot.
+    pub(crate) fn decode(&mut self, frame: FrameRef) -> Frame {
+        let decoded = self.codec.decode_record(self.frames.bytes(frame));
         self.wire.frames_decoded += 1;
-        self.pool.release(payload);
-        frame.ok().flatten().expect("wire frames decode")
+        self.frames.release(frame);
+        decoded.ok().flatten().expect("wire frames decode")
     }
 
     /// The fault-prone network path. Draws (or replays) this send's
@@ -382,17 +486,15 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
-                let payload = self.encode(from, to, body);
+                let frame = self.encode(from, to, body);
                 // Copy for the duplicate first, but schedule the primary
                 // first: tick order (the tie-break) must match the
                 // original primary-then-duplicate schedule.
                 let dup = dup_at.map(|_| {
-                    self.wire.bytes_on_wire += payload.len() as u64;
-                    let mut buf = self.pool.acquire();
-                    buf.extend_from_slice(&payload);
-                    buf
+                    self.wire.bytes_on_wire += self.frames.bytes(frame).len() as u64;
+                    self.frames.copy(frame)
                 });
-                self.queue.push(at, payload.into());
+                self.queue.push(at, frame.into());
                 if let (Some(d), Some(dup)) = (dup_at, dup) {
                     self.stats.duplicated += 1;
                     self.queue.push(d, dup.into());
@@ -404,8 +506,8 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
         self.trace.entries.push(TraceEntry {
             seq,
             t: self.now,
-            from,
-            to,
+            from: id32(from),
+            to: id32(to),
             kind,
             outcome,
             dup_at,
@@ -437,7 +539,7 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
                     panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
                 });
                 assert!(
-                    e.from == from && e.to == to && e.kind == kind && e.t == now,
+                    e.from as usize == from && e.to as usize == to && e.kind == kind && e.t == now,
                     "replay trace diverged at send #{seq}: \
                      trace has {} {}->{} at t={}, run sent {kind} {from}->{to} at t={now}",
                     e.kind,
@@ -481,8 +583,8 @@ impl<'a, E: From<Vec<u8>>> Net<'a, E> {
             stats: self.stats,
             codec: self.codec,
             wire: WireStats {
-                pool_hits: self.pool.hits(),
-                pool_misses: self.pool.misses(),
+                pool_hits: self.frames.hits,
+                pool_misses: self.frames.misses,
                 ..self.wire
             },
         }
@@ -495,9 +597,9 @@ impl Net<'_, Ev> {
     /// through the codec: a real co-located register server would parse
     /// the frame too, so the loopback leg is honest hot-path work.
     fn loopback(&mut self, node: usize, body: &Body) {
-        let payload = self.encode(node, node, body);
+        let frame = self.encode(node, node, body);
         self.stats.loopback_writes += 1;
-        self.schedule(1, Ev::Deliver { payload });
+        self.schedule(1, Ev::Deliver { frame });
     }
 }
 
@@ -509,7 +611,8 @@ impl Outbox for Net<'_, Ev> {
     /// Sends the request and arms its retransmit timer.
     fn request(&mut self, src: usize, pos: usize, dest: usize, round: u64) {
         self.transmit(src, dest, &Body::SnapshotReq(SnapshotReq { round }));
-        let (node, nbr) = (src, pos);
+        let (node, nbr) = (id32(src), id32(pos));
+        let round = u32::try_from(round).expect("rounds fit in u32, as on the wire");
         let rto = self.cfg.rto;
         self.schedule(rto, Ev::Retransmit { node, round, nbr });
     }
@@ -566,11 +669,11 @@ where
         let mut net = Net::new(plan, cfg, trace);
         for node in 0..n {
             let delay = net.activation_delay();
-            net.schedule(delay, Ev::Activate { node });
+            net.schedule(delay, Ev::Activate { node: id32(node) });
         }
         for c in &plan.crashes {
             if c.node < n {
-                net.schedule(c.at.max(1), Ev::Crash { node: c.node });
+                net.schedule(c.at.max(1), Ev::Crash { node: id32(c.node) });
             }
         }
         Sim {
@@ -592,20 +695,23 @@ where
         while let Some(ev) = self.net.next(self.working) {
             match ev {
                 Ev::Crash { node } => {
-                    if self.procs[node].phase != Phase::Halted {
-                        self.procs[node].phase = Phase::Halted;
+                    let proc = &mut self.procs[node as usize];
+                    if proc.phase != Phase::Halted {
+                        proc.phase = Phase::Halted;
                         self.working -= 1;
                     }
                 }
                 Ev::Activate { node } => {
+                    let node = node as usize;
                     let (mut m, net) = self.machine(node);
                     if let Some((_, w)) = m.publish() {
                         net.loopback(node, &Body::Write(w));
                     }
                 }
-                Ev::Deliver { payload } => self.on_deliver(payload),
+                Ev::Deliver { frame } => self.on_deliver(frame),
                 Ev::Retransmit { node, round, nbr } => {
                     // Answered, or the round moved on: the timer dies.
+                    let (node, nbr, round) = (node as usize, nbr as usize, u64::from(round));
                     let (m, net) = self.machine(node);
                     if m.owes(nbr, round) {
                         net.stats.retransmits += 1;
@@ -647,8 +753,8 @@ where
         (machine, &mut self.net)
     }
 
-    fn on_deliver(&mut self, payload: Vec<u8>) {
-        let frame = self.net.decode(payload);
+    fn on_deliver(&mut self, frame: FrameRef) {
+        let frame = self.net.decode(frame);
         let node = frame.dest;
         if matches!(frame.body, Body::SnapshotReq(_)) && self.crashed(node) {
             self.net.stats.served_dead_reads += 1;
@@ -673,7 +779,7 @@ where
         match step {
             Step::Continue => {
                 let delay = self.net.activation_delay();
-                self.net.schedule(delay, Ev::Activate { node });
+                self.net.schedule(delay, Ev::Activate { node: id32(node) });
             }
             // The register server keeps serving the final value.
             Step::Return(o) => {
@@ -819,6 +925,36 @@ mod tests {
         assert_eq!(binary.time, json.time, "clock");
         assert!(json.wire.bytes_on_wire > binary.wire.bytes_on_wire);
         assert!(binary.wire.pool_hits > 0, "steady state reuses buffers");
+    }
+
+    #[test]
+    fn events_keep_their_size() {
+        assert!(std::mem::size_of::<Ev>() <= 16);
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
+    }
+
+    #[test]
+    fn slab_slots_hold_short_and_long_frames_and_are_reused() {
+        let pattern: Vec<u8> = (0..=255).collect();
+        let mut slab = FrameSlab::default();
+        let put = |slab: &mut FrameSlab, len: usize| {
+            slab.scratch.clear();
+            slab.scratch.extend_from_slice(&pattern[..len]);
+            slab.store()
+        };
+        let short = put(&mut slab, INLINE);
+        let long = put(&mut slab, INLINE + 1);
+        assert_eq!(slab.bytes(short), &pattern[..INLINE]);
+        assert_eq!(slab.bytes(long), &pattern[..=INLINE]);
+        assert_eq!((slab.hits, slab.misses), (0, 2));
+        slab.release(long);
+        slab.release(short);
+        let again = put(&mut slab, 3 * INLINE);
+        let other = put(&mut slab, 2);
+        assert_eq!(slab.bytes(again), &pattern[..3 * INLINE]);
+        assert_eq!(slab.bytes(other), &pattern[..2]);
+        assert_eq!((slab.hits, slab.misses), (2, 2), "both slots were reused");
+        assert_eq!(slab.long.len(), 1, "the long buffer was reused");
     }
 
     #[test]

@@ -91,10 +91,11 @@ pub struct TraceEntry {
     pub seq: u64,
     /// Logical send time.
     pub t: u64,
-    /// Sending node.
-    pub from: usize,
+    /// Sending node (`u32`, as on the wire; a trace naming a larger id
+    /// fails to parse).
+    pub from: u32,
     /// Receiving node.
-    pub to: usize,
+    pub to: u32,
     /// Message kind tag (`write`, `snapshot_req`, `snapshot_resp`).
     pub kind: FrameKind,
     /// The network's decision for the primary copy.
@@ -202,6 +203,20 @@ mod tests {
         assert_eq!(back, t);
         assert_eq!(back.digest(), t.digest());
         assert_eq!(back.to_json(), json, "canonical form is byte-stable");
+    }
+
+    #[test]
+    fn entries_keep_their_size() {
+        assert_eq!(std::mem::size_of::<TraceEntry>(), 64);
+    }
+
+    #[test]
+    fn node_ids_past_u32_are_refused_not_truncated() {
+        let json = sample().to_json();
+        let wide = json.replacen("\"from\":2", "\"from\":4294967298", 1);
+        assert_ne!(wide, json, "the sample names node 2 as a sender");
+        let err = serde_json::from_str::<DeliveryTrace>(&wide).expect_err("2^32 + 2 is no u32");
+        assert!(err.to_string().contains("4294967298"), "{err}");
     }
 
     #[test]

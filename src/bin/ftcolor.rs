@@ -782,6 +782,11 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|e| format!("bad --sizes: {e}")))
         .collect::<Result<_, _>>()?;
+    if let Some(n) = sizes.iter().find(|&&n| n < 3) {
+        return Err(format!(
+            "bad --sizes: {n} (analyze needs sizes >= 3; no smaller cycle exists)"
+        ));
+    }
     let rules = parse_rules(opts)?;
     let alg = get(opts, "alg", "all");
     let cfg = analyze::LintConfig::default();

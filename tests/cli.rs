@@ -362,6 +362,26 @@ fn netsim_rejects_unknown_algorithms_and_bad_plans() {
 }
 
 #[test]
+fn analyze_refuses_sizes_below_three() {
+    for args in [
+        &["analyze", "--sizes", "2"][..],
+        &["analyze", "--alg", "alg1", "--sizes", "2"],
+        &["analyze", "--alg", "alg1", "--sizes", "5,0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ftcolor"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("bad --sizes"), "{args:?}: {stderr}");
+        assert!(stderr.contains("sizes >= 3"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("unknown --alg"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn ids_that_do_not_color_the_cycle_are_rejected() {
     for cmd in [
         &["modelcheck", "--alg", "alg1", "--ids", "5,5,7"][..],
