@@ -20,7 +20,8 @@
 
 use ftcolor_model::{Algorithm, ProcessId, Step};
 use ftcolor_net::{
-    Body, Decide, Frame, Init, InitOk, Link, Machine, Outbox, Proc, RegisterError, ORCHESTRATOR,
+    Body, Decide, Frame, Init, InitOk, Link, Machine, Outbox, Proc, RegisterError, Tree,
+    ORCHESTRATOR,
 };
 use serde::{Deserialize, Serialize};
 
@@ -122,8 +123,11 @@ where
     /// put on the wire, in order: `init_ok`, then the first round's
     /// broadcasts and requests.
     pub fn start(&mut self) -> Vec<Frame> {
-        let (mut out, hello) = (Vec::new(), InitOk { node: self.id });
-        out.send(self.id, ORCHESTRATOR, &Body::InitOk(hello));
+        let mut out = vec![Frame {
+            src: self.id,
+            dest: ORCHESTRATOR,
+            body: Body::InitOk(InitOk { node: self.id }),
+        }];
         let step = self.machine().begin_round(&mut out);
         self.settle(step, &mut out);
         out
@@ -137,7 +141,7 @@ where
         let (mut out, round, m) = (Vec::new(), self.proc.round, self.machine());
         for (pos, q) in m.neighbors.iter().enumerate() {
             if m.owes(pos, round) {
-                out.request(m.id, pos, q.index(), round);
+                Outbox::<A::Reg>::request(&mut out, m.id, pos, q.index(), round);
             }
         }
         out
@@ -146,7 +150,8 @@ where
     /// Feeds one delivered frame through the state machine and returns
     /// the frames it sends in response. Unknown senders, stale rounds,
     /// duplicate responses, and control frames are ignored — a node
-    /// must survive anything the network hands it.
+    /// must survive anything the network hands it. The frame's register
+    /// stays a `Value` tree until the machine keeps it.
     ///
     /// # Errors
     ///
@@ -154,7 +159,11 @@ where
     /// node is left as it was, so dropping the frame is always safe.
     pub fn on_frame(&mut self, frame: &Frame) -> Result<Vec<Frame>, RegisterError> {
         let mut out = Vec::new();
-        let step = self.machine().on_frame(frame.clone(), &mut out)?;
+        let Some(msg) = frame.body.msg() else {
+            return Ok(out);
+        };
+        let msg = msg.map(|v| Tree(v.clone()));
+        let step = self.machine().on_msg(frame.src, msg, &mut out)?;
         self.settle(step, &mut out);
         Ok(out)
     }
@@ -167,11 +176,14 @@ where
                 Step::Continue => self.machine().begin_round(out),
                 Step::Return(o) => {
                     let round = self.proc.round;
-                    let body = Body::Decide(Decide {
-                        round,
-                        output: o.to_value(),
+                    out.push(Frame {
+                        src: self.id,
+                        dest: ORCHESTRATOR,
+                        body: Body::Decide(Decide {
+                            round,
+                            output: o.to_value(),
+                        }),
                     });
-                    out.send(self.id, ORCHESTRATOR, &body);
                     self.decided = Some(o);
                     None
                 }

@@ -262,7 +262,9 @@ impl RouterMemory {
     /// node's first `decide` is its outcome.
     pub(crate) fn surfaced(&mut self, frame: &Frame) {
         match &frame.body {
-            Body::Write(w) => drop(self.registers[frame.src].apply(frame.src, w)),
+            Body::Write(w) => {
+                drop(self.registers[frame.src].apply(frame.src, w.round, w.value.clone()));
+            }
             Body::Decide(d) if self.decided[frame.src].is_none() => {
                 self.decided[frame.src] = Some(d.output.clone());
                 self.rounds[frame.src] = d.round;
@@ -281,7 +283,7 @@ impl RouterMemory {
         Some(Frame {
             src: frame.dest,
             dest: frame.src,
-            body: Body::SnapshotResp(resp),
+            body: resp.to_body(),
         })
     }
 

@@ -28,8 +28,8 @@ use ftcolor_model::{ProcessId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultPlan;
-use crate::msg::{Body, Write};
-use crate::sim::{id32, FrameRef, Net, NetConfig, NetReport};
+use crate::msg::Msg;
+use crate::sim::{id32, recorded, FrameRef, Net, NetConfig, NetReport, ReplayError};
 use crate::trace::DeliveryTrace;
 
 /// Runs a DECOUPLED algorithm on the simulated network via input
@@ -52,15 +52,19 @@ where
     A: DecoupledAlgorithm,
     A::Input: Serialize + Deserialize + Clone,
 {
-    GossipSim::new(alg, topo, inputs, plan, cfg, None).run()
+    recorded(GossipSim::new(alg, topo, inputs, plan, cfg, None).run())
 }
 
 /// Re-runs a recorded gossip trace bit-for-bit (see
 /// [`crate::replay_net`] for the contract).
 ///
+/// # Errors
+///
+/// The trace diverges from the run.
+///
 /// # Panics
 ///
-/// Panics if the trace diverges from the run.
+/// Panics if `inputs.len() != topo.len()`.
 pub fn replay_decoupled_net<A>(
     alg: &A,
     topo: &Topology,
@@ -68,7 +72,7 @@ pub fn replay_decoupled_net<A>(
     plan: &FaultPlan,
     cfg: &NetConfig,
     trace: &DeliveryTrace,
-) -> NetReport<A::Output>
+) -> Result<NetReport<A::Output>, ReplayError>
 where
     A: DecoupledAlgorithm,
     A::Input: Serialize + Deserialize + Clone,
@@ -162,7 +166,7 @@ where
         }
     }
 
-    fn run(mut self) -> NetReport<A::Output> {
+    fn run(mut self) -> Result<NetReport<A::Output>, ReplayError> {
         while let Some(ev) = self.net.next(self.working) {
             match ev {
                 Ev::Crash { node } => {
@@ -206,23 +210,20 @@ where
             .enumerate()
             .filter_map(|(pos, i)| i.clone().map(|x| (pos as u64, x)))
             .collect();
-        let body = Body::Write(Write {
+        let write = Msg::Write {
             round: self.rounds[node],
-            value: payload.to_value(),
-        });
+            value: &payload,
+        };
         for q in self.topo.neighbors(ProcessId(node)) {
-            self.net.transmit(node, q.index(), &body);
+            self.net.transmit(node, q.index(), write);
         }
     }
 
     fn on_deliver(&mut self, frame: FrameRef) {
-        let frame = self.net.decode(frame);
-        let Body::Write(w) = frame.body else {
+        let (_, dest, msg) = self.net.decode::<Vec<(u64, A::Input)>>(frame);
+        let Msg::Write { value: pairs, .. } = msg else {
             return; // gossip uses only `write` frames
         };
-        let pairs: Vec<(u64, A::Input)> =
-            serde_json::from_value(w.value).expect("gossip payloads decode");
-        let dest = frame.dest;
         let mut grew = false;
         for (pos, input) in pairs {
             let pos = pos as usize;

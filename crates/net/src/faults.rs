@@ -21,7 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Fields, Serialize, Sink, Source};
 
 /// Default minimum link delay (logical ticks).
 pub const DEFAULT_DELAY_MIN: u64 = 1;
@@ -315,45 +315,66 @@ pub fn draw_fate(plan: &FaultPlan, rng: &mut StdRng, now: u64, from: usize, to: 
     Fate::Deliver { delay, dup_extra }
 }
 
+/// The plan's fields, in the order they serialize.
+const PLAN_FIELDS: [&str; 9] = [
+    "drop",
+    "delay_min",
+    "delay_max",
+    "duplicate",
+    "reorder",
+    "reorder_max",
+    "links",
+    "partitions",
+    "crashes",
+];
+
 impl Serialize for FaultPlan {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("drop".into(), self.drop.to_value()),
-            ("delay_min".into(), self.delay_min.to_value()),
-            ("delay_max".into(), self.delay_max.to_value()),
-            ("duplicate".into(), self.duplicate.to_value()),
-            ("reorder".into(), self.reorder.to_value()),
-            ("reorder_max".into(), self.reorder_max.to_value()),
-            ("links".into(), self.links.to_value()),
-            ("partitions".into(), self.partitions.to_value()),
-            ("crashes".into(), self.crashes.to_value()),
-        ])
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(PLAN_FIELDS.len());
+        let [drop, delay_min, delay_max, duplicate, reorder, reorder_max, links, partitions, crashes] =
+            PLAN_FIELDS;
+        sink.key(drop);
+        self.drop.serialize(sink);
+        sink.key(delay_min);
+        self.delay_min.serialize(sink);
+        sink.key(delay_max);
+        self.delay_max.serialize(sink);
+        sink.key(duplicate);
+        self.duplicate.serialize(sink);
+        sink.key(reorder);
+        self.reorder.serialize(sink);
+        sink.key(reorder_max);
+        self.reorder_max.serialize(sink);
+        sink.key(links);
+        self.links.serialize(sink);
+        sink.key(partitions);
+        self.partitions.serialize(sink);
+        sink.key(crashes);
+        self.crashes.serialize(sink);
+        sink.end();
     }
 }
 
 impl Deserialize for FaultPlan {
-    /// Tolerant parse: every omitted field falls back to its default,
-    /// so `{}` is a clean network and `{"drop":0.2}` is a lossy one.
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v.expect_object("FaultPlan")?;
+    /// Tolerant parse: every omitted (or `null`) field falls back to its
+    /// default, so `{}` is a clean network and `{"drop":0.2}` is a lossy
+    /// one.
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, S::Error> {
         let d = FaultPlan::default();
-        fn opt<T: Deserialize>(v: &Value, fallback: T) -> Result<T, Error> {
-            match v {
-                Value::Null => Ok(fallback),
-                other => T::from_value(other),
-            }
-        }
-        Ok(FaultPlan {
-            drop: opt(obj.field("drop", "FaultPlan")?, d.drop)?,
-            delay_min: opt(obj.field("delay_min", "FaultPlan")?, d.delay_min)?,
-            delay_max: opt(obj.field("delay_max", "FaultPlan")?, d.delay_max)?,
-            duplicate: opt(obj.field("duplicate", "FaultPlan")?, d.duplicate)?,
-            reorder: opt(obj.field("reorder", "FaultPlan")?, d.reorder)?,
-            reorder_max: opt(obj.field("reorder_max", "FaultPlan")?, d.reorder_max)?,
-            links: opt(obj.field("links", "FaultPlan")?, d.links)?,
-            partitions: opt(obj.field("partitions", "FaultPlan")?, d.partitions)?,
-            crashes: opt(obj.field("crashes", "FaultPlan")?, d.crashes)?,
-        })
+        let mut f = Fields::begin(src, "FaultPlan", &PLAN_FIELDS)?;
+        let plan = FaultPlan {
+            drop: f.field::<_, Option<_>>(src, 0)?.unwrap_or(d.drop),
+            delay_min: f.field::<_, Option<_>>(src, 1)?.unwrap_or(d.delay_min),
+            delay_max: f.field::<_, Option<_>>(src, 2)?.unwrap_or(d.delay_max),
+            duplicate: f.field::<_, Option<_>>(src, 3)?.unwrap_or(d.duplicate),
+            reorder: f.field::<_, Option<_>>(src, 4)?.unwrap_or(d.reorder),
+            reorder_max: f.field::<_, Option<_>>(src, 5)?.unwrap_or(d.reorder_max),
+            links: f.field::<_, Option<_>>(src, 6)?.unwrap_or(d.links),
+            partitions: f.field::<_, Option<_>>(src, 7)?.unwrap_or(d.partitions),
+            crashes: f.field::<_, Option<_>>(src, 8)?.unwrap_or(d.crashes),
+        };
+        f.finish(src)?;
+        Ok(plan)
     }
 }
 

@@ -43,9 +43,11 @@ pub mod wire;
 
 pub use decoupled::{replay_decoupled_net, run_decoupled_net};
 pub use faults::{draw_fate, CrashAt, Fate, FaultPlan, LinkFault, LinkParams, Partition};
-pub use msg::{Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR};
-pub use protocol::{Link, Machine, Outbox, Phase, Proc, RegisterError, Slot};
+pub use msg::{
+    Body, Decide, Frame, Init, InitOk, Msg, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
+};
+pub use protocol::{Link, Machine, Outbox, Payload, Phase, Proc, RegisterError, Slot, Tree};
 pub use shrink::shrink_plan;
-pub use sim::{replay_net, run_net, NetConfig, NetReport, NetStats};
+pub use sim::{replay_net, run_net, NetConfig, NetReport, NetStats, ReplayError, Sent};
 pub use trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
 pub use wire::{Codec, WireError, WirePool, WireStats, MAX_FRAME_BYTES, WIRE_VERSION};

@@ -30,14 +30,16 @@
 //!
 //! Bodies are externally tagged with the snake_case names above, so the
 //! frames read naturally in delivery traces and match what a real
-//! Maelstrom-style node loop would exchange. Register payloads travel as
-//! [`serde::Value`] trees: the substrates are generic over the
-//! algorithm's register type and encode/decode it at the network
-//! boundary. The discrete-event simulator only ever puts the register
-//! subset on its wire; the codec is one vocabulary so traces from either
-//! substrate parse with the same decoder.
+//! Maelstrom-style node loop would exchange. In a [`Body`] a register
+//! payload is a [`serde::Value`] tree, the form the cluster's pipe
+//! frames and journals carry. The register subset also exists typed, as
+//! [`Msg`]: the round machine and the discrete-event simulator move the
+//! algorithm's register type itself, and the binary codec encodes and
+//! decodes it with no tree in between. Both forms have one JSON and one
+//! binary encoding, so traces from either substrate parse with the same
+//! decoder.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Sink, Source, Token, Value};
 
 /// The orchestrator's frame address in the cluster substrate. Control
 /// frames (`init`, `init_ok`, `decide`) travel between a node and this
@@ -79,7 +81,7 @@ pub enum Body {
 
 /// `write`: the sender's register now holds `value` (written in the
 /// sender's round `round`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Write {
     /// The writer's 0-based round number.
     pub round: u64,
@@ -90,7 +92,7 @@ pub struct Write {
 /// `snapshot_req`: send me your register's current value (the reader is
 /// in round `round`; the round number keys the response to the right
 /// snapshot phase).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SnapshotReq {
     /// The requesting reader's 0-based round number.
     pub round: u64,
@@ -99,7 +101,7 @@ pub struct SnapshotReq {
 /// `snapshot_resp`: the register's current value. `value` is `null` and
 /// `stamp` is `0` when the register was never written (the owner has not
 /// woken up yet); otherwise `stamp` is the writer's round plus one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SnapshotResp {
     /// Echo of the requesting reader's round number.
     pub round: u64,
@@ -154,20 +156,6 @@ pub struct Decide {
 }
 
 impl Body {
-    /// The [`FrameKind`](crate::trace::FrameKind) recorded for this
-    /// message in a delivery trace, or `None` for control-plane frames
-    /// (which never cross the fault-injected network and are therefore
-    /// never traced).
-    pub fn trace_kind(&self) -> Option<crate::trace::FrameKind> {
-        use crate::trace::FrameKind;
-        match self {
-            Body::Write(_) => Some(FrameKind::Write),
-            Body::SnapshotReq(_) => Some(FrameKind::SnapshotReq),
-            Body::SnapshotResp(_) => Some(FrameKind::SnapshotResp),
-            _ => None,
-        }
-    }
-
     /// The snake_case tag of this message type (as it appears on the
     /// wire and in delivery traces).
     pub fn kind(&self) -> &'static str {
@@ -180,86 +168,272 @@ impl Body {
             Body::Decide(_) => "decide",
         }
     }
+
+    /// The register-protocol message this body is, borrowed; `None` for
+    /// control-plane frames.
+    pub fn msg(&self) -> Option<Msg<&Value>> {
+        Some(match self {
+            Body::Write(w) => Msg::Write {
+                round: w.round,
+                value: &w.value,
+            },
+            Body::SnapshotReq(r) => Msg::SnapshotReq { round: r.round },
+            Body::SnapshotResp(r) => Msg::SnapshotResp {
+                round: r.round,
+                value: r.value.as_ref(),
+                stamp: r.stamp,
+            },
+            Body::Init(_) | Body::InitOk(_) | Body::Decide(_) => return None,
+        })
+    }
+}
+
+/// A register-protocol message (`write`, `snapshot_req`,
+/// `snapshot_resp`) whose register has type `P`: what the round machine
+/// ([`crate::protocol`]) sends, with `P` a borrowed register, and
+/// receives. The simulators encode and decode it straight between bytes
+/// and the algorithm's register type; [`Msg::to_body`] and
+/// [`Body::msg`] convert at a `Value`-tree boundary such as the
+/// cluster's pipes. Its JSON form is its [`Body`]'s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Msg<P> {
+    /// The sender's register now holds `value`, written in its round
+    /// `round` (see [`Write`]).
+    Write {
+        /// The writer's 0-based round number.
+        round: u64,
+        /// The register value.
+        value: P,
+    },
+    /// Send me your register's current value (see [`SnapshotReq`]).
+    SnapshotReq {
+        /// The requesting reader's 0-based round number.
+        round: u64,
+    },
+    /// The register's current value (see [`SnapshotResp`]).
+    SnapshotResp {
+        /// Echo of the requesting reader's round number.
+        round: u64,
+        /// The register value, or `None` if never written.
+        value: Option<P>,
+        /// Freshness stamp: writer round + 1, or `0` for never-written.
+        stamp: u64,
+    },
+}
+
+impl<P> Msg<P> {
+    /// The message's kind, as a delivery trace records it.
+    pub fn kind(&self) -> crate::trace::FrameKind {
+        use crate::trace::FrameKind;
+        match self {
+            Msg::Write { .. } => FrameKind::Write,
+            Msg::SnapshotReq { .. } => FrameKind::SnapshotReq,
+            Msg::SnapshotResp { .. } => FrameKind::SnapshotResp,
+        }
+    }
+
+    /// The same message with its register converted by `f`.
+    pub fn map<Q>(self, f: impl FnOnce(P) -> Q) -> Msg<Q> {
+        let Ok(msg) = self.try_map(|v| Ok::<_, std::convert::Infallible>(f(v)));
+        msg
+    }
+
+    /// The same message with its register converted by `f`, which may
+    /// fail.
+    ///
+    /// # Errors
+    ///
+    /// `f`'s error.
+    pub fn try_map<Q, E>(self, f: impl FnOnce(P) -> Result<Q, E>) -> Result<Msg<Q>, E> {
+        Ok(match self {
+            Msg::Write { round, value } => Msg::Write {
+                round,
+                value: f(value)?,
+            },
+            Msg::SnapshotReq { round } => Msg::SnapshotReq { round },
+            Msg::SnapshotResp {
+                round,
+                value,
+                stamp,
+            } => Msg::SnapshotResp {
+                round,
+                value: value.map(f).transpose()?,
+                stamp,
+            },
+        })
+    }
+}
+
+impl Msg<Value> {
+    /// The message as a [`Body`], its `Value` tree moved in.
+    pub fn into_body(self) -> Body {
+        match self {
+            Msg::Write { round, value } => Body::Write(Write { round, value }),
+            Msg::SnapshotReq { round } => Body::SnapshotReq(SnapshotReq { round }),
+            Msg::SnapshotResp {
+                round,
+                value,
+                stamp,
+            } => Body::SnapshotResp(SnapshotResp {
+                round,
+                value,
+                stamp,
+            }),
+        }
+    }
+}
+
+impl<P: Serialize> Msg<P> {
+    /// The message as a [`Body`], its register as a `Value` tree.
+    pub fn to_body(&self) -> Body {
+        match self {
+            Msg::Write { round, value } => Body::Write(Write {
+                round: *round,
+                value: value.to_value(),
+            }),
+            Msg::SnapshotReq { round } => Body::SnapshotReq(SnapshotReq { round: *round }),
+            Msg::SnapshotResp {
+                round,
+                value,
+                stamp,
+            } => Body::SnapshotResp(SnapshotResp {
+                round: *round,
+                value: value.as_ref().map(Serialize::to_value),
+                stamp: *stamp,
+            }),
+        }
+    }
+}
+
+impl<P: Serialize> Serialize for Msg<P> {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(1);
+        sink.key(self.kind().as_str());
+        match self {
+            Msg::Write { round, value } => {
+                sink.begin_object(2);
+                sink.key("round");
+                round.serialize(sink);
+                sink.key("value");
+                value.serialize(sink);
+            }
+            Msg::SnapshotReq { round } => {
+                sink.begin_object(1);
+                sink.key("round");
+                round.serialize(sink);
+            }
+            Msg::SnapshotResp {
+                round,
+                value,
+                stamp,
+            } => {
+                sink.begin_object(3);
+                sink.key("round");
+                round.serialize(sink);
+                sink.key("value");
+                value.serialize(sink);
+                sink.key("stamp");
+                stamp.serialize(sink);
+            }
+        }
+        sink.end();
+        sink.end();
+    }
 }
 
 impl Serialize for Body {
-    fn to_value(&self) -> Value {
-        let (tag, inner) = match self {
-            Body::Write(m) => ("write", m.to_value()),
-            Body::SnapshotReq(m) => ("snapshot_req", m.to_value()),
-            Body::SnapshotResp(m) => ("snapshot_resp", m.to_value()),
-            Body::Init(m) => ("init", m.to_value()),
-            Body::InitOk(m) => ("init_ok", m.to_value()),
-            Body::Decide(m) => ("decide", m.to_value()),
-        };
-        Value::Object(vec![(tag.to_string(), inner)])
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        fn tagged<S: Sink + ?Sized>(sink: &mut S, tag: &str, inner: &impl Serialize) {
+            sink.begin_object(1);
+            sink.key(tag);
+            inner.serialize(sink);
+            sink.end();
+        }
+        match self {
+            Body::Init(m) => tagged(sink, "init", m),
+            Body::InitOk(m) => tagged(sink, "init_ok", m),
+            Body::Decide(m) => tagged(sink, "decide", m),
+            Body::Write(_) | Body::SnapshotReq(_) | Body::SnapshotResp(_) => {
+                if let Some(msg) = self.msg() {
+                    msg.serialize(sink);
+                }
+            }
+        }
     }
 }
 
 impl Deserialize for Body {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let Value::Object(pairs) = v else {
-            return Err(Error::custom(format!(
-                "expected an externally tagged message body, got {v:?}"
-            )));
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, S::Error> {
+        let n = match src.next()? {
+            Token::Object(n) => n,
+            head => {
+                return src.invalid(head, |v| {
+                    format!("expected an externally tagged message body, got {v:?}")
+                })
+            }
         };
-        let [(tag, inner)] = pairs.as_slice() else {
-            return Err(Error::custom(format!(
-                "expected exactly one message tag, got {} keys",
-                pairs.len()
-            )));
-        };
-        match tag.as_str() {
-            "write" => Ok(Body::Write(Write::from_value(inner)?)),
-            "snapshot_req" => Ok(Body::SnapshotReq(SnapshotReq::from_value(inner)?)),
-            "snapshot_resp" => Ok(Body::SnapshotResp(SnapshotResp::from_value(inner)?)),
-            "init" => Ok(Body::Init(Init::from_value(inner)?)),
-            "init_ok" => Ok(Body::InitOk(InitOk::from_value(inner)?)),
-            "decide" => Ok(Body::Decide(Decide::from_value(inner)?)),
-            other => Err(Error::custom(format!("unknown message tag `{other}`"))),
+        if n != 1 {
+            return Err(
+                Error::custom(format!("expected exactly one message tag, got {n} keys")).into(),
+            );
         }
+        let body = match src.key()? {
+            "write" => Body::Write(Write::deserialize(src)?),
+            "snapshot_req" => Body::SnapshotReq(SnapshotReq::deserialize(src)?),
+            "snapshot_resp" => Body::SnapshotResp(SnapshotResp::deserialize(src)?),
+            "init" => Body::Init(Init::deserialize(src)?),
+            "init_ok" => Body::InitOk(InitOk::deserialize(src)?),
+            "decide" => Body::Decide(Decide::deserialize(src)?),
+            other => return Err(Error::custom(format!("unknown message tag `{other}`")).into()),
+        };
+        src.end();
+        Ok(body)
     }
 }
 
-/// The frame envelope as a [`Value`] tree — the single place the JSON
-/// shape of a frame is defined. [`Frame`]'s `Serialize` impl and the
-/// parts-based encoder below both delegate here, so a frame serialized
-/// whole and a frame serialized from borrowed parts are byte-identical
-/// by construction.
-fn frame_to_value(src: usize, dest: usize, body: &Body) -> Value {
-    Value::Object(vec![
-        ("src".to_string(), src.to_value()),
-        ("dest".to_string(), dest.to_value()),
-        ("body".to_string(), body.to_value()),
-    ])
+/// The frame envelope — the single place the JSON shape of a frame is
+/// defined. [`Frame`]'s `Serialize` impl and the parts-based encoder
+/// below both write through it, so a frame serialized whole and a frame
+/// serialized from borrowed parts are byte-identical by construction.
+struct FrameParts<'a, B> {
+    src: usize,
+    dest: usize,
+    body: &'a B,
+}
+
+impl<B: Serialize> Serialize for FrameParts<'_, B> {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(3);
+        sink.key("src");
+        self.src.serialize(sink);
+        sink.key("dest");
+        self.dest.serialize(sink);
+        sink.key("body");
+        self.body.serialize(sink);
+        sink.end();
+    }
 }
 
 impl Serialize for Frame {
-    fn to_value(&self) -> Value {
-        frame_to_value(self.src, self.dest, &self.body)
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        let (src, dest, body) = (self.src, self.dest, &self.body);
+        FrameParts { src, dest, body }.serialize(sink);
     }
 }
 
 /// Appends the JSON wire encoding of a frame assembled from parts — the
-/// envelope by value, the body borrowed. The simulators' send paths use
-/// this to serialize a broadcast body once per destination without
-/// cloning the register value it carries.
-pub(crate) fn encode_json_parts_into(src: usize, dest: usize, body: &Body, buf: &mut Vec<u8>) {
-    struct FrameRef<'a> {
-        src: usize,
-        dest: usize,
-        body: &'a Body,
-    }
-    // A borrowing `Serialize` impl (rather than passing the built
-    // `Value` itself) so the tree is materialized exactly once —
-    // `Value`'s own `to_value` is a deep clone.
-    impl Serialize for FrameRef<'_> {
-        fn to_value(&self) -> Value {
-            frame_to_value(self.src, self.dest, self.body)
-        }
-    }
+/// envelope by value, the body borrowed: a [`Body`], or a [`Msg`] whose
+/// typed register is serialized in place. The simulators' send paths
+/// use this to serialize a broadcast once per destination without
+/// cloning the register it carries.
+pub(crate) fn encode_json_parts_into<B: Serialize>(
+    src: usize,
+    dest: usize,
+    body: &B,
+    buf: &mut Vec<u8>,
+) {
     let mut s = String::from_utf8(std::mem::take(buf)).expect("frame buffers hold UTF-8");
-    serde_json::append_to_string(&FrameRef { src, dest, body }, &mut s);
+    serde_json::append_to_string(&FrameParts { src, dest, body }, &mut s);
     *buf = s.into_bytes();
 }
 

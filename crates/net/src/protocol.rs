@@ -7,7 +7,7 @@
 //! register server, and reads its neighbors' registers with one
 //! snapshot per round. A round of the [`Machine`]:
 //!
-//! 1. **Publish.** The process encodes `publish(state)` as a `write`.
+//! 1. **Publish.** The process computes `publish(state)`, its `write`.
 //! 2. **Own write.** The write lands in the process's own [`Slot`]
 //!    (stamp `round + 1`). Then, per neighbor, the same `write` is
 //!    broadcast (mirror warm-up; its loss is harmless) and a
@@ -26,9 +26,13 @@
 //! final register values of returned processes stay readable — the two
 //! properties the paper's safety arguments need.
 //!
-//! Register payloads are decoded once, on delivery, into typed slots (a
-//! mirror only when its stamp is fresher). A payload that does not
-//! decode is a [`RegisterError`] and leaves the machine as it was.
+//! The machine moves typed registers: it sends [`Msg`]s that borrow the
+//! algorithm's register, and takes deliveries whose register is already
+//! typed (the simulators decode frames straight into it) or still a
+//! [`Tree`] (the cluster's pipe frames), which is decoded only when a
+//! slot keeps it (a mirror only when its stamp is fresher). A payload
+//! that does not decode is a [`RegisterError`] and leaves the machine as
+//! it was.
 //!
 //! The machine keeps no clock and does no I/O. A driver lends it one
 //! process's parts for one event and an [`Outbox`] to send through; the
@@ -39,7 +43,37 @@ use std::fmt;
 use ftcolor_model::{Algorithm, Neighborhood, ProcessId, Step};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::msg::{Body, Frame, SnapshotReq, SnapshotResp, Write};
+use crate::msg::{Frame, Msg};
+
+/// A register as a delivered message carries it: already typed (the
+/// simulators decode frames straight into the register type), or a
+/// [`Tree`] decoded only when the machine keeps it.
+pub trait Payload<R> {
+    /// The register.
+    ///
+    /// # Errors
+    ///
+    /// The payload does not decode as `R`.
+    fn into_register(self) -> Result<R, serde::Error>;
+}
+
+impl<R> Payload<R> for R {
+    fn into_register(self) -> Result<R, serde::Error> {
+        Ok(self)
+    }
+}
+
+/// A register still in its `Value` tree, as the cluster's pipe frames
+/// carry it. A stale or duplicate payload is dropped without ever being
+/// decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tree(pub Value);
+
+impl<R: Deserialize> Payload<R> for Tree {
+    fn into_register(self) -> Result<R, serde::Error> {
+        R::from_value(&self.0)
+    }
+}
 
 /// A register observation: the freshest value seen and its stamp
 /// (writer round + 1; an empty slot has stamp 0, never written).
@@ -52,7 +86,7 @@ impl<R> Default for Slot<R> {
     }
 }
 
-impl<R: Clone + Serialize + Deserialize> Slot<R> {
+impl<R> Slot<R> {
     /// The freshness stamp (0 = never written).
     pub fn stamp(&self) -> u64 {
         self.0.as_ref().map_or(0, |(_, s)| *s)
@@ -63,31 +97,39 @@ impl<R: Clone + Serialize + Deserialize> Slot<R> {
         self.0.as_ref().map(|(v, _)| v)
     }
 
-    /// Applies `src`'s `write`: decodes and keeps its value only when its
-    /// stamp is fresher than the slot's, so reordered or duplicated
-    /// writes never roll the slot back and a stale payload is never
-    /// decoded.
+    /// Applies `src`'s `write` of `round`: decodes and keeps its value
+    /// only when its stamp is fresher than the slot's, so reordered or
+    /// duplicated writes never roll the slot back and a stale payload is
+    /// never decoded.
     ///
     /// # Errors
     ///
     /// A kept payload that does not decode as `R`; the slot is unchanged.
-    pub fn apply(&mut self, src: usize, w: &Write) -> Result<(), RegisterError> {
-        let stamp = w.round + 1;
+    pub fn apply(
+        &mut self,
+        src: usize,
+        round: u64,
+        value: impl Payload<R>,
+    ) -> Result<(), RegisterError> {
+        let stamp = round + 1;
         if stamp > self.stamp() {
-            self.0 = Some((decode(src, "write", &w.value)?, stamp));
+            self.0 = Some((decode(src, "write", value)?, stamp));
         }
         Ok(())
     }
 
-    /// The register server's answer to a `snapshot_req` of `round`.
-    pub fn answer(&self, round: u64) -> SnapshotResp {
-        SnapshotResp {
+    /// The register server's answer to a `snapshot_req` of `round`, the
+    /// value borrowed.
+    pub fn answer(&self, round: u64) -> Msg<&R> {
+        Msg::SnapshotResp {
             round,
-            value: self.value().map(Serialize::to_value),
+            value: self.value(),
             stamp: self.stamp(),
         }
     }
+}
 
+impl<R: Clone> Slot<R> {
     /// The view of a committed round: this response, unless the mirror
     /// is strictly fresher (a response ties-or-beats a mirror of the same
     /// stamp). The mirror persists, so it is cloned only when it wins,
@@ -125,8 +167,9 @@ impl fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
-fn decode<R: Deserialize>(src: usize, kind: &'static str, v: &Value) -> Result<R, RegisterError> {
-    R::from_value(v).map_err(|error| RegisterError { src, kind, error })
+fn decode<R>(src: usize, kind: &'static str, v: impl Payload<R>) -> Result<R, RegisterError> {
+    v.into_register()
+        .map_err(|error| RegisterError { src, kind, error })
 }
 
 /// Where a process is inside its round.
@@ -182,25 +225,27 @@ impl<R> Default for Link<R> {
     }
 }
 
-/// Where the machine puts its frames: the driver's wire, borrowed.
-pub trait Outbox {
-    /// Sends `body` from `src` to `dest`.
-    fn send(&mut self, src: usize, dest: usize, body: &Body);
+/// Where the machine puts its messages: the driver's wire, borrowed.
+/// Registers go out borrowed and typed; the driver encodes them.
+pub trait Outbox<R> {
+    /// Sends `msg` from `src` to `dest`.
+    fn send(&mut self, src: usize, dest: usize, msg: Msg<&R>);
 
     /// Sends `src`'s `snapshot_req` of `round` to `dest`, its `_pos`-th
     /// neighbor. A driver with per-request retransmit timers arms one
     /// here.
     fn request(&mut self, src: usize, _pos: usize, dest: usize, round: u64) {
-        self.send(src, dest, &Body::SnapshotReq(SnapshotReq { round }));
+        self.send(src, dest, Msg::SnapshotReq { round });
     }
 }
 
-impl Outbox for Vec<Frame> {
-    fn send(&mut self, src: usize, dest: usize, body: &Body) {
+/// Collects [`Frame`]s, each register converted to its `Value` tree.
+impl<R: Serialize> Outbox<R> for Vec<Frame> {
+    fn send(&mut self, src: usize, dest: usize, msg: Msg<&R>) {
         self.push(Frame {
             src,
             dest,
-            body: body.clone(),
+            body: msg.to_body(),
         });
     }
 }
@@ -227,101 +272,109 @@ pub struct Machine<'a, A: Algorithm> {
     pub view: &'a mut Vec<Option<A::Reg>>,
 }
 
-impl<A> Machine<'_, A>
-where
-    A: Algorithm,
-    A::Reg: Serialize + Deserialize,
-{
-    /// Round start: returns the register and its `write` to apply to
-    /// the own register, or `None` once the process halted.
-    pub fn publish(&mut self) -> Option<(A::Reg, Write)> {
+impl<A: Algorithm> Machine<'_, A> {
+    /// Round start: returns the register to write and the round it is
+    /// written in, or `None` once the process halted.
+    pub fn publish(&mut self) -> Option<(A::Reg, u64)> {
         if self.proc.phase == Phase::Halted {
             return None;
         }
         self.proc.phase = Phase::AwaitWrite;
-        let reg = self.alg.publish(self.state);
-        let round = self.proc.round;
-        let value = reg.to_value();
-        Some((reg, Write { round, value }))
+        Some((self.alg.publish(self.state), self.proc.round))
     }
 
-    /// The own `write` lands (the simulator's loopback delivery): apply
-    /// it, then start the snapshot. Returns the step when a process
-    /// without neighbors commits at once.
+    /// The own `write` of `round` lands (the simulator's loopback
+    /// delivery): apply it, then start the snapshot. Returns the step
+    /// when a process without neighbors commits at once.
     ///
     /// # Errors
     ///
     /// The payload does not decode.
-    pub fn on_own_write(&mut self, w: Write, out: &mut impl Outbox) -> Stepped<A::Output> {
-        self.proc.reg.apply(self.id, &w)?;
-        Ok(self.snapshot(w, out))
+    pub fn on_own_write(
+        &mut self,
+        round: u64,
+        value: impl Payload<A::Reg>,
+        out: &mut impl Outbox<A::Reg>,
+    ) -> Stepped<A::Output> {
+        self.proc.reg.apply(self.id, round, value)?;
+        Ok(self.snapshot(round, out))
     }
 
     /// Publish and own write in one go, for a process that holds its
     /// register in its own memory: the typed value is stored as is.
-    pub fn begin_round(&mut self, out: &mut impl Outbox) -> Option<Step<A::Output>> {
-        let (reg, w) = self.publish()?;
+    pub fn begin_round(&mut self, out: &mut impl Outbox<A::Reg>) -> Option<Step<A::Output>> {
+        let (reg, round) = self.publish()?;
         // A process is its register's only writer and its rounds only
         // grow, so its own write is always the freshest.
-        self.proc.reg = Slot(Some((reg, w.round + 1)));
-        self.snapshot(w, out)
+        self.proc.reg = Slot(Some((reg, round + 1)));
+        self.snapshot(round, out)
     }
 
-    /// The own write is applied: broadcast it and request every
-    /// neighbor's register. Skipped unless the process still awaits this
-    /// round's write; a crash while the write was in flight is a legal
-    /// §2 crash point (the write happened, the rest of the round does
-    /// not).
-    fn snapshot(&mut self, w: Write, out: &mut impl Outbox) -> Option<Step<A::Output>> {
-        if self.proc.phase != Phase::AwaitWrite || self.proc.round != w.round {
+    /// The own write of `round` is applied: broadcast it and request
+    /// every neighbor's register. Skipped unless the process still
+    /// awaits this round's write; a crash while the write was in flight
+    /// is a legal §2 crash point (the write happened, the rest of the
+    /// round does not).
+    fn snapshot(&mut self, round: u64, out: &mut impl Outbox<A::Reg>) -> Option<Step<A::Output>> {
+        if self.proc.phase != Phase::AwaitWrite || self.proc.round != round {
             return None;
         }
         if self.neighbors.is_empty() {
             return Some(self.commit());
         }
         self.proc.phase = Phase::Snapshotting;
-        let round = w.round;
-        // The broadcast sends the delivered body itself: the byte codecs
-        // serialize it borrowed, so the value is never cloned.
-        let write = Body::Write(w);
+        // The broadcast borrows the own register, just written: the
+        // codecs serialize it in place, so it is never cloned.
+        let value = self.proc.reg.value().expect("the own write was applied");
+        let write = Msg::Write { round, value };
         for (pos, q) in self.neighbors.iter().enumerate() {
-            out.send(self.id, q.index(), &write);
+            out.send(self.id, q.index(), write);
             self.links[pos].resp = None;
             out.request(self.id, pos, q.index(), round);
         }
         None
     }
 
-    /// Feeds one delivered frame other than the own write: answers
+    /// Feeds one message from `src` other than the own write: answers
     /// reads, warms mirrors, collects responses. Returns the step when
-    /// the frame completes the round's snapshot. Frames from
-    /// non-neighbors, stale rounds, duplicate responses and control
-    /// frames change nothing.
+    /// the message completes the round's snapshot. Messages from
+    /// non-neighbors, stale rounds and duplicate responses change
+    /// nothing.
     ///
     /// # Errors
     ///
     /// A `write` or `snapshot_resp` whose register does not decode;
     /// nothing changed and nothing was sent.
-    pub fn on_frame(&mut self, frame: Frame, out: &mut impl Outbox) -> Stepped<A::Output> {
-        let src = frame.src;
-        match frame.body {
-            Body::Write(w) => {
+    pub fn on_msg<P: Payload<A::Reg>>(
+        &mut self,
+        src: usize,
+        msg: Msg<P>,
+        out: &mut impl Outbox<A::Reg>,
+    ) -> Stepped<A::Output> {
+        match msg {
+            Msg::Write { round, value } => {
                 if let Some(pos) = self.position(src) {
-                    self.links[pos].mirror.apply(src, &w)?;
+                    self.links[pos].mirror.apply(src, round, value)?;
                 }
             }
-            Body::SnapshotReq(r) => {
-                let resp = Body::SnapshotResp(self.proc.reg.answer(r.round));
-                out.send(self.id, src, &resp);
-            }
-            Body::SnapshotResp(r) => return self.on_resp(src, r),
-            Body::Init(_) | Body::InitOk(_) | Body::Decide(_) => {}
+            Msg::SnapshotReq { round } => out.send(self.id, src, self.proc.reg.answer(round)),
+            Msg::SnapshotResp {
+                round,
+                value,
+                stamp,
+            } => return self.on_resp(src, round, value, stamp),
         }
         Ok(None)
     }
 
-    fn on_resp(&mut self, src: usize, r: SnapshotResp) -> Stepped<A::Output> {
-        if self.proc.phase != Phase::Snapshotting || self.proc.round != r.round {
+    fn on_resp(
+        &mut self,
+        src: usize,
+        round: u64,
+        value: Option<impl Payload<A::Reg>>,
+        stamp: u64,
+    ) -> Stepped<A::Output> {
+        if self.proc.phase != Phase::Snapshotting || self.proc.round != round {
             return Ok(None);
         }
         let Some(pos) = self.position(src) else {
@@ -330,8 +383,8 @@ where
         if self.links[pos].resp.is_some() {
             return Ok(None);
         }
-        let value = r.value.map(|v| decode(src, "snapshot_resp", &v));
-        self.links[pos].resp = Some(Slot(value.transpose()?.map(|v| (v, r.stamp))));
+        let value = value.map(|v| decode(src, "snapshot_resp", v)).transpose()?;
+        self.links[pos].resp = Some(Slot(value.map(|v| (v, stamp))));
         Ok(self
             .links
             .iter()

@@ -34,10 +34,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::calendar::EventQueue;
 use crate::faults::{Fate, FaultPlan};
-use crate::msg::{Body, Frame, SnapshotReq};
+use crate::msg::{Frame, Msg};
 use crate::protocol::{Link, Machine, Outbox, Phase, Proc};
 use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
-use crate::wire::{encode_parts_into, Codec, WireStats};
+use crate::wire::{decode_msg, encode_msg_into, Codec, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
 #[derive(Debug, Clone)]
@@ -187,14 +187,99 @@ impl<O> ftcolor_model::SubstrateReport<O> for NetReport<O> {
     // behavior the never-heals partition test pins down.
 }
 
+/// One send as a replay compares it with its trace entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sent {
+    /// Message kind.
+    pub kind: FrameKind,
+    /// Sending node.
+    pub from: usize,
+    /// Receiving node.
+    pub to: usize,
+    /// Logical send time.
+    pub t: u64,
+}
+
+/// Why a recorded trace does not replay: the trace and the run part
+/// ways at send `seq`, which means trace and `(alg, topo, inputs, plan,
+/// cfg)` don't belong together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The run sent more messages than the trace records.
+    Exhausted {
+        /// The send with no entry.
+        seq: usize,
+        /// What the run sent.
+        sent: Sent,
+    },
+    /// The entry names another link, kind or send time.
+    Diverged {
+        /// The send whose entry does not match.
+        seq: usize,
+        /// What the trace records.
+        recorded: Sent,
+        /// What the run sent.
+        sent: Sent,
+    },
+    /// The entry delivers, or duplicates, before its send: the calendar
+    /// queue cannot schedule into the past.
+    BackDated {
+        /// The back-dated send.
+        seq: usize,
+        /// What the run sent.
+        sent: Sent,
+        /// The delivery time before `sent.t`.
+        at: u64,
+    },
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ReplayError::Exhausted { seq, sent } => {
+                let Sent { kind, from, to, .. } = sent;
+                write!(
+                    f,
+                    "replay trace exhausted at send #{seq} ({kind} {from}->{to})"
+                )
+            }
+            ReplayError::Diverged {
+                seq,
+                recorded: r,
+                sent: Sent { kind, from, to, t },
+            } => write!(
+                f,
+                "replay trace diverged at send #{seq}: trace has {} {}->{} at t={}, \
+                 run sent {kind} {from}->{to} at t={t}",
+                r.kind, r.from, r.to, r.t
+            ),
+            ReplayError::BackDated {
+                seq,
+                sent: Sent { kind, from, to, t },
+                at,
+            } => write!(
+                f,
+                "replay trace diverged at send #{seq}: \
+                 {kind} {from}->{to} sent at t={t} is delivered at t={at}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// The report of a run that records its trace: it cannot diverge from
+/// a trace it is writing.
+pub(crate) fn recorded<O>(report: Result<NetReport<O>, ReplayError>) -> NetReport<O> {
+    report.unwrap_or_else(|e| unreachable!("a recording run replayed nothing: {e}"))
+}
+
 /// Runs `alg` on the simulated network under `plan`, drawing all fault
 /// decisions from `cfg.seed`.
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != topo.len()`, or if a register payload
-/// fails to decode back into `A::Reg` after crossing the wire in the
-/// configured codec (a bug, not an input condition).
+/// Panics if `inputs.len() != topo.len()`.
 pub fn run_net<A>(
     alg: &A,
     topo: &Topology,
@@ -206,7 +291,7 @@ where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
 {
-    Sim::new(alg, topo, inputs, plan, cfg, None).run()
+    recorded(Sim::new(alg, topo, inputs, plan, cfg, None).run())
 }
 
 /// Re-runs a recorded [`DeliveryTrace`] bit-for-bit: the network RNG is
@@ -214,12 +299,15 @@ where
 /// it. `plan` is still needed for its crash schedule (crashes are plan
 /// events, not network draws).
 ///
+/// # Errors
+///
+/// The trace diverges from the run: a different send sequence or send
+/// time, or a delivery scheduled before its send. The run stops at the
+/// first such send.
+///
 /// # Panics
 ///
-/// Panics if the trace diverges from the run (a different send
-/// sequence or send time, or a delivery scheduled before its send) —
-/// which means trace and `(alg, topo, inputs, plan, cfg)` don't belong
-/// together.
+/// Panics if `inputs.len() != topo.len()`.
 pub fn replay_net<A>(
     alg: &A,
     topo: &Topology,
@@ -227,7 +315,7 @@ pub fn replay_net<A>(
     plan: &FaultPlan,
     cfg: &NetConfig,
     trace: &DeliveryTrace,
-) -> NetReport<A::Output>
+) -> Result<NetReport<A::Output>, ReplayError>
 where
     A: Algorithm,
     A::Reg: Serialize + Deserialize,
@@ -384,6 +472,8 @@ pub(crate) struct Net<'a, E> {
     codec: Codec,
     frames: FrameSlab,
     wire: WireStats,
+    /// The replayed trace diverged here: the run stops.
+    diverged: Option<ReplayError>,
 }
 
 impl<'a, E: From<FrameRef>> Net<'a, E> {
@@ -412,15 +502,16 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
             codec: cfg.codec,
             frames: FrameSlab::default(),
             wire: WireStats::default(),
+            diverged: None,
         }
     }
 
     /// Pops the next event and advances the clock to it; `None` once
-    /// nothing is `working` any more, the queue is empty, or the next
-    /// event lies beyond the time cap.
+    /// nothing is `working` any more, the queue is empty, the next
+    /// event lies beyond the time cap, or a replay diverged.
     pub(crate) fn next(&mut self, working: usize) -> Option<E> {
         let (at, ev) = self.queue.pop()?;
-        if working == 0 {
+        if working == 0 || self.diverged.is_some() {
             return None;
         }
         if at > self.cfg.max_time {
@@ -446,29 +537,44 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         }
     }
 
-    /// Encodes a frame for transit from its parts, charging the byte
-    /// counters. Both codecs serialize straight from the borrowed body,
-    /// so broadcasting one `write` to every neighbor never deep-clones
-    /// the register value.
-    fn encode(&mut self, src: usize, dest: usize, body: &Body) -> FrameRef {
+    /// Encodes a message for transit, charging the byte counters. Both
+    /// codecs serialize the register straight from its borrowed type, so
+    /// broadcasting one `write` to every neighbor never clones it.
+    fn encode<P: Serialize>(&mut self, src: usize, dest: usize, msg: &Msg<P>) -> FrameRef {
         let buf = &mut self.frames.scratch;
         buf.clear();
         match self.codec {
-            Codec::Json => crate::msg::encode_json_parts_into(src, dest, body, buf),
-            Codec::Binary => encode_parts_into(src, dest, body, buf),
+            Codec::Json => crate::msg::encode_json_parts_into(src, dest, msg, buf),
+            Codec::Binary => encode_msg_into(src, dest, msg, buf),
         }
         self.wire.frames_encoded += 1;
         self.wire.bytes_on_wire += buf.len() as u64;
         self.frames.store()
     }
 
-    /// Decodes a delivered frame back into a typed one, freeing its
-    /// slab slot.
-    pub(crate) fn decode(&mut self, frame: FrameRef) -> Frame {
-        let decoded = self.codec.decode_record(self.frames.bytes(frame));
+    /// Decodes a delivered frame into `(src, dest, message)`, its
+    /// register typed as `R`, freeing its slab slot. The binary codec
+    /// decodes straight into `R`; a JSON line goes through its `Value`
+    /// tree.
+    ///
+    /// # Panics
+    ///
+    /// The frame does not decode: the simulator encoded it itself, so
+    /// that is a bug.
+    pub(crate) fn decode<R: Deserialize>(&mut self, frame: FrameRef) -> (usize, usize, Msg<R>) {
+        let bytes = self.frames.bytes(frame);
+        let decoded = match self.codec {
+            Codec::Binary => decode_msg(bytes).map_err(|e| e.to_string()),
+            Codec::Json => Codec::Json.decode_record(bytes).and_then(|frame| {
+                let Frame { src, dest, body } = frame.ok_or("a blank JSON frame")?;
+                let msg = body.msg().ok_or("a control frame")?;
+                let msg = msg.try_map(R::from_value).map_err(|e| e.to_string())?;
+                Ok((src, dest, msg))
+            }),
+        };
         self.wire.frames_decoded += 1;
         self.frames.release(frame);
-        decoded.ok().flatten().expect("wire frames decode")
+        decoded.unwrap_or_else(|e| panic!("simulator wire: {e}"))
     }
 
     /// The fault-prone network path. Draws (or replays) this send's
@@ -476,17 +582,24 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
     /// drawn *before* any encoding — fates depend only on (plan, rng,
     /// time, link), so codec choice cannot perturb the trace, and
     /// dropped sends are never serialized at all.
-    pub(crate) fn transmit(&mut self, from: usize, to: usize, body: &Body) {
-        let kind = body
-            .trace_kind()
-            .expect("only register-protocol frames cross the simulated network");
+    pub(crate) fn transmit<P: Serialize>(&mut self, from: usize, to: usize, msg: Msg<P>) {
+        let kind = msg.kind();
+        if self.diverged.is_some() {
+            return;
+        }
+        let (outcome, dup_at) = match self.fate(from, to, kind) {
+            Ok(fate) => fate,
+            Err(e) => {
+                self.diverged = Some(e);
+                return;
+            }
+        };
         self.stats.sent += 1;
         let seq = self.trace.entries.len() as u64;
-        let (outcome, dup_at) = self.fate(from, to, kind);
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
-                let frame = self.encode(from, to, body);
+                let frame = self.encode(from, to, &msg);
                 // Copy for the duplicate first, but schedule the primary
                 // first: tick order (the tie-break) must match the
                 // original primary-then-duplicate schedule.
@@ -520,50 +633,67 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
     /// A replayed entry must match the send's link, kind and time, and
     /// may not deliver (or duplicate) before `now`: the calendar queue
     /// cannot schedule into the past, so a tampered or foreign trace
-    /// panics here instead of being silently misdelivered.
-    fn fate(&mut self, from: usize, to: usize, kind: FrameKind) -> (Outcome, Option<u64>) {
+    /// is refused here instead of being silently misdelivered.
+    fn fate(
+        &mut self,
+        from: usize,
+        to: usize,
+        kind: FrameKind,
+    ) -> Result<(Outcome, Option<u64>), ReplayError> {
         let seq = self.trace.entries.len();
         let now = self.now;
+        let sent = Sent {
+            kind,
+            from,
+            to,
+            t: now,
+        };
         match &mut self.mode {
-            Mode::Record => match crate::faults::draw_fate(self.plan, &mut self.rng, now, from, to)
-            {
-                Fate::PartitionDrop => (Outcome::PartitionDrop, None),
-                Fate::Drop => (Outcome::Drop, None),
-                Fate::Deliver { delay, dup_extra } => {
-                    let at = now + delay;
-                    (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
-                }
-            },
+            Mode::Record => Ok(
+                match crate::faults::draw_fate(self.plan, &mut self.rng, now, from, to) {
+                    Fate::PartitionDrop => (Outcome::PartitionDrop, None),
+                    Fate::Drop => (Outcome::Drop, None),
+                    Fate::Deliver { delay, dup_extra } => {
+                        let at = now + delay;
+                        (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
+                    }
+                },
+            ),
             Mode::Replay { entries, pos } => {
-                let e = entries.get(*pos).unwrap_or_else(|| {
-                    panic!("replay trace exhausted at send #{seq} ({kind} {from}->{to})")
-                });
-                assert!(
-                    e.from as usize == from && e.to as usize == to && e.kind == kind && e.t == now,
-                    "replay trace diverged at send #{seq}: \
-                     trace has {} {}->{} at t={}, run sent {kind} {from}->{to} at t={now}",
-                    e.kind,
-                    e.from,
-                    e.to,
-                    e.t,
-                );
+                let e = entries
+                    .get(*pos)
+                    .ok_or(ReplayError::Exhausted { seq, sent })?;
+                let recorded = Sent {
+                    kind: e.kind,
+                    from: e.from as usize,
+                    to: e.to as usize,
+                    t: e.t,
+                };
+                if recorded != sent {
+                    return Err(ReplayError::Diverged {
+                        seq,
+                        recorded,
+                        sent,
+                    });
+                }
                 let at = match e.outcome {
                     Outcome::Deliver { at } => Some(at),
                     Outcome::Drop | Outcome::PartitionDrop => None,
                 };
-                if let Some(early) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
-                    panic!(
-                        "replay trace diverged at send #{seq}: \
-                         {kind} {from}->{to} sent at t={now} is delivered at t={early}"
-                    );
+                if let Some(at) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
+                    return Err(ReplayError::BackDated { seq, sent, at });
                 }
                 *pos += 1;
-                (e.outcome, e.dup_at)
+                Ok((e.outcome, e.dup_at))
             }
         }
     }
 
     /// The run's report: the network's share, plus the simulator's.
+    ///
+    /// # Errors
+    ///
+    /// The replayed trace diverged from the run.
     pub(crate) fn report<O>(
         self,
         outputs: Vec<Option<O>>,
@@ -571,8 +701,11 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         crashed: Vec<ProcessId>,
         stalled: Vec<ProcessId>,
         events: Vec<RtEvent>,
-    ) -> NetReport<O> {
-        NetReport {
+    ) -> Result<NetReport<O>, ReplayError> {
+        if let Some(e) = self.diverged {
+            return Err(e);
+        }
+        Ok(NetReport {
             outputs,
             rounds,
             crashed,
@@ -587,7 +720,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
                 pool_misses: self.frames.misses,
                 ..self.wire
             },
-        }
+        })
     }
 }
 
@@ -596,21 +729,21 @@ impl Net<'_, Ev> {
     /// one tick, never drawn against the fault plan. It still goes
     /// through the codec: a real co-located register server would parse
     /// the frame too, so the loopback leg is honest hot-path work.
-    fn loopback(&mut self, node: usize, body: &Body) {
-        let frame = self.encode(node, node, body);
+    fn loopback<R: Serialize>(&mut self, node: usize, round: u64, value: &R) {
+        let frame = self.encode(node, node, &Msg::Write { round, value });
         self.stats.loopback_writes += 1;
         self.schedule(1, Ev::Deliver { frame });
     }
 }
 
-impl Outbox for Net<'_, Ev> {
-    fn send(&mut self, src: usize, dest: usize, body: &Body) {
-        self.transmit(src, dest, body);
+impl<R: Serialize> Outbox<R> for Net<'_, Ev> {
+    fn send(&mut self, src: usize, dest: usize, msg: Msg<&R>) {
+        self.transmit(src, dest, msg);
     }
 
     /// Sends the request and arms its retransmit timer.
     fn request(&mut self, src: usize, pos: usize, dest: usize, round: u64) {
-        self.transmit(src, dest, &Body::SnapshotReq(SnapshotReq { round }));
+        self.transmit(src, dest, Msg::<&R>::SnapshotReq { round });
         let (node, nbr) = (id32(src), id32(pos));
         let round = u32::try_from(round).expect("rounds fit in u32, as on the wire");
         let rto = self.cfg.rto;
@@ -691,7 +824,7 @@ where
         }
     }
 
-    fn run(mut self) -> NetReport<A::Output> {
+    fn run(mut self) -> Result<NetReport<A::Output>, ReplayError> {
         while let Some(ev) = self.net.next(self.working) {
             match ev {
                 Ev::Crash { node } => {
@@ -704,8 +837,8 @@ where
                 Ev::Activate { node } => {
                     let node = node as usize;
                     let (mut m, net) = self.machine(node);
-                    if let Some((_, w)) = m.publish() {
-                        net.loopback(node, &Body::Write(w));
+                    if let Some((reg, round)) = m.publish() {
+                        net.loopback(node, round, &reg);
                     }
                 }
                 Ev::Deliver { frame } => self.on_deliver(frame),
@@ -715,7 +848,7 @@ where
                     let (m, net) = self.machine(node);
                     if m.owes(nbr, round) {
                         net.stats.retransmits += 1;
-                        net.request(node, nbr, m.neighbors[nbr].index(), round);
+                        Outbox::<A::Reg>::request(net, node, nbr, m.neighbors[nbr].index(), round);
                     }
                 }
             }
@@ -754,17 +887,17 @@ where
     }
 
     fn on_deliver(&mut self, frame: FrameRef) {
-        let frame = self.net.decode(frame);
-        let node = frame.dest;
-        if matches!(frame.body, Body::SnapshotReq(_)) && self.crashed(node) {
+        let (src, node, msg) = self.net.decode::<A::Reg>(frame);
+        if matches!(msg, Msg::SnapshotReq { .. }) && self.crashed(node) {
             self.net.stats.served_dead_reads += 1;
         }
         let (mut m, net) = self.machine(node);
         let round = m.proc.round;
-        let step = match frame.body {
-            Body::Write(w) if frame.src == node => m.on_own_write(w, net),
-            _ => m.on_frame(frame, net),
+        let step = match msg {
+            Msg::Write { round, value } if src == node => m.on_own_write(round, value, net),
+            msg => m.on_msg(src, msg, net),
         };
+        // A typed register always decodes.
         if let Some(step) = step.unwrap_or_else(|e| panic!("simulator wire: {e}")) {
             self.committed(node, round, step);
         }
@@ -882,7 +1015,8 @@ mod tests {
         let cfg = NetConfig::new(13);
         let orig = run_net(&SixColoring, &topo, ids.clone(), &plan, &cfg);
         assert!(orig.all_returned());
-        let again = replay_net(&SixColoring, &topo, ids, &plan, &cfg, &orig.trace);
+        let again = replay_net(&SixColoring, &topo, ids, &plan, &cfg, &orig.trace)
+            .expect("a run's own trace replays");
         assert_eq!(again.outputs, orig.outputs);
         assert_eq!(again.trace, orig.trace, "replay echoes the trace");
         assert_eq!(again.time, orig.time);

@@ -11,7 +11,7 @@
 //! carry a cheap FNV-1a digest so tests can assert byte-identity
 //! without diffing megabytes.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Sink, Source, Token};
 use std::fmt;
 
 /// Kind tag of one traced send — the register-protocol subset of the
@@ -49,23 +49,21 @@ impl fmt::Display for FrameKind {
 }
 
 impl Serialize for FrameKind {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_string())
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self.as_str());
     }
 }
 
 impl Deserialize for FrameKind {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let Value::String(s) = v else {
-            return Err(Error::custom(format!(
-                "expected a frame-kind string, got {v:?}"
-            )));
-        };
-        match s.as_str() {
-            "write" => Ok(FrameKind::Write),
-            "snapshot_req" => Ok(FrameKind::SnapshotReq),
-            "snapshot_resp" => Ok(FrameKind::SnapshotResp),
-            other => Err(Error::custom(format!("unknown frame kind `{other}`"))),
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, S::Error> {
+        match src.next()? {
+            Token::Str => match src.str()? {
+                "write" => Ok(FrameKind::Write),
+                "snapshot_req" => Ok(FrameKind::SnapshotReq),
+                "snapshot_resp" => Ok(FrameKind::SnapshotResp),
+                other => Err(Error::custom(format!("unknown frame kind `{other}`")).into()),
+            },
+            head => src.invalid(head, |v| format!("expected a frame-kind string, got {v:?}")),
         }
     }
 }
@@ -141,15 +139,32 @@ impl DeliveryTrace {
     }
 
     /// FNV-1a digest of the canonical JSON form — a compact fingerprint
-    /// for byte-identity assertions.
+    /// for byte-identity assertions. The JSON is rendered and hashed one
+    /// entry at a time, so the whole trace's text never exists at once.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.to_json().as_bytes())
+        let mut entry = String::new();
+        let mut h = fnv1a_extend(FNV_BASIS, b"{\"entries\":[");
+        for (i, e) in self.entries.iter().enumerate() {
+            if i > 0 {
+                h = fnv1a_extend(h, b",");
+            }
+            entry.clear();
+            serde_json::append_to_string(e, &mut entry);
+            h = fnv1a_extend(h, entry.as_bytes());
+        }
+        fnv1a_extend(h, b"]}")
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_BASIS, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -225,6 +240,14 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.delivered(), 1);
         assert_eq!(t.lost(), 2);
+    }
+
+    #[test]
+    fn digest_hashes_the_canonical_json() {
+        let mut t = sample();
+        assert_eq!(t.digest(), fnv1a(t.to_json().as_bytes()));
+        t.entries.clear();
+        assert_eq!(t.digest(), fnv1a(t.to_json().as_bytes()));
     }
 
     #[test]

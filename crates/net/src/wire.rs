@@ -23,14 +23,22 @@
 //! | `0x06` | `decide`        | round u32, output value                            |
 //!
 //! `uv` is an unsigned LEB128 varint; `str` is `uv` byte length followed
-//! by UTF-8 bytes. Register payloads ([`serde::Value`] trees) use a
-//! one-byte type tag per node: `0x00` null, `0x01` false, `0x02` true,
-//! `0x03` posint (uv), `0x04` negint (i64 bits as uv), `0x05` float
-//! (f64 bits, 8 bytes LE), `0x06` string, `0x07` array (uv count), `0x08`
-//! object (uv count of key/value pairs). Encoding goes directly between
-//! bytes and the typed [`Frame`] — no intermediate `Value` tree is built
-//! for the frame envelope, which is where the JSON path spends most of
-//! its time.
+//! by UTF-8 bytes. A register (`value` above) is written in the serde
+//! shim's data model, one-byte type tag per node: `0x00` null, `0x01`
+//! false, `0x02` true, `0x03` posint (uv), `0x04` negint (i64 bits as
+//! uv), `0x05` float (f64 bits, 8 bytes LE), `0x06` string (str), `0x07`
+//! array (uv count, then the items), `0x08` object (uv count of pairs,
+//! each a str key and a value). Containers nest at most
+//! [`MAX_VALUE_DEPTH`] deep.
+//!
+//! The value format has one encoder, a [`serde::Sink`], and one decoder,
+//! a [`serde::Source`]: any `Serialize` type writes itself into the
+//! bytes and any `Deserialize` type reads itself back. The simulators'
+//! path, [`encode_msg_into`] / [`decode_msg`], moves the algorithm's
+//! register type itself, with no `Value` tree in between; the
+//! [`Frame`] path ([`encode_frame_into`] / [`decode_frame`]) is the same
+//! code with `serde::Value` as the register type. Either path writes the
+//! same bytes for the same register.
 //!
 //! On a byte stream (the cluster's child-process pipes), frames are
 //! length-prefixed with a `u32` LE payload length — see [`write_framed`]
@@ -41,8 +49,8 @@
 //! and pool hits so codec behavior is observable in run summaries, not
 //! just timed.
 
-use crate::msg::{Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp};
-use serde::{Deserialize, Number, Serialize, Value};
+use crate::msg::{Body, Decide, Frame, Init, InitOk, Msg};
+use serde::{Deserialize, Number, Serialize, Sink, Source, Token, Value};
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
@@ -182,7 +190,7 @@ impl Codec {
 
 /// Typed decode failure for binary frames. Mirrors the torn-JSON-line
 /// handling: a reader drops the frame instead of crashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
     /// Input ended before the advertised layout did.
     Truncated,
@@ -202,6 +210,15 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A value nested arrays/objects deeper than [`MAX_VALUE_DEPTH`].
     TooDeep,
+    /// A well-formed register that does not decode into the type asked
+    /// for (the typed path, [`decode_msg`], only).
+    Register(serde::Error),
+}
+
+impl From<serde::Error> for WireError {
+    fn from(e: serde::Error) -> Self {
+        WireError::Register(e)
+    }
 }
 
 impl fmt::Display for WireError {
@@ -216,6 +233,7 @@ impl fmt::Display for WireError {
             WireError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame"),
             WireError::TooDeep => write!(f, "value nested deeper than {MAX_VALUE_DEPTH}"),
+            WireError::Register(e) => write!(f, "register does not decode: {e}"),
         }
     }
 }
@@ -302,10 +320,12 @@ fn round_to_u32(round: u64, what: &str) -> u32 {
         .unwrap_or_else(|_| panic!("{what} {round} does not fit in u32 on the wire"))
 }
 
+#[inline]
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+#[inline]
 fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -327,48 +347,69 @@ fn uvarint_len(mut v: u64) -> usize {
     len
 }
 
+#[inline]
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_uvarint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(VAL_NULL),
-        Value::Bool(false) => buf.push(VAL_FALSE),
-        Value::Bool(true) => buf.push(VAL_TRUE),
-        Value::Number(Number::PosInt(n)) => {
-            buf.push(VAL_POSINT);
-            put_uvarint(buf, *n);
-        }
-        Value::Number(Number::NegInt(n)) => {
-            buf.push(VAL_NEGINT);
-            put_uvarint(buf, *n as u64);
-        }
-        Value::Number(Number::Float(f)) => {
-            buf.push(VAL_FLOAT);
-            buf.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::String(s) => {
-            buf.push(VAL_STRING);
-            put_str(buf, s);
-        }
-        Value::Array(items) => {
-            buf.push(VAL_ARRAY);
-            put_uvarint(buf, items.len() as u64);
-            for item in items {
-                put_value(buf, item);
-            }
-        }
-        Value::Object(pairs) => {
-            buf.push(VAL_OBJECT);
-            put_uvarint(buf, pairs.len() as u64);
-            for (k, val) in pairs {
-                put_str(buf, k);
-                put_value(buf, val);
-            }
-        }
+/// The value format's encoder: a [`Sink`] appending tagged values onto a
+/// byte buffer. Its methods, and the decoder's, are `#[inline]`: a
+/// register's (de)serializer is compiled in the crate that defines the
+/// register, and without the hint every byte written or read is a call.
+struct Encoder<'a>(&'a mut Vec<u8>);
+
+impl Sink for Encoder<'_> {
+    #[inline]
+    fn null(&mut self) {
+        self.0.push(VAL_NULL);
     }
+    #[inline]
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { VAL_TRUE } else { VAL_FALSE });
+    }
+    #[inline]
+    fn uint(&mut self, v: u64) {
+        self.0.push(VAL_POSINT);
+        put_uvarint(self.0, v);
+    }
+    #[inline]
+    fn int(&mut self, v: i64) {
+        self.0.push(VAL_NEGINT);
+        put_uvarint(self.0, v as u64);
+    }
+    #[inline]
+    fn float(&mut self, v: f64) {
+        self.0.push(VAL_FLOAT);
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    #[inline]
+    fn str(&mut self, v: &str) {
+        self.0.push(VAL_STRING);
+        put_str(self.0, v);
+    }
+    #[inline]
+    fn begin_array(&mut self, len: usize) {
+        self.0.push(VAL_ARRAY);
+        put_uvarint(self.0, len as u64);
+    }
+    #[inline]
+    fn begin_object(&mut self, len: usize) {
+        self.0.push(VAL_OBJECT);
+        put_uvarint(self.0, len as u64);
+    }
+    #[inline]
+    fn key(&mut self, k: &str) {
+        put_str(self.0, k);
+    }
+    #[inline]
+    fn end(&mut self) {}
+}
+
+/// Appends `v` in the value format: a register straight from its type,
+/// or a [`Value`] tree.
+fn put_value<V: Serialize + ?Sized>(buf: &mut Vec<u8>, v: &V) {
+    v.serialize(&mut Encoder(buf));
 }
 
 fn value_len(v: &Value) -> usize {
@@ -391,47 +432,25 @@ fn value_len(v: &Value) -> usize {
     }
 }
 
-/// Appends the binary encoding of `frame` onto `buf` (no length prefix).
-pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
-    encode_parts_into(frame.src, frame.dest, &frame.body, buf);
-}
-
-/// [`encode_frame_into`] for a frame assembled from parts: the envelope
-/// by value, the body borrowed. The simulators' send paths use this to
-/// broadcast one body to many destinations without cloning the register
-/// value per neighbor.
-pub fn encode_parts_into(src: usize, dest: usize, body: &Body, buf: &mut Vec<u8>) {
+fn put_header(buf: &mut Vec<u8>, tag: u8, src: usize, dest: usize) {
     buf.push(WIRE_VERSION);
-    buf.push(match body {
-        Body::Write(_) => TAG_WRITE,
-        Body::SnapshotReq(_) => TAG_SNAPSHOT_REQ,
-        Body::SnapshotResp(_) => TAG_SNAPSHOT_RESP,
-        Body::Init(_) => TAG_INIT,
-        Body::InitOk(_) => TAG_INIT_OK,
-        Body::Decide(_) => TAG_DECIDE,
-    });
+    buf.push(tag);
     put_u32(buf, node_to_u32(src, "src node id"));
     put_u32(buf, node_to_u32(dest, "dest node id"));
+}
+
+/// Appends the binary encoding of `frame` onto `buf` (no length prefix).
+/// A register-protocol frame is its [`Msg`], encoded by
+/// [`encode_msg_into`] with the register as a `Value` tree.
+pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
+    let Frame { src, dest, body } = frame;
+    let (src, dest) = (*src, *dest);
+    if let Some(msg) = body.msg() {
+        return encode_msg_into(src, dest, &msg, buf);
+    }
     match body {
-        Body::Write(m) => {
-            put_u32(buf, round_to_u32(m.round, "write round"));
-            put_value(buf, &m.value);
-        }
-        Body::SnapshotReq(m) => {
-            put_u32(buf, round_to_u32(m.round, "snapshot_req round"));
-        }
-        Body::SnapshotResp(m) => {
-            put_u32(buf, round_to_u32(m.round, "snapshot_resp round"));
-            put_u32(buf, round_to_u32(m.stamp, "snapshot_resp stamp"));
-            match &m.value {
-                None => buf.push(0),
-                Some(v) => {
-                    buf.push(1);
-                    put_value(buf, v);
-                }
-            }
-        }
         Body::Init(m) => {
+            put_header(buf, TAG_INIT, src, dest);
             put_u32(buf, node_to_u32(m.node, "init node id"));
             put_u32(buf, node_to_u32(m.n, "ring size"));
             put_uvarint(buf, m.input);
@@ -444,11 +463,48 @@ pub fn encode_parts_into(src: usize, dest: usize, body: &Body, buf: &mut Vec<u8>
             }
         }
         Body::InitOk(m) => {
+            put_header(buf, TAG_INIT_OK, src, dest);
             put_u32(buf, node_to_u32(m.node, "init_ok node id"));
         }
         Body::Decide(m) => {
+            put_header(buf, TAG_DECIDE, src, dest);
             put_u32(buf, round_to_u32(m.round, "decide round"));
             put_value(buf, &m.output);
+        }
+        Body::Write(_) | Body::SnapshotReq(_) | Body::SnapshotResp(_) => {}
+    }
+}
+
+/// Appends the binary encoding of a register-protocol message from
+/// `src` to `dest`, its register serialized straight from its type: the
+/// simulators' send path. A broadcast encodes one borrowed register per
+/// destination, never cloning it.
+pub fn encode_msg_into<P: Serialize>(src: usize, dest: usize, msg: &Msg<P>, buf: &mut Vec<u8>) {
+    match msg {
+        Msg::Write { round, value } => {
+            put_header(buf, TAG_WRITE, src, dest);
+            put_u32(buf, round_to_u32(*round, "write round"));
+            put_value(buf, value);
+        }
+        Msg::SnapshotReq { round } => {
+            put_header(buf, TAG_SNAPSHOT_REQ, src, dest);
+            put_u32(buf, round_to_u32(*round, "snapshot_req round"));
+        }
+        Msg::SnapshotResp {
+            round,
+            value,
+            stamp,
+        } => {
+            put_header(buf, TAG_SNAPSHOT_RESP, src, dest);
+            put_u32(buf, round_to_u32(*round, "snapshot_resp round"));
+            put_u32(buf, round_to_u32(*stamp, "snapshot_resp stamp"));
+            match value {
+                None => buf.push(0),
+                Some(v) => {
+                    buf.push(1);
+                    put_value(buf, v);
+                }
+            }
         }
     }
 }
@@ -477,12 +533,16 @@ pub fn binary_len(frame: &Frame) -> usize {
     1 + 1 + 4 + 4 + body
 }
 
+/// The value format's decoder: a [`Source`] over a frame's bytes.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers enclosing the position.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.bytes.len() {
@@ -493,16 +553,26 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    #[inline]
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        let byte = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
+        self.pos += 1;
+        Ok(byte)
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    #[inline]
     fn uvarint(&mut self) -> Result<u64, WireError> {
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(u64::from(first));
+        }
+        self.pos -= 1;
         let mut v: u64 = 0;
         for shift in 0..10 {
             let byte = self.u8()?;
@@ -514,54 +584,154 @@ impl<'a> Reader<'a> {
         Err(WireError::VarintOverflow)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
+    #[inline]
+    fn text(&mut self) -> Result<&'a str, WireError> {
         let len = self.uvarint()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
     }
 
-    fn value(&mut self) -> Result<Value, WireError> {
-        self.value_in(0)
-    }
-
-    /// A value enclosed by `depth` containers.
-    fn value_in(&mut self, depth: usize) -> Result<Value, WireError> {
-        let tag = self.u8()?;
-        if matches!(tag, VAL_ARRAY | VAL_OBJECT) && depth >= MAX_VALUE_DEPTH {
-            return Err(WireError::TooDeep);
+    /// The frame header: version, tag, source, destination.
+    fn header(bytes: &'a [u8]) -> Result<(Self, u8, usize, usize), WireError> {
+        let mut r = Reader {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(WireError::BadVersion(version));
         }
-        match tag {
-            VAL_NULL => Ok(Value::Null),
-            VAL_FALSE => Ok(Value::Bool(false)),
-            VAL_TRUE => Ok(Value::Bool(true)),
-            VAL_POSINT => Ok(Value::Number(Number::PosInt(self.uvarint()?))),
-            VAL_NEGINT => Ok(Value::Number(Number::NegInt(self.uvarint()? as i64))),
+        let tag = r.u8()?;
+        let src = node_from_u32(r.u32()?);
+        let dest = node_from_u32(r.u32()?);
+        Ok((r, tag, src, dest))
+    }
+
+    /// The body of a register-protocol frame tagged `tag`, its register
+    /// read as `P`; `None` for any other tag.
+    fn msg<P: Deserialize>(&mut self, tag: u8) -> Result<Option<Msg<P>>, WireError> {
+        Ok(Some(match tag {
+            TAG_WRITE => Msg::Write {
+                round: u64::from(self.u32()?),
+                value: P::deserialize(self)?,
+            },
+            TAG_SNAPSHOT_REQ => Msg::SnapshotReq {
+                round: u64::from(self.u32()?),
+            },
+            TAG_SNAPSHOT_RESP => {
+                let round = u64::from(self.u32()?);
+                let stamp = u64::from(self.u32()?);
+                let value = match self.u8()? {
+                    0 => None,
+                    1 => Some(P::deserialize(self)?),
+                    other => return Err(WireError::BadPresence(other)),
+                };
+                Msg::SnapshotResp {
+                    round,
+                    value,
+                    stamp,
+                }
+            }
+            _ => return Ok(None),
+        }))
+    }
+
+    /// Refuses bytes left after the frame.
+    fn finish(&self) -> Result<(), WireError> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
+        }
+    }
+}
+
+impl<'a> Source for Reader<'a> {
+    type Error = WireError;
+    type Mark = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Result<Token, WireError> {
+        let tag = self.u8()?;
+        if matches!(tag, VAL_ARRAY | VAL_OBJECT) {
+            if self.depth >= MAX_VALUE_DEPTH {
+                return Err(WireError::TooDeep);
+            }
+            self.depth += 1;
+        }
+        Ok(match tag {
+            VAL_NULL => Token::Null,
+            VAL_FALSE => Token::Bool(false),
+            VAL_TRUE => Token::Bool(true),
+            VAL_POSINT => Token::Uint(self.uvarint()?),
+            VAL_NEGINT => Token::Int(self.uvarint()? as i64),
             VAL_FLOAT => {
                 let b = self.take(8)?;
                 let bits = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-                Ok(Value::Number(Number::Float(f64::from_bits(bits))))
+                Token::Float(f64::from_bits(bits))
             }
-            VAL_STRING => Ok(Value::String(self.str()?)),
-            VAL_ARRAY => {
-                let count = self.uvarint()? as usize;
-                // Bounded reserve: a hostile count must not preallocate.
-                let mut items = Vec::with_capacity(count.min(64));
-                for _ in 0..count {
-                    items.push(self.value_in(depth + 1)?);
-                }
-                Ok(Value::Array(items))
-            }
-            VAL_OBJECT => {
-                let count = self.uvarint()? as usize;
-                let mut pairs = Vec::with_capacity(count.min(64));
-                for _ in 0..count {
-                    let k = self.str()?;
-                    let v = self.value_in(depth + 1)?;
-                    pairs.push((k, v));
-                }
-                Ok(Value::Object(pairs))
-            }
-            other => Err(WireError::BadValueTag(other)),
+            VAL_STRING => Token::Str,
+            VAL_ARRAY => Token::Array(self.uvarint()? as usize),
+            VAL_OBJECT => Token::Object(self.uvarint()? as usize),
+            other => return Err(WireError::BadValueTag(other)),
+        })
+    }
+
+    #[inline]
+    fn str(&mut self) -> Result<&str, WireError> {
+        self.text()
+    }
+
+    #[inline]
+    fn key(&mut self) -> Result<&str, WireError> {
+        self.text()
+    }
+
+    /// Compares the raw bytes: a key equal to `name` is valid UTF-8, and
+    /// any other is left for [`Source::key`] to read and check.
+    #[inline]
+    fn key_is(&mut self, name: &str) -> Result<bool, WireError> {
+        let name = name.as_bytes();
+        let start = self.pos + 1;
+        // A byte loop: field names are a few bytes, too short for a
+        // `memcmp` call to pay.
+        let hit = name.len() < 0x80
+            && self.bytes.get(self.pos) == Some(&(name.len() as u8))
+            && self
+                .bytes
+                .get(start..start + name.len())
+                .is_some_and(|key| key.iter().zip(name).all(|(a, b)| a == b));
+        if hit {
+            self.pos = start + name.len();
+        }
+        Ok(hit)
+    }
+
+    #[inline]
+    fn end(&mut self) {
+        self.depth -= 1;
+    }
+
+    #[inline]
+    fn take_null(&mut self) -> Result<bool, WireError> {
+        let null = *self.bytes.get(self.pos).ok_or(WireError::Truncated)? == VAL_NULL;
+        self.pos += usize::from(null);
+        Ok(null)
+    }
+
+    #[inline]
+    fn mark(&mut self) -> Result<(usize, usize), WireError> {
+        let mark = (self.pos, self.depth);
+        self.skip()?;
+        Ok(mark)
+    }
+
+    #[inline]
+    fn at(&self, (pos, depth): (usize, usize)) -> Self {
+        Reader {
+            bytes: self.bytes,
+            pos,
+            depth,
         }
     }
 }
@@ -574,71 +744,62 @@ impl<'a> Reader<'a> {
 /// Any malformed input — never panics, mirroring how torn JSON lines are
 /// dropped by the readers.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let version = r.u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let tag = r.u8()?;
-    let src = node_from_u32(r.u32()?);
-    let dest = node_from_u32(r.u32()?);
-    let body = match tag {
-        TAG_WRITE => Body::Write(crate::msg::Write {
-            round: u64::from(r.u32()?),
-            value: r.value()?,
-        }),
-        TAG_SNAPSHOT_REQ => Body::SnapshotReq(SnapshotReq {
-            round: u64::from(r.u32()?),
-        }),
-        TAG_SNAPSHOT_RESP => {
-            let round = u64::from(r.u32()?);
-            let stamp = u64::from(r.u32()?);
-            let value = match r.u8()? {
-                0 => None,
-                1 => Some(r.value()?),
-                other => return Err(WireError::BadPresence(other)),
-            };
-            Body::SnapshotResp(SnapshotResp {
-                round,
-                value,
-                stamp,
-            })
-        }
-        TAG_INIT => {
-            let node = node_from_u32(r.u32()?);
-            let n = node_from_u32(r.u32()?);
-            let input = r.uvarint()?;
-            let rto_ms = r.uvarint()?;
-            let pace_ms = r.uvarint()?;
-            let alg = r.str()?;
-            let count = r.uvarint()? as usize;
-            let mut neighbors = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                neighbors.push(node_from_u32(r.u32()?));
+    let (mut r, tag, src, dest) = Reader::header(bytes)?;
+    let body = match r.msg::<Value>(tag)? {
+        Some(msg) => msg.into_body(),
+        None => match tag {
+            TAG_INIT => {
+                let node = node_from_u32(r.u32()?);
+                let n = node_from_u32(r.u32()?);
+                let input = r.uvarint()?;
+                let rto_ms = r.uvarint()?;
+                let pace_ms = r.uvarint()?;
+                let alg = r.text()?.to_owned();
+                let count = r.uvarint()? as usize;
+                let mut neighbors = Vec::with_capacity(count.min(64));
+                for _ in 0..count {
+                    neighbors.push(node_from_u32(r.u32()?));
+                }
+                Body::Init(Init {
+                    node,
+                    n,
+                    alg,
+                    input,
+                    neighbors,
+                    rto_ms,
+                    pace_ms,
+                })
             }
-            Body::Init(Init {
-                node,
-                n,
-                alg,
-                input,
-                neighbors,
-                rto_ms,
-                pace_ms,
-            })
-        }
-        TAG_INIT_OK => Body::InitOk(InitOk {
-            node: node_from_u32(r.u32()?),
-        }),
-        TAG_DECIDE => Body::Decide(Decide {
-            round: u64::from(r.u32()?),
-            output: r.value()?,
-        }),
-        other => return Err(WireError::BadTag(other)),
+            TAG_INIT_OK => Body::InitOk(InitOk {
+                node: node_from_u32(r.u32()?),
+            }),
+            TAG_DECIDE => Body::Decide(Decide {
+                round: u64::from(r.u32()?),
+                output: Value::deserialize(&mut r)?,
+            }),
+            other => return Err(WireError::BadTag(other)),
+        },
     };
-    if r.pos != bytes.len() {
-        return Err(WireError::TrailingBytes(bytes.len() - r.pos));
-    }
+    r.finish()?;
     Ok(Frame { src, dest, body })
+}
+
+/// Decodes one binary register-protocol frame from `bytes` straight into
+/// `(src, dest, message)`, its register read as `R` with no `Value` tree
+/// in between: the simulators' receive path. On bytes [`decode_frame`]
+/// reads, the message equals that frame's with its register decoded by
+/// `R::from_value`.
+///
+/// # Errors
+///
+/// Malformed input as for [`decode_frame`]; a control-plane frame
+/// (`init`, `init_ok`, `decide`) as [`WireError::BadTag`]; a register
+/// that does not decode as `R` as [`WireError::Register`]. Never panics.
+pub fn decode_msg<R: Deserialize>(bytes: &[u8]) -> Result<(usize, usize, Msg<R>), WireError> {
+    let (mut r, tag, src, dest) = Reader::header(bytes)?;
+    let msg = r.msg(tag)?.ok_or(WireError::BadTag(tag))?;
+    r.finish()?;
+    Ok((src, dest, msg))
 }
 
 /// Appends `frame` onto `buf` with its `u32` LE length prefix — the
@@ -700,7 +861,7 @@ pub fn read_framed<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::{Write as WriteMsg, ORCHESTRATOR};
+    use crate::msg::{SnapshotReq, SnapshotResp, Write as WriteMsg, ORCHESTRATOR};
 
     fn sample_frames() -> Vec<Frame> {
         vec![

@@ -81,7 +81,8 @@ proptest! {
 
         // Replay consumes the recorded trace instead of the RNG and must
         // land on the same outcome, echoing the trace byte for byte.
-        let r3 = replay_net(&FiveColoringPatched, &topo, ids, &plan, &cfg, &r1.trace);
+        let r3 = replay_net(&FiveColoringPatched, &topo, ids, &plan, &cfg, &r1.trace)
+            .expect("a run's own trace replays");
         prop_assert_eq!(r1.trace.to_json(), r3.trace.to_json());
         prop_assert_eq!(&r1.outputs, &r3.outputs);
     }

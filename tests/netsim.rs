@@ -10,7 +10,7 @@ use ftcolor::model::{inputs, ProcessId, Topology};
 use ftcolor::net::trace::fnv1a;
 use ftcolor::net::{
     replay_decoupled_net, replay_net, run_decoupled_net, run_net, Codec, DeliveryTrace, FaultPlan,
-    NetConfig, Outcome, Partition,
+    NetConfig, Outcome, Partition, ReplayError, Sent,
 };
 use ftcolor::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -163,40 +163,51 @@ fn two_node_island_stalls_its_closure() {
 
 /// Three corruptions of send `k` (the first delivered send at `t >= 2`):
 /// a shifted send time, a delivery before the send, and a duplicate
-/// before the send.
-fn tampered(trace: &DeliveryTrace) -> (usize, Vec<(&'static str, DeliveryTrace)>) {
+/// before the send — each with the error a replay must name.
+fn tampered(trace: &DeliveryTrace) -> Vec<(&'static str, DeliveryTrace, ReplayError)> {
     let k = trace
         .entries
         .iter()
         .position(|e| e.t >= 2 && matches!(e.outcome, Outcome::Deliver { .. }))
         .expect("the run delivers something after t = 2");
-    let t = trace.entries[k].t;
+    let e = &trace.entries[k];
+    let sent = Sent {
+        kind: e.kind,
+        from: e.from as usize,
+        to: e.to as usize,
+        t: e.t,
+    };
     let mut shifted = trace.clone();
     shifted.entries[k].t += 1;
     let mut early = trace.clone();
-    early.entries[k].outcome = Outcome::Deliver { at: t - 1 };
+    early.entries[k].outcome = Outcome::Deliver { at: e.t - 1 };
     let mut early_dup = trace.clone();
-    early_dup.entries[k].dup_at = Some(t - 1);
-    (
-        k,
-        vec![
-            ("shifted send time", shifted),
-            ("delivery before send", early),
-            ("duplicate before send", early_dup),
-        ],
-    )
-}
-
-/// Runs `replay`, which must panic, and returns its panic message.
-fn replay_panic(replay: impl FnOnce()) -> String {
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(replay))
-        .expect_err("a tampered trace must not replay");
-    err.downcast_ref::<String>().cloned().unwrap_or_default()
+    early_dup.entries[k].dup_at = Some(e.t - 1);
+    let recorded = Sent { t: e.t + 1, ..sent };
+    let back_dated = ReplayError::BackDated {
+        seq: k,
+        sent,
+        at: e.t - 1,
+    };
+    vec![
+        (
+            "shifted send time",
+            shifted,
+            ReplayError::Diverged {
+                seq: k,
+                recorded,
+                sent,
+            },
+        ),
+        ("delivery before send", early, back_dated),
+        ("duplicate before send", early_dup, back_dated),
+    ]
 }
 
 /// A replayed trace must match every send's time, and no entry may
-/// deliver (or duplicate) before its send: both simulators reject such
-/// a trace at the offending send instead of misdelivering it.
+/// deliver (or duplicate) before its send: both simulators refuse such
+/// a trace at the offending send with a typed error, instead of
+/// misdelivering it or panicking.
 #[test]
 fn tampered_traces_are_rejected_by_both_replays() {
     let topo = Topology::cycle(8).unwrap();
@@ -206,31 +217,33 @@ fn tampered_traces_are_rejected_by_both_replays() {
     let cfg = NetConfig::new(5);
 
     let rep = run_net(&SixColoring, &topo, ids.clone(), &plan, &cfg);
-    let (k, bad) = tampered(&rep.trace);
-    for (what, trace) in bad {
-        let msg = replay_panic(|| {
-            replay_net(&SixColoring, &topo, ids.clone(), &plan, &cfg, &trace);
-        });
-        assert!(
-            msg.contains(&format!("replay trace diverged at send #{k}")),
-            "replay_net, {what}: {msg}"
-        );
+    for (what, trace, want) in tampered(&rep.trace) {
+        let err = replay_net(&SixColoring, &topo, ids.clone(), &plan, &cfg, &trace)
+            .expect_err("a tampered trace must not replay");
+        assert_eq!(err, want, "replay_net, {what}");
+        assert!(err
+            .to_string()
+            .starts_with("replay trace diverged at send #"));
     }
+    let mut short = rep.trace.clone();
+    short.entries.truncate(5);
+    let err = replay_net(&SixColoring, &topo, ids.clone(), &plan, &cfg, &short)
+        .expect_err("a truncated trace must not replay");
+    assert!(
+        matches!(err, ReplayError::Exhausted { seq: 5, .. }),
+        "{err}"
+    );
 
     let alg = DecoupledThreeColoring::new();
     let rep = run_decoupled_net(&alg, &topo, ids.clone(), &plan, &cfg);
-    let again = replay_decoupled_net(&alg, &topo, ids.clone(), &plan, &cfg, &rep.trace);
+    let again = replay_decoupled_net(&alg, &topo, ids.clone(), &plan, &cfg, &rep.trace)
+        .expect("an untouched trace replays");
     assert_eq!(again.outputs, rep.outputs, "an untouched trace replays");
     assert_eq!(again.trace, rep.trace);
-    let (k, bad) = tampered(&rep.trace);
-    for (what, trace) in bad {
-        let msg = replay_panic(|| {
-            replay_decoupled_net(&alg, &topo, ids.clone(), &plan, &cfg, &trace);
-        });
-        assert!(
-            msg.contains(&format!("replay trace diverged at send #{k}")),
-            "replay_decoupled_net, {what}: {msg}"
-        );
+    for (what, trace, want) in tampered(&rep.trace) {
+        let err = replay_decoupled_net(&alg, &topo, ids.clone(), &plan, &cfg, &trace)
+            .expect_err("a tampered trace must not replay");
+        assert_eq!(err, want, "replay_decoupled_net, {what}");
     }
 }
 
@@ -373,6 +386,57 @@ fn golden_matrix_pins_every_observable() {
         dead_reads > 0,
         "the crash plans must exercise dead register servers"
     );
+}
+
+/// `DeliveryTrace::digest` renders and hashes a trace one entry at a
+/// time; on every trace of the golden matrix (the same algorithms,
+/// topologies, plans and seed as `golden_matrix_pins_every_observable`)
+/// it equals the FNV-1a of the whole canonical JSON.
+#[test]
+fn streamed_trace_digests_hash_the_canonical_json() {
+    fn check<A>(alg: &A, topo: &Topology, plan: &FaultPlan)
+    where
+        A: Algorithm<Input = u64>,
+        A::Reg: Serialize + Deserialize,
+    {
+        let ids = inputs::random_unique(topo.len(), 10_000, 7);
+        let cfg = NetConfig::new(7).record_events(true);
+        let trace = run_net(alg, topo, ids, plan, &cfg).trace;
+        assert_eq!(trace.digest(), fnv1a(trace.to_json().as_bytes()));
+    }
+    let mixed = Topology::from_edges(
+        8,
+        [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (3, 5),
+            (5, 6),
+            (4, 6),
+            (2, 7),
+        ],
+    )
+    .unwrap();
+    let mut lossy = FaultPlan::lossy(0.2);
+    lossy.duplicate = 0.1;
+    lossy.reorder = 0.15;
+    let plans = [
+        FaultPlan::default(),
+        lossy,
+        FaultPlan::default().with_partition(Partition::window(3, 60, vec![1])),
+        FaultPlan::default().with_crash(2, 5),
+    ];
+    for plan in &plans {
+        for n in [5, 12] {
+            let topo = Topology::cycle(n).unwrap();
+            check(&SixColoring, &topo, plan);
+            check(&FiveColoringPatched, &topo, plan);
+            check(&FastFiveColoringPatched, &topo, plan);
+        }
+        check(&SixColoring, &mixed, plan);
+    }
 }
 
 const GOLDEN: &[&str] = &[

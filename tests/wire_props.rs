@@ -7,16 +7,23 @@
 //! same frame; torn, truncated, or garbage byte strings are rejected
 //! with a typed error rather than a panic or a wrong frame; and the
 //! buffer pool never hands out a buffer that still aliases a live one.
+//! The typed register path (`decode_msg`, which reads a register
+//! straight into its type) agrees with the tree path on every encoding
+//! the tree path writes, and refuses garbage with a typed error too.
 
 use ftcolor::core::alg3::Rank;
 use ftcolor::core::alg3_patched::Reg3P;
-use ftcolor::net::wire::{append_framed, binary_len, decode_frame, encode_frame_into, read_framed};
-use ftcolor::net::{
-    Body, Decide, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
+use ftcolor::net::wire::{
+    append_framed, binary_len, decode_frame, decode_msg, encode_frame_into, encode_msg_into,
+    read_framed,
 };
-use ftcolor::net::{WirePool, MAX_FRAME_BYTES};
+use ftcolor::net::{
+    Body, Decide, Frame, Init, InitOk, Msg, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
+};
+use ftcolor::net::{WireError, WirePool, MAX_FRAME_BYTES, WIRE_VERSION};
 use proptest::prelude::*;
 use serde::{Deserialize, Number, Serialize, Value};
+use std::fmt::Debug;
 
 /// A tiny deterministic PRNG (splitmix64) so every structure below can
 /// be hand-rolled from one integer draw — the vendored proptest shim
@@ -83,6 +90,80 @@ impl Gen {
                         .collect(),
                 )
             }
+        }
+    }
+
+    /// An Algorithm 3′ register's tree, often mangled the ways a
+    /// hostile or foreign peer could: a field dropped, repeated, moved,
+    /// retyped or joined by an unknown one, a rank out of `u32` range or
+    /// in the wrong variant shape.
+    fn register_tree(&mut self) -> Value {
+        let rank = match self.below(3) {
+            0 => Rank::Omega,
+            1 => Rank::Finite(u32::MAX),
+            _ => Rank::Finite(self.below(1 << 10) as u32),
+        };
+        let reg = Reg3P {
+            x: self.next(),
+            r: rank,
+            a: self.below(5),
+            b: self.below(5),
+            c: self.below(1 << 20),
+        };
+        let Value::Object(mut fields) = reg.to_value() else {
+            unreachable!("a named struct is an object")
+        };
+        for _ in 0..self.below(4) {
+            let at = self.below(fields.len().max(1) as u64) as usize;
+            match self.below(8) {
+                0 if !fields.is_empty() => drop(fields.remove(at)),
+                1 if !fields.is_empty() => {
+                    let (k, _) = fields[at].clone();
+                    fields.push((k, self.value(2)));
+                }
+                2 if !fields.is_empty() => {
+                    let pair = fields.remove(at);
+                    fields.insert(0, pair);
+                }
+                3 if !fields.is_empty() => fields[at].1 = self.value(2),
+                4 => fields.insert(at.min(fields.len()), (self.string(), self.value(3))),
+                5 if !fields.is_empty() => {
+                    let wide = u64::from(u32::MAX) + 1 + self.below(1 << 20);
+                    fields[at].1 =
+                        Value::Object(vec![("Finite".into(), Value::Number(Number::PosInt(wide)))]);
+                }
+                6 if !fields.is_empty() => {
+                    fields[at].1 = Value::Object(vec![("Omega".into(), Value::Null)]);
+                }
+                _ => {}
+            }
+        }
+        if self.below(16) == 0 {
+            self.value(2)
+        } else {
+            Value::Object(fields)
+        }
+    }
+
+    /// A register-protocol frame whose payload is a register tree.
+    fn register_frame(&mut self) -> Frame {
+        let round = self.below(1 << 30);
+        let body = match self.below(3) {
+            0 => Body::Write(Write {
+                round,
+                value: self.register_tree(),
+            }),
+            1 => Body::SnapshotReq(SnapshotReq { round }),
+            _ => Body::SnapshotResp(SnapshotResp {
+                round,
+                value: (self.below(4) != 0).then(|| self.register_tree()),
+                stamp: self.below(1 << 30),
+            }),
+        };
+        Frame {
+            src: self.node_id(),
+            dest: self.node_id(),
+            body,
         }
     }
 
@@ -259,6 +340,192 @@ proptest! {
         }
         prop_assert!(pool.hits() > 0, "the cycle never exercised reuse");
     }
+}
+
+/// The typed decode of `bytes` as `R` against the tree path: decode the
+/// frame's `Value` tree, then `R::from_value` its register. Equal
+/// messages, or the same shape error.
+fn typed_matches_tree<R>(bytes: &[u8]) -> Result<(), String>
+where
+    R: Deserialize + PartialEq + Debug,
+{
+    let tree = decode_frame(bytes).map_err(|e| format!("not an encoding: {e}"))?;
+    let want = tree
+        .body
+        .msg()
+        .expect("a register frame")
+        .try_map(R::from_value)
+        .map(|msg| (tree.src, tree.dest, msg));
+    let got = decode_msg::<R>(bytes);
+    match (got, want) {
+        (Ok(got), Ok(want)) if got == want => Ok(()),
+        (Err(WireError::Register(got)), Err(want)) if got == want => Ok(()),
+        (got, want) => Err(format!("typed {got:?} != tree {want:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On every register frame the tree path encodes (valid registers
+    /// and mangled ones), the typed decode equals the tree decode
+    /// followed by `from_value`, as an Algorithm 3′ register, as a
+    /// `Value`, and as other register shapes.
+    #[test]
+    fn typed_decode_equals_the_tree_path(seed in 0u64..u64::MAX) {
+        let frame = Gen(seed).register_frame();
+        let mut bytes = Vec::new();
+        encode_frame_into(&frame, &mut bytes);
+        prop_assert_eq!(typed_matches_tree::<Reg3P>(&bytes), Ok(()));
+        prop_assert_eq!(typed_matches_tree::<Value>(&bytes), Ok(()));
+        prop_assert_eq!(typed_matches_tree::<Rank>(&bytes), Ok(()));
+        prop_assert_eq!(typed_matches_tree::<Vec<(u64, u64)>>(&bytes), Ok(()));
+        prop_assert_eq!(typed_matches_tree::<Option<u32>>(&bytes), Ok(()));
+    }
+
+    /// The typed path writes what the tree path writes, and reads it
+    /// back; every strict prefix and any trailing byte is a typed error.
+    #[test]
+    fn typed_encodings_round_trip_and_tears_are_refused(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let Ok(reg) = Reg3P::from_value(&g.register_tree()) else {
+            return Ok(());
+        };
+        let msg = Msg::SnapshotResp { round: g.below(1 << 30), value: Some(&reg), stamp: 7 };
+        let mut typed = Vec::new();
+        encode_msg_into(3, 4, &msg, &mut typed);
+        let mut tree = Vec::new();
+        encode_frame_into(&Frame { src: 3, dest: 4, body: msg.to_body() }, &mut tree);
+        prop_assert_eq!(&typed, &tree);
+        prop_assert_eq!(decode_msg::<Reg3P>(&typed), Ok((3, 4, msg.map(|r| *r))));
+        for cut in 0..typed.len() {
+            prop_assert!(decode_msg::<Reg3P>(&typed[..cut]).is_err(), "cut at {}", cut);
+        }
+        typed.push(0);
+        prop_assert_eq!(decode_msg::<Reg3P>(&typed), Err(WireError::TrailingBytes(1)));
+    }
+
+    /// Garbage after a valid register-frame header (so the decoder gets
+    /// past the envelope) decodes through the typed path to a message
+    /// or a typed error, never a panic.
+    #[test]
+    fn typed_decode_of_garbage_never_panics(seed in 0u64..u64::MAX, len in 0usize..96) {
+        let mut g = Gen(seed);
+        let tag = 1 + g.below(3) as u8;
+        let mut bytes = vec![WIRE_VERSION, tag];
+        bytes.extend((0..len).map(|_| match g.below(4) {
+            // Bias towards value tags so containers and strings occur.
+            0 => g.below(9) as u8,
+            _ => g.next() as u8,
+        }));
+        let _ = decode_msg::<Reg3P>(&bytes);
+        let _ = decode_msg::<Value>(&bytes);
+        let _ = decode_msg::<Vec<(u64, String)>>(&bytes);
+        let _ = decode_msg::<Rank>(&bytes);
+    }
+}
+
+/// A `write` frame from node 0 to 1 in round 0 whose register is the
+/// value-format bytes `value`.
+fn raw_write(value: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![WIRE_VERSION, 0x01];
+    bytes.extend_from_slice(&[0; 12]); // src, dest, round
+    bytes.extend_from_slice(value);
+    bytes
+}
+
+/// Hostile registers the typed path must refuse by name: nesting past
+/// the cap inside a skipped unknown key, a key that is not UTF-8, a
+/// rank past `u32::MAX`, and bytes after the frame.
+#[test]
+fn typed_decode_refuses_hostile_registers_by_name() {
+    let reg = Reg3P {
+        x: 1,
+        r: Rank::Finite(2),
+        a: 3,
+        b: 4,
+        c: 5,
+    };
+    let mut good = Vec::new();
+    encode_msg_into(
+        0,
+        1,
+        &Msg::Write {
+            round: 0,
+            value: &reg,
+        },
+        &mut good,
+    );
+    let value = &good[14..];
+    assert_eq!(
+        decode_msg::<Reg3P>(&good),
+        Ok((
+            0,
+            1,
+            Msg::Write {
+                round: 0,
+                value: reg
+            }
+        ))
+    );
+
+    // `{"x":1, ..., "zz": [[[...null...]]]}` with the extra key nested
+    // `depth` arrays deep, skipped as unknown.
+    let nested = |depth: usize| {
+        let mut v = value.to_vec();
+        v[1] += 1; // one more pair
+        v.extend_from_slice(&[2, b'z', b'z']);
+        for _ in 0..depth {
+            v.extend_from_slice(&[0x07, 1]);
+        }
+        v.push(0x00);
+        raw_write(&v)
+    };
+    // The object is one level, so 127 more arrays stay within the cap.
+    assert!(decode_msg::<Reg3P>(&nested(127)).is_ok());
+    assert_eq!(decode_msg::<Reg3P>(&nested(128)), Err(WireError::TooDeep));
+    assert_eq!(
+        decode_msg::<Reg3P>(&nested(1 << 16)),
+        Err(WireError::TooDeep)
+    );
+
+    let mut bad_key = value.to_vec();
+    bad_key[3] = 0xff; // the first key, "x", becomes a lone 0xff byte
+    assert_eq!(
+        decode_msg::<Reg3P>(&raw_write(&bad_key)),
+        Err(WireError::BadUtf8)
+    );
+
+    let wide = Reg3P {
+        r: Rank::Finite(0),
+        ..reg
+    };
+    let Value::Object(mut fields) = wide.to_value() else {
+        unreachable!("a named struct is an object")
+    };
+    fields[1].1 = Value::Object(vec![(
+        "Finite".into(),
+        Value::Number(Number::PosInt(u64::from(u32::MAX) + 1)),
+    )]);
+    let mut bytes = Vec::new();
+    encode_frame_into(
+        &Frame {
+            src: 0,
+            dest: 1,
+            body: Body::Write(Write {
+                round: 0,
+                value: Value::Object(fields),
+            }),
+        },
+        &mut bytes,
+    );
+    match decode_msg::<Reg3P>(&bytes) {
+        Err(WireError::Register(e)) => assert!(e.to_string().contains("overflows u32"), "{e}"),
+        other => panic!("a rank of 2^32 decoded as {other:?}"),
+    }
+
+    good.push(0x00);
+    assert_eq!(decode_msg::<Reg3P>(&good), Err(WireError::TrailingBytes(1)));
 }
 
 /// A `write` frame carrying `value`, decoded back through both codecs.
