@@ -49,5 +49,5 @@ pub use msg::{
 pub use protocol::{Link, Machine, Outbox, Payload, Phase, Proc, RegisterError, Slot, Tree};
 pub use shrink::shrink_plan;
 pub use sim::{replay_net, run_net, NetConfig, NetReport, NetStats, ReplayError, Sent};
-pub use trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
+pub use trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry, TraceLog};
 pub use wire::{Codec, WireError, WirePool, WireStats, MAX_FRAME_BYTES, WIRE_VERSION};

@@ -36,7 +36,7 @@ use crate::calendar::EventQueue;
 use crate::faults::{Fate, FaultPlan};
 use crate::msg::{Frame, Msg};
 use crate::protocol::{Link, Machine, Outbox, Phase, Proc};
-use crate::trace::{DeliveryTrace, FrameKind, Outcome, TraceEntry};
+use crate::trace::{self, DeliveryTrace, FrameKind, Outcome, TraceEntry};
 use crate::wire::{decode_msg, encode_msg_into, Codec, WireStats};
 
 /// Simulation parameters (everything except the fault plan).
@@ -449,10 +449,7 @@ enum Mode<'t> {
     /// Draw fault decisions from the network RNG, record them.
     Record,
     /// Take fault decisions from a recorded trace, verbatim.
-    Replay {
-        entries: &'t [TraceEntry],
-        pos: usize,
-    },
+    Replay(trace::Iter<'t>),
 }
 
 /// The simulated network both simulators run on: the event queue and
@@ -483,10 +480,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         cfg: &'a NetConfig,
         trace: Option<&'a DeliveryTrace>,
     ) -> Self {
-        let mode = trace.map_or(Mode::Record, |t| Mode::Replay {
-            entries: &t.entries,
-            pos: 0,
-        });
+        let mode = trace.map_or(Mode::Record, |t| Mode::Replay(t.entries.iter()));
         Net {
             plan,
             cfg,
@@ -595,7 +589,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
             }
         };
         self.stats.sent += 1;
-        let seq = self.trace.entries.len() as u64;
+        let seq = self.trace.len() as u64;
         match outcome {
             Outcome::Deliver { at } => {
                 self.stats.delivered += 1;
@@ -640,7 +634,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         to: usize,
         kind: FrameKind,
     ) -> Result<(Outcome, Option<u64>), ReplayError> {
-        let seq = self.trace.entries.len();
+        let seq = self.trace.len();
         let now = self.now;
         let sent = Sent {
             kind,
@@ -659,10 +653,8 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
                     }
                 },
             ),
-            Mode::Replay { entries, pos } => {
-                let e = entries
-                    .get(*pos)
-                    .ok_or(ReplayError::Exhausted { seq, sent })?;
+            Mode::Replay(entries) => {
+                let e = entries.next().ok_or(ReplayError::Exhausted { seq, sent })?;
                 let recorded = Sent {
                     kind: e.kind,
                     from: e.from as usize,
@@ -683,7 +675,6 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
                 if let Some(at) = at.into_iter().chain(e.dup_at).find(|&t| t < now) {
                     return Err(ReplayError::BackDated { seq, sent, at });
                 }
-                *pos += 1;
                 Ok((e.outcome, e.dup_at))
             }
         }

@@ -6,7 +6,8 @@
 
 use ftcolor::model::{inputs, Topology};
 use ftcolor::net::{
-    replay_net, run_net, Body, FaultPlan, Frame, NetConfig, SnapshotReq, SnapshotResp, Write,
+    replay_net, run_net, Body, DeliveryTrace, FaultPlan, Frame, FrameKind, NetConfig, Outcome,
+    SnapshotReq, SnapshotResp, TraceEntry, Write,
 };
 use ftcolor::prelude::*;
 use proptest::prelude::*;
@@ -29,8 +30,126 @@ fn payload(a: u64, b: u64, tag: bool) -> Value {
     ])
 }
 
+/// Arbitrary delivery-trace entries: any `u64` times and `seq`s, any
+/// `u32` ids, drawn so that runs of near-monotone sends (the common
+/// case the packed log's deltas favor) mix with wild jumps either way,
+/// `seq`s that are not the index, and the extremes of every field.
+struct Entries;
+
+impl Strategy for Entries {
+    type Value = Vec<TraceEntry>;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Vec<TraceEntry> {
+        let len = (rng.next_u64() % 48) as usize;
+        let mut t = 0u64;
+        (0..len as u64)
+            .map(|i| {
+                let r = rng.next_u64();
+                t = match r % 4 {
+                    0 => wild(rng),
+                    1 => t.wrapping_sub(r >> 60),
+                    _ => t.wrapping_add(r >> 61),
+                };
+                let near = |rng: &mut proptest::TestRng| match rng.next_u64() % 3 {
+                    0 => wild(rng),
+                    _ => t.wrapping_add(rng.next_u64() % 9),
+                };
+                let outcome = match rng.next_u64() % 3 {
+                    0 => Outcome::Deliver { at: near(rng) },
+                    1 => Outcome::Drop,
+                    _ => Outcome::PartitionDrop,
+                };
+                let dup_at = rng.next_u64().is_multiple_of(3).then(|| near(rng));
+                let from = wild(rng) as u32;
+                TraceEntry {
+                    seq: if r.is_multiple_of(5) { wild(rng) } else { i },
+                    t,
+                    from,
+                    to: match rng.next_u64() % 3 {
+                        0 => wild(rng) as u32,
+                        1 => from.wrapping_add(1),
+                        _ => from.wrapping_sub(1),
+                    },
+                    kind: match rng.next_u64() % 3 {
+                        0 => FrameKind::Write,
+                        1 => FrameKind::SnapshotReq,
+                        _ => FrameKind::SnapshotResp,
+                    },
+                    outcome,
+                    dup_at,
+                }
+            })
+            .collect()
+    }
+}
+
+/// A value from one of: 0, small, near `u32::MAX`, near `u64::MAX`, or
+/// any 64 bits.
+fn wild(rng: &mut proptest::TestRng) -> u64 {
+    let r = rng.next_u64();
+    match r % 5 {
+        0 => 0,
+        1 => r >> 56,
+        2 => u64::from(u32::MAX) - (r >> 60),
+        3 => u64::MAX - (r >> 60),
+        _ => rng.next_u64(),
+    }
+}
+
+/// `a` with the field `pick` selects at entry `at` changed.
+fn mutated(a: &[TraceEntry], at: usize, pick: u64) -> Vec<TraceEntry> {
+    let mut b = a.to_vec();
+    let e = &mut b[at];
+    match pick % 7 {
+        0 => e.seq ^= 1,
+        1 => e.t = e.t.wrapping_add(1),
+        2 => e.from ^= 1,
+        3 => e.to = e.to.wrapping_sub(1),
+        4 => {
+            e.kind = match e.kind {
+                FrameKind::Write => FrameKind::SnapshotReq,
+                _ => FrameKind::Write,
+            }
+        }
+        5 => {
+            e.outcome = match e.outcome {
+                Outcome::Deliver { at } => Outcome::Deliver { at: at ^ 1 },
+                _ => Outcome::Deliver { at: e.t },
+            }
+        }
+        _ => e.dup_at = e.dup_at.map_or(Some(e.t), |_| None),
+    }
+    b
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The packed log is a faithful store of any entries: they come
+    /// back unchanged, the JSON is byte-identical to a
+    /// `Vec<TraceEntry>`'s inside `{"entries":[…]}` and parses back,
+    /// and two logs are equal exactly when their entries are.
+    #[test]
+    fn packed_trace_logs_keep_every_entry(
+        (a, other, pick) in (Entries, Entries, 0u64..u64::MAX)
+    ) {
+        let trace: DeliveryTrace = a.iter().cloned().collect();
+        prop_assert_eq!(trace.len(), a.len());
+        prop_assert_eq!(trace.entries.iter().collect::<Vec<_>>(), a.clone());
+        let json = trace.to_json();
+        let vec_json = serde_json::to_string(&a).expect("entries encode");
+        prop_assert_eq!(&json, &format!("{{\"entries\":{vec_json}}}"));
+        let back: DeliveryTrace = serde_json::from_str(&json).expect("trace parses");
+        prop_assert_eq!(&back, &trace);
+
+        let b = match pick % 3 {
+            0 => a.clone(),
+            1 if !a.is_empty() => mutated(&a, (pick >> 8) as usize % a.len(), pick >> 2),
+            _ => other,
+        };
+        let log_b: DeliveryTrace = b.iter().cloned().collect();
+        prop_assert_eq!(trace == log_b, a == b);
+    }
 
     /// `decode(encode(f)) == f` for every message type.
     #[test]

@@ -10,7 +10,7 @@ use ftcolor::model::{inputs, ProcessId, Topology};
 use ftcolor::net::trace::fnv1a;
 use ftcolor::net::{
     replay_decoupled_net, replay_net, run_decoupled_net, run_net, Codec, DeliveryTrace, FaultPlan,
-    NetConfig, Outcome, Partition, ReplayError, Sent,
+    NetConfig, Outcome, Partition, ReplayError, Sent, TraceEntry,
 };
 use ftcolor::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -165,24 +165,26 @@ fn two_node_island_stalls_its_closure() {
 /// a shifted send time, a delivery before the send, and a duplicate
 /// before the send — each with the error a replay must name.
 fn tampered(trace: &DeliveryTrace) -> Vec<(&'static str, DeliveryTrace, ReplayError)> {
-    let k = trace
-        .entries
+    let entries: Vec<TraceEntry> = trace.entries.iter().collect();
+    let k = entries
         .iter()
         .position(|e| e.t >= 2 && matches!(e.outcome, Outcome::Deliver { .. }))
         .expect("the run delivers something after t = 2");
-    let e = &trace.entries[k];
+    let e = &entries[k];
     let sent = Sent {
         kind: e.kind,
         from: e.from as usize,
         to: e.to as usize,
         t: e.t,
     };
-    let mut shifted = trace.clone();
-    shifted.entries[k].t += 1;
-    let mut early = trace.clone();
-    early.entries[k].outcome = Outcome::Deliver { at: e.t - 1 };
-    let mut early_dup = trace.clone();
-    early_dup.entries[k].dup_at = Some(e.t - 1);
+    let edited = |edit: &dyn Fn(&mut TraceEntry)| -> DeliveryTrace {
+        let mut entries = entries.clone();
+        edit(&mut entries[k]);
+        entries.into_iter().collect()
+    };
+    let shifted = edited(&|e| e.t += 1);
+    let early = edited(&|e| e.outcome = Outcome::Deliver { at: e.t - 1 });
+    let early_dup = edited(&|e| e.dup_at = Some(e.t - 1));
     let recorded = Sent { t: e.t + 1, ..sent };
     let back_dated = ReplayError::BackDated {
         seq: k,
@@ -225,8 +227,7 @@ fn tampered_traces_are_rejected_by_both_replays() {
             .to_string()
             .starts_with("replay trace diverged at send #"));
     }
-    let mut short = rep.trace.clone();
-    short.entries.truncate(5);
+    let short: DeliveryTrace = rep.trace.entries.iter().take(5).collect();
     let err = replay_net(&SixColoring, &topo, ids.clone(), &plan, &cfg, &short)
         .expect_err("a truncated trace must not replay");
     assert!(
