@@ -58,5 +58,5 @@ pub use modelcheck::{
 /// The former name of the multi-threaded checker, which is now [`ModelChecker`].
 pub type ParallelModelChecker<'a, A> = ModelChecker<'a, A>;
 pub use shrink::{ShrinkStats, Shrinker, ShrunkLivelock, ShrunkSchedule, Witness, WitnessFixture};
-pub use stats::{ExploreStats, Summary};
+pub use stats::{ExploreStats, Summary, VisitedBytes};
 pub use symmetry::CycleSymmetry;

@@ -41,10 +41,11 @@
 //!    Each worker reads outputs and the working set straight off a
 //!    node's packed row in the node arena and computes the safety
 //!    predicate, the terminal check, and one successor per activation
-//!    subset — stepped on the packed row itself into a per-worker
-//!    scratch row by the codec's memoized successor kernel
-//!    ([`ConfigCodec::step_into`], see [`ftcolor_model::encode`]), with
-//!    no [`Execution`] involved — and looks each successor up in the
+//!    subset — stepped on the packed row itself, with the entry lane
+//!    the worker fills once per node, into a per-worker scratch row by
+//!    the codec's memoized successor kernel ([`ConfigCodec::step_into`],
+//!    see [`ftcolor_model::encode`]), with no [`Execution`] involved —
+//!    and looks each successor up in the
 //!    arena's index. A successor already there is recorded by id; only
 //!    a new one is copied out of the scratch row. The arena is *frozen*
 //!    during this phase, so reads race with nothing, and no successor
@@ -87,7 +88,8 @@
 //! `12n + 8` bytes of row and hash, two to four 4-byte index slots, its
 //! parent link and its out-edges — no per-node heap allocation at all.
 //! [`ExploreStats::peak_visited_bytes`] adds up the capacities of
-//! exactly these buffers plus the interners.
+//! exactly these buffers plus the interners, and
+//! [`ExploreStats::visited_split`] reports each part.
 //!
 //! # Reductions
 //!
@@ -108,18 +110,20 @@
 //! cross-examined by a dynamic commutation probe before exploration
 //! starts. The reduced family is a pure function of the source
 //! configuration, enumerated in the same ascending-mask order as the
-//! full family. POR composes with symmetry: reduction happens on the
-//! canonical representative's working set, and since every reduced edge
-//! is a real edge, witness de-canonicalization is unchanged.
+//! full family; it depends on the working set alone, so each worker
+//! memoizes it per working set. POR composes with symmetry: reduction
+//! happens on the canonical representative's working set, and since
+//! every reduced edge is a real edge, witness de-canonicalization is
+//! unchanged.
 //!
 //! Experiment E6 runs this on `C3`/`C4` for Algorithms 1–3 (finding the
 //! crash-livelock of Algorithms 2/3 automatically, and verifying
 //! Algorithm 1 clean); E7 runs it on the MIS candidates.
 
 use crate::por::{self, PorContext};
-use crate::stats::ExploreStats;
+use crate::stats::{ExploreStats, VisitedBytes};
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
-use ftcolor_model::encode::{ConfigCodec, SLOTS_PER_PROC};
+use ftcolor_model::encode::{ConfigCodec, LanedRow, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::sweep::{default_jobs, partition};
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
@@ -376,9 +380,9 @@ impl Csr {
     }
 
     /// Heap bytes held, by capacity.
-    fn bytes(&self) -> usize {
-        self.first.capacity() * std::mem::size_of::<u32>()
-            + self.edges.capacity() * std::mem::size_of::<Edge>()
+    fn bytes(&self) -> u64 {
+        (self.first.capacity() * std::mem::size_of::<u32>()
+            + self.edges.capacity() * std::mem::size_of::<Edge>()) as u64
     }
 }
 
@@ -759,11 +763,13 @@ impl NodeArena {
         self.index = index;
     }
 
-    /// Heap bytes held, by capacity.
-    fn bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<u32>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
+    /// Heap bytes held, by capacity: the packed rows, then the hashes
+    /// and the index.
+    fn bytes(&self) -> (u64, u64) {
+        let rows = self.rows.capacity() * std::mem::size_of::<u32>();
+        let lookup = self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.index.capacity() * std::mem::size_of::<u32>();
+        (rows as u64, lookup as u64)
     }
 }
 
@@ -811,9 +817,17 @@ struct Worker<O> {
     /// Rows of successors the arena did not hold, back to back.
     fresh_rows: Vec<u32>,
     fresh_hashes: Vec<u64>,
-    /// Scratch rows: the stepped successor and its canonical image.
-    step: Vec<u32>,
+    /// The node being expanded with its entry lane, the stepped
+    /// successor, and the successor's canonical image.
+    parent: LanedRow,
+    step: LanedRow,
     canon: Vec<u32>,
+    /// This worker's copy of the POR context, whose mask memo it fills.
+    por: Option<PorContext>,
+    /// Every nonempty subset mask of the largest working set met so
+    /// far, ascending: the unreduced family of any working set is a
+    /// prefix of it.
+    every: Vec<u32>,
     /// Scratch for the node's outputs (the safety predicate's input) and
     /// working list.
     outputs: Vec<Option<O>>,
@@ -821,14 +835,19 @@ struct Worker<O> {
 }
 
 impl<O> Worker<O> {
-    fn new(width: usize) -> Self {
+    /// Buffers for `n` processes; `relabel` makes the lanes carry view
+    /// swaps (symmetry reduction).
+    fn new(n: usize, relabel: bool, por: Option<PorContext>) -> Self {
         Worker {
             expanded: Vec::new(),
             children: Vec::new(),
             fresh_rows: Vec::new(),
             fresh_hashes: Vec::new(),
-            step: vec![0; width],
-            canon: vec![0; width],
+            parent: LanedRow::new(n, relabel),
+            step: LanedRow::new(n, relabel),
+            canon: vec![0; n * SLOTS_PER_PROC],
+            por,
+            every: Vec::new(),
             outputs: Vec::new(),
             working: Vec::new(),
         }
@@ -849,7 +868,6 @@ struct Expander<'c, A: Algorithm, S> {
     topo: &'c Topology,
     codec: &'c ConfigCodec<A>,
     sym: Option<&'c CycleSymmetry>,
-    por: Option<&'c PorContext>,
     safety: &'c S,
     arena: &'c NodeArena,
     /// Whether nodes of this chunk branch at all (the cap not yet
@@ -872,13 +890,15 @@ where
             children,
             fresh_rows,
             fresh_hashes,
+            parent,
             step,
             canon,
+            por,
+            every,
             outputs,
             working,
         } = w;
         let row = self.arena.row(id);
-        let hash = self.arena.hashes[id];
         self.codec.outputs_into(row, outputs);
         // The predicate is pure, so evaluating it at configurations
         // after the first violation changes nothing observable.
@@ -897,20 +917,20 @@ where
         if !terminal && self.expand {
             let k = working.len();
             assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
+            self.codec
+                .entries_into(self.alg, row, self.arena.hashes[id], parent);
             let full = (1u32 << k) - 1;
-            let mut every = 1..=full;
-            let mut reduced;
-            let masks: &mut dyn Iterator<Item = u32> = match self.por {
-                Some(p) => {
-                    reduced = p.reduced_masks(working);
-                    &mut reduced
+            let masks: &[u32] = match por {
+                Some(p) => p.masks(working),
+                None => {
+                    if every.len() < full as usize {
+                        every.extend(every.len() as u32 + 1..=full);
+                    }
+                    &every[..full as usize]
                 }
-                None => &mut every,
             };
             let mut active = [ProcessId(0); MAX_WORKING];
-            let mut taken = 0u64;
-            for mask in masks {
-                taken += 1;
+            for &mask in masks {
                 let mut len = 0;
                 for (i, &p) in working.iter().enumerate() {
                     if mask & (1 << i) != 0 {
@@ -918,15 +938,11 @@ where
                         len += 1;
                     }
                 }
-                let h = self
-                    .codec
-                    .step_into(self.alg, self.topo, row, hash, &active[..len], step);
-                let canonical = self
-                    .sym
-                    .and_then(|s| s.canonicalize_into(self.codec, self.alg, true, step, canon));
-                let (succ, h, sig) = match canonical {
+                self.codec
+                    .step_into(self.alg, self.topo, parent, &active[..len], step);
+                let (succ, h, sig) = match self.sym.and_then(|s| s.canonicalize_into(step, canon)) {
                     Some((h, sig)) => (&canon[..], h, sig),
-                    None => (&step[..], h, SIGMA_ID),
+                    None => (step.row(), step.hash(), SIGMA_ID),
                 };
                 let target = match self.arena.get(succ, h) {
                     Some(to) => Target::Known(to),
@@ -939,7 +955,7 @@ where
                 };
                 children.push(Child { mask, sig, target });
             }
-            pruned = u64::from(full) - taken;
+            pruned = u64::from(full) - masks.len() as u64;
         }
         expanded.push(Expanded {
             node: node_id32(id),
@@ -1215,8 +1231,10 @@ where
         // First-seen flags by output intern index.
         let mut seen: Vec<bool> = Vec::new();
         let (mut dedup_hits, mut dedup_lookups, mut por_pruned) = (0u64, 0u64, 0u64);
-        let mut workers: Vec<Worker<A::Output>> =
-            (0..self.jobs).map(|_| Worker::new(width)).collect();
+        let n = self.topo.len();
+        let mut workers: Vec<Worker<A::Output>> = (0..self.jobs)
+            .map(|_| Worker::new(n, sym.is_some(), por.clone()))
+            .collect();
         // (worker, index into its `expanded`) of each node of a chunk.
         let mut placed: Vec<(usize, usize)> = Vec::new();
 
@@ -1231,7 +1249,6 @@ where
                     topo: self.topo,
                     codec: &codec,
                     sym: sym.as_ref(),
-                    por: por.as_ref(),
                     safety,
                     arena: &arena,
                     // Once the cap has been reached, no node of this or
@@ -1314,14 +1331,18 @@ where
         }
         graph.start_node();
 
-        let visited_bytes = arena.bytes()
-            + graph.bytes()
-            + parents.capacity() * std::mem::size_of::<ParentLink>()
-            + codec.approx_interner_bytes();
+        let (arena_rows, arena_hashes_index) = arena.bytes();
+        let visited = VisitedBytes {
+            arena_rows,
+            arena_hashes_index,
+            edges: graph.bytes(),
+            parent_links: (parents.capacity() * std::mem::size_of::<ParentLink>()) as u64,
+            interners: codec.approx_interner_bytes() as u64,
+        };
         let mut stats = ExploreStats::measure(
             arena.len(),
             t0.elapsed(),
-            visited_bytes as u64,
+            visited,
             dedup_hits,
             dedup_lookups,
             interned_total(&codec),
@@ -1468,6 +1489,35 @@ mod tests {
                 .find(|c| c.weight() > max_weight)
                 .map(|c| format!("color {c} outside palette"))
         }
+    }
+
+    #[test]
+    fn the_visited_bytes_split_adds_up_to_the_pinned_peak() {
+        // `ftcolor modelcheck --alg alg2p --ids 0,1,2,3,4 --symmetry
+        // --por --max-configs 40000`: every part is a buffer capacity, a
+        // pure function of the instance, so the split is pinned whole.
+        use ftcolor_core::{ring_safety, FiveColoringPatched};
+        let topo = Topology::cycle(5).unwrap();
+        let outcome = ModelChecker::new(&FiveColoringPatched, &topo, (0..5).collect())
+            .with_max_configs(40_000)
+            .with_symmetry(true)
+            .with_por(true)
+            .explore(ring_safety(&FiveColoringPatched))
+            .unwrap();
+        assert_eq!((outcome.configs, outcome.edges), (40_006, 78_385));
+        let split = &outcome.stats.visited_split;
+        assert_eq!(
+            *split,
+            VisitedBytes {
+                arena_rows: 3_932_160,
+                arena_hashes_index: 1_048_576,
+                edges: 1_835_008,
+                parent_links: 786_432,
+                interners: 142_464,
+            }
+        );
+        assert_eq!(split.total(), outcome.stats.peak_visited_bytes);
+        assert_eq!(outcome.stats.peak_visited_bytes, 7_744_640);
     }
 
     #[test]

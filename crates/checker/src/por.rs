@@ -87,11 +87,11 @@
 //! real edge, so parent chains and cycles replay concretely as-is (and
 //! compose with `--symmetry`'s frame algebra unchanged).
 
-use ftcolor_model::encode::ConfigCodec;
+use ftcolor_model::encode::{ConfigCodec, MemoHasher};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::{Algorithm, Execution, PorCert, ProcessId, Topology};
-use std::collections::{HashSet, VecDeque};
-use std::hash::Hash;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hash};
 
 /// Number of reachable configurations the dynamic probe explores.
 const PROBE_CONFIGS: usize = 32;
@@ -101,12 +101,18 @@ const SOLO_FUEL: usize = 64;
 
 /// Precomputed reduction context: which activation subsets survive at a
 /// given working set. Built once per exploration after the certificate
-/// gate passes; shared read-only by all workers.
+/// gate passes; each worker expands with its own clone, whose memo
+/// ([`Self::masks`]) fills as it meets working sets.
+#[derive(Clone)]
 pub(crate) struct PorContext {
     /// Adjacency bitmask per process index (over all `n` processes).
     adj: Vec<u64>,
     /// Whether Layer 2 (the canonical-component staircase) is enabled.
     staircase: bool,
+    /// Working-set process bitmask → its reduced masks' range in
+    /// `memo_masks`.
+    memo: HashMap<u64, (u32, u32), BuildHasherDefault<MemoHasher>>,
+    memo_masks: Vec<u32>,
 }
 
 impl PorContext {
@@ -124,7 +130,35 @@ impl PorContext {
             adj[a.index()] |= 1 << b.index();
             adj[b.index()] |= 1 << a.index();
         }
-        PorContext { adj, staircase }
+        PorContext {
+            adj,
+            staircase,
+            memo: HashMap::default(),
+            memo_masks: Vec::new(),
+        }
+    }
+
+    /// [`Self::reduced_masks`] of `working`, memoized by its process
+    /// bitmask: the surviving subsets depend on the working set alone,
+    /// so each distinct working set is enumerated once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `working` has 24 or more entries.
+    pub(crate) fn masks(&mut self, working: &[ProcessId]) -> &[u32] {
+        let key = working.iter().fold(0u64, |m, p| m | 1 << p.index());
+        let (lo, hi) = match self.memo.get(&key) {
+            Some(&range) => range,
+            None => {
+                let lo = self.memo_masks.len() as u32;
+                let masks = self.reduced_masks(working);
+                self.memo_masks.extend(masks);
+                let range = (lo, self.memo_masks.len() as u32);
+                self.memo.insert(key, range);
+                range
+            }
+        };
+        &self.memo_masks[lo as usize..hi as usize]
     }
 
     /// The surviving activation subsets of `working`, as bitmasks over it
@@ -378,11 +412,33 @@ mod tests {
     }
 
     #[test]
-    fn masks_enumerate_ascending() {
-        let sets = masks(&ctx(5, false), &[0, 1, 2, 3, 4]);
-        let mut sorted = sets.clone();
-        sorted.sort_unstable();
-        assert_eq!(sets, sorted, "deterministic enumeration order");
+    fn memoized_masks_equal_the_ascending_enumeration_for_every_working_set() {
+        let topos = (3..=8)
+            .map(|n| Topology::cycle(n).unwrap())
+            .chain([Topology::path(4).unwrap()]);
+        for topo in topos {
+            let n = topo.len();
+            for staircase in [false, true] {
+                let mut por = PorContext::new(&topo, staircase);
+                // Twice over every working subset: the first pass fills
+                // the memo, the second reads it back.
+                for pass in 0..2 {
+                    for set in 1u32..1 << n {
+                        let working: Vec<ProcessId> = (0..n)
+                            .filter(|i| set & 1 << i != 0)
+                            .map(ProcessId)
+                            .collect();
+                        let want: Vec<u32> = por.reduced_masks(&working).collect();
+                        assert!(want.is_sorted(), "n={n} set={set:#b}: ascending order");
+                        assert_eq!(
+                            por.masks(&working),
+                            &want[..],
+                            "n={n} staircase={staircase} pass={pass} set={set:#b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

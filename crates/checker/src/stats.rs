@@ -67,8 +67,11 @@ pub struct ExploreStats {
     /// capacities of the node arena (packed rows, hashes, index), the
     /// parent links and the edge lists, plus the interners' estimate.
     /// Capacities include growth slack the process never touched, so
-    /// peak RSS can read a little lower.
+    /// peak RSS can read a little lower. Equal to
+    /// `visited_split.total()`.
     pub peak_visited_bytes: u64,
+    /// `peak_visited_bytes` by component.
+    pub visited_split: VisitedBytes,
     /// Successor keys that were already in the visited set.
     pub dedup_hits: u64,
     /// Total successor-key lookups (`hits / lookups` = dedup hit-rate).
@@ -83,12 +86,35 @@ pub struct ExploreStats {
     pub por_pruned_sets: u64,
 }
 
+/// Where an exploration's visited-graph bytes go, by component (heap
+/// capacities, in bytes).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct VisitedBytes {
+    /// The node arena's packed rows.
+    pub arena_rows: u64,
+    /// The node arena's row hashes and its open-addressing index.
+    pub arena_hashes_index: u64,
+    /// The compressed-sparse-row edge list and its per-node offsets.
+    pub edges: u64,
+    /// The BFS parent links.
+    pub parent_links: u64,
+    /// The state, register and output interners.
+    pub interners: u64,
+}
+
+impl VisitedBytes {
+    /// The sum of every component.
+    pub fn total(&self) -> u64 {
+        self.arena_rows + self.arena_hashes_index + self.edges + self.parent_links + self.interners
+    }
+}
+
 impl ExploreStats {
     /// Builds the counters from raw measurements.
     pub fn measure(
         configs: usize,
         elapsed: std::time::Duration,
-        peak_visited_bytes: u64,
+        visited: VisitedBytes,
         dedup_hits: u64,
         dedup_lookups: u64,
         interned_values: u64,
@@ -102,7 +128,8 @@ impl ExploreStats {
         ExploreStats {
             elapsed_micros,
             configs_per_sec,
-            peak_visited_bytes,
+            peak_visited_bytes: visited.total(),
+            visited_split: visited,
             dedup_hits,
             dedup_lookups,
             interned_values,
@@ -123,11 +150,18 @@ impl ExploreStats {
 
 impl fmt::Display for ExploreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = &self.visited_split;
         write!(
             f,
-            "configs/sec={} peak_visited_bytes={} dedup_hit_rate={:.3} interned={} elapsed={}µs",
+            "configs/sec={} peak_visited_bytes={} (rows={} hashes+index={} edges={} parents={} \
+             interners={}) dedup_hit_rate={:.3} interned={} elapsed={}µs",
             self.configs_per_sec,
             self.peak_visited_bytes,
+            v.arena_rows,
+            v.arena_hashes_index,
+            v.edges,
+            v.parent_links,
+            v.interners,
             self.dedup_hit_rate(),
             self.interned_values,
             self.elapsed_micros
@@ -180,10 +214,17 @@ mod tests {
 
     #[test]
     fn explore_stats_rates() {
+        let visited = VisitedBytes {
+            arena_rows: 2048,
+            arena_hashes_index: 1024,
+            edges: 512,
+            parent_links: 256,
+            interners: 256,
+        };
         let s = ExploreStats::measure(
             1000,
             std::time::Duration::from_millis(100),
-            4096,
+            visited.clone(),
             30,
             40,
             12,
@@ -191,6 +232,7 @@ mod tests {
         assert_eq!(s.configs_per_sec, 10_000);
         assert!((s.dedup_hit_rate() - 0.75).abs() < 1e-9);
         assert_eq!(s.peak_visited_bytes, 4096);
+        assert_eq!(s.visited_split, visited);
     }
 
     #[test]

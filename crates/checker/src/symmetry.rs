@@ -34,6 +34,13 @@
 //!   (a spurious livelock on capped `FiveColoringPatched` runs exposed
 //!   this).
 //!
+//! The election ([`CycleSymmetry::canonicalize_into`]) reads only the
+//! successor's entry lane ([`ftcolor_model::encode::LanedRow`]), which
+//! the successor kernel already carries: each slot's value hash and
+//! packed index, and each state's view-swapped twin. It takes no lock
+//! and makes no interner lookup; a precomputed source table says, for
+//! every automorphism and position, which lane entry lands there.
+//!
 //! Every witness surfaced from the quotient graph is **de-canonicalized**
 //! (see `modelcheck::concrete_*_witness`): the per-edge canonicalizing
 //! automorphism is stored, a cumulative frame permutation maps each
@@ -47,7 +54,10 @@
 //! [`Algorithm`]: ftcolor_model::Algorithm
 //! [`Topology::is_cycle`]: ftcolor_model::Topology::is_cycle
 
-use ftcolor_model::encode::{slot_contrib, CfgKey, ConfigCodec, SLOTS_PER_PROC};
+use ftcolor_model::encode::{
+    slot_contrib, CfgKey, ConfigCodec, LanedRow, SlotEntry, LANE_PER_PROC, LANE_SWAPPED,
+    SLOTS_PER_PROC,
+};
 use ftcolor_model::schedule::ActivationSet;
 use ftcolor_model::{Algorithm, ProcessId, Topology};
 use std::hash::Hash;
@@ -68,13 +78,16 @@ pub struct CycleSymmetry {
     /// `compose[a][b]` = index of `perms[a] ∘ perms[b]`
     /// (i.e. `i ↦ perms[a][perms[b][i]]`).
     compose: Vec<Vec<u16>>,
-    /// `view_swap[g][i]` — whether moving node `i` to `perms[g][i]`
-    /// flips the order in which its (relabeled) neighbors appear in the
-    /// destination's neighbor list, so the state's view-position-indexed
-    /// data must be reindexed by [`Algorithm::relabel_view`].
-    view_swap: Vec<Vec<bool>>,
-    /// Whether `view_swap[g]` has any `true` entry (`perms[0]`, the
-    /// identity, never does).
+    /// `src[g·n + j]` — where image `g`'s process `j` comes from, as the
+    /// [`LanedRow`] lane index of its state entry: `4·inv(g)(j)` plus
+    /// [`LANE_SWAPPED`] when moving that source to `j` flips the order in
+    /// which its (relabeled) neighbors appear in the destination's
+    /// neighbor list, so its view-position-indexed state data must be
+    /// reindexed by [`Algorithm::relabel_view`]. The source's register
+    /// and output entries sit at offsets 1 and 2 of the same lane block.
+    src: Vec<u32>,
+    /// Whether element `g` flips any node's neighbor order (`perms[0]`,
+    /// the identity, never does).
     needs_relabel: Vec<bool>,
 }
 
@@ -190,12 +203,21 @@ impl CycleSymmetry {
             .collect();
         let needs_relabel: Vec<bool> = view_swap.iter().map(|v| v.contains(&true)).collect();
         debug_assert!(!needs_relabel[SIGMA_ID as usize]);
+        let src = (0..perms.len())
+            .flat_map(|g| {
+                let (ginv, swap) = (&perms[inv[g] as usize], &view_swap[g]);
+                ginv.iter().map(move |&i| {
+                    let i = i as usize;
+                    (LANE_PER_PROC * i + usize::from(swap[i]) * LANE_SWAPPED) as u32
+                })
+            })
+            .collect();
 
         Some(CycleSymmetry {
             perms,
             inv,
             compose,
-            view_swap,
+            src,
             needs_relabel,
         })
     }
@@ -249,12 +271,6 @@ impl CycleSymmetry {
         }
     }
 
-    /// Whether automorphism `g` flips the neighbor order seen by node
-    /// `i` when it moves to `perm(g)[i]`.
-    pub fn view_swap(&self, g: u16, i: usize) -> bool {
-        self.view_swap[g as usize][i]
-    }
-
     /// Canonicalizes `key` to its orbit representative: the packed
     /// buffer that is minimal under the order (slot value-hashes, then
     /// packed indices) over all `2n` relabelings. Returns the canonical
@@ -262,7 +278,14 @@ impl CycleSymmetry {
     /// (`canonical[g(i)·3+s] = action_g(key)[i·3+s]`).
     ///
     /// The [`CfgKey`] wrapper of [`Self::canonicalize_into`], which
-    /// documents the election.
+    /// documents the election: it fills a lane for `key` with
+    /// [`ConfigCodec::entries_into`] (view swaps included when
+    /// `relabel`) and elects from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `relabel` is set and `alg` does not certify
+    /// [`Algorithm::relabel_view`].
     pub fn canonicalize<A: Algorithm>(
         &self,
         codec: &ConfigCodec<A>,
@@ -275,8 +298,10 @@ impl CycleSymmetry {
         A::Reg: Eq + Hash,
         A::Output: Eq + Hash,
     {
+        let mut node = LanedRow::new(self.n(), relabel);
+        codec.entries_into(alg, &key.packed, key.hash, &mut node);
         let mut out = vec![0u32; key.packed.len()];
-        match self.canonicalize_into(codec, alg, relabel, &key.packed, &mut out) {
+        match self.canonicalize_into(&node, &mut out) {
             None => (key.clone(), SIGMA_ID),
             Some((hash, g)) => (
                 CfgKey {
@@ -288,96 +313,93 @@ impl CycleSymmetry {
         }
     }
 
-    /// Elects the orbit representative of the packed row `row`. Returns
-    /// `None` when `row` already is the representative (the identity
-    /// wins; `out` is left untouched), otherwise writes the
-    /// representative into `out` and returns its hash and the
-    /// automorphism `g` that produced it
-    /// (`out[g(i)·3+s] = action_g(row)[i·3+s]`). Allocates nothing.
+    /// Elects the orbit representative of `node`'s row from its entry
+    /// lane alone — no codec, no lock, no interner lookup. Returns `None`
+    /// when the row already is the representative (the identity wins;
+    /// `out` is left untouched), otherwise writes the representative
+    /// into `out` and returns its hash and the automorphism `g` that
+    /// produced it (`out[g(i)·3+s] = action_g(row)[i·3+s]`). Allocates
+    /// nothing.
     ///
     /// The group *action* moves each process's slots to its image and,
     /// where the automorphism flips a node's neighbor order, replaces
-    /// the state by its view-reindexed twin
-    /// ([`ConfigCodec::read_orbit`]) — without that, relabeled
-    /// configurations of algorithms with view-position-indexed state
-    /// (e.g. a stored previous view) would not step equivariantly and
-    /// the quotient would be unsound. When `relabel` is `false` (the
-    /// algorithm does not certify [`Algorithm::relabel_view`]), only
+    /// the state by its view-reindexed twin (the lane's swapped entry)
+    /// — without that, relabeled configurations of algorithms with
+    /// view-position-indexed state (e.g. a stored previous view) would
+    /// not step equivariantly and the quotient would be unsound. When
+    /// `node` carries no view swaps ([`LanedRow::relabel`] is `false`:
+    /// the algorithm does not certify [`Algorithm::relabel_view`]), only
     /// order-preserving elements participate — sound, but on sorted
     /// neighbor lists that is the identity alone, so callers should
     /// refuse symmetry for uncertified algorithms instead.
     ///
-    /// The primary sort key uses the codec's seed-free *value hashes*
-    /// rather than intern indices, so runs at different worker counts —
-    /// which may intern values in different orders — still elect the
-    /// same representative; ties go to the lowest `g`.
+    /// Images are ordered slot by slot, each slot by its [`SlotEntry`]:
+    /// the seed-free *value hash* first, then the packed index. Hashes
+    /// rather than intern indices lead so that runs at different worker
+    /// counts — which may intern values in different orders — still
+    /// elect the same representative; ties go to the lowest `g`. The
+    /// election takes a branch-free minimum over every image's first
+    /// slot and compares slot by slot only among the images tied there.
     ///
     /// # Panics
     ///
-    /// Panics if `row` or `out` does not hold `3n` slots.
-    pub fn canonicalize_into<A: Algorithm>(
-        &self,
-        codec: &ConfigCodec<A>,
-        alg: &A,
-        relabel: bool,
-        row: &[u32],
-        out: &mut [u32],
-    ) -> Option<(u64, u16)>
-    where
-        A::State: Eq + Hash,
-        A::Reg: Eq + Hash,
-        A::Output: Eq + Hash,
-    {
+    /// Panics if `node` or `out` is not sized for this group's `n`.
+    pub fn canonicalize_into(&self, node: &LanedRow, out: &mut [u32]) -> Option<(u64, u16)> {
         let n = self.n();
-        assert_eq!(row.len(), n * SLOTS_PER_PROC, "row must hold 3n slots");
-        assert_eq!(out.len(), row.len(), "out must hold 3n slots");
-        codec.read_orbit(alg, row, relabel, |view| {
-            // The image under element g, as (inverse perm, view-swap
-            // row): its slot j·3+s draws from source process i = inv(g)(j),
-            // with the state slot view-reindexed when the move flips i's
-            // neighbor order. Entries are (value hash, packed index),
-            // fetched only as far as a comparison needs them.
-            let image = |g: u16| (self.perm(self.invert(g)), &self.view_swap[g as usize][..]);
-            let slot_entry = |(ginv, swap): (&[u32], &[bool]), slot: usize| -> (u64, u32) {
-                let (j, s) = (slot / SLOTS_PER_PROC, slot % SLOTS_PER_PROC);
-                let i = ginv[j] as usize;
-                let mut v = row[SLOTS_PER_PROC * i + s];
-                if s == 0 && swap[i] {
-                    v = view.view_swapped(v);
-                }
-                (view.value_hash(s, v), v)
-            };
+        let lane = node.lane();
+        assert_eq!(lane.len(), n * LANE_PER_PROC, "lane must hold 4n entries");
+        assert_eq!(out.len(), n * SLOTS_PER_PROC, "out must hold 3n slots");
+        let relabel = node.relabel();
+        // Image g's first slot as one integer in the election order;
+        // elements left out of the election read as the maximum.
+        let first = |g: usize| -> u128 {
+            if !relabel && self.needs_relabel[g] {
+                return u128::MAX;
+            }
+            let e = lane[self.src[g * n] as usize];
+            u128::from(e.hash) << 32 | u128::from(e.idx)
+        };
+        let groups = self.group_len();
+        let min = (0..groups).fold(u128::MAX, |m, g| m.min(first(g)));
+        let mut best = None;
+        for g in (0..groups).filter(|&g| first(g) == min) {
+            if best.is_none_or(|b| self.cmp_images(lane, g, b).is_lt()) {
+                best = Some(g);
+            }
+        }
+        let best = best.expect("the identity always takes part");
+        if best == usize::from(SIGMA_ID) {
+            return None;
+        }
+        // The entries carry their value hashes, so the canonical row's
+        // hash needs no lookup.
+        let mut hash = 0u64;
+        for j in 0..n {
+            for (s, e) in self.image_slots(lane, best, j).into_iter().enumerate() {
+                let slot = SLOTS_PER_PROC * j + s;
+                out[slot] = e.idx;
+                hash ^= slot_contrib(slot, e.hash);
+            }
+        }
+        Some((hash, best as u16))
+    }
 
-            let mut best = SIGMA_ID;
-            let mut best_image = image(best);
-            for g in 1..self.group_len() as u16 {
-                if !relabel && self.needs_relabel[g as usize] {
-                    continue;
-                }
-                let candidate = image(g);
-                let better = (0..n * SLOTS_PER_PROC)
-                    .map(|slot| slot_entry(candidate, slot).cmp(&slot_entry(best_image, slot)))
-                    .find(|o| o.is_ne())
-                    .is_some_and(std::cmp::Ordering::is_lt);
-                if better {
-                    best = g;
-                    best_image = candidate;
-                }
-            }
+    /// The entries image `g` puts in process `j`'s three slots.
+    fn image_slots(&self, lane: &[SlotEntry], g: usize, j: usize) -> [SlotEntry; SLOTS_PER_PROC] {
+        let src = self.src[g * self.n() + j] as usize;
+        let block = src - src % LANE_PER_PROC;
+        [lane[src], lane[block + 1], lane[block + 2]]
+    }
 
-            if best == SIGMA_ID {
-                return None;
-            }
-            // The entries carry their value hashes, so the canonical
-            // row's hash needs no second pass over the slots.
-            let mut hash = 0u64;
-            for (slot, v) in out.iter_mut().enumerate() {
-                let (h, idx) = slot_entry(best_image, slot);
-                hash ^= slot_contrib(slot, h);
-                *v = idx;
-            }
-            Some((hash, best))
-        })
+    /// Images `a` and `b` compared slot by slot.
+    fn cmp_images(&self, lane: &[SlotEntry], a: usize, b: usize) -> std::cmp::Ordering {
+        (0..self.n())
+            .map(|j| {
+                self.image_slots(lane, a, j)
+                    .cmp(&self.image_slots(lane, b, j))
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     }
 }
 
@@ -477,12 +499,14 @@ mod tests {
         let sym = CycleSymmetry::for_topology(&topo).unwrap();
         let codec: ConfigCodec<SixColoring> = ConfigCodec::new(5);
         let mut exec = Execution::new(&SixColoring, &topo, vec![4, 1, 3, 0, 2]);
+        let mut node = LanedRow::new(5, true);
         for step in 0..6 {
             exec.step_with(&ActivationSet::solo(ProcessId(step % 5)));
             let key = codec.encode(&exec);
             let (canon, g) = sym.canonicalize(&codec, &SixColoring, true, &key);
+            codec.entries_into(&SixColoring, &key.packed, key.hash, &mut node);
             let mut out = vec![u32::MAX; key.packed.len()];
-            match sym.canonicalize_into(&codec, &SixColoring, true, &key.packed, &mut out) {
+            match sym.canonicalize_into(&node, &mut out) {
                 None => assert_eq!((&canon, g), (&key, SIGMA_ID)),
                 Some((hash, h)) => {
                     assert_eq!((&out[..], hash, h), (&canon.packed[..], canon.hash, g));
@@ -491,9 +515,10 @@ mod tests {
             }
             // The representative is its own representative: the identity
             // wins and `out` is left alone.
+            codec.entries_into(&SixColoring, &canon.packed, canon.hash, &mut node);
             let mut again = vec![u32::MAX; key.packed.len()];
             assert_eq!(
-                sym.canonicalize_into(&codec, &SixColoring, true, &canon.packed, &mut again),
+                sym.canonicalize_into(&node, &mut again),
                 None,
                 "step {step}"
             );

@@ -40,24 +40,43 @@
 //!
 //! [`ConfigCodec::step_into`] skips the executor altogether: it applies
 //! the three-phase step of §2.1 to a parent's packed row directly,
-//! writing the successor into a caller-owned scratch row (so a memo hit
-//! allocates nothing), with two memos keyed by intern indices only —
+//! writing the successor into a caller-owned scratch [`LanedRow`] (so a
+//! memo hit allocates nothing), with three memos keyed by intern
+//! indices only —
 //!
 //! * `published`: state index → register index (phase 1, the write),
 //! * `transitions`: `[state index, neighbor register slots…]` → (new
 //!   state index, output slot) (phases 2–3, read and update), hashed
-//!   with a fixed multiplicative hasher —
+//!   with a fixed multiplicative hasher,
+//! * `swapped_states`: state index → index of the same state with its
+//!   two view positions swapped, filled only for rows that carry view
+//!   swaps (symmetry reduction) —
 //!
 //! and the same incremental XOR hash as [`ConfigCodec::encode_delta`].
 //! [`ConfigCodec::step_packed`] is the [`CfgKey`]-to-[`CfgKey`] wrapper.
 //! A memo miss rebuilds the values from the interners and calls
-//! [`Algorithm::publish`] / [`Algorithm::step`] once. The memo adds one
-//! premise to the visited set's: `step` is a pure function of
-//! `(state, view)` and `publish` of `state` — the visited set already
-//! assumes it for whole configurations, and the certifier's step
-//! determinism rule (FTC-DET-005) checks it for every registry
-//! algorithm. An impure algorithm would be *hidden* by the memo, which is
-//! why the POR gate's commutation probe keeps stepping the real executor.
+//! [`Algorithm::publish`] / [`Algorithm::step`] /
+//! [`Algorithm::relabel_view`] once. The memo adds one premise to the
+//! visited set's: `step` is a pure function of `(state, view)` and
+//! `publish` of `state` — the visited set already assumes it for whole
+//! configurations, and the certifier's step determinism rule
+//! (FTC-DET-005) checks it for every registry algorithm. An impure
+//! algorithm would be *hidden* by the memo, which is why the POR gate's
+//! commutation probe keeps stepping the real executor.
+//!
+//! ### The entry lane
+//!
+//! A [`LanedRow`] carries, next to the row and its hash, one
+//! [`SlotEntry`] — `(value hash, packed index)` — per process for its
+//! state, its register, its output and its view-swapped state
+//! ([`LANE_PER_PROC`] entries). The expanding worker fills the lane once
+//! per node ([`ConfigCodec::entries_into`]); the kernel copies the
+//! parent's lane and rewrites only the processes that step, taking each
+//! old value's hash from the lane, so a changed slot costs one interner
+//! lookup, not two. Symmetry canonicalization then elects the orbit
+//! representative from the lane alone, with no codec, lock or lookup.
+//! A row without view swaps (plain exploration) carries the state's own
+//! entry in the swapped position, so there is one step path either way.
 //!
 //! ## The batch half
 //!
@@ -87,6 +106,13 @@ use std::sync::Arc;
 
 /// Packed slots per process: state, register, output.
 pub const SLOTS_PER_PROC: usize = 3;
+
+/// [`SlotEntry`]s per process in a [`LanedRow`]'s lane: state, register
+/// and output (mirroring the row's slots), then the view-swapped state.
+pub const LANE_PER_PROC: usize = 4;
+
+/// Lane offset, within a process's block, of its view-swapped state.
+pub const LANE_SWAPPED: usize = 3;
 
 /// Hash contribution of an empty (`⊥` register / no output) slot,
 /// before slot mixing. An arbitrary odd constant, distinct from any
@@ -260,12 +286,82 @@ impl Hash for CfgKey {
     }
 }
 
-/// Fixed multiplicative hasher (the FxHash mix) for the `transitions`
-/// memo: its keys are a handful of intern indices, which SipHash's
-/// flooding resistance buys nothing for. Seed-free, so the memo's layout
-/// is a pure function of what was inserted.
+/// One slot as a lane carries it: the pre-mix hash of the value packed
+/// there and its packed index. The derived order — hash, then index — is
+/// the order symmetry canonicalization elects by.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SlotEntry {
+    /// Seed-free hash of the value (a fixed constant for `0` in a
+    /// register or output slot).
+    pub hash: u64,
+    /// Packed index, as in the row.
+    pub idx: u32,
+}
+
+/// A packed `3n`-slot row with its slot-XOR hash and its entry lane —
+/// the successor kernel's input and output (see the module docs).
+/// `relabel` fixes at construction whether the lane's swapped entries
+/// are real view swaps or copies of the state entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LanedRow {
+    relabel: bool,
+    row: Vec<u32>,
+    hash: u64,
+    lane: Vec<SlotEntry>,
+}
+
+impl LanedRow {
+    /// An all-zero row for `n` processes; fill it with
+    /// [`ConfigCodec::entries_into`] or [`ConfigCodec::step_into`].
+    /// With `relabel`, the lane carries each state's view-swapped twin,
+    /// which needs an algorithm certifying [`Algorithm::relabel_view`].
+    pub fn new(n: usize, relabel: bool) -> Self {
+        LanedRow {
+            relabel,
+            row: vec![0; n * SLOTS_PER_PROC],
+            hash: 0,
+            lane: vec![SlotEntry::default(); n * LANE_PER_PROC],
+        }
+    }
+
+    /// The packed row.
+    pub fn row(&self) -> &[u32] {
+        &self.row
+    }
+
+    /// The row's slot-XOR hash.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The entry lane: [`LANE_PER_PROC`] entries per process.
+    pub fn lane(&self) -> &[SlotEntry] {
+        &self.lane
+    }
+
+    /// Whether the lane carries real view swaps.
+    pub fn relabel(&self) -> bool {
+        self.relabel
+    }
+
+    /// Writes `new` into slot `s` of process `i`, swapping the slot's
+    /// hash contribution; the old value's hash comes from the lane.
+    fn set(&mut self, i: usize, s: usize, new: SlotEntry) {
+        let slot = SLOTS_PER_PROC * i + s;
+        let old = &mut self.lane[LANE_PER_PROC * i + s];
+        self.hash ^= slot_contrib(slot, old.hash) ^ slot_contrib(slot, new.hash);
+        *old = new;
+        self.row[slot] = new.idx;
+    }
+}
+
+/// Fixed multiplicative hasher (the FxHash mix) for memos keyed by a
+/// few small integers — the `transitions` memo's intern indices, the
+/// checker's working-set bitmasks — which SipHash's flooding resistance
+/// buys nothing for. Seed-free, so a memo's layout is a pure function of
+/// what was inserted.
 #[derive(Default)]
-struct MemoHasher(u64);
+pub struct MemoHasher(u64);
 
 impl MemoHasher {
     const K: u64 = 0xf135_7aea_2e62_a9c5;
@@ -310,12 +406,15 @@ const UNKNOWN: u32 = u32::MAX;
 /// the stack.
 const INLINE_KEY: usize = 8;
 
-/// A memo entry [`CodecInner::try_step`] needed but did not find.
+/// A memo entry [`CodecInner::try_step`] or [`CodecInner::try_entries`]
+/// needed but did not find.
 enum Miss {
     /// `published[state]`.
     Publish(u32),
     /// `transitions[key]`.
     Transition(Box<[u32]>),
+    /// `swapped_states[state]`.
+    Swap(u32),
 }
 
 /// Interners for one exploration: states, registers, outputs — plus the
@@ -324,8 +423,8 @@ struct CodecInner<A: Algorithm> {
     states: ValueInterner<A::State>,
     regs: ValueInterner<A::Reg>,
     outs: ValueInterner<A::Output>,
-    /// Memo for symmetry canonicalization: state index → index of the
-    /// same state with its two view positions swapped
+    /// Lane memo for symmetry canonicalization: state index → index of
+    /// the same state with its two view positions swapped
     /// ([`Algorithm::relabel_view`] with `[1, 0]`), [`UNKNOWN`] until
     /// computed. The swap is an involution, so entries are recorded in
     /// both directions.
@@ -411,28 +510,62 @@ where
         Some([si, ri, oi])
     }
 
-    /// The successor kernel on the memos alone: writes into `row` the
-    /// successor of `parent` (hash `parent_hash`) in which the processes
-    /// of `active` that have not returned take one step, returning its
-    /// hash — or reports the first memo entry it lacks.
+    /// The lane entry of the value packed as `v` in slot kind `s`.
+    fn entry(&self, s: usize, v: u32) -> SlotEntry {
+        SlotEntry {
+            hash: self.packed_value_hash(s, v),
+            idx: v,
+        }
+    }
+
+    /// The lane entry of `state` with its view positions swapped —
+    /// `state` itself unless `relabel` — or the memo entry that is
+    /// missing.
+    fn swapped_entry(&self, relabel: bool, state: SlotEntry) -> Result<SlotEntry, Miss> {
+        if !relabel {
+            return Ok(state);
+        }
+        let sw = dense_get(&self.swapped_states, state.idx).ok_or(Miss::Swap(state.idx))?;
+        Ok(self.entry(0, sw))
+    }
+
+    /// Fills `out`'s lane from its row, or reports the first memo entry
+    /// it lacks.
+    fn try_entries(&self, out: &mut LanedRow) -> Result<(), Miss> {
+        let blocks = out.lane.chunks_exact_mut(LANE_PER_PROC);
+        for (slots, lane) in out.row.chunks_exact(SLOTS_PER_PROC).zip(blocks) {
+            for (s, &v) in slots.iter().enumerate() {
+                lane[s] = self.entry(s, v);
+            }
+            lane[LANE_SWAPPED] = self.swapped_entry(out.relabel, lane[0])?;
+        }
+        Ok(())
+    }
+
+    /// The successor kernel on the memos alone: writes into `out` the
+    /// successor of `parent` in which the processes of `active` that
+    /// have not returned take one step, lane and hash included — or
+    /// reports the first memo entry it lacks.
     fn try_step(
         &self,
         topo: &Topology,
-        parent: &[u32],
-        parent_hash: u64,
+        parent: &LanedRow,
         active: &[ProcessId],
-        row: &mut [u32],
-    ) -> Result<u64, Miss> {
-        row.copy_from_slice(parent);
-        let mut hash = parent_hash;
-        let working = |p: &&ProcessId| parent[SLOTS_PER_PROC * p.index() + 2] == 0;
+        out: &mut LanedRow,
+    ) -> Result<(), Miss> {
+        out.row.copy_from_slice(&parent.row);
+        out.lane.copy_from_slice(&parent.lane);
+        out.hash = parent.hash;
+        let working = |p: &&ProcessId| parent.row[SLOTS_PER_PROC * p.index() + 2] == 0;
 
         // Phase 1: every activated process writes.
         for p in active.iter().filter(working) {
-            let slot = SLOTS_PER_PROC * p.index();
-            let si = parent[slot];
-            let ri = dense_get(&self.published, si).ok_or(Miss::Publish(si))?;
-            self.set_slot(row, &mut hash, slot + 1, ri + 1);
+            let (i, slot) = (p.index(), SLOTS_PER_PROC * p.index());
+            let si = parent.row[slot];
+            let ri = dense_get(&self.published, si).ok_or(Miss::Publish(si))? + 1;
+            if ri != out.row[slot + 1] {
+                out.set(i, 1, self.entry(1, ri));
+            }
         }
 
         // Phases 2–3: each reads its neighbors' registers (phase-1 writes
@@ -441,7 +574,7 @@ where
         let mut inline = [0u32; INLINE_KEY];
         let mut spilled = Vec::new();
         for p in active.iter().filter(working) {
-            let slot = SLOTS_PER_PROC * p.index();
+            let (i, slot) = (p.index(), SLOTS_PER_PROC * p.index());
             let nbrs = topo.neighbors(*p);
             let key: &mut [u32] = if nbrs.len() < INLINE_KEY {
                 &mut inline[..=nbrs.len()]
@@ -449,21 +582,34 @@ where
                 spilled.resize(nbrs.len() + 1, 0);
                 &mut spilled
             };
-            key[0] = parent[slot];
+            key[0] = parent.row[slot];
             for (k, q) in key[1..].iter_mut().zip(nbrs) {
-                *k = row[SLOTS_PER_PROC * q.index() + 1];
+                *k = out.row[SLOTS_PER_PROC * q.index() + 1];
             }
             let &(si, oi) = self
                 .transitions
                 .get(&*key)
                 .ok_or_else(|| Miss::Transition(key.into()))?;
-            self.set_slot(row, &mut hash, slot, si);
-            self.set_slot(row, &mut hash, slot + 2, oi);
+            if si != parent.row[slot] {
+                let state = self.entry(0, si);
+                out.lane[LANE_PER_PROC * i + LANE_SWAPPED] =
+                    self.swapped_entry(out.relabel, state)?;
+                out.set(i, 0, state);
+            }
+            // A working process's output slot is 0, so any return changes it.
+            if oi != 0 {
+                out.set(i, 2, self.entry(2, oi));
+            }
         }
-        Ok(hash)
+        Ok(())
     }
 
     /// Computes the memo entry `miss` names with one call into `alg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Miss::Swap`] if `alg` does not certify
+    /// [`Algorithm::relabel_view`].
     fn fill(&mut self, alg: &A, miss: Miss) {
         match miss {
             Miss::Publish(si) => {
@@ -483,52 +629,17 @@ where
                 let si = self.states.intern(&state);
                 self.transitions.insert(key, (si, oi));
             }
+            Miss::Swap(si) => {
+                let mut value = self.states.value(si).clone();
+                assert!(
+                    alg.relabel_view(&mut value, &[1, 0]),
+                    "view swapping requires an algorithm that certifies relabel_view"
+                );
+                let j = self.states.intern(&value);
+                dense_set(&mut self.swapped_states, si, j);
+                dense_set(&mut self.swapped_states, j, si);
+            }
         }
-    }
-
-    /// Computes the view-swap memo entry of state `si` if missing.
-    fn fill_swap(&mut self, alg: &A, si: u32) {
-        if dense_get(&self.swapped_states, si).is_some() {
-            return;
-        }
-        let mut value = self.states.value(si).clone();
-        assert!(
-            alg.relabel_view(&mut value, &[1, 0]),
-            "view swapping requires an algorithm that certifies relabel_view"
-        );
-        let j = self.states.intern(&value);
-        dense_set(&mut self.swapped_states, si, j);
-        dense_set(&mut self.swapped_states, j, si);
-    }
-}
-
-/// A codec's value hashes and view-swap memo, held under one read lock
-/// while symmetry canonicalization compares a configuration's images
-/// (see [`ConfigCodec::read_orbit`]).
-pub struct OrbitView<'a, A: Algorithm> {
-    inner: &'a CodecInner<A>,
-}
-
-impl<A: Algorithm> OrbitView<'_, A>
-where
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-{
-    /// The pre-mix hash of the value packed as `v` in a slot of kind `s`
-    /// (0 = state, 1 = register, 2 = output).
-    pub fn value_hash(&self, s: usize, v: u32) -> u64 {
-        self.inner.packed_value_hash(s, v)
-    }
-
-    /// The index of state `si` with its two view positions swapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `si` is a state of the row the view was opened on,
-    /// with `relabel` set.
-    pub fn view_swapped(&self, si: u32) -> u32 {
-        dense_get(&self.inner.swapped_states, si).expect("view swap memoized by read_orbit")
     }
 }
 
@@ -671,51 +782,81 @@ where
         CfgKey { hash, packed }
     }
 
-    /// Writes into `out` the successor of the packed row `parent` (whose
-    /// hash is `parent_hash`) when the processes of `active` take one
-    /// step together, and returns the successor's hash — the packed
-    /// successor kernel (see the module docs). Equal, row and hash both,
-    /// to restoring `parent` into an execution, calling
+    /// Loads the packed row `row` (whose hash is `hash`) into `out` and
+    /// fills its entry lane — what the expanding worker does once per
+    /// node before stepping it with [`Self::step_into`]. When
+    /// `out.relabel()`, each state's view-swapped twin is memoized per
+    /// distinct state, so the clone + relabel + re-intern is paid once
+    /// per state value; only a state never swapped before takes the
+    /// write lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` and `out` do not hold `3n` slots for this codec,
+    /// or if `out.relabel()` and `alg` does not certify
+    /// [`Algorithm::relabel_view`] — callers must gate symmetry
+    /// reduction on the algorithm certifying the hook first.
+    pub fn entries_into(&self, alg: &A, row: &[u32], hash: u64, out: &mut LanedRow) {
+        assert_eq!(row.len(), self.n * SLOTS_PER_PROC, "row must hold 3n slots");
+        out.row.copy_from_slice(row);
+        out.hash = hash;
+        if self.inner.read().try_entries(out).is_ok() {
+            return;
+        }
+        let mut inner = self.inner.write();
+        while let Err(miss) = inner.try_entries(out) {
+            inner.fill(alg, miss);
+        }
+    }
+
+    /// Writes into `out` the successor of `parent` when the processes of
+    /// `active` take one step together — row, hash and lane — the packed
+    /// successor kernel (see the module docs). Row and hash are equal to
+    /// restoring `parent` into an execution, calling
     /// [`Execution::step_with`] with `active` and re-encoding with
-    /// [`Self::encode_delta`]; processes of `active` that have already
-    /// returned in `parent` are ignored, the way `step_with` resolves its
-    /// set against the working list.
+    /// [`Self::encode_delta`]; the lane is equal to what
+    /// [`Self::entries_into`] computes from that row. Processes of
+    /// `active` that have already returned in `parent` are ignored, the
+    /// way `step_with` resolves its set against the working list.
     ///
     /// A memoized transition allocates nothing; a miss calls `alg` once
     /// and takes the write lock.
     ///
     /// # Panics
     ///
-    /// Panics if `parent` or `out` is not a `3n`-slot row packed by this
-    /// codec for `topo`.
+    /// Panics if `parent` was not filled by this codec for `topo`, if
+    /// `out` is sized for another `n`, or if the two disagree on
+    /// `relabel`.
+    #[inline]
     pub fn step_into(
         &self,
         alg: &A,
         topo: &Topology,
-        parent: &[u32],
-        parent_hash: u64,
+        parent: &LanedRow,
         active: &[ProcessId],
-        out: &mut [u32],
-    ) -> u64 {
-        debug_assert_eq!(parent.len(), topo.len() * SLOTS_PER_PROC);
-        if let Ok(hash) = self
+        out: &mut LanedRow,
+    ) {
+        debug_assert_eq!(parent.row.len(), topo.len() * SLOTS_PER_PROC);
+        debug_assert_eq!(
+            parent.relabel, out.relabel,
+            "one kind of lane per exploration"
+        );
+        if self
             .inner
             .read()
-            .try_step(topo, parent, parent_hash, active, out)
+            .try_step(topo, parent, active, out)
+            .is_ok()
         {
-            return hash;
+            return;
         }
         let mut inner = self.inner.write();
-        loop {
-            match inner.try_step(topo, parent, parent_hash, active, out) {
-                Ok(hash) => return hash,
-                Err(miss) => inner.fill(alg, miss),
-            }
+        while let Err(miss) = inner.try_step(topo, parent, active, out) {
+            inner.fill(alg, miss);
         }
     }
 
     /// [`Self::step_into`] from one [`CfgKey`] to a freshly allocated
-    /// one.
+    /// one, on a lane without view swaps.
     ///
     /// # Panics
     ///
@@ -727,11 +868,13 @@ where
         parent: &CfgKey,
         active: &[ProcessId],
     ) -> CfgKey {
-        let mut row = vec![0u32; parent.packed.len()];
-        let hash = self.step_into(alg, topo, &parent.packed, parent.hash, active, &mut row);
+        let mut from = LanedRow::new(self.n, false);
+        self.entries_into(alg, &parent.packed, parent.hash, &mut from);
+        let mut to = LanedRow::new(self.n, false);
+        self.step_into(alg, topo, &from, active, &mut to);
         CfgKey {
-            hash,
-            packed: row.into(),
+            hash: to.hash,
+            packed: to.row.into(),
         }
     }
 
@@ -740,46 +883,6 @@ where
         let inner = self.inner.read();
         packed.iter().enumerate().fold(0u64, |h, (slot, &v)| {
             h ^ slot_contrib(slot, inner.packed_value_hash(slot % SLOTS_PER_PROC, v))
-        })
-    }
-
-    /// Runs `f` on an [`OrbitView`] of this codec under one read lock —
-    /// what symmetry canonicalization reads while comparing the images
-    /// of `packed`: slot value hashes and, when `relabel`, each
-    /// process's state with its two view positions swapped (a degree-2
-    /// relabeling through [`Algorithm::relabel_view`] with perm
-    /// `[1, 0]`). The swap is memoized per distinct state, so
-    /// canonicalization pays the clone + relabel + re-intern once per
-    /// state value, not once per configuration; only a state never
-    /// swapped before takes the write lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `relabel` is set and the algorithm's
-    /// [`Algorithm::relabel_view`] returns `false` — callers must gate
-    /// symmetry reduction on the algorithm certifying the hook first.
-    pub fn read_orbit<R>(
-        &self,
-        alg: &A,
-        packed: &[u32],
-        relabel: bool,
-        f: impl FnOnce(&OrbitView<'_, A>) -> R,
-    ) -> R {
-        let states = || packed.iter().step_by(SLOTS_PER_PROC);
-        {
-            let inner = self.inner.read();
-            if !relabel || states().all(|&si| dense_get(&inner.swapped_states, si).is_some()) {
-                return f(&OrbitView { inner: &inner });
-            }
-        }
-        {
-            let mut inner = self.inner.write();
-            for &si in states() {
-                inner.fill_swap(alg, si);
-            }
-        }
-        f(&OrbitView {
-            inner: &self.inner.read(),
         })
     }
 

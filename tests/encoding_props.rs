@@ -7,13 +7,16 @@
 //! sizes, random identifiers, random schedule prefixes, two algorithms
 //! with different state shapes.
 //!
-//! The packed successor kernel ([`ConfigCodec::step_packed`]) gets the
-//! same treatment against the executor it replaces in the parallel
-//! checker: five algorithms, cycles and a path, memo misses and hits.
+//! The packed successor kernel ([`ConfigCodec::step_packed`] and
+//! [`ConfigCodec::step_into`]) gets the same treatment against the
+//! executor it replaces in the parallel checker: five algorithms, cycles
+//! and a path, memo misses and hits — and the entry lane it carries from
+//! successor to successor must equal the lane
+//! [`ConfigCodec::entries_into`] computes afresh from each row.
 
 use ftcolor::core::mis::LocalMaxMis;
 use ftcolor::core::{FastFiveColoringPatched, FiveColoringPatched};
-use ftcolor::model::encode::{CfgKey, ConfigCodec};
+use ftcolor::model::encode::{CfgKey, ConfigCodec, LanedRow};
 use ftcolor::model::inputs;
 use ftcolor::prelude::*;
 use proptest::prelude::*;
@@ -105,6 +108,13 @@ fn kernel_topology(which: usize) -> Topology {
 /// and the second must be served from them. Subsets are drawn from all
 /// processes with at least one working member, so returned members must
 /// be ignored by both sides alike.
+///
+/// Alongside, [`ConfigCodec::step_into`] walks the same steps on lanes
+/// without view swaps and — on cycles, where symmetry reduction swaps
+/// views — with them, each lane carried from one successor to the next
+/// as the checker carries it from a node to its children: its row and
+/// hash must match the executor's, and its lane must equal
+/// [`ConfigCodec::entries_into`] recomputed from the successor row.
 fn kernel_matches_executor<A: Algorithm>(
     alg: &A,
     topo: &Topology,
@@ -121,6 +131,15 @@ where
     let codec: ConfigCodec<A> = ConfigCodec::new(n);
     let mut exec = Execution::new(alg, topo, ids);
     let mut key = codec.encode(&exec);
+    let mut lanes: Vec<LanedRow> = [false, true]
+        .into_iter()
+        .filter(|&relabel| !relabel || topo.is_cycle())
+        .map(|relabel| {
+            let mut lane = LanedRow::new(n, relabel);
+            codec.entries_into(alg, &key.packed, key.hash, &mut lane);
+            lane
+        })
+        .collect();
     let mut next = lcg(seed);
     for _ in 0..steps {
         let working = exec.working().to_vec();
@@ -144,6 +163,16 @@ where
             let got = codec.step_packed(alg, topo, &key, active);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(got.hash, want.hash);
+        }
+        for lane in &mut lanes {
+            let relabel = lane.relabel();
+            let mut got = LanedRow::new(n, relabel);
+            codec.step_into(alg, topo, lane, active, &mut got);
+            prop_assert_eq!((got.row(), got.hash()), (&want.packed[..], want.hash));
+            let mut fresh = LanedRow::new(n, relabel);
+            codec.entries_into(alg, got.row(), got.hash(), &mut fresh);
+            prop_assert_eq!(&got, &fresh, "relabel={}", relabel);
+            *lane = got;
         }
         exec = stepped;
         key = want;
@@ -202,7 +231,7 @@ proptest! {
 
     /// The packed successor kernel equals executor step + delta encode
     /// for Algorithms 1, 2, 2′ and 3′ and an MIS candidate, on `C3`–`C6`
-    /// and `P4`.
+    /// and `P4`, and the lane it carries equals the recomputed one.
     #[test]
     fn step_packed_matches_executor(which in 0usize..5, idseed in 0u64..u64::MAX / 2, walk in 0u64..10_000) {
         let topo = kernel_topology(which);

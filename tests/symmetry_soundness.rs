@@ -12,11 +12,20 @@
 //! suite asserts the weaker (but still sound) verdict agreement on the
 //! explored region. Algorithm 1 on C3–C5 and Algorithm 2 variants on
 //! C3–C4 complete exhaustively.
+//!
+//! The orbit representative itself is pinned by a brute-force spec of
+//! the election: every image built slot by slot through the executor,
+//! the minimum taken under the documented order.
 
-use ftcolor::checker::{ModelCheckError, ModelCheckOutcome, ModelChecker};
+use ftcolor::checker::{CycleSymmetry, ModelCheckError, ModelCheckOutcome, ModelChecker};
 use ftcolor::core::mis::{mis_violation, EagerMis};
+use ftcolor::core::FiveColoringPatched;
+use ftcolor::model::encode::{ConfigCodec, LanedRow, SlotEntry, LANE_PER_PROC, SLOTS_PER_PROC};
+use ftcolor::model::inputs;
 use ftcolor::prelude::*;
 use ftcolor_model::{Algorithm, Neighborhood, Step};
+use proptest::prelude::*;
+use std::hash::Hash;
 
 fn pair_safety(topo: &Topology, outs: &[Option<PairColor>]) -> Option<String> {
     if let Some((a, b)) = topo.first_conflict(outs) {
@@ -266,4 +275,116 @@ fn decanonicalized_safety_witness_replays_on_c4() {
         v.description,
         "description must match a concrete replay, not the canonical frame"
     );
+}
+
+/// Checks [`CycleSymmetry::canonicalize_into`] at every configuration of
+/// a random `steps`-step walk of `alg` on `C_n` against the election's
+/// specification. For each of the `2n` automorphisms `g`, the test
+/// builds the image in a scratch execution — process `i`'s state,
+/// register and output moved to `g(i)`, the state view-swapped through
+/// [`Algorithm::relabel_view`] where `g` flips the order of `i`'s
+/// (sorted) neighbor list — and keys it slot by slot by (value hash,
+/// packed index). The representative is the minimum key, ties to the
+/// lowest `g`; the elected row, automorphism and hash must be that
+/// image's, and the hash must equal [`ConfigCodec::hash_packed`] of the
+/// row. Most steps activate one process, so walks run long before
+/// everyone returns.
+fn election_matches_brute_force<A: Algorithm>(
+    alg: &A,
+    n: usize,
+    ids: Vec<A::Input>,
+    seed: u64,
+    steps: usize,
+) -> Result<(), TestCaseError>
+where
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash,
+{
+    let topo = Topology::cycle(n).unwrap();
+    let sym = CycleSymmetry::for_topology(&topo).unwrap();
+    let codec: ConfigCodec<A> = ConfigCodec::new(n);
+    let mut exec = Execution::new(alg, &topo, ids);
+    let mut scratch = exec.clone();
+    let (mut node, mut plain) = (LanedRow::new(n, true), LanedRow::new(n, false));
+    let mut out = vec![0u32; n * SLOTS_PER_PROC];
+    let mut rng = seed;
+    let mut draw = move || {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        rng >> 33
+    };
+    for _ in 0..steps {
+        let mut best: Option<(Vec<SlotEntry>, u16, Vec<u32>, u64)> = None;
+        for g in 0..sym.group_len() as u16 {
+            let perm = sym.perm(g);
+            for (i, &to) in perm.iter().enumerate() {
+                let p = ProcessId(i);
+                let mut state = exec.state(p).clone();
+                let moved: Vec<u32> = topo.neighbors(p).iter().map(|q| perm[q.index()]).collect();
+                if moved[0] > moved[1] {
+                    prop_assert!(alg.relabel_view(&mut state, &[1, 0]));
+                }
+                let (reg, output) = (exec.register(p).cloned(), exec.outputs()[i].clone());
+                scratch.restore_slot(ProcessId(to as usize), state, reg, output);
+            }
+            let image = codec.encode(&scratch);
+            codec.entries_into(alg, &image.packed, image.hash, &mut plain);
+            let keys: Vec<SlotEntry> = plain
+                .lane()
+                .chunks_exact(LANE_PER_PROC)
+                .flat_map(|block| block[..SLOTS_PER_PROC].to_vec())
+                .collect();
+            if best.as_ref().is_none_or(|(min, ..)| keys < *min) {
+                best = Some((keys, g, image.packed.to_vec(), image.hash));
+            }
+        }
+        let (_, g, row, hash) = best.expect("the group is nonempty");
+
+        let key = codec.encode(&exec);
+        codec.entries_into(alg, &key.packed, key.hash, &mut node);
+        let elected = match sym.canonicalize_into(&node, &mut out) {
+            None => (key.packed.to_vec(), key.hash, 0),
+            Some((hash, g)) => (out.clone(), hash, g),
+        };
+        prop_assert_eq!(&elected, &(row, hash, g));
+        prop_assert_eq!(codec.hash_packed(&elected.0), hash);
+
+        let working = exec.working().to_vec();
+        if working.is_empty() {
+            break;
+        }
+        let forced = working[draw() as usize % working.len()];
+        let crowd = draw().is_multiple_of(4);
+        exec.step_with(&ActivationSet::of(
+            (0..n)
+                .filter(|_| crowd && draw().is_multiple_of(2))
+                .map(ProcessId)
+                .chain([forced]),
+        ));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The election on random reachable rows of Algorithm 2′ (whose
+    /// views are reindexed by the action) and Algorithm 1 (whose are
+    /// not, so rotations and reflections tie on a slot more often) on
+    /// `C3`–`C7`, with distinct identifiers and — on even cycles — with
+    /// the alternating `0, 1, 0, 1, …`, whose configurations can be
+    /// their own images, so whole images tie and the lowest `g` must win.
+    #[test]
+    fn the_election_is_the_brute_force_minimum(n in 3usize..8, idseed in 0u64..u64::MAX / 2, walk in 0u64..10_000) {
+        let ids = inputs::random_unique(n, (n as u64).pow(3).max(16), idseed);
+        election_matches_brute_force(&FiveColoringPatched, n, ids.clone(), walk, 40)?;
+        election_matches_brute_force(&SixColoring, n, ids, walk, 40)?;
+        if n % 2 == 0 {
+            let alternating: Vec<u64> = (0..n as u64).map(|i| i % 2).collect();
+            election_matches_brute_force(&FiveColoringPatched, n, alternating.clone(), walk, 40)?;
+            election_matches_brute_force(&SixColoring, n, alternating, walk, 40)?;
+        }
+    }
 }
