@@ -1,22 +1,34 @@
 //! The struct-of-arrays batch engine.
 //!
 //! One [`BatchEngine`] holds a homogeneous fleet of `C_n` instances.
-//! An instance at rest occupies one *slot*: three flat slab rows — `3n`
-//! packed interned slots ([`ConfigCodec`]), `n` activation counters,
-//! and one time counter — a status byte, and a small control block (its
-//! admission index and round, live schedule struct, fuel). Stepping
-//! swaps the row through a per-worker scratch [`Execution`]: restore
-//! ([`ConfigCodec::restore_slice`]), up to `quantum` schedule
-//! iterations, re-encode ([`ConfigCodec::encode_slice`]). No
-//! `Execution` is ever cloned and no per-instance heap state survives
-//! between visits; a parked C5 slot costs 60 bytes of packed slots, 29
-//! of counters and status, and a 120-byte locked control block.
+//! An instance at rest occupies one *slot*: three flat slab rows — a
+//! `3n`-word packed row, `n` activation counters, and one time counter
+//! — a status byte, and a small control block (its admission index and
+//! round, live schedule struct, fuel).
+//!
+//! The status byte tells the packed row's two layouts apart. A *fresh*
+//! slot (admitted, not yet visited) holds the instance's `n`
+//! identifiers, each as a low and a high `u32` word (`2n` of the `3n`
+//! words); admission interns nothing. A *parked* slot holds `3n`
+//! interned slots ([`ConfigCodec`]). A visit swaps the row through a
+//! per-worker scratch [`Execution`]: re-initialize it from the
+//! identifiers ([`Execution::reinit`]) on the first visit, restore it
+//! ([`ConfigCodec::restore_slice`]) on every later one; then up to
+//! `quantum` schedule iterations, each resolved into one per-worker
+//! buffer ([`Schedule::next_into`]) and stepped over that buffer
+//! ([`Execution::step_active`]); then re-encode
+//! ([`ConfigCodec::encode_slice`]) if the instance stays in flight. No
+//! `Execution` is ever cloned, a step allocates nothing (unless traces
+//! are recorded), and no per-instance heap state survives between
+//! visits; a parked C5 slot costs 60 bytes of packed slots, 29 of
+//! counters and status, and a 120-byte locked control block.
 //!
 //! Slots are recycled. When a round retires an instance, the prune that
 //! follows it — after the workers have joined — puts the slot on a free
-//! list, and the next admission takes it, resetting counters, status and
-//! control block. The slab therefore grows to the most instances ever in
-//! flight at once ([`BatchEngine::slots`]), not to the number admitted
+//! list, and the next admission takes it, writing the identifiers and
+//! resetting counters, status and control block. The slab therefore
+//! grows to the most instances ever in flight at once
+//! ([`BatchEngine::slots`]), not to the number admitted
 //! ([`BatchEngine::admitted`]), and each distinct state or register is
 //! interned once for the whole fleet: memory follows what is in flight,
 //! which is what makes a stream of millions of instances fit.
@@ -24,10 +36,13 @@
 //! ## Equivalence to the sequential executor
 //!
 //! The visit loop replays [`Execution::run`]'s loop *exactly*: check
-//! the working set, check fuel, call `Schedule::next(time + 1,
-//! working)`, crash on `None` (snapshotting the working set), step on
-//! `Some`. The schedule structs are the real model types (stored per
-//! instance), the step is the real [`Execution::step_with`], and the
+//! the working set, check fuel, call `Schedule::next_into(time + 1,
+//! working, …)`, crash on `false` (snapshotting the working set), step
+//! otherwise. The schedule structs are the real model types (stored
+//! per instance, and `next_into` is `next` followed by
+//! [`ActivationSet::resolve`]), the first configuration is the one
+//! `Execution::new` builds, the step is the real
+//! [`Execution::step_active`] that `Execution::step_with` runs, and the
 //! time/activation counters are maintained to the same definitions —
 //! so outcomes are bit-identical to `Execution::run` by construction,
 //! which `tests/batch_equivalence.rs` pins per algorithm, instance,
@@ -77,12 +92,16 @@ pub enum Termination {
     Stalled,
 }
 
-/// Slab status byte. `InFlight` is engine-internal; the other values
-/// mirror [`Termination`].
+/// Slab status byte. `InFlight` (parked: the packed row holds interned
+/// slots) and `Fresh` (not yet visited: the packed row holds the
+/// identifiers) are engine-internal; the other values mirror
+/// [`Termination`]. A round visits every fresh slot, so none is left
+/// fresh after it.
 const ST_IN_FLIGHT: u8 = 0;
 const ST_RETURNED: u8 = 1;
 const ST_CRASHED: u8 = 2;
 const ST_STALLED: u8 = 3;
+const ST_FRESH: u8 = 4;
 
 impl Termination {
     fn as_status(self) -> u8 {
@@ -187,7 +206,8 @@ where
     round: u64,
     /// Instances admitted so far; the next admission index.
     admitted: usize,
-    /// Packed configuration slab: `3n` interned slots per slot.
+    /// Packed configuration slab: `3n` words per slot — interned slots
+    /// when parked, the identifiers when fresh.
     packed: Vec<AtomicU32>,
     /// Activation-counter slab: `n` counters per slot.
     activ: Vec<AtomicU32>,
@@ -281,10 +301,11 @@ where
         self.codec.approx_interner_bytes()
     }
 
-    /// Admits one instance, returning its admission index. The instance
-    /// is initialized exactly as `Execution::new` would (it is — a
-    /// scratch execution is built once and immediately parked into the
-    /// slab), in the slot of a retired instance if there is one.
+    /// Admits one instance, returning its admission index, in the slot
+    /// of a retired instance if there is one. The slot is left fresh:
+    /// its packed row holds the identifiers, and the first visit builds
+    /// the initial configuration from them exactly as `Execution::new`
+    /// does ([`Execution::reinit`]). Admission interns nothing.
     ///
     /// # Panics
     ///
@@ -319,19 +340,17 @@ where
         };
         let at = slot as usize;
         *self.time[at].get_mut() = 0;
-        *self.status[at].get_mut() = ST_IN_FLIGHT;
+        *self.status[at].get_mut() = ST_FRESH;
         for a in &mut self.activ[at * self.n..(at + 1) * self.n] {
             *a.get_mut() = 0;
         }
-        let exec = Execution::new(self.alg, &self.topo, spec.ids.clone());
-        let width = self.n * SLOTS_PER_PROC;
-        let mut row = vec![0u32; width];
-        self.codec.encode_slice(&exec, &mut row);
-        for (cell, v) in self.packed[at * width..(at + 1) * width]
-            .iter_mut()
-            .zip(row)
+        let base = at * self.n * SLOTS_PER_PROC;
+        for (words, &id) in self.packed[base..base + 2 * self.n]
+            .chunks_exact_mut(2)
+            .zip(&spec.ids)
         {
-            *cell.get_mut() = v;
+            *words[0].get_mut() = id as u32;
+            *words[1].get_mut() = (id >> 32) as u32;
         }
         self.runnable.push(slot);
         index
@@ -357,34 +376,27 @@ where
             for w in 0..workers {
                 let queues = &queues;
                 s.spawn(move |_| {
-                    let mut scratch = Execution::new(this.alg, &this.topo, vec![0u64; this.n]);
-                    let mut row = vec![0u32; this.n * SLOTS_PER_PROC];
-                    let mut act_row = vec![0u32; this.n];
-                    let visit_all = |range: std::ops::Range<usize>,
-                                     scratch: &mut Execution<'_, A>,
-                                     row: &mut [u32],
-                                     act_row: &mut [u32]| {
+                    let mut bufs = VisitBufs {
+                        scratch: Execution::new(this.alg, &this.topo, vec![0u64; this.n]),
+                        row: vec![0u32; this.n * SLOTS_PER_PROC],
+                        act_row: vec![0u32; this.n],
+                        active: Vec::with_capacity(this.n),
+                    };
+                    let mut visit_all = |range: std::ops::Range<usize>| {
                         for i in range {
-                            this.visit(
-                                this.runnable[i] as usize,
-                                round,
-                                scratch,
-                                row,
-                                act_row,
-                                sink,
-                            );
+                            this.visit(this.runnable[i] as usize, round, &mut bufs, sink);
                         }
                     };
                     loop {
                         if let Some(range) = queues[w].claim(CLAIM_CHUNK) {
-                            visit_all(range, &mut scratch, &mut row, &mut act_row);
+                            visit_all(range);
                             continue;
                         }
                         let victim = (0..workers)
                             .filter(|&v| v != w)
                             .max_by_key(|&v| queues[v].remaining());
                         match victim.and_then(|v| queues[v].steal()) {
-                            Some(range) => visit_all(range, &mut scratch, &mut row, &mut act_row),
+                            Some(range) => visit_all(range),
                             None => break,
                         }
                     }
@@ -416,18 +428,23 @@ where
         self.runnable.is_empty()
     }
 
-    /// Visits the instance in `slot`: restore its slab row, run up to
-    /// `quantum` schedule iterations of `Execution::run`'s exact loop,
-    /// park or retire.
+    /// Visits the instance in `slot`: restore its slab row (or, on its
+    /// first visit, build its initial configuration from the
+    /// identifiers the row holds), run up to `quantum` schedule
+    /// iterations of `Execution::run`'s exact loop, park or retire.
     fn visit(
         &self,
         slot: usize,
         round: u64,
-        scratch: &mut Execution<'_, A>,
-        row: &mut [u32],
-        act_row: &mut [u32],
+        bufs: &mut VisitBufs<'_, A>,
         sink: &impl Fn(BatchOutcome<A::Output>),
     ) {
+        let VisitBufs {
+            scratch,
+            row,
+            act_row,
+            active,
+        } = bufs;
         let slots = self.n * SLOTS_PER_PROC;
         let base = slot * slots;
         let abase = slot * self.n;
@@ -436,7 +453,15 @@ where
         for (k, r) in row.iter_mut().enumerate() {
             *r = self.packed[base + k].load(Ordering::Relaxed);
         }
-        self.codec.restore_slice(scratch, row);
+        if self.status[slot].load(Ordering::Relaxed) == ST_FRESH {
+            scratch.reinit(
+                row.chunks_exact(2)
+                    .take(self.n)
+                    .map(|w| u64::from(w[0]) | (u64::from(w[1]) << 32)),
+            );
+        } else {
+            self.codec.restore_slice(scratch, row);
+        }
         for (k, a) in act_row.iter_mut().enumerate() {
             *a = self.activ[abase + k].load(Ordering::Relaxed);
         }
@@ -457,23 +482,19 @@ where
                 done = Some(Termination::Stalled);
                 break;
             }
-            match ctrl.sched.next(time + 1, scratch.working()) {
-                None => {
-                    crashed = scratch.working().to_vec();
-                    done = Some(Termination::Crashed);
-                    break;
-                }
-                Some(set) => {
-                    let active = scratch.step_with(&set);
-                    for &p in &active {
-                        act_row[p.index()] += 1;
-                    }
-                    if let Some(trace) = &mut ctrl.trace {
-                        trace.push(ActivationSet::Only(active));
-                    }
-                    time += 1;
-                }
+            if !ctrl.sched.next_into(time + 1, scratch.working(), active) {
+                crashed = scratch.working().to_vec();
+                done = Some(Termination::Crashed);
+                break;
             }
+            scratch.step_active(active);
+            for &p in active.iter() {
+                act_row[p.index()] += 1;
+            }
+            if let Some(trace) = &mut ctrl.trace {
+                trace.push(ActivationSet::Only(active.clone()));
+            }
+            time += 1;
         }
 
         match done {
@@ -487,6 +508,7 @@ where
                     self.activ[abase + k].store(*a, Ordering::Relaxed);
                 }
                 self.time[slot].store(time, Ordering::Relaxed);
+                self.status[slot].store(ST_IN_FLIGHT, Ordering::Relaxed);
             }
             Some(term) => {
                 self.status[slot].store(term.as_status(), Ordering::Relaxed);
@@ -506,6 +528,16 @@ where
             }
         }
     }
+}
+
+/// One worker's reusable visit buffers: the scratch execution every
+/// slot is swapped through, its packed and activation-counter rows, and
+/// the resolved activation set of the current step.
+struct VisitBufs<'e, A: Algorithm> {
+    scratch: Execution<'e, A>,
+    row: Vec<u32>,
+    act_row: Vec<u32>,
+    active: Vec<ProcessId>,
 }
 
 /// Chunk size workers claim from their own queue per lock acquisition.

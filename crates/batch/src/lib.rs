@@ -14,7 +14,8 @@
 //!   instance at rest is `3n` packed `u32` slots (the model-checker's
 //!   interned [`ConfigCodec`](ftcolor_model::encode::ConfigCodec)
 //!   encoding, lifted out of the checker and into the execution hot
-//!   path) plus flat activation/time counters. Sweeps visit every
+//!   path; a freshly admitted instance holds its identifiers there
+//!   instead) plus flat activation/time counters. Sweeps visit every
 //!   in-flight instance through per-worker scratch executions,
 //!   partitioned with the checker's claim/steal
 //!   [`RangeQueue`](ftcolor_model::sweep::RangeQueue)s. Outcomes are

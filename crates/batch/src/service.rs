@@ -148,7 +148,9 @@ pub struct ServiceSummary {
     /// Commutative digest over all outcomes (hex) — order-independent,
     /// so equal digests at different `--jobs` mean equal outcome sets.
     pub outputs_digest: String,
-    /// Distinct interned states (0 on the materialized path).
+    /// Distinct interned states (0 on the materialized path). Only
+    /// parked configurations are interned: an instance that retires on
+    /// its first visit never interns its states, initial ones included.
     pub interned_states: usize,
     /// Distinct interned register values.
     pub interned_regs: usize,

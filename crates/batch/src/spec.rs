@@ -138,6 +138,13 @@ impl Schedule for BatchSchedule {
             BatchSchedule::Random(s) => s.next(t, working),
         }
     }
+
+    fn next_into(&mut self, t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        match self {
+            BatchSchedule::Sync(s) => s.next_into(t, working, out),
+            BatchSchedule::Random(s) => s.next_into(t, working, out),
+        }
+    }
 }
 
 impl BatchSchedule {

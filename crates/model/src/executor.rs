@@ -182,25 +182,55 @@ impl<'a, A: Algorithm> Execution<'a, A> {
                 nodes: topo.len(),
             });
         }
-        let states: Vec<A::State> = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| alg.init(ProcessId(i), x))
-            .collect();
-        let n = topo.len();
-        Ok(Execution {
+        let mut exec = Execution {
             alg,
             topo,
-            states,
-            registers: vec![None; n],
-            outputs: (0..n).map(|_| None).collect(),
-            activations: vec![0; n],
-            working: (0..n).map(ProcessId).collect(),
+            states: Vec::new(),
+            registers: Vec::new(),
+            outputs: Vec::new(),
+            activations: Vec::new(),
+            working: Vec::new(),
             time: 0,
             record: false,
             recorded: Vec::new(),
             view: Vec::new(),
-        })
+        };
+        exec.reinit(inputs);
+        Ok(exec)
+    }
+
+    /// Puts this execution back into the initial configuration for
+    /// `inputs`, reusing its buffers: afterwards it equals
+    /// `Execution::new(alg, topo, inputs)` on its own algorithm and
+    /// topology (trace recording off, nothing recorded). This is the
+    /// one definition of the initial configuration; the constructors
+    /// build through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not yield one input per node.
+    pub fn reinit(&mut self, inputs: impl IntoIterator<Item = A::Input>) {
+        let alg = self.alg;
+        self.states.clear();
+        self.states.extend(
+            inputs
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| alg.init(ProcessId(i), x)),
+        );
+        let n = self.topo.len();
+        assert_eq!(self.states.len(), n, "one input per node");
+        self.registers.clear();
+        self.registers.resize_with(n, || None);
+        self.outputs.clear();
+        self.outputs.resize_with(n, || None);
+        self.activations.clear();
+        self.activations.resize(n, 0);
+        self.working.clear();
+        self.working.extend((0..n).map(ProcessId));
+        self.time = 0;
+        self.record = false;
+        self.recorded.clear();
     }
 
     /// Enables trace recording: every resolved activation set is kept and
@@ -358,13 +388,29 @@ impl<'a, A: Algorithm> Execution<'a, A> {
     /// This is the three-phase step of §2.1: all writes, then all reads,
     /// then all updates.
     pub fn step_with(&mut self, set: &ActivationSet) -> Vec<ProcessId> {
-        self.step_with_observed(set, &mut ())
+        let active = set.resolve(&self.working);
+        self.step_active(&active);
+        active
+    }
+
+    /// Executes one time step activating exactly `active`, a set already
+    /// resolved against the working processes (sorted, every entry
+    /// working — what [`ActivationSet::resolve`] and
+    /// [`Schedule::next_into`] produce). The step of
+    /// [`Execution::step_with`] without resolving or allocating.
+    pub fn step_active(&mut self, active: &[ProcessId]) {
+        debug_assert!(
+            active.windows(2).all(|w| w[0] < w[1])
+                && active.iter().all(|p| self.outputs[p.index()].is_none()),
+            "step_active needs a sorted set of working processes"
+        );
+        self.step_resolved(Some(active), &mut ());
     }
 
     /// [`Execution::step_with`] with an [`ExecObserver`] threaded through
     /// the three phases. The observer only watches; the step semantics are
-    /// identical (and `step_with` delegates here with the no-op observer
-    /// `()`).
+    /// identical (both end in the same three-phase step as
+    /// [`Execution::step_active`]).
     pub fn step_with_observed(
         &mut self,
         set: &ActivationSet,

@@ -55,13 +55,22 @@ impl ActivationSet {
     /// Resolves the set against the current working list, yielding the
     /// concrete processes to activate (in increasing id order).
     pub fn resolve(&self, working: &[ProcessId]) -> Vec<ProcessId> {
+        let mut out = Vec::new();
+        self.resolve_into(working, &mut out);
+        out
+    }
+
+    /// [`ActivationSet::resolve`] into a caller-owned buffer, which is
+    /// cleared first.
+    pub fn resolve_into(&self, working: &[ProcessId], out: &mut Vec<ProcessId>) {
+        out.clear();
         match self {
-            ActivationSet::All => working.to_vec(),
-            ActivationSet::Only(v) => v
-                .iter()
-                .copied()
-                .filter(|p| working.binary_search(p).is_ok())
-                .collect(),
+            ActivationSet::All => out.extend_from_slice(working),
+            ActivationSet::Only(v) => out.extend(
+                v.iter()
+                    .copied()
+                    .filter(|p| working.binary_search(p).is_ok()),
+            ),
         }
     }
 }
@@ -79,17 +88,45 @@ impl ActivationSet {
 pub trait Schedule {
     /// The activation set for time step `t`.
     fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet>;
+
+    /// The activation set for time step `t`, already resolved against
+    /// `working`, written into `out` (cleared first). Returns `false`
+    /// where [`Schedule::next`] returns `None`.
+    ///
+    /// This is `next(t, working).map(|s| s.resolve(working))` with the
+    /// same schedule state afterwards; schedules on a hot loop override
+    /// it to draw straight into `out` without allocating.
+    fn next_into(&mut self, t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        match self.next(t, working) {
+            Some(set) => {
+                set.resolve_into(working, out);
+                true
+            }
+            None => {
+                out.clear();
+                false
+            }
+        }
+    }
 }
 
 impl<S: Schedule + ?Sized> Schedule for Box<S> {
     fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
         (**self).next(t, working)
     }
+
+    fn next_into(&mut self, t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        (**self).next_into(t, working, out)
+    }
 }
 
 impl<S: Schedule + ?Sized> Schedule for &mut S {
     fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
         (**self).next(t, working)
+    }
+
+    fn next_into(&mut self, t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        (**self).next_into(t, working, out)
     }
 }
 
@@ -109,6 +146,12 @@ impl Synchronous {
 impl Schedule for Synchronous {
     fn next(&mut self, _t: Time, _working: &[ProcessId]) -> Option<ActivationSet> {
         Some(ActivationSet::All)
+    }
+
+    fn next_into(&mut self, _t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        out.clear();
+        out.extend_from_slice(working);
+        true
     }
 }
 
@@ -202,19 +245,27 @@ impl RandomSubset {
 }
 
 impl Schedule for RandomSubset {
-    fn next(&mut self, _t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
+    fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
+        let mut set = Vec::new();
+        self.next_into(t, working, &mut set)
+            .then_some(ActivationSet::Only(set))
+    }
+
+    fn next_into(&mut self, _t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        out.clear();
         if working.is_empty() {
-            return None;
+            return false;
         }
-        let mut set: Vec<ProcessId> = working
-            .iter()
-            .copied()
-            .filter(|_| self.rng.gen_bool(self.p))
-            .collect();
-        if set.is_empty() {
-            set.push(working[self.rng.gen_range(0..working.len())]);
+        out.extend(
+            working
+                .iter()
+                .copied()
+                .filter(|_| self.rng.gen_bool(self.p)),
+        );
+        if out.is_empty() {
+            out.push(working[self.rng.gen_range(0..working.len())]);
         }
-        Some(ActivationSet::Only(set))
+        true
     }
 }
 
@@ -331,19 +382,30 @@ impl<S: Schedule> CrashPlan<S> {
 
 impl<S: Schedule> Schedule for CrashPlan<S> {
     fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
+        if self.crash_at.iter().any(|&(_, at)| t >= at) {
+            let mut survivors = Vec::new();
+            return self
+                .next_into(t, working, &mut survivors)
+                .then_some(ActivationSet::Only(survivors));
+        }
         if working.iter().all(|&p| self.crashed(p, t)) {
             return None;
         }
-        let set = self.inner.next(t, working)?;
-        if self.crash_at.iter().all(|&(_, at)| t < at) {
-            return Some(set);
+        self.inner.next(t, working)
+    }
+
+    fn next_into(&mut self, t: Time, working: &[ProcessId], out: &mut Vec<ProcessId>) -> bool {
+        if working.iter().all(|&p| self.crashed(p, t)) {
+            out.clear();
+            return false;
         }
-        let survivors: Vec<ProcessId> = set
-            .resolve(working)
-            .into_iter()
-            .filter(|&p| !self.crashed(p, t))
-            .collect();
-        Some(ActivationSet::Only(survivors))
+        if !self.inner.next_into(t, working, out) {
+            return false;
+        }
+        if self.crash_at.iter().any(|&(_, at)| t >= at) {
+            out.retain(|&p| !self.crashed(p, t));
+        }
+        true
     }
 }
 

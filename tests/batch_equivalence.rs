@@ -19,6 +19,9 @@
 //!   completion rounds but must not change any execution fact,
 //! * an open-loop fleet whose admissions land in the slots of retired
 //!   instances — admission indices and rounds travel with the slot,
+//! * the lazy admission path (a fresh slot holds identifiers until its
+//!   first visit): identifiers above 2^32, fuel 0, crashes at t = 1,
+//!   quantum 1, and recorded traces,
 //! * the materialized path (`run_materialized`, a live `Execution`
 //!   whose report is moved out rather than copied) against a plain
 //!   `Execution::run`, traces included.
@@ -74,15 +77,28 @@ where
     A::Reg: Eq + Hash + Clone + Send + Sync,
     A::Output: Eq + Hash + Clone + Send + Sync,
 {
-    let mut engine = BatchEngine::new(
-        alg,
-        n,
-        BatchConfig {
-            jobs,
-            quantum,
-            record_traces: false,
-        },
-    );
+    let cfg = BatchConfig {
+        jobs,
+        quantum,
+        record_traces: false,
+    };
+    run_batch_with(alg, n, specs, cfg)
+}
+
+/// [`run_batch`] under any engine configuration.
+fn run_batch_with<A>(
+    alg: &A,
+    n: usize,
+    specs: &[InstanceSpec],
+    cfg: BatchConfig,
+) -> Vec<BatchOutcome<A::Output>>
+where
+    A: Algorithm<Input = u64> + Sync,
+    A::State: Eq + Hash + Clone + Send + Sync,
+    A::Reg: Eq + Hash + Clone + Send + Sync,
+    A::Output: Eq + Hash + Clone + Send + Sync,
+{
+    let mut engine = BatchEngine::new(alg, n, cfg);
     for spec in specs {
         engine.admit(spec);
     }
@@ -183,6 +199,78 @@ fn stalled_instances_match_the_oracle() {
         assert_eq!(outcomes[0].termination, Termination::Stalled, "C{n}");
         assert!(spec.run_sequential(alg).is_err(), "C{n}: oracle must stall");
         assert_eq!(outcomes[0].time_steps, 2, "C{n}: stalls at the fuel bound");
+    }
+}
+
+/// An admitted instance waits in its slot as its identifiers, split
+/// into a low and a high `u32` word, and its first visit builds the
+/// initial configuration from them. Edge cases of that path, each
+/// against the oracle at jobs 1 and 3: identifiers at and above 2^32
+/// whose order differs from their low words' order (so both words
+/// matter), fuel 0 (the first visit stalls), every process crashing
+/// at t = 1 (the first visit retires the instance without a step),
+/// quantum 1, and recorded traces.
+#[test]
+fn lazy_admission_edge_cases_match_the_oracle() {
+    let alg = &FiveColoringPatched;
+    let n = 5;
+    let wide = |seed: u64| -> Vec<u64> {
+        inputs::random_unique(n, 64, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, low)| ((seed * 7 + 3 * i as u64 + 1) % 6) << 32 | low)
+            .collect()
+    };
+    let mut specs = Vec::new();
+    for seed in 0..8u64 {
+        specs.push(InstanceSpec::random(wide(seed), seed, 0.5, FUEL));
+        specs.push(InstanceSpec::synchronous(wide(seed), FUEL).with_crash(ProcessId(2), 3));
+        specs.push(InstanceSpec::random(wide(seed), seed, 0.5, 0));
+        specs.push(
+            (0..n).fold(InstanceSpec::random(wide(seed), seed, 0.5, FUEL), |s, p| {
+                s.with_crash(ProcessId(p), 1)
+            }),
+        );
+    }
+    let ids_above_2_32 = specs
+        .iter()
+        .flat_map(|s| &s.ids)
+        .any(|&id| id > u32::MAX.into());
+    assert!(ids_above_2_32, "the identifiers reach the high word");
+
+    let topo = Topology::cycle(n).expect("C5");
+    for (quantum, record_traces) in [(8, false), (1, false), (8, true), (1, true)] {
+        for jobs in [1, 3] {
+            let ctx = format!("quantum {quantum} traces {record_traces} jobs {jobs}");
+            let cfg = BatchConfig {
+                jobs,
+                quantum,
+                record_traces,
+            };
+            for (spec, outcome) in specs.iter().zip(run_batch_with(alg, n, &specs, cfg)) {
+                let ctx = format!("{ctx} spec#{}", outcome.index);
+                let mut exec = Execution::new(alg, &topo, spec.ids.clone());
+                exec.record_trace(true);
+                match exec.run(spec.schedule(), spec.fuel) {
+                    Ok(report) => {
+                        assert_eq!(outcome.report(), report, "{ctx}: report mismatch");
+                        let expect = if report.crashed.is_empty() {
+                            Termination::Returned
+                        } else {
+                            Termination::Crashed
+                        };
+                        assert_eq!(outcome.termination, expect, "{ctx}: termination kind");
+                    }
+                    Err(_) => assert_eq!(outcome.termination, Termination::Stalled, "{ctx}"),
+                }
+                let trace = record_traces.then(|| exec.recorded().to_vec());
+                assert_eq!(outcome.trace, trace, "{ctx}: trace");
+                if spec.fuel == 0 || spec.crashes.len() == n {
+                    assert_eq!(outcome.time_steps, 0, "{ctx}: retired on the first visit");
+                    assert_eq!(outcome.completed_round, 1, "{ctx}");
+                }
+            }
+        }
     }
 }
 

@@ -414,3 +414,81 @@ proptest! {
         }
     }
 }
+
+/// The next value of a splitmix64 stream.
+fn splitmix(s: &mut u64) -> u64 {
+    *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *s;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Drives two copies of `sched` over 24 steps from time `t0`, each with
+/// an arbitrary sorted working set over `0..n` (empty ones included).
+/// For the first 8 steps one copy answers with `next` + `resolve` and
+/// the other with `next_into`, which must write exactly that (into a
+/// buffer holding stale entries); the last 16 steps call `next` on
+/// both, which must agree, so `next_into` left the same state behind.
+fn next_into_matches_next<S: Schedule + Clone>(
+    sched: &S,
+    n: usize,
+    t0: Time,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (mut by_next, mut by_into) = (sched.clone(), sched.clone());
+    let mut s = seed;
+    let mut out = vec![ProcessId(n + 3), ProcessId(0)];
+    for k in 0..24 {
+        let t = t0 + k;
+        let mask = splitmix(&mut s);
+        let working: Vec<ProcessId> = (0..n)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(ProcessId)
+            .collect();
+        let want = by_next.next(t, &working);
+        if k < 8 {
+            let got = by_into.next_into(t, &working, &mut out);
+            prop_assert_eq!(
+                got.then(|| out.clone()),
+                want.map(|set| set.resolve(&working))
+            );
+        } else {
+            prop_assert_eq!(by_into.next(t, &working), want);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn next_into_is_next_then_resolve(
+        n in 1usize..10,
+        seed in 0u64..u64::MAX / 2,
+        t0 in 1u64..40,
+        p_pct in 0u32..=100,
+        crash_mask in 0u32..1024,
+        wipe_after in 0u64..6,
+    ) {
+        let p = f64::from(p_pct) / 100.0;
+        let random = RandomSubset::new(seed, p);
+        // Some processes crash inside the 24-step window ...
+        let some: Vec<(ProcessId, Time)> = (0..n)
+            .filter(|i| crash_mask >> i & 1 == 1)
+            .map(|i| (ProcessId(i), t0 + (seed >> (4 * i)) % 16))
+            .collect();
+        // ... and an overlay that crashes everyone empties every set.
+        let all: Vec<(ProcessId, Time)> =
+            (0..n).map(|i| (ProcessId(i), t0 + wipe_after)).collect();
+        next_into_matches_next(&random, n, t0, seed)?;
+        next_into_matches_next(&Synchronous::new(), n, t0, seed)?;
+        next_into_matches_next(&RoundRobin::new(), n, t0, seed)?;
+        for crashes in [&some, &all] {
+            next_into_matches_next(&CrashPlan::new(random.clone(), crashes.clone()), n, t0, seed)?;
+            next_into_matches_next(&CrashPlan::new(Synchronous::new(), crashes.clone()), n, t0, seed)?;
+            next_into_matches_next(&CrashPlan::new(RoundRobin::new(), crashes.clone()), n, t0, seed)?;
+        }
+    }
+}
