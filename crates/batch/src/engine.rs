@@ -51,11 +51,12 @@
 //! ## Sweeps, rounds, and determinism
 //!
 //! [`BatchEngine::run_round`] visits every in-flight instance exactly
-//! once, partitioned across workers with the checker's claim/steal
-//! [`sweep::RangeQueue`]s. Instances never share
-//! mutable state, so the thread count affects wall-clock only: every
-//! per-instance outcome, every completion round (= latency), and every
-//! aggregate over them is identical at `jobs = 1` and `jobs = 64`.
+//! once, in chunks its workers claim from one shared cursor
+//! ([`sweep::for_each_chunk`], the checker's parallel-for). Instances
+//! never share mutable state, so the thread count affects wall-clock
+//! only: every per-instance outcome, every completion round
+//! (= latency), and every aggregate over them is identical at
+//! `jobs = 1` and `jobs = 64`.
 //! Interner *index assignment* does depend on visit interleaving — but
 //! indices never leave the engine; only decoded values do.
 //!
@@ -243,11 +244,7 @@ where
             codec: ConfigCodec::new(n),
             n,
             cfg: BatchConfig {
-                jobs: if cfg.jobs == 0 {
-                    sweep::default_jobs()
-                } else {
-                    cfg.jobs
-                },
+                jobs: sweep::resolve_jobs(cfg.jobs),
                 quantum: cfg.quantum.max(1),
                 record_traces: cfg.record_traces,
             },
@@ -368,42 +365,22 @@ where
         if before == 0 {
             return 0;
         }
-        let workers = self.cfg.jobs.min(before).max(1);
-        let queues = sweep::partition(before, workers);
         let this: &Self = self;
         let round = self.round;
-        crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                s.spawn(move |_| {
-                    let mut bufs = VisitBufs {
-                        scratch: Execution::new(this.alg, &this.topo, vec![0u64; this.n]),
-                        row: vec![0u32; this.n * SLOTS_PER_PROC],
-                        act_row: vec![0u32; this.n],
-                        active: Vec::with_capacity(this.n),
-                    };
-                    let mut visit_all = |range: std::ops::Range<usize>| {
-                        for i in range {
-                            this.visit(this.runnable[i] as usize, round, &mut bufs, sink);
-                        }
-                    };
-                    loop {
-                        if let Some(range) = queues[w].claim(CLAIM_CHUNK) {
-                            visit_all(range);
-                            continue;
-                        }
-                        let victim = (0..workers)
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| queues[v].remaining());
-                        match victim.and_then(|v| queues[v].steal()) {
-                            Some(range) => visit_all(range),
-                            None => break,
-                        }
-                    }
-                });
+        let mut workers: Vec<VisitBufs<'_, A>> = (0..self.cfg.jobs.min(before))
+            .map(|_| VisitBufs {
+                scratch: Execution::new(this.alg, &this.topo, vec![0u64; this.n]),
+                row: vec![0u32; this.n * SLOTS_PER_PROC],
+                act_row: vec![0u32; this.n],
+                active: Vec::with_capacity(this.n),
+            })
+            .collect();
+        sweep::for_each_chunk(before, CLAIM_CHUNK, &mut workers, |bufs, range| {
+            for i in range {
+                this.visit(this.runnable[i] as usize, round, bufs, sink);
             }
-        })
-        .expect("batch worker panicked");
+        });
+        drop(workers); // the scratch executions borrow `self`
         let (status, free) = (&self.status, &mut self.free);
         self.runnable.retain(|&slot| {
             let live = status[slot as usize].load(Ordering::Relaxed) == ST_IN_FLIGHT;
@@ -540,7 +517,7 @@ struct VisitBufs<'e, A: Algorithm> {
     active: Vec<ProcessId>,
 }
 
-/// Chunk size workers claim from their own queue per lock acquisition.
+/// Instances a worker claims from the round's shared cursor at a time.
 const CLAIM_CHUNK: usize = 64;
 
 /// Runs one instance *materialized* — on a live [`Execution`] instead

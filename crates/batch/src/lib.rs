@@ -16,9 +16,9 @@
 //!   encoding, lifted out of the checker and into the execution hot
 //!   path; a freshly admitted instance holds its identifiers there
 //!   instead) plus flat activation/time counters. Sweeps visit every
-//!   in-flight instance through per-worker scratch executions,
-//!   partitioned with the checker's claim/steal
-//!   [`RangeQueue`](ftcolor_model::sweep::RangeQueue)s. Outcomes are
+//!   in-flight instance through per-worker scratch executions, in
+//!   chunks claimed from one shared cursor
+//!   ([`for_each_chunk`](ftcolor_model::sweep::for_each_chunk)). Outcomes are
 //!   bit-identical to `Execution::run` at every thread count — the
 //!   visit loop *is* `Execution::run`'s loop, quantum iterations at a
 //!   time. [`engine::run_materialized`] covers the opposite regime: one

@@ -29,7 +29,7 @@
 use crate::arrival::{ArrivalPlan, WorkloadGen, WorkloadSpec};
 use crate::engine::{run_materialized, BatchConfig, BatchEngine, BatchOutcome, Termination};
 use crate::spec::InstanceSpec;
-use ftcolor_model::{Algorithm, Time};
+use ftcolor_model::{sweep, Algorithm, Time};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -378,7 +378,7 @@ where
             engine.run_round(&sink);
         }
         let rounds = engine.rounds();
-        let jobs = cfg.jobs.max(1);
+        let jobs = sweep::resolve_jobs(cfg.jobs);
         let interned = engine.interned_counts();
         acc = shared.into_inner();
         (rounds, jobs, interned)

@@ -15,6 +15,7 @@
 //! bound, as it must.
 
 use ftcolor_model::schedule::ActivationSet;
+use ftcolor_model::sweep;
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,9 +213,9 @@ where
     /// Evaluates every genome with the configured number of worker
     /// threads, returning results *in genome order*. Each evaluation is
     /// a pure function of its genome, so claiming indices from a shared
-    /// atomic counter and reassembling by index yields exactly the
-    /// sequential result list — the only thing the thread schedule can
-    /// affect is wall-clock time.
+    /// cursor and reassembling by index yields exactly the sequential
+    /// result list — the only thing the thread schedule can affect is
+    /// wall-clock time.
     fn evaluate_all(
         &self,
         genomes: &[Vec<ActivationSet>],
@@ -223,63 +224,22 @@ where
     where
         A: Sync,
         A::Input: Sync,
-        A::State: Sync,
-        A::Reg: Sync,
-        A::Output: Sync,
+        A::State: Send + Sync,
+        A::Reg: Send + Sync,
+        A::Output: Send + Sync,
     {
-        let jobs = if self.config.jobs == 0 {
-            ftcolor_model::sweep::default_jobs()
-        } else {
-            self.config.jobs
-        }
-        .min(genomes.len())
-        .max(1);
+        let jobs = sweep::resolve_jobs(self.config.jobs).min(genomes.len());
         let template = Execution::new(self.alg, self.topo, self.inputs.clone());
-        if jobs == 1 {
-            let mut scratch = template.clone();
-            return genomes
-                .iter()
-                .map(|g| self.evaluate(&mut scratch, &template, g, safety))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut parts = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    let next = &next;
-                    let template = &template;
-                    s.spawn(move |_| {
-                        let mut scratch = template.clone();
-                        let mut local: Vec<(usize, (u64, Option<String>))> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= genomes.len() {
-                                break;
-                            }
-                            local.push((
-                                i,
-                                self.evaluate(&mut scratch, template, &genomes[i], safety),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fuzzer worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("fuzzer worker panicked");
-        let mut results: Vec<Option<(u64, Option<String>)>> =
-            (0..genomes.len()).map(|_| None).collect();
-        for (i, r) in parts.drain(..).flatten() {
-            results[i] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every genome evaluated exactly once"))
-            .collect()
+        let mut workers: Vec<_> = (0..jobs).map(|_| (template.clone(), Vec::new())).collect();
+        sweep::for_each_chunk(genomes.len(), 1, &mut workers, |(scratch, local), range| {
+            for i in range {
+                local.push((i, self.evaluate(scratch, &template, &genomes[i], safety)));
+            }
+        });
+        let mut results: Vec<_> = workers.into_iter().flat_map(|(_, local)| local).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        assert_eq!(results.len(), genomes.len(), "every genome evaluated once");
+        results.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Runs the evolutionary search.
@@ -290,9 +250,9 @@ where
     where
         A: Sync,
         A::Input: Sync,
-        A::State: Sync,
-        A::Reg: Sync,
-        A::Output: Sync,
+        A::State: Send + Sync,
+        A::Reg: Send + Sync,
+        A::Output: Send + Sync,
     {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut population: Vec<Vec<ActivationSet>> = self.seed_corpus();

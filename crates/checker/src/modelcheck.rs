@@ -35,9 +35,8 @@
 //! [`EXPAND_CHUNK`] ids in ascending order; each chunk runs in two
 //! phases:
 //!
-//! 1. **Expand (parallel).** The chunk is split into per-worker index
-//!    ranges; workers claim sub-chunks from their own range and *steal*
-//!    from the back of the largest remaining range when they run dry.
+//! 1. **Expand (parallel).** Workers claim sub-chunks of the chunk
+//!    from one shared cursor ([`sweep::for_each_chunk`]).
 //!    Each worker reads outputs and the working set straight off a
 //!    node's packed row in the node arena and computes the safety
 //!    predicate, the terminal check, and one successor per activation
@@ -125,7 +124,7 @@ use crate::stats::{ExploreStats, VisitedBytes};
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
 use ftcolor_model::encode::{ConfigCodec, LanedRow, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
-use ftcolor_model::sweep::{default_jobs, partition};
+use ftcolor_model::sweep;
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -1023,7 +1022,7 @@ where
     /// The outcome is identical for every value — only wall-clock
     /// changes.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
+        self.jobs = sweep::resolve_jobs(jobs);
         self
     }
 
@@ -1377,50 +1376,18 @@ where
     ) where
         S: Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
     {
-        let active = self.jobs.min(chunk.len()).max(1);
-        let workers = &mut workers[..active];
         for w in workers.iter_mut() {
             w.clear();
         }
-        if active == 1 {
-            for id in chunk.clone() {
-                expander.expand(&mut workers[0], id);
+        // Results are placed by node id below, so which worker expanded
+        // which node cannot leak into the output.
+        let claim = (chunk.len() / (self.jobs * 8)).max(1);
+        let base = chunk.start;
+        sweep::for_each_chunk(chunk.len(), claim, workers, |worker, range| {
+            for i in range {
+                expander.expand(worker, base + i);
             }
-        } else {
-            // Per-worker index ranges with back-half stealing: worker w
-            // owns an even slice of the chunk and raids the fullest
-            // remaining range when its own is exhausted.
-            let queues = partition(chunk.len(), active);
-            let claim = (chunk.len() / (active * 8)).max(1);
-            let base = chunk.start;
-            crossbeam::thread::scope(|s| {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    let queues = &queues;
-                    s.spawn(move |_| loop {
-                        let range = match queues[w].claim(claim) {
-                            Some(range) => range,
-                            // Own range dry: steal from whoever has the
-                            // most left (scan order fixed, outcome not —
-                            // but results are placed by node id, so
-                            // scheduling can't leak into the output).
-                            None => {
-                                let victim = (0..active)
-                                    .filter(|&v| v != w)
-                                    .max_by_key(|&v| queues[v].remaining());
-                                match victim.and_then(|v| queues[v].steal()) {
-                                    Some(range) => range,
-                                    None => break,
-                                }
-                            }
-                        };
-                        for i in range {
-                            expander.expand(worker, base + i);
-                        }
-                    });
-                }
-            })
-            .expect("model-check worker panicked");
-        }
+        });
         placed.clear();
         placed.resize(chunk.len(), (0, 0));
         for (w, worker) in workers.iter().enumerate() {

@@ -40,9 +40,11 @@
 use crate::modelcheck::{LivelockWitness, SafetyViolation};
 use ftcolor_model::encode::ConfigCodec;
 use ftcolor_model::schedule::ActivationSet;
+use ftcolor_model::sweep;
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology, Trace};
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Either kind of replayable counterexample the checker reports, as one
 /// serializable sum — the payload of a [`WitnessFixture`].
@@ -184,11 +186,7 @@ where
     /// available CPU. The shrunk witness and the replay accounting are
     /// identical for every value — only wall-clock changes.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 {
-            ftcolor_model::sweep::default_jobs()
-        } else {
-            jobs
-        };
+        self.jobs = sweep::resolve_jobs(jobs);
         self
     }
 
@@ -304,42 +302,22 @@ where
         candidates: &[Vec<ActivationSet>],
         repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
     ) -> (Option<usize>, u64) {
-        if candidates.is_empty() {
-            return (None, 0);
-        }
-        let found = if self.jobs <= 1 {
-            candidates.iter().position(|c| repro(c))
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            let best = AtomicUsize::new(usize::MAX);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..self.jobs.min(candidates.len()) {
-                    let (next, best) = (&next, &best);
-                    s.spawn(move |_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        // Indices at or past the current best can never
-                        // be the minimum; skipping them is sound.
-                        if i >= candidates.len() || i >= best.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if repro(&candidates[i]) {
-                            best.fetch_min(i, Ordering::Relaxed);
-                        }
-                    });
+        // Indices at or past the current best can never be the minimum;
+        // skipping them is sound, and one worker replays exactly the
+        // prefix a sequential `position` would.
+        let best = AtomicUsize::new(usize::MAX);
+        let mut workers = vec![(); self.jobs];
+        sweep::for_each_chunk(candidates.len(), 1, &mut workers, |(), range| {
+            for i in range {
+                if i < best.load(Ordering::Relaxed) && repro(&candidates[i]) {
+                    best.fetch_min(i, Ordering::Relaxed);
                 }
-            })
-            .expect("shrink worker panicked");
-            match best.load(std::sync::atomic::Ordering::Relaxed) {
-                usize::MAX => None,
-                i => Some(i),
             }
-        };
-        let charged = match found {
-            Some(i) => i as u64 + 1,
-            None => candidates.len() as u64,
-        };
-        (found, charged)
+        });
+        match best.into_inner() {
+            usize::MAX => (None, candidates.len() as u64),
+            i => (Some(i), i as u64 + 1),
+        }
     }
 
     // ------------------------------------------------------- shrink passes

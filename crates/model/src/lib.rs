@@ -34,8 +34,8 @@
 //! * [`encode::ConfigCodec`] — the compact interned per-slot
 //!   configuration encoding shared by the model checker's visited sets
 //!   and the batch executor's instance slabs,
-//! * [`sweep`] — work-stealing index-range scaffolding for
-//!   level-synchronized parallel sweeps,
+//! * [`sweep`] — the one parallel-for the engines share: chunks of an
+//!   index range handed to scoped worker threads from one cursor,
 //! * [`inputs`] — identifier assignments (staircase, random, alternating…),
 //! * [`logstar`] — the iterated-logarithm machinery behind the paper's
 //!   `O(log* n)` bound,
@@ -114,8 +114,8 @@ pub mod prelude {
     pub use crate::graph::Topology;
     pub use crate::ids::{ProcessId, Time};
     pub use crate::schedule::{
-        ActivationSet, CrashPlan, FixedSequence, Interleave, Laggard, RandomSubset, RoundRobin,
-        Schedule, SoloRunner, Stutter, Synchronous, Then, Wave,
+        ActivationSet, CrashPlan, FixedSequence, Laggard, RandomSubset, RoundRobin, Schedule,
+        SoloRunner, Stutter, Synchronous, Then, Wave,
     };
     pub use crate::substrate::SubstrateReport;
     pub use crate::trace::Trace;

@@ -661,33 +661,6 @@ impl<A: Schedule, B: Schedule> Schedule for Then<A, B> {
     }
 }
 
-/// Alternates between two schedules step by step (`A, B, A, B, …`);
-/// ends when either ends.
-#[derive(Debug, Clone)]
-pub struct Interleave<A, B> {
-    a: A,
-    b: B,
-    turn_a: bool,
-}
-
-impl<A: Schedule, B: Schedule> Interleave<A, B> {
-    /// Alternates `a` and `b`, starting with `a`.
-    pub fn new(a: A, b: B) -> Self {
-        Interleave { a, b, turn_a: true }
-    }
-}
-
-impl<A: Schedule, B: Schedule> Schedule for Interleave<A, B> {
-    fn next(&mut self, t: Time, working: &[ProcessId]) -> Option<ActivationSet> {
-        self.turn_a = !self.turn_a;
-        if !self.turn_a {
-            self.a.next(t, working)
-        } else {
-            self.b.next(t, working)
-        }
-    }
-}
-
 #[cfg(test)]
 mod combinator_tests {
     use super::*;
@@ -717,18 +690,5 @@ mod combinator_tests {
         assert_eq!(s.next(1, &w), Some(ActivationSet::of(ids(&[1]))));
         assert_eq!(s.next(2, &w), Some(ActivationSet::All));
         assert_eq!(s.next(3, &w), Some(ActivationSet::All));
-    }
-
-    #[test]
-    fn interleave_alternates_and_ends() {
-        let a = FixedSequence::from_indices([vec![0], vec![0]]);
-        let b = Synchronous::new();
-        let mut s = Interleave::new(a, b);
-        let w = ids(&[0, 1]);
-        assert_eq!(s.next(1, &w), Some(ActivationSet::of(ids(&[0]))));
-        assert_eq!(s.next(2, &w), Some(ActivationSet::All));
-        assert_eq!(s.next(3, &w), Some(ActivationSet::of(ids(&[0]))));
-        assert_eq!(s.next(4, &w), Some(ActivationSet::All));
-        assert_eq!(s.next(5, &w), None, "a exhausted ends the interleave");
     }
 }

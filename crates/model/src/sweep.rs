@@ -1,133 +1,141 @@
-//! Work-stealing index sweeps — the scheduling scaffolding shared by
-//! the parallel model checker and the batch executor.
+//! One parallel-for — the scheduling scaffolding shared by the model
+//! checker, the batch executor, the schedule fuzzer and the shrinker.
 //!
-//! Both engines face the same shape of work: a level (a BFS frontier,
-//! or one round over every in-flight batch instance) is an index range
-//! `0..len` whose items cost wildly different amounts, and the level
-//! must fully complete before the next one starts. The pattern that
-//! keeps workers busy without a shared queue bottleneck:
-//!
-//! 1. split `0..len` into one contiguous [`RangeQueue`] per worker,
-//! 2. each worker [`claim`](RangeQueue::claim)s small chunks off the
-//!    front of *its own* queue,
-//! 3. a worker whose queue drains [`steal`](RangeQueue::steal)s the
-//!    back half of the fullest-looking victim (round-robin probe).
+//! Every engine faces the same shape of work: an index range `0..len`
+//! whose items cost wildly different amounts (a BFS chunk, one round
+//! over every in-flight batch instance, a generation of genomes, a
+//! batch of shrink candidates), to finish completely before the caller
+//! moves on. [`for_each_chunk`] hands out contiguous chunks of it from
+//! one shared cursor to a caller-owned slice of per-worker state, so a
+//! worker that drew cheap items simply claims more.
 //!
 //! Items are identified by index only; what an index *means* (and where
-//! its mutable state lives) is the caller's business, which is what
-//! keeps the result independent of the thread count: workers never
-//! share per-item state, so the set of indices processed — and each
-//! item's outcome — is the same for every `jobs` value.
+//! its result lands) is the caller's business, which is what keeps each
+//! result independent of the thread count: workers never share
+//! per-item state, so the set of indices processed — and each item's
+//! outcome — is the same for every `jobs` value.
 
-use parking_lot::Mutex;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A per-worker index range over one level, claimable from the front
-/// by its owner and stealable from the back by idle workers.
-pub struct RangeQueue {
-    range: Mutex<(usize, usize)>,
-}
-
-impl RangeQueue {
-    /// A queue holding the indices `lo..hi`.
-    pub fn new(lo: usize, hi: usize) -> Self {
-        RangeQueue {
-            range: Mutex::new((lo, hi)),
-        }
-    }
-
-    /// Owner side: claim up to `chunk` indices from the front.
-    pub fn claim(&self, chunk: usize) -> Option<std::ops::Range<usize>> {
-        let mut r = self.range.lock();
-        if r.0 >= r.1 {
-            return None;
-        }
-        let end = (r.0 + chunk).min(r.1);
-        let claimed = r.0..end;
-        r.0 = end;
-        Some(claimed)
-    }
-
-    /// Thief side: steal the back half of the remaining range.
-    pub fn steal(&self) -> Option<std::ops::Range<usize>> {
-        let mut r = self.range.lock();
-        let len = r.1.saturating_sub(r.0);
-        if len < 2 {
-            return None; // leave trivial remainders to their owner
-        }
-        let mid = r.0 + len / 2;
-        let stolen = mid..r.1;
-        r.1 = mid;
-        Some(stolen)
-    }
-
-    /// Indices not yet claimed or stolen (a racy snapshot — only useful
-    /// as a victim-selection heuristic).
-    pub fn remaining(&self) -> usize {
-        let r = self.range.lock();
-        r.1.saturating_sub(r.0)
+/// The worker count a `jobs` setting asks for: `0` means one worker per
+/// available CPU (at least one); any other value is taken as is.
+pub fn resolve_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        jobs
     }
 }
 
-/// Splits `0..len` into `workers` near-equal contiguous [`RangeQueue`]s
-/// (the standard level setup: worker `w` owns queue `w`).
-pub fn partition(len: usize, workers: usize) -> Vec<RangeQueue> {
-    let workers = workers.max(1);
-    (0..workers)
-        .map(|w| {
-            let lo = len * w / workers;
-            let hi = len * (w + 1) / workers;
-            RangeQueue::new(lo, hi)
-        })
-        .collect()
-}
-
-/// One worker per available CPU (at least one).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// Calls `body(worker, range)` on chunks of at most `chunk` indices
+/// until every index of `0..len` has been visited exactly once.
+///
+/// Chunks come in ascending order from one shared cursor. The calling
+/// thread drives `workers[0]`; each further worker that has a chunk to
+/// claim gets its own scoped thread, so a single worker (or a single
+/// chunk) runs inline and spawns nothing. Which worker sees which chunk
+/// depends on timing: callers must make their result independent of it.
+/// A panic in any worker reaches the caller once every worker stopped.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty while `len > 0`, and re-raises a
+/// worker's panic.
+pub fn for_each_chunk<W: Send>(
+    len: usize,
+    chunk: usize,
+    workers: &mut [W],
+    body: impl Fn(&mut W, Range<usize>) + Sync,
+) {
+    let chunk = chunk.clamp(1, len.max(1));
+    let used = workers.len().min(len.div_ceil(chunk));
+    assert!(used > 0 || len == 0, "a non-empty sweep needs a worker");
+    // `Relaxed` suffices: the cursor publishes no data, and joining the
+    // scope orders every worker's writes before the caller reads them.
+    let cursor = AtomicUsize::new(0);
+    let drain = |worker: &mut W| loop {
+        let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if lo >= len {
+            break;
+        }
+        body(worker, lo..(lo + chunk).min(len));
+    };
+    match &mut workers[..used] {
+        [] => {}
+        [only] => drain(only),
+        [first, rest @ ..] => std::thread::scope(|s| {
+            let drain = &drain;
+            let handles: Vec<_> = rest.iter_mut().map(|w| s.spawn(move || drain(w))).collect();
+            drain(first);
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
-    fn claim_drains_front_in_order() {
-        let q = RangeQueue::new(0, 10);
-        assert_eq!(q.claim(4), Some(0..4));
-        assert_eq!(q.claim(4), Some(4..8));
-        assert_eq!(q.claim(4), Some(8..10));
-        assert_eq!(q.claim(4), None);
-    }
-
-    #[test]
-    fn steal_takes_back_half_and_respects_remainders() {
-        let q = RangeQueue::new(0, 100);
-        assert_eq!(q.steal(), Some(50..100));
-        assert_eq!(q.steal(), Some(25..50));
-        assert_eq!(q.remaining(), 25);
-
-        let tiny = RangeQueue::new(7, 8);
-        assert_eq!(tiny.steal(), None, "singletons stay with their owner");
-        assert_eq!(tiny.claim(10), Some(7..8));
-    }
-
-    #[test]
-    fn partition_covers_exactly_once() {
-        for (len, workers) in [(0, 3), (1, 4), (10, 3), (100, 7), (5, 1)] {
-            let queues = partition(len, workers);
-            assert_eq!(queues.len(), workers.max(1));
-            let mut seen = Vec::new();
-            for q in &queues {
-                while let Some(r) = q.claim(3) {
-                    seen.extend(r);
+    fn every_index_is_visited_exactly_once() {
+        for len in [0, 1, 5, 1000] {
+            for workers in [1, 2, 3, 8] {
+                for chunk in [1, 7, len + 1] {
+                    let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                    let mut slots = vec![0usize; workers];
+                    for_each_chunk(len, chunk, &mut slots, |seen, range| {
+                        assert!(range.len() <= chunk && !range.is_empty());
+                        *seen += range.len();
+                        for i in range {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                    let tag = format!("len={len} workers={workers} chunk={chunk}");
+                    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{tag}");
+                    assert_eq!(slots.iter().sum::<usize>(), len, "{tag}");
                 }
             }
-            assert_eq!(seen, (0..len).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        for_each_chunk(100, 3, &mut [()], |(), _| {
+            threads.lock().unwrap().push(std::thread::current().id());
+        });
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 34);
+        assert!(threads.iter().all(|&t| t == caller));
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        for workers in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                for_each_chunk(64, 1, &mut vec![(); workers], |(), range| {
+                    assert!(range.start != 40, "item 40 fails");
+                });
+            });
+            let panic = caught.expect_err("the panic propagates");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("item 40 fails"), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn zero_jobs_means_every_cpu() {
+        assert!(resolve_jobs(0) >= 1);
+        assert_eq!(resolve_jobs(3), 3);
     }
 }

@@ -50,7 +50,7 @@
 //! just timed.
 
 use crate::msg::{Body, Decide, Frame, Init, InitOk, Msg};
-use serde::{Deserialize, Number, Serialize, Sink, Source, Token, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Token, Value};
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
@@ -338,15 +338,6 @@ fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn uvarint_len(mut v: u64) -> usize {
-    let mut len = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        len += 1;
-    }
-    len
-}
-
 #[inline]
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_uvarint(buf, s.len() as u64);
@@ -410,26 +401,6 @@ impl Sink for Encoder<'_> {
 /// or a [`Value`] tree.
 fn put_value<V: Serialize + ?Sized>(buf: &mut Vec<u8>, v: &V) {
     v.serialize(&mut Encoder(buf));
-}
-
-fn value_len(v: &Value) -> usize {
-    match v {
-        Value::Null | Value::Bool(_) => 1,
-        Value::Number(Number::PosInt(n)) => 1 + uvarint_len(*n),
-        Value::Number(Number::NegInt(n)) => 1 + uvarint_len(*n as u64),
-        Value::Number(Number::Float(_)) => 1 + 8,
-        Value::String(s) => 1 + uvarint_len(s.len() as u64) + s.len(),
-        Value::Array(items) => {
-            1 + uvarint_len(items.len() as u64) + items.iter().map(value_len).sum::<usize>()
-        }
-        Value::Object(pairs) => {
-            1 + uvarint_len(pairs.len() as u64)
-                + pairs
-                    .iter()
-                    .map(|(k, val)| uvarint_len(k.len() as u64) + k.len() + value_len(val))
-                    .sum::<usize>()
-        }
-    }
 }
 
 fn put_header(buf: &mut Vec<u8>, tag: u8, src: usize, dest: usize) {
@@ -507,30 +478,6 @@ pub fn encode_msg_into<P: Serialize>(src: usize, dest: usize, msg: &Msg<P>, buf:
             }
         }
     }
-}
-
-/// Exact byte length [`encode_frame_into`] would append, without
-/// materializing anything (the envelope is fixed-width, so the length
-/// depends on the body alone).
-pub fn binary_len(frame: &Frame) -> usize {
-    let body = match &frame.body {
-        Body::Write(m) => 4 + value_len(&m.value),
-        Body::SnapshotReq(_) => 4,
-        Body::SnapshotResp(m) => 4 + 4 + 1 + m.value.as_ref().map_or(0, value_len),
-        Body::Init(m) => {
-            4 + 4
-                + uvarint_len(m.input)
-                + uvarint_len(m.rto_ms)
-                + uvarint_len(m.pace_ms)
-                + uvarint_len(m.alg.len() as u64)
-                + m.alg.len()
-                + uvarint_len(m.neighbors.len() as u64)
-                + 4 * m.neighbors.len()
-        }
-        Body::InitOk(_) => 4,
-        Body::Decide(m) => 4 + value_len(&m.output),
-    };
-    1 + 1 + 4 + 4 + body
 }
 
 /// The value format's decoder: a [`Source`] over a frame's bytes.
@@ -862,6 +809,7 @@ pub fn read_framed<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
 mod tests {
     use super::*;
     use crate::msg::{SnapshotReq, SnapshotResp, Write as WriteMsg, ORCHESTRATOR};
+    use serde::Number;
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -938,7 +886,6 @@ mod tests {
         for f in sample_frames() {
             let mut buf = Vec::new();
             encode_frame_into(&f, &mut buf);
-            assert_eq!(buf.len(), binary_len(&f), "binary_len matches for {f:?}");
             let back = decode_frame(&buf).expect("decodes");
             assert_eq!(back, f);
         }

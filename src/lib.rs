@@ -12,9 +12,9 @@
 //!   checking, and statistics,
 //! * [`batch`] — the struct-of-arrays batch executor: millions of
 //!   concurrent ring instances as packed interned slab rows, swept by
-//!   work-stealing workers with outcomes bit-identical to the
-//!   sequential executor, plus the seeded open-loop service front end
-//!   behind `ftcolor serve`,
+//!   workers claiming chunks from one cursor, with outcomes
+//!   bit-identical to the sequential executor, plus the seeded
+//!   open-loop service front end behind `ftcolor serve`,
 //! * [`runtime`] — an OS-thread execution substrate with crash and jitter
 //!   injection,
 //! * [`net`] — a discrete-event message-passing substrate with seeded

@@ -14,8 +14,7 @@
 use ftcolor::core::alg3::Rank;
 use ftcolor::core::alg3_patched::Reg3P;
 use ftcolor::net::wire::{
-    append_framed, binary_len, decode_frame, decode_msg, encode_frame_into, encode_msg_into,
-    read_framed,
+    append_framed, decode_frame, decode_msg, encode_frame_into, encode_msg_into, read_framed,
 };
 use ftcolor::net::{
     Body, Decide, Frame, Init, InitOk, Msg, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
@@ -228,14 +227,12 @@ impl Gen {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Binary round-trip is the identity, and `binary_len` predicts the
-    /// encoded size exactly without materializing anything.
+    /// Binary round-trip is the identity.
     #[test]
     fn binary_round_trip_is_identity(seed in 0u64..u64::MAX) {
         let frame = Gen(seed).frame();
         let mut buf = Vec::new();
         encode_frame_into(&frame, &mut buf);
-        prop_assert_eq!(buf.len(), binary_len(&frame));
         let back = decode_frame(&buf).expect("round trip decodes");
         prop_assert_eq!(format!("{frame:?}"), format!("{back:?}"));
     }
