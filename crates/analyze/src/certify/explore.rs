@@ -137,12 +137,6 @@ where
             self.domain.canonize(&mut s);
             self.insert_state(s, false);
         }
-        for r in self.domain.seed_regs() {
-            if self.reg_set.insert(r.clone()) {
-                self.regs.push(r.clone());
-            }
-        }
-
         loop {
             let mut progressed = false;
             let mut si = 0;

@@ -30,7 +30,7 @@ pub struct Row {
 pub type InputShape = (&'static str, fn(usize) -> Vec<u64>);
 
 /// Input generators exercised by E1.
-pub fn input_shapes() -> Vec<InputShape> {
+fn input_shapes() -> Vec<InputShape> {
     vec![
         ("staircase", inputs::staircase as fn(usize) -> Vec<u64>),
         ("alternating", inputs::alternating),

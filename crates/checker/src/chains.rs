@@ -4,12 +4,15 @@
 //! distance* of each process to its nearest local extrema (§3.1):
 //! Lemma 3.9 bounds Algorithm 1's activations of a non-extremal process
 //! by `min{3ℓ, 3ℓ′, ℓ + ℓ′} + 4`, where `ℓ`/`ℓ′` are the distances to the
-//! closest local maximum/minimum along monotone subpaths; Lemma 3.14
-//! bounds Algorithm 2's non-minima by `3ℓ + 4`.
+//! closest local maximum/minimum along monotone subpaths.
 //!
 //! [`ChainAnalysis`] computes these distances for a cyclic identifier
 //! assignment; experiment E2 checks measured per-process activation
-//! counts against the lemma bounds.
+//! counts against the Lemma 3.9 bound. Algorithm 2's Lemma 3.14 bound is
+//! not checked: read as `3ℓ + 4` for non-minima, it fails under
+//! round-robin schedules (ids `[1, 3, 0, 2, 4]`: the local maximum p4
+//! takes 5 activations against 4), and only the full text can tell a
+//! misreading from a finding.
 
 /// Per-process monotone distances for a cyclic identifier assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,22 +108,6 @@ impl ChainAnalysis {
         let l2 = self.dist_to_min[p] as u64;
         (3 * l).min(3 * l2).min(l + l2) + 4
     }
-
-    /// The Lemma 3.14 activation bound for process `p` under Algorithm 2:
-    /// `3ℓ + 4` for processes that are not local minima; local minima get
-    /// the Theorem 3.11 global bound `3n + 8` instead.
-    pub fn lemma_3_14_bound(&self, p: usize) -> u64 {
-        if self.dist_to_min[p] == 0 {
-            3 * self.dist_to_max.len() as u64 + 8
-        } else {
-            3 * self.dist_to_max[p] as u64 + 4
-        }
-    }
-
-    /// `true` when `p` is a local extremum of the assignment.
-    pub fn is_extremal(&self, p: usize) -> bool {
-        self.dist_to_max[p] == 0 || self.dist_to_min[p] == 0
-    }
 }
 
 #[cfg(test)]
@@ -138,9 +125,6 @@ mod tests {
         let a = ChainAnalysis::for_cycle(&[0, 1, 2, 3, 4]);
         assert_eq!(a.dist_to_max, vec![1, 3, 2, 1, 0]);
         assert_eq!(a.dist_to_min, vec![0, 1, 2, 3, 1]);
-        assert!(a.is_extremal(0));
-        assert!(a.is_extremal(4));
-        assert!(!a.is_extremal(2));
     }
 
     #[test]
@@ -166,7 +150,10 @@ mod tests {
         let ids = inputs::alternating(8);
         let a = ChainAnalysis::for_cycle(&ids);
         for p in 0..8 {
-            assert!(a.is_extremal(p), "position {p}");
+            assert!(
+                a.dist_to_max[p] == 0 || a.dist_to_min[p] == 0,
+                "position {p}"
+            );
             assert!(a.lemma_3_9_bound(p) <= 7);
         }
     }

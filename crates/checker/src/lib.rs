@@ -7,8 +7,8 @@
 //!   partial colorings, palette bounds, the Lemma 4.5 evolving-identifier
 //!   invariant, and wait-freedom accounting;
 //! * [`chains`] — monotone-chain analysis of identifier assignments: the
-//!   per-process distances to local extrema that drive the Lemma 3.9 and
-//!   Lemma 3.14 activation bounds;
+//!   per-process distances to local extrema that drive the Lemma 3.9
+//!   activation bound;
 //! * [`modelcheck`] — an exhaustive reachable-configuration model checker
 //!   for small instances: explores *every* schedule (all activation
 //!   subsets at every step, hence also every crash pattern, since a crash
@@ -29,7 +29,7 @@
 //!   or safety violations;
 //! * [`shrink`] — a deterministic delta-debugging shrinker that reduces
 //!   witness schedules (safety violations, livelocks, bound overruns) to
-//!   locally minimal replayable form, with parallel candidate replay;
+//!   locally minimal replayable form;
 //! * [`stats`] — small summary statistics for the experiment harness;
 //! * [`ssb`] — the strong-symmetry-breaking reduction of Property 2.1,
 //!   used to exhibit why MIS is not wait-free solvable.

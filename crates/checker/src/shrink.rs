@@ -20,10 +20,9 @@
 //! delta-debugging loop: candidate schedules are generated in a fixed
 //! order, replayed through the existing executor, and the *first*
 //! reproducing candidate is applied; the loop repeats until no candidate
-//! reproduces. Candidate replays are pure, so batches are evaluated on
-//! [`Shrinker::with_jobs`] worker threads with a min-index reduction —
-//! the result (and the deterministic replay accounting) is identical for
-//! every thread count, exactly like the model checker.
+//! reproduces. Candidates replay on the calling thread: a witness replay
+//! takes microseconds, and worker threads made `ftcolor shrink` slower on
+//! every committed fixture (EXPERIMENTS §E12).
 //!
 //! Three violation classes are supported, mirroring what the checker and
 //! fuzzer report:
@@ -40,11 +39,9 @@
 use crate::modelcheck::{LivelockWitness, SafetyViolation};
 use ftcolor_model::encode::ConfigCodec;
 use ftcolor_model::schedule::ActivationSet;
-use ftcolor_model::sweep;
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology, Trace};
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Either kind of replayable counterexample the checker reports, as one
 /// serializable sum — the payload of a [`WitnessFixture`].
@@ -96,9 +93,8 @@ schedules are lists of activation sets ({Only: [pids]} or \"All\")";
 /// Deterministic accounting of one shrink run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShrinkStats {
-    /// Candidate replays charged, counted in sequential semantics
-    /// (candidates up to and including the first reproducing one per
-    /// batch) — identical for every worker count.
+    /// Candidate replays run: per batch, the candidates up to and
+    /// including the first reproducing one, or the whole batch.
     pub replays: u64,
     /// Activation slots in the witness before shrinking.
     pub original_slots: usize,
@@ -129,7 +125,7 @@ pub struct ShrunkLivelock {
 
 /// Total (process, step) activation slots of a schedule; `All` counts as
 /// `n`.
-pub fn slot_count(sets: &[ActivationSet], n: usize) -> usize {
+fn slot_count(sets: &[ActivationSet], n: usize) -> usize {
     sets.iter()
         .map(|s| match s {
             ActivationSet::All => n,
@@ -162,32 +158,18 @@ pub struct Shrinker<'a, A: Algorithm> {
     alg: &'a A,
     topo: &'a Topology,
     inputs: Vec<A::Input>,
-    jobs: usize,
 }
 
-impl<'a, A: Algorithm + Sync> Shrinker<'a, A>
+impl<'a, A: Algorithm> Shrinker<'a, A>
 where
     A::State: Eq + Hash,
     A::Reg: Eq + Hash,
     A::Output: Eq + Hash,
-    A::Input: Clone + Sync,
+    A::Input: Clone,
 {
-    /// Creates a shrinker replaying candidates inline (one worker).
+    /// Creates a shrinker for `alg` on `topo` with `inputs`.
     pub fn new(alg: &'a A, topo: &'a Topology, inputs: Vec<A::Input>) -> Self {
-        Shrinker {
-            alg,
-            topo,
-            inputs,
-            jobs: 1,
-        }
-    }
-
-    /// Sets the candidate-replay worker count; `0` means one worker per
-    /// available CPU. The shrunk witness and the replay accounting are
-    /// identical for every value — only wall-clock changes.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = sweep::resolve_jobs(jobs);
-        self
+        Shrinker { alg, topo, inputs }
     }
 
     // ------------------------------------------------------------ replays
@@ -291,35 +273,6 @@ where
             .collect()
     }
 
-    // ------------------------------------------- parallel candidate search
-
-    /// Finds the lowest-index candidate that reproduces, evaluating with
-    /// the configured worker count. Returns the index plus the number of
-    /// replays charged under *sequential* semantics (index + 1 on a hit,
-    /// the full batch on a miss) so accounting never depends on `jobs`.
-    fn first_reproducing(
-        &self,
-        candidates: &[Vec<ActivationSet>],
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
-    ) -> (Option<usize>, u64) {
-        // Indices at or past the current best can never be the minimum;
-        // skipping them is sound, and one worker replays exactly the
-        // prefix a sequential `position` would.
-        let best = AtomicUsize::new(usize::MAX);
-        let mut workers = vec![(); self.jobs];
-        sweep::for_each_chunk(candidates.len(), 1, &mut workers, |(), range| {
-            for i in range {
-                if i < best.load(Ordering::Relaxed) && repro(&candidates[i]) {
-                    best.fetch_min(i, Ordering::Relaxed);
-                }
-            }
-        });
-        match best.into_inner() {
-            usize::MAX => (None, candidates.len() as u64),
-            i => (Some(i), i as u64 + 1),
-        }
-    }
-
     // ------------------------------------------------------- shrink passes
 
     /// Classic ddmin over whole steps: remove chunks of decreasing size
@@ -327,7 +280,7 @@ where
     fn pass_ddmin(
         &self,
         list: &mut Vec<ActivationSet>,
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
+        repro: &impl Fn(&[ActivationSet]) -> bool,
         replays: &mut u64,
     ) -> bool {
         let mut changed = false;
@@ -345,7 +298,7 @@ where
                     })
                 })
                 .collect();
-            let (hit, charged) = self.first_reproducing(&candidates, repro);
+            let (hit, charged) = first_reproducing(&candidates, repro);
             *replays += charged;
             match hit {
                 Some(i) => {
@@ -365,13 +318,13 @@ where
     fn pass_single_slots(
         &self,
         list: &mut Vec<ActivationSet>,
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
+        repro: &impl Fn(&[ActivationSet]) -> bool,
         replays: &mut u64,
     ) -> bool {
         let mut changed = false;
         loop {
             let candidates = single_slot_removals(list);
-            let (hit, charged) = self.first_reproducing(&candidates, repro);
+            let (hit, charged) = first_reproducing(&candidates, repro);
             *replays += charged;
             match hit {
                 Some(i) => {
@@ -389,13 +342,13 @@ where
     fn pass_crash_earlier(
         &self,
         list: &mut Vec<ActivationSet>,
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
+        repro: &impl Fn(&[ActivationSet]) -> bool,
         replays: &mut u64,
     ) -> bool {
         let mut changed = false;
         loop {
             let candidates = crash_earlier_candidates(list, self.topo.len());
-            let (hit, charged) = self.first_reproducing(&candidates, repro);
+            let (hit, charged) = first_reproducing(&candidates, repro);
             *replays += charged;
             match hit {
                 Some(i) => {
@@ -413,7 +366,7 @@ where
     fn shrink_part(
         &self,
         mut list: Vec<ActivationSet>,
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
+        repro: &impl Fn(&[ActivationSet]) -> bool,
         crash_op: bool,
         replays: &mut u64,
     ) -> Vec<ActivationSet> {
@@ -437,7 +390,7 @@ where
     pub fn shrink_safety(
         &self,
         schedule: &[ActivationSet],
-        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
     ) -> Option<ShrunkSchedule> {
         self.replay_safety(schedule, safety)?;
         let repro = |cand: &[ActivationSet]| self.replay_safety(cand, safety).is_some();
@@ -462,7 +415,7 @@ where
     fn shrink_schedule_class(
         &self,
         schedule: &[ActivationSet],
-        repro: &(impl Fn(&[ActivationSet]) -> bool + Sync),
+        repro: &impl Fn(&[ActivationSet]) -> bool,
         safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
     ) -> Option<ShrunkSchedule> {
         let n = self.topo.len();
@@ -565,7 +518,7 @@ where
     pub fn shrink_witness(
         &self,
         witness: &Witness,
-        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
     ) -> Option<(Witness, ShrinkStats)> {
         match witness {
             Witness::Safety(v) => self.shrink_safety(&v.schedule, safety).map(|s| {
@@ -581,6 +534,18 @@ where
                 .shrink_livelock(lw)
                 .map(|s| (Witness::Livelock(s.witness), s.stats)),
         }
+    }
+}
+
+/// Finds the lowest-index candidate that reproduces. Returns the index
+/// plus the replays run: index + 1 on a hit, the whole batch on a miss.
+fn first_reproducing(
+    candidates: &[Vec<ActivationSet>],
+    repro: &impl Fn(&[ActivationSet]) -> bool,
+) -> (Option<usize>, u64) {
+    match candidates.iter().position(|c| repro(c)) {
+        Some(i) => (Some(i), i as u64 + 1),
+        None => (None, candidates.len() as u64),
     }
 }
 

@@ -139,7 +139,7 @@ impl ExploreStats {
 
     /// Fraction of successor lookups that hit the visited set, in
     /// `[0, 1]`; 0 for an empty exploration.
-    pub fn dedup_hit_rate(&self) -> f64 {
+    fn dedup_hit_rate(&self) -> f64 {
         if self.dedup_lookups == 0 {
             0.0
         } else {

@@ -70,11 +70,6 @@ impl<A: Algorithm> NodeCore<'_, A> {
         self.proc.round
     }
 
-    /// Rounds committed so far.
-    pub fn rounds_committed(&self) -> u64 {
-        self.proc.round + u64::from(self.decided.is_some())
-    }
-
     /// The decided output, once the algorithm returned.
     pub fn decided(&self) -> Option<&A::Output> {
         self.decided.as_ref()
@@ -199,6 +194,13 @@ mod tests {
     use ftcolor_model::inputs;
     use ftcolor_net::{SnapshotReq, SnapshotResp};
     use std::collections::VecDeque;
+
+    impl<A: Algorithm> NodeCore<'_, A> {
+        /// Rounds committed so far.
+        fn rounds_committed(&self) -> u64 {
+            self.proc.round + u64::from(self.decided.is_some())
+        }
+    }
 
     /// Drives a ring of cores to termination by hand-routing frames in
     /// FIFO order, round-tripping every frame through the JSON wire

@@ -219,12 +219,12 @@ impl ChildGuard {
     }
 
     /// Mutable access to the wrapped child (to take pipes).
-    pub fn child_mut(&mut self) -> &mut Child {
+    fn child_mut(&mut self) -> &mut Child {
         &mut self.child
     }
 
     /// SIGKILLs and reaps the child now (idempotent).
-    pub fn kill_now(&mut self) {
+    fn kill_now(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }

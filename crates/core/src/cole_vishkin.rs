@@ -50,31 +50,31 @@ pub fn reduce(x: u64, y: u64) -> u64 {
     2 * i + x_i
 }
 
-/// Upper bound `2·min(|x|, |y|) + 1` on [`reduce`] — the contraction that
-/// Lemma 4.1 iterates.
-pub fn reduce_bound(x: u64, y: u64) -> u64 {
-    2 * u64::from(bit_length(x).min(bit_length(y))) + 1
-}
-
-/// Applies [`reduce`] down a strictly decreasing chain
-/// `c_0 > c_1 > … > c_k`, returning the reduced values
-/// `f(c_0, c_1), f(c_1, c_2), …` — the synchronous shape of what
-/// Algorithm 3 does asynchronously. Useful in tests and the E4 bench.
-///
-/// # Panics
-///
-/// Panics if the chain is not strictly decreasing.
-pub fn reduce_chain(chain: &[u64]) -> Vec<u64> {
-    for w in chain.windows(2) {
-        assert!(w[0] > w[1], "chain must strictly decrease");
-    }
-    chain.windows(2).map(|w| reduce(w[0], w[1])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Upper bound `2·min(|x|, |y|) + 1` on [`reduce`] — the contraction that
+    /// Lemma 4.1 iterates.
+    fn reduce_bound(x: u64, y: u64) -> u64 {
+        2 * u64::from(bit_length(x).min(bit_length(y))) + 1
+    }
+
+    /// Applies [`reduce`] down a strictly decreasing chain
+    /// `c_0 > c_1 > … > c_k`, returning the reduced values
+    /// `f(c_0, c_1), f(c_1, c_2), …` — the synchronous shape of what
+    /// Algorithm 3 does asynchronously.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain is not strictly decreasing.
+    fn reduce_chain(chain: &[u64]) -> Vec<u64> {
+        for w in chain.windows(2) {
+            assert!(w[0] > w[1], "chain must strictly decrease");
+        }
+        chain.windows(2).map(|w| reduce(w[0], w[1])).collect()
+    }
 
     /// Bit `k` of `z`.
     fn bit(z: u64, k: u64) -> u64 {

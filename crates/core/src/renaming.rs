@@ -36,14 +36,7 @@ pub struct RenameReg {
 
 /// The `r`-th smallest natural number (1-based `r`) not contained in
 /// `taken`. `taken` need not be sorted or deduplicated.
-///
-/// ```
-/// use ftcolor_core::renaming::kth_free_name;
-/// assert_eq!(kth_free_name([0, 2], 1), 1);
-/// assert_eq!(kth_free_name([0, 2], 2), 3);
-/// assert_eq!(kth_free_name([], 3), 2);
-/// ```
-pub fn kth_free_name(taken: impl IntoIterator<Item = u64>, r: u64) -> u64 {
+fn kth_free_name(taken: impl IntoIterator<Item = u64>, r: u64) -> u64 {
     assert!(r >= 1, "rank is 1-based");
     let mut t: Vec<u64> = taken.into_iter().collect();
     t.sort_unstable();
@@ -148,6 +141,9 @@ mod tests {
     fn kth_free_name_cases() {
         assert_eq!(kth_free_name([], 1), 0);
         assert_eq!(kth_free_name([0], 1), 1);
+        assert_eq!(kth_free_name([0, 2], 1), 1);
+        assert_eq!(kth_free_name([0, 2], 2), 3);
+        assert_eq!(kth_free_name([], 3), 2);
         assert_eq!(kth_free_name([1, 3], 1), 0);
         assert_eq!(kth_free_name([1, 3], 2), 2);
         assert_eq!(kth_free_name([1, 3], 3), 4);

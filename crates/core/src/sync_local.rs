@@ -138,7 +138,7 @@ impl ColeVishkinThree {
     }
 
     /// Number of Cole–Vishkin reduction rounds (phase 1).
-    pub fn phase1_rounds(&self) -> u32 {
+    fn phase1_rounds(&self) -> u32 {
         self.widths.len() as u32
     }
 

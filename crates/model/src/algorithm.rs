@@ -57,21 +57,6 @@ pub enum Step<O> {
     Return(O),
 }
 
-impl<O> Step<O> {
-    /// `true` for [`Step::Return`].
-    pub fn is_return(&self) -> bool {
-        matches!(self, Step::Return(_))
-    }
-
-    /// Extracts the output if this is a [`Step::Return`].
-    pub fn into_output(self) -> Option<O> {
-        match self {
-            Step::Continue => None,
-            Step::Return(o) => Some(o),
-        }
-    }
-}
-
 /// What a process sees when it performs a local immediate snapshot: the
 /// published register of each of its graph neighbors, in the topology's
 /// (arbitrary but fixed) neighbor order. `None` is the paper's `⊥` — the
@@ -211,16 +196,6 @@ pub trait Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_helpers() {
-        let c: Step<u8> = Step::Continue;
-        let r: Step<u8> = Step::Return(7);
-        assert!(!c.is_return());
-        assert!(r.is_return());
-        assert_eq!(c.into_output(), None);
-        assert_eq!(r.into_output(), Some(7));
-    }
 
     #[test]
     fn neighborhood_awake_filters_bottom() {

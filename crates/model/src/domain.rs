@@ -87,7 +87,6 @@ type ProjectFn<A> = Box<dyn Fn(&<A as Algorithm>::State) -> <A as Algorithm>::St
 pub struct ViewDomain<A: Algorithm> {
     degree: usize,
     init_states: Vec<A::State>,
-    seed_regs: Vec<A::Reg>,
     symmetric_views: bool,
     note: String,
     neighbor_images: ImagesFn<A>,
@@ -106,7 +105,6 @@ impl<A: Algorithm> ViewDomain<A> {
         ViewDomain {
             degree,
             init_states: Vec::new(),
-            seed_regs: Vec::new(),
             symmetric_views: false,
             note: String::new(),
             neighbor_images: Box::new(|r| vec![r.clone()]),
@@ -120,13 +118,6 @@ impl<A: Algorithm> ViewDomain<A> {
     /// Adds one abstract initial state.
     pub fn init_state(mut self, s: A::State) -> Self {
         self.init_states.push(s);
-        self
-    }
-
-    /// Adds extra view registers beyond the images of reachable
-    /// publishes (rarely needed; the fixpoint usually suffices).
-    pub fn seed_reg(mut self, r: A::Reg) -> Self {
-        self.seed_regs.push(r);
         self
     }
 
@@ -189,11 +180,6 @@ impl<A: Algorithm> ViewDomain<A> {
     /// The abstract initial states.
     pub fn init_states(&self) -> &[A::State] {
         &self.init_states
-    }
-
-    /// The extra seed registers.
-    pub fn seed_regs(&self) -> &[A::Reg] {
-        &self.seed_regs
     }
 
     /// Whether views may be enumerated as unordered tuples.

@@ -53,7 +53,6 @@
 //!   swaps (symmetry reduction) —
 //!
 //! and the same incremental XOR hash as [`ConfigCodec::encode_delta`].
-//! [`ConfigCodec::step_packed`] is the [`CfgKey`]-to-[`CfgKey`] wrapper.
 //! A memo miss rebuilds the values from the interners and calls
 //! [`Algorithm::publish`] / [`Algorithm::step`] /
 //! [`Algorithm::relabel_view`] once. The memo adds one premise to the
@@ -855,29 +854,6 @@ where
         }
     }
 
-    /// [`Self::step_into`] from one [`CfgKey`] to a freshly allocated
-    /// one, on a lane without view swaps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` was not packed by this codec for `topo`.
-    pub fn step_packed(
-        &self,
-        alg: &A,
-        topo: &Topology,
-        parent: &CfgKey,
-        active: &[ProcessId],
-    ) -> CfgKey {
-        let mut from = LanedRow::new(self.n, false);
-        self.entries_into(alg, &parent.packed, parent.hash, &mut from);
-        let mut to = LanedRow::new(self.n, false);
-        self.step_into(alg, topo, &from, active, &mut to);
-        CfgKey {
-            hash: to.hash,
-            packed: to.row.into(),
-        }
-    }
-
     /// Recomputes the hash of an already-packed buffer.
     pub fn hash_packed(&self, packed: &[u32]) -> u64 {
         let inner = self.inner.read();
@@ -1116,7 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn step_packed_matches_executor_at_every_degree() {
+    fn step_into_matches_executor_at_every_degree() {
         // A clique of nine builds its transition keys on the heap, a
         // cycle on the stack.
         for topo in [Topology::cycle(4).unwrap(), Topology::clique(9).unwrap()] {
@@ -1124,6 +1100,7 @@ mod tests {
             let codec: ConfigCodec<ModSeven> = ConfigCodec::new(n);
             let mut exec = Execution::new(&ModSeven, &topo, (0..n as u64).collect());
             let mut key = codec.encode(&exec);
+            let (mut from, mut got) = (LanedRow::new(n, false), LanedRow::new(n, false));
             for step in 0..6 {
                 let active: Vec<ProcessId> = (0..n)
                     .filter(|i| (i + step) % 3 != 0)
@@ -1131,9 +1108,11 @@ mod tests {
                     .collect();
                 let touched = exec.step_with(&ActivationSet::Only(active.clone()));
                 let want = codec.encode_delta(&key, &exec, &touched);
+                codec.entries_into(&ModSeven, &key.packed, key.hash, &mut from);
                 for _ in 0..2 {
-                    let got = codec.step_packed(&ModSeven, &topo, &key, &active);
-                    assert_eq!((&got, got.hash), (&want, want.hash), "n={n} step {step}");
+                    codec.step_into(&ModSeven, &topo, &from, &active, &mut got);
+                    let got = (got.row(), got.hash());
+                    assert_eq!(got, (&want.packed[..], want.hash), "n={n} step {step}");
                 }
                 assert_eq!(
                     ConfigCodec::<ModSeven>::working(&want.packed),

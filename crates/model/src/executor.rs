@@ -105,15 +105,6 @@ pub enum ProcessStatus<O> {
     Returned(O),
 }
 
-impl<O> ProcessStatus<O> {
-    /// `true` unless the process has returned (asleep processes are
-    /// *working* in the paper's sense: their stopping condition is
-    /// unfulfilled).
-    pub fn is_working(&self) -> bool {
-        !matches!(self, ProcessStatus::Returned(_))
-    }
-}
-
 /// A live execution: per-process states, registers, and bookkeeping.
 ///
 /// Most callers use [`Execution::run`]; checkers that must observe
@@ -797,12 +788,12 @@ mod tests {
         let alg = CountDown { k: 2 };
         let mut exec = Execution::new(&alg, &topo, vec![5, 5, 5]);
         assert_eq!(exec.status(ProcessId(0)), ProcessStatus::Asleep);
-        assert!(exec.status(ProcessId(0)).is_working());
+        assert!(exec.working().contains(&ProcessId(0)));
         exec.step_with(&ActivationSet::solo(ProcessId(0)));
         assert_eq!(exec.status(ProcessId(0)), ProcessStatus::Working);
         exec.step_with(&ActivationSet::solo(ProcessId(0)));
         assert_eq!(exec.status(ProcessId(0)), ProcessStatus::Returned(5));
-        assert!(!exec.status(ProcessId(0)).is_working());
+        assert!(!exec.working().contains(&ProcessId(0)));
     }
 
     #[test]

@@ -384,11 +384,6 @@ impl Topology {
         })
     }
 
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
     /// `true` iff the graph is 2-regular and connected, i.e. a single cycle.
     pub fn is_cycle(&self) -> bool {
         let n = self.len();
@@ -752,7 +747,7 @@ mod tests {
     fn cycle_structure() {
         let c = Topology::cycle(6).unwrap();
         assert_eq!(c.len(), 6);
-        assert_eq!(c.edge_count(), 6);
+        assert_eq!(c.edges().count(), 6);
         assert!(c.is_cycle());
         for p in c.nodes() {
             assert_eq!(c.degree(p), 2);
@@ -784,7 +779,7 @@ mod tests {
     #[test]
     fn clique_structure() {
         let k = Topology::clique(5).unwrap();
-        assert_eq!(k.edge_count(), 10);
+        assert_eq!(k.edges().count(), 10);
         assert_eq!(k.max_degree(), 4);
         assert!(!k.is_cycle());
     }
@@ -792,7 +787,7 @@ mod tests {
     #[test]
     fn path_structure() {
         let p = Topology::path(4).unwrap();
-        assert_eq!(p.edge_count(), 3);
+        assert_eq!(p.edges().count(), 3);
         assert_eq!(p.degree(ProcessId(0)), 1);
         assert_eq!(p.degree(ProcessId(1)), 2);
         assert!(!p.is_cycle());
@@ -824,14 +819,14 @@ mod tests {
         assert_eq!(g.degree(ProcessId(4)), 4); // center
         assert_eq!(g.degree(ProcessId(0)), 2); // corner
         assert_eq!(g.max_degree(), 4);
-        assert_eq!(g.edge_count(), 12);
+        assert_eq!(g.edges().count(), 12);
     }
 
     #[test]
     fn petersen_is_3_regular_girth_5() {
         let p = Topology::petersen();
         assert_eq!(p.len(), 10);
-        assert_eq!(p.edge_count(), 15);
+        assert_eq!(p.edges().count(), 15);
         for v in p.nodes() {
             assert_eq!(p.degree(v), 3);
         }
@@ -847,7 +842,7 @@ mod tests {
     fn hypercube_structure() {
         let q4 = Topology::hypercube(4).unwrap();
         assert_eq!(q4.len(), 16);
-        assert_eq!(q4.edge_count(), 32); // d · 2^(d−1)
+        assert_eq!(q4.edges().count(), 32); // d · 2^(d−1)
         for p in q4.nodes() {
             assert_eq!(q4.degree(p), 4);
         }
@@ -862,7 +857,7 @@ mod tests {
     fn complete_bipartite_structure() {
         let k = Topology::complete_bipartite(3, 4).unwrap();
         assert_eq!(k.len(), 7);
-        assert_eq!(k.edge_count(), 12);
+        assert_eq!(k.edges().count(), 12);
         assert_eq!(k.degree(ProcessId(0)), 4);
         assert_eq!(k.degree(ProcessId(3)), 3);
         assert!(k.is_edge(ProcessId(0), ProcessId(3)));

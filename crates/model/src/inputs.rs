@@ -143,56 +143,56 @@ pub fn proper_k_coloring(n: usize, k: u64) -> Vec<u64> {
     v
 }
 
-/// Validates that `ids` are pairwise distinct — the paper's baseline
-/// input assumption. Returns the first duplicated value if any.
-pub fn find_duplicate(ids: &[u64]) -> Option<u64> {
-    let mut seen = std::collections::HashSet::with_capacity(ids.len());
-    ids.iter().copied().find(|x| !seen.insert(*x))
-}
-
-/// The length of the longest monotone run around the cycle under `ids`
-/// (number of *edges* in the longest subpath with strictly increasing
-/// values in one direction). Lemma 3.9 ties the linear algorithms'
-/// running time to this quantity.
-///
-/// # Panics
-///
-/// Panics if `ids.len() < 3` (not a cycle).
-pub fn longest_monotone_chain(ids: &[u64]) -> usize {
-    let n = ids.len();
-    assert!(n >= 3, "cycle needs n ≥ 3");
-    // If the whole cycle were monotone the values couldn't be proper; a
-    // run is maximal between a local min and a local max. Walk twice
-    // around to handle wrap.
-    let mut best = 0usize;
-    let mut run = 0usize;
-    for i in 1..2 * n {
-        if ids[i % n] > ids[(i - 1) % n] {
-            run += 1;
-            best = best.max(run.min(n - 1));
-        } else {
-            run = 0;
-        }
-    }
-    // Also count decreasing runs (a chain is monotone in either direction
-    // when walked one way, so increasing runs in the reverse direction are
-    // decreasing runs here — by symmetry of the walk above applied to the
-    // reversed sequence).
-    let mut run = 0usize;
-    for i in 1..2 * n {
-        if ids[i % n] < ids[(i - 1) % n] {
-            run += 1;
-            best = best.max(run.min(n - 1));
-        } else {
-            run = 0;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Validates that `ids` are pairwise distinct — the paper's baseline
+    /// input assumption. Returns the first duplicated value if any.
+    fn find_duplicate(ids: &[u64]) -> Option<u64> {
+        let mut seen = std::collections::HashSet::with_capacity(ids.len());
+        ids.iter().copied().find(|x| !seen.insert(*x))
+    }
+
+    /// The length of the longest monotone run around the cycle under `ids`
+    /// (number of *edges* in the longest subpath with strictly increasing
+    /// values in one direction). Lemma 3.9 ties the linear algorithms'
+    /// running time to this quantity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids.len() < 3` (not a cycle).
+    fn longest_monotone_chain(ids: &[u64]) -> usize {
+        let n = ids.len();
+        assert!(n >= 3, "cycle needs n ≥ 3");
+        // If the whole cycle were monotone the values couldn't be proper; a
+        // run is maximal between a local min and a local max. Walk twice
+        // around to handle wrap.
+        let mut best = 0usize;
+        let mut run = 0usize;
+        for i in 1..2 * n {
+            if ids[i % n] > ids[(i - 1) % n] {
+                run += 1;
+                best = best.max(run.min(n - 1));
+            } else {
+                run = 0;
+            }
+        }
+        // Also count decreasing runs (a chain is monotone in either direction
+        // when walked one way, so increasing runs in the reverse direction are
+        // decreasing runs here — by symmetry of the walk above applied to the
+        // reversed sequence).
+        let mut run = 0usize;
+        for i in 1..2 * n {
+            if ids[i % n] < ids[(i - 1) % n] {
+                run += 1;
+                best = best.max(run.min(n - 1));
+            } else {
+                run = 0;
+            }
+        }
+        best
+    }
 
     #[test]
     fn staircase_shapes() {

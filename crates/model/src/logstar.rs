@@ -60,20 +60,13 @@ pub fn log_star_u64(x: u64) -> u32 {
 ///
 /// `F` models the worst-case growth of an identifier after one
 /// Cole–Vishkin reduction: `f(x, y) ≤ 2|x| + 1` for every `y` (§4.1).
-///
-/// ```
-/// use ftcolor_model::logstar::cv_contraction;
-/// assert_eq!(cv_contraction(1_000_000), 41); // |10^6| = 20
-/// assert_eq!(cv_contraction(41), 13);
-/// assert_eq!(cv_contraction(13), 9);
-/// ```
 #[inline]
-pub fn cv_contraction(x: u64) -> u64 {
+fn cv_contraction(x: u64) -> u64 {
     2 * u64::from(bit_length(x)) + 1
 }
 
-/// Number of iterations of [`cv_contraction`] needed to bring `x`
-/// strictly below 10 (the constant `L ≤ 10` of §4), i.e. the smallest `t`
+/// Number of iterations of the Lemma 4.1 contraction
+/// `F(x) = 2⌈log₂(x+1)⌉ + 1` needed to bring `x` strictly below 10 (the constant `L ≤ 10` of §4), i.e. the smallest `t`
 /// with `F^(t)(x) < 10`.
 ///
 /// Lemma 4.1 asserts this is at most `α·log* x` for some constant `α`;
@@ -135,6 +128,9 @@ mod tests {
 
     #[test]
     fn contraction_is_monotone_and_shrinking() {
+        assert_eq!(cv_contraction(1_000_000), 41); // |10^6| = 20
+        assert_eq!(cv_contraction(41), 13);
+        assert_eq!(cv_contraction(13), 9);
         for x in 10u64..100_000 {
             assert!(
                 cv_contraction(x) < x,

@@ -62,7 +62,7 @@ impl ActivationSet {
 
     /// [`ActivationSet::resolve`] into a caller-owned buffer, which is
     /// cleared first.
-    pub fn resolve_into(&self, working: &[ProcessId], out: &mut Vec<ProcessId>) {
+    fn resolve_into(&self, working: &[ProcessId], out: &mut Vec<ProcessId>) {
         out.clear();
         match self {
             ActivationSet::All => out.extend_from_slice(working),
@@ -202,12 +202,6 @@ impl SoloRunner {
             order: (0..n).map(ProcessId).collect(),
             pos: 0,
         }
-    }
-
-    /// Solo-runs processes in the given order. Processes not listed are
-    /// never activated (they crash without ever waking up).
-    pub fn with_order(order: Vec<ProcessId>) -> Self {
-        SoloRunner { order, pos: 0 }
     }
 }
 
@@ -508,15 +502,15 @@ mod tests {
 
     #[test]
     fn solo_runner_advances_and_ends() {
-        let mut s = SoloRunner::with_order(ids(&[1, 0]));
+        let mut s = SoloRunner::ascending(2);
         assert_eq!(
-            s.next(1, &ids(&[0, 1])),
-            Some(ActivationSet::solo(ProcessId(1)))
-        );
-        // 1 returned: move on to 0.
-        assert_eq!(
-            s.next(2, &ids(&[0])),
+            s.next(1, &ids(&[0, 1, 2])),
             Some(ActivationSet::solo(ProcessId(0)))
+        );
+        // 0 returned: move on to 1.
+        assert_eq!(
+            s.next(2, &ids(&[1, 2])),
+            Some(ActivationSet::solo(ProcessId(1)))
         );
         // everyone in the order done; process 2 (not in order) is crashed.
         assert_eq!(s.next(3, &ids(&[2])), None);

@@ -28,11 +28,6 @@ impl Trace {
         Trace { n, steps }
     }
 
-    /// Number of processes the trace was recorded over.
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of time steps.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -73,17 +68,6 @@ impl Trace {
             exec.step_with(set);
         }
         exec.into_trace()
-    }
-
-    /// Total number of (process, step) activation slots in the trace.
-    pub fn activation_slots(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                ActivationSet::All => self.n,
-                ActivationSet::Only(v) => v.len(),
-            })
-            .sum()
     }
 
     /// Converts the trace into a schedule that replays it exactly and
@@ -132,10 +116,8 @@ mod tests {
     #[test]
     fn accessors() {
         let t = sample();
-        assert_eq!(t.process_count(), 3);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        assert_eq!(t.activation_slots(), 2 + 3 + 1);
         assert_eq!(t.activation_upper_bound(ProcessId(0)), 2);
         assert_eq!(t.activation_upper_bound(ProcessId(1)), 2);
         assert_eq!(t.activation_upper_bound(ProcessId(2)), 2);

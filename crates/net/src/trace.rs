@@ -221,11 +221,6 @@ impl TraceLog {
         self.len == 0
     }
 
-    /// Bytes the packed entries take (not counting unused capacity).
-    pub fn packed_bytes(&self) -> usize {
-        self.chunks.iter().map(Vec::len).sum()
-    }
-
     /// Appends `e`.
     pub fn push(&mut self, e: TraceEntry) {
         let mut buf = [0u8; MAX_ENTRY];
@@ -452,6 +447,13 @@ fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceLog {
+        /// Bytes the packed entries take (not counting unused capacity).
+        fn packed_bytes(&self) -> usize {
+            self.chunks.iter().map(Vec::len).sum()
+        }
+    }
 
     fn sample() -> DeliveryTrace {
         [

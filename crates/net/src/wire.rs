@@ -41,8 +41,8 @@
 //! same bytes for the same register.
 //!
 //! On a byte stream (the cluster's child-process pipes), frames are
-//! length-prefixed with a `u32` LE payload length — see [`write_framed`]
-//! / [`read_framed`] / [`append_framed`].
+//! length-prefixed with a `u32` LE payload length — see
+//! [`append_framed`] / [`read_framed`].
 //!
 //! [`WirePool`] recycles encode buffers so the steady-state encode path
 //! performs zero heap allocations; [`WireStats`] counts frames, bytes,
@@ -759,17 +759,6 @@ pub fn append_framed(frame: &Frame, buf: &mut Vec<u8>) {
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Writes one length-prefixed payload to `w` (prefix + payload, no
-/// flush).
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_framed<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
-}
-
 /// Reads one length-prefixed payload from `r` into `buf` (replacing its
 /// contents). Returns `Ok(false)` on clean EOF before a prefix.
 ///
@@ -965,15 +954,8 @@ mod tests {
     fn stream_framing_round_trips() {
         let mut stream = Vec::new();
         for f in sample_frames() {
-            let mut payload = Vec::new();
-            encode_frame_into(&f, &mut payload);
-            write_framed(&mut stream, &payload).expect("write");
+            append_framed(&f, &mut stream);
         }
-        let mut also = Vec::new();
-        for f in sample_frames() {
-            append_framed(&f, &mut also);
-        }
-        assert_eq!(stream, also, "append_framed matches write_framed");
         let mut cursor = io::Cursor::new(stream);
         let mut buf = Vec::new();
         let mut seen = Vec::new();
@@ -985,10 +967,8 @@ mod tests {
 
     #[test]
     fn read_framed_rejects_torn_and_hostile_input() {
-        let mut payload = Vec::new();
-        encode_frame_into(&sample_frames()[1], &mut payload);
         let mut stream = Vec::new();
-        write_framed(&mut stream, &payload).expect("write");
+        append_framed(&sample_frames()[1], &mut stream);
         // Torn anywhere mid-record: UnexpectedEof, never a hang or panic.
         for cut in 1..stream.len() {
             let mut cursor = io::Cursor::new(stream[..cut].to_vec());

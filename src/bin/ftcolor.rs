@@ -124,7 +124,7 @@ USAGE:
   ftcolor modelcheck [--alg A] [--ids LIST] [--max-configs M] [--jobs J] [--symmetry]
                      [--por] [--format text|json]
   ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--generations G] [--seed K] [--jobs J]
-  ftcolor shrink     --in FILE [--out FILE] [--alg A] [--ids LIST] [--bound B] [--jobs J]
+  ftcolor shrink     --in FILE [--out FILE] [--alg A] [--ids LIST] [--bound B]
   ftcolor analyze    [--alg NAME|all] [--sizes LIST] [--rules CODES] [--format text|json]
   ftcolor certify    [--alg NAME|all] [--domain-colors C] [--rules CODES]
                      [--format text|json]
@@ -172,7 +172,8 @@ FLAGS:
                  verdicts provably match full exploration. Composes
                  with --symmetry
   --generations  fuzzer generations                    (default 150)
-  --jobs         worker threads; 0 = all CPUs           (default 1)
+  --jobs         modelcheck/fuzz/serve: worker threads;
+                 0 = all CPUs                          (default 1)
                  results are identical for every value
   --in           shrink input: a witness fixture ({schema, alg, ids, raw,
                  shrunk}), a bare safety violation ({description, schedule}),
@@ -234,7 +235,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "symmetry por",
     ),
     ("fuzz", "alg n ids input seed generations jobs", ""),
-    ("shrink", "in out alg n ids input seed bound jobs", ""),
+    ("shrink", "in out alg n ids input seed bound", ""),
     ("analyze", "alg sizes rules format", ""),
     ("certify", "alg domain-colors rules format", ""),
     (
@@ -501,7 +502,7 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         out!("{o}")?;
         out!("{}", o.stats)?;
-        let sh = Shrinker::new(alg, &topo, ids.clone()).with_jobs(jobs);
+        let sh = Shrinker::new(alg, &topo, ids.clone());
         if let Some(v) = &o.safety_violation {
             out!("safety violation: {}", v.description)?;
             out!("{}", render_schedule(&v.schedule))?;
@@ -569,7 +570,7 @@ fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
         if let Some(v) = &report.safety_violation {
             out!("SAFETY VIOLATION: {v}")?;
             if let Some(genome) = &report.violating_schedule {
-                let sh = Shrinker::new(alg, &topo, ids.clone()).with_jobs(jobs);
+                let sh = Shrinker::new(alg, &topo, ids.clone());
                 if let Some(s) = sh.shrink_safety(genome, &safety) {
                     out!(
                         "shrunk witness ({} -> {} activation slots, {} replays):",
@@ -634,7 +635,6 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
         (alg, ids, input)
     };
 
-    let jobs = parse_jobs(opts)?;
     let bound: Option<u64> = match opts.get("bound") {
         Some(b) => Some(b.parse().map_err(|e| format!("bad --bound: {e}"))?),
         None => None,
@@ -646,7 +646,6 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
             &EagerMis,
             &alg_name,
             &ids,
-            jobs,
             bound,
             &input,
             out,
@@ -657,7 +656,6 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
         alg,
         &alg_name,
         &ids,
-        jobs,
         bound,
         &input,
         out,
@@ -667,25 +665,23 @@ fn cmd_shrink(opts: &HashMap<String, String>) -> Result<(), String> {
 
 /// Shrinks `input` on `alg`, prints the minimal witness, replay-verifies
 /// it, and optionally writes a schema-v2 fixture to `out`.
-#[allow(clippy::too_many_arguments)]
 fn shrink_and_report<A>(
     alg: &A,
     alg_name: &str,
     ids: &[u64],
-    jobs: usize,
     bound: Option<u64>,
     input: &ShrinkInput,
     out: Option<&str>,
-    safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
+    safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
 ) -> Result<(), String>
 where
-    A: Algorithm<Input = u64> + Sync,
+    A: Algorithm<Input = u64>,
     A::State: Eq + std::hash::Hash,
     A::Reg: Eq + std::hash::Hash,
     A::Output: Eq + std::hash::Hash,
 {
     let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
-    let sh = Shrinker::new(alg, &topo, ids.to_vec()).with_jobs(jobs);
+    let sh = Shrinker::new(alg, &topo, ids.to_vec());
     let (raw, shrunk, stats) = match input {
         ShrinkInput::Witness(w) => {
             let (s, stats) = sh.shrink_witness(w, &safety).ok_or(

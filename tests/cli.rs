@@ -112,16 +112,14 @@ fn shrink_round_trips_through_the_fixture_format() {
     assert!(stdout.contains("class: safety"), "{stdout}");
     assert!(stdout.contains("activation slots:"), "{stdout}");
 
-    // The output is itself valid shrink input at a different --jobs
-    // value, and re-shrinking is a no-op (idempotent local minimum).
+    // The output is itself valid shrink input, and re-shrinking is a
+    // no-op (idempotent local minimum).
     let (stdout2, stderr2, ok2) = run(&[
         "shrink",
         "--in",
         min1.to_str().unwrap(),
         "--out",
         min2.to_str().unwrap(),
-        "--jobs",
-        "4",
     ]);
     assert!(ok2, "{stderr2}");
     assert!(stdout2.contains("class: safety"), "{stdout2}");
@@ -195,10 +193,23 @@ fn bad_flags_fail_gracefully() {
 
 #[test]
 fn retired_flags_are_rejected() {
-    for (flag, value) in [("--extmem", "/nonexistent"), ("--bloom", "1024")] {
-        let (stdout, stderr, ok) =
-            run(&["modelcheck", "--alg", "alg2", "--ids", "0,1,2", flag, value]);
-        assert!(!ok, "{flag} must be refused: {stdout}");
+    let modelcheck = ["modelcheck", "--alg", "alg2", "--ids", "0,1,2"].as_slice();
+    let shrink = [
+        "shrink",
+        "--in",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/eager_mis_c4_violation.json"
+        ),
+    ]
+    .as_slice();
+    for (cmd, flag, value) in [
+        (modelcheck, "--extmem", "/nonexistent"),
+        (modelcheck, "--bloom", "1024"),
+        (shrink, "--jobs", "2"),
+    ] {
+        let (stdout, stderr, ok) = run(&[cmd, &[flag, value]].concat());
+        assert!(!ok, "{} {flag} must be refused: {stdout}", cmd[0]);
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
     }
 }

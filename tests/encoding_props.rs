@@ -7,12 +7,11 @@
 //! sizes, random identifiers, random schedule prefixes, two algorithms
 //! with different state shapes.
 //!
-//! The packed successor kernel ([`ConfigCodec::step_packed`] and
-//! [`ConfigCodec::step_into`]) gets the same treatment against the
-//! executor it replaces in the parallel checker: five algorithms, cycles
-//! and a path, memo misses and hits — and the entry lane it carries from
-//! successor to successor must equal the lane
-//! [`ConfigCodec::entries_into`] computes afresh from each row.
+//! The packed successor kernel ([`ConfigCodec::step_into`]) gets the
+//! same treatment against the executor it replaces in the parallel
+//! checker: five algorithms, cycles and a path, memo misses and hits —
+//! and the entry lane it carries from successor to successor must equal
+//! the lane [`ConfigCodec::entries_into`] computes afresh from each row.
 
 use ftcolor::core::mis::LocalMaxMis;
 use ftcolor::core::{FastFiveColoringPatched, FiveColoringPatched};
@@ -101,20 +100,20 @@ fn kernel_topology(which: usize) -> Topology {
 }
 
 /// Walks up to `steps` random steps of `alg` on `topo` and, at every
-/// configuration reached, checks [`ConfigCodec::step_packed`] against
+/// configuration reached, checks [`ConfigCodec::step_into`] against
 /// [`Execution::step_with`] + [`ConfigCodec::encode_delta`] on a random
-/// activation subset, packed row and hash both. Each configuration is
-/// stepped by the kernel twice, so the first call may fill the memos
-/// and the second must be served from them. Subsets are drawn from all
-/// processes with at least one working member, so returned members must
-/// be ignored by both sides alike.
+/// activation subset, packed row and hash both. Subsets are drawn from
+/// all processes with at least one working member, so returned members
+/// must be ignored by both sides alike.
 ///
-/// Alongside, [`ConfigCodec::step_into`] walks the same steps on lanes
-/// without view swaps and — on cycles, where symmetry reduction swaps
-/// views — with them, each lane carried from one successor to the next
-/// as the checker carries it from a node to its children: its row and
-/// hash must match the executor's, and its lane must equal
-/// [`ConfigCodec::entries_into`] recomputed from the successor row.
+/// The kernel steps lanes without view swaps and — on cycles, where
+/// symmetry reduction swaps views — with them, each lane carried from
+/// one successor to the next as the checker carries it from a node to
+/// its children. Each configuration is stepped twice, so the first call
+/// may fill the memos and the second must be served from them. The
+/// successor's row and hash must match the executor's, and its lane
+/// must equal [`ConfigCodec::entries_into`] recomputed from the
+/// successor row.
 fn kernel_matches_executor<A: Algorithm>(
     alg: &A,
     topo: &Topology,
@@ -159,16 +158,13 @@ where
         let mut stepped = exec.clone();
         let touched = stepped.step_with(&set);
         let want = codec.encode_delta(&key, &stepped, &touched);
-        for _pass in 0..2 {
-            let got = codec.step_packed(alg, topo, &key, active);
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(got.hash, want.hash);
-        }
         for lane in &mut lanes {
             let relabel = lane.relabel();
             let mut got = LanedRow::new(n, relabel);
-            codec.step_into(alg, topo, lane, active, &mut got);
-            prop_assert_eq!((got.row(), got.hash()), (&want.packed[..], want.hash));
+            for _pass in 0..2 {
+                codec.step_into(alg, topo, lane, active, &mut got);
+                prop_assert_eq!((got.row(), got.hash()), (&want.packed[..], want.hash));
+            }
             let mut fresh = LanedRow::new(n, relabel);
             codec.entries_into(alg, got.row(), got.hash(), &mut fresh);
             prop_assert_eq!(&got, &fresh, "relabel={}", relabel);
@@ -233,7 +229,7 @@ proptest! {
     /// for Algorithms 1, 2, 2′ and 3′ and an MIS candidate, on `C3`–`C6`
     /// and `P4`, and the lane it carries equals the recomputed one.
     #[test]
-    fn step_packed_matches_executor(which in 0usize..5, idseed in 0u64..u64::MAX / 2, walk in 0u64..10_000) {
+    fn step_into_matches_executor(which in 0usize..5, idseed in 0u64..u64::MAX / 2, walk in 0u64..10_000) {
         let topo = kernel_topology(which);
         let n = topo.len();
         let ids = inputs::random_unique(n, (n as u64).pow(3).max(16), idseed);
