@@ -50,6 +50,7 @@ use std::collections::HashMap;
 
 use ftcolor_model::domain::ViewDomain;
 use ftcolor_model::Algorithm;
+use serde::Serialize;
 
 use crate::contract::ContractSpec;
 use crate::diag::{Diagnostic, RuleId};
@@ -85,7 +86,7 @@ impl Default for CertifyConfig {
 }
 
 /// Size and outcome counters for one certification run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CertStats {
     /// Distinct abstract states reached (decided states included).
     pub reachable_states: usize,

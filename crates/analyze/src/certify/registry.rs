@@ -11,9 +11,11 @@
 //! waived `FTC-DOM-008` finding instead; the dynamic analyzer covers
 //! both.
 
+use serde::{Serialize, Sink};
+
 use crate::catalogue::{lookup, SHIPPED};
 use crate::contract::ContractSpec;
-use crate::diag::{json_str, Diagnostic, RuleId};
+use crate::diag::{Diagnostic, RuleId};
 use crate::linter::apply_waivers;
 
 use super::{CertStats, CertifyConfig};
@@ -77,36 +79,26 @@ pub fn certify_all(colors: u64, cfg: &CertifyConfig) -> Vec<CertReport> {
         .collect()
 }
 
+/// One JSON object per report: `alg`, `note`, `stats` (with
+/// `solo_bound` `null` when absent) and `diagnostics`, in that order.
+impl Serialize for CertReport {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.begin_object(4);
+        sink.key("alg");
+        sink.str(self.name);
+        sink.key("note");
+        sink.str(&self.note);
+        sink.key("stats");
+        self.stats.serialize(sink);
+        sink.key("diagnostics");
+        self.diagnostics.serialize(sink);
+        sink.end();
+    }
+}
+
 /// Renders certification reports as a deterministic JSON array (stable
 /// key order, no timestamps or wall-times — two runs over the same tree
 /// must be byte-identical).
 pub fn render_cert_json(reports: &[CertReport]) -> String {
-    let body: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let s = &r.stats;
-            let solo = match s.solo_bound {
-                Some(b) => b.to_string(),
-                None => "null".into(),
-            };
-            let diags: Vec<String> = r.diagnostics.iter().map(Diagnostic::to_json).collect();
-            format!(
-                "{{\"alg\":{},\"note\":{},\"stats\":{{\"reachable_states\":{},\
-                 \"decided_states\":{},\"transitions\":{},\"view_regs\":{},\
-                 \"widenings\":{},\"solo_bound\":{},\"truncated\":{}}},\
-                 \"diagnostics\":[{}]}}",
-                json_str(r.name),
-                json_str(&r.note),
-                s.reachable_states,
-                s.decided_states,
-                s.transitions,
-                s.view_regs,
-                s.widenings,
-                solo,
-                s.truncated,
-                diags.join(",")
-            )
-        })
-        .collect();
-    format!("[{}]", body.join(","))
+    serde_json::to_string(reports).expect("certification reports serialize")
 }

@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use serde::{Serialize, Sink};
+
 /// The analyzer's rule set. `FTC-*-0xx` rules come from the abstract
 /// contract linter, `FTC-RT-1xx` from the runtime race detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -169,51 +171,44 @@ impl Diagnostic {
         }
         out
     }
+}
 
-    /// Renders one JSON object (stable keys, suitable for the CI gate).
-    pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            format!("\"code\":{}", json_str(self.rule.code())),
-            format!("\"alg\":{}", json_str(&self.alg)),
-            format!("\"waived\":{}", self.waived),
-            format!("\"message\":{}", json_str(&self.message)),
-        ];
+/// One JSON object with stable keys, suitable for the CI gate: `code`,
+/// `alg`, `waived` and `message`, then `process`, `time` and
+/// `waiver_reason` when present.
+impl Serialize for Diagnostic {
+    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
+        let present = usize::from(self.process.is_some())
+            + usize::from(self.time.is_some())
+            + usize::from(self.waiver_reason.is_some());
+        sink.begin_object(4 + present);
+        sink.key("code");
+        sink.str(self.rule.code());
+        sink.key("alg");
+        sink.str(&self.alg);
+        sink.key("waived");
+        sink.bool(self.waived);
+        sink.key("message");
+        sink.str(&self.message);
         if let Some(p) = self.process {
-            fields.push(format!("\"process\":{p}"));
+            sink.key("process");
+            p.serialize(sink);
         }
         if let Some(t) = self.time {
-            fields.push(format!("\"time\":{t}"));
+            sink.key("time");
+            sink.uint(t);
         }
         if let Some(reason) = &self.waiver_reason {
-            fields.push(format!("\"waiver_reason\":{}", json_str(reason)));
+            sink.key("waiver_reason");
+            sink.str(reason);
         }
-        format!("{{{}}}", fields.join(","))
+        sink.end();
     }
 }
 
 /// Renders a batch of diagnostics as a JSON array.
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let body: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", body.join(","))
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    serde_json::to_string(diags).expect("diagnostics serialize")
 }
 
 #[cfg(test)]
@@ -242,12 +237,13 @@ mod tests {
     #[test]
     fn json_escapes_and_has_stable_keys() {
         let d = Diagnostic::new(RuleId::Pal, "m\"x", "color 6 > palette \"5\"");
-        let j = d.to_json();
-        assert!(j.contains("\"code\":\"FTC-PAL-004\""));
-        assert!(j.contains("\\\"5\\\""));
+        let j = render_json(&[d.clone(), d.process(2)]);
         assert_eq!(
-            render_json(&[d.clone(), d]).matches("FTC-PAL-004").count(),
-            2
+            j,
+            "[{\"code\":\"FTC-PAL-004\",\"alg\":\"m\\\"x\",\"waived\":false,\
+             \"message\":\"color 6 > palette \\\"5\\\"\"},\
+             {\"code\":\"FTC-PAL-004\",\"alg\":\"m\\\"x\",\"waived\":false,\
+             \"message\":\"color 6 > palette \\\"5\\\"\",\"process\":2}]"
         );
     }
 }

@@ -40,6 +40,7 @@ pub mod core;
 pub mod named;
 pub mod node;
 pub mod orchestrator;
+mod pipe;
 pub mod replay;
 pub mod trace;
 

@@ -52,16 +52,11 @@ pub struct ClusterSummary {
     pub wall_ms: u64,
     /// Router counters (zeroed for replays).
     pub stats: ClusterStats,
-    /// Pipe codec the run used (`"none"` for replays — a journal is
-    /// not a wire). Flat `wire_*` fields are the only codec-variant
-    /// part of the summary, so cross-codec diffs can strip them with
-    /// one `grep -v '"wire_'`.
-    pub wire_codec: String,
     /// Frames the orchestrator encoded onto node stdin pipes.
     pub wire_frames_encoded: u64,
     /// Frames the orchestrator decoded off node stdout pipes.
     pub wire_frames_decoded: u64,
-    /// Total bytes across the pipes, including stream framing.
+    /// Total bytes across the pipes, newlines included.
     pub wire_bytes: u64,
     /// Encode-buffer requests served from the pool free list.
     pub wire_pool_hits: u64,
@@ -132,15 +127,9 @@ fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
     rounds: &[u64],
     live: Option<&ClusterReport<A::Output>>,
 ) -> ClusterSummary {
-    let (timed_out, wall_ms, stats, wire_codec, wire) = live.map_or(
-        (
-            false,
-            0,
-            ClusterStats::default(),
-            "none",
-            WireStats::default(),
-        ),
-        |r| (r.timed_out, r.wall_ms, r.stats, r.codec.name(), r.wire),
+    let (timed_out, wall_ms, stats, wire) = live.map_or(
+        (false, 0, ClusterStats::default(), WireStats::default()),
+        |r| (r.timed_out, r.wall_ms, r.stats, r.wire),
     );
     let colors: Vec<Option<u64>> = report
         .outputs()
@@ -175,7 +164,6 @@ fn summarize<A: RingColoring, R: SubstrateReport<A::Output>>(
         rounds_max: rounds.iter().copied().max().unwrap_or(0),
         wall_ms,
         stats,
-        wire_codec: wire_codec.to_string(),
         wire_frames_encoded: wire.frames_encoded,
         wire_frames_decoded: wire.frames_decoded,
         wire_bytes: wire.bytes_on_wire,

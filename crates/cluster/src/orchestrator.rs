@@ -37,12 +37,13 @@ use std::time::{Duration, Instant};
 
 use ftcolor_model::{Algorithm, ProcessId, SubstrateReport};
 use ftcolor_net::{
-    draw_fate, Body, Codec, Fate, FaultPlan, Frame, Init, Slot, WirePool, WireStats, ORCHESTRATOR,
+    draw_fate, Body, Fate, FaultPlan, Frame, Init, Slot, WirePool, WireStats, ORCHESTRATOR,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
+use crate::pipe::{decode_line, read_lines, write_lines};
 use crate::trace::{ClusterEntry, ClusterTrace, SendFate, CLUSTER_TRACE_SCHEMA};
 
 /// Orchestrator knobs (everything except the fault plan).
@@ -67,11 +68,6 @@ pub struct ClusterOptions {
     /// Test hook: spawn this node but never send its `init`, wedging it
     /// silent forever — exercises the timeout/stall reporting path.
     pub withhold_init: Option<usize>,
-    /// Pipe encoding between orchestrator and nodes: line-delimited
-    /// JSON (default) or length-prefixed binary frames. The journal
-    /// stays JSON either way — traces must read naturally — and the
-    /// codec is forwarded to spawned nodes as `node --codec <name>`.
-    pub codec: Codec,
 }
 
 impl Default for ClusterOptions {
@@ -83,7 +79,6 @@ impl Default for ClusterOptions {
             max_wall_ms: 30_000,
             node_cmd: None,
             withhold_init: None,
-            codec: Codec::Json,
         }
     }
 }
@@ -121,13 +116,6 @@ impl ClusterOptions {
     #[must_use]
     pub fn withhold_init(mut self, node: usize) -> Self {
         self.withhold_init = Some(node);
-        self
-    }
-
-    /// Sets the pipe codec.
-    #[must_use]
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
         self
     }
 }
@@ -179,8 +167,6 @@ pub struct ClusterReport<O> {
     pub trace: ClusterTrace,
     /// Router counters.
     pub stats: ClusterStats,
-    /// The pipe codec this run used.
-    pub codec: Codec,
     /// Frame/byte/pool counters for the orchestrator's side of the
     /// pipes (encodes to node stdin, decodes from node stdout).
     pub wire: WireStats,
@@ -334,7 +320,6 @@ where
     if n < 3 {
         return Err(format!("cluster: a cycle needs n >= 3 nodes, got {n}"));
     }
-    let codec = opts.codec;
     let tick_ms = opts.tick_ms.max(1);
     let node_cmd = match &opts.node_cmd {
         Some(p) => p.clone(),
@@ -342,19 +327,14 @@ where
     };
 
     // Spawn all nodes first; guards reap everything on any exit path.
-    // Reader threads ship raw payload bytes (a stripped JSON line, or a
-    // length-prefix-stripped binary record); decoding stays on the
-    // router thread so `malformed` accounting is single-threaded.
+    // Reader threads ship raw lines (newline stripped); decoding stays
+    // on the router thread so `malformed` accounting is single-threaded.
     let mut children: Vec<ChildGuard> = Vec::with_capacity(n);
     let mut stdins = Vec::with_capacity(n);
     let (tx, rx) = mpsc::channel::<(usize, Vec<u8>)>();
     for i in 0..n {
-        let mut cmd = Command::new(&node_cmd);
-        cmd.arg("node");
-        if codec == Codec::Binary {
-            cmd.args(["--codec", "binary"]);
-        }
-        let child = cmd
+        let child = Command::new(&node_cmd)
+            .arg("node")
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -367,9 +347,7 @@ where
         children.push(guard);
         let tx = tx.clone();
         thread::spawn(move || {
-            codec.read_records(BufReader::new(stdout), |payload| {
-                tx.send((i, payload)).is_ok()
-            });
+            read_lines(BufReader::new(stdout), |line| tx.send((i, line)).is_ok());
         });
     }
     drop(tx); // readers hold the only senders: Disconnected == all exited
@@ -424,7 +402,7 @@ where
             }),
         };
         let ms = ms_now(Instant::now());
-        if let Some(bytes) = write_frame(slot, &frame, codec, &mut wpool) {
+        if let Some(bytes) = write_frame(slot, &frame, &mut wpool) {
             wstats.frames_encoded += 1;
             wstats.bytes_on_wire += bytes as u64;
             entries.push(ClusterEntry::Deliver {
@@ -509,7 +487,7 @@ where
                     });
                     route!(resp);
                 }
-            } else if let Some(bytes) = write_frame(&mut stdins[dest], &frame, codec, &mut wpool) {
+            } else if let Some(bytes) = write_frame(&mut stdins[dest], &frame, &mut wpool) {
                 stats.delivered += 1;
                 wstats.frames_encoded += 1;
                 wstats.bytes_on_wire += bytes as u64;
@@ -559,17 +537,15 @@ where
         }
         let wait = next.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
-            Ok((i, payload)) => {
-                match codec.decode_record(&payload) {
+            Ok((i, line)) => {
+                match decode_line(&line) {
                     Ok(None) => {}
                     // A node only speaks for itself; anything else is
-                    // treated as a torn line/record.
+                    // treated as a torn line.
                     Ok(Some(frame)) if frame.src == i => {
                         wstats.frames_decoded += 1;
-                        // +4/+1 for the stream framing the reader
-                        // thread stripped (length prefix / newline).
-                        let framing = if codec == Codec::Binary { 4 } else { 1 };
-                        wstats.bytes_on_wire += (payload.len() + framing) as u64;
+                        // +1 for the newline the reader thread stripped.
+                        wstats.bytes_on_wire += line.len() as u64 + 1;
                         route!(frame);
                     }
                     _ => stats.malformed += 1,
@@ -628,22 +604,20 @@ where
         final_registers: router.registers,
         trace,
         stats,
-        codec,
         wire: wstats,
     })
 }
 
-/// Writes one frame to a node's stdin in the run's codec. Returns the
+/// Writes one frame to a node's stdin as a JSON line. Returns the
 /// bytes written. On any pipe error the slot is closed (the node died on
 /// its own) and `None` comes back — the frame is treated as
 /// undeliverable, never journaled.
 fn write_frame(
     slot: &mut Option<std::process::ChildStdin>,
     frame: &Frame,
-    codec: Codec,
     pool: &mut WirePool,
 ) -> Option<usize> {
-    let written = codec.write_records(std::slice::from_ref(frame), pool, slot.as_mut()?);
+    let written = write_lines(std::slice::from_ref(frame), pool, slot.as_mut()?);
     if written.is_err() {
         *slot = None;
     }

@@ -19,7 +19,8 @@
 //! deterministic in-process replicas of the node state machine and
 //! fails loudly if the journal could not have been produced by honest
 //! nodes — making every committed fixture a regression test for the
-//! node core, the codec, and the router, with no processes spawned.
+//! node core, the JSON frame format, and the router, with no processes
+//! spawned.
 
 use ftcolor_net::{FaultPlan, Frame};
 use serde::{Deserialize, Serialize, Value};

@@ -559,12 +559,14 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         let bytes = self.frames.bytes(frame);
         let decoded = match self.codec {
             Codec::Binary => decode_msg(bytes).map_err(|e| e.to_string()),
-            Codec::Json => Codec::Json.decode_record(bytes).and_then(|frame| {
-                let Frame { src, dest, body } = frame.ok_or("a blank JSON frame")?;
-                let msg = body.msg().ok_or("a control frame")?;
-                let msg = msg.try_map(R::from_value).map_err(|e| e.to_string())?;
-                Ok((src, dest, msg))
-            }),
+            Codec::Json => std::str::from_utf8(bytes)
+                .map_err(|e| e.to_string())
+                .and_then(|line| Frame::decode(line).map_err(|e| e.to_string()))
+                .and_then(|Frame { src, dest, body }| {
+                    let msg = body.msg().ok_or("a control frame")?;
+                    let msg = msg.try_map(R::from_value).map_err(|e| e.to_string())?;
+                    Ok((src, dest, msg))
+                }),
         };
         self.wire.frames_decoded += 1;
         self.frames.release(frame);

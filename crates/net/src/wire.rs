@@ -2,7 +2,9 @@
 //!
 //! The JSON wire format ([`Frame::encode`](crate::msg::Frame::encode))
 //! stays the default because delivery traces and cluster journals should
-//! read naturally; this module is the fast path for when the wire itself
+//! read naturally, and it is the only format on the cluster's pipes, where
+//! process startup and pacing dominate the wall time. This module is the
+//! simulator's fast path (`netsim --codec binary`), where the wire itself
 //! is the bottleneck. A binary frame is:
 //!
 //! ```text
@@ -40,10 +42,6 @@
 //! code with `serde::Value` as the register type. Either path writes the
 //! same bytes for the same register.
 //!
-//! On a byte stream (the cluster's child-process pipes), frames are
-//! length-prefixed with a `u32` LE payload length — see
-//! [`append_framed`] / [`read_framed`].
-//!
 //! [`WirePool`] recycles encode buffers so the steady-state encode path
 //! performs zero heap allocations; [`WireStats`] counts frames, bytes,
 //! and pool hits so codec behavior is observable in run summaries, not
@@ -52,13 +50,12 @@
 use crate::msg::{Body, Decide, Frame, Init, InitOk, Msg};
 use serde::{Deserialize, Serialize, Sink, Source, Token, Value};
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
 
 /// Version byte carried by every binary frame. Bump on layout changes.
 pub const WIRE_VERSION: u8 = 1;
 
-/// Sanity cap on a length-prefixed frame (a torn or hostile prefix must
-/// not make the reader allocate gigabytes).
+/// Longest line a cluster pipe reader accepts: a hostile stream with no
+/// newline must not make the reader allocate gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 1 << 26;
 
 /// Deepest container nesting a decoded value may have. The decoder
@@ -108,82 +105,6 @@ impl Codec {
         match self {
             Codec::Json => "json",
             Codec::Binary => "binary",
-        }
-    }
-
-    /// Writes `frames` as stream records (JSON lines, or length-prefixed
-    /// binary records: the cluster's pipe framing), built in one pooled
-    /// buffer and flushed with a single write. Returns the bytes written.
-    ///
-    /// # Errors
-    ///
-    /// The writer's error, e.g. a closed pipe.
-    pub fn write_records(
-        self,
-        frames: &[Frame],
-        pool: &mut WirePool,
-        out: &mut impl Write,
-    ) -> io::Result<usize> {
-        if frames.is_empty() {
-            return Ok(0);
-        }
-        let mut buf = pool.acquire();
-        for frame in frames {
-            match self {
-                Codec::Binary => append_framed(frame, &mut buf),
-                Codec::Json => {
-                    frame.encode_into(&mut buf);
-                    buf.push(b'\n');
-                }
-            }
-        }
-        let written = out.write_all(&buf).and_then(|()| out.flush());
-        let bytes = buf.len();
-        pool.release(buf);
-        written.map(|()| bytes)
-    }
-
-    /// Reads stream records from `r`, handing each payload (a line
-    /// without its newline, or a record without its prefix) to `sink`,
-    /// until EOF, a torn record, a payload longer than
-    /// [`MAX_FRAME_BYTES`], or `sink` returns `false`. A line that is not
-    /// UTF-8 is still one payload.
-    pub fn read_records(self, mut r: impl BufRead, mut sink: impl FnMut(Vec<u8>) -> bool) {
-        let mut buf = Vec::new();
-        loop {
-            let more = match self {
-                Codec::Binary => matches!(read_framed(&mut r, &mut buf), Ok(true)),
-                Codec::Json => {
-                    buf.clear();
-                    let cap = u64::from(MAX_FRAME_BYTES) + 1;
-                    let got = (&mut r).take(cap).read_until(b'\n', &mut buf).unwrap_or(0) > 0;
-                    if buf.last() == Some(&b'\n') {
-                        buf.pop();
-                    }
-                    got && buf.len() <= MAX_FRAME_BYTES as usize
-                }
-            };
-            if !more || !sink(std::mem::take(&mut buf)) {
-                return;
-            }
-        }
-    }
-
-    /// Decodes one record payload; `Ok(None)` for a blank JSON line.
-    ///
-    /// # Errors
-    ///
-    /// The payload is not a frame in this codec.
-    pub fn decode_record(self, payload: &[u8]) -> Result<Option<Frame>, String> {
-        match self {
-            Codec::Binary => decode_frame(payload).map(Some).map_err(|e| e.to_string()),
-            Codec::Json => {
-                let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-                match text.trim() {
-                    "" => Ok(None),
-                    line => Frame::decode(line).map(Some).map_err(|e| e.to_string()),
-                }
-            }
         }
     }
 }
@@ -749,51 +670,6 @@ pub fn decode_msg<R: Deserialize>(bytes: &[u8]) -> Result<(usize, usize, Msg<R>)
     Ok((src, dest, msg))
 }
 
-/// Appends `frame` onto `buf` with its `u32` LE length prefix — the
-/// stream framing spoken on the cluster's child-process pipes.
-pub fn append_framed(frame: &Frame, buf: &mut Vec<u8>) {
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    encode_frame_into(frame, buf);
-    let len = (buf.len() - start - 4) as u32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Reads one length-prefixed payload from `r` into `buf` (replacing its
-/// contents). Returns `Ok(false)` on clean EOF before a prefix.
-///
-/// # Errors
-///
-/// `UnexpectedEof` on a torn prefix or payload, `InvalidData` when the
-/// prefix exceeds [`MAX_FRAME_BYTES`], and any underlying I/O error.
-pub fn read_framed<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut prefix[got..])? {
-            0 if got == 0 => return Ok(false),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn length prefix",
-                ))
-            }
-            k => got += k,
-        }
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
-        ));
-    }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,50 +812,6 @@ mod tests {
         let hostile = nested_write(1 << 20);
         assert!(hostile.len() < MAX_FRAME_BYTES as usize);
         assert_eq!(decode_frame(&hostile), Err(WireError::TooDeep));
-    }
-
-    #[test]
-    fn json_lines_past_the_frame_cap_end_the_stream() {
-        let hostile = io::repeat(b'x').take(u64::from(MAX_FRAME_BYTES) + 2);
-        let stream = io::BufReader::new(io::Cursor::new(b"ok\n").chain(hostile));
-        let mut payloads = Vec::new();
-        Codec::Json.read_records(stream, |p| {
-            payloads.push(p.len());
-            true
-        });
-        assert_eq!(payloads, [2], "an over-cap line must stop the reader");
-    }
-
-    #[test]
-    fn stream_framing_round_trips() {
-        let mut stream = Vec::new();
-        for f in sample_frames() {
-            append_framed(&f, &mut stream);
-        }
-        let mut cursor = io::Cursor::new(stream);
-        let mut buf = Vec::new();
-        let mut seen = Vec::new();
-        while read_framed(&mut cursor, &mut buf).expect("read") {
-            seen.push(decode_frame(&buf).expect("decode"));
-        }
-        assert_eq!(seen, sample_frames());
-    }
-
-    #[test]
-    fn read_framed_rejects_torn_and_hostile_input() {
-        let mut stream = Vec::new();
-        append_framed(&sample_frames()[1], &mut stream);
-        // Torn anywhere mid-record: UnexpectedEof, never a hang or panic.
-        for cut in 1..stream.len() {
-            let mut cursor = io::Cursor::new(stream[..cut].to_vec());
-            let mut buf = Vec::new();
-            assert!(read_framed(&mut cursor, &mut buf).is_err(), "cut at {cut}");
-        }
-        // Hostile length prefix: rejected before allocating.
-        let mut cursor = io::Cursor::new(u32::MAX.to_le_bytes().to_vec());
-        let mut buf = Vec::new();
-        let err = read_framed(&mut cursor, &mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -94,13 +94,7 @@ fn main() -> ExitCode {
         "netsim" => cmd_netsim(&opts),
         "serve" => cmd_serve(&opts),
         "cluster" => cmd_cluster(&opts),
-        "node" => parse_codec(&opts).and_then(|codec| {
-            cluster::node_main(
-                codec,
-                std::io::BufReader::new(std::io::stdin()),
-                std::io::stdout(),
-            )
-        }),
+        "node" => cluster::node_main(std::io::BufReader::new(std::io::stdin()), std::io::stdout()),
         "help" | "--help" | "-h" => out!("{USAGE}"),
         other => Err(format!("unknown subcommand `{other}`")),
     };
@@ -135,12 +129,12 @@ USAGE:
                      [--universe U] [--fuel F] [--quantum Q] [--jobs J]
                      [--format text|json]
   ftcolor cluster    [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--rto-ms MS]
-                     [--pace-ms MS] [--tick-ms MS] [--max-wall-ms MS] [--codec json|binary]
-                     [--format text|json] [--emit-trace] [--record FILE] [--replay FILE]
-  ftcolor node       [--codec json|binary]
+                     [--pace-ms MS] [--tick-ms MS] [--max-wall-ms MS] [--format text|json]
+                     [--emit-trace] [--record FILE] [--replay FILE]
+  ftcolor node
                      (internal: one cluster node, spawned by `ftcolor cluster`;
-                     speaks JSON lines or length-prefixed binary frames on
-                     stdin/stdout — see README § wire formats)
+                     speaks JSON lines on stdin/stdout — see README § wire
+                     formats)
 
 FLAGS:
   --alg          alg1 | alg2 | alg2p | alg3 | alg3p
@@ -192,10 +186,10 @@ FLAGS:
                  '{\"drop\":0.1,\"crashes\":[{\"node\":2,\"at\":5}]}'
                  (default: the clean plan — no faults)
   --max-time     netsim: logical-time budget            (default 100000)
-  --codec        netsim/cluster: wire encoding for frames in flight
-                 (default json). `binary` is the compact length-prefixed
-                 format. Verdicts and traces are identical across
-                 codecs — only byte encodings and wall time differ
+  --codec        netsim: wire encoding for frames in flight (default
+                 json). `binary` is the compact binary format. Verdicts
+                 and traces are identical across codecs — only byte
+                 encodings and wall time differ
   --instances    serve: total instances to admit        (default 1000;
                  1 = a single materialized ring, the n=10M regime)
   --rate         serve: arrivals per sweep round        (default 64)
@@ -251,10 +245,10 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ),
     (
         "cluster",
-        "alg n seed faults rto-ms pace-ms tick-ms max-wall-ms codec format record replay",
+        "alg n seed faults rto-ms pace-ms tick-ms max-wall-ms format record replay",
         "emit-trace",
     ),
-    ("node", "codec", ""),
+    ("node", "", ""),
     ("help", "", ""),
     ("--help", "", ""),
     ("-h", "", ""),
@@ -287,12 +281,6 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
 
 fn get<'a>(opts: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
     opts.get(key).map_or(default, String::as_str)
-}
-
-/// Parses `--codec` (default json).
-fn parse_codec(opts: &HashMap<String, String>) -> Result<Codec, String> {
-    let name = get(opts, "codec", "json");
-    Codec::parse(name).ok_or_else(|| format!("unknown --codec `{name}` (expected json|binary)"))
 }
 
 /// `--rules CODES` for `analyze` and `certify`: the rule codes to keep,
@@ -904,7 +892,9 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
     let emit_trace = opts.contains_key("emit-trace");
-    let codec = parse_codec(opts)?;
+    let codec = get(opts, "codec", "json");
+    let codec = Codec::parse(codec)
+        .ok_or_else(|| format!("unknown --codec `{codec}` (expected json|binary)"))?;
     let cfg = NetConfig::new(seed)
         .max_time(max_time)
         .record_events(true)
@@ -1041,7 +1031,6 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
         pace_ms: parse_ms("pace-ms", "15")?,
         tick_ms: parse_ms("tick-ms", "5")?.max(1),
         max_wall_ms: parse_ms("max-wall-ms", "30000")?,
-        codec: parse_codec(opts)?,
         ..ClusterOptions::default()
     };
     let emit_trace = opts.contains_key("emit-trace");

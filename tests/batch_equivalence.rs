@@ -1,8 +1,8 @@
 //! Differential suite: the batch engine vs the sequential executor.
 //!
 //! The batch engine's contract is *bit-identity*: an instance run
-//! through packed slab rows, quantum-sliced visits, and work-stealing
-//! sweeps must finish with exactly the outputs, activation counts,
+//! through packed slab rows, quantum-sliced visits, and parallel sweeps
+//! over shared-cursor chunks must finish with exactly the outputs, activation counts,
 //! step count, crash set, and termination kind that the same
 //! [`InstanceSpec`] produces on a plain `Execution::run` — at every
 //! thread count. This file pins that over

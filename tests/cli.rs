@@ -207,6 +207,8 @@ fn retired_flags_are_rejected() {
         (modelcheck, "--extmem", "/nonexistent"),
         (modelcheck, "--bloom", "1024"),
         (shrink, "--jobs", "2"),
+        (["cluster"].as_slice(), "--codec", "binary"),
+        (["node"].as_slice(), "--codec", "json"),
     ] {
         let (stdout, stderr, ok) = run(&[cmd, &[flag, value]].concat());
         assert!(!ok, "{} {flag} must be refused: {stdout}", cmd[0]);

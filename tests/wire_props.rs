@@ -13,13 +13,11 @@
 
 use ftcolor::core::alg3::Rank;
 use ftcolor::core::alg3_patched::Reg3P;
-use ftcolor::net::wire::{
-    append_framed, decode_frame, decode_msg, encode_frame_into, encode_msg_into, read_framed,
-};
+use ftcolor::net::wire::{decode_frame, decode_msg, encode_frame_into, encode_msg_into};
 use ftcolor::net::{
     Body, Decide, Frame, Init, InitOk, Msg, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
 };
-use ftcolor::net::{WireError, WirePool, MAX_FRAME_BYTES, WIRE_VERSION};
+use ftcolor::net::{WireError, WirePool, WIRE_VERSION};
 use proptest::prelude::*;
 use serde::{Deserialize, Number, Serialize, Value};
 use std::fmt::Debug;
@@ -284,29 +282,6 @@ proptest! {
         }
     }
 
-    /// Stream framing rejects torn length prefixes and payloads with
-    /// `UnexpectedEof`, and oversized length prefixes with
-    /// `InvalidData`, instead of blocking or over-reading.
-    #[test]
-    fn stream_framing_rejects_torn_and_hostile_prefixes(seed in 0u64..u64::MAX) {
-        let frame = Gen(seed).frame();
-        let mut framed = Vec::new();
-        ftcolor::net::wire::append_framed(&frame, &mut framed);
-        let mut scratch = Vec::new();
-        for cut in 1..framed.len() {
-            let mut r = &framed[..cut];
-            let err = read_framed(&mut r, &mut scratch)
-                .expect_err("torn record was accepted");
-            prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-        }
-        // A hostile length prefix past the cap must be refused before
-        // any allocation of that size.
-        let huge = (MAX_FRAME_BYTES + 1 + (Gen(seed).below(1 << 10) as u32)).to_le_bytes();
-        let mut r = &huge[..];
-        let err = read_framed(&mut r, &mut scratch).expect_err("hostile prefix accepted");
-        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
     /// Pool reuse never aliases a live buffer: interleaved
     /// acquire/encode/release cycles keep every held buffer's contents
     /// intact until *it* is released, and recycled buffers come back
@@ -321,7 +296,7 @@ proptest! {
                 let mut buf = pool.acquire();
                 prop_assert!(buf.is_empty(), "recycled buffer came back dirty");
                 let frame = g.frame();
-                append_framed(&frame, &mut buf);
+                encode_frame_into(&frame, &mut buf);
                 let expected = buf.clone();
                 live.push((buf, expected));
             } else {
