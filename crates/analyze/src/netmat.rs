@@ -65,10 +65,6 @@ pub struct NetSummary {
     /// event log (0 expected; empty log for `decoupled-ring`, which has
     /// no registers).
     pub race_diags: usize,
-    /// Wire codec the run used. The flat `wire_*` fields are the only
-    /// codec-variant part of the summary, so cross-codec diffs can
-    /// strip them with one `grep -v '"wire_'`.
-    pub wire_codec: String,
     /// Frames serialized to bytes.
     pub wire_frames_encoded: u64,
     /// Frames parsed back from bytes.
@@ -195,7 +191,6 @@ pub(crate) fn summarize<O>(
         trace_digest: format!("{:016x}", report.trace.digest()),
         trace_len: report.trace.len(),
         race_diags,
-        wire_codec: report.codec.name().to_string(),
         wire_frames_encoded: report.wire.frames_encoded,
         wire_frames_decoded: report.wire.frames_decoded,
         wire_bytes: report.wire.bytes_on_wire,

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use ftcolor_core::with_ring_coloring;
 use ftcolor_model::Algorithm;
-use ftcolor_net::{Body, Frame, Init, WirePool};
+use ftcolor_net::{Body, Frame, Init, WirePool, ORCHESTRATOR};
 use serde::{Deserialize, Serialize};
 
 use crate::core::{check_init, NodeCore};
@@ -40,10 +40,12 @@ use crate::pipe::{decode_line, read_lines, write_lines};
 /// closes. The CLI passes stdin and stdout.
 ///
 /// Every frame is untrusted: a torn or garbage line, any frame before
-/// `init`, a frame whose register does not decode, a second `init` or a
-/// frame from a stranger is dropped without a reply (the sender's
-/// retransmit recovers a frame that mattered), so a node whose `init`
-/// is withheld stays silent. An oversized line ends the stream like EOF.
+/// `init`, an `init` from anyone but the orchestrator, a frame whose
+/// register does not decode, a second `init`, or a `write` or
+/// `snapshot_resp` from a stranger is dropped without a reply (the
+/// sender's retransmit recovers a frame that mattered; the register
+/// server answers every `snapshot_req`), so a node whose `init` is
+/// withheld stays silent. An oversized line ends the stream like EOF.
 ///
 /// # Errors
 ///
@@ -59,9 +61,9 @@ pub fn node_main(input: impl BufRead + Send + 'static, output: impl Write) -> Re
         .iter()
         .find_map(|line| match decode_line(&line) {
             Ok(Some(Frame {
+                src: ORCHESTRATOR,
                 dest,
                 body: Body::Init(init),
-                ..
             })) => Some((dest, init)),
             _ => None,
         })

@@ -370,12 +370,12 @@ where
     let mut router = RouterMemory::new(n);
 
     // The crash schedule, in wall-clock terms, soonest last: it is
-    // popped off the end.
+    // popped off the end. A crash too far out to time never comes.
     let mut crashes: Vec<(Instant, usize)> = plan
         .crashes
         .iter()
         .filter(|c| c.node < n)
-        .map(|c| (start + Duration::from_millis(c.at * tick_ms), c.node))
+        .filter_map(|c| Some((after_ticks(start, c.at, tick_ms)?, c.node)))
         .collect();
     crashes.sort_by(|a, b| b.cmp(a));
 
@@ -444,11 +444,12 @@ where
                             (SendFate::Dropped, false)
                         }
                         Fate::Deliver { delay, dup_extra } => {
-                            let due = at + Duration::from_millis(delay * tick_ms);
-                            let dup_due =
-                                dup_extra.map(|extra| due + Duration::from_millis(extra * tick_ms));
+                            // A copy too far out to time is never queued.
+                            let due = after_ticks(at, delay, tick_ms);
+                            let dup_due = dup_extra
+                                .map(|extra| due.and_then(|due| after_ticks(due, extra, tick_ms)));
                             stats.duplicated += u64::from(dup_due.is_some());
-                            for due in std::iter::once(due).chain(dup_due) {
+                            for due in std::iter::once(due).chain(dup_due).flatten() {
                                 queue.insert((due, order), frame.clone());
                                 order += 1;
                             }
@@ -606,6 +607,14 @@ where
         stats,
         wire: wstats,
     })
+}
+
+/// The instant `ticks` fault-plan ticks of `tick_ms` each after `from`,
+/// or `None` when it lies past `u64::MAX` milliseconds or past what an
+/// [`Instant`] holds: such a time never comes, where a wrapped product
+/// would have fired at once.
+fn after_ticks(from: Instant, ticks: u64, tick_ms: u64) -> Option<Instant> {
+    from.checked_add(Duration::from_millis(ticks.checked_mul(tick_ms)?))
 }
 
 /// Writes one frame to a node's stdin as a JSON line. Returns the

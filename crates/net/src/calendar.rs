@@ -114,12 +114,13 @@ impl<T> EventQueue<T> {
     pub(crate) fn push(&mut self, at: u64, ev: T) {
         let tick = self.tick;
         self.tick += 1;
-        if at < self.base + QWINDOW {
-            debug_assert!(
-                at >= self.base,
-                "scheduled into the past: {at} < {}",
-                self.base
-            );
+        debug_assert!(
+            at >= self.base,
+            "scheduled into the past: {at} < {}",
+            self.base
+        );
+        // `at - base`, not `base + QWINDOW`: times run up to `u64::MAX`.
+        if at - self.base < QWINDOW {
             self.bucket_push(at, ev);
         } else {
             self.spill.push(SpillEntry { at, tick, ev });
@@ -155,7 +156,7 @@ impl<T> EventQueue<T> {
     fn advance_to(&mut self, at: u64) {
         self.base = at;
         while let Some(top) = self.spill.peek() {
-            if top.at >= self.base + QWINDOW {
+            if top.at - self.base >= QWINDOW {
                 break;
             }
             let SpillEntry { at, ev, .. } = self.spill.pop().expect("peeked entry exists");
@@ -336,6 +337,23 @@ mod tests {
             let want: Vec<_> = pending.into_iter().map(|(at, _, id)| (at, id)).collect();
             assert_eq!(rest, want, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn times_up_to_u64_max_pop_in_order() {
+        // Spilled from far away, then pushed straight into the last
+        // window's buckets: no window bound may overflow.
+        let end = u64::MAX;
+        let mut pushes = vec![(end, 0u32), (3, 1), (end - 1, 2), (end, 3), (end - 100, 4)];
+        let mut q = EventQueue::new();
+        pushes.iter().for_each(|&(at, id)| q.push(at, id));
+        let mut got = vec![q.pop().expect("pending"), q.pop().expect("pending")];
+        for (at, id) in [(end - 2, 5), (end, 6), (end - 100, 7)] {
+            q.push(at, id);
+            pushes.push((at, id));
+        }
+        got.extend(std::iter::from_fn(|| q.pop()));
+        assert_eq!(got, reference_order(&pushes));
     }
 
     #[test]

@@ -89,7 +89,7 @@ enum Status {
 
 /// A gossip event: 8 bytes, node ids `u32` as on the wire.
 enum Ev {
-    /// A gossip frame arrives, encoded in the run's codec.
+    /// A binary gossip frame arrives.
     Deliver { frame: FrameRef },
     /// A process attempts to decide.
     Activate { node: u32 },

@@ -21,7 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Fields, Serialize, Sink, Source};
+use serde::{Deserialize, Fields, Serialize, Source};
 
 /// Default minimum link delay (logical ticks).
 pub const DEFAULT_DELAY_MIN: u64 = 1;
@@ -79,57 +79,61 @@ pub struct CrashAt {
 }
 
 /// Per-link override of the global fault parameters for messages
-/// `from -> to` (directed).
+/// `from -> to` (directed). [`FaultPlan::validate`] takes the same
+/// ranges as for the global fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkFault {
     /// Source node of the directed link.
     pub from: usize,
     /// Destination node of the directed link.
     pub to: usize,
-    /// Drop probability on this link.
+    /// Drop probability on this link, in `[0, 1]`.
     pub drop: f64,
-    /// Minimum delivery delay on this link.
+    /// Minimum delivery delay on this link (ticks; 0 is read as 1).
     pub delay_min: u64,
-    /// Maximum delivery delay on this link.
+    /// Maximum delivery delay on this link, `>= delay_min`.
     pub delay_max: u64,
-    /// Duplicate probability on this link.
+    /// Duplicate probability on this link, in `[0, 1]`.
     pub duplicate: f64,
-    /// Reorder probability on this link.
+    /// Reorder probability on this link, in `[0, 1]`.
     pub reorder: f64,
 }
 
 /// The effective fault parameters for one directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
-    /// Drop probability in `[0, 1)`.
+    /// Drop probability in `[0, 1]` (1 drops every message).
     pub drop: f64,
-    /// Minimum delivery delay (ticks).
+    /// Minimum delivery delay (ticks, `>= 1`).
     pub delay_min: u64,
-    /// Maximum delivery delay (ticks).
+    /// Maximum delivery delay (ticks, `>= delay_min`).
     pub delay_max: u64,
-    /// Duplicate probability in `[0, 1)`.
+    /// Duplicate probability in `[0, 1]`.
     pub duplicate: f64,
-    /// Reorder (extra-delay) probability in `[0, 1)`.
+    /// Reorder (extra-delay) probability in `[0, 1]`.
     pub reorder: f64,
 }
 
 /// The full fault plan. [`FaultPlan::default`] is a clean network:
 /// no drops, no duplicates, no reordering, delays in `[1, 3]`, no
-/// partitions, no crashes.
-#[derive(Debug, Clone, PartialEq)]
+/// partitions, no crashes. The ranges the field docs give are what
+/// [`FaultPlan::validate`] accepts. Any delay, however long, is valid:
+/// a delivery time past `u64::MAX` ticks saturates, and means never.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
-    /// Global drop probability per message.
+    /// Global drop probability per message, in `[0, 1]`.
     pub drop: f64,
-    /// Global minimum delivery delay (logical ticks, >= 1).
+    /// Global minimum delivery delay (logical ticks; 0 is read as 1).
     pub delay_min: u64,
-    /// Global maximum delivery delay.
+    /// Global maximum delivery delay, `>= delay_min`.
     pub delay_max: u64,
-    /// Global duplicate probability per message.
+    /// Global duplicate probability per message, in `[0, 1]`.
     pub duplicate: f64,
-    /// Global reorder probability per message (an extra random delay
-    /// that lets later sends overtake this one).
+    /// Global reorder probability per message, in `[0, 1]` (an extra
+    /// random delay that lets later sends overtake this one).
     pub reorder: f64,
-    /// Upper bound on the extra reorder/duplicate delay.
+    /// Upper bound on the extra reorder/duplicate delay (ticks; 0 is
+    /// read as 1).
     pub reorder_max: u64,
     /// Per-link overrides of the global parameters.
     pub links: Vec<LinkFault>,
@@ -305,7 +309,7 @@ pub fn draw_fate(plan: &FaultPlan, rng: &mut StdRng, now: u64, from: usize, to: 
     let extra_max = plan.reorder_max.max(1);
     let mut delay = rng.gen_range(lp.delay_min..=lp.delay_max);
     if rng.gen_bool(lp.reorder) {
-        delay += rng.gen_range(1..=extra_max);
+        delay = delay.saturating_add(rng.gen_range(1..=extra_max));
     }
     let dup_extra = if rng.gen_bool(lp.duplicate) {
         Some(rng.gen_range(1..=extra_max))
@@ -315,7 +319,7 @@ pub fn draw_fate(plan: &FaultPlan, rng: &mut StdRng, now: u64, from: usize, to: 
     Fate::Deliver { delay, dup_extra }
 }
 
-/// The plan's fields, in the order they serialize.
+/// The plan's fields, in declaration order.
 const PLAN_FIELDS: [&str; 9] = [
     "drop",
     "delay_min",
@@ -327,33 +331,6 @@ const PLAN_FIELDS: [&str; 9] = [
     "partitions",
     "crashes",
 ];
-
-impl Serialize for FaultPlan {
-    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
-        sink.begin_object(PLAN_FIELDS.len());
-        let [drop, delay_min, delay_max, duplicate, reorder, reorder_max, links, partitions, crashes] =
-            PLAN_FIELDS;
-        sink.key(drop);
-        self.drop.serialize(sink);
-        sink.key(delay_min);
-        self.delay_min.serialize(sink);
-        sink.key(delay_max);
-        self.delay_max.serialize(sink);
-        sink.key(duplicate);
-        self.duplicate.serialize(sink);
-        sink.key(reorder);
-        self.reorder.serialize(sink);
-        sink.key(reorder_max);
-        self.reorder_max.serialize(sink);
-        sink.key(links);
-        self.links.serialize(sink);
-        sink.key(partitions);
-        self.partitions.serialize(sink);
-        sink.key(crashes);
-        self.crashes.serialize(sink);
-        sink.end();
-    }
-}
 
 impl Deserialize for FaultPlan {
     /// Tolerant parse: every omitted (or `null`) field falls back to its

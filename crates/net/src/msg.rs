@@ -29,15 +29,14 @@
 //!   the algorithm).
 //!
 //! Bodies are externally tagged with the snake_case names above, so the
-//! frames read naturally in delivery traces and match what a real
+//! frames read naturally in cluster journals and match what a real
 //! Maelstrom-style node loop would exchange. In a [`Body`] a register
 //! payload is a [`serde::Value`] tree, the form the cluster's pipe
 //! frames and journals carry. The register subset also exists typed, as
 //! [`Msg`]: the round machine and the discrete-event simulator move the
-//! algorithm's register type itself, and the binary codec encodes and
-//! decodes it with no tree in between. Both forms have one JSON and one
-//! binary encoding, so traces from either substrate parse with the same
-//! decoder.
+//! algorithm's register type itself, and the binary codec, the
+//! simulator's wire format, encodes and decodes it with no tree in
+//! between. Both forms share one JSON and one binary encoding.
 
 use serde::{Deserialize, Error, Serialize, Sink, Source, Token, Value};
 
@@ -48,7 +47,7 @@ use serde::{Deserialize, Error, Serialize, Sink, Source, Token, Value};
 pub const ORCHESTRATOR: usize = usize::MAX;
 
 /// One message in flight: source node, destination node, payload.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Frame {
     /// Sending node.
     pub src: usize,
@@ -391,52 +390,6 @@ impl Deserialize for Body {
     }
 }
 
-/// The frame envelope — the single place the JSON shape of a frame is
-/// defined. [`Frame`]'s `Serialize` impl and the parts-based encoder
-/// below both write through it, so a frame serialized whole and a frame
-/// serialized from borrowed parts are byte-identical by construction.
-struct FrameParts<'a, B> {
-    src: usize,
-    dest: usize,
-    body: &'a B,
-}
-
-impl<B: Serialize> Serialize for FrameParts<'_, B> {
-    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
-        sink.begin_object(3);
-        sink.key("src");
-        self.src.serialize(sink);
-        sink.key("dest");
-        self.dest.serialize(sink);
-        sink.key("body");
-        self.body.serialize(sink);
-        sink.end();
-    }
-}
-
-impl Serialize for Frame {
-    fn serialize<S: Sink + ?Sized>(&self, sink: &mut S) {
-        let (src, dest, body) = (self.src, self.dest, &self.body);
-        FrameParts { src, dest, body }.serialize(sink);
-    }
-}
-
-/// Appends the JSON wire encoding of a frame assembled from parts — the
-/// envelope by value, the body borrowed: a [`Body`], or a [`Msg`] whose
-/// typed register is serialized in place. The simulators' send paths
-/// use this to serialize a broadcast once per destination without
-/// cloning the register it carries.
-pub(crate) fn encode_json_parts_into<B: Serialize>(
-    src: usize,
-    dest: usize,
-    body: &B,
-    buf: &mut Vec<u8>,
-) {
-    let mut s = String::from_utf8(std::mem::take(buf)).expect("frame buffers hold UTF-8");
-    serde_json::append_to_string(&FrameParts { src, dest, body }, &mut s);
-    *buf = s.into_bytes();
-}
-
 impl Frame {
     /// Encodes the frame as one line of JSON (the wire format).
     pub fn encode(&self) -> String {
@@ -451,7 +404,9 @@ impl Frame {
     /// handed out cleared, so the check is O(existing length) = O(1) on
     /// the steady-state path).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        encode_json_parts_into(self.src, self.dest, &self.body, buf);
+        let mut s = String::from_utf8(std::mem::take(buf)).expect("frame buffers hold UTF-8");
+        serde_json::append_to_string(self, &mut s);
+        *buf = s.into_bytes();
     }
 
     /// Decodes a frame from its JSON wire form.

@@ -100,7 +100,7 @@ impl<R> Slot<R> {
     /// Applies `src`'s `write` of `round`: decodes and keeps its value
     /// only when its stamp is fresher than the slot's, so reordered or
     /// duplicated writes never roll the slot back and a stale payload is
-    /// never decoded.
+    /// never decoded. A hostile `round` of `u64::MAX` saturates its stamp.
     ///
     /// # Errors
     ///
@@ -111,7 +111,7 @@ impl<R> Slot<R> {
         round: u64,
         value: impl Payload<R>,
     ) -> Result<(), RegisterError> {
-        let stamp = round + 1;
+        let stamp = round.saturating_add(1);
         if stamp > self.stamp() {
             self.0 = Some((decode(src, "write", value)?, stamp));
         }
@@ -324,7 +324,7 @@ impl<A: Algorithm> Machine<'_, A> {
         }
         self.proc.phase = Phase::Snapshotting;
         // The broadcast borrows the own register, just written: the
-        // codecs serialize it in place, so it is never cloned.
+        // simulator's wire serializes it in place, so it is never cloned.
         let value = self.proc.reg.value().expect("the own write was applied");
         let write = Msg::Write { round, value };
         for (pos, q) in self.neighbors.iter().enumerate() {

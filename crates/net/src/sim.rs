@@ -34,10 +34,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::calendar::EventQueue;
 use crate::faults::{Fate, FaultPlan};
-use crate::msg::{Frame, Msg};
+use crate::msg::Msg;
 use crate::protocol::{Link, Machine, Outbox, Phase, Proc};
 use crate::trace::{self, DeliveryTrace, FrameKind, Outcome, TraceEntry};
 use crate::wire::{decode_msg, encode_msg_into, Codec, WireStats};
+
+/// The logical time that never comes. Times saturate here instead of
+/// wrapping (a fault plan may ask for a delay of `u64::MAX` ticks), and
+/// an event at it never fires, whatever the time cap.
+const NEVER: u64 = u64::MAX;
 
 /// Simulation parameters (everything except the fault plan).
 #[derive(Debug, Clone)]
@@ -55,16 +60,14 @@ pub struct NetConfig {
     /// Record an [`RtEvent`] log of the round-commit serialization (see
     /// [`NetReport::events`]).
     pub record_events: bool,
-    /// Wire encoding for frames in flight (default [`Codec::Json`]).
-    /// Codec choice never changes semantics: fault fates are drawn per
-    /// send in send order, before any encoding happens, so the trace and
-    /// verdicts are byte-identical across codecs.
+    /// The wire encoding, always [`Codec::Binary`]: frames in flight are
+    /// binary only. Kept only for the benchmark's report; it goes with
+    /// the next benchmark change.
     pub codec: Codec,
 }
 
 impl NetConfig {
-    /// Defaults: jitter 3, rto 16, max_time 100 000, no event log,
-    /// JSON codec.
+    /// Defaults: jitter 3, rto 16, max_time 100 000, no event log.
     pub fn new(seed: u64) -> Self {
         NetConfig {
             seed,
@@ -72,7 +75,7 @@ impl NetConfig {
             rto: 16,
             max_time: 100_000,
             record_events: false,
-            codec: Codec::Json,
+            codec: Codec::Binary,
         }
     }
 
@@ -104,7 +107,8 @@ impl NetConfig {
         self
     }
 
-    /// Sets the wire codec for frames in flight.
+    /// Sets [`NetConfig::codec`]. Kept only for the benchmark, which
+    /// names it; it goes with the next benchmark change.
     #[must_use]
     pub fn codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
@@ -161,9 +165,7 @@ pub struct NetReport<O> {
     pub trace: DeliveryTrace,
     /// Message/event counters.
     pub stats: NetStats,
-    /// The wire codec this run used.
-    pub codec: Codec,
-    /// Frame/byte/pool counters for the run's codec.
+    /// Frame/byte/pool counters of the binary wire.
     pub wire: WireStats,
 }
 
@@ -329,7 +331,7 @@ where
 /// multiple of the events in flight. Node, neighbor position and round
 /// are `u32`, as on the wire.
 enum Ev {
-    /// A frame arrives at its destination, encoded in the run's codec.
+    /// A binary frame arrives at its destination.
     Deliver { frame: FrameRef },
     /// A process starts its next round.
     Activate { node: u32 },
@@ -453,7 +455,7 @@ enum Mode<'t> {
 }
 
 /// The simulated network both simulators run on: the event queue and
-/// its logical clock, the fault-prone wire with its codec, frame slab
+/// its logical clock, the fault-prone binary wire with its frame slab
 /// and counters, and the activation-timing stream. A delivered frame
 /// becomes the event `E::from(frame)`.
 pub(crate) struct Net<'a, E> {
@@ -466,7 +468,6 @@ pub(crate) struct Net<'a, E> {
     mode: Mode<'a>,
     trace: DeliveryTrace,
     stats: NetStats,
-    codec: Codec,
     frames: FrameSlab,
     wire: WireStats,
     /// The replayed trace diverged here: the run stops.
@@ -493,7 +494,6 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
             mode,
             trace: DeliveryTrace::default(),
             stats: NetStats::default(),
-            codec: cfg.codec,
             frames: FrameSlab::default(),
             wire: WireStats::default(),
             diverged: None,
@@ -502,13 +502,14 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
 
     /// Pops the next event and advances the clock to it; `None` once
     /// nothing is `working` any more, the queue is empty, the next
-    /// event lies beyond the time cap, or a replay diverged.
+    /// event lies beyond the time cap or at [`NEVER`], or a replay
+    /// diverged.
     pub(crate) fn next(&mut self, working: usize) -> Option<E> {
         let (at, ev) = self.queue.pop()?;
         if working == 0 || self.diverged.is_some() {
             return None;
         }
-        if at > self.cfg.max_time {
+        if at > self.cfg.max_time || at == NEVER {
             self.now = self.cfg.max_time;
             return None;
         }
@@ -518,7 +519,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
     }
 
     pub(crate) fn schedule(&mut self, delay: u64, ev: E) {
-        self.queue.push(self.now + delay, ev);
+        self.queue.push(self.now.saturating_add(delay), ev);
     }
 
     /// An activation delay: 1 tick plus uniform jitter in
@@ -531,25 +532,20 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         }
     }
 
-    /// Encodes a message for transit, charging the byte counters. Both
-    /// codecs serialize the register straight from its borrowed type, so
+    /// Encodes a message for transit, charging the byte counters. The
+    /// register is serialized straight from its borrowed type, so
     /// broadcasting one `write` to every neighbor never clones it.
     fn encode<P: Serialize>(&mut self, src: usize, dest: usize, msg: &Msg<P>) -> FrameRef {
         let buf = &mut self.frames.scratch;
         buf.clear();
-        match self.codec {
-            Codec::Json => crate::msg::encode_json_parts_into(src, dest, msg, buf),
-            Codec::Binary => encode_msg_into(src, dest, msg, buf),
-        }
+        encode_msg_into(src, dest, msg, buf);
         self.wire.frames_encoded += 1;
         self.wire.bytes_on_wire += buf.len() as u64;
         self.frames.store()
     }
 
     /// Decodes a delivered frame into `(src, dest, message)`, its
-    /// register typed as `R`, freeing its slab slot. The binary codec
-    /// decodes straight into `R`; a JSON line goes through its `Value`
-    /// tree.
+    /// register decoded straight into `R`, freeing its slab slot.
     ///
     /// # Panics
     ///
@@ -557,17 +553,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
     /// that is a bug.
     pub(crate) fn decode<R: Deserialize>(&mut self, frame: FrameRef) -> (usize, usize, Msg<R>) {
         let bytes = self.frames.bytes(frame);
-        let decoded = match self.codec {
-            Codec::Binary => decode_msg(bytes).map_err(|e| e.to_string()),
-            Codec::Json => std::str::from_utf8(bytes)
-                .map_err(|e| e.to_string())
-                .and_then(|line| Frame::decode(line).map_err(|e| e.to_string()))
-                .and_then(|Frame { src, dest, body }| {
-                    let msg = body.msg().ok_or("a control frame")?;
-                    let msg = msg.try_map(R::from_value).map_err(|e| e.to_string())?;
-                    Ok((src, dest, msg))
-                }),
-        };
+        let decoded = decode_msg(bytes);
         self.wire.frames_decoded += 1;
         self.frames.release(frame);
         decoded.unwrap_or_else(|e| panic!("simulator wire: {e}"))
@@ -576,7 +562,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
     /// The fault-prone network path. Draws (or replays) this send's
     /// fate, records it in the trace, schedules deliveries. The fate is
     /// drawn *before* any encoding — fates depend only on (plan, rng,
-    /// time, link), so codec choice cannot perturb the trace, and
+    /// time, link), so the wire format cannot perturb the trace, and
     /// dropped sends are never serialized at all.
     pub(crate) fn transmit<P: Serialize>(&mut self, from: usize, to: usize, msg: Msg<P>) {
         let kind = msg.kind();
@@ -650,8 +636,11 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
                     Fate::PartitionDrop => (Outcome::PartitionDrop, None),
                     Fate::Drop => (Outcome::Drop, None),
                     Fate::Deliver { delay, dup_extra } => {
-                        let at = now + delay;
-                        (Outcome::Deliver { at }, dup_extra.map(|d| at + d))
+                        let at = now.saturating_add(delay);
+                        (
+                            Outcome::Deliver { at },
+                            dup_extra.map(|d| at.saturating_add(d)),
+                        )
                     }
                 },
             ),
@@ -707,7 +696,6 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
             events,
             trace: self.trace,
             stats: self.stats,
-            codec: self.codec,
             wire: WireStats {
                 pool_hits: self.frames.hits,
                 pool_misses: self.frames.misses,
@@ -720,7 +708,7 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
 impl Net<'_, Ev> {
     /// Loopback is the process's access to its own register: reliable,
     /// one tick, never drawn against the fault plan. It still goes
-    /// through the codec: a real co-located register server would parse
+    /// through the wire: a real co-located register server would parse
     /// the frame too, so the loopback leg is honest hot-path work.
     fn loopback<R: Serialize>(&mut self, node: usize, round: u64, value: &R) {
         let frame = self.encode(node, node, &Msg::Write { round, value });
@@ -984,6 +972,7 @@ mod tests {
         assert_proper(&topo, &report.outputs);
         assert!(report.stats.sent > 0, "snapshots travel over the network");
         assert_eq!(report.stats.dropped, 0, "a clean plan drops nothing");
+        assert!(report.wire.pool_hits > 0, "steady state reuses slab slots");
     }
 
     #[test]
@@ -1033,25 +1022,6 @@ mod tests {
         }
         assert!(report.stalled.is_empty());
         assert_proper(&topo, &report.outputs);
-    }
-
-    #[test]
-    fn codec_choice_never_changes_semantics() {
-        let topo = cycle(8);
-        let ids = inputs::random_unique(8, 10_000, 3);
-        let mut plan = FaultPlan::lossy(0.2);
-        plan.duplicate = 0.1;
-        plan.reorder = 0.15;
-        let base = NetConfig::new(9).record_events(true);
-        let json = run_net(&SixColoring, &topo, ids.clone(), &plan, &base);
-        let binary = run_net(&SixColoring, &topo, ids, &plan, &base.codec(Codec::Binary));
-        assert_eq!(binary.outputs, json.outputs, "coloring");
-        assert_eq!(binary.trace, json.trace, "trace");
-        assert_eq!(binary.events, json.events, "event log");
-        assert_eq!(binary.stats, json.stats, "counters");
-        assert_eq!(binary.time, json.time, "clock");
-        assert!(json.wire.bytes_on_wire > binary.wire.bytes_on_wire);
-        assert!(binary.wire.pool_hits > 0, "steady state reuses buffers");
     }
 
     #[test]

@@ -595,7 +595,7 @@ mod tests {
     /// decoded [`TraceEntry`] is 64 bytes.
     #[test]
     fn a_lossy_alg3p_trace_packs_into_a_few_bytes_per_send() {
-        use crate::{run_net, Codec, FaultPlan, NetConfig};
+        use crate::{run_net, FaultPlan, NetConfig};
         use ftcolor_core::FastFiveColoringPatched;
         use ftcolor_model::{inputs, Topology};
 
@@ -606,7 +606,7 @@ mod tests {
             &topo,
             inputs::random_permutation(n, 1),
             &FaultPlan::lossy(0.1),
-            &NetConfig::new(1).codec(Codec::Binary),
+            &NetConfig::new(1),
         );
         let log = &report.trace.entries;
         let per_send = log.packed_bytes() as f64 / log.len() as f64;

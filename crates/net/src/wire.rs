@@ -1,11 +1,11 @@
 //! Compact self-describing binary frame codec with buffer pooling.
 //!
-//! The JSON wire format ([`Frame::encode`](crate::msg::Frame::encode))
-//! stays the default because delivery traces and cluster journals should
-//! read naturally, and it is the only format on the cluster's pipes, where
-//! process startup and pacing dominate the wall time. This module is the
-//! simulator's fast path (`netsim --codec binary`), where the wire itself
-//! is the bottleneck. A binary frame is:
+//! This is the simulator's only wire format: every frame in flight in
+//! `netsim` is encoded and decoded here. The JSON frame format
+//! ([`Frame::encode`](crate::msg::Frame::encode)) is the cluster's pipe
+//! format, and the ground truth the binary encoding is tested against. A
+//! delivery trace holds no frame bytes either way, so the wire format
+//! never shows in a trace. A binary frame is:
 //!
 //! ```text
 //! version : u8            (WIRE_VERSION, currently 1)
@@ -80,32 +80,21 @@ const VAL_STRING: u8 = 0x06;
 const VAL_ARRAY: u8 = 0x07;
 const VAL_OBJECT: u8 = 0x08;
 
-/// Which encoding frames use on the wire.
+/// The simulator's wire encoding: the binary layout documented in this
+/// module, its only one. Kept only for the benchmark's report
+/// (`perfbench` names `Codec::Binary` and `Codec::name`); it goes with
+/// the next benchmark change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
-    /// One line of JSON per frame — the default; traces read naturally.
-    #[default]
-    Json,
     /// The binary layout documented in this module.
+    #[default]
     Binary,
 }
 
 impl Codec {
-    /// Parses a `--codec` argument value.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "json" => Some(Codec::Json),
-            "binary" => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
-    /// The CLI/summary name of this codec.
+    /// The summary name of this codec.
     pub fn name(self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
+        "binary"
     }
 }
 
@@ -823,14 +812,5 @@ mod tests {
         let b = pool.acquire();
         assert_eq!(pool.hits(), 1);
         assert!(b.is_empty(), "recycled buffers come back cleared");
-    }
-
-    #[test]
-    fn codec_names_parse_back() {
-        for codec in [Codec::Json, Codec::Binary] {
-            assert_eq!(Codec::parse(codec.name()), Some(codec));
-        }
-        assert_eq!(Codec::parse("msgpack"), None);
-        assert_eq!(Codec::parse("typed"), None);
     }
 }

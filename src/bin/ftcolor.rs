@@ -44,7 +44,7 @@ use ftcolor::core::ring::unknown_ring_coloring;
 use ftcolor::core::{ring_safety, with_ring_coloring, RING_COLORINGS};
 use ftcolor::model::render::{render_ring_coloring, render_schedule, render_timeline};
 use ftcolor::model::{inputs, Topology};
-use ftcolor::net::{Codec, FaultPlan, NetConfig};
+use ftcolor::net::{FaultPlan, NetConfig};
 use ftcolor::prelude::*;
 use std::collections::HashMap;
 use std::io::Write;
@@ -123,7 +123,7 @@ USAGE:
   ftcolor certify    [--alg NAME|all] [--domain-colors C] [--rules CODES]
                      [--format text|json]
   ftcolor netsim     [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--max-time T]
-                     [--codec json|binary] [--format text|json] [--emit-trace]
+                     [--format text|json] [--emit-trace]
   ftcolor serve      [--alg A] [--n N] [--instances I] [--rate R] [--seed K]
                      [--sched sync|random] [--p P] [--crash-prob P] [--crash-horizon T]
                      [--universe U] [--fuel F] [--quantum Q] [--jobs J]
@@ -186,10 +186,6 @@ FLAGS:
                  '{\"drop\":0.1,\"crashes\":[{\"node\":2,\"at\":5}]}'
                  (default: the clean plan — no faults)
   --max-time     netsim: logical-time budget            (default 100000)
-  --codec        netsim: wire encoding for frames in flight (default
-                 json). `binary` is the compact binary format. Verdicts
-                 and traces are identical across codecs — only byte
-                 encodings and wall time differ
   --instances    serve: total instances to admit        (default 1000;
                  1 = a single materialized ring, the n=10M regime)
   --rate         serve: arrivals per sweep round        (default 64)
@@ -232,11 +228,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("shrink", "in out alg n ids input seed bound", ""),
     ("analyze", "alg sizes rules format", ""),
     ("certify", "alg domain-colors rules format", ""),
-    (
-        "netsim",
-        "alg n seed faults max-time codec format",
-        "emit-trace",
-    ),
+    ("netsim", "alg n seed faults max-time format", "emit-trace"),
     (
         "serve",
         "alg n instances rate seed sched p crash-prob crash-horizon universe fuel quantum \
@@ -892,13 +884,7 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
     let emit_trace = opts.contains_key("emit-trace");
-    let codec = get(opts, "codec", "json");
-    let codec = Codec::parse(codec)
-        .ok_or_else(|| format!("unknown --codec `{codec}` (expected json|binary)"))?;
-    let cfg = NetConfig::new(seed)
-        .max_time(max_time)
-        .record_events(true)
-        .codec(codec);
+    let cfg = NetConfig::new(seed).max_time(max_time).record_events(true);
 
     let alg = get(opts, "alg", "all");
     let names: Vec<&str> = if alg == "all" {
@@ -965,8 +951,7 @@ fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
                 )?;
                 out!("  trace: {} sends, digest {}", s.trace_len, s.trace_digest)?;
                 out!(
-                    "  wire: codec={} encoded={} decoded={} bytes={} pool {}/{} hit",
-                    s.wire_codec,
+                    "  wire: encoded={} decoded={} bytes={} pool {}/{} hit",
                     s.wire_frames_encoded,
                     s.wire_frames_decoded,
                     s.wire_bytes,

@@ -209,6 +209,7 @@ fn retired_flags_are_rejected() {
         (shrink, "--jobs", "2"),
         (["cluster"].as_slice(), "--codec", "binary"),
         (["node"].as_slice(), "--codec", "json"),
+        (["netsim"].as_slice(), "--codec", "binary"),
     ] {
         let (stdout, stderr, ok) = run(&[cmd, &[flag, value]].concat());
         assert!(!ok, "{} {flag} must be refused: {stdout}", cmd[0]);
@@ -327,10 +328,10 @@ fn netsim_all_covers_the_registry() {
     }
     assert_eq!(
         fnv1a(stdout.as_bytes()),
-        0xed7b_59ab_a4a5_dbcc,
+        0xbbc6_f908_682c_32cc,
         "netsim JSON drifted"
     );
-    // One faulty plan on the binary codec: every entry still returns.
+    // One faulty plan: every entry still returns.
     let (stdout, stderr, ok) = run(&[
         "netsim",
         "--alg",
@@ -341,15 +342,13 @@ fn netsim_all_covers_the_registry() {
         "1",
         "--format",
         "json",
-        "--codec",
-        "binary",
         "--faults",
         r#"{"drop":0.1,"delay_max":4,"duplicate":0.05}"#,
     ]);
     assert!(ok, "{stderr}");
     assert_eq!(
         fnv1a(stdout.as_bytes()),
-        0x0cf5_91ba_e139_5150,
+        0x2b21_0fb6_2f05_7d0a,
         "faulty netsim JSON drifted"
     );
 }
@@ -366,12 +365,6 @@ fn netsim_rejects_unknown_algorithms_and_bad_plans() {
     let (_, stderr, ok) = run(&["netsim", "--alg", "alg1", "--n", "2"]);
     assert!(!ok);
     assert!(stderr.contains("netsim needs --n >= 3"), "{stderr}");
-    let (_, stderr, ok) = run(&["netsim", "--alg", "alg1", "--n", "5", "--codec", "typed"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("unknown --codec `typed` (expected json|binary)"),
-        "{stderr}"
-    );
 }
 
 #[test]

@@ -83,6 +83,32 @@ fn killed_nodes_register_stays_readable() {
     }
 }
 
+/// A crash planned so far out that its wall-clock time passes
+/// `u64::MAX` milliseconds never comes: 3,689,348,814,741,910,324 ticks
+/// of 5 ms would wrap to 4 ms, which would SIGKILL the node at once.
+/// The simulator never reaches that tick either, so the run is clean.
+#[test]
+fn crashes_past_the_last_millisecond_never_fire() {
+    let ids = inputs::random_unique(3, 10_000, 5);
+    let plan = FaultPlan::default().with_crash(1, u64::MAX / 5 + 1);
+    let report = run_cluster(
+        &FiveColoringPatched,
+        "alg2p",
+        &ids,
+        &plan,
+        5,
+        &opts().pace_ms(15).tick_ms(5),
+    )
+    .expect("cluster run");
+    assert!(!report.timed_out, "run hit the wall-clock cap");
+    assert!(report.crashed.is_empty(), "crashed: {:?}", report.crashed);
+    assert!(
+        report.outputs.iter().all(Option::is_some),
+        "stalled: {:?}",
+        report.stalled
+    );
+}
+
 /// After a normal run, every spawned child has been reaped: none of
 /// the recorded pids is still a child (running *or zombie*) of this
 /// process.

@@ -7,9 +7,11 @@
 
 use ftcolor::cluster::{ClusterEntry, ClusterTrace, SendFate, CLUSTER_TRACE_SCHEMA};
 use ftcolor::net::{
-    Body, Decide, FaultPlan, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write,
+    Body, Decide, FaultPlan, Frame, Init, InitOk, SnapshotReq, SnapshotResp, Write, ORCHESTRATOR,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Number, Value};
 
 /// A representative register payload: the nested JSON shapes real
@@ -84,6 +86,109 @@ fn all_frame_kinds(src: usize, dest: usize, round: u64, a: u64, b: u64) -> Vec<F
     ]
 }
 
+/// The `init` the orchestrator sends node 0 of a 5-ring running
+/// `alg2p`; its 60 s retransmit period never fires within a test.
+fn valid_init() -> Init {
+    Init {
+        node: 0,
+        n: 5,
+        alg: "alg2p".into(),
+        input: 42,
+        neighbors: vec![1, 4],
+        rto_ms: 60_000,
+        pace_ms: 0,
+    }
+}
+
+/// An `alg2p` register; when `hostile`, sometimes one of the wrong shape
+/// or arrays nested past the decoders' depth cap of 128.
+fn register(rng: &mut StdRng, hostile: bool) -> Value {
+    let pick = if hostile { rng.gen_range(0..6) } else { 0 };
+    let mut int = || Value::Number(Number::PosInt(rng.gen_range(0..8)));
+    match pick {
+        0..=2 => Value::Object(
+            ["x", "a", "b", "c"]
+                .map(|k| (k.to_string(), int()))
+                .to_vec(),
+        ),
+        3 => Value::Array(vec![int(), Value::String("no".into())]),
+        4 => int(),
+        _ => (0..200).fold(Value::Null, |v, _| Value::Array(vec![v])),
+    }
+}
+
+/// A frame of any kind to node 0 (now and then to another node), half
+/// of them from a neighbor, the rest from a non-neighbor, an
+/// out-of-range node or the orchestrator, mostly of an early round. An
+/// `init` comes from the orchestrator only when `inits` is set.
+fn hostile_frame(rng: &mut StdRng, inits: bool) -> Frame {
+    let src = match rng.gen_range(0..12usize) {
+        i @ 0..=5 => [1, 4][i % 2],
+        i => [2, 3, 5, 99, usize::MAX - 1, ORCHESTRATOR][i - 6],
+    };
+    let dest = if rng.gen_bool(0.9) {
+        0
+    } else {
+        rng.gen_range(1..7)
+    };
+    let round = [0, 0, 1, rng.gen_range(0..1_000), u64::MAX][rng.gen_range(0..5usize)];
+    let body = match rng.gen_range(0..8) {
+        0 => Body::Write(Write {
+            round,
+            value: register(rng, true),
+        }),
+        1 => Body::SnapshotReq(SnapshotReq { round }),
+        2..=4 => Body::SnapshotResp(SnapshotResp {
+            round,
+            value: rng.gen_bool(0.8).then(|| register(rng, true)),
+            stamp: rng.gen_range(0..3),
+        }),
+        5 => Body::InitOk(InitOk { node: src }),
+        6 => Body::Decide(Decide {
+            round,
+            output: register(rng, true),
+        }),
+        _ => Body::Init(Init {
+            input: rng.gen_range(0..100),
+            neighbors: vec![rng.gen_range(0..9), rng.gen_range(0..9)],
+            ..valid_init()
+        }),
+    };
+    let src = match body {
+        Body::Init(_) if !inits && src == ORCHESTRATOR => 99,
+        _ => src,
+    };
+    Frame { src, dest, body }
+}
+
+/// Hostile bytes for the stream, a line or a few: a frame, a torn prefix
+/// of one, random bytes (which may hold newlines), or both neighbors'
+/// honest answers to an early round, so that some streams commit rounds
+/// and decide.
+fn hostile_item(rng: &mut StdRng, inits: bool) -> Vec<u8> {
+    let frame = hostile_frame(rng, inits).encode().into_bytes();
+    match rng.gen_range(0..6) {
+        0..=2 => frame,
+        3 => frame[..rng.gen_range(0..frame.len())].to_vec(),
+        4 => (0..rng.gen_range(0..48))
+            .map(|_| rng.gen_range(0..=255u8))
+            .collect(),
+        _ => {
+            let round = rng.gen_range(0..3);
+            let answers = [1, 4].map(|src| {
+                let value = Some(register(rng, false));
+                let body = Body::SnapshotResp(SnapshotResp {
+                    round,
+                    value,
+                    stamp: round + 1,
+                });
+                Frame { src, dest: 0, body }.encode()
+            });
+            answers.join("\n").into_bytes()
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -154,6 +259,51 @@ proptest! {
                 prop_assert_eq!(reencoded.as_str(), g);
             }
         }
+    }
+
+    /// `node_main` over generated hostile streams: [`hostile_item`]s,
+    /// the valid `init` (after them, so only non-orchestrator `init`s
+    /// come before it: the first orchestrator `init` is the node's
+    /// identity), more items, and a torn last line with no newline.
+    ///
+    /// The node never panics, ends at EOF with `Ok(())`, and speaks only
+    /// as node 0. Its output is bounded by its input: `start` emits
+    /// `init_ok` and a `write` and a `snapshot_req` per ring neighbor (5
+    /// frames), and every later line at most one round start (4 frames,
+    /// on a commit), one `decide` or one `snapshot_resp`, as the 60 s
+    /// retransmit period never fires here: at most `5 + 4 × lines`.
+    #[test]
+    fn node_main_survives_generated_hostile_streams(seed in 0u64..u64::MAX / 2) {
+        use std::io::Cursor;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let init = Frame { src: ORCHESTRATOR, dest: 0, body: Body::Init(valid_init()) };
+        let mut stream = Vec::new();
+        let mut push = |line: &[u8]| {
+            stream.extend_from_slice(line);
+            stream.push(b'\n');
+        };
+        for _ in 0..rng.gen_range(0..12) {
+            push(&hostile_item(&mut rng, false));
+        }
+        push(init.encode().as_bytes());
+        for _ in 0..rng.gen_range(0..24) {
+            push(&hostile_item(&mut rng, true));
+        }
+        let last = hostile_frame(&mut rng, true).encode();
+        stream.extend_from_slice(&last.as_bytes()[..rng.gen_range(1..last.len())]);
+        let lines = stream.split(|&b| b == b'\n').count();
+
+        let mut out = Vec::new();
+        let res = ftcolor::cluster::node_main(Cursor::new(stream), &mut out);
+        prop_assert_eq!(res, Ok(()));
+        let text = String::from_utf8(out).expect("JSON output is UTF-8");
+        let frames: Vec<Frame> = text
+            .lines()
+            .map(|l| Frame::decode(l).expect("each output line decodes"))
+            .collect();
+        prop_assert!(frames.iter().all(|f| f.src == 0), "{}", text);
+        prop_assert!(frames.len() <= 5 + 4 * lines, "{} frames for {} lines", frames.len(), lines);
     }
 
     /// The fault-plan JSON codec round-trips with cluster-relevant

@@ -311,52 +311,3 @@ fn renaming_on_threads_names_are_distinct() {
         assert!(names.iter().all(|&s| s <= 2 * n as u64 - 2));
     }
 }
-
-// --------------------------------------------------------------------
-// Cross-codec conformance: the wire codec is transport, not semantics.
-// --------------------------------------------------------------------
-
-/// The netsim summary is fully deterministic, so the cross-codec claim
-/// can be made at full strength: for the same (alg, n, seed, plan)
-/// cell, the pretty-printed summary JSON under `--codec binary` is
-/// **byte-identical** to the `--codec json` run once the flat `wire_*`
-/// stat lines — the only codec-variant fields, by construction — are
-/// stripped, exactly as the CI diff does with `grep -v '"wire_'`.
-#[test]
-fn cross_codec_netsim_summaries_are_byte_identical() {
-    use ftcolor::analyze::net_run;
-    use ftcolor::net::Codec;
-
-    let strip_wire = |summary: &ftcolor::analyze::NetSummary| -> String {
-        serde_json::to_string_pretty(summary)
-            .expect("summary serializes")
-            .lines()
-            .filter(|l| !l.contains("\"wire_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-
-    let mut plan = FaultPlan::lossy(0.1).with_crash(2, 5);
-    plan.duplicate = 0.05;
-    for (alg, n, seed) in [("alg3p", 16usize, 3u64), ("alg2p", 8, 7), ("alg1", 5, 0)] {
-        let [json, bin] = [Codec::Json, Codec::Binary].map(|codec| {
-            let cfg = NetConfig::new(seed).codec(codec);
-            net_run(alg, n, seed, &plan, &cfg).expect("registry cell")
-        });
-        let label = format!("{alg} n={n} seed={seed}");
-
-        assert_eq!(
-            strip_wire(&json.summary),
-            strip_wire(&bin.summary),
-            "{label}: binary summary diverged from json"
-        );
-        // The trace itself (not just its digest) is codec-independent.
-        assert_eq!(
-            json.trace, bin.trace,
-            "{label}: binary delivery trace diverged"
-        );
-        // And the stripped fields moved the way the codec promises:
-        // binary strictly smaller than JSON.
-        assert!(bin.summary.wire_bytes < json.summary.wire_bytes, "{label}");
-    }
-}
