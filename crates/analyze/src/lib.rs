@@ -48,6 +48,6 @@ pub use certify::{certify_algorithm, CertStats, Certification, CertifyConfig};
 pub use contract::{ContractSpec, Waiver};
 pub use diag::{render_json, Diagnostic, RuleId};
 pub use linter::{lint_algorithm, LintConfig};
-pub use netmat::{net_race_matrix, net_run, NetRunOutcome, NetSummary};
+pub use netmat::{net_run, NetRunOutcome, NetSummary};
 pub use race::check_events;
 pub use registry::{analyze_alg, analyze_all, race_matrix, AlgReport};

@@ -1,6 +1,5 @@
 //! The network-substrate matrix: every [`catalogue`](crate::catalogue)
-//! entry on `ftcolor-net`, plus the race-detector sweep over network
-//! runs.
+//! entry on `ftcolor-net`.
 //!
 //! [`net_run`] builds a catalogue entry's instance (the same algorithm,
 //! topology and input generator the linter uses, for any seed),
@@ -9,22 +8,17 @@
 //! packages the result as a JSON-serializable summary — the payload
 //! behind the `ftcolor netsim` CLI subcommand.
 //!
-//! [`net_race_matrix`] replays the cross-substrate conformance
-//! configurations over the network substrate with event recording and
-//! runs the `FTC-RT-10x` race rules on the round-commit logs, the same
-//! gate the OS-thread runtime passes. The log records the commit-time
-//! serialization of each round (see `ftcolor-net`'s crate docs), so a
-//! violation here means the *protocol* broke round atomicity, not that
-//! two messages interleaved.
+//! There is no race check here: the simulator commits each round in one
+//! event, so the `FTC-RT-10x` rules, which look for interleaved lock
+//! windows, could never fire on it. Those rules run on the OS-thread
+//! runtime's logs (see [`crate::race`]); a network run's round
+//! semantics are tested by the entry's oracle and by trace replay.
 
-use ftcolor_core::{FiveColoringPatched, SixColoring};
-use ftcolor_model::{inputs, Topology};
-use ftcolor_net::{run_net, DeliveryTrace, FaultPlan, NetConfig, NetReport, NetStats};
+use ftcolor_model::Topology;
+use ftcolor_net::{DeliveryTrace, FaultPlan, NetConfig, NetReport, NetStats};
 use serde::Serialize;
 
 use crate::catalogue::lookup;
-use crate::diag::Diagnostic;
-use crate::race::check_events;
 
 /// JSON-ready summary of one algorithm's run on the network substrate.
 #[derive(Debug, Clone, Serialize)]
@@ -61,10 +55,6 @@ pub struct NetSummary {
     pub trace_digest: String,
     /// Number of recorded sends.
     pub trace_len: usize,
-    /// Race diagnostics from the `FTC-RT-10x` rules over the run's
-    /// event log (0 expected; empty log for `decoupled-ring`, which has
-    /// no registers).
-    pub race_diags: usize,
     /// Frames serialized to bytes.
     pub wire_frames_encoded: u64,
     /// Frames parsed back from bytes.
@@ -173,7 +163,6 @@ pub(crate) fn summarize<O>(
         .iter()
         .enumerate()
         .all(|(i, c)| c.is_some() || crashed.contains(&i));
-    let race_diags = check_events(name, topo, &report.events).len();
     let summary = NetSummary {
         alg: name.to_string(),
         n: topo.len(),
@@ -190,7 +179,6 @@ pub(crate) fn summarize<O>(
         stats: report.stats,
         trace_digest: format!("{:016x}", report.trace.digest()),
         trace_len: report.trace.len(),
-        race_diags,
         wire_frames_encoded: report.wire.frames_encoded,
         wire_frames_decoded: report.wire.frames_decoded,
         wire_bytes: report.wire.bytes_on_wire,
@@ -201,33 +189,6 @@ pub(crate) fn summarize<O>(
         summary,
         trace: report.trace,
     }
-}
-
-/// The network race-detector matrix: {Alg1, Alg2-patched} × {C5, C8} ×
-/// {clean, 1-crash, lossy} × 3 seeds on the network substrate with
-/// event recording, every log checked against the `FTC-RT-10x` rules.
-/// Empty result = the protocol's round commits all linearize.
-pub fn net_race_matrix() -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for &n in &[5usize, 8] {
-        let topo = Topology::cycle(n).expect("cycles need n >= 3 nodes");
-        for seed in 0..3u64 {
-            let xs = inputs::random_unique(n, 10_000, seed);
-            let plans = [
-                FaultPlan::default(),
-                FaultPlan::default().with_crash((seed as usize + n) % n, 2 + seed % 3),
-                FaultPlan::lossy(0.15),
-            ];
-            for plan in &plans {
-                let cfg = NetConfig::new(seed).record_events(true);
-                let rep = run_net(&SixColoring, &topo, xs.clone(), plan, &cfg);
-                diags.extend(check_events("alg1 (net)", &topo, &rep.events));
-                let rep = run_net(&FiveColoringPatched, &topo, xs.clone(), plan, &cfg);
-                diags.extend(check_events("alg2p (net)", &topo, &rep.events));
-            }
-        }
-    }
-    diags
 }
 
 #[cfg(test)]
@@ -261,18 +222,11 @@ mod tests {
                     s.stalled
                 );
             }
-            assert_eq!(s.race_diags, 0, "{name}: race diagnostics on clean run");
         }
     }
 
     #[test]
     fn unknown_names_are_rejected() {
         assert!(net_run("nope", 5, 1, &FaultPlan::default(), &NetConfig::new(1)).is_none());
-    }
-
-    #[test]
-    fn net_race_matrix_is_clean() {
-        let diags = net_race_matrix();
-        assert!(diags.is_empty(), "unexpected race diagnostics: {diags:?}");
     }
 }

@@ -41,11 +41,12 @@ use crate::pipe::{decode_line, read_lines, write_lines};
 ///
 /// Every frame is untrusted: a torn or garbage line, any frame before
 /// `init`, an `init` from anyone but the orchestrator, a frame whose
-/// register does not decode, a second `init`, or a `write` or
-/// `snapshot_resp` from a stranger is dropped without a reply (the
-/// sender's retransmit recovers a frame that mattered; the register
-/// server answers every `snapshot_req`), so a node whose `init` is
-/// withheld stays silent. An oversized line ends the stream like EOF.
+/// register does not decode, a second `init`, or a `write`,
+/// `snapshot_req` or `snapshot_resp` from a stranger is dropped without
+/// a reply (the sender's retransmit recovers a frame that mattered; the
+/// register server answers every neighbor's `snapshot_req`), so a node
+/// whose `init` is withheld stays silent. An oversized line ends the
+/// stream like EOF.
 ///
 /// # Errors
 ///

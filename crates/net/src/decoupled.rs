@@ -35,8 +35,7 @@ use crate::trace::DeliveryTrace;
 /// Runs a DECOUPLED algorithm on the simulated network via input
 /// gossip, drawing all fault decisions from `cfg.seed`.
 ///
-/// The report's `rounds` counts decide attempts; `events` is empty
-/// (DECOUPLED has no registers, so the race rules don't apply).
+/// The report's `rounds` counts decide attempts.
 ///
 /// # Panics
 ///
@@ -190,8 +189,7 @@ where
                 .collect::<Vec<_>>()
         };
         let (crashed, stalled) = (ids(Status::Crashed), ids(Status::Working));
-        self.net
-            .report(self.outputs, self.rounds, crashed, stalled, Vec::new())
+        self.net.report(self.outputs, self.rounds, crashed, stalled)
     }
 
     /// Periodic re-gossip timer: flood, then re-arm. Runs regardless of

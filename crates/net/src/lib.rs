@@ -24,9 +24,11 @@
 //! memory co-located with each node and survive process crashes, which
 //! is an honest simulation of the paper's crash-surviving shared
 //! registers (a real message-passing emulation without such servers
-//! would need ABD-style majority replication). The recorded `RtEvent`
-//! log is the round-*commit* serialization, not raw message timings;
-//! see `EXPERIMENTS.md` §E14 for the full claim inventory.
+//! would need ABD-style majority replication). Round semantics are
+//! tested by the entry oracles and by trace replay, not by a race
+//! check: the simulator commits each round in one event, so a lock log
+//! of its commits could never show a race; see `EXPERIMENTS.md` §E14
+//! for the full claim inventory.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

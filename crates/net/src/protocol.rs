@@ -338,8 +338,8 @@ impl<A: Algorithm> Machine<'_, A> {
     /// Feeds one message from `src` other than the own write: answers
     /// reads, warms mirrors, collects responses. Returns the step when
     /// the message completes the round's snapshot. Messages from
-    /// non-neighbors, stale rounds and duplicate responses change
-    /// nothing.
+    /// non-neighbors get no answer and change nothing; nor do stale
+    /// rounds and duplicate responses.
     ///
     /// # Errors
     ///
@@ -357,7 +357,11 @@ impl<A: Algorithm> Machine<'_, A> {
                     self.links[pos].mirror.apply(src, round, value)?;
                 }
             }
-            Msg::SnapshotReq { round } => out.send(self.id, src, self.proc.reg.answer(round)),
+            Msg::SnapshotReq { round } => {
+                if self.position(src).is_some() {
+                    out.send(self.id, src, self.proc.reg.answer(round));
+                }
+            }
             Msg::SnapshotResp {
                 round,
                 value,

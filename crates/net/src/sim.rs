@@ -27,7 +27,6 @@
 //! touching the network RNG at all.
 
 use ftcolor_model::{Algorithm, ProcessId, Step, Topology};
-use ftcolor_runtime::{RtEvent, RtEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -57,8 +56,8 @@ pub struct NetConfig {
     /// Hard cap on logical time; still-working processes at the cap are
     /// reported as stalled.
     pub max_time: u64,
-    /// Record an [`RtEvent`] log of the round-commit serialization (see
-    /// [`NetReport::events`]).
+    /// Has no effect: the simulator keeps no event log. Kept only for
+    /// the benchmark's report; it goes with the next benchmark change.
     pub record_events: bool,
     /// The wire encoding, always [`Codec::Binary`]: frames in flight are
     /// binary only. Kept only for the benchmark's report; it goes with
@@ -67,7 +66,7 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// Defaults: jitter 3, rto 16, max_time 100 000, no event log.
+    /// Defaults: jitter 3, rto 16, max_time 100 000.
     pub fn new(seed: u64) -> Self {
         NetConfig {
             seed,
@@ -97,13 +96,6 @@ impl NetConfig {
     #[must_use]
     pub fn max_time(mut self, ticks: u64) -> Self {
         self.max_time = ticks;
-        self
-    }
-
-    /// Enables (or disables) the round-commit event log.
-    #[must_use]
-    pub fn record_events(mut self, on: bool) -> Self {
-        self.record_events = on;
         self
     }
 
@@ -155,12 +147,6 @@ pub struct NetReport<O> {
     pub stalled: Vec<ProcessId>,
     /// Logical time at which the run stopped.
     pub time: u64,
-    /// Round-commit serialization log (empty unless
-    /// [`NetConfig::record_events`] was set). One contiguous
-    /// Lock*/Write/Read*/Unlock* block per committed round, in commit
-    /// order — this records the commit-time serialization of each
-    /// round, not raw message timings.
-    pub events: Vec<RtEvent>,
     /// The delivery trace: every network send and its fate.
     pub trace: DeliveryTrace,
     /// Message/event counters.
@@ -682,7 +668,6 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
         rounds: Vec<u64>,
         crashed: Vec<ProcessId>,
         stalled: Vec<ProcessId>,
-        events: Vec<RtEvent>,
     ) -> Result<NetReport<O>, ReplayError> {
         if let Some(e) = self.diverged {
             return Err(e);
@@ -693,7 +678,6 @@ impl<'a, E: From<FrameRef>> Net<'a, E> {
             crashed,
             stalled,
             time: self.now,
-            events,
             trace: self.trace,
             stats: self.stats,
             wire: WireStats {
@@ -747,7 +731,6 @@ struct Sim<'a, A: Algorithm> {
     /// Scratch view buffer reused by every round commit.
     view: Vec<Option<A::Reg>>,
     outputs: Vec<Option<A::Output>>,
-    events: Vec<RtEvent>,
     /// Count of nodes not yet halted — maintained at the two halting
     /// transitions so the event loop's stop check is O(1), not an O(n)
     /// scan per event.
@@ -799,7 +782,6 @@ where
             offsets,
             view: Vec::with_capacity(topo.max_degree()),
             outputs: (0..n).map(|_| None).collect(),
-            events: Vec::new(),
             working: n,
             net,
         }
@@ -843,8 +825,7 @@ where
             .filter(|&p| self.procs[p].phase != Phase::Halted)
             .map(ProcessId)
             .collect();
-        self.net
-            .report(self.outputs, rounds, crashed, stalled, self.events)
+        self.net.report(self.outputs, rounds, crashed, stalled)
     }
 
     /// Halted without an output: the fault plan crashed it.
@@ -873,23 +854,19 @@ where
             self.net.stats.served_dead_reads += 1;
         }
         let (mut m, net) = self.machine(node);
-        let round = m.proc.round;
         let step = match msg {
             Msg::Write { round, value } if src == node => m.on_own_write(round, value, net),
             msg => m.on_msg(src, msg, net),
         };
         // A typed register always decodes.
         if let Some(step) = step.unwrap_or_else(|e| panic!("simulator wire: {e}")) {
-            self.committed(node, round, step);
+            self.committed(node, step);
         }
     }
 
-    /// Round `round` of `node` committed: log it, then schedule the next
-    /// round or keep the output.
-    fn committed(&mut self, node: usize, round: u64, step: Step<A::Output>) {
-        if self.net.cfg.record_events {
-            self.emit_round_block(node, round);
-        }
+    /// `node`'s round committed: schedule the next round or keep the
+    /// output.
+    fn committed(&mut self, node: usize, step: Step<A::Output>) {
         match step {
             Step::Continue => {
                 let delay = self.net.activation_delay();
@@ -900,39 +877,6 @@ where
                 self.outputs[node] = Some(o);
                 self.working -= 1;
             }
-        }
-    }
-
-    /// One contiguous Lock*/Write/Read*/Unlock* block recording this
-    /// round's commit-time serialization (same shape the OS-thread
-    /// runtime emits, so the `ftcolor-analyze` race rules apply).
-    /// The log's `seq` is the event's index in it.
-    fn emit_round_block(&mut self, node: usize, round: u64) {
-        let reads: Vec<usize> = self
-            .topo
-            .neighbors(ProcessId(node))
-            .iter()
-            .map(|q| q.index())
-            .collect();
-        let mut closed = reads.clone();
-        closed.push(node);
-        closed.sort_unstable();
-        closed.dedup();
-        let block = closed
-            .iter()
-            .map(|&r| (r, RtEventKind::Lock))
-            .chain([(node, RtEventKind::Write)])
-            .chain(reads.iter().map(|&r| (r, RtEventKind::Read)))
-            .chain(closed.iter().map(|&r| (r, RtEventKind::Unlock)));
-        for (register, kind) in block {
-            let seq = self.events.len() as u64;
-            self.events.push(RtEvent {
-                seq,
-                process: node,
-                round,
-                register,
-                kind,
-            });
         }
     }
 }
@@ -1067,19 +1011,5 @@ mod tests {
                 "neighbors read the crashed node's register"
             );
         }
-    }
-
-    #[test]
-    fn event_log_blocks_are_contiguous_per_round() {
-        let topo = cycle(5);
-        let ids = inputs::random_unique(5, 10_000, 2);
-        let cfg = NetConfig::new(11).record_events(true);
-        let report = run_net(&SixColoring, &topo, ids, &FaultPlan::default(), &cfg);
-        assert!(!report.events.is_empty());
-        for w in report.events.windows(2) {
-            assert_eq!(w[0].seq + 1, w[1].seq, "seq is gap-free");
-        }
-        // Each commit block: 3 locks, 1 write, 2 reads, 3 unlocks.
-        assert_eq!(report.events.len() % 9, 0);
     }
 }

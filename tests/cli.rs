@@ -328,7 +328,7 @@ fn netsim_all_covers_the_registry() {
     }
     assert_eq!(
         fnv1a(stdout.as_bytes()),
-        0xbbc6_f908_682c_32cc,
+        0x5f0a_f934_d35e_982e,
         "netsim JSON drifted"
     );
     // One faulty plan: every entry still returns.
@@ -348,7 +348,7 @@ fn netsim_all_covers_the_registry() {
     assert!(ok, "{stderr}");
     assert_eq!(
         fnv1a(stdout.as_bytes()),
-        0x2b21_0fb6_2f05_7d0a,
+        0x1552_4f32_394b_90d0,
         "faulty netsim JSON drifted"
     );
 }

@@ -267,7 +267,9 @@ proptest! {
     /// identity), more items, and a torn last line with no newline.
     ///
     /// The node never panics, ends at EOF with `Ok(())`, and speaks only
-    /// as node 0. Its output is bounded by its input: `start` emits
+    /// as node 0 and only to its ring neighbors 1 and 4 or the
+    /// orchestrator: a `snapshot_req` from anyone else goes unanswered.
+    /// Its output is bounded by its input: `start` emits
     /// `init_ok` and a `write` and a `snapshot_req` per ring neighbor (5
     /// frames), and every later line at most one round start (4 frames,
     /// on a commit), one `decide` or one `snapshot_resp`, as the 60 s
@@ -303,6 +305,11 @@ proptest! {
             .map(|l| Frame::decode(l).expect("each output line decodes"))
             .collect();
         prop_assert!(frames.iter().all(|f| f.src == 0), "{}", text);
+        prop_assert!(
+            frames.iter().all(|f| [1, 4, ORCHESTRATOR].contains(&f.dest)),
+            "{}",
+            text
+        );
         prop_assert!(frames.len() <= 5 + 4 * lines, "{} frames for {} lines", frames.len(), lines);
     }
 

@@ -300,13 +300,13 @@ where
 {
     let digest = |s: String| fnv1a(s.as_bytes());
     let ids = inputs::random_unique(topo.len(), 10_000, 7);
-    let cfg = NetConfig::new(7).record_events(true);
+    let cfg = NetConfig::new(7);
     let rep = run_net(alg, topo, ids, plan, &cfg);
     let s = rep.stats;
     *dead_reads += s.served_dead_reads;
     format!(
         "{name} trace={:016x} outputs={:016x} rounds={:016x} stats={}/{}/{}/{}/{}/{}/{}/{}/{} \
-         time={} events={:016x} wire={}",
+         time={} wire={}",
         rep.trace.digest(),
         digest(serde_json::to_string(&rep.outputs).expect("outputs encode")),
         digest(format!("{:?}", rep.rounds)),
@@ -320,7 +320,6 @@ where
         s.served_dead_reads,
         s.events_processed,
         rep.time,
-        digest(format!("{:?}", rep.events)),
         rep.wire.bytes_on_wire,
     )
 }
@@ -421,7 +420,7 @@ fn streamed_trace_digests_hash_the_canonical_json() {
         A::Reg: Serialize + Deserialize,
     {
         let ids = inputs::random_unique(topo.len(), 10_000, 7);
-        let cfg = NetConfig::new(7).record_events(true);
+        let cfg = NetConfig::new(7);
         let trace = run_net(alg, topo, ids, plan, &cfg).trace;
         assert_eq!(trace.digest(), fnv1a(trace.to_json().as_bytes()));
     }
@@ -461,34 +460,34 @@ fn streamed_trace_digests_hash_the_canonical_json() {
 }
 
 const GOLDEN: &[&str] = &[
-    "alg1/C5/clean trace=8812435f6ff374e8 outputs=a16c42210fa1b8b0 rounds=26441b3831fb962d stats=72/72/0/0/0/0/12/0/112 time=26 events=0e265e3ed3383131 wire=2653",
-    "alg2p/C5/clean trace=670a7be13e1c01bc outputs=87bf404a37f27dff rounds=3611e45815cf11a0 stats=102/102/0/0/0/0/17/0/166 time=44 events=4c8e985f51133109 wire=3432",
-    "alg3p/C5/clean trace=1ea5269c853e175b outputs=5154a815e072c5cf rounds=a0a6ae2dc3088961 stats=108/108/0/0/0/0/18/0/176 time=50 events=a3dacd58d62b5b42 wire=4645",
-    "alg1/C12/clean trace=b0f853b1d60287f8 outputs=a6ede52d2dcd9d3f rounds=3314cda741d7c3bf stats=156/156/0/0/0/0/26/0/234 time=24 events=cd8e713f30dac586 wire=5752",
-    "alg2p/C12/clean trace=91644f20a78c4c23 outputs=5543feec2986bd08 rounds=cad7cdd0349eebc2 stats=210/210/0/0/0/0/35/0/328 time=32 events=582a62edea0e8be5 wire=7067",
-    "alg3p/C12/clean trace=7b778adac6ae148c outputs=5e66f775f1afe335 rounds=8dece7984ceddf6d stats=204/204/0/0/0/0/34/0/320 time=32 events=6091741f610eb9c9 wire=8706",
-    "alg1/G8/clean trace=ddb08e1e573ca921 outputs=58557c16df0e932c rounds=bdf1985113245048 stats=132/132/0/0/0/0/19/0/199 time=28 events=73d77064906db536 wire=4749",
-    "alg1/C5/lossy trace=7a6c11d616f955db outputs=b36f23ade84e34df rounds=97f8bd2aa0229bd9 stats=74/56/18/0/6/9/10/0/108 time=61 events=b2678bc6c56541c7 wire=2209",
-    "alg2p/C5/lossy trace=23f1ad69b45e94f2 outputs=bbbc83be08f79d41 rounds=a7019674c5b6c6ac stats=114/90/24/0/9/13/15/0/171 time=99 events=2b81cbe84aa22874 wire=3173",
-    "alg3p/C5/lossy trace=3fc83a9b17d32f9d outputs=bfec9a1eab532fa2 rounds=b504c4d569fc43d9 stats=125/97/28/0/9/17/16/0/186 time=113 events=f930893fce4450f4 wire=4256",
-    "alg1/C12/lossy trace=1c297661865f9a56 outputs=57a4e31a5e0f0559 rounds=348c3b65d4acb973 stats=180/137/43/0/9/34/22/0/265 time=99 events=b26fed07bae97b3f wire=5058",
-    "alg2p/C12/lossy trace=13647062763454e6 outputs=63e49aea148efe3d rounds=e52563499184d193 stats=233/179/54/0/11/35/30/0/342 time=111 events=84b066b63f18c287 wire=6061",
-    "alg3p/C12/lossy trace=52cf7414878a17f5 outputs=5d6f104e7dfd57f6 rounds=e8029e3e91fd753d stats=280/217/63/0/15/43/36/0/418 time=159 events=8c26a44525106ef0 wire=9320",
-    "alg1/G8/lossy trace=b6af23773577623d outputs=eeb335d2acc6d1db rounds=b26613fd7e3f8b20 stats=144/109/35/0/9/25/15/0/206 time=109 events=eeec344f7a0ab5a6 wire=3930",
-    "alg1/C5/partition trace=ef6c2ba043537f66 outputs=ca7b986ff4c62e68 rounds=26441b3831fb962d stats=90/72/0/18/0/16/12/0/126 time=80 events=90a8541791e6f1ed wire=2607",
-    "alg2p/C5/partition trace=c0d20eef4ace7831 outputs=87c9804a37fb3f44 rounds=c12597eec7792569 stats=126/108/0/18/0/16/18/0/188 time=89 events=4ba815c8091a8609 wire=3597",
-    "alg3p/C5/partition trace=88c78dadb37bd375 outputs=515b6c15e0787e89 rounds=324e281ffcecb74b stats=102/84/0/18/0/16/14/0/146 time=80 events=57294432b5c01f49 wire=3577",
-    "alg1/C12/partition trace=ef89a7cd1739ec46 outputs=70bb39c4bc085e9a rounds=d80d602b32358c4c stats=168/150/0/18/0/16/25/0/256 time=79 events=1f6d5e594d02866e wire=5483",
-    "alg2p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=6014",
-    "alg3p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 events=032a7ce9ed2474b6 wire=7688",
-    "alg1/G8/partition trace=ac926c900e20313a outputs=e72268eecabb9b23 rounds=7fe40422bfe8f811 stats=126/108/0/18/0/16/16/0/181 time=82 events=93f5516a7e50f2af wire=3848",
-    "alg1/C5/crash trace=b2e33458a6e081e3 outputs=aeb20d5f0e4a455e rounds=0f34aaf4317a77ec stats=60/60/0/0/0/0/10/4/91 time=25 events=5f4723f36c103e5d wire=2207",
-    "alg2p/C5/crash trace=a345653f55ef1429 outputs=59408a6f59efb2d2 rounds=640cc320fc27a0cc stats=84/84/0/0/0/0/14/5/137 time=43 events=71283f97b6843bcf wire=2823",
-    "alg3p/C5/crash trace=10e36d4b2e9be18d outputs=59408a6f59efb2d2 rounds=640a0720fc25de81 stats=78/78/0/0/0/0/13/5/127 time=37 events=764f1c2136d71a99 wire=3395",
-    "alg1/C12/crash trace=c69a40a62b07a73f outputs=7fb80e9a62ef05d2 rounds=79c906b06948c671 stats=150/150/0/0/0/0/25/4/227 time=24 events=56d39c5e8369cc5c wire=5529",
-    "alg2p/C12/crash trace=8420039d058be083 outputs=da210b41cd44218d rounds=70d4897614eb15c7 stats=198/198/0/0/0/0/33/5/317 time=33 events=cb6b3d36751ea272 wire=6661",
-    "alg3p/C12/crash trace=134b3deaf212c697 outputs=42639e7f8f9c0e40 rounds=809b475c024a3590 stats=192/192/0/0/0/0/32/5/297 time=28 events=ed0fe81165a4ca06 wire=8214",
-    "alg1/G8/crash trace=ac2201ba49fc2cbc outputs=c052cf5cb47fb211 rounds=41ac4d1c537694ed stats=117/117/0/0/0/0/17/5/179 time=29 events=bb06bc61b97d520e wire=4210",
+    "alg1/C5/clean trace=8812435f6ff374e8 outputs=a16c42210fa1b8b0 rounds=26441b3831fb962d stats=72/72/0/0/0/0/12/0/112 time=26 wire=2653",
+    "alg2p/C5/clean trace=670a7be13e1c01bc outputs=87bf404a37f27dff rounds=3611e45815cf11a0 stats=102/102/0/0/0/0/17/0/166 time=44 wire=3432",
+    "alg3p/C5/clean trace=1ea5269c853e175b outputs=5154a815e072c5cf rounds=a0a6ae2dc3088961 stats=108/108/0/0/0/0/18/0/176 time=50 wire=4645",
+    "alg1/C12/clean trace=b0f853b1d60287f8 outputs=a6ede52d2dcd9d3f rounds=3314cda741d7c3bf stats=156/156/0/0/0/0/26/0/234 time=24 wire=5752",
+    "alg2p/C12/clean trace=91644f20a78c4c23 outputs=5543feec2986bd08 rounds=cad7cdd0349eebc2 stats=210/210/0/0/0/0/35/0/328 time=32 wire=7067",
+    "alg3p/C12/clean trace=7b778adac6ae148c outputs=5e66f775f1afe335 rounds=8dece7984ceddf6d stats=204/204/0/0/0/0/34/0/320 time=32 wire=8706",
+    "alg1/G8/clean trace=ddb08e1e573ca921 outputs=58557c16df0e932c rounds=bdf1985113245048 stats=132/132/0/0/0/0/19/0/199 time=28 wire=4749",
+    "alg1/C5/lossy trace=7a6c11d616f955db outputs=b36f23ade84e34df rounds=97f8bd2aa0229bd9 stats=74/56/18/0/6/9/10/0/108 time=61 wire=2209",
+    "alg2p/C5/lossy trace=23f1ad69b45e94f2 outputs=bbbc83be08f79d41 rounds=a7019674c5b6c6ac stats=114/90/24/0/9/13/15/0/171 time=99 wire=3173",
+    "alg3p/C5/lossy trace=3fc83a9b17d32f9d outputs=bfec9a1eab532fa2 rounds=b504c4d569fc43d9 stats=125/97/28/0/9/17/16/0/186 time=113 wire=4256",
+    "alg1/C12/lossy trace=1c297661865f9a56 outputs=57a4e31a5e0f0559 rounds=348c3b65d4acb973 stats=180/137/43/0/9/34/22/0/265 time=99 wire=5058",
+    "alg2p/C12/lossy trace=13647062763454e6 outputs=63e49aea148efe3d rounds=e52563499184d193 stats=233/179/54/0/11/35/30/0/342 time=111 wire=6061",
+    "alg3p/C12/lossy trace=52cf7414878a17f5 outputs=5d6f104e7dfd57f6 rounds=e8029e3e91fd753d stats=280/217/63/0/15/43/36/0/418 time=159 wire=9320",
+    "alg1/G8/lossy trace=b6af23773577623d outputs=eeb335d2acc6d1db rounds=b26613fd7e3f8b20 stats=144/109/35/0/9/25/15/0/206 time=109 wire=3930",
+    "alg1/C5/partition trace=ef6c2ba043537f66 outputs=ca7b986ff4c62e68 rounds=26441b3831fb962d stats=90/72/0/18/0/16/12/0/126 time=80 wire=2607",
+    "alg2p/C5/partition trace=c0d20eef4ace7831 outputs=87c9804a37fb3f44 rounds=c12597eec7792569 stats=126/108/0/18/0/16/18/0/188 time=89 wire=3597",
+    "alg3p/C5/partition trace=88c78dadb37bd375 outputs=515b6c15e0787e89 rounds=324e281ffcecb74b stats=102/84/0/18/0/16/14/0/146 time=80 wire=3577",
+    "alg1/C12/partition trace=ef89a7cd1739ec46 outputs=70bb39c4bc085e9a rounds=d80d602b32358c4c stats=168/150/0/18/0/16/25/0/256 time=79 wire=5483",
+    "alg2p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 wire=6014",
+    "alg3p/C12/partition trace=26aca0b540859515 outputs=2bf3a479c28c1866 rounds=34b69f1a9f3fd1df stats=198/180/0/18/0/16/30/0/306 time=81 wire=7688",
+    "alg1/G8/partition trace=ac926c900e20313a outputs=e72268eecabb9b23 rounds=7fe40422bfe8f811 stats=126/108/0/18/0/16/16/0/181 time=82 wire=3848",
+    "alg1/C5/crash trace=b2e33458a6e081e3 outputs=aeb20d5f0e4a455e rounds=0f34aaf4317a77ec stats=60/60/0/0/0/0/10/4/91 time=25 wire=2207",
+    "alg2p/C5/crash trace=a345653f55ef1429 outputs=59408a6f59efb2d2 rounds=640cc320fc27a0cc stats=84/84/0/0/0/0/14/5/137 time=43 wire=2823",
+    "alg3p/C5/crash trace=10e36d4b2e9be18d outputs=59408a6f59efb2d2 rounds=640a0720fc25de81 stats=78/78/0/0/0/0/13/5/127 time=37 wire=3395",
+    "alg1/C12/crash trace=c69a40a62b07a73f outputs=7fb80e9a62ef05d2 rounds=79c906b06948c671 stats=150/150/0/0/0/0/25/4/227 time=24 wire=5529",
+    "alg2p/C12/crash trace=8420039d058be083 outputs=da210b41cd44218d rounds=70d4897614eb15c7 stats=198/198/0/0/0/0/33/5/317 time=33 wire=6661",
+    "alg3p/C12/crash trace=134b3deaf212c697 outputs=42639e7f8f9c0e40 rounds=809b475c024a3590 stats=192/192/0/0/0/0/32/5/297 time=28 wire=8214",
+    "alg1/G8/crash trace=ac2201ba49fc2cbc outputs=c052cf5cb47fb211 rounds=41ac4d1c537694ed stats=117/117/0/0/0/0/17/5/179 time=29 wire=4210",
 ];
 
 /// One `(topology, plan)` row of the DECOUPLED gossip matrix: every
