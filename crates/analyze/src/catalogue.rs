@@ -35,11 +35,11 @@ use ftcolor_model::{inputs, Algorithm, GraphError, Topology};
 use ftcolor_net::{run_decoupled_net, run_net, FaultPlan, NetConfig};
 use serde::{Deserialize, Serialize};
 
+use crate::certify::certify_algorithm;
 use crate::certify::registry::{uncertified, CertReport};
-use crate::certify::{certify_algorithm, CertifyConfig};
 use crate::contract::ContractSpec;
 use crate::diag::RuleId;
-use crate::linter::{lint_algorithm, LintConfig};
+use crate::linter::lint_algorithm;
 use crate::netmat::{summarize, NetRun, Oracle};
 use crate::registry::{lint_decoupled, AlgReport};
 
@@ -77,7 +77,7 @@ const TABLE: [(&str, &dyn Shipped); 7] = [
             lint_seed: 7,
             lint_torus: true,
             waivers: &[],
-            domain: Ok(|_| domains::pair_domain()),
+            domain: Ok(domains::pair_domain),
         },
     ),
     (
@@ -127,7 +127,7 @@ const TABLE: [(&str, &dyn Shipped); 7] = [
             lint_seed: 3,
             lint_torus: false,
             waivers: &[],
-            domain: Ok(|_| domains::renaming_domain(3)),
+            domain: Ok(|| domains::renaming_domain(3)),
         },
     ),
     (
@@ -166,6 +166,7 @@ const TABLE: [(&str, &dyn Shipped); 7] = [
     (
         "decoupled-ring",
         &Decoupled {
+            palette: 3,
             waivers: &[
                 Exemption {
                     rule: RuleId::Swmr,
@@ -239,9 +240,9 @@ pub(crate) fn waive<O>(spec: ContractSpec<O>, all: &[Exemption], on: Scope) -> C
 /// entry, named `name`.
 pub(crate) trait Shipped {
     /// Lints the instances on `sizes`; `None` if a size has none.
-    fn lint(&self, name: &'static str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport>;
+    fn lint(&self, name: &'static str, sizes: &[usize]) -> Option<AlgReport>;
     /// Certifies the view domain, or reports the entry uncertified.
-    fn certify(&self, name: &'static str, colors: u64, cfg: &CertifyConfig) -> CertReport;
+    fn certify(&self, name: &'static str) -> CertReport;
     /// Runs the `(n, seed)` instance on the simulated network.
     fn net(&self, name: &str, n: usize, seed: u64, plan: &FaultPlan, cfg: &NetConfig) -> NetRun;
 }
@@ -265,8 +266,8 @@ struct Entry<A: Algorithm> {
     /// Whether the linter also runs the 3×3 torus.
     lint_torus: bool,
     waivers: &'static [Exemption],
-    /// The view domain for a candidate-color bound, or why there is none.
-    domain: Result<fn(u64) -> ViewDomain<A>, &'static str>,
+    /// The view domain, or why there is none.
+    domain: Result<fn() -> ViewDomain<A>, &'static str>,
 }
 
 /// An MIS candidate on the cycle, over the shared MIS domain, with its
@@ -285,7 +286,7 @@ where
         lint_seed: 7,
         lint_torus: false,
         waivers,
-        domain: Ok(|_| domains::mis_domain()),
+        domain: Ok(domains::mis_domain),
     }
 }
 
@@ -302,7 +303,7 @@ fn ring<A: RingColoring + Default>(_alg: &A) -> Entry<A> {
         lint_seed: 7,
         lint_torus: false,
         waivers: &[],
-        domain: Ok(|colors| A::default().domain(colors)),
+        domain: Ok(|| A::default().domain()),
     }
 }
 
@@ -310,7 +311,7 @@ impl<A: Algorithm<Output: 'static>> Entry<A> {
     /// The contract on `topo`, with the waivers that cover `scope`.
     fn spec(&self, name: &str, topo: &Topology, scope: Scope) -> ContractSpec<A::Output> {
         let color = self.color;
-        let spec = ContractSpec::new(name).palette((self.palette)(topo), move |o| Some(color(o)));
+        let spec = ContractSpec::new(name).palette((self.palette)(topo), color);
         waive(spec, self.waivers, scope)
     }
 }
@@ -320,7 +321,7 @@ where
     A: Algorithm<Input: Clone, Output: 'static, State: Eq + Hash>,
     A::Reg: Eq + Hash + Serialize + Deserialize,
 {
-    fn lint(&self, name: &'static str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
+    fn lint(&self, name: &'static str, sizes: &[usize]) -> Option<AlgReport> {
         let mut instances = Vec::new();
         for &n in sizes {
             instances.push((n, (self.topology)(n).ok()?));
@@ -333,21 +334,21 @@ where
             let spec = self.spec(name, &topo, Scope::Dynamic);
             let spec = spec.solo_bound(self.solo_bound);
             let (alg, inputs) = (self.build)(n, self.lint_seed);
-            diagnostics.extend(lint_algorithm(&alg, &spec, &topo, &inputs, cfg));
+            diagnostics.extend(lint_algorithm(&alg, &spec, &topo, &inputs));
         }
         Some(AlgReport { name, diagnostics })
     }
 
     /// Certifies the family's 3-node instance (the cycle's degree 2, the
     /// clique K_3); higher degrees are covered dynamically.
-    fn certify(&self, name: &'static str, colors: u64, cfg: &CertifyConfig) -> CertReport {
+    fn certify(&self, name: &'static str) -> CertReport {
         let domain = match self.domain {
-            Ok(domain) => domain(colors),
+            Ok(domain) => domain(),
             Err(reason) => return uncertified(name, reason),
         };
         let topo = (self.topology)(3).expect("3-node instances exist");
         let (alg, _) = (self.build)(3, 0);
-        let cert = certify_algorithm(&alg, &self.spec(name, &topo, Scope::Static), &domain, cfg);
+        let cert = certify_algorithm(&alg, &self.spec(name, &topo, Scope::Static), &domain);
         CertReport {
             name,
             note: domain.note_text().to_string(),
@@ -377,20 +378,22 @@ where
 /// `decide` reads a knowledge ball, not registers), so it has its own
 /// linter path and network runner, and no view domain to certify.
 struct Decoupled {
+    /// The palette size, on every ring.
+    palette: u64,
     waivers: &'static [Exemption],
     uncertified: &'static str,
 }
 
 impl Shipped for Decoupled {
-    fn lint(&self, name: &'static str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
+    fn lint(&self, name: &'static str, sizes: &[usize]) -> Option<AlgReport> {
         let mut diagnostics = Vec::new();
         for &n in sizes {
-            diagnostics.extend(lint_decoupled(name, n, self.waivers, cfg)?);
+            diagnostics.extend(lint_decoupled(name, n, self.palette, self.waivers)?);
         }
         Some(AlgReport { name, diagnostics })
     }
 
-    fn certify(&self, name: &'static str, _: u64, _: &CertifyConfig) -> CertReport {
+    fn certify(&self, name: &'static str) -> CertReport {
         uncertified(name, self.uncertified)
     }
 
@@ -404,7 +407,7 @@ impl Shipped for Decoupled {
             &topo,
             report,
             |&c| c,
-            3,
+            self.palette,
             Oracle::ProperColoring,
         ))
     }

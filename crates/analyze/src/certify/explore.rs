@@ -22,9 +22,17 @@ use std::collections::{HashMap, HashSet};
 use ftcolor_model::domain::{Projection, ViewDomain};
 use ftcolor_model::{Algorithm, Neighborhood, Step};
 
-use super::{CertifyConfig, DiagSink};
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
+use crate::diag::{DiagSink, Diagnostic, RuleId};
+
+/// Abstract-state cap; exceeding it is an `FTC-DOM-008` finding.
+const MAX_STATES: usize = 100_000;
+
+/// Transition cap; exceeding it is an `FTC-DOM-008` finding.
+const MAX_TRANSITIONS: u64 = 1_000_000_000;
+
+/// How many transitions the snapshot-scope replay journal records.
+const REPLAY_CAP: usize = 4096;
 
 /// One recorded transition, for the deferred snapshot-scope replay.
 struct JournalEntry<A: Algorithm> {
@@ -50,7 +58,6 @@ pub(crate) fn explore<A>(
     alg: &A,
     spec: &ContractSpec<A::Output>,
     domain: &ViewDomain<A>,
-    cfg: &CertifyConfig,
     sink: &mut DiagSink,
 ) -> Explored<A>
 where
@@ -62,7 +69,6 @@ where
         alg,
         spec,
         domain,
-        cfg,
         sink,
         states: Vec::new(),
         index: HashMap::new(),
@@ -92,7 +98,6 @@ struct Explorer<'a, A: Algorithm> {
     alg: &'a A,
     spec: &'a ContractSpec<A::Output>,
     domain: &'a ViewDomain<A>,
-    cfg: &'a CertifyConfig,
     sink: &'a mut DiagSink,
     /// Reachable abstract states, in discovery order.
     states: Vec<A::State>,
@@ -206,10 +211,10 @@ where
     /// per-transition contract checks around the real step.
     fn transition(&mut self, state: &A::State, view: &[Option<A::Reg>]) {
         for variant in self.domain.variants_for(state, view) {
-            if self.transitions >= self.cfg.max_transitions {
+            if self.transitions >= MAX_TRANSITIONS {
                 self.truncate(format!(
-                    "transition cap {} exhausted before the fixpoint; the domain is not certified",
-                    self.cfg.max_transitions
+                    "transition cap {MAX_TRANSITIONS} exhausted before the fixpoint; the domain \
+                     is not certified"
                 ));
                 return;
             }
@@ -251,7 +256,7 @@ where
                 ));
             }
 
-            if self.journal.len() < self.cfg.replay_cap {
+            if self.journal.len() < REPLAY_CAP {
                 self.journal.push(JournalEntry {
                     pre: variant.clone(),
                     view: view.to_vec(),
@@ -279,18 +284,17 @@ where
         match out {
             Step::Return(o) => {
                 // FTC-PAL-004.
-                if let Some(palette) = self.spec.palette {
-                    if let Some(c) = (self.spec.color_of)(&o) {
-                        if c >= palette {
-                            self.sink.push(Diagnostic::new(
-                                RuleId::Pal,
-                                &self.spec.name,
-                                format!(
-                                    "reachable deciding step emits color {c}, outside the \
-                                     {palette}-color palette (from {pre:?})"
-                                ),
-                            ));
-                        }
+                if let Some((palette, color_of)) = &self.spec.palette {
+                    let c = color_of(&o);
+                    if c >= *palette {
+                        self.sink.push(Diagnostic::new(
+                            RuleId::Pal,
+                            &self.spec.name,
+                            format!(
+                                "reachable deciding step emits color {c}, outside the \
+                                 {palette}-color palette (from {pre:?})"
+                            ),
+                        ));
                     }
                 }
                 // FTC-STAB-003 (a): the deciding step must leave the
@@ -355,10 +359,9 @@ where
             }
             return;
         }
-        if self.states.len() >= self.cfg.max_states {
+        if self.states.len() >= MAX_STATES {
             self.truncate(format!(
-                "state cap {} exhausted before the fixpoint; the domain is not certified",
-                self.cfg.max_states
+                "state cap {MAX_STATES} exhausted before the fixpoint; the domain is not certified"
             ));
             return;
         }

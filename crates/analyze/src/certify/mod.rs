@@ -46,44 +46,12 @@ pub mod explore;
 pub mod registry;
 pub mod term;
 
-use std::collections::HashMap;
-
 use ftcolor_model::domain::ViewDomain;
 use ftcolor_model::Algorithm;
 use serde::Serialize;
 
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
-use crate::linter::apply_waivers;
-
-/// Exploration budgets and check knobs for one certification run.
-#[derive(Debug, Clone)]
-pub struct CertifyConfig {
-    /// Abstract-state cap; exceeding it is an `FTC-DOM-008` finding.
-    pub max_states: usize,
-    /// Transition cap; exceeding it is an `FTC-DOM-008` finding.
-    pub max_transitions: u64,
-    /// How many transitions the snapshot-scope replay journal records.
-    pub replay_cap: usize,
-    /// Solo-run fuel for the termination pass (a lasso almost always
-    /// triggers first; fuel is the backstop for state-growing runs).
-    pub term_fuel: u64,
-    /// Per-rule diagnostic cap (first findings win; the rest are
-    /// counted, not stored).
-    pub max_per_rule: usize,
-}
-
-impl Default for CertifyConfig {
-    fn default() -> Self {
-        CertifyConfig {
-            max_states: 100_000,
-            max_transitions: 1_000_000_000,
-            replay_cap: 4096,
-            term_fuel: 512,
-            max_per_rule: 4,
-        }
-    }
-}
+use crate::diag::{DiagSink, Diagnostic};
 
 /// Size and outcome counters for one certification run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -136,40 +104,6 @@ where
     }
 }
 
-/// A per-rule-capped diagnostic accumulator (capping at emission time
-/// keeps pathological mutants from allocating millions of findings).
-pub(crate) struct DiagSink {
-    diags: Vec<Diagnostic>,
-    counts: HashMap<RuleId, u64>,
-    cap: usize,
-}
-
-impl DiagSink {
-    pub(crate) fn new(cap: usize) -> Self {
-        DiagSink {
-            diags: Vec::new(),
-            counts: HashMap::new(),
-            cap,
-        }
-    }
-
-    pub(crate) fn push(&mut self, d: Diagnostic) {
-        let n = self.counts.entry(d.rule).or_insert(0);
-        *n += 1;
-        if *n as usize <= self.cap {
-            self.diags.push(d);
-        }
-    }
-
-    pub(crate) fn fired(&self, rule: RuleId) -> bool {
-        self.counts.contains_key(&rule)
-    }
-
-    fn into_diags(self) -> Vec<Diagnostic> {
-        self.diags
-    }
-}
-
 /// Certifies `alg` over `domain`: explores the complete abstract local
 /// transition system, checks every per-step contract on every
 /// transition, runs the solo-termination pass, and returns the reachable
@@ -178,20 +112,19 @@ pub fn certify_algorithm<A>(
     alg: &A,
     spec: &ContractSpec<A::Output>,
     domain: &ViewDomain<A>,
-    cfg: &CertifyConfig,
 ) -> Certification<A>
 where
     A: Algorithm,
     A::State: Eq + std::hash::Hash,
     A::Reg: Eq + std::hash::Hash,
 {
-    let mut sink = DiagSink::new(cfg.max_per_rule);
-    let explored = explore::explore(alg, spec, domain, cfg, &mut sink);
+    let mut sink = DiagSink::default();
+    let explored = explore::explore(alg, spec, domain, &mut sink);
 
     let solo_bound = if explored.truncated {
         None // an incomplete graph proves nothing about termination
     } else {
-        term::term_pass(alg, spec, domain, &explored, cfg, &mut sink)
+        term::term_pass(alg, spec, domain, &explored, &mut sink)
     };
 
     let stats = CertStats {
@@ -204,13 +137,10 @@ where
         truncated: explored.truncated,
     };
 
-    let mut diagnostics = sink.into_diags();
-    apply_waivers(&mut diagnostics, spec);
-
     Certification {
         states: explored.states,
         decided: explored.decided,
-        diagnostics,
+        diagnostics: sink.finish(spec),
         stats,
     }
 }

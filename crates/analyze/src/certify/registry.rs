@@ -15,10 +15,9 @@ use serde::{Serialize, Sink};
 
 use crate::catalogue::{lookup, SHIPPED};
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
-use crate::linter::apply_waivers;
+use crate::diag::{DiagSink, Diagnostic, RuleId};
 
-use super::{CertStats, CertifyConfig};
+use super::CertStats;
 
 /// The certification outcome for one registry entry.
 #[derive(Debug)]
@@ -50,32 +49,31 @@ impl CertReport {
 /// `FTC-DOM-008` finding instead of a silent skip.
 pub(crate) fn uncertified(name: &'static str, reason: &str) -> CertReport {
     let spec: ContractSpec<u64> = ContractSpec::new(name).waive(RuleId::Dom, reason);
-    let mut diagnostics = vec![Diagnostic::new(
+    let mut sink = DiagSink::default();
+    sink.push(Diagnostic::new(
         RuleId::Dom,
         name,
         "no certified abstract view domain: the algorithm is not statically certified",
-    )];
-    apply_waivers(&mut diagnostics, &spec);
+    ));
     CertReport {
         name,
         note: String::new(),
-        diagnostics,
+        diagnostics: sink.finish(&spec),
         stats: CertStats::default(),
     }
 }
 
 /// Certifies the named registry entry over its declared domain.
-/// `colors` bounds the candidate-color lattice (5 in CI, matching the
-/// paper's palette claims). Returns `None` for unknown names.
-pub fn certify_alg(name: &str, colors: u64, cfg: &CertifyConfig) -> Option<CertReport> {
-    lookup(name, |name, entry| entry.certify(name, colors, cfg))
+/// Returns `None` for unknown names.
+pub fn certify_alg(name: &str) -> Option<CertReport> {
+    lookup(name, |name, entry| entry.certify(name))
 }
 
 /// Certifies every registry entry, in [`SHIPPED`] order.
-pub fn certify_all(colors: u64, cfg: &CertifyConfig) -> Vec<CertReport> {
+pub fn certify_all() -> Vec<CertReport> {
     SHIPPED
         .into_iter()
-        .map(|name| certify_alg(name, colors, cfg).expect("registry names are exhaustive"))
+        .map(|name| certify_alg(name).expect("registry names are exhaustive"))
         .collect()
 }
 

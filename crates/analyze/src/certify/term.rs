@@ -22,9 +22,12 @@ use ftcolor_model::domain::{Projection, ViewDomain};
 use ftcolor_model::{Algorithm, Neighborhood, Step};
 
 use super::explore::Explored;
-use super::{CertifyConfig, DiagSink};
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
+use crate::diag::{DiagSink, Diagnostic, RuleId};
+
+/// Solo-run fuel: a lasso almost always triggers first, so fuel is only
+/// the backstop for runs whose states keep growing.
+const TERM_FUEL: u64 = 512;
 
 /// Outcome of one solo run under a frozen view.
 enum Solo {
@@ -42,7 +45,6 @@ pub(crate) fn term_pass<A>(
     spec: &ContractSpec<A::Output>,
     domain: &ViewDomain<A>,
     ex: &Explored<A>,
-    cfg: &CertifyConfig,
     sink: &mut DiagSink,
 ) -> Option<u64>
 where
@@ -67,7 +69,7 @@ where
                     .map(|&i| (i > 0).then(|| ex.regs[i - 1].clone()))
                     .collect();
                 for variant in domain.variants_for(s, &view) {
-                    match solo_run(alg, domain, variant, &view, cfg.term_fuel) {
+                    match solo_run(alg, domain, variant, &view) {
                         Solo::Decided(steps) => worst = worst.max(steps),
                         Solo::Lasso(steps) => {
                             livelock = true;
@@ -88,8 +90,7 @@ where
                                 &spec.name,
                                 format!(
                                     "solo run from reachable state {s:?} under frozen view \
-                                     {view:?} did not decide within {} steps",
-                                    cfg.term_fuel
+                                     {view:?} did not decide within {TERM_FUEL} steps"
                                 ),
                             ));
                         }
@@ -130,13 +131,7 @@ where
 /// (so the trail stays inside the finite universe) but *not*
 /// canonicalized — a stored last-view must keep its concrete value, or
 /// frozen-view comparisons would be falsified.
-fn solo_run<A>(
-    alg: &A,
-    domain: &ViewDomain<A>,
-    start: A::State,
-    view: &[Option<A::Reg>],
-    fuel: u64,
-) -> Solo
+fn solo_run<A>(alg: &A, domain: &ViewDomain<A>, start: A::State, view: &[Option<A::Reg>]) -> Solo
 where
     A: Algorithm,
     A::State: Eq,
@@ -157,7 +152,7 @@ where
                 if let Projection::Breach(msg) = domain.widen_state(&mut cur) {
                     return Solo::Breach(msg);
                 }
-                if steps >= fuel {
+                if steps >= TERM_FUEL {
                     return Solo::FuelOut;
                 }
             }

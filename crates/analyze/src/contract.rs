@@ -2,9 +2,8 @@
 
 use crate::diag::RuleId;
 
-/// The output→color mapping an algorithm declares (`None` = the output
-/// is not a color and is exempt from the palette bound).
-pub type ColorOf<O> = Box<dyn Fn(&O) -> Option<u64>>;
+/// The output→color mapping an algorithm declares.
+pub type ColorOf<O> = Box<dyn Fn(&O) -> u64>;
 
 /// A declared exemption: a rule the registry entry knowingly violates.
 ///
@@ -27,12 +26,10 @@ pub struct Waiver {
 pub struct ContractSpec<O> {
     /// Registry name (appears in diagnostics).
     pub name: String,
-    /// Palette size: emitted colors must map below this via `color_of`
-    /// (`None` = no palette claim, rule `FTC-PAL-004` vacuous).
-    pub palette: Option<u64>,
-    /// Maps an output to its numeric color (`None` = not a color,
-    /// exempt from the palette bound).
-    pub color_of: ColorOf<O>,
+    /// Palette size, and the map from an output to its color: every
+    /// emitted color must fall below the size (`None` = no palette
+    /// claim, rule `FTC-PAL-004` vacuous).
+    pub palette: Option<(u64, ColorOf<O>)>,
     /// Declared solo round bound: running any single process alone must
     /// return within this many activations (`None` = no wait-freedom
     /// claim, rule `FTC-WF-006` vacuous).
@@ -47,16 +44,14 @@ impl<O> ContractSpec<O> {
         ContractSpec {
             name: name.into(),
             palette: None,
-            color_of: Box::new(|_| None),
             solo_bound: None,
             waivers: Vec::new(),
         }
     }
 
     /// Declares the palette and the output→color mapping.
-    pub fn palette(mut self, size: u64, color_of: impl Fn(&O) -> Option<u64> + 'static) -> Self {
-        self.palette = Some(size);
-        self.color_of = Box::new(color_of);
+    pub fn palette(mut self, size: u64, color_of: impl Fn(&O) -> u64 + 'static) -> Self {
+        self.palette = Some((size, Box::new(color_of)));
         self
     }
 

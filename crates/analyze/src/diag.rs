@@ -5,9 +5,12 @@
 //! process and model time. Diagnostics render as text lints
 //! (`error[FTC-SWMR-001]: …`) or as JSON records for the CI gate.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Serialize, Sink};
+
+use crate::contract::ContractSpec;
 
 /// The analyzer's rule set. `FTC-*-0xx` rules come from the abstract
 /// contract linter, `FTC-RT-1xx` from the runtime race detector.
@@ -203,6 +206,55 @@ impl Serialize for Diagnostic {
             sink.str(reason);
         }
         sink.end();
+    }
+}
+
+/// The most findings of one rule an analyzed instance keeps: the first
+/// ones win, and the rest repeat the same root cause.
+pub(crate) const MAX_PER_RULE: usize = 4;
+
+/// A diagnostic accumulator that keeps the first [`MAX_PER_RULE`]
+/// findings of each rule and only counts the rest (capping on the way
+/// in keeps pathological mutants from storing millions of findings).
+#[derive(Default)]
+pub(crate) struct DiagSink {
+    diags: Vec<Diagnostic>,
+    counts: HashMap<RuleId, usize>,
+}
+
+impl DiagSink {
+    pub(crate) fn push(&mut self, d: Diagnostic) {
+        let n = self.counts.entry(d.rule).or_insert(0);
+        *n += 1;
+        if *n <= MAX_PER_RULE {
+            self.diags.push(d);
+        }
+    }
+
+    /// `true` once any finding of `rule` arrived, kept or not.
+    pub(crate) fn fired(&self, rule: RuleId) -> bool {
+        self.counts.contains_key(&rule)
+    }
+
+    /// The kept findings, each marked waived where `spec` waives its
+    /// rule.
+    pub(crate) fn finish<O>(self, spec: &ContractSpec<O>) -> Vec<Diagnostic> {
+        let mut diags = self.diags;
+        for d in &mut diags {
+            if let Some(reason) = spec.waiver_for(d.rule) {
+                d.waived = true;
+                d.waiver_reason = Some(reason.to_string());
+            }
+        }
+        diags
+    }
+}
+
+impl Extend<Diagnostic> for DiagSink {
+    fn extend<I: IntoIterator<Item = Diagnostic>>(&mut self, diags: I) {
+        for d in diags {
+            self.push(d);
+        }
     }
 }
 

@@ -44,10 +44,10 @@ pub mod registry;
 
 pub use catalogue::SHIPPED;
 pub use certify::registry::{certify_alg, certify_all, render_cert_json, CertReport};
-pub use certify::{certify_algorithm, CertStats, Certification, CertifyConfig};
+pub use certify::{certify_algorithm, CertStats, Certification};
 pub use contract::{ContractSpec, Waiver};
 pub use diag::{render_json, Diagnostic, RuleId};
-pub use linter::{lint_algorithm, LintConfig};
+pub use linter::lint_algorithm;
 pub use netmat::{net_run, NetRunOutcome, NetSummary};
 pub use race::check_events;
 pub use registry::{analyze_alg, analyze_all, race_matrix, AlgReport};

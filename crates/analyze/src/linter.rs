@@ -25,7 +25,7 @@
 //!   (no regression), and re-running the step from the post-decision
 //!   state must `Return(o)` again.
 //! * **`FTC-PAL-004` (palette)** — returned outputs map into the
-//!   declared palette via the spec's `color_of`.
+//!   declared palette via the spec's color map.
 //! * **`FTC-WF-006` (wait-freedom)** — driven by [`lint_algorithm`]
 //!   directly: each process is run solo (neighbors forever `⊥`) and
 //!   must return within the declared bound.
@@ -36,31 +36,15 @@ use ftcolor_model::prelude::*;
 use ftcolor_model::{ExecObserver, Time};
 
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
+use crate::diag::{DiagSink, Diagnostic, RuleId};
 
-/// Tuning knobs for one linter invocation.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Seeds for the random-schedule battery (each seed adds one
-    /// crash-free and one crashy run).
-    pub seeds: Vec<u64>,
-    /// Fuel per battery run (runs that exhaust fuel are not themselves
-    /// violations — only the solo audit checks termination).
-    pub fuel: u64,
-    /// Keep at most this many diagnostics per rule (the rest are
-    /// duplicates of the same root cause).
-    pub max_per_rule: usize,
-}
+/// Seeds of the random-schedule battery (each seed adds one crash-free
+/// and one crashy run).
+pub(crate) const SEEDS: [u64; 3] = [1, 2, 3];
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            seeds: vec![1, 2, 3],
-            fuel: 5_000,
-            max_per_rule: 4,
-        }
-    }
-}
+/// Fuel per battery run (runs that exhaust fuel are not themselves
+/// violations — only the solo audit checks termination).
+pub(crate) const FUEL: u64 = 5_000;
 
 /// A recorded step awaiting deferred replay (the `FTC-SNAP-002` probe).
 struct ReplayRec<A: Algorithm> {
@@ -270,8 +254,9 @@ where
 
         if let Some(o) = returned {
             // FTC-PAL-004: the decided color is inside the palette.
-            if let (Some(palette), Some(color)) = (self.spec.palette, (self.spec.color_of)(o)) {
-                if color >= palette {
+            if let Some((palette, color_of)) = &self.spec.palette {
+                let color = color_of(o);
+                if color >= *palette {
                     self.emit(
                         Diagnostic::new(
                             RuleId::Pal,
@@ -351,21 +336,20 @@ where
 /// Runs the full abstract-contract rule set on one (algorithm, instance)
 /// pair: a battery of schedules (synchronous, round-robin, seeded random
 /// subsets, seeded random + one crash) under the instrumenting observer,
-/// plus the solo wait-freedom audit. Returns capped, waiver-annotated
-/// diagnostics.
+/// plus the solo wait-freedom audit. Returns waiver-annotated
+/// diagnostics, the first `MAX_PER_RULE` of each rule.
 pub fn lint_algorithm<A>(
     alg: &A,
     spec: &ContractSpec<A::Output>,
     topo: &Topology,
     inputs: &[A::Input],
-    cfg: &LintConfig,
 ) -> Vec<Diagnostic>
 where
     A: Algorithm,
     A::Input: Clone,
     A::State: PartialEq,
 {
-    let mut diags: Vec<Diagnostic> = Vec::new();
+    let mut sink = DiagSink::default();
     let n = topo.len();
 
     let mut battery = |schedule: Box<dyn Schedule>| {
@@ -373,13 +357,13 @@ where
         let mut exec = Execution::new(alg, topo, inputs.to_vec());
         // Fuel exhaustion and crashes are not contract violations here:
         // the safety rules were checked at every step along the way.
-        let _ = exec.run_observed(schedule, cfg.fuel, &mut obs);
-        diags.extend(obs.finish());
+        let _ = exec.run_observed(schedule, FUEL, &mut obs);
+        sink.extend(obs.finish());
     };
 
     battery(Box::new(Synchronous::new()));
     battery(Box::new(RoundRobin::new()));
-    for &seed in &cfg.seeds {
+    for seed in SEEDS {
         battery(Box::new(RandomSubset::new(seed, 0.5)));
         let crash_p = ProcessId(seed as usize % n);
         battery(Box::new(CrashPlan::new(
@@ -408,7 +392,7 @@ where
                 }
             };
             if !returned {
-                diags.push(
+                sink.push(
                     Diagnostic::new(
                         RuleId::Wf,
                         &spec.name,
@@ -420,32 +404,9 @@ where
                     .process(p.index()),
                 );
             }
-            diags.extend(obs.finish());
+            sink.extend(obs.finish());
         }
     }
 
-    apply_waivers(&mut diags, spec);
-    cap_per_rule(diags, cfg.max_per_rule)
-}
-
-/// Marks diagnostics whose rule the spec waives.
-pub fn apply_waivers<O>(diags: &mut [Diagnostic], spec: &ContractSpec<O>) {
-    for d in diags.iter_mut() {
-        if let Some(reason) = spec.waiver_for(d.rule) {
-            d.waived = true;
-            d.waiver_reason = Some(reason.to_string());
-        }
-    }
-}
-
-/// Keeps the first `cap` diagnostics of each rule (the rest repeat the
-/// same root cause across battery runs).
-pub fn cap_per_rule(diags: Vec<Diagnostic>, cap: usize) -> Vec<Diagnostic> {
-    let mut kept: Vec<Diagnostic> = Vec::new();
-    for d in diags {
-        if kept.iter().filter(|k| k.rule == d.rule).count() < cap {
-            kept.push(d);
-        }
-    }
-    kept
+    sink.finish(spec)
 }

@@ -18,8 +18,8 @@ use ftcolor_runtime::{run_threaded, RunOptions};
 
 use crate::catalogue::{ids, lookup, waive, Exemption, Scope, SHIPPED};
 use crate::contract::ContractSpec;
-use crate::diag::{Diagnostic, RuleId};
-use crate::linter::{apply_waivers, cap_per_rule, LintConfig};
+use crate::diag::{DiagSink, Diagnostic, RuleId};
+use crate::linter::{FUEL, SEEDS};
 use crate::race::check_events;
 
 /// The lint outcome for one registry entry.
@@ -48,47 +48,48 @@ impl AlgReport {
 /// (cliques for `renaming`, plus a 3×3 torus for `alg4`).
 /// Returns `None` for unknown names (see [`SHIPPED`]) and for a size
 /// below 3, which has no instance.
-pub fn analyze_alg(name: &str, sizes: &[usize], cfg: &LintConfig) -> Option<AlgReport> {
-    lookup(name, |name, entry| entry.lint(name, sizes, cfg)).flatten()
+pub fn analyze_alg(name: &str, sizes: &[usize]) -> Option<AlgReport> {
+    lookup(name, |name, entry| entry.lint(name, sizes)).flatten()
 }
 
 /// The DECOUPLED ring 3-coloring doesn't implement [`Algorithm`] (its
 /// `decide` reads a knowledge ball, not registers), so the generic
 /// instrumented executor can't run it. This path checks the rules that
-/// survive translation — palette, determinism (two identical runs must
-/// be bit-identical), and wait-freedom (a solo process decides once its
-/// knowledge radius suffices) — and declares the register-specific
-/// rules (SWMR, snapshot scope, stability) waived as not applicable in
-/// `waivers`.
+/// survive translation — the `palette` bound, determinism (two
+/// identical runs must be bit-identical), and wait-freedom (a solo
+/// process decides once its knowledge radius suffices) — and declares
+/// the register-specific rules (SWMR, snapshot scope, stability) waived
+/// as not applicable in `waivers`.
 pub(crate) fn lint_decoupled(
     name: &str,
     n: usize,
+    palette: u64,
     waivers: &[Exemption],
-    cfg: &LintConfig,
 ) -> Option<Vec<Diagnostic>> {
     let alg = DecoupledThreeColoring::new();
     let topo = Topology::cycle(n).ok()?;
     let xs = ids(n, 7);
     let spec = waive(ContractSpec::<u64>::new(name), waivers, Scope::Dynamic);
-    let mut diags = Vec::new();
+    let mut sink = DiagSink::default();
 
     // Determinism: identical schedules must give identical outputs.
-    for &seed in &cfg.seeds {
+    for seed in SEEDS {
         let run = |_: ()| {
             let mut exec = DecoupledExecution::new(&alg, &topo, xs.clone());
-            exec.run(RandomSubset::new(seed, 0.5), cfg.fuel).ok()
+            exec.run(RandomSubset::new(seed, 0.5), FUEL).ok()
         };
         let (a, b) = (run(()), run(()));
         if a.as_ref().map(|r| &r.outputs) != b.as_ref().map(|r| &r.outputs) {
             let msg =
                 format!("two identical DECOUPLED runs (seed {seed}) produced different outputs");
-            diags.push(Diagnostic::new(RuleId::Det, name, msg));
+            sink.push(Diagnostic::new(RuleId::Det, name, msg));
         }
         // Palette over whatever returned.
         let returned = a.iter().flat_map(ExecutionReport::returned);
-        for (p, c) in returned.filter(|&(_, &c)| c > 2) {
-            let msg = format!("process {p} returned color {c}, outside the 3-color palette");
-            diags.push(Diagnostic::new(RuleId::Pal, name, msg).process(p.index()));
+        for (p, c) in returned.filter(|&(_, &c)| c >= palette) {
+            let msg =
+                format!("process {p} returned color {c}, outside the {palette}-color palette");
+            sink.push(Diagnostic::new(RuleId::Pal, name, msg).process(p.index()));
         }
     }
 
@@ -105,12 +106,11 @@ pub(crate) fn lint_decoupled(
                 "solo DECOUPLED execution of process {p} did not decide within \
                  radius bound {bound}"
             );
-            diags.push(Diagnostic::new(RuleId::Wf, name, msg).process(p.index()));
+            sink.push(Diagnostic::new(RuleId::Wf, name, msg).process(p.index()));
         }
     }
 
-    apply_waivers(&mut diags, &spec);
-    Some(cap_per_rule(diags, cfg.max_per_rule))
+    Some(sink.finish(&spec))
 }
 
 /// Runs [`analyze_alg`] over every registry entry.
@@ -118,10 +118,10 @@ pub(crate) fn lint_decoupled(
 /// # Panics
 ///
 /// Panics if a size is below 3 (no instance of that size exists).
-pub fn analyze_all(sizes: &[usize], cfg: &LintConfig) -> Vec<AlgReport> {
+pub fn analyze_all(sizes: &[usize]) -> Vec<AlgReport> {
     SHIPPED
         .into_iter()
-        .map(|name| analyze_alg(name, sizes, cfg).expect("shipped names and sizes >= 3 lint"))
+        .map(|name| analyze_alg(name, sizes).expect("shipped names and sizes >= 3 lint"))
         .collect()
 }
 

@@ -37,22 +37,12 @@ pub enum Objective {
 pub struct FuzzConfig {
     /// Genome length (schedule horizon in steps).
     pub horizon: usize,
-    /// Population size.
-    pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Mutation probability per gene.
-    pub mutation: f64,
     /// RNG seed.
     pub seed: u64,
     /// Objective to maximize.
     pub objective: Objective,
-    /// How many times the genome's final [`FuzzConfig::tail`] genes are
-    /// replayed after the genome runs once — a livelock genome only
-    /// needs to *end* in one period of the starving pattern.
-    pub loops: usize,
-    /// Length of the replayed tail.
-    pub tail: usize,
     /// Worker threads for genome evaluation; `1` evaluates inline, `0`
     /// means one worker per available CPU. Evaluation is pure per
     /// genome and results are merged in genome order, so the report is
@@ -64,17 +54,27 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             horizon: 120,
-            population: 24,
             generations: 150,
-            mutation: 0.08,
             seed: 0,
             objective: Objective::StragglerActivations,
-            loops: 40,
-            tail: 6,
             jobs: 1,
         }
     }
 }
+
+/// Population size.
+const POPULATION: usize = 24;
+
+/// Mutation probability per gene.
+const MUTATION: f64 = 0.08;
+
+/// How many times the genome's final [`TAIL`] genes are replayed after
+/// the genome runs once — a livelock genome only needs to *end* in one
+/// period of the starving pattern.
+const LOOPS: usize = 40;
+
+/// Length of the replayed tail.
+const TAIL: usize = 6;
 
 /// Outcome of a fuzzing run.
 #[derive(Debug, Clone)]
@@ -178,8 +178,8 @@ where
             }
             exec.step_with(set);
         }
-        let tail_start = genome.len().saturating_sub(self.config.tail.max(1));
-        'outer: for _ in 0..self.config.loops {
+        let tail_start = genome.len().saturating_sub(TAIL);
+        'outer: for _ in 0..LOOPS {
             for set in &genome[tail_start..] {
                 if exec.all_returned() {
                     break 'outer;
@@ -256,8 +256,8 @@ where
     {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut population: Vec<Vec<ActivationSet>> = self.seed_corpus();
-        population.truncate(self.config.population.saturating_sub(2));
-        while population.len() < self.config.population {
+        population.truncate(POPULATION - 2);
+        while population.len() < POPULATION {
             population.push(self.random_genome(&mut rng));
         }
         let mut best: (u64, Vec<ActivationSet>) = (0, population[0].clone());
@@ -285,20 +285,20 @@ where
             }
             // Elitism: keep the top quarter; refill with mutated
             // crossovers of two elite parents.
-            let elite = (self.config.population / 4).max(2);
+            let elite = (POPULATION / 4).max(2);
             let parents: Vec<Vec<ActivationSet>> = scored[..elite.min(scored.len())]
                 .iter()
                 .map(|(_, g)| g.clone())
                 .collect();
             population.extend(parents.iter().cloned());
-            while population.len() < self.config.population {
+            while population.len() < POPULATION {
                 let a = &parents[rng.gen_range(0..parents.len())];
                 let b = &parents[rng.gen_range(0..parents.len())];
                 let cut = rng.gen_range(0..self.config.horizon);
                 let mut child: Vec<ActivationSet> =
                     a[..cut].iter().chain(b[cut..].iter()).cloned().collect();
                 for gene in &mut child {
-                    if rng.gen_bool(self.config.mutation) {
+                    if rng.gen_bool(MUTATION) {
                         *gene = self.random_gene(&mut rng);
                     }
                 }

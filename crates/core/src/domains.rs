@@ -147,7 +147,7 @@ where
 }
 
 /// Domain for Algorithm 2 (5-coloring). `colors` is the candidate
-/// lattice bound — 5 in the registry, matching Theorem 3.11's palette
+/// lattice bound — the registry passes the palette, Theorem 3.11's 5
 /// (each candidate is a `mex` over at most 4 published components).
 ///
 /// Identifiers are order-compared only, so they relabel to `{0, 1, 2}`;

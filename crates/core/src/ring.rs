@@ -43,9 +43,10 @@ pub trait RingColoring: Algorithm<Input = u64> {
     /// One register rendered as a `color --timeline` cell.
     fn cell(&self, reg: &Self::Reg) -> String;
 
-    /// The abstract view domain `ftcolor certify` explores, for a bound
-    /// on the candidate colors (see [`domains`]).
-    fn domain(&self, colors: u64) -> ViewDomain<Self>
+    /// The abstract view domain `ftcolor certify` explores, its
+    /// candidate colors bounded by [`RingColoring::palette`] (see
+    /// [`domains`]).
+    fn domain(&self) -> ViewDomain<Self>
     where
         Self: Sized;
 }
@@ -63,7 +64,7 @@ impl RingColoring for SixColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         r.color.to_string()
     }
-    fn domain(&self, _: u64) -> ViewDomain<Self> {
+    fn domain(&self) -> ViewDomain<Self> {
         domains::pair_domain()
     }
 }
@@ -78,8 +79,8 @@ impl RingColoring for FiveColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("({},{})", r.a, r.b)
     }
-    fn domain(&self, colors: u64) -> ViewDomain<Self> {
-        domains::five_coloring_domain(colors)
+    fn domain(&self) -> ViewDomain<Self> {
+        domains::five_coloring_domain(self.palette())
     }
 }
 
@@ -93,8 +94,8 @@ impl RingColoring for FiveColoringPatched {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("({},{})c{}", r.a, r.b, r.c)
     }
-    fn domain(&self, colors: u64) -> ViewDomain<Self> {
-        domains::five_coloring_patched_domain(colors)
+    fn domain(&self) -> ViewDomain<Self> {
+        domains::five_coloring_patched_domain(self.palette())
     }
 }
 
@@ -113,8 +114,8 @@ impl RingColoring for FastFiveColoring {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("x{}({},{})", r.x, r.a, r.b)
     }
-    fn domain(&self, colors: u64) -> ViewDomain<Self> {
-        domains::fast_five_domain(colors, 2)
+    fn domain(&self) -> ViewDomain<Self> {
+        domains::fast_five_domain(self.palette(), 2)
     }
 }
 
@@ -131,8 +132,8 @@ impl RingColoring for FastFiveColoringPatched {
     fn cell(&self, r: &Self::Reg) -> String {
         format!("x{}({},{})c{}", r.x, r.a, r.b, r.c)
     }
-    fn domain(&self, colors: u64) -> ViewDomain<Self> {
-        domains::fast_five_patched_domain(colors, 2)
+    fn domain(&self) -> ViewDomain<Self> {
+        domains::fast_five_patched_domain(self.palette(), 2)
     }
 }
 

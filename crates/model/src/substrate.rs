@@ -3,10 +3,11 @@
 //!
 //! The paper's theorems are substrate-agnostic — they hold for *any*
 //! implementation of SWMR registers and local immediate snapshots. The
-//! reproduction has three such substrates (the abstract executor here,
+//! reproduction has four such substrates (the abstract executor here,
 //! the OS-thread runtime in `ftcolor-runtime`, the simulated
-//! message-passing network in `ftcolor-net`), each with its own report
-//! type. [`SubstrateReport`] is the common denominator the
+//! message-passing network in `ftcolor-net`, and the cluster of OS
+//! processes in `ftcolor-cluster`, live or replayed from its journal),
+//! each with its own report type. [`SubstrateReport`] is the common denominator the
 //! cross-substrate conformance oracles consume: who produced an output,
 //! and who crashed. Everything the oracles check — proper coloring,
 //! palette bounds, termination of correct processes — derives from

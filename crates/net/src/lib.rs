@@ -6,7 +6,7 @@
 //! snapshots. This crate provides the third substrate of the
 //! reproduction — after the abstract executor (`ftcolor-model`) and the
 //! OS-thread runtime (`ftcolor-runtime`) — where each process is a
-//! *node* exchanging serde-JSON-framed messages (`write`,
+//! *node* exchanging binary-framed messages (`write`,
 //! `snapshot_req`, `snapshot_resp`) with its ring neighbors over a
 //! simulated network, so every registry algorithm runs unmodified on
 //! it via the ordinary [`ftcolor_model::Algorithm`] trait; the round

@@ -78,13 +78,6 @@ impl NetConfig {
         }
     }
 
-    /// Sets the activation jitter amplitude.
-    #[must_use]
-    pub fn act_jitter(mut self, ticks: u64) -> Self {
-        self.act_jitter = ticks;
-        self
-    }
-
     /// Sets the retransmit timeout.
     #[must_use]
     pub fn rto(mut self, ticks: u64) -> Self {

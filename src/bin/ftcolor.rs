@@ -115,13 +115,14 @@ ftcolor — wait-free coloring of the asynchronous cycle (PODC 2022 reproduction
 
 USAGE:
   ftcolor color      [--alg A] [--n N | --ids LIST] [--input KIND] [--sched S] [--seed K] [--timeline]
-  ftcolor modelcheck [--alg A] [--ids LIST] [--max-configs M] [--jobs J] [--symmetry]
-                     [--por] [--format text|json]
-  ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--generations G] [--seed K] [--jobs J]
-  ftcolor shrink     --in FILE [--out FILE] [--alg A] [--ids LIST] [--bound B]
+  ftcolor modelcheck [--alg A] [--n N | --ids LIST] [--input KIND] [--seed K]
+                     [--max-configs M] [--jobs J] [--symmetry] [--por] [--format text|json]
+  ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--input KIND] [--generations G]
+                     [--seed K] [--jobs J]
+  ftcolor shrink     --in FILE [--out FILE] [--alg A] [--n N | --ids LIST] [--input KIND]
+                     [--seed K] [--bound B]
   ftcolor analyze    [--alg NAME|all] [--sizes LIST] [--rules CODES] [--format text|json]
-  ftcolor certify    [--alg NAME|all] [--domain-colors C] [--rules CODES]
-                     [--format text|json]
+  ftcolor certify    [--alg NAME|all] [--rules CODES] [--format text|json]
   ftcolor netsim     [--alg NAME|all] [--n N] [--seed K] [--faults JSON] [--max-time T]
                      [--format text|json] [--emit-trace]
   ftcolor serve      [--alg A] [--n N] [--instances I] [--rate R] [--seed K]
@@ -144,7 +145,8 @@ FLAGS:
                  cluster accepts `all`; analyze, certify and netsim accept
                  every registry name or `all`, and analyze also `rt` for
                  the runtime race matrix
-  --n            ring size (with --input)              (default 8)
+  --n            ring size (with --input)              (default 8;
+                 5 for serve and cluster)
   --ids          explicit identifiers, e.g. 5,11,7
   --input        staircase | staircase-poly | random | alternating | organ-pipe
                                                        (default random)
@@ -178,11 +180,9 @@ FLAGS:
   --sizes        analyze: cycle sizes to lint on, e.g. 5,8 (default 5,8)
   --rules        analyze/certify: keep only these rule codes, e.g.
                  FTC-SWMR-001,FTC-RT-104 (default: all rules)
-  --domain-colors certify: candidate-color lattice bound for the
-                 abstract view domains (default 5, the paper's palette;
-                 values below an algorithm's claim breach the domain)
-  --format       analyze/netsim/modelcheck: text | json (default text)
-  --faults       netsim: inline fault-plan JSON, e.g.
+  --format       modelcheck/analyze/certify/netsim/serve/cluster: text | json
+                 (default text)
+  --faults       netsim/cluster: inline fault-plan JSON, e.g.
                  '{\"drop\":0.1,\"crashes\":[{\"node\":2,\"at\":5}]}'
                  (default: the clean plan — no faults)
   --max-time     netsim: logical-time budget            (default 100000)
@@ -207,13 +207,6 @@ FLAGS:
                  offline against in-process node replicas
 ";
 
-/// Parses `--jobs` (default 1 worker; `0` means all CPUs downstream).
-fn parse_jobs(opts: &HashMap<String, String>) -> Result<usize, String> {
-    get(opts, "jobs", "1")
-        .parse()
-        .map_err(|e| format!("bad --jobs: {e}"))
-}
-
 /// The flags each subcommand accepts: `(subcommand, flags taking a
 /// value, switches standing alone)`, names space-separated. Any other
 /// flag is an error.
@@ -227,7 +220,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("fuzz", "alg n ids input seed generations jobs", ""),
     ("shrink", "in out alg n ids input seed bound", ""),
     ("analyze", "alg sizes rules format", ""),
-    ("certify", "alg domain-colors rules format", ""),
+    ("certify", "alg rules format", ""),
     ("netsim", "alg n seed faults max-time format", "emit-trace"),
     (
         "serve",
@@ -273,6 +266,21 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
 
 fn get<'a>(opts: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
     opts.get(key).map_or(default, String::as_str)
+}
+
+/// The value of `--KEY` parsed as a `T`, or `default` when the flag is
+/// absent.
+fn num<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    opts.get(key).map_or(Ok(default), |v| {
+        v.parse().map_err(|e| format!("bad --{key}: {e}"))
+    })
 }
 
 /// `--rules CODES` for `analyze` and `certify`: the rule codes to keep,
@@ -329,12 +337,8 @@ fn parse_ids(opts: &HashMap<String, String>) -> Result<Vec<u64>, String> {
         check_cycle_ids(&ids).map_err(|e| format!("bad --ids: {e}"))?;
         return Ok(ids);
     }
-    let n: usize = get(opts, "n", "8")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let n: usize = num(opts, "n", 8)?;
+    let seed: u64 = num(opts, "seed", 0)?;
     Ok(match get(opts, "input", "random") {
         "staircase" => inputs::staircase(n),
         "staircase-poly" => inputs::staircase_poly(n),
@@ -393,9 +397,7 @@ fn run_and_print<A: RingColoring>(
 
 fn cmd_color(opts: &HashMap<String, String>) -> Result<(), String> {
     let ids = parse_ids(opts)?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let seed: u64 = num(opts, "seed", 0)?;
     let sched = get(opts, "sched", "random");
     let timeline = opts.contains_key("timeline");
     let name = get(opts, "alg", "alg3");
@@ -434,10 +436,8 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
     if ids.len() > 7 {
         return Err("modelcheck needs a small instance (≤ 7 processes)".into());
     }
-    let cap: usize = get(opts, "max-configs", "2000000")
-        .parse()
-        .map_err(|e| format!("bad --max-configs: {e}"))?;
-    let jobs = parse_jobs(opts)?;
+    let cap: usize = num(opts, "max-configs", 2_000_000)?;
+    let jobs: usize = num(opts, "jobs", 1)?;
     let symmetry = opts.contains_key("symmetry");
     let por = opts.contains_key("por");
     let format = get(opts, "format", "text");
@@ -519,20 +519,14 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_fuzz(opts: &HashMap<String, String>) -> Result<(), String> {
     let ids = parse_ids(opts)?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let generations: usize = get(opts, "generations", "150")
-        .parse()
-        .map_err(|e| format!("bad --generations: {e}"))?;
-    let jobs = parse_jobs(opts)?;
-    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
+    let defaults = FuzzConfig::default();
     let config = FuzzConfig {
-        generations,
-        seed,
-        jobs,
-        ..FuzzConfig::default()
+        seed: num(opts, "seed", defaults.seed)?,
+        generations: num(opts, "generations", defaults.generations)?,
+        jobs: num(opts, "jobs", defaults.jobs)?,
+        ..defaults
     };
+    let topo = Topology::cycle(ids.len()).map_err(|e| e.to_string())?;
 
     let alg_name = get(opts, "alg", "alg2");
     with_ring_coloring!(alg_name, alg => {
@@ -765,16 +759,14 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let rules = parse_rules(opts)?;
     let alg = get(opts, "alg", "all");
-    let cfg = analyze::LintConfig::default();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     if alg == "all" {
-        for report in analyze::analyze_all(&sizes, &cfg) {
+        for report in analyze::analyze_all(&sizes) {
             diags.extend(report.diagnostics);
         }
     } else if alg != "rt" {
-        let report =
-            analyze::analyze_alg(alg, &sizes, &cfg).ok_or_else(|| unknown_alg(alg, &["rt"]))?;
+        let report = analyze::analyze_alg(alg, &sizes).ok_or_else(|| unknown_alg(alg, &["rt"]))?;
         diags.extend(report.diagnostics);
     }
     if matches!(alg, "all" | "rt") {
@@ -808,17 +800,13 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 /// abstract interpretation over their certified view domains, and exit
 /// nonzero on any unwaived finding — the same gate CI enforces.
 fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let colors: u64 = get(opts, "domain-colors", "5")
-        .parse()
-        .map_err(|e| format!("bad --domain-colors: {e}"))?;
     let rules = parse_rules(opts)?;
     let alg = get(opts, "alg", "all");
-    let cfg = analyze::CertifyConfig::default();
 
     let mut reports = if alg == "all" {
-        analyze::certify_all(colors, &cfg)
+        analyze::certify_all()
     } else {
-        vec![analyze::certify_alg(alg, colors, &cfg).ok_or_else(|| unknown_alg(alg, &[]))?]
+        vec![analyze::certify_alg(alg).ok_or_else(|| unknown_alg(alg, &[]))?]
     };
     if let Some(rules) = &rules {
         for r in &mut reports {
@@ -866,25 +854,19 @@ fn cmd_certify(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `termination-only` oracle) are exempt from the stall check only,
 /// never from safety.
 fn cmd_netsim(opts: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = get(opts, "n", "8")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
+    let n: usize = num(opts, "n", 8)?;
     if n < 3 {
         return Err("netsim needs --n >= 3 (no smaller cycle exists)".into());
     }
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let max_time: u64 = get(opts, "max-time", "100000")
-        .parse()
-        .map_err(|e| format!("bad --max-time: {e}"))?;
+    let seed: u64 = num(opts, "seed", 0)?;
+    let mut cfg = NetConfig::new(seed);
+    cfg.max_time = num(opts, "max-time", cfg.max_time)?;
     let plan: FaultPlan = match opts.get("faults") {
         Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
         None => FaultPlan::default(),
     };
     plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
     let emit_trace = opts.contains_key("emit-trace");
-    let cfg = NetConfig::new(seed).max_time(max_time);
 
     let alg = get(opts, "alg", "all");
     let names: Vec<&str> = if alg == "all" {
@@ -992,28 +974,20 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
         return cluster_verdict(&[summary]);
     }
 
-    let n: usize = get(opts, "n", "5")
-        .parse()
-        .map_err(|e| format!("bad --n: {e}"))?;
-    let seed: u64 = get(opts, "seed", "0")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
+    let n: usize = num(opts, "n", 5)?;
+    let seed: u64 = num(opts, "seed", 0)?;
     let plan: FaultPlan = match opts.get("faults") {
         Some(text) => serde_json::from_str(text).map_err(|e| format!("bad --faults: {e}"))?,
         None => FaultPlan::default(),
     };
     plan.validate(n).map_err(|e| format!("bad --faults: {e}"))?;
-    let parse_ms = |key: &str, default: &str| -> Result<u64, String> {
-        get(opts, key, default)
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))
-    };
+    let defaults = ClusterOptions::default();
     let copts = ClusterOptions {
-        rto_ms: parse_ms("rto-ms", "25")?,
-        pace_ms: parse_ms("pace-ms", "15")?,
-        tick_ms: parse_ms("tick-ms", "5")?.max(1),
-        max_wall_ms: parse_ms("max-wall-ms", "30000")?,
-        ..ClusterOptions::default()
+        rto_ms: num(opts, "rto-ms", defaults.rto_ms)?,
+        pace_ms: num(opts, "pace-ms", 15)?,
+        tick_ms: num(opts, "tick-ms", defaults.tick_ms)?.max(1),
+        max_wall_ms: num(opts, "max-wall-ms", defaults.max_wall_ms)?,
+        ..defaults
     };
     let emit_trace = opts.contains_key("emit-trace");
 
@@ -1040,35 +1014,25 @@ fn cmd_cluster(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
-    fn num<T: std::str::FromStr>(
-        opts: &HashMap<String, String>,
-        key: &str,
-        default: &str,
-    ) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        get(opts, key, default)
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))
-    }
+    let d = ftcolor::batch::ServiceConfig::default();
     let cfg = ftcolor::batch::ServiceConfig {
-        n: num(opts, "n", "5")?,
-        instances: num(opts, "instances", "1000")?,
-        rate: num(opts, "rate", "64")?,
-        seed: num(opts, "seed", "0")?,
+        n: num(opts, "n", d.n)?,
+        instances: num(opts, "instances", d.instances)?,
+        rate: num(opts, "rate", d.rate)?,
+        // The CLI's seeds all default to 0.
+        seed: num(opts, "seed", 0)?,
         sync: match get(opts, "sched", "random") {
             "sync" => true,
             "random" => false,
             other => return Err(format!("serve supports --sched sync|random, got `{other}`")),
         },
-        p: num(opts, "p", "0.5")?,
-        crash_prob: num(opts, "crash-prob", "0")?,
-        crash_horizon: num(opts, "crash-horizon", "8")?,
-        universe: num(opts, "universe", "64")?,
-        fuel: num(opts, "fuel", "100000")?,
-        quantum: num(opts, "quantum", "8")?,
-        jobs: parse_jobs(opts)?,
+        p: num(opts, "p", d.p)?,
+        crash_prob: num(opts, "crash-prob", d.crash_prob)?,
+        crash_horizon: num(opts, "crash-horizon", d.crash_horizon)?,
+        universe: num(opts, "universe", d.universe)?,
+        fuel: num(opts, "fuel", d.fuel)?,
+        quantum: num(opts, "quantum", d.quantum)?,
+        jobs: num(opts, "jobs", d.jobs)?,
     };
     if cfg.n < 3 {
         return Err("serve needs --n >= 3 (no smaller cycle exists)".into());
@@ -1094,6 +1058,9 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err("serve needs --quantum >= 1".into());
     }
     let format = get(opts, "format", "text");
+    if !matches!(format, "text" | "json") {
+        return Err(format!("unknown --format `{format}`"));
+    }
     let name = get(opts, "alg", "alg2p");
     with_ring_coloring!(name, alg => serve_with(alg, &cfg, format),
         else Err(unknown_ring_coloring(name)))
@@ -1253,5 +1220,68 @@ fn cluster_verdict(summaries: &[cluster::ClusterSummary]) -> Result<(), String> 
         Ok(())
     } else {
         Err(failures.join("; "))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The flags `FLAGS` lets `cmd` take, valued and standing alone.
+    fn row(cmd: &str) -> BTreeSet<&'static str> {
+        let r = FLAGS.iter().find(|r| r.0 == cmd).expect("a FLAGS row");
+        r.1.split_whitespace()
+            .chain(r.2.split_whitespace())
+            .collect()
+    }
+
+    /// The lines of the help section that opens with `head`.
+    fn section(head: &str) -> impl Iterator<Item = &'static str> {
+        let body = USAGE.split(head).nth(1).expect("a help section");
+        body.lines().take_while(|l| !l.is_empty())
+    }
+
+    #[test]
+    fn every_synopsis_lists_exactly_the_flags_its_subcommand_accepts() {
+        let mut synopses: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in section("USAGE:\n") {
+            if let Some(rest) = line.strip_prefix("  ftcolor ") {
+                synopses.push((rest.split_whitespace().next().unwrap(), BTreeSet::new()));
+            }
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flags = words.filter_map(|w| w.strip_prefix("--"));
+            synopses.last_mut().expect("a synopsis").1.extend(flags);
+        }
+        let commands = FLAGS.iter().map(|r| r.0);
+        let commands: Vec<_> = commands
+            .filter(|c| !["help", "--help", "-h"].contains(c))
+            .collect();
+        assert_eq!(synopses.iter().map(|s| s.0).collect::<Vec<_>>(), commands);
+        for (cmd, flags) in synopses {
+            assert_eq!(flags, row(cmd), "the `{cmd}` synopsis");
+        }
+    }
+
+    #[test]
+    fn the_flags_section_describes_every_accepted_flag_for_its_subcommands() {
+        let mut described = BTreeSet::new();
+        for entry in section("FLAGS:\n").filter_map(|l| l.strip_prefix("  --")) {
+            let mut words = entry.split_whitespace();
+            let flag = words.next().expect("a flag name");
+            described.insert(flag);
+            // A description opening with `sub/sub:` names every
+            // subcommand that takes the flag.
+            if let Some(names) = words.next().and_then(|w| w.strip_suffix(':')) {
+                let takers = FLAGS.iter().map(|r| r.0).filter(|c| row(c).contains(flag));
+                let takers: BTreeSet<_> = takers.collect();
+                assert_eq!(
+                    names.split('/').collect::<BTreeSet<_>>(),
+                    takers,
+                    "--{flag}"
+                );
+            }
+        }
+        assert_eq!(described, FLAGS.iter().flat_map(|r| row(r.0)).collect());
     }
 }

@@ -5,22 +5,20 @@
 //! verifies atomic-snapshot linearization on the cross-substrate
 //! conformance matrix.
 
+use ftcolor::analyze::linter::LintObserver;
 use ftcolor::analyze::{
     analyze_alg, analyze_all, check_events, lint_algorithm, race_matrix, render_json, ContractSpec,
-    Diagnostic, LintConfig, RuleId,
+    Diagnostic, RuleId,
 };
 use ftcolor::core::mutants::{
     NeighborWriter, NondetStepper, OutOfPalette, SoloDiverger, StateSmuggler, UnstableDecider,
 };
-use ftcolor::model::{inputs, ProcessId, Topology};
+use ftcolor::model::schedule::Synchronous;
+use ftcolor::model::{inputs, Execution, ProcessId, Topology};
 use ftcolor::net::trace::fnv1a;
 use ftcolor::runtime::{RtEvent, RtEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn cfg() -> LintConfig {
-    LintConfig::default()
-}
 
 fn rules_fired(diags: &[Diagnostic]) -> Vec<RuleId> {
     let mut rules: Vec<RuleId> = diags.iter().map(|d| d.rule).collect();
@@ -35,7 +33,7 @@ fn rules_fired(diags: &[Diagnostic]) -> Vec<RuleId> {
 
 #[test]
 fn all_shipped_algorithms_pass_the_full_rule_set() {
-    for report in analyze_all(&[5, 8], &cfg()) {
+    for report in analyze_all(&[5, 8]) {
         let bad: Vec<String> = report.unwaived().map(Diagnostic::render).collect();
         assert!(
             bad.is_empty(),
@@ -50,14 +48,14 @@ fn all_shipped_algorithms_pass_the_full_rule_set() {
 fn waivers_are_reported_not_silently_skipped() {
     // The two documented exemptions must still *fire* (marked waived):
     // silently skipping a waived rule would hide regressions behind it.
-    let cv = analyze_alg("cv", &[5], &cfg()).expect("cv is a registry name");
+    let cv = analyze_alg("cv", &[5]).expect("cv is a registry name");
     assert!(
         cv.diagnostics
             .iter()
             .any(|d| d.rule == RuleId::Wf && d.waived && d.waiver_reason.is_some()),
         "the Cole–Vishkin synchronizer's non-wait-freedom should be visible as a waived FTC-WF-006"
     );
-    let imp = analyze_alg("mis-impatient", &[5], &cfg()).expect("registry name");
+    let imp = analyze_alg("mis-impatient", &[5]).expect("registry name");
     assert!(
         imp.diagnostics
             .iter()
@@ -69,14 +67,14 @@ fn waivers_are_reported_not_silently_skipped() {
 
 #[test]
 fn linter_reports_are_deterministic() {
-    let a = analyze_all(&[5], &cfg());
-    let b = analyze_all(&[5], &cfg());
+    let a = analyze_all(&[5]);
+    let b = analyze_all(&[5]);
     for (ra, rb) in a.iter().zip(&b) {
         assert_eq!(ra.diagnostics, rb.diagnostics, "alg {}", ra.name);
     }
     // Pinned bytes: the JSON `ftcolor analyze --alg all` prints (the race
     // matrix adds nothing), so registry refactors cannot drift a spec.
-    let all: Vec<Diagnostic> = analyze_all(&[5, 8], &cfg())
+    let all: Vec<Diagnostic> = analyze_all(&[5, 8])
         .into_iter()
         .flat_map(|r| r.diagnostics)
         .collect();
@@ -101,9 +99,9 @@ where
 {
     let topo = Topology::cycle(5).expect("cycles need n >= 3 nodes");
     let spec = ContractSpec::new("mutant")
-        .palette(5, |&c: &u64| Some(c))
+        .palette(5, |&c: &u64| c)
         .solo_bound(4);
-    let diags = lint_algorithm(alg, &spec, &topo, &inputs::random_unique(5, 100, 1), &cfg());
+    let diags = lint_algorithm(alg, &spec, &topo, &inputs::random_unique(5, 100, 1));
     rules_fired(&diags)
 }
 
@@ -136,6 +134,32 @@ fn out_of_palette_fires_pal_only() {
 fn nondet_stepper_fires_det() {
     let rules = lint_mutant(&NondetStepper::new(42));
     assert!(rules.contains(&RuleId::Det), "got {rules:?}");
+}
+
+#[test]
+fn the_linter_keeps_the_first_four_findings_of_a_rule() {
+    // NondetStepper fires FTC-DET-005 at nearly every step. The battery
+    // opens with a synchronous run, so the findings of that run, taken
+    // alone and uncapped, are the first ones the linter emits.
+    let topo = Topology::cycle(5).expect("cycles need n >= 3 nodes");
+    let ids = inputs::random_unique(5, 100, 1);
+    let spec = ContractSpec::new("mutant")
+        .palette(5, |&c: &u64| c)
+        .solo_bound(4);
+    let det = |mut diags: Vec<Diagnostic>| {
+        diags.retain(|d| d.rule == RuleId::Det);
+        diags
+    };
+    let alg = NondetStepper::new(42);
+    let mut obs = LintObserver::new(&alg, &spec);
+    let mut exec = Execution::new(&alg, &topo, ids.clone());
+    exec.run_observed(Synchronous::new(), 5_000, &mut obs)
+        .expect("a synchronous run of the mutant ends");
+    let emitted = det(obs.finish());
+    assert!(emitted.len() > 4, "nothing to cap: {emitted:?}");
+
+    let kept = det(lint_algorithm(&NondetStepper::new(42), &spec, &topo, &ids));
+    assert_eq!(kept, emitted[..4]);
 }
 
 #[test]

@@ -8,8 +8,7 @@
 //! builds: CI runs `cargo test --release`, where they take seconds.
 
 use ftcolor::analyze::{
-    certify_algorithm, lint_algorithm, render_cert_json, CertifyConfig, ContractSpec, Diagnostic,
-    LintConfig, RuleId,
+    certify_algorithm, lint_algorithm, render_cert_json, ContractSpec, Diagnostic, RuleId,
 };
 use ftcolor::core::mutants::{
     NdState, NeighborWriter, NondetStepper, NwState, OpState, OutOfPalette, SdState, SlState,
@@ -18,10 +17,6 @@ use ftcolor::core::mutants::{
 };
 use ftcolor::model::{inputs, Algorithm, Projection, Topology, ViewDomain};
 use ftcolor::net::trace::fnv1a;
-
-fn cfg() -> CertifyConfig {
-    CertifyConfig::default()
-}
 
 fn rules_fired(diags: &[Diagnostic]) -> Vec<RuleId> {
     let mut rules: Vec<RuleId> = diags.iter().map(|d| d.rule).collect();
@@ -32,7 +27,7 @@ fn rules_fired(diags: &[Diagnostic]) -> Vec<RuleId> {
 
 /// The mutants' shared contract: 5-color palette, like `tests/analyze.rs`.
 fn mutant_spec() -> ContractSpec<u64> {
-    ContractSpec::new("mutant").palette(5, |&c: &u64| Some(c))
+    ContractSpec::new("mutant").palette(5, |&c: &u64| c)
 }
 
 /// Certifies a mutant over a hand-built domain and returns the fired
@@ -43,7 +38,7 @@ where
     A::State: Eq + std::hash::Hash,
     A::Reg: Eq + std::hash::Hash,
 {
-    let cert = certify_algorithm(alg, &mutant_spec(), domain, &cfg());
+    let cert = certify_algorithm(alg, &mutant_spec(), domain);
     rules_fired(&cert.diagnostics)
 }
 
@@ -57,15 +52,9 @@ where
 {
     let topo = Topology::cycle(5).expect("cycles need n >= 3 nodes");
     let spec = ContractSpec::new("mutant")
-        .palette(5, |&c: &u64| Some(c))
+        .palette(5, |&c: &u64| c)
         .solo_bound(4);
-    rules_fired(&lint_algorithm(
-        alg,
-        &spec,
-        &topo,
-        &ids,
-        &LintConfig::default(),
-    ))
+    rules_fired(&lint_algorithm(alg, &spec, &topo, &ids))
 }
 
 // ---------------------------------------------------------------------
@@ -144,6 +133,20 @@ fn nondet_stepper_fires_det_statically() {
 }
 
 #[test]
+fn the_certifier_keeps_four_findings_of_a_rule() {
+    // Every initial state adds transitions, and nearly every transition
+    // of NondetStepper fires FTC-DET-005.
+    let domain = (0..16).fold(ViewDomain::new(2), |d, x| {
+        d.init_state(NdState { x, rounds: 0 })
+    });
+    let domain = domain.neighbor_images(|_| vec![]);
+    let cert = certify_algorithm(&NondetStepper::new(42), &mutant_spec(), &domain);
+    assert!(cert.stats.transitions >= 16, "{:?}", cert.stats);
+    let det = cert.diagnostics.iter().filter(|d| d.rule == RuleId::Det);
+    assert_eq!(det.count(), 4);
+}
+
+#[test]
 fn solo_diverger_fires_term_statically() {
     // The identity image keeps awake-neighbor views in the lattice, so
     // the termination pass sees the frozen all-bottom world it stalls in.
@@ -216,7 +219,7 @@ const CHEAP: [&str; 8] = [
 #[test]
 fn cheap_registry_entries_certify_clean() {
     for name in CHEAP {
-        let report = certify_alg(name, 5, &cfg()).expect("registry name");
+        let report = certify_alg(name).expect("registry name");
         let bad: Vec<String> = report.unwaived().map(Diagnostic::render).collect();
         assert!(
             bad.is_empty(),
@@ -229,7 +232,7 @@ fn cheap_registry_entries_certify_clean() {
 #[test]
 fn certified_entries_carry_machine_checked_solo_bounds() {
     for (name, bound) in [("alg1", 2), ("alg2", 2), ("alg4", 2), ("renaming", 2)] {
-        let report = certify_alg(name, 5, &cfg()).expect("registry name");
+        let report = certify_alg(name).expect("registry name");
         assert_eq!(
             report.stats.solo_bound,
             Some(bound),
@@ -244,7 +247,7 @@ fn certified_entries_carry_machine_checked_solo_bounds() {
 fn waived_certify_findings_are_reported_not_silently_skipped() {
     // MIS solo starvation (Property 2.1) must be *visible* as a waived
     // FTC-TERM-007, not silently suppressed.
-    let mis = certify_alg("mis-localmax", 5, &cfg()).expect("registry name");
+    let mis = certify_alg("mis-localmax").expect("registry name");
     assert!(
         mis.diagnostics
             .iter()
@@ -254,7 +257,7 @@ fn waived_certify_findings_are_reported_not_silently_skipped() {
     assert_eq!(mis.stats.solo_bound, None, "livelocks yield no solo bound");
 
     // ImpatientMis additionally shows its E7 unpublished-verdict flaw.
-    let imp = certify_alg("mis-impatient", 5, &cfg()).expect("registry name");
+    let imp = certify_alg("mis-impatient").expect("registry name");
     assert!(
         imp.diagnostics
             .iter()
@@ -265,7 +268,7 @@ fn waived_certify_findings_are_reported_not_silently_skipped() {
     // Entries with no certifiable domain carry an explicit waived
     // FTC-DOM-008 instead of disappearing from the report.
     for name in ["cv", "decoupled-ring"] {
-        let report = certify_alg(name, 5, &cfg()).expect("registry name");
+        let report = certify_alg(name).expect("registry name");
         assert!(
             report
                 .diagnostics
@@ -283,7 +286,7 @@ fn cheap_certify_reports_are_byte_deterministic() {
     let reports = |names: &[&str]| {
         names
             .iter()
-            .map(|n| certify_alg(n, 5, &cfg()).expect("registry name"))
+            .map(|n| certify_alg(n).expect("registry name"))
             .collect::<Vec<_>>()
     };
     let a = render_cert_json(&reports(&["alg1", "mis-localmax", "cv"]));
@@ -301,7 +304,7 @@ fn cheap_certify_reports_are_byte_deterministic() {
 fn full_registry_certifies_clean_and_deterministically() {
     use ftcolor::analyze::{certify_all, SHIPPED};
 
-    let a = certify_all(5, &cfg());
+    let a = certify_all();
     for report in &a {
         let bad: Vec<String> = report.unwaived().map(Diagnostic::render).collect();
         assert!(
@@ -320,7 +323,7 @@ fn full_registry_certifies_clean_and_deterministically() {
     }
     assert_eq!(a.len(), SHIPPED.len(), "every registry entry is covered");
 
-    let b = certify_all(5, &cfg());
+    let b = certify_all();
     assert_eq!(
         render_cert_json(&a),
         render_cert_json(&b),
@@ -338,7 +341,7 @@ fn full_registry_certifies_clean_and_deterministically() {
 #[test]
 fn heavy_entries_certify_with_expected_solo_bounds() {
     for (name, bound) in [("alg2p", 3), ("alg3", 2), ("alg3p", 3)] {
-        let report = certify_alg(name, 5, &cfg()).expect("registry name");
+        let report = certify_alg(name).expect("registry name");
         assert!(report.clean(), "`{name}` has unwaived certify findings");
         assert_eq!(
             report.stats.solo_bound,

@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
-use ftcolor::analyze::{certify_algorithm, Certification, CertifyConfig, ContractSpec};
+use ftcolor::analyze::{certify_algorithm, Certification, ContractSpec};
 use ftcolor::core::domains;
 use ftcolor::model::{inputs, ViewDomain};
 use ftcolor::prelude::*;
@@ -89,16 +89,9 @@ where
 fn cert_alg1() -> &'static Certification<SixColoring> {
     static CERT: OnceLock<Certification<SixColoring>> = OnceLock::new();
     CERT.get_or_init(|| {
-        let spec = ContractSpec::new("alg1")
-            .palette(PairColor::palette_size(2), |c: &PairColor| {
-                Some(c.flat_index())
-            });
-        let cert = certify_algorithm(
-            &SixColoring,
-            &spec,
-            &domains::pair_domain(),
-            &CertifyConfig::default(),
-        );
+        let spec =
+            ContractSpec::new("alg1").palette(PairColor::palette_size(2), PairColor::flat_index);
+        let cert = certify_algorithm(&SixColoring, &spec, &domains::pair_domain());
         assert!(!cert.stats.truncated, "soundness needs the full fixpoint");
         cert
     })
@@ -107,12 +100,11 @@ fn cert_alg1() -> &'static Certification<SixColoring> {
 fn cert_alg2p() -> &'static Certification<FiveColoringPatched> {
     static CERT: OnceLock<Certification<FiveColoringPatched>> = OnceLock::new();
     CERT.get_or_init(|| {
-        let spec = ContractSpec::new("alg2p").palette(5, |&c: &u64| Some(c));
+        let spec = ContractSpec::new("alg2p").palette(5, |&c: &u64| c);
         let cert = certify_algorithm(
             &FiveColoringPatched,
             &spec,
             &domains::five_coloring_patched_domain(5),
-            &CertifyConfig::default(),
         );
         assert!(!cert.stats.truncated, "soundness needs the full fixpoint");
         cert
@@ -123,12 +115,11 @@ fn cert_alg2p() -> &'static Certification<FiveColoringPatched> {
 fn cert_alg3p() -> &'static Certification<FastFiveColoringPatched> {
     static CERT: OnceLock<Certification<FastFiveColoringPatched>> = OnceLock::new();
     CERT.get_or_init(|| {
-        let spec = ContractSpec::new("alg3p").palette(5, |&c: &u64| Some(c));
+        let spec = ContractSpec::new("alg3p").palette(5, |&c: &u64| c);
         let cert = certify_algorithm(
             &FastFiveColoringPatched,
             &spec,
             &domains::fast_five_patched_domain(5, 2),
-            &CertifyConfig::default(),
         );
         assert!(!cert.stats.truncated, "soundness needs the full fixpoint");
         cert

@@ -210,6 +210,7 @@ fn retired_flags_are_rejected() {
         (["cluster"].as_slice(), "--codec", "binary"),
         (["node"].as_slice(), "--codec", "json"),
         (["netsim"].as_slice(), "--codec", "binary"),
+        (["certify"].as_slice(), "--domain-colors", "5"),
     ] {
         let (stdout, stderr, ok) = run(&[cmd, &[flag, value]].concat());
         assert!(!ok, "{} {flag} must be refused: {stdout}", cmd[0]);
@@ -237,6 +238,19 @@ fn misspelled_flags_are_rejected() {
     let (_, stderr, ok) = run(&["color", "--symmetry"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag --symmetry"), "{stderr}");
+}
+
+#[test]
+fn unknown_formats_are_rejected() {
+    for cmd in "modelcheck analyze certify netsim serve cluster".split_whitespace() {
+        let mut args = vec![cmd, "--alg", "alg1", "--format", "xml"];
+        if cmd == "modelcheck" {
+            args.extend(["--ids", "0,1,2"]);
+        }
+        let (stdout, stderr, ok) = run(&args);
+        assert!(!ok, "{cmd} --format xml must be refused: {stdout}");
+        assert!(stderr.contains("unknown --format `xml`"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]
