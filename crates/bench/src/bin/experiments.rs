@@ -3,12 +3,7 @@
 //! ```text
 //! cargo run -p ftcolor-bench --release --bin experiments            # full sweep
 //! cargo run -p ftcolor-bench --release --bin experiments -- quick  # CI-sized
-//! cargo run -p ftcolor-bench --release --bin experiments -- jobs=8 # parallel E6/E7
 //! ```
-//!
-//! `jobs=N` sets the model-checker worker-thread count for E6/E7
-//! (`jobs=0` = all CPUs, default 1); the tables are identical for every
-//! value, only wall-clock changes.
 //!
 //! Prints each E1–E10 table to stdout and writes machine-readable rows
 //! to `experiments.json` in the current directory. The quick sweep's
@@ -41,9 +36,6 @@ struct AllResults {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
-    let jobs: usize = std::env::args()
-        .find_map(|a| a.strip_prefix("jobs=").map(str::to_string))
-        .map_or(1, |v| v.parse().expect("jobs=N needs a number"));
     let t0 = Instant::now();
     let section = |name: &str| println!("\n===== {name} ({:.1?} elapsed) =====", t0.elapsed());
 
@@ -101,11 +93,11 @@ fn main() {
     }
 
     section("E6 (exhaustive model checking)");
-    let e6 = e6_modelcheck::run(if quick { 400_000 } else { 5_000_000 }, jobs);
+    let e6 = e6_modelcheck::run(if quick { 400_000 } else { 5_000_000 });
     print!("{}", e6_modelcheck::table(&e6));
 
     section("E7 (MIS impossibility)");
-    let e7 = e7_mis_impossible::run(jobs);
+    let e7 = e7_mis_impossible::run();
     let e7s = e7_mis_impossible::run_ssb();
     print!("{}", e7_mis_impossible::table(&e7, &e7s));
 

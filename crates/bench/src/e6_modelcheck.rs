@@ -102,12 +102,8 @@ fn row_from<O: std::fmt::Debug>(
     }
 }
 
-/// Runs the exhaustive explorations. `max_configs` caps each instance;
-/// `jobs` is the worker-thread count (`0` = all CPUs). The checker's
-/// outcome is bit-identical at every worker count, so every cell of the
-/// E6 table is independent of `jobs` (`tests/parallel_equivalence.rs`
-/// checks the engine at 1, 2 and 8 workers).
-pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
+/// Runs the exhaustive explorations. `max_configs` caps each instance.
+pub fn run(max_configs: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     let instances: Vec<(String, Vec<u64>)> = vec![
         ("C3 ids=[0,1,2]".into(), vec![0, 1, 2]),
@@ -122,7 +118,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         for symmetry in [false, true] {
             let mc = ModelChecker::new(&SixColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry);
             let o = mc
                 .explore(|topo, outputs| {
@@ -151,7 +146,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
             // it did through its stats, rather than returning silently.
             let (w, _dp_stats) = ModelChecker::new(&SixColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry)
                 .exact_worst_case_with_stats()
                 .unwrap();
@@ -160,7 +154,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
 
             let mc = ModelChecker::new(&FiveColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry);
             let o = mc.explore(ring_safety(&FiveColoring)).unwrap();
             rows.push(row_from(
@@ -175,7 +168,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
 
             let mc = ModelChecker::new(&FastFiveColoring, &topo, ids.clone())
                 .with_max_configs(max_configs)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry);
             let o = mc.explore(ring_safety(&FastFiveColoring)).unwrap();
             rows.push(row_from(
@@ -196,7 +188,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
             let patched_cap = max_configs.min(400_000);
             let mc = ModelChecker::new(&FiveColoringPatched, &topo, ids.clone())
                 .with_max_configs(patched_cap)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry);
             let o = mc.explore(ring_safety(&FiveColoringPatched)).unwrap();
             rows.push(row_from(
@@ -227,7 +218,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         for symmetry in [false, true] {
             let mc = ModelChecker::new(&FiveColoring, &topo, ids.clone())
                 .with_max_configs(cap)
-                .with_jobs(jobs)
                 .with_symmetry(symmetry);
             let o = mc.explore(ring_safety(&FiveColoring)).unwrap();
             rows.push(row_from(
@@ -254,7 +244,6 @@ pub fn run(max_configs: usize, jobs: usize) -> Vec<Row> {
         ($alg:expr, $name:expr, $cap:expr, $symmetry:expr) => {{
             let o = ModelChecker::new($alg, &por_topo, por_ids.clone())
                 .with_max_configs($cap)
-                .with_jobs(jobs)
                 .with_symmetry($symmetry)
                 .with_por(true)
                 .explore(ring_safety($alg))
@@ -364,7 +353,7 @@ mod tests {
     fn exhaustive_small_instances() {
         // A small cap keeps the debug-mode test fast; the experiments
         // binary runs the same sweep at the real (quick/full) caps.
-        let rows = run(60_000, 0);
+        let rows = run(60_000);
         for r in &rows {
             assert!(r.safety_ok, "safety must hold everywhere: {r:?}");
         }
@@ -430,9 +419,9 @@ mod tests {
     }
 
     /// `(algorithm, instance, symmetry, por) → configs` for every row
-    /// of the quick sweep (`run(400_000, _)`), in row order. The
-    /// checker is deterministic at every worker count, so any drift is
-    /// a semantic change to the exploration, not noise.
+    /// of the quick sweep (`run(400_000)`), in row order. The
+    /// checker is deterministic, so any drift is a semantic change to
+    /// the exploration, not noise.
     #[rustfmt::skip]
     const QUICK_CONFIGS: &[(&str, &str, bool, bool, usize)] = &[
         ("Alg1 (6-coloring)", "C3 ids=[0,1,2]", false, false, 116),
@@ -493,7 +482,7 @@ mod tests {
         ignore = "minutes unoptimized; runs under `cargo test --release`"
     )]
     fn quick_sweep_counts_are_pinned() {
-        let rows = run(400_000, 1);
+        let rows = run(400_000);
         let actual: Vec<_> = rows
             .iter()
             .map(|r| {

@@ -31,17 +31,15 @@ pub struct Row {
     pub fails: bool,
 }
 
-fn check<A>(candidate: &'static str, alg: &A, ids: Vec<u64>, jobs: usize) -> Row
+fn check<A>(candidate: &'static str, alg: &A, ids: Vec<u64>) -> Row
 where
-    A: Algorithm<Input = u64, Output = MisOutput> + Sync,
-    A::State: Eq + std::hash::Hash + Send + Sync,
-    A::Reg: Eq + std::hash::Hash + Send + Sync,
+    A: Algorithm<Input = u64, Output = MisOutput>,
+    A::State: Eq + std::hash::Hash,
+    A::Reg: Eq + std::hash::Hash,
 {
     let topo = Topology::cycle(ids.len()).unwrap();
     let label = format!("C{} ids={ids:?}", ids.len());
-    let mc = ModelChecker::new(alg, &topo, ids)
-        .with_max_configs(2_000_000)
-        .with_jobs(jobs);
+    let mc = ModelChecker::new(alg, &topo, ids).with_max_configs(2_000_000);
     let o = mc.explore(mis_violation).unwrap();
     Row {
         candidate,
@@ -53,15 +51,13 @@ where
     }
 }
 
-/// Model-checks all three candidates on C3 and C4 with `jobs` worker
-/// threads (`0` = all CPUs); the verdicts are identical for every
-/// thread count.
-pub fn run(jobs: usize) -> Vec<Row> {
+/// Model-checks all three candidates on C3 and C4.
+pub fn run() -> Vec<Row> {
     let mut rows = Vec::new();
     for ids in [vec![1u64, 2, 3], vec![2, 7, 4, 9]] {
-        rows.push(check("LocalMaxMis", &LocalMaxMis, ids.clone(), jobs));
-        rows.push(check("EagerMis", &EagerMis, ids.clone(), jobs));
-        rows.push(check("ImpatientMis", &ImpatientMis, ids, jobs));
+        rows.push(check("LocalMaxMis", &LocalMaxMis, ids.clone()));
+        rows.push(check("EagerMis", &EagerMis, ids.clone()));
+        rows.push(check("ImpatientMis", &ImpatientMis, ids));
     }
     rows
 }
@@ -168,7 +164,7 @@ mod tests {
 
     #[test]
     fn every_candidate_fails() {
-        let rows = run(0);
+        let rows = run();
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.fails, "Property 2.1 predicts failure: {r:?}");

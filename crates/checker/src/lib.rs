@@ -14,8 +14,8 @@
 //!   subsets at every step, hence also every crash pattern, since a crash
 //!   is just "no further activations"), checks a safety predicate at
 //!   every configuration, and detects livelocks as cycles in the
-//!   configuration graph. One level-synchronized engine serves every
-//!   worker count with bit-identical outcomes;
+//!   configuration graph, by one sequential BFS whose outcome is a pure
+//!   function of the instance;
 //! * [`por`] — certified partial-order reduction for the explorers:
 //!   connected-activation-set decomposition (exact) plus the
 //!   canonical-component staircase (verdict-preserving under a solo-
@@ -55,7 +55,9 @@ pub use invariants::{check_coloring_report, ColoringCheck};
 pub use modelcheck::{
     LivelockWitness, ModelCheckError, ModelCheckOutcome, ModelChecker, SafetyViolation,
 };
-/// The former name of the multi-threaded checker, which is now [`ModelChecker`].
+/// The former name of the multi-threaded checker, which is now the
+/// sequential [`ModelChecker`]. Kept only because the benchmark crate
+/// under `perfbench/` still names it.
 pub type ParallelModelChecker<'a, A> = ModelChecker<'a, A>;
 pub use shrink::{ShrinkStats, Shrinker, ShrunkLivelock, ShrunkSchedule, Witness, WitnessFixture};
 pub use stats::{ExploreStats, Summary, VisitedBytes};

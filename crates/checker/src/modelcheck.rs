@@ -22,55 +22,38 @@
 //!   [`LivelockWitness`] (reach the cycle, then loop its activation sets
 //!   forever).
 //!
-//! # One engine, any worker count
+//! # The search
 //!
-//! There is a single exploration engine: a **level-synchronized BFS**
-//! whose outcome is a pure function of the instance. `jobs = 1` (the
-//! default) is the sequential case; any other worker count produces the
-//! bit-identical outcome — same [`SafetyViolation`], same
-//! [`LivelockWitness`], same `outputs_seen` order, same
-//! `exact_worst_case` — so a counterexample or a bound computed at
-//! `--jobs 8` is exactly the one a single worker would print. Each BFS
-//! level is a contiguous range of node ids, processed in chunks of
-//! [`EXPAND_CHUNK`] ids in ascending order; each chunk runs in two
-//! phases:
+//! The exploration is a sequential **BFS** whose outcome is a pure
+//! function of the instance. The node arena is the queue: node ids are
+//! assigned in discovery order and walked in ascending order until the
+//! walk reaches the arena's end. At each node the checker
 //!
-//! 1. **Expand (parallel).** Workers claim sub-chunks of the chunk
-//!    from one shared cursor ([`sweep::for_each_chunk`]).
-//!    Each worker reads outputs and the working set straight off a
-//!    node's packed row in the node arena and computes the safety
-//!    predicate, the terminal check, and one successor per activation
-//!    subset — stepped on the packed row itself, with the entry lane
-//!    the worker fills once per node, into a per-worker scratch row by
-//!    the codec's memoized successor kernel ([`ConfigCodec::step_into`],
-//!    see [`ftcolor_model::encode`]), with no [`Execution`] involved —
-//!    and looks each successor up in the
-//!    arena's index. A successor already there is recorded by id; only
-//!    a new one is copied out of the scratch row. The arena is *frozen*
-//!    during this phase, so reads race with nothing, and no successor
-//!    allocates.
-//! 2. **Merge (sequential, canonical order).** Results are folded in
-//!    ascending node-id order: first-seen output collection,
-//!    lowest-id-wins safety violation (the lexicographically smallest
-//!    counterexample — BFS parent chains order witnesses by (length,
-//!    discovery order)), terminal counting, the configuration-cap check,
-//!    new-id assignment in (parent, subset) order, and the
-//!    dedup-statistics counters. Duplicates discovered concurrently
-//!    within one chunk are resolved here, deterministically, never by
-//!    race outcome: a successor that an earlier chunk already merged
-//!    resolves to the id the merge's own arena lookup would find.
+//! 1. reads the outputs and the working set straight off the node's
+//!    packed row, collects first-seen outputs, and runs the safety
+//!    predicate — the first violation is the one at the lowest id, i.e.
+//!    the lexicographically smallest counterexample, since BFS parent
+//!    chains order witnesses by (length, discovery order);
+//! 2. counts the node as terminal if every process has returned, or as
+//!    truncated if the arena already holds the configuration cap;
+//! 3. otherwise fills the node's entry lane once and steps every
+//!    activation subset in ascending bitmask order on the packed row
+//!    itself, by the codec's memoized successor kernel
+//!    ([`ConfigCodec::step_into`], see [`ftcolor_model::encode`]), with
+//!    no [`Execution`] involved. Each successor is inserted into the
+//!    arena at once: a new row takes the next id and a parent link, a
+//!    known one counts as a dedup hit, and either way the edge is
+//!    recorded. No successor allocates.
 //!
-//! Whether a chunk expands at all is decided anew before each chunk, so
-//! once the configuration cap is reached at most one chunk's successors
-//! are computed and then dropped. A node that starts expanding below
-//! the cap still adds all of its successors, so a truncated run may
-//! hold more than `cap` configurations, by less than the largest
-//! branching (`2^|working| − 1`).
+//! So ids are assigned in (parent id, subset) order, and the cap is
+//! checked once per node against the arena's size. A node that starts
+//! expanding below the cap still adds all of its successors, so a
+//! truncated run may hold more than `cap` configurations, by less than
+//! the largest branching (`2^|working| − 1`).
 //!
 //! Cycle detection and the worst-case DP then run on the resulting edge
-//! list. `tests/parallel_equivalence.rs` checks the engine at several
-//! worker counts against an independent clone-per-successor reference
-//! BFS over [`Execution`].
+//! list. `tests/parallel_equivalence.rs` checks the engine against an
+//! independent clone-per-successor reference BFS over [`Execution`].
 //!
 //! # Compact storage
 //!
@@ -98,8 +81,7 @@
 //! [`crate::symmetry`] for the soundness contract and the witness
 //! de-canonicalization that keeps every surfaced schedule concretely
 //! replayable on the original instance. Orbit representatives are
-//! elected by run-independent value hashes, so reduced runs are
-//! worker-count independent too.
+//! elected by run-independent value hashes.
 //!
 //! With [`ModelChecker::with_por`] the checker applies certified
 //! **partial-order reduction** (see [`crate::por`]): activation subsets
@@ -109,11 +91,10 @@
 //! cross-examined by a dynamic commutation probe before exploration
 //! starts. The reduced family is a pure function of the source
 //! configuration, enumerated in the same ascending-mask order as the
-//! full family; it depends on the working set alone, so each worker
-//! memoizes it per working set. POR composes with symmetry: reduction
-//! happens on the canonical representative's working set, and since
-//! every reduced edge is a real edge, witness de-canonicalization is
-//! unchanged.
+//! full family; it depends on the working set alone, so it is memoized
+//! per working set. POR composes with symmetry: reduction happens on
+//! the canonical representative's working set, and since every reduced
+//! edge is a real edge, witness de-canonicalization is unchanged.
 //!
 //! Experiment E6 runs this on `C3`/`C4` for Algorithms 1–3 (finding the
 //! crash-livelock of Algorithms 2/3 automatically, and verifying
@@ -124,13 +105,11 @@ use crate::stats::{ExploreStats, VisitedBytes};
 use crate::symmetry::{CycleSymmetry, SIGMA_ID};
 use ftcolor_model::encode::{ConfigCodec, LanedRow, SLOTS_PER_PROC};
 use ftcolor_model::schedule::ActivationSet;
-use ftcolor_model::sweep;
 use ftcolor_model::{Algorithm, Execution, ProcessId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
-use std::ops::Range;
 use std::time::Instant;
 
 /// A safety violation found at a reachable configuration.
@@ -158,10 +137,9 @@ pub struct LivelockWitness {
 /// Result of an exhaustive exploration.
 ///
 /// Implements `PartialEq` so differential harnesses can assert that two
-/// explorations (e.g. at different worker counts) produced *identical*
-/// results, field for field. The [`stats`](Self::stats) field carries
-/// wall-clock-dependent performance counters and is deliberately
-/// **excluded** from equality.
+/// explorations produced *identical* results, field for field. The
+/// [`stats`](Self::stats) field carries wall-clock-dependent performance
+/// counters and is deliberately **excluded** from equality.
 #[derive(Debug, Clone)]
 pub struct ModelCheckOutcome<O> {
     /// Number of distinct reachable configurations.
@@ -176,7 +154,7 @@ pub struct ModelCheckOutcome<O> {
     pub livelock: Option<LivelockWitness>,
     /// Every distinct output value observed across all configurations,
     /// in first-seen BFS order (deterministic: exploration order is a
-    /// pure function of the instance, never of hashing or thread count).
+    /// pure function of the instance, never of hashing).
     pub outputs_seen: Vec<O>,
     /// Whether exploration was truncated by the configuration cap (all
     /// reported facts still hold for the explored subgraph).
@@ -235,10 +213,6 @@ impl<O: fmt::Debug> fmt::Display for ModelCheckOutcome<O> {
 /// };
 /// let outcome = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30]).explore(safety)?;
 /// assert!(outcome.clean(), "{outcome}");
-/// let four = ModelChecker::new(&SixColoring, &topo, vec![10, 20, 30])
-///     .with_jobs(4)
-///     .explore(safety)?;
-/// assert_eq!(outcome, four); // bit-identical, whatever the worker count
 /// # Ok(())
 /// # }
 /// ```
@@ -247,7 +221,6 @@ pub struct ModelChecker<'a, A: Algorithm> {
     topo: &'a Topology,
     inputs: Vec<A::Input>,
     max_configs: usize,
-    jobs: usize,
     symmetry: bool,
     por: bool,
 }
@@ -353,8 +326,8 @@ struct Edge {
 }
 
 /// The configuration graph's transitions in compressed sparse rows:
-/// node `u`'s out-edges are `edges[first[u]..first[u + 1]]`. Nodes merge
-/// in ascending id order, so each node's edges are appended
+/// node `u`'s out-edges are `edges[first[u]..first[u + 1]]`. Nodes
+/// expand in ascending id order, so each node's edges are appended
 /// contiguously.
 struct Csr {
     first: Vec<u32>,
@@ -668,12 +641,6 @@ fn worst_case_from_graph(
     Some(answer)
 }
 
-/// Frontier node ids expanded per chunk. Each chunk's expansion is
-/// merged before the next one starts, so a capped run computes at most
-/// one chunk's successors past the cap; the outcome does not depend on
-/// this value.
-pub const EXPAND_CHUNK: usize = 512;
-
 /// An empty slot of [`NodeArena`]'s index.
 const VACANT: u32 = u32::MAX;
 
@@ -725,27 +692,24 @@ impl NodeArena {
         }
     }
 
-    /// The id of the node packed as `row`, if present.
-    fn get(&self, row: &[u32], hash: u64) -> Option<u32> {
-        self.probe(row, hash).ok()
-    }
-
     /// The id of the node packed as `row`, appending it as the next node
-    /// when absent; the flag is `true` when it was appended.
+    /// when absent; the flag is `true` when it was appended. The index
+    /// grows only on an append, so a lookup that finds its row never
+    /// changes the arena's capacity.
     fn insert(&mut self, row: &[u32], hash: u64) -> (u32, bool) {
-        if 2 * (self.len() + 1) > self.index.len() {
-            self.grow();
-        }
-        match self.probe(row, hash) {
-            Ok(id) => (id, false),
-            Err(slot) => {
-                let id = node_id32(self.len());
-                self.index[slot] = id;
-                self.rows.extend_from_slice(row);
-                self.hashes.push(hash);
-                (id, true)
+        let slot = match self.probe(row, hash) {
+            Ok(id) => return (id, false),
+            Err(slot) if 2 * (self.len() + 1) <= self.index.len() => slot,
+            Err(_) => {
+                self.grow();
+                self.probe(row, hash).expect_err("a new row")
             }
-        }
+        };
+        let id = node_id32(self.len());
+        self.index[slot] = id;
+        self.rows.extend_from_slice(row);
+        self.hashes.push(hash);
+        (id, true)
     }
 
     /// Doubles the index, re-placing every id by its stored hash.
@@ -772,201 +736,7 @@ impl NodeArena {
     }
 }
 
-/// Where one successor lands: a node the arena already held when the
-/// chunk began, or the `n`-th row of the expanding worker's fresh
-/// buffer, for the merge to resolve against same-chunk duplicates.
-#[derive(Clone, Copy)]
-enum Target {
-    Known(u32),
-    Fresh(u32),
-}
-
-/// One successor computed during the expand phase: the activation-subset
-/// bitmask taken (over the source configuration's ascending working
-/// list), the canonicalizing automorphism, and the target.
-struct Child {
-    mask: u32,
-    sig: u16,
-    target: Target,
-}
-
-/// Everything the merge phase needs about one expanded node.
-struct Expanded {
-    /// The node's id.
-    node: u32,
-    /// Safety-predicate result at this configuration.
-    violation: Option<String>,
-    /// Every process has returned: no successors.
-    terminal: bool,
-    /// Activation subsets POR pruned at this node (`0` outside `--por`).
-    /// Credited by the merge phase only when the node actually expands,
-    /// so capped nodes don't count.
-    pruned: u64,
-    /// The node's successors in the worker's `children`, in
-    /// activation-subset (mask) order; empty when terminal or when the
-    /// chunk did not expand (cap already reached).
-    children: Range<u32>,
-}
-
-/// One worker's expansion buffers. They are cleared, not freed, between
-/// chunks, so once they have grown the expand phase allocates nothing.
-struct Worker<O> {
-    expanded: Vec<Expanded>,
-    children: Vec<Child>,
-    /// Rows of successors the arena did not hold, back to back.
-    fresh_rows: Vec<u32>,
-    fresh_hashes: Vec<u64>,
-    /// The node being expanded with its entry lane, the stepped
-    /// successor, and the successor's canonical image.
-    parent: LanedRow,
-    step: LanedRow,
-    canon: Vec<u32>,
-    /// This worker's copy of the POR context, whose mask memo it fills.
-    por: Option<PorContext>,
-    /// Every nonempty subset mask of the largest working set met so
-    /// far, ascending: the unreduced family of any working set is a
-    /// prefix of it.
-    every: Vec<u32>,
-    /// Scratch for the node's outputs (the safety predicate's input) and
-    /// working list.
-    outputs: Vec<Option<O>>,
-    working: Vec<ProcessId>,
-}
-
-impl<O> Worker<O> {
-    /// Buffers for `n` processes; `relabel` makes the lanes carry view
-    /// swaps (symmetry reduction).
-    fn new(n: usize, relabel: bool, por: Option<PorContext>) -> Self {
-        Worker {
-            expanded: Vec::new(),
-            children: Vec::new(),
-            fresh_rows: Vec::new(),
-            fresh_hashes: Vec::new(),
-            parent: LanedRow::new(n, relabel),
-            step: LanedRow::new(n, relabel),
-            canon: vec![0; n * SLOTS_PER_PROC],
-            por,
-            every: Vec::new(),
-            outputs: Vec::new(),
-            working: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.expanded.clear();
-        self.children.clear();
-        self.fresh_rows.clear();
-        self.fresh_hashes.clear();
-    }
-}
-
-/// What every worker reads while expanding one chunk; the arena is
-/// frozen until the chunk's merge.
-struct Expander<'c, A: Algorithm, S> {
-    alg: &'c A,
-    topo: &'c Topology,
-    codec: &'c ConfigCodec<A>,
-    sym: Option<&'c CycleSymmetry>,
-    safety: &'c S,
-    arena: &'c NodeArena,
-    /// Whether nodes of this chunk branch at all (the cap not yet
-    /// reached when the chunk began).
-    expand: bool,
-}
-
-impl<A, S> Expander<'_, A, S>
-where
-    A: Algorithm,
-    A::State: Eq + Hash,
-    A::Reg: Eq + Hash,
-    A::Output: Eq + Hash,
-    S: Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
-{
-    /// Expands node `id` into `w`'s buffers.
-    fn expand(&self, w: &mut Worker<A::Output>, id: usize) {
-        let Worker {
-            expanded,
-            children,
-            fresh_rows,
-            fresh_hashes,
-            parent,
-            step,
-            canon,
-            por,
-            every,
-            outputs,
-            working,
-        } = w;
-        let row = self.arena.row(id);
-        self.codec.outputs_into(row, outputs);
-        // The predicate is pure, so evaluating it at configurations
-        // after the first violation changes nothing observable.
-        let violation = (self.safety)(self.topo, outputs);
-        working.clear();
-        working.extend(
-            outputs
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.is_none())
-                .map(|(i, _)| ProcessId(i)),
-        );
-        let terminal = working.is_empty();
-        let first = children.len();
-        let mut pruned = 0u64;
-        if !terminal && self.expand {
-            let k = working.len();
-            assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
-            self.codec
-                .entries_into(self.alg, row, self.arena.hashes[id], parent);
-            let full = (1u32 << k) - 1;
-            let masks: &[u32] = match por {
-                Some(p) => p.masks(working),
-                None => {
-                    if every.len() < full as usize {
-                        every.extend(every.len() as u32 + 1..=full);
-                    }
-                    &every[..full as usize]
-                }
-            };
-            let mut active = [ProcessId(0); MAX_WORKING];
-            for &mask in masks {
-                let mut len = 0;
-                for (i, &p) in working.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        active[len] = p;
-                        len += 1;
-                    }
-                }
-                self.codec
-                    .step_into(self.alg, self.topo, parent, &active[..len], step);
-                let (succ, h, sig) = match self.sym.and_then(|s| s.canonicalize_into(step, canon)) {
-                    Some((h, sig)) => (&canon[..], h, sig),
-                    None => (step.row(), step.hash(), SIGMA_ID),
-                };
-                let target = match self.arena.get(succ, h) {
-                    Some(to) => Target::Known(to),
-                    None => {
-                        let n = node_id32(fresh_hashes.len());
-                        fresh_rows.extend_from_slice(succ);
-                        fresh_hashes.push(h);
-                        Target::Fresh(n)
-                    }
-                };
-                children.push(Child { mask, sig, target });
-            }
-            pruned = u64::from(full) - masks.len() as u64;
-        }
-        expanded.push(Expanded {
-            node: node_id32(id),
-            violation,
-            terminal,
-            pruned,
-            children: node_id32(first)..node_id32(children.len()),
-        });
-    }
-}
-
-/// Fully merged exploration result; shared by `explore` and
+/// Full exploration result; shared by `explore` and
 /// `exact_worst_case`.
 struct GraphResult<O> {
     /// Every node's packed row, indexed by id — the decode arena for
@@ -985,22 +755,20 @@ struct GraphResult<O> {
     root_sig: u16,
 }
 
-impl<'a, A: Algorithm + Sync> ModelChecker<'a, A>
+impl<'a, A: Algorithm> ModelChecker<'a, A>
 where
-    A::State: Eq + Hash + Send + Sync,
-    A::Reg: Eq + Hash + Send + Sync,
-    A::Output: Eq + Hash + Send + Sync,
-    A::Input: Clone + Sync,
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash,
+    A::Input: Clone,
 {
-    /// Creates a checker with the default configuration cap (2,000,000)
-    /// and one worker.
+    /// Creates a checker with the default configuration cap (2,000,000).
     pub fn new(alg: &'a A, topo: &'a Topology, inputs: Vec<A::Input>) -> Self {
         ModelChecker {
             alg,
             topo,
             inputs,
             max_configs: 2_000_000,
-            jobs: 1,
             symmetry: false,
             por: false,
         }
@@ -1018,17 +786,10 @@ where
         self
     }
 
-    /// Sets the worker count; `0` means one worker per available CPU.
-    /// The outcome is identical for every value — only wall-clock
-    /// changes.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = sweep::resolve_jobs(jobs);
+    /// Does nothing: exploration runs on the calling thread. Kept only
+    /// because the benchmark crate under `perfbench/` still calls it.
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
-    }
-
-    /// The worker count this checker will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Enables **symmetry reduction**: configurations are canonicalized
@@ -1088,7 +849,7 @@ where
     /// without a (dynamically validated) certificate.
     pub fn explore(
         &self,
-        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
+        safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
     ) -> Result<ModelCheckOutcome<A::Output>, ModelCheckError> {
         let g = self.explore_graph(&safety, true, self.por)?;
         let mut working_of = |id: usize| ConfigCodec::<A>::working(g.arena.row(id));
@@ -1175,12 +936,11 @@ where
         Ok((w, g.stats))
     }
 
-    /// Level-synchronized BFS, chunk by chunk: parallel expand,
-    /// canonical sequential merge. See the module docs for why the
-    /// outcome is independent of the worker count.
+    /// The BFS: the node arena is the queue, walked in ascending id
+    /// order. See the module docs.
     fn explore_graph(
         &self,
-        safety: &(impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync),
+        safety: &impl Fn(&Topology, &[Option<A::Output>]) -> Option<String>,
         track_outputs: bool,
         use_por: bool,
     ) -> Result<GraphResult<A::Output>, ModelCheckError> {
@@ -1200,7 +960,7 @@ where
         } else {
             None
         };
-        let por = if use_por {
+        let mut por = if use_por {
             Some(por_gate(self.alg, self.topo, &self.inputs)?)
         } else {
             None
@@ -1211,8 +971,7 @@ where
             Some(s) => s.canonicalize(&codec, self.alg, true, &root),
             None => (root, SIGMA_ID),
         };
-        let width = root.packed.len();
-        let mut arena = NodeArena::new(width);
+        let mut arena = NodeArena::new(root.packed.len());
         arena.insert(&root.packed, root.hash);
 
         let mut graph = Csr {
@@ -1231,102 +990,103 @@ where
         let mut seen: Vec<bool> = Vec::new();
         let (mut dedup_hits, mut dedup_lookups, mut por_pruned) = (0u64, 0u64, 0u64);
         let n = self.topo.len();
-        let mut workers: Vec<Worker<A::Output>> = (0..self.jobs)
-            .map(|_| Worker::new(n, sym.is_some(), por.clone()))
-            .collect();
-        // (worker, index into its `expanded`) of each node of a chunk.
-        let mut placed: Vec<(usize, usize)> = Vec::new();
+        // The node being expanded with its entry lane, the stepped
+        // successor, and the successor's canonical image.
+        let mut parent = LanedRow::new(n, sym.is_some());
+        let mut step = LanedRow::new(n, sym.is_some());
+        let mut canon = vec![0; n * SLOTS_PER_PROC];
+        // Every nonempty subset mask of the largest working set met so
+        // far, ascending: the unreduced family of any working set is a
+        // prefix of it.
+        let mut every: Vec<u32> = Vec::new();
+        let mut outputs = Vec::new();
+        let mut working = Vec::new();
+        let mut active = [ProcessId(0); MAX_WORKING];
 
-        let mut level = 0..1;
-        while !level.is_empty() {
-            let mut lo = level.start;
-            while lo < level.end {
-                let chunk = lo..(lo + EXPAND_CHUNK).min(level.end);
-                lo = chunk.end;
-                let expander = Expander {
-                    alg: self.alg,
-                    topo: self.topo,
-                    codec: &codec,
-                    sym: sym.as_ref(),
-                    safety,
-                    arena: &arena,
-                    // Once the cap has been reached, no node of this or
-                    // any later chunk may expand (each is flagged as
-                    // truncated) — skip the successor work entirely.
-                    expand: arena.len() < self.max_configs,
-                };
-                self.expand_chunk(&expander, chunk.clone(), &mut workers, &mut placed);
-
-                // ---- merge, in ascending node-id order ----
-                for (id, &(w, k)) in chunk.zip(&placed) {
-                    graph.start_node();
-                    if track_outputs {
-                        let row = arena.row(id);
-                        for &o in row
-                            .iter()
-                            .skip(2)
-                            .step_by(SLOTS_PER_PROC)
-                            .filter(|&&o| o != 0)
-                        {
-                            let i = (o - 1) as usize;
-                            if seen.len() <= i {
-                                seen.resize(i + 1, false);
-                            }
-                            if !seen[i] {
-                                seen[i] = true;
-                                outputs_seen.push(codec.output(o).expect("a packed output"));
-                            }
-                        }
+        let mut id = 0;
+        while id < arena.len() {
+            graph.start_node();
+            let row = arena.row(id);
+            if track_outputs {
+                for &o in row
+                    .iter()
+                    .skip(2)
+                    .step_by(SLOTS_PER_PROC)
+                    .filter(|&&o| o != 0)
+                {
+                    let i = (o - 1) as usize;
+                    if seen.len() <= i {
+                        seen.resize(i + 1, false);
                     }
-                    let worker = &workers[w];
-                    let node = &worker.expanded[k];
-                    if first_violation.is_none() {
-                        first_violation = node.violation.clone().map(|desc| (id, desc));
-                    }
-                    if node.terminal {
-                        fully_terminated += 1;
-                        continue;
-                    }
-                    if arena.len() >= self.max_configs {
-                        truncated = true;
-                        continue;
-                    }
-                    por_pruned += node.pruned;
-                    let kids = node.children.start as usize..node.children.end as usize;
-                    for child in &worker.children[kids] {
-                        dedup_lookups += 1;
-                        let to = match child.target {
-                            Target::Known(to) => {
-                                dedup_hits += 1;
-                                to
-                            }
-                            // A row fresh at expand time may have been
-                            // merged by an earlier node of this chunk.
-                            Target::Fresh(n) => {
-                                let n = n as usize;
-                                let row = &worker.fresh_rows[n * width..(n + 1) * width];
-                                let (to, new) = arena.insert(row, worker.fresh_hashes[n]);
-                                if new {
-                                    parents.push(ParentLink {
-                                        node: node_id32(id),
-                                        mask: child.mask,
-                                        sig: child.sig,
-                                    });
-                                } else {
-                                    dedup_hits += 1;
-                                }
-                                to
-                            }
-                        };
-                        graph.edges.push(Edge {
-                            to,
-                            mask: child.mask,
-                            sig: child.sig,
-                        });
+                    if !seen[i] {
+                        seen[i] = true;
+                        outputs_seen.push(codec.output(o).expect("a packed output"));
                     }
                 }
             }
-            level = level.end..arena.len();
+            codec.outputs_into(row, &mut outputs);
+            // Ids ascend, so the first violation is the lowest-id one.
+            if first_violation.is_none() {
+                first_violation = safety(self.topo, &outputs).map(|desc| (id, desc));
+            }
+            working.clear();
+            working.extend(
+                outputs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, o)| o.is_none())
+                    .map(|(i, _)| ProcessId(i)),
+            );
+            if working.is_empty() {
+                fully_terminated += 1;
+            } else if arena.len() >= self.max_configs {
+                truncated = true;
+            } else {
+                let k = working.len();
+                assert!(k < MAX_WORKING, "subset enumeration needs a small instance");
+                codec.entries_into(self.alg, row, arena.hashes[id], &mut parent);
+                let full = (1u32 << k) - 1;
+                let masks: &[u32] = match &mut por {
+                    Some(p) => p.masks(&working),
+                    None => {
+                        if every.len() < full as usize {
+                            every.extend(every.len() as u32 + 1..=full);
+                        }
+                        &every[..full as usize]
+                    }
+                };
+                por_pruned += u64::from(full) - masks.len() as u64;
+                for &mask in masks {
+                    let mut len = 0;
+                    for (i, &p) in working.iter().enumerate() {
+                        if mask & (1 << i) != 0 {
+                            active[len] = p;
+                            len += 1;
+                        }
+                    }
+                    codec.step_into(self.alg, self.topo, &parent, &active[..len], &mut step);
+                    let (succ, h, sig) = match sym
+                        .as_ref()
+                        .and_then(|s| s.canonicalize_into(&step, &mut canon))
+                    {
+                        Some((h, sig)) => (&canon[..], h, sig),
+                        None => (step.row(), step.hash(), SIGMA_ID),
+                    };
+                    let (to, new) = arena.insert(succ, h);
+                    dedup_lookups += 1;
+                    if new {
+                        parents.push(ParentLink {
+                            node: node_id32(id),
+                            mask,
+                            sig,
+                        });
+                    } else {
+                        dedup_hits += 1;
+                    }
+                    graph.edges.push(Edge { to, mask, sig });
+                }
+            }
+            id += 1;
         }
         graph.start_node();
 
@@ -1359,42 +1119,6 @@ where
             sym,
             root_sig,
         })
-    }
-
-    /// The parallel phase: expands every node of `chunk` into the
-    /// workers' buffers and records in `placed`, per node in id order,
-    /// which worker holds its [`Expanded`] entry at which index.
-    /// Successors come from the codec's packed successor kernel
-    /// ([`ConfigCodec::step_into`]), so no worker touches an
-    /// [`Execution`]. The arena is only read here, never written.
-    fn expand_chunk<S>(
-        &self,
-        expander: &Expander<'_, A, S>,
-        chunk: Range<usize>,
-        workers: &mut [Worker<A::Output>],
-        placed: &mut Vec<(usize, usize)>,
-    ) where
-        S: Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync,
-    {
-        for w in workers.iter_mut() {
-            w.clear();
-        }
-        // Results are placed by node id below, so which worker expanded
-        // which node cannot leak into the output.
-        let claim = (chunk.len() / (self.jobs * 8)).max(1);
-        let base = chunk.start;
-        sweep::for_each_chunk(chunk.len(), claim, workers, |worker, range| {
-            for i in range {
-                expander.expand(worker, base + i);
-            }
-        });
-        placed.clear();
-        placed.resize(chunk.len(), (0, 0));
-        for (w, worker) in workers.iter().enumerate() {
-            for (k, node) in worker.expanded.iter().enumerate() {
-                placed[node.node as usize - chunk.start] = (w, k);
-            }
-        }
     }
 }
 
@@ -1456,35 +1180,6 @@ mod tests {
                 .find(|c| c.weight() > max_weight)
                 .map(|c| format!("color {c} outside palette"))
         }
-    }
-
-    #[test]
-    fn the_visited_bytes_split_adds_up_to_the_pinned_peak() {
-        // `ftcolor modelcheck --alg alg2p --ids 0,1,2,3,4 --symmetry
-        // --por --max-configs 40000`: every part is a buffer capacity, a
-        // pure function of the instance, so the split is pinned whole.
-        use ftcolor_core::{ring_safety, FiveColoringPatched};
-        let topo = Topology::cycle(5).unwrap();
-        let outcome = ModelChecker::new(&FiveColoringPatched, &topo, (0..5).collect())
-            .with_max_configs(40_000)
-            .with_symmetry(true)
-            .with_por(true)
-            .explore(ring_safety(&FiveColoringPatched))
-            .unwrap();
-        assert_eq!((outcome.configs, outcome.edges), (40_006, 78_385));
-        let split = &outcome.stats.visited_split;
-        assert_eq!(
-            *split,
-            VisitedBytes {
-                arena_rows: 3_932_160,
-                arena_hashes_index: 1_048_576,
-                edges: 1_835_008,
-                parent_links: 786_432,
-                interners: 142_464,
-            }
-        );
-        assert_eq!(split.total(), outcome.stats.peak_visited_bytes);
-        assert_eq!(outcome.stats.peak_visited_bytes, 7_744_640);
     }
 
     #[test]
@@ -1590,14 +1285,6 @@ mod tests {
     use ftcolor_model::ProcessId;
 
     #[test]
-    fn jobs_default_to_one_and_zero_means_auto() {
-        let topo = Topology::cycle(3).unwrap();
-        let mc = ModelChecker::new(&SixColoring, &topo, vec![0, 1, 2]);
-        assert_eq!(mc.jobs(), 1);
-        assert!(mc.with_jobs(0).jobs() >= 1);
-    }
-
-    #[test]
     fn node_arena_dedups_exactly_across_growth() {
         // Every row shares one hash, so each lookup must compare rows;
         // 1,500 nodes force the index to grow twice.
@@ -1606,11 +1293,14 @@ mod tests {
             assert_eq!(arena.insert(&[i, 7], 42), (i, true));
         }
         for i in 0..1500u32 {
-            assert_eq!(arena.get(&[i, 7], 42), Some(i));
+            assert_eq!(arena.probe(&[i, 7], 42), Ok(i));
             assert_eq!(arena.insert(&[i, 7], 42), (i, false));
         }
-        assert_eq!(arena.get(&[3, 8], 42), None);
-        assert_eq!(arena.get(&[3, 7], 41), None, "the hash is part of the key");
+        assert!(arena.probe(&[3, 8], 42).is_err());
+        assert!(
+            arena.probe(&[3, 7], 41).is_err(),
+            "the hash is part of the key"
+        );
         assert_eq!(arena.len(), 1500);
         assert_eq!(arena.row(17), &[17, 7]);
     }

@@ -101,9 +101,8 @@ const SOLO_FUEL: usize = 64;
 
 /// Precomputed reduction context: which activation subsets survive at a
 /// given working set. Built once per exploration after the certificate
-/// gate passes; each worker expands with its own clone, whose memo
-/// ([`Self::masks`]) fills as it meets working sets.
-#[derive(Clone)]
+/// gate passes; its memo ([`Self::masks`]) fills as the exploration
+/// meets working sets.
 pub(crate) struct PorContext {
     /// Adjacency bitmask per process index (over all `n` processes).
     adj: Vec<u64>,
@@ -165,7 +164,7 @@ impl PorContext {
     /// (bit `i` activates `working[i]`) in ascending order — the same
     /// enumeration order as [`crate::modelcheck::all_nonempty_subsets`],
     /// restricted, so the reduced exploration stays a pure function of
-    /// the instance at every thread count. The iterator owns a copy of
+    /// the instance. The iterator owns a copy of
     /// the working set's adjacency and allocates nothing.
     ///
     /// # Panics

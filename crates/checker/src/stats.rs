@@ -53,9 +53,8 @@ impl Summary {
 /// Performance counters from one exhaustive exploration.
 ///
 /// Every field is a property of *how* the exploration ran, not *what* it
-/// found — outcomes deliberately exclude these from equality so that
-/// bit-identity assertions between runs at different worker counts
-/// keep holding while throughput varies.
+/// found — outcomes deliberately exclude these from equality, since the
+/// timing fields vary from run to run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ExploreStats {
     /// Wall-clock time of the exploration, in microseconds.

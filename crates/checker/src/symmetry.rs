@@ -335,9 +335,9 @@ impl CycleSymmetry {
     ///
     /// Images are ordered slot by slot, each slot by its [`SlotEntry`]:
     /// the seed-free *value hash* first, then the packed index. Hashes
-    /// rather than intern indices lead so that runs at different worker
-    /// counts — which may intern values in different orders — still
-    /// elect the same representative; ties go to the lowest `g`. The
+    /// rather than intern indices lead so that the representative is a
+    /// function of the configuration's values, not of the order in which
+    /// a run happened to intern them; ties go to the lowest `g`. The
     /// election takes a branch-free minimum over every image's first
     /// slot and compares slot by slot only among the images tied there.
     ///

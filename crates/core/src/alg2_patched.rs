@@ -43,11 +43,17 @@
 //!   against the unpatched algorithm (the solo-then-lockstep C3 pattern,
 //!   the C6 crash pattern, laggards, waves, random crash sweeps)
 //!   terminates within small constant factors of the paper's bounds.
-//! * **Open**: divergence without repetition ("infinite chatter", the
-//!   counter growing forever) is not excluded by the no-revisit theorem,
-//!   and because the counter is unbounded the reachable configuration
-//!   space is not finite, so exhaustion cannot certify termination
-//!   outright.
+//! * **Refuted: wait-freedom.** The no-revisit theorem does not exclude
+//!   divergence without repetition (the counters growing forever), and
+//!   it happens: on `C4` with ids `[0,1,2,3]`, after the prefix
+//!   `{1,2} {0,2} {0,1,3} {1,3} {0,1,2} {1,3} {1,2} {1} {0,1,2,3} {0,1}
+//!   {1,2} {1} {0,1,2,3}`, the fair lap `{1} {0,1,2} {0} {1} {0,1,3}
+//!   {0,2,3} {1}` maps the configuration to itself with every counter
+//!   (each `reg.c` and each `c` in the `last_view` copies) raised by 2,
+//!   and no process ever returns (`tests/findings.rs` replays 1,000
+//!   laps). Because the counter is unbounded the reachable configuration
+//!   space is not finite, so the exhaustive checker, which finds exact
+//!   repeats only, cannot see such a lasso.
 //!
 //! ## Why not something simpler? (negative results, all machine-found)
 //!
@@ -65,10 +71,11 @@
 //!   phases of a blocked pair and the simultaneous escapes resonate.
 //!
 //! The pattern — every finite-memory symmetry breaker loses to an
-//! adaptive scheduler — suggests the paper's wait-freedom gap is
-//! structural rather than a transcription slip: breaking the resonance
-//! deterministically appears to need unbounded information (counters,
-//! as here) or the full chain-potential argument the paper intended.
+//! adaptive scheduler, and this unbounded one loses too, up to a
+//! counter shift — suggests the paper's wait-freedom gap is structural
+//! rather than a transcription slip: breaking the resonance
+//! deterministically appears to need the full chain-potential argument
+//! the paper intended.
 
 use crate::color::mex;
 use ftcolor_model::{Algorithm, Neighborhood, PorCert, ProcessId, Step};
@@ -177,8 +184,9 @@ impl fmt::Debug for View2P {
 
 /// Algorithm 2 with counter-priority arbitration. Identical safety and
 /// palette; provably free of configuration cycles (the unpatched
-/// algorithm's failure mode). See the [module docs](self) for exactly
-/// what is and is not established.
+/// algorithm's failure mode), but not wait-free: it can diverge with
+/// ever-growing counters. See the [module docs](self) for exactly what
+/// is and is not established.
 ///
 /// ```
 /// use ftcolor_core::alg2_patched::FiveColoringPatched;

@@ -12,7 +12,11 @@
 //! safety (palette `{0,…,4}`, properness, the Lemma 4.5 identifier
 //! invariant) is the paper's verbatim; no execution can revisit a
 //! configuration; the documented adversaries terminate; and the
-//! `O(log* n)` activation bound holds across the schedule zoo.
+//! `O(log* n)` activation bound holds across the schedule zoo. None of
+//! this implies wait-freedom: the patched Algorithm 2 diverges on `C4`
+//! with its counters growing forever (see [`crate::alg2_patched`]).
+//! Whether this variant, whose identifiers keep changing, diverges the
+//! same way is open.
 //!
 //! One subtlety: the identifier reduction makes the evolving `X` values
 //! non-unique at distance ≥ 2, but priority compares `(c, X)` only

@@ -68,8 +68,8 @@
 //! A [`LanedRow`] carries, next to the row and its hash, one
 //! [`SlotEntry`] — `(value hash, packed index)` — per process for its
 //! state, its register, its output and its view-swapped state
-//! ([`LANE_PER_PROC`] entries). The expanding worker fills the lane once
-//! per node ([`ConfigCodec::entries_into`]); the kernel copies the
+//! ([`LANE_PER_PROC`] entries). The model checker fills the lane once
+//! per node it expands ([`ConfigCodec::entries_into`]); the kernel copies the
 //! parent's lane and rewrites only the processes that step, taking each
 //! old value's hash from the lane, so a changed slot costs one interner
 //! lookup, not two. Symmetry canonicalization then elects the orbit
@@ -132,8 +132,7 @@ pub fn slot_contrib(slot: usize, value_hash: u64) -> u64 {
 }
 
 /// Seed-free value hash — a pure function of the value, identical
-/// across runs, threads, and machines (same property the parallel
-/// checker has always relied on for shard choice).
+/// across runs, threads, and machines.
 fn value_hash<T: Hash>(v: &T) -> u64 {
     BuildHasherDefault::<DefaultHasher>::default().hash_one(v)
 }
@@ -782,7 +781,7 @@ where
     }
 
     /// Loads the packed row `row` (whose hash is `hash`) into `out` and
-    /// fills its entry lane — what the expanding worker does once per
+    /// fills its entry lane — what the model checker does once per
     /// node before stepping it with [`Self::step_into`]. When
     /// `out.relabel()`, each state's view-swapped twin is memoized per
     /// distinct state, so the clone + relabel + re-intern is paid once

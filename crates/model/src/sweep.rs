@@ -1,11 +1,10 @@
-//! One parallel-for — the scheduling scaffolding shared by the model
-//! checker, the batch executor, the schedule fuzzer and the shrinker.
+//! One parallel-for — the scheduling scaffolding shared by the batch
+//! executor and the schedule fuzzer.
 //!
-//! Every engine faces the same shape of work: an index range `0..len`
-//! whose items cost wildly different amounts (a BFS chunk, one round
-//! over every in-flight batch instance, a generation of genomes, a
-//! batch of shrink candidates), to finish completely before the caller
-//! moves on. [`for_each_chunk`] hands out contiguous chunks of it from
+//! Both face the same shape of work: an index range `0..len` whose
+//! items cost wildly different amounts (one round over every in-flight
+//! batch instance, a generation of genomes), to finish completely
+//! before the caller moves on. [`for_each_chunk`] hands out contiguous chunks of it from
 //! one shared cursor to a caller-owned slice of per-worker state, so a
 //! worker that drew cheap items simply claims more.
 //!

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ftcolor color      --alg alg3 --n 16 --input staircase --sched random --timeline
-//! ftcolor modelcheck --alg alg2 --ids 0,1,2 --jobs 4
+//! ftcolor modelcheck --alg alg2 --ids 0,1,2 --symmetry --por
 //! ftcolor fuzz       --alg alg2 --ids 0,1,2 --generations 200 --jobs 4
 //! ```
 //!
@@ -116,7 +116,7 @@ ftcolor — wait-free coloring of the asynchronous cycle (PODC 2022 reproduction
 USAGE:
   ftcolor color      [--alg A] [--n N | --ids LIST] [--input KIND] [--sched S] [--seed K] [--timeline]
   ftcolor modelcheck [--alg A] [--n N | --ids LIST] [--input KIND] [--seed K]
-                     [--max-configs M] [--jobs J] [--symmetry] [--por] [--format text|json]
+                     [--max-configs M] [--symmetry] [--por] [--format text|json]
   ftcolor fuzz       [--alg A] [--n N | --ids LIST] [--input KIND] [--generations G]
                      [--seed K] [--jobs J]
   ftcolor shrink     --in FILE [--out FILE] [--alg A] [--n N | --ids LIST] [--input KIND]
@@ -168,7 +168,7 @@ FLAGS:
                  verdicts provably match full exploration. Composes
                  with --symmetry
   --generations  fuzzer generations                    (default 150)
-  --jobs         modelcheck/fuzz/serve: worker threads;
+  --jobs         fuzz/serve: worker threads;
                  0 = all CPUs                          (default 1)
                  results are identical for every value
   --in           shrink input: a witness fixture ({schema, alg, ids, raw,
@@ -214,7 +214,7 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("color", "alg n ids input sched seed", "timeline"),
     (
         "modelcheck",
-        "alg n ids input seed max-configs jobs format",
+        "alg n ids input seed max-configs format",
         "symmetry por",
     ),
     ("fuzz", "alg n ids input seed generations jobs", ""),
@@ -422,7 +422,6 @@ struct ModelcheckJson {
     ids: Vec<u64>,
     symmetry: bool,
     por: bool,
-    jobs: usize,
     verdict: VerdictJson,
     safety_description: Option<String>,
     configs: usize,
@@ -437,7 +436,6 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err("modelcheck needs a small instance (≤ 7 processes)".into());
     }
     let cap: usize = num(opts, "max-configs", 2_000_000)?;
-    let jobs: usize = num(opts, "jobs", 1)?;
     let symmetry = opts.contains_key("symmetry");
     let por = opts.contains_key("por");
     let format = get(opts, "format", "text");
@@ -451,7 +449,6 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
         let safety = ring_safety(alg);
         let o = ModelChecker::new(alg, &topo, ids.clone())
             .with_max_configs(cap)
-            .with_jobs(jobs)
             .with_symmetry(symmetry)
             .with_por(por)
             .explore(&safety)
@@ -462,7 +459,6 @@ fn cmd_modelcheck(opts: &HashMap<String, String>) -> Result<(), String> {
                 ids: ids.clone(),
                 symmetry,
                 por,
-                jobs,
                 verdict: VerdictJson {
                     safety_violated: o.safety_violation.is_some(),
                     livelock_found: o.livelock.is_some(),

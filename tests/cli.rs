@@ -81,15 +81,7 @@ fn fuzz_runs_and_reports() {
 
 #[test]
 fn modelcheck_prints_a_shrunk_witness() {
-    let (stdout, _, ok) = run(&[
-        "modelcheck",
-        "--alg",
-        "alg2",
-        "--ids",
-        "0,1,2",
-        "--jobs",
-        "2",
-    ]);
+    let (stdout, _, ok) = run(&["modelcheck", "--alg", "alg2", "--ids", "0,1,2"]);
     assert!(ok);
     assert!(stdout.contains("shrunk witness"), "{stdout}");
     assert!(stdout.contains("-- cycle --"), "{stdout}");
@@ -206,6 +198,7 @@ fn retired_flags_are_rejected() {
     for (cmd, flag, value) in [
         (modelcheck, "--extmem", "/nonexistent"),
         (modelcheck, "--bloom", "1024"),
+        (modelcheck, "--jobs", "2"),
         (shrink, "--jobs", "2"),
         (["cluster"].as_slice(), "--codec", "binary"),
         (["node"].as_slice(), "--codec", "json"),
@@ -263,8 +256,6 @@ fn every_modelcheck_flag_is_accepted() {
         "0,1,2,3",
         "--max-configs",
         "50",
-        "--jobs",
-        "2",
         "--symmetry",
         "--por",
         "--format",

@@ -125,6 +125,94 @@ fn patched_algorithm_2_escapes_the_documented_adversaries() {
     assert!(outcome.livelock.is_none());
 }
 
+/// The candidate repair is not wait-free either: on C4 with ids
+/// `[0,1,2,3]` a fair schedule returns to its configuration with every
+/// update counter raised by 2, so it repeats forever. No configuration
+/// ever repeats exactly (the counters only grow), which is why the
+/// model checker, which finds exact repeats only, cannot see it.
+#[test]
+fn patched_algorithm_2_diverges_on_c4_up_to_a_counter_shift() {
+    use ftcolor::core::alg2_patched::{FiveColoringPatched, Reg2P, State2P};
+    const PREFIX: [&[usize]; 13] = [
+        &[1, 2],
+        &[0, 2],
+        &[0, 1, 3],
+        &[1, 3],
+        &[0, 1, 2],
+        &[1, 3],
+        &[1, 2],
+        &[1],
+        &[0, 1, 2, 3],
+        &[0, 1],
+        &[1, 2],
+        &[1],
+        &[0, 1, 2, 3],
+    ];
+    const CYCLE: [&[usize]; 7] = [&[1], &[0, 1, 2], &[0], &[1], &[0, 1, 3], &[0, 2, 3], &[1]];
+    const SHIFT: u64 = 2;
+    const LAPS: u64 = 1_000;
+    let topo = Topology::cycle(4).unwrap();
+    let mut exec = Execution::new(&FiveColoringPatched, &topo, vec![0, 1, 2, 3]);
+    let step = |exec: &mut Execution<'_, FiveColoringPatched>, ps: &[usize]| {
+        exec.step_with(&ActivationSet::of(ps.iter().map(|&p| ProcessId(p))))
+    };
+    let states = |exec: &Execution<'_, FiveColoringPatched>| -> Vec<State2P> {
+        topo.nodes().map(|p| exec.state(p).clone()).collect()
+    };
+    let abc = |exec: &Execution<'_, FiveColoringPatched>| -> Vec<(u64, u64, u64)> {
+        states(exec)
+            .iter()
+            .map(|s| (s.reg.a, s.reg.b, s.reg.c))
+            .collect()
+    };
+    // Every counter of a state: its own, and each copy in `last_view`.
+    let shifted = |mut s: State2P| {
+        s.reg.c += SHIFT;
+        for reg in s.last_view.iter_mut().flat_map(|v| v.iter_mut()).flatten() {
+            reg.c += SHIFT;
+        }
+        s
+    };
+    for ps in PREFIX {
+        step(&mut exec, ps);
+    }
+    assert_eq!(abc(&exec), [(2, 2, 4), (1, 1, 6), (0, 3, 6), (0, 3, 4)]);
+    for lap in 0..LAPS {
+        let before = states(&exec);
+        let regs_before = exec.registers().to_vec();
+        assert!(
+            before.iter().all(|s| s.last_view.is_some()),
+            "lap {lap}: every process has a view to shift"
+        );
+        let mut activated = [false; 4];
+        for ps in CYCLE {
+            for p in step(&mut exec, ps) {
+                activated[p.index()] = true;
+            }
+        }
+        assert_eq!(activated, [true; 4], "lap {lap}: the lap is fair");
+        let want: Vec<State2P> = before.into_iter().map(shifted).collect();
+        assert_eq!(states(&exec), want, "lap {lap}: a shift by {SHIFT}");
+        let regs: Vec<_> = regs_before
+            .iter()
+            .map(|r| {
+                r.map(|r| Reg2P {
+                    c: r.c + SHIFT,
+                    ..r
+                })
+            })
+            .collect();
+        assert_eq!(exec.registers(), regs, "lap {lap}: registers shift too");
+        assert_eq!(exec.working().len(), 4, "lap {lap}: all still working");
+        assert!(exec.outputs().iter().all(Option::is_none), "lap {lap}");
+    }
+    let c = 2 * LAPS;
+    assert_eq!(
+        abc(&exec),
+        [(2, 2, 4 + c), (1, 1, 6 + c), (0, 3, 6 + c), (0, 3, 4 + c)]
+    );
+}
+
 /// The adaptive adversary expresses the livelock strategy generically:
 /// "run the smallest identifier solo until it returns, then lockstep the
 /// rest" — starving the original Algorithm 2 from *any* C3 instance.

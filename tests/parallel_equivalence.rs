@@ -1,6 +1,5 @@
 //! Differential harness: the model checker must agree with an
-//! independent **reference BFS** on every instance, at every worker
-//! count.
+//! independent **reference BFS** on every instance.
 //!
 //! The reference below is deliberately naive: a FIFO BFS that clones the
 //! [`Execution`] for every successor and identifies configurations by
@@ -14,17 +13,15 @@
 //! Algorithm 2 patched (infinite space: exercises truncation), and the
 //! eager MIS candidate (a genuine safety violation) — over four
 //! topologies (C3, C4, C5, and the path P4, whose endpoint processes
-//! have degree 1) and worker counts 1, 2, and 8. For every cell we
+//! have degree 1). For every cell we
 //! assert that configuration and edge counts, termination accounting,
 //! the first-seen output order, the truncation flag and the safety
 //! violation (description and schedule) equal the reference's; that a
 //! livelock is reported exactly when the reference graph has a cycle,
 //! and its witness replays to a repeated configuration; that on acyclic
 //! instances the exact worst case equals a per-process longest-path
-//! search on the reference graph; and that the whole outcome is the same
-//! at every worker count.
+//! search on the reference graph.
 
-use ftcolor::checker::modelcheck::EXPAND_CHUNK;
 use ftcolor::checker::{ModelCheckOutcome, ModelChecker};
 use ftcolor::core::mis::{mis_violation, EagerMis};
 use ftcolor::core::{FiveColoring, FiveColoringPatched, SixColoring};
@@ -32,8 +29,6 @@ use ftcolor::model::{ActivationSet, Algorithm, Execution, Topology};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
-
-const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A configuration, identified by plain values: private states,
 /// registers and outputs of every process.
@@ -302,49 +297,35 @@ fn assert_matches_reference<A>(
     }
 }
 
-/// Runs the reference once and the checker at every worker count,
-/// asserting agreement with the reference, jobs-invariance of the whole
-/// outcome, and the exact worst case.
+/// Runs the reference and the checker, asserting agreement and the
+/// exact worst case.
 fn assert_equivalent<A>(
     label: &str,
     alg: &A,
     topo: &Topology,
     ids: &[u64],
     cap: usize,
-    safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Sync + Copy,
+    safety: impl Fn(&Topology, &[Option<A::Output>]) -> Option<String> + Copy,
 ) where
-    A: Algorithm + Sync,
-    A::Input: From<u64> + Clone + Sync,
-    A::State: Eq + Hash + Send + Sync,
-    A::Reg: Eq + Hash + Send + Sync,
-    A::Output: Eq + Hash + Send + Sync + Debug,
+    A: Algorithm,
+    A::Input: From<u64> + Clone,
+    A::State: Eq + Hash,
+    A::Reg: Eq + Hash,
+    A::Output: Eq + Hash + Debug,
 {
-    let tname = topo.name();
+    let cell = format!("{label} on {}", topo.name());
     let inputs: Vec<A::Input> = ids.iter().copied().map(Into::into).collect();
     let reference = reference_bfs(alg, topo, inputs.clone(), cap, safety);
     let want_worst = (!reference.truncated && !has_cycle(&reference.graph))
         .then(|| longest_path_worst_case(&reference.graph, topo.len()));
-    let mut first: Option<ModelCheckOutcome<A::Output>> = None;
-    for jobs in JOB_COUNTS {
-        let cell = format!("{label} on {tname} at jobs={jobs}");
-        let checker = ModelChecker::new(alg, topo, inputs.clone())
-            .with_max_configs(cap)
-            .with_jobs(jobs);
-        let got = checker.explore(safety).unwrap();
-        assert_matches_reference(alg, topo, &inputs, &got, &reference, &cell);
-        assert_eq!(
-            checker.exact_worst_case().unwrap(),
-            want_worst,
-            "{cell}: exact worst case"
-        );
-        match &first {
-            None => first = Some(got),
-            Some(one) => {
-                assert_eq!(one, &got, "{cell}: outcome differs from jobs=1");
-                assert_eq!(one.livelock, got.livelock, "{cell}: livelock witness");
-            }
-        }
-    }
+    let checker = ModelChecker::new(alg, topo, inputs.clone()).with_max_configs(cap);
+    let got = checker.explore(safety).unwrap();
+    assert_matches_reference(alg, topo, &inputs, &got, &reference, &cell);
+    assert_eq!(
+        checker.exact_worst_case().unwrap(),
+        want_worst,
+        "{cell}: exact worst case"
+    );
 }
 
 /// IDs for an `n`-process instance: distinct, deliberately non-monotone.
@@ -445,37 +426,34 @@ fn truncation_caps_match_the_reference() {
 fn violation_witness_is_schedule_for_schedule_identical() {
     // The canonical witness from the paper's MIS discussion: EagerMis
     // on C4 with ids [5,9,2,1] reaches adjacent In/In. Compare the
-    // witness schedule step by step at every worker count.
+    // witness schedule step by step.
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![5u64, 9, 2, 1];
     let (desc, schedule) = reference_bfs(&EagerMis, &topo, ids.clone(), usize::MAX, mis_violation)
         .safety_violation
         .expect("the reference finds the In/In violation");
-    for jobs in JOB_COUNTS {
-        let got = ModelChecker::new(&EagerMis, &topo, ids.clone())
-            .with_jobs(jobs)
-            .explore(mis_violation)
-            .unwrap()
-            .safety_violation
-            .expect("the checker finds the In/In violation");
-        assert_eq!(got.description, desc, "jobs={jobs}");
-        assert_eq!(
-            got.schedule.len(),
-            schedule.len(),
-            "witness length diverged at jobs={jobs}"
-        );
-        for (t, (g, w)) in got.schedule.iter().zip(&schedule).enumerate() {
-            assert_eq!(g, w, "witness step {t} diverged at jobs={jobs}");
-        }
+    let got = ModelChecker::new(&EagerMis, &topo, ids)
+        .explore(mis_violation)
+        .unwrap()
+        .safety_violation
+        .expect("the checker finds the In/In violation");
+    assert_eq!(got.description, desc);
+    assert_eq!(
+        got.schedule.len(),
+        schedule.len(),
+        "witness length diverged"
+    );
+    for (t, (g, w)) in got.schedule.iter().zip(&schedule).enumerate() {
+        assert_eq!(g, w, "witness step {t} diverged");
     }
 }
 
 #[test]
-fn symmetry_is_jobs_invariant_and_keeps_the_reference_verdict() {
+fn symmetry_collapses_orbits_and_keeps_the_reference_verdict() {
     // [0, 1, 0, 1] is invariant under rotation by two, so orbits
-    // genuinely collapse; the quotient must be the same at every worker
-    // count, keep the unreduced verdicts, and de-canonicalize its
-    // livelock witness into a concrete, replayable one.
+    // genuinely collapse; the quotient must keep the unreduced verdicts
+    // and de-canonicalize its livelock witness into a concrete,
+    // replayable one.
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![0u64, 1, 0, 1];
     let reference = reference_bfs(
@@ -485,89 +463,51 @@ fn symmetry_is_jobs_invariant_and_keeps_the_reference_verdict() {
         usize::MAX,
         coloring_safety,
     );
-    let mut first: Option<ModelCheckOutcome<u64>> = None;
-    for jobs in JOB_COUNTS {
-        let got = ModelChecker::new(&FiveColoring, &topo, ids.clone())
-            .with_symmetry(true)
-            .with_jobs(jobs)
-            .explore(coloring_safety)
-            .unwrap();
-        assert!(
-            got.configs < reference.configs,
-            "jobs={jobs}: orbits collapse"
-        );
-        assert_eq!(got.truncated, reference.truncated, "jobs={jobs}");
-        assert_eq!(
-            got.safety_violation.is_some(),
-            reference.safety_violation.is_some(),
-            "jobs={jobs}: safety verdict"
-        );
-        assert_eq!(
-            got.livelock.is_some(),
-            has_cycle(&reference.graph),
-            "jobs={jobs}: livelock verdict"
-        );
-        if got.livelock.is_some() {
-            assert_livelock_replays(&FiveColoring, &topo, &ids, &got, &format!("jobs={jobs}"));
-        }
-        match &first {
-            None => first = Some(got),
-            Some(one) => assert_eq!(one, &got, "jobs={jobs}: outcome differs from jobs=1"),
-        }
+    let got = ModelChecker::new(&FiveColoring, &topo, ids.clone())
+        .with_symmetry(true)
+        .explore(coloring_safety)
+        .unwrap();
+    assert!(got.configs < reference.configs, "orbits collapse");
+    assert_eq!(got.truncated, reference.truncated);
+    assert_eq!(
+        got.safety_violation.is_some(),
+        reference.safety_violation.is_some(),
+        "safety verdict"
+    );
+    assert_eq!(
+        got.livelock.is_some(),
+        has_cycle(&reference.graph),
+        "livelock verdict"
+    );
+    if got.livelock.is_some() {
+        assert_livelock_replays(&FiveColoring, &topo, &ids, &got, "symmetry");
     }
 }
 
 #[test]
-fn por_is_jobs_invariant_down_to_its_counters() {
+fn por_prunes_and_keeps_the_reference_verdict() {
     let topo = Topology::cycle(4).unwrap();
     let ids = vec![0u64, 1, 2, 3];
     let reference = reference_bfs(&SixColoring, &topo, ids.clone(), usize::MAX, pair_safety);
-    let mut first: Option<ModelCheckOutcome<ftcolor::core::PairColor>> = None;
-    for jobs in JOB_COUNTS {
-        let got = ModelChecker::new(&SixColoring, &topo, ids.clone())
-            .with_por(true)
-            .with_jobs(jobs)
-            .explore(pair_safety)
-            .unwrap();
-        assert!(got.stats.por_pruned_sets > 0, "jobs={jobs}: C4 must prune");
-        assert!(got.edges < reference.edges, "jobs={jobs}: fewer edges");
-        assert!(
-            got.clean(),
-            "jobs={jobs}: Algorithm 1 stays clean under POR"
-        );
-        assert!(
-            reference.safety_violation.is_none() && !has_cycle(&reference.graph),
-            "the reference agrees Algorithm 1 is clean"
-        );
-        match &first {
-            None => first = Some(got),
-            Some(one) => {
-                assert_eq!(one, &got, "jobs={jobs}: outcome differs from jobs=1");
-                assert_eq!(
-                    one.stats.por_pruned_sets, got.stats.por_pruned_sets,
-                    "jobs={jobs}: pruning accounting"
-                );
-                assert_eq!(
-                    one.stats.dedup_hits, got.stats.dedup_hits,
-                    "jobs={jobs}: dedup hits"
-                );
-                assert_eq!(
-                    one.stats.dedup_lookups, got.stats.dedup_lookups,
-                    "jobs={jobs}: dedup lookups"
-                );
-            }
-        }
-    }
+    let got = ModelChecker::new(&SixColoring, &topo, ids)
+        .with_por(true)
+        .explore(pair_safety)
+        .unwrap();
+    assert!(got.stats.por_pruned_sets > 0, "C4 must prune");
+    assert!(got.edges < reference.edges, "fewer edges");
+    assert!(got.clean(), "Algorithm 1 stays clean under POR");
+    assert!(
+        reference.safety_violation.is_none() && !has_cycle(&reference.graph),
+        "the reference agrees Algorithm 1 is clean"
+    );
 }
 
 #[test]
-fn caps_inside_a_multi_chunk_level_match_the_reference() {
-    // The engine expands each BFS level in chunks of EXPAND_CHUNK node
-    // ids and re-checks the cap before every chunk. These caps bite in a
-    // level that spans several chunks, past its first chunk, so the
-    // chunk that crosses the cap expands nodes the merge then refuses.
-    // The outcome and every counter must still equal the reference's,
-    // whose nodes each decide against the cap on their own.
+fn caps_inside_a_wide_level_match_the_reference() {
+    // These caps bite in the middle of a wide BFS level, where the nodes
+    // before the cap expand and the rest of the level does not. The
+    // outcome and every counter must equal the reference's, whose nodes
+    // each decide against the cap on their own.
     let topo = Topology::cycle(5).unwrap();
     let ids = ids_for(5);
     let max_branching = (1 << topo.len()) - 1;
@@ -580,8 +520,8 @@ fn caps_inside_a_multi_chunk_level_match_the_reference() {
         let level_start = reference.depth.partition_point(|&d| d < level);
         let level_len = reference.depth.partition_point(|&d| d <= level) - level_start;
         assert!(
-            level_len > 2 * EXPAND_CHUNK && capped - level_start >= EXPAND_CHUNK,
-            "cap {cap}: the cap must bite past the first chunk of a multi-chunk level \
+            capped > level_start && capped + 1 < level_start + level_len,
+            "cap {cap}: the cap must bite mid-level \
              (level {level}: {level_len} nodes, capped at offset {})",
             capped - level_start
         );
@@ -592,27 +532,60 @@ fn caps_inside_a_multi_chunk_level_match_the_reference() {
             "cap {cap}: {} configs",
             reference.configs
         );
-        let inputs: Vec<u64> = ids.clone();
-        for jobs in JOB_COUNTS {
-            let cell = format!("Alg2 cap={cap} on C5 at jobs={jobs}");
-            let got = ModelChecker::new(&FiveColoring, &topo, inputs.clone())
-                .with_max_configs(cap)
-                .with_jobs(jobs)
-                .explore(coloring_safety)
-                .unwrap();
-            assert_matches_reference(&FiveColoring, &topo, &inputs, &got, &reference, &cell);
-            // Every merged successor is one lookup; all but the nodes it
-            // discovered are hits.
-            assert_eq!(
-                got.stats.dedup_lookups, reference.edges as u64,
-                "{cell}: dedup lookups"
-            );
-            assert_eq!(
-                got.stats.dedup_hits,
-                (reference.edges - (reference.configs - 1)) as u64,
-                "{cell}: dedup hits"
-            );
-            assert_eq!(got.stats.por_pruned_sets, 0, "{cell}: no POR, no pruning");
-        }
+        let cell = format!("Alg2 cap={cap} on C5");
+        let got = ModelChecker::new(&FiveColoring, &topo, ids.clone())
+            .with_max_configs(cap)
+            .explore(coloring_safety)
+            .unwrap();
+        assert_matches_reference(&FiveColoring, &topo, &ids, &got, &reference, &cell);
+        // Every expanded successor is one lookup; all but the nodes it
+        // discovered are hits.
+        assert_eq!(
+            got.stats.dedup_lookups, reference.edges as u64,
+            "{cell}: dedup lookups"
+        );
+        assert_eq!(
+            got.stats.dedup_hits,
+            (reference.edges - (reference.configs - 1)) as u64,
+            "{cell}: dedup hits"
+        );
+        assert_eq!(got.stats.por_pruned_sets, 0, "{cell}: no POR, no pruning");
     }
+}
+
+#[test]
+fn the_capped_reduced_alg2p_c5_run_is_pinned() {
+    // `ftcolor modelcheck --alg alg2p --ids 0,1,2,3,4 --symmetry --por
+    // --max-configs 40000`: alg2p's counters make the state space
+    // infinite, so the cap bites mid-level. Every field below is a pure
+    // function of the instance, buffer capacities included.
+    use ftcolor::checker::VisitedBytes;
+    use ftcolor::core::ring_safety;
+    let topo = Topology::cycle(5).unwrap();
+    let got = ModelChecker::new(&FiveColoringPatched, &topo, (0..5).collect())
+        .with_max_configs(40_000)
+        .with_symmetry(true)
+        .with_por(true)
+        .explore(ring_safety(&FiveColoringPatched))
+        .unwrap();
+    assert!(got.truncated);
+    assert!(got.safety_violation.is_none() && got.livelock.is_none());
+    assert_eq!(
+        (got.configs, got.edges, got.fully_terminated_configs),
+        (40_006, 78_385, 510)
+    );
+    let s = &got.stats;
+    assert_eq!((s.dedup_hits, s.dedup_lookups), (38_380, 78_385));
+    assert_eq!(s.por_pruned_sets, 39_333);
+    assert_eq!(s.peak_visited_bytes, 7_744_640);
+    assert_eq!(
+        s.visited_split,
+        VisitedBytes {
+            arena_rows: 3_932_160,
+            arena_hashes_index: 1_048_576,
+            edges: 1_835_008,
+            parent_links: 786_432,
+            interners: 142_464,
+        }
+    );
 }

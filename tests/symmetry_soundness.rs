@@ -164,21 +164,18 @@ impl Algorithm for PositionalProbe {
 
 #[test]
 fn uncertified_algorithms_are_refused_by_both_checkers() {
-    // The guard runs before any exploration, so one and four workers
-    // must refuse alike.
+    // The guard runs before any exploration, so `explore` and
+    // `exact_worst_case` must refuse alike.
     let topo = Topology::cycle(3).unwrap();
-    for jobs in [1, 4] {
-        let err = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
-            .with_symmetry(true)
-            .with_jobs(jobs)
-            .explore(|_, _| None)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ModelCheckError::SymmetryUncertifiedAlgorithm,
-            "jobs={jobs}"
-        );
-    }
+    let checker = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2]).with_symmetry(true);
+    assert_eq!(
+        checker.explore(|_, _| None).unwrap_err(),
+        ModelCheckError::SymmetryUncertifiedAlgorithm
+    );
+    assert_eq!(
+        checker.exact_worst_case().unwrap_err(),
+        ModelCheckError::SymmetryUncertifiedAlgorithm
+    );
     // Without symmetry the same instance checks fine.
     let ok = ModelChecker::new(&PositionalProbe, &topo, vec![0, 1, 2])
         .explore(|_, _| None)
