@@ -29,9 +29,27 @@
 //! resetting counters, status and control block. The slab therefore
 //! grows to the most instances ever in flight at once
 //! ([`BatchEngine::slots`]), not to the number admitted
-//! ([`BatchEngine::admitted`]), and each distinct state or register is
-//! interned once for the whole fleet: memory follows what is in flight,
-//! which is what makes a stream of millions of instances fit.
+//! ([`BatchEngine::admitted`]).
+//!
+//! ## Two phases per round, and where the memory goes
+//!
+//! Interned values are released too. A round sweeps its instances in
+//! two phases: first the ones parked by earlier rounds, then the ones
+//! admitted since (the prune keeps the list in order and admission
+//! appends, so the parked ones lead). Between the phases, once every
+//! parked instance has been visited, [`ConfigCodec::compact`] drops
+//! every interned state, register and output that no still-parked row
+//! uses and rewrites those rows to the survivors' new indices; the
+//! fresh rows hold identifiers and are left alone. An instance that
+//! retires thus takes its values with it by the next round, and a
+//! value two instances share is still interned once. Each phase interns
+//! at most the `n` states, registers and outputs of each row it parks,
+//! so no component ever holds more than `2n` values per instance at the
+//! peak in flight, whatever the number admitted or the identifier
+//! universe: memory follows what is in flight, which is what makes a
+//! stream of millions of instances fit. Between compactions the
+//! interners grow; [`BatchEngine::interned_counts`] reports the most
+//! values each held at once.
 //!
 //! ## Equivalence to the sequential executor
 //!
@@ -52,13 +70,15 @@
 //!
 //! [`BatchEngine::run_round`] visits every in-flight instance exactly
 //! once, in chunks its workers claim from one shared cursor
-//! ([`sweep::for_each_chunk`], the checker's parallel-for). Instances
+//! ([`sweep::for_each_chunk`], once per phase). Instances
 //! never share mutable state, so the thread count affects wall-clock
 //! only: every per-instance outcome, every completion round
 //! (= latency), and every aggregate over them is identical at
 //! `jobs = 1` and `jobs = 64`.
 //! Interner *index assignment* does depend on visit interleaving — but
-//! indices never leave the engine; only decoded values do.
+//! indices never leave the engine; only decoded values do. Which values
+//! are interned at a phase boundary does not, so neither do the
+//! compactions nor [`BatchEngine::interned_counts`].
 //!
 //! ## When not to batch
 //!
@@ -78,6 +98,7 @@ use ftcolor_model::{
 };
 use parking_lot::Mutex;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// How one instance ended.
@@ -222,6 +243,9 @@ where
     runnable: Vec<u32>,
     /// Slots whose instance retired, reused by the next admissions.
     free: Vec<u32>,
+    /// Most (states, registers, outputs) interned at once, as of the
+    /// last compaction.
+    peak_interned: (usize, usize, usize),
 }
 
 impl<'a, A> BatchEngine<'a, A>
@@ -257,6 +281,7 @@ where
             ctrl: Vec::new(),
             runnable: Vec::new(),
             free: Vec::new(),
+            peak_interned: (0, 0, 0),
         }
     }
 
@@ -286,10 +311,14 @@ where
         self.ctrl.len()
     }
 
-    /// Distinct interned (states, registers, outputs) — the sharing the
-    /// packed representation lives off.
+    /// Most distinct (states, registers, outputs) held interned at once,
+    /// per component — the sharing the packed representation lives
+    /// off. Every round drops the values no parked instance uses, so
+    /// this follows the peak in flight, not the admissions.
     pub fn interned_counts(&self) -> (usize, usize, usize) {
-        self.codec.interned_counts()
+        let (s, r, o) = self.codec.interned_counts();
+        let (ps, pr, po) = self.peak_interned;
+        (ps.max(s), pr.max(r), po.max(o))
     }
 
     /// Heap bytes of the interners (see
@@ -355,32 +384,29 @@ where
 
     /// One sweep round: every in-flight instance is visited exactly
     /// once (up to `quantum` schedule iterations each) by `jobs`
-    /// workers. Finished instances are delivered to `sink` from the
-    /// retiring worker's thread — the sink must aggregate
-    /// order-independently (sinks run concurrently, in no fixed order).
-    /// Returns the number of instances retired this round.
+    /// workers, in two phases: first the instances parked by earlier
+    /// rounds, then the ones admitted since. Between the two, the codec
+    /// drops every interned value that no parked instance uses
+    /// ([`ConfigCodec::compact`]). Finished instances are delivered to
+    /// `sink` from the retiring worker's thread — the sink must
+    /// aggregate order-independently (sinks run concurrently, in no
+    /// fixed order). Returns the number of instances retired this
+    /// round.
     pub fn run_round(&mut self, sink: &(impl Fn(BatchOutcome<A::Output>) + Sync)) -> usize {
         self.round += 1;
         let before = self.runnable.len();
         if before == 0 {
             return 0;
         }
-        let this: &Self = self;
-        let round = self.round;
-        let mut workers: Vec<VisitBufs<'_, A>> = (0..self.cfg.jobs.min(before))
-            .map(|_| VisitBufs {
-                scratch: Execution::new(this.alg, &this.topo, vec![0u64; this.n]),
-                row: vec![0u32; this.n * SLOTS_PER_PROC],
-                act_row: vec![0u32; this.n],
-                active: Vec::with_capacity(this.n),
-            })
-            .collect();
-        sweep::for_each_chunk(before, CLAIM_CHUNK, &mut workers, |bufs, range| {
-            for i in range {
-                this.visit(this.runnable[i] as usize, round, bufs, sink);
-            }
-        });
-        drop(workers); // the scratch executions borrow `self`
+        // The prune keeps the parked slots in order and `admit` appends
+        // the fresh ones, so the parked slots lead.
+        let status = &self.status;
+        let carried = self
+            .runnable
+            .partition_point(|&slot| status[slot as usize].load(Ordering::Relaxed) == ST_IN_FLIGHT);
+        self.sweep(0..carried, sink);
+        self.compact(carried);
+        self.sweep(carried..before, sink);
         let (status, free) = (&self.status, &mut self.free);
         self.runnable.retain(|&slot| {
             let live = status[slot as usize].load(Ordering::Relaxed) == ST_IN_FLIGHT;
@@ -390,6 +416,56 @@ where
             live
         });
         before - self.runnable.len()
+    }
+
+    /// Visits the instances of `runnable[range]`, in chunks `jobs`
+    /// workers claim from one shared cursor.
+    fn sweep(&self, range: Range<usize>, sink: &(impl Fn(BatchOutcome<A::Output>) + Sync)) {
+        if range.is_empty() {
+            return;
+        }
+        let mut workers: Vec<VisitBufs<'_, A>> = (0..self.cfg.jobs.min(range.len()))
+            .map(|_| VisitBufs {
+                scratch: Execution::new(self.alg, &self.topo, vec![0u64; self.n]),
+                row: vec![0u32; self.n * SLOTS_PER_PROC],
+                act_row: vec![0u32; self.n],
+                active: Vec::with_capacity(self.n),
+            })
+            .collect();
+        let slots = &self.runnable[range];
+        sweep::for_each_chunk(slots.len(), CLAIM_CHUNK, &mut workers, |bufs, chunk| {
+            for &slot in &slots[chunk] {
+                self.visit(slot as usize, self.round, bufs, sink);
+            }
+        });
+    }
+
+    /// Records the interners' sizes toward [`Self::interned_counts`],
+    /// then drops every interned value that no instance of
+    /// `runnable[..carried]` still parked uses, rewriting those rows.
+    /// The fresh rows after them hold identifiers, not interned slots.
+    fn compact(&mut self, carried: usize) {
+        self.peak_interned = self.interned_counts();
+        let width = self.n * SLOTS_PER_PROC;
+        let (packed, status) = (&mut self.packed, &self.status);
+        let parked = &self.runnable[..carried];
+        let mut row = vec![0u32; width];
+        self.codec.compact(|visit| {
+            for &slot in parked {
+                let slot = slot as usize;
+                if status[slot].load(Ordering::Relaxed) != ST_IN_FLIGHT {
+                    continue;
+                }
+                let words = &mut packed[slot * width..(slot + 1) * width];
+                for (r, w) in row.iter_mut().zip(words.iter_mut()) {
+                    *r = *w.get_mut();
+                }
+                visit(&mut row);
+                for (r, w) in row.iter().zip(words) {
+                    *w.get_mut() = *r;
+                }
+            }
+        });
     }
 
     /// Sweeps until the fleet drains or `max_rounds` elapse. Returns

@@ -15,7 +15,9 @@
 //!   interned [`ConfigCodec`](ftcolor_model::encode::ConfigCodec)
 //!   encoding, lifted out of the checker and into the execution hot
 //!   path; a freshly admitted instance holds its identifiers there
-//!   instead) plus flat activation/time counters. Sweeps visit every
+//!   instead) plus flat activation/time counters; each round drops the
+//!   interned values no parked instance uses, so memory follows what is
+//!   in flight. Sweeps visit every
 //!   in-flight instance through per-worker scratch executions, in
 //!   chunks claimed from one shared cursor
 //!   ([`for_each_chunk`](ftcolor_model::sweep::for_each_chunk)). Outcomes are

@@ -148,13 +148,15 @@ pub struct ServiceSummary {
     /// Commutative digest over all outcomes (hex) — order-independent,
     /// so equal digests at different `--jobs` mean equal outcome sets.
     pub outputs_digest: String,
-    /// Distinct interned states (0 on the materialized path). Only
+    /// Most distinct states held interned at once (0 on the
+    /// materialized path; see [`BatchEngine::interned_counts`]). Only
     /// parked configurations are interned: an instance that retires on
-    /// its first visit never interns its states, initial ones included.
+    /// its first visit never interns its states, initial ones included,
+    /// and each round drops the values no parked instance uses.
     pub interned_states: usize,
-    /// Distinct interned register values.
+    /// Most distinct register values held interned at once.
     pub interned_regs: usize,
-    /// Distinct interned outputs.
+    /// Most distinct outputs held interned at once.
     pub interned_outputs: usize,
 }
 

@@ -82,19 +82,28 @@
 //! `ftcolor-batch` keeps *millions of concurrent instances* parked as
 //! packed rows in one flat slab and swaps each row through a per-worker
 //! scratch [`Execution`] to step it. That hot path needs neither hashes
-//! nor `Arc`s, so it gets two dedicated entry points that operate on
+//! nor `Arc`s, so it gets dedicated entry points that operate on
 //! caller-owned `&[u32]` rows:
 //!
 //! * [`ConfigCodec::encode_slice`] — intern + pack into an existing row
-//!   (no allocation after the interners saturate),
+//!   (under the read lock, and allocating nothing, when every value is
+//!   already interned),
 //! * [`ConfigCodec::restore_slice`] — materialize a row into a scratch
-//!   execution, overwriting every slot (and thereby the working set).
+//!   execution, overwriting every slot (and thereby the working set),
+//! * [`ConfigCodec::compact`] — drop every value no live row uses and
+//!   rewrite the live rows, survivors keeping their order and hashes.
 //!
-//! The codec pays off exactly when many instances share a value
-//! universe (fleets of small rings with identifiers drawn from a common
-//! pool); a single giant ring with all-distinct identifiers would intern
-//! every value exactly once and gain nothing — such instances should run
-//! on a live `Execution` instead.
+//! A stream of instances never saturates the interners: each instance
+//! brings states of its own (with identifiers from a universe of 2^40,
+//! nearly all of them), and the values of a finished instance are
+//! useless to the next. So the batch engine compacts once per sweep
+//! round, against the rows still parked; the model checker never does,
+//! since its visited rows stay live. The codec pays off when many
+//! instances in flight share a value universe (fleets of small rings
+//! with identifiers drawn from a common pool); a single giant ring with
+//! all-distinct identifiers would intern every value exactly once and
+//! gain nothing — such instances should run on a live `Execution`
+//! instead.
 
 use crate::algorithm::{Neighborhood, Step};
 use crate::{Algorithm, Execution, ProcessId, Topology};
@@ -213,10 +222,16 @@ impl<T: Eq + Hash + Clone> ValueInterner<T> {
         idx
     }
 
-    /// Doubles the index table (16 buckets at first), re-placing every
-    /// index by its cached hash.
+    /// Doubles the index table (16 buckets at first).
     fn grow(&mut self) {
-        let buckets = (2 * self.table.len()).max(16);
+        self.rebuild_table((2 * self.table.len()).max(16));
+    }
+
+    /// Replaces the index table with one of `buckets` (a power of two,
+    /// at least twice the values), re-placing every index by its cached
+    /// hash. The old table is freed before the new one is allocated.
+    fn rebuild_table(&mut self, buckets: usize) {
+        self.table = Vec::new();
         self.table = vec![EMPTY_BUCKET; buckets];
         let mask = buckets - 1;
         for (idx, &h) in self.hashes.iter().enumerate() {
@@ -226,6 +241,23 @@ impl<T: Eq + Hash + Clone> ValueInterner<T> {
             }
             self.table[at] = idx as u32;
         }
+    }
+
+    /// Keeps only the values whose entry in `remap` (one per value) is
+    /// not [`UNKNOWN`], in their old order, and overwrites each kept
+    /// entry with the value's new index. The survivors move down in
+    /// place and the index table is rebuilt, sized for them, from their
+    /// cached hashes, so no value is cloned or re-hashed.
+    fn retain(&mut self, remap: &mut [u32]) {
+        debug_assert_eq!(remap.len(), self.values.len());
+        for (next, m) in remap.iter_mut().filter(|m| **m != UNKNOWN).enumerate() {
+            *m = next as u32;
+        }
+        let mut kept = remap.iter();
+        self.values.retain(|_| kept.next() != Some(&UNKNOWN));
+        let mut kept = remap.iter();
+        self.hashes.retain(|_| kept.next() != Some(&UNKNOWN));
+        self.rebuild_table((2 * self.values.len()).next_power_of_two().max(16));
     }
 
     /// The value at `idx`.
@@ -643,8 +675,7 @@ where
 
 /// The shared encoding context of one exploration or batch: a
 /// [`ValueInterner`] per component type behind a single `RwLock` (reads
-/// vastly dominate — the universe of distinct values saturates within
-/// the first BFS levels / service rounds).
+/// dominate: restores and lookups of values already interned).
 pub struct ConfigCodec<A: Algorithm> {
     n: usize,
     inner: RwLock<CodecInner<A>>,
@@ -700,9 +731,9 @@ where
 
     /// Encodes the full configuration of `exec` into a caller-owned
     /// `3n`-slot row — the batch executor's parking half. No hash is
-    /// computed and nothing is allocated once the interners have seen
-    /// every value; the row contents are exactly what [`Self::encode`]
-    /// would pack.
+    /// computed, and nothing is allocated when the interners already
+    /// hold every value; the row contents are exactly what
+    /// [`Self::encode`] would pack.
     ///
     /// # Panics
     ///
@@ -951,6 +982,56 @@ where
         exec.restore_slot(p, state, reg, out);
     }
 
+    /// Drops every interned value that no live row uses and rewrites the
+    /// live rows to the survivors' new indices — how the batch engine
+    /// keeps its interners to what it has parked. `rows` is called twice
+    /// and must hand the visitor it gets the same packed `3n`-slot rows
+    /// both times: the first call marks the values each row uses, the
+    /// second rewrites the row. Survivors keep their order and cached
+    /// hashes, so a rewritten row restores exactly the configuration it
+    /// held, and a dropped value that comes back is interned anew, at
+    /// the end. The memos are keyed by indices and are cleared. The
+    /// model checker never compacts: its visited rows stay live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row does not hold `3n` slots or holds an index this
+    /// codec does not hold.
+    pub fn compact(&mut self, mut rows: impl FnMut(&mut dyn FnMut(&mut [u32]))) {
+        let width = self.n * SLOTS_PER_PROC;
+        let inner = self.inner.get_mut();
+        let mut remaps =
+            [inner.states.len(), inner.regs.len(), inner.outs.len()].map(|len| vec![UNKNOWN; len]);
+        // A state slot packs its index, a register or output slot the
+        // index + 1 (`0` = empty).
+        let at = |slot: usize, v: u32| match (slot % SLOTS_PER_PROC, v) {
+            (0, v) => Some((0, v as usize)),
+            (_, 0) => None,
+            (s, v) => Some((s, v as usize - 1)),
+        };
+        rows(&mut |row| {
+            assert_eq!(row.len(), width, "compacted rows must hold 3n slots");
+            for (slot, &v) in row.iter().enumerate() {
+                if let Some((s, idx)) = at(slot, v) {
+                    remaps[s][idx] = 0;
+                }
+            }
+        });
+        inner.states.retain(&mut remaps[0]);
+        inner.regs.retain(&mut remaps[1]);
+        inner.outs.retain(&mut remaps[2]);
+        rows(&mut |row| {
+            for (slot, v) in row.iter_mut().enumerate() {
+                if let Some((s, idx)) = at(slot, *v) {
+                    *v = remaps[s][idx] + u32::from(s != 0);
+                }
+            }
+        });
+        inner.published.clear();
+        inner.transitions.clear();
+        inner.swapped_states.clear();
+    }
+
     /// Distinct interned (states, registers, outputs).
     pub fn interned_counts(&self) -> (usize, usize, usize) {
         let inner = self.inner.read();
@@ -1172,6 +1253,118 @@ mod tests {
             assert_eq!(interner.lookup(&Colliding(v)), Some(v));
         }
         assert_eq!(interner.lookup(&Colliding(100)), None);
+    }
+
+    /// The (states, registers, outputs) of `exec`, by process.
+    type Config = Vec<((u64, u8), Option<u64>, Option<u64>)>;
+
+    fn config_of(exec: &Execution<'_, ModSeven>) -> Config {
+        (0..exec.outputs().len())
+            .map(|i| {
+                let p = ProcessId(i);
+                (*exec.state(p), exec.register(p).copied(), exec.outputs()[i])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compaction_keeps_exactly_the_values_live_rows_use() {
+        let n = 5;
+        let topo = Topology::cycle(n).unwrap();
+        let mut codec: ConfigCodec<ModSeven> = ConfigCodec::new(n);
+        // Four instances, encoded in turn; the first and third are then
+        // released, so values of the second shift down past theirs.
+        let mut execs: Vec<Execution<'_, ModSeven>> = (0..4u64)
+            .map(|k| {
+                Execution::new(
+                    &ModSeven,
+                    &topo,
+                    (0..n as u64).map(|i| 10 * k + i).collect(),
+                )
+            })
+            .collect();
+        let mut rows = vec![vec![0u32; n * SLOTS_PER_PROC]; 4];
+        for (k, (exec, row)) in execs.iter_mut().zip(&mut rows).enumerate() {
+            exec.step_with(&ActivationSet::All);
+            exec.step_with(&ActivationSet::Only(
+                (0..k % 3 + 1).map(ProcessId).collect(),
+            ));
+            codec.encode_slice(exec, row);
+        }
+        let live = [1, 3];
+        let (old_states, old_regs, old_outs) = {
+            let inner = codec.inner.read();
+            let (s, r, o) = (&inner.states, &inner.regs, &inner.outs);
+            (s.values.clone(), r.values.clone(), o.values.clone())
+        };
+        let before: Vec<Config> = execs.iter().map(config_of).collect();
+        let old_rows = rows.clone();
+
+        let mut live_rows: Vec<&mut Vec<u32>> = rows
+            .iter_mut()
+            .enumerate()
+            .filter(|(k, _)| live.contains(k))
+            .map(|(_, row)| row)
+            .collect();
+        codec.compact(|visit| {
+            for row in &mut live_rows {
+                visit(row);
+            }
+        });
+
+        // Every live row restores the configuration it held.
+        for &k in &live {
+            let mut scratch = Execution::new(&ModSeven, &topo, vec![99; n]);
+            codec.restore_slice(&mut scratch, &rows[k]);
+            assert_eq!(config_of(&scratch), before[k], "instance {k}");
+            let mut again = vec![0; n * SLOTS_PER_PROC];
+            codec.encode_slice(&execs[k], &mut again);
+            assert_eq!(
+                again, rows[k],
+                "instance {k} re-encodes to its rewritten row"
+            );
+        }
+        assert!(
+            live.iter().any(|&k| (1..rows[k].len())
+                .step_by(SLOTS_PER_PROC)
+                .any(|s| rows[k][s] != old_rows[k][s])),
+            "some register index moved"
+        );
+
+        // Survivors keep their old order and cached hashes and are found
+        // at their new index; everything else is gone.
+        fn check<T: Eq + Hash + Clone + std::fmt::Debug>(
+            interner: &ValueInterner<T>,
+            old: &[T],
+            used: &[T],
+        ) -> Option<T> {
+            let survivors: Vec<T> = old.iter().filter(|v| used.contains(v)).cloned().collect();
+            assert_eq!(interner.values, survivors, "survivors keep their order");
+            for (idx, v) in survivors.iter().enumerate() {
+                assert_eq!(interner.lookup(v), Some(idx as u32), "{v:?}");
+                assert_eq!(interner.hash_of(idx as u32), value_hash(v), "{v:?}");
+            }
+            let dropped: Vec<&T> = old.iter().filter(|v| !used.contains(v)).collect();
+            for v in &dropped {
+                assert_eq!(interner.lookup(v), None, "{v:?} was dropped");
+            }
+            dropped.first().map(|v| (*v).clone())
+        }
+        let configs = || live.iter().flat_map(|&k| &before[k]);
+        let used_states: Vec<(u64, u8)> = configs().map(|c| c.0).collect();
+        let used_regs: Vec<u64> = configs().filter_map(|c| c.1).collect();
+        let used_outs: Vec<u64> = configs().filter_map(|c| c.2).collect();
+        let mut inner = codec.inner.write();
+        let state = check(&inner.states, &old_states, &used_states).expect("a state dropped");
+        let reg = check(&inner.regs, &old_regs, &used_regs).expect("a register dropped");
+        check(&inner.outs, &old_outs, &used_outs);
+
+        // A dropped value that comes back is appended.
+        let len = inner.states.len();
+        assert_eq!(inner.states.intern(&state), len as u32);
+        assert_eq!(inner.states.lookup(&state), Some(len as u32));
+        let len = inner.regs.len();
+        assert_eq!(inner.regs.intern(&reg), len as u32);
     }
 
     #[test]

@@ -383,6 +383,128 @@ fn open_loop_fleet_reuses_slots_and_keeps_outcomes_exact() {
     assert_eq!(runs[0], runs[1], "jobs=1 vs jobs=3");
 }
 
+/// A long open-loop stream of wide identifiers (universe 2^40, so
+/// nearly every instance's states are its own) at quantum 1 and 2, so
+/// instances stay parked across several rounds and hence several
+/// compactions, with crashes and stalls mixed in. Every outcome must
+/// match the oracle at jobs 1 and 3, and the interners must follow what
+/// is in flight: each round's compaction drops what no parked instance
+/// uses, so no component ever holds more than `2n` values per instance
+/// at the peak in flight (`n` for the parked rows, `n` for what a
+/// round interns on top), however many instances were admitted.
+#[test]
+fn long_streams_keep_interned_values_to_what_is_in_flight() {
+    let alg = &FiveColoringPatched;
+    let n = 5;
+    let specs: Vec<InstanceSpec> = (0..800u64)
+        .map(|k| {
+            let ids = inputs::random_unique(n, 1 << 40, k);
+            // Every 40th instance stalls on a small fuel.
+            let fuel = if k % 40 == 11 { 5 } else { FUEL };
+            let spec = if k % 5 == 0 {
+                InstanceSpec::synchronous(ids, fuel)
+            } else {
+                InstanceSpec::random(ids, k, 0.5, fuel)
+            };
+            if k % 3 == 0 {
+                spec.with_crash(ProcessId(k as usize % n), 1 + k % 7)
+            } else {
+                spec
+            }
+        })
+        .collect();
+    let wide = specs.iter().flat_map(|s| &s.ids);
+    assert!(
+        2 * wide.clone().filter(|&&id| id > u32::MAX.into()).count() > wide.count(),
+        "most identifiers are above 2^32"
+    );
+    let bursts = [4, 1, 6, 0, 3, 9, 2, 0, 5];
+
+    let mut runs = Vec::new();
+    for quantum in [1, 2] {
+        for jobs in [1, 3] {
+            let ctx = format!("quantum {quantum} jobs {jobs}");
+            let mut engine = BatchEngine::new(
+                alg,
+                n,
+                BatchConfig {
+                    jobs,
+                    quantum,
+                    record_traces: false,
+                },
+            );
+            let collected = Mutex::new(Vec::new());
+            let sink = |outcome: BatchOutcome<u64>| collected.lock().expect("sink").push(outcome);
+            let (mut admitted, mut peak_in_flight) = (0, 0);
+            while admitted < specs.len() || engine.in_flight() > 0 {
+                let burst = bursts[engine.rounds() as usize % bursts.len()];
+                for spec in &specs[admitted..(admitted + burst).min(specs.len())] {
+                    engine.admit(spec);
+                    admitted += 1;
+                }
+                peak_in_flight = peak_in_flight.max(engine.in_flight());
+                engine.run_round(&sink);
+                let (s, r, o) = engine.interned_counts();
+                let bound = 2 * n * peak_in_flight;
+                assert!(
+                    s <= bound && r <= bound && o <= bound,
+                    "{ctx} round {}: interned ({s}, {r}, {o}) above {bound} \
+                     for a peak of {peak_in_flight} in flight",
+                    engine.rounds()
+                );
+                assert!(engine.rounds() < 10 * FUEL, "{ctx}: fleet failed to drain");
+            }
+            assert!(
+                engine.rounds() > 2 * bursts.len() as u64,
+                "{ctx}: a long stream"
+            );
+
+            let mut outcomes = collected.into_inner().expect("sink");
+            outcomes.sort_by_key(|o| o.index);
+            assert_eq!(
+                outcomes.len(),
+                specs.len(),
+                "{ctx}: one outcome per instance"
+            );
+            let mut kinds = Vec::new();
+            for (spec, outcome) in specs.iter().zip(&outcomes) {
+                let ctx = format!("{ctx} instance {}", outcome.index);
+                match spec.run_sequential(alg) {
+                    Ok(report) => {
+                        assert_eq!(outcome.report(), report, "{ctx}: report mismatch");
+                        let expect = if report.crashed.is_empty() {
+                            Termination::Returned
+                        } else {
+                            Termination::Crashed
+                        };
+                        assert_eq!(outcome.termination, expect, "{ctx}: termination kind");
+                    }
+                    Err(_) => assert_eq!(outcome.termination, Termination::Stalled, "{ctx}"),
+                }
+                if !kinds.contains(&outcome.termination) {
+                    kinds.push(outcome.termination);
+                }
+            }
+            assert_eq!(
+                kinds.len(),
+                3,
+                "{ctx}: returns, crashes and stalls all occur"
+            );
+            let parked_long = outcomes
+                .iter()
+                .filter(|o| o.completed_round - o.admitted_round > 2)
+                .count();
+            assert!(
+                parked_long > 0,
+                "{ctx}: instances stay parked across rounds"
+            );
+            runs.push(outcomes);
+        }
+    }
+    assert_eq!(runs[0], runs[1], "quantum 1: jobs=1 vs jobs=3");
+    assert_eq!(runs[2], runs[3], "quantum 2: jobs=1 vs jobs=3");
+}
+
 /// `run_materialized` on `spec` against `Execution::run` on the same
 /// schedule: termination, outputs, activations, time steps, crashed set
 /// and (when recorded) the resolved activation sets.
